@@ -19,6 +19,13 @@ rebind — no parse, no plan, no compile.  ``parameterised=False`` keeps
 the per-text path, which doubles as the oracle for the equivalence suite
 in ``tests/test_parameterised_plans.py``.
 
+A shape is admitted to those caches on its *second* sighting.  The first
+SELECT of a shape runs the per-text pipeline but keeps nothing keyed to
+its statement: no parse or plan cache entry, and its subquery memo,
+correlation info and subquery plans live in a scope dropped when the
+call returns.  Caches keyed by value (full-scan rows, compiled
+closures) stay shared, and every cache is bounded.
+
 ``Executor(db, compiled=False, use_caches=False, index_scans=False)``
 reproduces the original fully-interpreted behaviour; the property tests
 assert both modes return identical results.
@@ -62,7 +69,7 @@ from repro.sql.shape import is_mutation as _is_mutation_text, sql_shape
 from repro.storage.database import Database
 from repro.storage.row import Row
 from repro.storage.api import TableStorage
-from repro.utils.cache import LRUCache
+from repro.utils.cache import SIGHTINGS_SIZE, LRUCache
 
 _EMPTY_ROW = Row({})
 
@@ -76,6 +83,11 @@ _FALLBACK = object()
 #: Bound on the identity-keyed subquery-plan cache used while running
 #: parameterised plans (cleared wholesale; plans rebuild on demand).
 _PARAM_SUBPLAN_LIMIT = 4096
+
+#: Bound on the cached prefixed full scans, one per (table, alias).  The
+#: warm workloads hold 8-14; fresh aliases from ad-hoc queries cycle
+#: through the LRU instead of growing it.
+_SCAN_CACHE_SIZE = 64
 
 
 class _CorrelationInfo:
@@ -111,6 +123,28 @@ def _analyze_correlation(statement: ast.SelectStatement) -> _CorrelationInfo:
             if node.table.lower() not in inner_bindings:
                 keys.add(node.qualified)
     return _CorrelationInfo(frozenset(inner_bindings), tuple(sorted(keys)), whole_row)
+
+
+class _StatementScope:
+    """State keyed to statements: subquery memo, correlation info, subquery plans.
+
+    The executor keeps one shared scope for admitted (cached) statements;
+    a shape's first sighting runs in a private scope that is dropped with
+    it.  Every map is keyed by statement identity and holds the statement
+    itself, so an ``id`` is never reused while its entry lives.
+    """
+
+    __slots__ = ("memo", "memo_entries", "correlations", "subplans")
+
+    def __init__(self) -> None:
+        self.memo: Dict[int, Tuple[ast.SelectStatement, Dict[Any, List[Row]]]] = {}
+        self.memo_entries = 0
+        self.correlations: Dict[int, Tuple[ast.SelectStatement, _CorrelationInfo]] = {}
+        self.subplans: Dict[int, Tuple[ast.SelectStatement, Any]] = {}
+
+    def clear_memo(self) -> None:
+        self.memo.clear()
+        self.memo_entries = 0
 
 
 class Executor:
@@ -158,9 +192,11 @@ class Executor:
         # Workload capture: one representative SQL text per compiled shape
         # plan, for the warm-start API (`captured_shapes`/`precompile`).
         self._param_samples: LRUCache = LRUCache(shape_cache_size)
-        self._param_subplans: Dict[int, Tuple[ast.SelectStatement, Any]] = {}
+        # Second-sighting admission: hashes of the shapes seen so far.
+        self._sightings: LRUCache = LRUCache(SIGHTINGS_SIZE)
         self.shape_hits = 0
         self.shape_misses = 0
+        self.shape_deferred = 0
         self.shape_fallbacks = 0
         # Vectorized scan counters: how many filter/projection nodes ran
         # column-at-a-time over columnar arrays, and how many started to
@@ -175,12 +211,11 @@ class Executor:
         # statement (so even mutations that bypass the executor are seen).
         self._parse_cache: LRUCache = LRUCache(parse_cache_size)
         self._plan_cache: LRUCache = LRUCache(plan_cache_size)
-        self._scan_cache: Dict[Tuple[str, str], Tuple[int, List[Row]]] = {}
-        self._subquery_memo: Dict[int, Tuple[ast.SelectStatement, Dict[Any, List[Row]]]] = {}
-        self._subquery_entries = 0
+        self._scan_cache: LRUCache = LRUCache(_SCAN_CACHE_SIZE)
+        self._shared_scope = _StatementScope()
+        self._scope = self._shared_scope
         self.subquery_hits = 0
         self.subquery_misses = 0
-        self._corr_info: Dict[int, Tuple[ast.SelectStatement, _CorrelationInfo]] = {}
         self._data_version = database.data_version
 
     # ------------------------------------------------------------------
@@ -197,8 +232,11 @@ class Executor:
         as parameters.  Texts the shape analysis cannot prove sharable
         fall back to the per-text pipeline below.
         """
+        return self._execute_sql(sql, admit=False)
+
+    def _execute_sql(self, sql: str, admit: bool):
         if self.parameterised:
-            result = self._execute_parameterised(sql)
+            result = self._execute_parameterised(sql, admit)
             if result is not _FALLBACK:
                 return result
         return self.execute(self._parse_statement(sql))
@@ -245,9 +283,11 @@ class Executor:
 
         ``shape_plans`` covers the parameterised path: ``hits`` are
         executions served by a shared plan with only a rebind, ``misses``
-        are first sights of a (shape, guard) class that compiled a new
-        shared plan, and ``fallbacks`` are texts the shape analysis
-        routed to the per-text pipeline.
+        are executions with no shared plan to serve them — ``deferred`` of
+        them first sightings of a shape, run once on the per-text pipeline
+        without caching anything, the rest second sightings (or new guard
+        classes) that compiled a shared plan — and ``fallbacks`` are texts
+        the shape analysis routed to the per-text pipeline.
         """
         return {
             "parse": self._parse_cache.stats,
@@ -255,6 +295,7 @@ class Executor:
             "shape_plans": {
                 "hits": self.shape_hits,
                 "misses": self.shape_misses,
+                "deferred": self.shape_deferred,
                 "fallbacks": self.shape_fallbacks,
                 "entries": len(self._param_plans),
                 "shapes": len(self._shape_infos),
@@ -262,7 +303,7 @@ class Executor:
             "subquery": {
                 "hits": self.subquery_hits,
                 "misses": self.subquery_misses,
-                "entries": self._subquery_entries,
+                "entries": self._shared_scope.memo_entries,
             },
             "scan_tables": len(self._scan_cache),
         }
@@ -286,16 +327,16 @@ class Executor:
         """Warm-start: replay captured shape texts through the executor.
 
         Only plain SELECTs are replayed (parameterised plans cover nothing
-        else, and replaying a mutation would change data); each runs once,
-        compiling its shared plan.  Texts that fail are skipped.  Returns
-        how many texts replayed cleanly.
+        else, and replaying a mutation would change data); each runs once
+        and is admitted directly, compiling its shared plan.  Texts that
+        fail are skipped.  Returns how many texts replayed cleanly.
         """
         replayed = 0
         for sql in shapes:
             if not isinstance(sql, str) or _is_mutation_text(sql):
                 continue
             try:
-                self.execute_sql(sql)
+                self._execute_sql(sql, admit=True)
             except Exception:
                 continue
             replayed += 1
@@ -305,13 +346,15 @@ class Executor:
     # Parameterised (shape-shared) execution
     # ------------------------------------------------------------------
 
-    def _execute_parameterised(self, sql: str):
+    def _execute_parameterised(self, sql: str, admit: bool):
         """Execute ``sql`` through the shape-shared plan cache.
 
         Returns :data:`_FALLBACK` when the text must take the per-text
         path: the shape does not lex, the statement is not a SELECT, or
         the literal walk cannot be aligned with the lexer's literal
         vector (see :func:`repro.engine.parameterised.analyze_statement`).
+        A SELECT shape's first sighting (unless ``admit``) runs once via
+        :meth:`_execute_unadmitted`; mutations are never deferred.
         """
         shaped = sql_shape(sql)
         if shaped is None:
@@ -326,6 +369,13 @@ class Executor:
         if info is not None:
             entry = self._param_plans.get((shape, guard_key(literals, info)))
         if entry is None:
+            if info is None and not admit and not _is_mutation_text(sql):
+                digest = hash(shape)
+                if digest not in self._sightings:
+                    self._sightings.put(digest, True)
+                    self.shape_misses += 1
+                    self.shape_deferred += 1
+                    return self._execute_unadmitted(parse_sql(sql))
             statement = self._parse_statement(sql)
             if info is None:
                 info = analyze_statement(statement, literals)
@@ -362,6 +412,22 @@ class Executor:
             self._params_box[0] = ()
         return QueryResult(columns=entry.columns, rows=rows)
 
+    def _execute_unadmitted(self, statement: ast.SelectStatement) -> QueryResult:
+        """Run a SELECT shape's first sighting, keeping nothing keyed to it.
+
+        The statement is planned and run like any per-text statement, but
+        its plan, subquery plans, subquery memo and correlation info live
+        in a private scope dropped on return.  The shared data caches are
+        validated before the scope is entered (mutations never get here:
+        their invalidation must reach the shared caches).
+        """
+        self._validate_caches()
+        self._scope = _StatementScope()
+        try:
+            return self.execute_select(statement)
+        finally:
+            self._scope = self._shared_scope
+
     # ------------------------------------------------------------------
     # Planning and cache upkeep
     # ------------------------------------------------------------------
@@ -369,18 +435,21 @@ class Executor:
     def _plan_select(
         self, statement: ast.SelectStatement
     ) -> Tuple[LogicalPlan, Tuple[str, ...]]:
-        if self._param_active:
+        if self._param_active or self._scope is not self._shared_scope:
             # Subqueries of a parameterised plan get identity-keyed plans:
             # the per-text plan cache keys by value equality, and a
             # value-equal statement from an unrelated text must never
-            # receive closures that read this shape's parameter slots.
-            cached = self._param_subplans.get(id(statement))
+            # receive closures that read this shape's parameter slots.  A
+            # first sighting keys its plans the same way, in its own
+            # scope, so they are built once per statement and die with it.
+            subplans = self._scope.subplans
+            cached = subplans.get(id(statement))
             if cached is not None and cached[0] is statement:
                 return cached[1]
             entry = (self.planner.plan(statement), self._output_columns(statement))
-            if len(self._param_subplans) >= _PARAM_SUBPLAN_LIMIT:
-                self._param_subplans.clear()
-            self._param_subplans[id(statement)] = (statement, entry)
+            if len(subplans) >= _PARAM_SUBPLAN_LIMIT:
+                subplans.clear()
+            subplans[id(statement)] = (statement, entry)
             return entry
         entry = self._plan_cache.get(statement) if self.use_caches else None
         if entry is None:
@@ -398,8 +467,7 @@ class Executor:
 
     def _clear_data_caches(self) -> None:
         self._scan_cache.clear()
-        self._subquery_memo.clear()
-        self._subquery_entries = 0
+        self._shared_scope.clear_memo()
 
     def invalidate_caches(self) -> None:
         """Drop every cache, including the data-independent ones.
@@ -410,12 +478,12 @@ class Executor:
         """
         self._parse_cache.clear()
         self._plan_cache.clear()
-        self._corr_info.clear()
         self._shape_infos.clear()
         self._param_plans.clear()
         self._param_samples.clear()
-        self._param_subplans.clear()
+        self._sightings.clear()
         self._param_compiler.clear()
+        self._shared_scope = self._scope = _StatementScope()
         self._clear_data_caches()
         self._data_version = self.database.data_version
 
@@ -604,7 +672,7 @@ class Executor:
         if entry is not None and entry[0] == table.version:
             return entry[1]
         rows = [row.prefixed(binding) for row in table.rows()]
-        self._scan_cache[key] = (table.version, rows)
+        self._scan_cache.put(key, (table.version, rows))
         return rows
 
     # ------------------------------------------------------------------
@@ -918,10 +986,11 @@ class Executor:
         key = self._memo_key(statement, outer_row)
         if key is None:
             return self.execute_select(statement, outer_row=outer_row).rows
-        entry = self._subquery_memo.get(id(statement))
+        scope = self._scope
+        entry = scope.memo.get(id(statement))
         if entry is None or entry[0] is not statement:
             entry = (statement, {})
-            self._subquery_memo[id(statement)] = entry
+            scope.memo[id(statement)] = entry
         cache = entry[1]
         try:
             cached = cache.get(key)
@@ -932,12 +1001,12 @@ class Executor:
             return cached
         rows = self.execute_select(statement, outer_row=outer_row).rows
         self.subquery_misses += 1
-        self._subquery_entries += 1
-        if self._subquery_entries > _SUBQUERY_MEMO_LIMIT:
-            self._subquery_memo.clear()
-            self._subquery_entries = 1
+        scope.memo_entries += 1
+        if scope.memo_entries > _SUBQUERY_MEMO_LIMIT:
+            scope.clear_memo()
+            scope.memo_entries = 1
             entry = (statement, {})
-            self._subquery_memo[id(statement)] = entry
+            scope.memo[id(statement)] = entry
             cache = entry[1]
         cache[key] = rows
         return rows
@@ -990,13 +1059,14 @@ class Executor:
         return (params, tuple(parts))
 
     def _correlation_info(self, statement: ast.SelectStatement) -> _CorrelationInfo:
-        entry = self._corr_info.get(id(statement))
+        correlations = self._scope.correlations
+        entry = correlations.get(id(statement))
         if entry is not None and entry[0] is statement:
             return entry[1]
         info = _analyze_correlation(statement)
-        if len(self._corr_info) >= 10_000:
-            self._corr_info.clear()  # bound growth on endless distinct queries
-        self._corr_info[id(statement)] = (statement, info)
+        if len(correlations) >= 10_000:
+            correlations.clear()  # bound growth on endless distinct queries
+        correlations[id(statement)] = (statement, info)
         return info
 
     # ------------------------------------------------------------------

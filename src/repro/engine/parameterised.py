@@ -13,7 +13,8 @@ How it works
 **Shape key.**  :func:`repro.sql.shape.sql_shape` (the implementation
 shared with the translator) splits a SQL text into a literal-stripped
 token shape plus the literal values in text order.  The first text of a
-shape becomes the *canonical* statement: it is parsed and planned
+shape to be admitted (its second sighting; the executor runs the first
+uncached) becomes the *canonical* statement: it is parsed and planned
 normally, and its plan is cached under the shape.
 
 **Parameter slots.**  :func:`source_literals` walks the canonical AST in

@@ -48,7 +48,7 @@ from repro.lexicon.lexicon import Lexicon
 from repro.lexicon.morphology import number_word
 from repro.sql import ast
 from repro.sql.shape import batch_key, reconstruct_sql, sql_shape
-from repro.utils.cache import LRUCache
+from repro.utils.cache import SIGHTINGS_SIZE, LRUCache
 
 __all__ = [
     "PlanStore",
@@ -399,6 +399,14 @@ class PlanStore:
     eviction count, so a deployment can see when its hot shape set
     outgrows the store and resize it.
 
+    **Admission.**  A shape is compiled and stored on its second sighting
+    only (:meth:`admits`): the first sighting of a literal-stripped shape
+    is translated on the full pipeline and leaves nothing behind but its
+    hash in a bounded LRU of sightings, so ad-hoc one-off queries neither
+    pay the sentinel probe nor evict hot plans.  A known shape's new guard
+    class compiles at once.  A first sighting counts as a miss and as
+    ``deferred``, so hits + misses still equal lookups.
+
     Besides hit/miss counters the store keeps the *unplannable-shape
     report*: how many shapes the two-probe compiler refused (value-driven
     branches the guards could not pin) and a bounded sample of the SQL
@@ -411,9 +419,11 @@ class PlanStore:
         "lexicon_version",
         "hits",
         "misses",
+        "deferred",
         "unplannable",
         "_unplannable_samples",
         "_samples",
+        "_sightings",
         "_lock",
     )
 
@@ -423,6 +433,7 @@ class PlanStore:
         self.lexicon_version: Optional[int] = None
         self.hits = 0
         self.misses = 0
+        self.deferred = 0
         self.unplannable = 0
         self._unplannable_samples: List[str] = []
         # Workload capture: one representative SQL text per successfully
@@ -431,15 +442,28 @@ class PlanStore:
         # plans — the warm-start API (`captured_shapes`) the shard tier
         # uses to precompile respawned workers.
         self._samples = LRUCache(resolved)
+        self._sightings = LRUCache(SIGHTINGS_SIZE)
         self._lock = threading.Lock()
 
     def record_hit(self) -> None:
         with self._lock:
             self.hits += 1
 
-    def record_miss(self) -> None:
+    def record_miss(self, deferred: bool = False) -> None:
+        """Count a miss; ``deferred`` marks a first sighting left uncompiled."""
         with self._lock:
             self.misses += 1
+            if deferred:
+                self.deferred += 1
+
+    def admits(self, shape) -> bool:
+        """Whether ``shape`` was sighted before; a first sighting is remembered."""
+        digest = hash(shape)
+        with self._lock:
+            if digest in self._sightings:
+                return True
+            self._sightings.put(digest, True)
+            return False
 
     def lookup(self, lexicon: Lexicon, key):
         with self._lock:
@@ -490,6 +514,7 @@ class PlanStore:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
+                "deferred": self.deferred,
                 "size": len(self.plans),
                 "maxsize": self.plans.maxsize,
                 "evictions": self.plans.evictions,

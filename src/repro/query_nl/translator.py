@@ -17,6 +17,12 @@ Two fast paths sit in front of the full pipeline:
   graph build.  The query graph and classification of a plan-rendered
   translation are materialised lazily on first access.
 
+Both are admitted on a shape's *second* sighting: the first translation
+of a shape runs the full pipeline and caches nothing (no phrase plan, no
+exact-text entry), so one-off queries cost no sentinel probe and evict
+nothing; the second compiles the plan and caches the text, and every
+later request is served as before.
+
 ``QueryTranslator(schema, phrase_plans=False)`` is the oracle mode that
 always runs the full pipeline; the differential tests assert both modes
 agree byte-for-byte on every output field.
@@ -24,7 +30,7 @@ agree byte-for-byte on every output field.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.catalog.schema import Schema
 from repro.content.presets import NarrationSpec
@@ -201,29 +207,32 @@ class QueryTranslator:
     def translate(self, sql_or_statement: Union[str, ast.Statement]) -> QueryTranslation:
         """Translate SQL text or a parsed statement."""
         if isinstance(sql_or_statement, str):
-            sql = sql_or_statement
-            if self._cache is not None:
-                # Translations are lexical output: vocabulary overrides on
-                # the (possibly shared) lexicon invalidate the exact-text
-                # LRU just like they invalidate the phrase-plan store.
-                if self._cache_lexicon_version != self.lexicon.version:
-                    self._cache.clear()
-                    self._cache_lexicon_version = self.lexicon.version
-                cached = self._cache.get(sql)
-                if cached is not None:
-                    # Shallow-copy the mutable list so callers cannot
-                    # corrupt the cached translation.
-                    return cached.copy()
-            translation = self._translate_text(sql)
-            if self._cache is not None:
-                # Cache the pristine original and hand the caller the copy, so
-                # every lookup — hit or miss — performs exactly one copy.
-                self._cache.put(sql, translation)
-                return translation.copy()
-            return translation
+            return self._translate_sql(sql_or_statement, admit=False)
         statement = sql_or_statement
         sql = str(statement) if isinstance(statement, ast.SelectStatement) else ""
         return self._translate_statement(sql, statement)
+
+    def _translate_sql(self, sql: str, admit: bool) -> QueryTranslation:
+        """Translate SQL text; ``admit`` skips the first-sighting deferral."""
+        if self._cache is not None:
+            # Translations are lexical output: vocabulary overrides on
+            # the (possibly shared) lexicon invalidate the exact-text
+            # LRU just like they invalidate the phrase-plan store.
+            if self._cache_lexicon_version != self.lexicon.version:
+                self._cache.clear()
+                self._cache_lexicon_version = self.lexicon.version
+            cached = self._cache.get(sql)
+            if cached is not None:
+                # Shallow-copy the mutable list so callers cannot
+                # corrupt the cached translation.
+                return cached.copy()
+        translation, admitted = self._translate_text(sql, admit)
+        if self._cache is not None and admitted:
+            # Cache the pristine original and hand the caller the copy, so
+            # every lookup — hit or miss — performs exactly one copy.
+            self._cache.put(sql, translation)
+            return translation.copy()
+        return translation
 
     def translate_procedurally(
         self, sql_or_statement: Union[str, ast.SelectStatement]
@@ -291,16 +300,17 @@ class QueryTranslator:
         ``shapes`` is an iterable of SQL texts — typically
         :meth:`PlanStore.captured_shapes` output from a production
         translator (possibly in another process).  Each text runs through
-        the full pipeline once, compiling its phrase plan, so the first
-        *real* request of every replayed shape is already a plan hit
-        instead of a cold compile.  A text that fails to translate is
-        skipped (capture may outlive a schema tweak); returns how many
-        texts replayed cleanly.
+        the full pipeline once and is admitted directly (a captured shape
+        was already seen twice where it was captured), compiling its
+        phrase plan, so the first *real* request of every replayed shape
+        is already a plan hit instead of a cold compile.  A text that
+        fails to translate is skipped (capture may outlive a schema
+        tweak); returns how many texts replayed cleanly.
         """
         replayed = 0
         for sql in shapes:
             try:
-                self.translate(sql)
+                self._translate_sql(sql, admit=True)
             except Exception:
                 continue
             replayed += 1
@@ -314,7 +324,8 @@ class QueryTranslator:
         """Cache/plan observability for this translator.
 
         ``exact_cache`` covers the exact-text LRU; ``plan_store`` is the
-        shared per-lexicon store (hits, misses, size, plus the
+        shared per-lexicon store (hits, misses — of which ``deferred``
+        were first sightings left uncompiled — size, plus the
         unplannable-shape report).
         """
         return {
@@ -327,7 +338,12 @@ class QueryTranslator:
     # Shape-keyed phrase plans
     # ------------------------------------------------------------------
 
-    def _translate_text(self, sql: str) -> QueryTranslation:
+    def _translate_text(self, sql: str, admit: bool) -> Tuple[QueryTranslation, bool]:
+        """``(translation, admitted)``; a first sighting is not admitted.
+
+        A shape's first sighting (unless ``admit``) runs the full pipeline
+        and compiles nothing; the caller caches nothing for it either.
+        """
         plans = self._plans
         compile_key = None
         if plans is not None:
@@ -341,7 +357,10 @@ class QueryTranslator:
                     rendered = self._render_plan(plan, sql, literals)
                     if self.verify_plans:
                         self._verify_plan_hit(rendered, sql)
-                    return rendered
+                    return rendered, True
+                if plan is None and not admit and not plans.admits(shape):
+                    plans.record_miss(deferred=True)
+                    return self._translate_statement(sql, parse_sql(sql)), False
                 plans.record_miss()
                 if plan is None:
                     compile_key = (key, shape, guards, literals)
@@ -355,7 +374,7 @@ class QueryTranslator:
                 plan if plan is not None else UNPLANNABLE,
                 sample_sql=sql,
             )
-        return translation
+        return translation, True
 
     def _probe_translate(self, sql: str) -> QueryTranslation:
         """One full-pipeline translation (no caches, no plans) for the probe."""

@@ -25,14 +25,16 @@ request through three tiers:
   exact-text LRU or a compiled phrase plan is served inline on the event
   loop (microseconds, no parse, no graph build).  The session lock is
   only *tried*; if a worker holds it the request falls through to the
-  queue rather than blocking the loop.
+  queue rather than blocking the loop.  Workers settle replies only after
+  releasing the lock, so a client resumed by its reply finds it free.
 * **batched cold path** — requests land in a bounded ``asyncio.Queue``
   (back-pressure: producers suspend while the queue is full).  A drain
   task groups each batch's translate *and* execute requests by masked SQL
   shape (:func:`repro.sql.shape.batch_key`), so one phrase-plan compile
   serves every same-shape translate in the batch and one parameterised
-  plan binding serves every same-shape execute, and hands each group to
-  the worker pool.
+  plan binding serves every same-shape execute (a shape's plans are
+  compiled on its second sighting), and hands each group to the worker
+  pool.
 * **worker pool** — CPU-bound work (parsing, graph builds, plan
   compilation, execution, narration) runs on the service's
   ``ThreadPoolExecutor``, off the event loop.  Sessions of different
@@ -228,9 +230,10 @@ class NarrationSession:
         """Execute SQL on the session's shared (cached, compiled) executor.
 
         Concurrent same-shape requests are grouped by the drain task, so
-        one parameterised plan binding serves the whole group (the first
-        request of a fresh shape compiles the shared plan; the rest —
-        and every later request of that shape — only rebind literals).
+        one parameterised plan binding serves the whole group (a fresh
+        shape's first request runs uncompiled and its second compiles the
+        shared plan; every later request of that shape only rebinds
+        literals).
         """
         self._check_open()
         return await self._submit("execute", sql, self._deadline(timeout))
@@ -358,7 +361,8 @@ class NarrationSession:
             served = shape["hits"] + shape["misses"] + shape["fallbacks"]
             snapshot["execution_shape_sharing"] = {
                 "shared": shape["hits"],
-                "compiled": shape["misses"],
+                "compiled": shape["misses"] - shape["deferred"],
+                "deferred": shape["deferred"],
                 "fallbacks": shape["fallbacks"],
                 "hit_rate": round(shape["hits"] / served, 4) if served else None,
             }
@@ -438,8 +442,9 @@ class NarrationSession:
             try:
                 for group in groups:
                     # One worker invocation per group: requests of one shape
-                    # run back-to-back, so the first compile's phrase plan
-                    # serves the rest of the group (and every later batch).
+                    # run back-to-back, so once the shape is admitted its
+                    # phrase plan serves the rest of the group (and every
+                    # later batch).
                     await loop.run_in_executor(pool, self._process_group, group)
             except asyncio.CancelledError:
                 raise
@@ -501,22 +506,24 @@ class NarrationSession:
     # ------------------------------------------------------------------
 
     def _process_group(self, group: List[_Request]) -> None:
-        with self._work_lock:
-            for request in group:
+        for request in group:
+            result = error = None
+            with self._work_lock:
                 if request.deadline.expired:
                     # The budget ran out while the request waited in the
                     # queue or behind earlier group members: shed it now
                     # rather than spend pipeline time on a dead request.
                     with self._stats_lock:
                         error = self._admission.shed_expired_in_queue()
-                    self._deliver(request.future, error=error)
-                    continue
-                try:
-                    result = self._run(request)
-                except BaseException as error:  # delivered, never swallowed
-                    self._deliver(request.future, error=error)
                 else:
-                    self._deliver(request.future, result=result)
+                    try:
+                        result = self._run(request)
+                    except BaseException as exc:  # delivered, never swallowed
+                        error = exc
+            # Settled only once the work lock is free: a client resumed by
+            # its reply may call ``translate`` at once, and its fast path
+            # must not find the lock still held by this thread.
+            self._deliver(request.future, result=result, error=error)
 
     def _run(self, request: _Request) -> Any:
         kind = request.kind

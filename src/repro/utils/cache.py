@@ -10,6 +10,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable, Iterator, Optional
 
+#: How many first-sighting shape hashes the second-sighting admission of
+#: the plan store and the executor remembers (an ``LRUCache`` each):
+#: eight times the 512-entry plan store, so a shape that recurs within a
+#: few thousand one-off shapes is still admitted.
+SIGHTINGS_SIZE = 4096
+
 
 class LRUCache:
     """A bounded mapping that evicts the least-recently-used entry.

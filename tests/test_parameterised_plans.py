@@ -9,6 +9,9 @@ query's values into another's answer; (3) data caches invalidate under
 DML and direct storage mutation exactly like the per-text path; and
 (4) the concurrent service's shape-batched execution is byte-identical
 to sequential synchronous execution under 64 clients.
+
+A shape's plan is compiled on its second sighting (the first runs
+uncompiled), so tests about shared plans send each shape once first.
 """
 
 import asyncio
@@ -124,6 +127,7 @@ def test_corpus_equivalence_with_literal_rotation(db):
 
 def test_repeated_shape_is_served_from_the_shape_cache(db):
     executor = parameterised(db)
+    executor.execute_sql("select m.title from MOVIES m where m.year = 2010")  # first sighting
     executor.execute_sql("select m.title from MOVIES m where m.year = 2004")
     before = executor.cache_stats
     executor.execute_sql("select m.title from MOVIES m where m.year = 1997")
@@ -136,6 +140,7 @@ def test_repeated_shape_is_served_from_the_shape_cache(db):
 
 def test_index_probe_resolves_key_from_parameters(db):
     executor = parameterised(db)
+    executor.execute_sql("select a.id from ACTOR a where a.name = 'Zelda'")  # first sighting
     a = executor.execute_sql("select a.id from ACTOR a where a.name = 'Brad Pitt'")
     b = executor.execute_sql("select a.id from ACTOR a where a.name = 'Mark Hamill'")
     assert executor.cache_stats["shape_plans"]["hits"] == 1
@@ -148,6 +153,7 @@ def test_index_probe_resolves_key_from_parameters(db):
 def test_correlated_subquery_memo_keys_on_parameters(db):
     executor = parameterised(db)
     q5 = PAPER_QUERIES["Q5"]
+    executor.execute_sql(q5)  # first sighting
     first = executor.execute_sql(q5)
     variant = q5.replace("Brad Pitt", "Mark Hamill")
     second = executor.execute_sql(variant)
@@ -164,6 +170,7 @@ def test_correlated_subquery_memo_keys_on_parameters(db):
 
 def test_select_list_literals_are_pinned(db):
     executor = parameterised(db)
+    executor.execute_sql("select 1 from MOVIES m")  # first sighting
     a = executor.execute_sql("select 1 from MOVIES m")
     b = executor.execute_sql("select 2 from MOVIES m")
     assert a.columns == ("1",) and b.columns == ("2",)
@@ -176,6 +183,7 @@ def test_select_list_literals_are_pinned(db):
 
 def test_aliased_select_literals_are_parameters(db):
     executor = parameterised(db)
+    executor.execute_sql("select m.year + 30 as later from MOVIES m where m.id = 1")  # first sighting
     a = executor.execute_sql("select m.year + 10 as later from MOVIES m where m.id = 1")
     b = executor.execute_sql("select m.year + 20 as later from MOVIES m where m.id = 1")
     assert a.columns == b.columns == ("later",)
@@ -185,6 +193,8 @@ def test_aliased_select_literals_are_parameters(db):
 
 def test_limit_and_offset_are_pinned(db):
     executor = parameterised(db)
+    executor.execute_sql("select m.title from MOVIES m limit 5")  # first sighting
+    executor.execute_sql("select m.title from MOVIES m limit 5 offset 3")  # first sighting
     a = executor.execute_sql("select m.title from MOVIES m limit 2")
     b = executor.execute_sql("select m.title from MOVIES m limit 3")
     c = executor.execute_sql("select m.title from MOVIES m limit 2 offset 1")
@@ -195,6 +205,7 @@ def test_limit_and_offset_are_pinned(db):
 
 def test_int_and_float_literals_split_on_the_type_tag(db):
     executor = parameterised(db)
+    executor.execute_sql("select m.title from MOVIES m where m.year = 1995")  # first sighting
     a = executor.execute_sql("select m.title from MOVIES m where m.year = 2004")
     b = executor.execute_sql("select m.title from MOVIES m where m.year = 2004.5")
     oracle = interpreted(db)
@@ -205,6 +216,7 @@ def test_int_and_float_literals_split_on_the_type_tag(db):
 
 def test_like_patterns_are_parameters(db):
     executor = parameterised(db)
+    executor.execute_sql("select m.title from MOVIES m where m.title like 'T%'")  # first sighting
     a = executor.execute_sql("select m.title from MOVIES m where m.title like '%o%'")
     b = executor.execute_sql("select m.title from MOVIES m where m.title like 'Se%'")
     oracle = interpreted(db)
@@ -218,6 +230,7 @@ def test_in_list_values_are_parameters(db):
     sql = "select m.title from MOVIES m where m.year in (2004, 1995)"
     variant = "select m.title from MOVIES m where m.year in (1977, 1999)"
     oracle = interpreted(db)
+    executor.execute_sql(sql)  # first sighting
     assert_same(executor.execute_sql(sql), oracle.execute_sql(sql), sql)
     assert_same(executor.execute_sql(variant), oracle.execute_sql(variant), variant)
     assert executor.cache_stats["shape_plans"]["hits"] == 1
@@ -228,6 +241,7 @@ def test_duplicate_literals_keep_distinct_slots(db):
     base = "select m.title from MOVIES m where m.year = 2004 or m.year = 2004"
     variant = "select m.title from MOVIES m where m.year = 1977 or m.year = 2004"
     oracle = interpreted(db)
+    executor.execute_sql(base)  # first sighting
     assert_same(executor.execute_sql(base), oracle.execute_sql(base), base)
     assert_same(executor.execute_sql(variant), oracle.execute_sql(variant), variant)
     assert executor.cache_stats["shape_plans"]["hits"] == 1
@@ -238,6 +252,7 @@ def test_between_bounds_keep_their_positions(db):
     base = "select m.title from MOVIES m where m.year between 2000 and 2000"
     variant = "select m.title from MOVIES m where m.year between 1990 and 2005"
     oracle = interpreted(db)
+    executor.execute_sql(base)  # first sighting
     assert_same(executor.execute_sql(base), oracle.execute_sql(base), base)
     assert_same(executor.execute_sql(variant), oracle.execute_sql(variant), variant)
     assert executor.cache_stats["shape_plans"]["hits"] == 1
@@ -266,6 +281,7 @@ def test_subquery_limit_falls_back(db):
         "select m.title from MOVIES m where m.id in"
         " (select c.mid from CAST c limit 3)"
     )
+    executor.execute_sql(sql)  # first sighting
     result = executor.execute_sql(sql)
     assert_same(result, interpreted(db).execute_sql(sql), sql)
     assert executor.cache_stats["shape_plans"]["fallbacks"] == 1
@@ -297,6 +313,7 @@ def test_analysis_rejects_non_select_and_misaligned_statements(db):
 def test_dml_invalidates_shared_plan_data_caches(db):
     executor = parameterised(db)
     sql = "select m.title from MOVIES m where m.year = 1899"
+    executor.execute_sql(sql)  # first sighting
     assert executor.execute_sql(sql).row_count == 0
     executor.execute_sql(
         "insert into MOVIES (id, title, year) values (998, 'Cache Buster', 1899)"
@@ -311,6 +328,7 @@ def test_dml_invalidates_shared_plan_data_caches(db):
 def test_direct_storage_mutation_is_seen_by_shared_plans(db):
     executor = parameterised(db)
     sql = "select m.title from MOVIES m where m.year = 1898"
+    executor.execute_sql(sql)  # first sighting
     assert executor.execute_sql(sql).row_count == 0
     db.insert("MOVIES", {"id": 997, "title": "Bypass", "year": 1898})
     after = executor.execute_sql(sql)
@@ -335,10 +353,17 @@ def test_update_through_variant_shapes(db):
 
 def test_invalidate_caches_drops_shape_state(db):
     executor = parameterised(db)
-    executor.execute_sql("select m.title from MOVIES m where m.year = 2004")
+    sql = "select m.title from MOVIES m where m.year = 2004"
+    executor.execute_sql(sql)  # first sighting
+    executor.execute_sql(sql)
+    stats = executor.cache_stats["shape_plans"]
+    assert stats["entries"] == 1 and stats["shapes"] == 1
     executor.invalidate_caches()
     stats = executor.cache_stats["shape_plans"]
     assert stats["entries"] == 0 and stats["shapes"] == 0
+    # Sightings are dropped too: the shape is a first sighting again.
+    executor.execute_sql(sql)
+    assert executor.cache_stats["shape_plans"]["deferred"] == stats["deferred"] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +415,7 @@ def test_service_groups_interleaved_reads_and_writes_in_order(db):
             session = service.session(database=db)
             read = "select m.title from MOVIES m where m.year = 1897"
             write = "insert into MOVIES (id, title, year) values (996, 'Barrier', 1897)"
+            await session.execute(read)  # first sighting
             before, _, after = await asyncio.gather(
                 session.execute(read), session.execute(write), session.execute(read)
             )

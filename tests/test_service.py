@@ -173,6 +173,71 @@ class TestServiceMechanics:
         assert warm.text
         assert stats["requests"]["fast_path_hits"] >= 1
 
+    def test_replies_settle_after_the_work_lock_is_released(self):
+        # A reply settled while the pool thread still holds the session
+        # lock resumes its client into a fast path that finds the lock
+        # taken, sending a cached translate through the queue and pool.
+        database = movie_database()
+        sql = "select m.title from MOVIES m where m.year = 2004"
+        repeats = 25
+
+        async def main():
+            async with NarrationService(max_workers=2) as service:
+                session = service.session(database=database, phrase_plans=True)
+                lock_held = []
+                deliver = session._deliver
+
+                def spy(future, result=None, error=None):
+                    lock_held.append(session._work_lock.locked())
+                    deliver(future, result=result, error=error)
+
+                session._deliver = spy
+                await session.translate(sql)  # first sighting, on the pool
+                await session.translate(sql)  # admitted and cached, on the pool
+                before = session.stats()["requests"]["fast_path_hits"]
+                for _ in range(repeats):
+                    await session.execute(sql)  # always served by the pool
+                    await session.translate(sql)
+                after = session.stats()["requests"]["fast_path_hits"]
+                return lock_held, after - before
+
+        lock_held, fast = run(main())
+        assert len(lock_held) == 2 + repeats and not any(lock_held)
+        # Every translate that follows a pool-served reply is a cache hit
+        # served on the fast path.
+        assert fast == repeats
+
+    def test_each_reply_settles_as_soon_as_its_request_has_run(self):
+        # Same-shape requests share one group; no member's reply may wait
+        # for the rest of the group to run.
+        database = movie_database()
+        template = "select m.title from MOVIES m where m.year = {year}"
+        requests = 8
+
+        async def main():
+            async with NarrationService(max_workers=2) as service:
+                session = service.session(database=database)
+                events = []
+                run_request, deliver = session._run, session._deliver
+
+                def spy_run(request):
+                    events.append("run")
+                    return run_request(request)
+
+                def spy_deliver(future, result=None, error=None):
+                    events.append("deliver")
+                    deliver(future, result=result, error=error)
+
+                session._run, session._deliver = spy_run, spy_deliver
+                await asyncio.gather(
+                    *[session.execute(template.format(year=1990 + i)) for i in range(requests)]
+                )
+                return events, session.stats()
+
+        events, stats = run(main())
+        assert stats["requests"]["shape_groups"] < requests  # groups were shared
+        assert events == ["run", "deliver"] * requests
+
     def test_same_shape_requests_share_one_plan_compile(self):
         schema = movie_schema()
         template = "select m.title from MOVIES m where m.year = {year}"
@@ -184,15 +249,19 @@ class TestServiceMechanics:
                 session = service.session(
                     schema=schema, cache_size=None, phrase_plans=True
                 )
+                # The shape's first sighting is translated, not compiled.
+                await session.translate(template.format(year=1989))
+                sighted = session.stats()["translator"]["plan_store"]
                 await asyncio.gather(*[session.translate(sql) for sql in variants])
-                return session.stats()
+                return sighted, session.stats()
 
-        stats = run(main())
+        sighted, stats = run(main())
+        assert sighted["misses"] == sighted["deferred"] == 1
         plans = stats["translator"]["plan_store"]
         # One shape: exactly one miss compiled the plan, everything else hit
         # (via the shape group, later batches, or the direct-await path).
-        assert plans["misses"] == 1
-        assert plans["hits"] + plans["misses"] == len(variants)
+        assert plans["misses"] - sighted["misses"] == 1
+        assert plans["hits"] + plans["misses"] - sighted["misses"] == len(variants)
         assert stats["requests"]["shape_groups"] <= stats["requests"]["batches"] * 2
 
     def test_backpressure_bounds_the_queue(self):

@@ -1,0 +1,358 @@
+"""Second-sighting admission in front of the shape-keyed caches.
+
+A literal-stripped shape's first sighting is translated and executed on
+the full pipelines and leaves nothing keyed to its statement behind; its
+second sighting compiles the phrase plan and the shape plan.  These tests
+pin that contract for the translator, the plan store and the executor,
+the counters that report it, warm-start replay, and a shape-churn soak
+in which every cache and memo stays within its bound while a hot shape
+keeps hitting.
+"""
+
+import pytest
+
+from repro.datasets import PAPER_QUERIES, movie_database
+from repro.engine import Executor
+from repro.engine import executor as executor_module
+from repro.engine import parameterised as parameterised_module
+from repro.query_nl.empty_answer import AnswerExplainer
+from repro.query_nl.translator import QueryTranslator
+from repro.sql import shape as shape_module
+from repro.utils.cache import SIGHTINGS_SIZE
+
+
+def compiled_executor(database) -> Executor:
+    return Executor(
+        database, compiled=True, use_caches=True, index_scans=True, parameterised=True
+    )
+
+
+def interpreted(database) -> Executor:
+    return Executor(database, compiled=False, use_caches=False, index_scans=False)
+
+
+def plan_translator(database) -> QueryTranslator:
+    return QueryTranslator(database.schema, phrase_plans=True)
+
+
+def assert_same(a, b):
+    assert a.columns == b.columns
+    assert a.rows == b.rows
+
+
+@pytest.fixture()
+def db():
+    return movie_database()
+
+
+# ---------------------------------------------------------------------------
+# Translator and plan store
+# ---------------------------------------------------------------------------
+
+
+class TestTranslatorAdmission:
+    SQL = "select m.title from MOVIES m where m.year = {year}"
+
+    def test_first_sighting_caches_nothing(self, db):
+        translator = plan_translator(db)
+        oracle = QueryTranslator(db.schema, phrase_plans=False, cache_size=None)
+        sql = self.SQL.format(year=2004)
+        assert translator.translate(sql) == oracle.translate(sql)
+        stats = translator.stats()
+        assert stats["exact_cache"]["size"] == 0
+        plans = stats["plan_store"]
+        assert plans["size"] == 0
+        assert plans["misses"] == plans["deferred"] == 1 and plans["hits"] == 0
+        assert translator.captured_shapes() == []
+
+    def test_second_sighting_compiles_and_third_hits(self, db):
+        translator = plan_translator(db)
+        translator.translate(self.SQL.format(year=2004))
+        translator.translate(self.SQL.format(year=1995))
+        stats = translator.stats()
+        assert stats["plan_store"]["size"] == 1
+        assert stats["exact_cache"]["size"] == 1
+        assert translator.captured_shapes() == [self.SQL.format(year=1995)]
+        translator.translate(self.SQL.format(year=1977))
+        plans = translator.stats()["plan_store"]
+        assert plans["hits"] == 1
+        assert plans["misses"] == 2 and plans["deferred"] == 1
+
+    def test_a_known_shapes_new_guard_class_compiles_at_once(self, db):
+        # One-word and multi-word strings are different guard classes of
+        # one shape: admission is keyed on the shape, as in the executor.
+        sql = "select a.id from ACTOR a where a.name = '{name}'"
+        translator = plan_translator(db)
+        translator.translate(sql.format(name="Brad Pitt"))
+        translator.translate(sql.format(name="Madonna"))
+        plans = translator.stats()["plan_store"]
+        assert plans["deferred"] == 1 and plans["misses"] == 2
+        assert plans["size"] == 1
+        translator.translate(sql.format(name="Mark Hamill"))
+        plans = translator.stats()["plan_store"]
+        assert plans["deferred"] == 1 and plans["misses"] == 3
+        assert plans["size"] == 2
+
+    def test_hits_plus_misses_equal_lookups(self, db):
+        translator = QueryTranslator(db.schema, phrase_plans=True, cache_size=None)
+        texts = [self.SQL.format(year=1990 + i) for i in range(5)]
+        texts += [f"select x{i}.title from MOVIES x{i}" for i in range(5)]
+        for sql in texts:
+            translator.translate(sql)
+        plans = translator.stats()["plan_store"]
+        assert plans["hits"] + plans["misses"] == len(texts)
+        assert plans["deferred"] == 6  # one per shape
+        assert plans["hits"] == 3
+
+    def test_oracle_translator_caches_on_first_translation(self, db):
+        translator = QueryTranslator(db.schema, phrase_plans=False)
+        translator.translate(self.SQL.format(year=2004))
+        assert translator.stats()["exact_cache"]["size"] == 1
+        assert translator.stats()["plan_store"] is None
+
+    def test_precompile_admits_replayed_shapes_directly(self, db):
+        source = plan_translator(db)
+        for year in (2004, 1995):
+            source.translate(self.SQL.format(year=year))
+        captured = source.captured_shapes()
+        fresh = plan_translator(movie_database())
+        assert fresh.precompile(captured) == len(captured) == 1
+        assert fresh.stats()["plan_store"]["size"] == 1
+        fresh.translate(self.SQL.format(year=1977))
+        assert fresh.stats()["plan_store"]["hits"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Executor
+# ---------------------------------------------------------------------------
+
+
+def _footprint(executor: Executor) -> dict:
+    stats = executor.cache_stats
+    return {
+        "parse": stats["parse"]["size"],
+        "plan": stats["plan"]["size"],
+        "entries": stats["shape_plans"]["entries"],
+        "shapes": stats["shape_plans"]["shapes"],
+        "memo": stats["subquery"]["entries"],
+    }
+
+
+class TestExecutorAdmission:
+    def test_first_sighting_keeps_nothing_keyed_to_the_statement(self, db):
+        executor = compiled_executor(db)
+        oracle = interpreted(db)
+        for name in ("Q1", "Q5", "Q6", "Q7"):
+            sql = PAPER_QUERIES[name]
+            assert_same(executor.execute_sql(sql), oracle.execute_sql(sql))
+        assert _footprint(executor) == {
+            "parse": 0, "plan": 0, "entries": 0, "shapes": 0, "memo": 0
+        }
+        shape = executor.cache_stats["shape_plans"]
+        assert shape["misses"] == shape["deferred"] == 4 and shape["hits"] == 0
+        # The statement-keyed state really was used, then dropped with it.
+        assert executor.cache_stats["subquery"]["misses"] > 0
+        assert executor.captured_shapes() == []
+
+    def test_second_sighting_compiles_and_third_hits(self, db):
+        executor = compiled_executor(db)
+        oracle = interpreted(db)
+        sql = PAPER_QUERIES["Q5"]
+        variant = sql.replace("Brad Pitt", "Mark Hamill")
+        for text in (sql, sql, variant):
+            assert_same(executor.execute_sql(text), oracle.execute_sql(text))
+        shape = executor.cache_stats["shape_plans"]
+        assert shape["entries"] == 1 and shape["hits"] == 1
+        assert shape["misses"] == 2 and shape["deferred"] == 1
+        assert shape["hits"] + shape["misses"] + shape["fallbacks"] == 3
+
+    def test_a_known_shapes_new_guard_class_compiles_at_once(self, db):
+        # LIMIT values are pinned: each is its own guard class of the shape.
+        executor = compiled_executor(db)
+        for limit in (2, 3, 4):
+            executor.execute_sql(f"select m.title from MOVIES m limit {limit}")
+        shape = executor.cache_stats["shape_plans"]
+        assert shape["deferred"] == 1 and shape["misses"] == 3
+        assert shape["entries"] == 2 and shape["shapes"] == 1
+
+    def test_correlated_subqueries_are_planned_once_per_statement(self, db):
+        executor = compiled_executor(db)
+        planned = []
+        plan = executor.planner.plan
+
+        def counting_plan(statement):
+            planned.append(statement)
+            return plan(statement)
+
+        executor.planner.plan = counting_plan
+        # Q6 is doubly nested: the inner NOT EXISTS runs once per pair of
+        # outer rows, but each of the three SELECTs is planned once.
+        result = executor.execute_sql(PAPER_QUERIES["Q6"])
+        assert [row.get("m.title") for row in result.rows] == ["Ocean Heist"]
+        assert len(planned) == 3
+        assert executor.cache_stats["shape_plans"]["deferred"] == 1
+
+    def test_mutations_are_never_deferred(self, db):
+        executor = compiled_executor(db)
+        read = "select m.title from MOVIES m where m.year > 1890"
+        executor.execute_sql(read)
+        executor.execute_sql(read)  # admitted: its scan rows are cached
+        assert executor.cache_stats["scan_tables"] == 1
+        executor.execute_sql(
+            "insert into MOVIES (id, title, year) values (995, 'Admitted', 1891)"
+        )
+        shape = executor.cache_stats["shape_plans"]
+        assert shape["fallbacks"] == 1 and shape["deferred"] == 1
+        # The insert's invalidation reached the shared scan cache.
+        assert executor.cache_stats["scan_tables"] == 0
+        titles = [row.get("m.title") for row in executor.execute_sql(read).rows]
+        assert "Admitted" in titles
+
+    def test_caches_are_validated_before_a_first_sighting(self, db):
+        executor = compiled_executor(db)
+        admitted = "select m.title from MOVIES m where m.year > 1890"
+        executor.execute_sql(admitted)
+        executor.execute_sql(admitted)
+        db.insert("MOVIES", {"id": 994, "title": "Bypass", "year": 1892})
+        # A new shape over the same alias reads the shared scan rows.
+        fresh = "select m.title, m.year from MOVIES m where m.year < 1900"
+        result = executor.execute_sql(fresh)
+        assert executor.cache_stats["shape_plans"]["deferred"] == 2
+        assert [row.get("m.title") for row in result.rows] == ["Bypass"]
+
+    def test_per_text_oracle_caches_on_first_execution(self, db):
+        executor = Executor(
+            db, compiled=True, use_caches=True, index_scans=True, parameterised=False
+        )
+        executor.execute_sql(PAPER_QUERIES["Q1"])
+        assert executor.cache_stats["parse"]["size"] == 1
+        assert executor.cache_stats["plan"]["size"] == 1
+
+    def test_precompile_admits_replayed_shapes_directly(self, db):
+        source = compiled_executor(db)
+        sql = PAPER_QUERIES["Q1"]
+        source.execute_sql(sql)
+        assert source.captured_shapes() == []  # seen once: not admitted
+        source.execute_sql(sql)
+        captured = source.captured_shapes()
+        fresh = compiled_executor(movie_database())
+        assert fresh.precompile(captured) == len(captured) == 1
+        assert fresh.cache_stats["shape_plans"]["entries"] == 1
+        fresh.execute_sql(sql.replace("Brad Pitt", "Mark Hamill"))
+        assert fresh.cache_stats["shape_plans"]["hits"] == 1
+
+    def test_scan_cache_is_bounded_under_fresh_aliases(self, db):
+        executor = compiled_executor(db)
+        bound = executor_module._SCAN_CACHE_SIZE
+        for index in range(bound * 3):
+            alias = f"s{index}"
+            executor.execute_sql(
+                f"select {alias}.title from MOVIES {alias} where {alias}.year > 1990"
+            )
+            assert executor.cache_stats["scan_tables"] <= bound
+        assert executor.cache_stats["scan_tables"] == bound
+
+
+# ---------------------------------------------------------------------------
+# Shape-churn soak
+# ---------------------------------------------------------------------------
+
+
+class TestShapeChurnSoak:
+    """2 000 shapes seen once, 2 000 seen twice, explanations on fresh aliases."""
+
+    ONCE = 2000
+    TWICE = 2000
+    HOT_EVERY = 600  # beyond both the 512-entry and the 256-entry caches
+
+    @staticmethod
+    def _query(alias: str, year: int) -> str:
+        return f"select {alias}.title from MOVIES {alias} where {alias}.year > {year}"
+
+    @staticmethod
+    def _bounds(translator: QueryTranslator, executor: Executor):
+        """(name, size, bound) for every cache and memo the two touch."""
+        plans = translator._plans
+        scope = executor._shared_scope
+        builder = translator.builder
+        return [
+            ("exact-text LRU", len(translator._cache), translator._cache.maxsize),
+            ("phrase plans", len(plans.plans), plans.plans.maxsize),
+            ("captured translate shapes", len(plans._samples), plans._samples.maxsize),
+            ("plan-store sightings", len(plans._sightings), SIGHTINGS_SIZE),
+            (
+                "graph-builder bindings",
+                len(builder._binding_state_cache),
+                builder._binding_state_cache.maxsize,
+            ),
+            ("graph-builder scopes", len(builder._scope_cache), builder._scope_cache.maxsize),
+            ("masked shapes", len(shape_module._MASK_CACHE), shape_module._MASK_CACHE.maxsize),
+            ("parse cache", len(executor._parse_cache), executor._parse_cache.maxsize),
+            ("plan cache", len(executor._plan_cache), executor._plan_cache.maxsize),
+            ("scan cache", len(executor._scan_cache), executor_module._SCAN_CACHE_SIZE),
+            ("shape infos", len(executor._shape_infos), executor._shape_infos.maxsize),
+            ("shape plans", len(executor._param_plans), executor._param_plans.maxsize),
+            (
+                "captured execute shapes",
+                len(executor._param_samples),
+                executor._param_samples.maxsize,
+            ),
+            ("executor sightings", len(executor._sightings), SIGHTINGS_SIZE),
+            ("subquery memo", scope.memo_entries, executor_module._SUBQUERY_MEMO_LIMIT),
+            ("correlation info", len(scope.correlations), 10_000),
+            ("subquery plans", len(scope.subplans), executor_module._PARAM_SUBPLAN_LIMIT),
+            ("compiled closures", len(executor._compiler._memo), executor._compiler._memo.maxsize),
+            (
+                "parameter closures",
+                len(executor._param_compiler._id_memo),
+                parameterised_module._ID_MEMO_LIMIT,
+            ),
+        ]
+
+    def _assert_bounded(self, translator, executor):
+        for name, size, bound in self._bounds(translator, executor):
+            assert size <= bound, f"{name}: {size} > {bound}"
+
+    def test_caches_stay_bounded_and_a_hot_shape_keeps_hitting(self):
+        database = movie_database()
+        translator = QueryTranslator(database.schema, phrase_plans=True)
+        executor = compiled_executor(database)
+        explainer = AnswerExplainer(
+            database, lexicon=translator.lexicon, executor=executor
+        )
+
+        def serve(sql):
+            translator.translate(sql)
+            executor.execute_sql(sql)
+
+        for index in range(self.TWICE):
+            serve(self._query(f"t{index}", 1990))
+            serve(self._query(f"t{index}", 1995))
+            if index % 100 == 0:
+                self._assert_bounded(translator, executor)
+        admitted = executor.cache_stats["shape_plans"]
+        assert admitted["misses"] - admitted["deferred"] == self.TWICE
+
+        hot = "select h.title, h.year from MOVIES h where h.year > {year}"
+        serve(hot.format(year=1980))
+        serve(hot.format(year=1985))  # admitted
+        for index in range(self.ONCE):
+            serve(self._query(f"o{index}", 1990))
+            if index % 40 == 0:
+                # explain_empty reaches the executor through execute_select
+                # on parsed statements, never through the admission check.
+                explanation = explainer.explain(
+                    self._query(f"e{index}", 3000) + f" and e{index}.id > 0"
+                )
+                assert explanation.row_count == 0
+            if (index + 1) % self.HOT_EVERY == 0:
+                plans_before = translator.stats()["plan_store"]["hits"]
+                shapes_before = executor.cache_stats["shape_plans"]["hits"]
+                serve(hot.format(year=1900 + index // self.HOT_EVERY))
+                assert translator.stats()["plan_store"]["hits"] == plans_before + 1
+                assert executor.cache_stats["shape_plans"]["hits"] == shapes_before + 1
+            if index % 100 == 0:
+                self._assert_bounded(translator, executor)
+        self._assert_bounded(translator, executor)
+        plans = translator.stats()["plan_store"]
+        assert plans["deferred"] >= self.ONCE + self.TWICE

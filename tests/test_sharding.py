@@ -732,6 +732,7 @@ class TestWarmStartCapture:
         executor = Executor(
             database, compiled=True, use_caches=True, parameterised=True
         )
+        executor.execute_sql("select m.title from MOVIES m where m.year = 1995")  # first sighting
         executor.execute_sql("select m.title from MOVIES m where m.year = 2004")
         executor.execute_sql("insert into GENRE values (8, 'capture')")
         captured = executor.captured_shapes()

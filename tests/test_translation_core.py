@@ -336,6 +336,7 @@ class TestPhrasePlanEquivalence:
     def test_lazy_graph_and_classification_materialise(self):
         translator = QueryTranslator(movie_schema(), cache_size=None, phrase_plans=True)
         sql = "select m.title from MOVIES m where m.year = 1995"
+        translator.translate(sql)  # first sighting: translated, not compiled
         translator.translate(sql)  # compile the plan
         rendered = translator.translate("select m.title from MOVIES m where m.year = 2003")
         assert rendered._graph is None  # not built eagerly on a plan hit
@@ -440,6 +441,7 @@ class TestPhrasePlanEquivalence:
         schema = movie_schema()
         translator = QueryTranslator(schema)  # default (shared) lexicon + LRU
         sql = "select m.title from MOVIES m where m.year = 1995"
+        translator.translate(sql)  # first sighting
         before = translator.translate(sql).text
         other = QueryTranslator(schema)  # shares the per-schema default lexicon
         other.lexicon.set_caption("MOVIES", "year", "vintage")
@@ -455,6 +457,7 @@ class TestPhrasePlanEquivalence:
         lexicon = default_lexicon(schema)
         translator = QueryTranslator(schema, lexicon=lexicon, cache_size=None, phrase_plans=True)
         sql = "select m.title from MOVIES m where m.year = 1995"
+        translator.translate(sql)  # first sighting
         before = translator.translate(sql).text
         translator.translate(sql)  # plan hit
         lexicon.set_concept("MOVIES", "film", "films")

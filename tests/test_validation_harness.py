@@ -164,6 +164,66 @@ class TestInjectedMismatches:
             )
 
 
+class TestCompiledSightings:
+    """Compiled cells diff a first sighting, an admission and a plan hit."""
+
+    def test_third_sighting_is_served_by_the_phrase_and_shape_plans(self, monkeypatch):
+        from repro.validation import harness as harness_module
+
+        translators, executors = [], []
+
+        class RecordingTranslator(harness_module.QueryTranslator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                translators.append(self)
+
+        class RecordingExecutor(harness_module.Executor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                executors.append(self)
+
+        monkeypatch.setattr(harness_module, "QueryTranslator", RecordingTranslator)
+        monkeypatch.setattr(harness_module, "Executor", RecordingExecutor)
+        report = ValidationHarness(
+            domains=[mini_domain()], modes=(BASELINE_MODE, Mode("oracle", "rows"))
+        ).run()
+        assert report.ok, report.render()
+        compiled_translator, compiled_executor = translators[0], executors[0]
+        # "scan" and "agg" translate: the third sighting of each is a
+        # phrase-plan render (the compiled arm has no exact-text LRU).
+        assert compiled_translator.stats()["exact_cache"] is None
+        assert compiled_translator.stats()["plan_store"]["hits"] == 2
+        # All three execute; each third sighting rebinds a shape plan.
+        shape = compiled_executor.cache_stats["shape_plans"]
+        assert shape["hits"] == 3 and shape["deferred"] == 3
+
+    def test_a_later_sighting_diverging_is_reported_under_its_number(self):
+        calls = {}
+
+        def mutate(mode, domain, query, outcome):
+            key = (mode, query.name)
+            calls[key] = calls.get(key, 0) + 1
+            if mode == BASELINE_MODE and query.name == "scan" and calls[key] == 3:
+                return QueryOutcome(
+                    query=outcome.query,
+                    expected_category=outcome.expected_category,
+                    translation=outcome.translation,
+                    category=outcome.category,
+                    rows="corrupted plan-hit rows",
+                    narration=outcome.narration,
+                    error=outcome.error,
+                )
+            return outcome
+
+        report = ValidationHarness(
+            domains=[mini_domain()], modes=(BASELINE_MODE,), mutate=mutate
+        ).run()
+        assert not report.ok
+        assert [(m.mode, m.query, m.kind) for m in report.mismatches] == [
+            ("compiled/rows#3", "scan", "rows")
+        ]
+
+
 class TestReportShape:
     def test_to_dict_is_json_serializable_and_complete(self):
         report = ValidationHarness(

@@ -5,8 +5,9 @@ Runs every corpus query of the registered domains (``repro.datasets.
 domains``) through the full mode matrix — {compiled, oracle} pipelines x
 {rows, paged, columnar} storage engines — and byte-diffs each mode's
 translation, classification, result rows and narration against the
-``compiled/rows`` baseline.  See ``docs/architecture.md``, "Validation
-harness".
+``compiled/rows`` baseline.  Compiled cells evaluate every query three
+times (first sighting, admission, phrase- and shape-plan hit) and diff
+each sighting.  See ``docs/architecture.md``, "Validation harness".
 
 Usage::
 
