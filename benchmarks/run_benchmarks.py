@@ -106,7 +106,24 @@ def bench_database(movies: int, repeats: int, baselines) -> dict:
                 entry["interpreted_s"] / max(entry["compiled_warm_s"], 1e-9), 1
             )
         results[name] = entry
-    return {"total_rows": database.total_rows, "queries": results}
+    # Regression guard: Q6 (relational division) has no interpreted
+    # baseline to show a ratio against, so compare it with Q1 from the
+    # same run.  Decided by set containment it costs a few Q1s cold; a
+    # relapse to per-row evaluation grows with the square of the movies.
+    division_ratio = results["Q6"]["compiled_cold_s"] / max(
+        results["Q1"]["compiled_cold_s"], 1e-9
+    )
+    if division_ratio > 5:
+        raise AssertionError(
+            f"engine regression: Q6 cold is {division_ratio:.1f}x Q1 cold at"
+            f" {movies} movies (expected <= 5x; relational division is being"
+            " evaluated per outer row)"
+        )
+    return {
+        "total_rows": database.total_rows,
+        "queries": results,
+        "q6_vs_q1_cold": round(division_ratio, 2),
+    }
 
 
 def bench_workload(movies: int, repeats: int) -> dict:

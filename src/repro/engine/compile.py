@@ -18,8 +18,12 @@ tests in ``tests/test_engine_compile.py`` assert the two paths agree on
 the paper queries and the generated workload.
 
 Subqueries are delegated to the ``subquery_runner`` callback — the
-executor supplies one that memoizes correlated subqueries on their outer
+executor supplies one that answers key-correlated subqueries from
+once-per-statement hash tables and memoizes the rest on their outer
 values, which is what makes the nested paper queries (Q5/Q6/Q7) cheap.
+EXISTS connectors only ask whether rows exist: when the runner has an
+``exists`` method they call it, which lets the executor decide a
+relational division (Q6) by set containment without producing rows.
 """
 
 from __future__ import annotations
@@ -489,9 +493,13 @@ class ExpressionCompiler:
 
         def run(row: Row) -> Any:
             value = value_fn(row)
-            if value is None:
-                return None
             values = values_fn(row)
+            if value is None:
+                # IN is `= ANY`, and `= ANY` over an empty set is false
+                # whatever the operand; over a non-empty one NULL is unknown.
+                if not values:
+                    return negated
+                return None
             found = value in [v for v in values if v is not None]
             if not found and any(v is None for v in values):
                 result: Any = None
@@ -509,6 +517,14 @@ class ExpressionCompiler:
         runner = self._runner()
         select = e.subquery
         negated = e.negated
+        exists = getattr(runner, "exists", None)
+        if exists is not None:
+
+            def run_exists(row: Row) -> Any:
+                found = exists(select, row)
+                return not found if negated else found
+
+            return run_exists
 
         def run(row: Row) -> Any:
             found = False

@@ -18,7 +18,9 @@ from repro.errors import EvaluationError
 from repro.sql import ast
 from repro.storage.row import Row
 
-#: Signature of the callback used to run a subquery: (select, outer_row) -> rows
+#: Signature of the callback used to run a subquery: (select, outer_row) -> rows.
+#: A runner may also carry an ``exists(select, outer_row) -> bool`` method,
+#: which compiled EXISTS connectors call instead of iterating rows.
 SubqueryRunner = Callable[[ast.SelectStatement, Optional[Row]], Iterable[Row]]
 
 
@@ -234,9 +236,13 @@ class ExpressionEvaluator:
 
     def _in_subquery(self, expression: ast.InSubquery, row: Row) -> Any:
         value = self.evaluate(expression.operand, row)
-        if value is None:
-            return None
         values = self._subquery_values(expression.subquery, row)
+        if value is None:
+            # IN is `= ANY`, and `= ANY` over an empty set is false whatever
+            # the operand; over a non-empty one a NULL operand is unknown.
+            if not values:
+                return expression.negated
+            return None
         found = value in [v for v in values if v is not None]
         if not found and any(v is None for v in values):
             result: Any = None

@@ -4,11 +4,25 @@ The executor is pipelined Python iterators over in-memory rows, but the
 hot paths are *compiled*: every predicate and projection is turned into a
 closure tree once per plan (see :mod:`repro.engine.compile`), plans and
 parsed statements are cached per executor, full scans are cached per
-table version, equality conjuncts pushed into scans probe hash indexes,
-and correlated subqueries are memoized on their outer values.  The paper
-needs this to be fast because execution is part of the *interactive*
-loop: it verifies translations (e.g. Q5's flattened vs. nested form) and
-explains empty answers at answer time.
+table version, and equality conjuncts pushed into scans probe hash
+indexes.  The paper needs this to be fast because execution is part of
+the *interactive* loop: it verifies translations (e.g. Q5's flattened
+vs. nested form) and explains empty answers at answer time.
+
+Subqueries are analysed once per statement.  A *key-correlated* one
+(every outer reference sits in a top-level ``inner_column =
+outer_column`` link; no aggregate, grouping, DISTINCT, ORDER BY or
+LIMIT) is evaluated per outer key, through index probes and a memo,
+until that has cost about what one run of it without its links would;
+then it runs once and is hashed on its link columns, and every later
+outer row is a probe (rent or buy).  This is the hash semi-/anti-join
+of Neumann & Kemper, "Unnesting Arbitrary Queries" (BTW 2015).  A block
+under [NOT] EXISTS whose outer references all sit in one nested
+[NOT] EXISTS over a key-correlated block -- relational division, Q6 --
+is decided per outer key by set containment (Graefe, "Relational
+Division: Four Algorithms and Their Performance", ICDE 1989).  Any other
+subquery is memoized on the outer values it reads.  Tables and memo live
+in the statement scope below and die with the data they were built on.
 
 On top of the per-text caches, SELECT texts are shared per literal
 -stripped *shape* (see :mod:`repro.engine.parameterised`): queries that
@@ -21,10 +35,10 @@ in ``tests/test_parameterised_plans.py``.
 
 A shape is admitted to those caches on its *second* sighting.  The first
 SELECT of a shape runs the per-text pipeline but keeps nothing keyed to
-its statement: no parse or plan cache entry, and its subquery memo,
-correlation info and subquery plans live in a scope dropped when the
-call returns.  Caches keyed by value (full-scan rows, compiled
-closures) stay shared, and every cache is bounded.
+its statement: no parse or plan cache entry, and its subquery analysis,
+memo, tables and plans live in a scope dropped when the call returns.
+Caches keyed by value (full-scan rows, compiled closures) stay shared,
+and every cache is bounded.
 
 ``Executor(db, compiled=False, use_caches=False, index_scans=False)``
 reproduces the original fully-interpreted behaviour; the property tests
@@ -33,6 +47,7 @@ assert both modes return identical results.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine.compile import CompiledExpr, ExpressionCompiler
@@ -61,7 +76,12 @@ from repro.engine.plan import (
 )
 from repro.engine.result import DmlResult, QueryResult
 from repro.engine.vector import VectorExpressionCompiler, VectorUnsupported
-from repro.errors import EvaluationError, UnknownAttributeError, UnsupportedQueryError
+from repro.errors import (
+    EvaluationError,
+    UnknownAttributeError,
+    UnknownRelationError,
+    UnsupportedQueryError,
+)
 from repro.oracle import resolve_compiled_default
 from repro.sql import ast
 from repro.sql.parser import parse_sql
@@ -72,9 +92,22 @@ from repro.storage.api import TableStorage
 from repro.utils.cache import SIGHTINGS_SIZE, LRUCache
 
 _EMPTY_ROW = Row({})
+_NO_ROWS: Tuple[Row, ...] = ()
+_NO_KEYS: frozenset = frozenset()
 
-#: How many memoized subquery results to hold before dropping them all.
+#: How many memoized subquery results and hash-table rows to hold before
+#: dropping them all.
 _SUBQUERY_MEMO_LIMIT = 100_000
+
+#: Bound on the per-statement subquery analyses of one scope.
+_CORRELATION_LIMIT = 10_000
+
+#: Rent-or-buy for decorrelated subqueries: each per-key evaluation is
+#: charged its work in row units (see :class:`_Table`) plus this fixed
+#: overhead for plan lookup, operator set-up and the result list.  A
+#: one-row index probe evaluates in about 15 us where a build spends about
+#: 2 us per row scanned and projected (CAST at 1 000 movies, 2-vCPU Xeon).
+_PER_KEY_OVERHEAD = 8
 
 #: Returned by the parameterised fast path when the text must take the
 #: per-text pipeline instead (never escapes ``execute_sql``).
@@ -90,56 +123,409 @@ _PARAM_SUBPLAN_LIMIT = 4096
 _SCAN_CACHE_SIZE = 64
 
 
-class _CorrelationInfo:
-    """Static correlation analysis of one subquery statement."""
+class _SubqueryInfo:
+    """Once-per-statement analysis of a subquery (see :func:`_analyze_subquery`).
 
-    __slots__ = ("inner_bindings", "keys", "whole_row")
+    ``mode`` says how the subquery's rows are found for an outer row:
 
-    def __init__(self, inner_bindings: frozenset, keys: Tuple[str, ...], whole_row: bool) -> None:
-        self.inner_bindings = inner_bindings
-        self.keys = keys  # qualified outer columns the subquery depends on
-        self.whole_row = whole_row  # True => key on the entire outer row
+    * ``"table"``: key-correlated.  Every outer reference sits in a link
+      ``inner_column = outer_column``; ``keys`` name the outer columns
+      (``outer_refs``), ``key_columns`` are the inner columns a hash table
+      is keyed on, and ``block_where`` the WHERE conjuncts of the block
+      run to build it: the statement's own without its links.
+    * ``"memo"``: any other subquery whose references are all qualified
+      and unshadowed, memoized on the values of ``keys`` (the outer
+      columns it reads; none for an uncorrelated subquery).
+    * ``"row"``: unqualified or shadowed references, whose runtime
+      resolution may differ from lexical scoping, memoized on the whole
+      outer row.
 
-
-def _analyze_correlation(statement: ast.SelectStatement) -> _CorrelationInfo:
-    """Which outer values a correlated subquery's result depends on.
-
-    Qualified references whose binding is not introduced by any FROM
-    clause inside the statement (at any nesting depth) must come from the
-    outer query.  Unqualified references cannot be attributed statically,
-    so their presence forces keying on the whole outer row.
+    ``division`` is set when the subquery is a relational division
+    (see :class:`_Division`).
     """
-    inner_bindings = set()
-    for node in statement.walk():
-        if isinstance(node, ast.TableRef):
-            inner_bindings.add(node.binding.lower())
-    keys = set()
-    whole_row = False
-    for node in statement.walk():
-        if isinstance(node, ast.ColumnRef):
-            if node.table is None:
-                whole_row = True
-                break
-            if node.table.lower() not in inner_bindings:
-                keys.add(node.qualified)
-    return _CorrelationInfo(frozenset(inner_bindings), tuple(sorted(keys)), whole_row)
+
+    __slots__ = ("mode", "keys", "outer_refs", "key_columns", "block_where", "plan", "division")
+
+    def __init__(
+        self,
+        mode: str,
+        keys: Tuple[str, ...] = (),
+        key_columns: Tuple[ast.ColumnRef, ...] = (),
+        block_where: Tuple[ast.Expression, ...] = (),
+    ) -> None:
+        self.mode = mode
+        self.keys = keys
+        self.outer_refs: Tuple[ast.ColumnRef, ...] = ()
+        self.key_columns = key_columns
+        self.block_where = block_where
+        self.plan: Optional[LogicalPlan] = None  # the block's, planned at its first build
+        self.division: Optional[_Division] = None
+
+
+class _Division:
+    """A block under [NOT] EXISTS whose outer references all sit in one
+    nested [NOT] EXISTS over a key-correlated ``inner`` block.
+
+    Q6 ("movies that have all genres") is the textbook case: for a movie,
+    the middle block has rows iff some genre ``g1`` has no row in the
+    inner block under (the movie's id, ``g1.genre``).  The inner block's
+    table keys split into the positions fed by the outer row
+    (``outer_positions``, read through ``outer_keys``) and those fed by the
+    block's own rows (``own_positions``, read through ``own_columns``), so
+    the block is decided once per outer key by comparing its own key
+    values with the inner table's values under that outer key: subset
+    when ``negated`` (inner NOT EXISTS), overlap otherwise.
+    ``block_where`` is the block's WHERE without the nested connector.
+    """
+
+    __slots__ = (
+        "inner",
+        "negated",
+        "outer_keys",
+        "outer_positions",
+        "own_positions",
+        "own_columns",
+        "block_where",
+        "plan",
+    )
+
+    def __init__(
+        self,
+        inner: ast.SelectStatement,
+        negated: bool,
+        outer_keys: Tuple[str, ...],
+        outer_positions: Tuple[int, ...],
+        own_positions: Tuple[int, ...],
+        own_columns: Tuple[ast.ColumnRef, ...],
+        block_where: Tuple[ast.Expression, ...],
+    ) -> None:
+        self.inner = inner
+        self.negated = negated
+        self.outer_keys = outer_keys
+        self.outer_positions = outer_positions
+        self.own_positions = own_positions
+        self.own_columns = own_columns
+        self.block_where = block_where
+        self.plan: Optional[LogicalPlan] = None
+
+
+class _Lexical:
+    """Lexical scoping of one subquery's column references.
+
+    A qualified reference binds to the innermost enclosing FROM entry of
+    the same name (case-insensitively); one bound by no block inside the
+    subquery is an outer reference.  At run time the executor resolves
+    columns against ``outer_row.merged(row)`` instead, so the two agree
+    only when every inner reference is spelled exactly as the scanned rows
+    spell it (an exact key always wins in the merged row) and no name is
+    bound twice along a nesting path.  ``plain`` turns False on anything
+    else: an unqualified column, a rebound or case-variant binding, a
+    column the relation lacks, an unknown relation, or an outer reference
+    whose binding the subquery also introduces.
+    """
+
+    def __init__(self, schema: Any) -> None:
+        self.schema = schema
+        self.plain = True
+        self.bound: set = set()
+
+    def open(self, statement: ast.SelectStatement, scopes: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """``scopes`` extended by ``statement``'s own FROM entries."""
+        level: Dict[str, Tuple[str, frozenset]] = {}
+        for table in statement.from_tables:
+            lowered = table.binding.lower()
+            if lowered in level or any(lowered in scope for scope in scopes):
+                self.plain = False
+            try:
+                attributes = frozenset(self.schema.relation(table.name).attribute_names)
+            except UnknownRelationError:
+                self.plain = False
+                attributes = frozenset()
+            level[lowered] = (table.binding, attributes)
+            self.bound.add(lowered)
+        return scopes + [level]
+
+    def outer_refs(self, expression: ast.Node, scopes: List[Dict[str, Any]]) -> List[ast.ColumnRef]:
+        """The outer references in ``expression``, nested blocks included."""
+        found: List[ast.ColumnRef] = []
+        stack = [expression]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.ColumnRef):
+                if node.table is None:
+                    self.plain = False
+                    continue
+                lowered = node.table.lower()
+                for scope in reversed(scopes):
+                    entry = scope.get(lowered)
+                    if entry is not None:
+                        if node.table != entry[0] or node.column not in entry[1]:
+                            self.plain = False
+                        break
+                else:
+                    found.append(node)
+            elif isinstance(node, ast.SelectStatement):
+                inner = self.open(node, scopes)
+                for child in node.children():
+                    if not isinstance(child, ast.TableRef):
+                        found.extend(self.outer_refs(child, inner))
+            else:
+                stack.extend(node.children())
+        return found
+
+
+def _analyze_subquery(
+    statement: ast.SelectStatement,
+    schema: Any,
+    info_of: Callable[[ast.SelectStatement], _SubqueryInfo],
+) -> _SubqueryInfo:
+    """How a subquery's rows depend on its outer row (see :class:`_SubqueryInfo`).
+
+    ``info_of`` analyses (and caches) a nested statement; it is used to
+    recognise relational division, whose inner block must be
+    key-correlated.
+    """
+    lexical = _Lexical(schema)
+    scopes = lexical.open(statement, [])
+    level = scopes[0]
+    conjunct_refs = [
+        (conjunct, lexical.outer_refs(conjunct, scopes))
+        for conjunct in ast.conjuncts(statement.where)
+    ]
+    other_refs: List[ast.ColumnRef] = []
+    for item in statement.select_items:
+        other_refs.extend(lexical.outer_refs(item.expression, scopes))
+    for clause in (*statement.group_by, statement.having, *statement.order_by):
+        if clause is not None:
+            other_refs.extend(lexical.outer_refs(clause, scopes))
+    refs = other_refs + [ref for _, found in conjunct_refs for ref in found]
+    if any(ref.table.lower() in lexical.bound for ref in refs):
+        lexical.plain = False
+    if not lexical.plain:
+        return _SubqueryInfo("row")
+    keys = tuple(sorted({ref.qualified for ref in refs}))
+    if (
+        not keys
+        or other_refs
+        or statement.having is not None
+        or statement.order_by
+        or statement.distinct
+        or statement.limit is not None
+        or statement.offset is not None
+        or statement.has_aggregates()
+    ):
+        return _SubqueryInfo("memo", keys)
+
+    # Key-correlated?  Group the links by outer column: a second link on
+    # the same outer column becomes an inner equi-join of the block.
+    groups: Dict[str, List[ast.ColumnRef]] = {}
+    outer_columns: Dict[str, ast.ColumnRef] = {}
+    rest: List[ast.Expression] = []
+    for conjunct, found in conjunct_refs:
+        if not found:
+            rest.append(conjunct)
+            continue
+        link = _link(conjunct, found, level)
+        if link is None:
+            info = _SubqueryInfo("memo", keys)
+            info.division = _division(statement, conjunct_refs, level, info_of)
+            return info
+        inner, outer = link
+        groups.setdefault(outer.qualified, []).append(inner)
+        outer_columns.setdefault(outer.qualified, outer)
+    joins: List[ast.Expression] = [
+        ast.BinaryOp("=", inners[0], other)
+        for inners in groups.values()
+        for other in inners[1:]
+    ]
+    star = any(isinstance(item.expression, ast.Star) for item in statement.select_items)
+    if not _connected(statement, rest + joins) or (joins and star):
+        # Still a cross product, or extra joins that could reorder the
+        # columns a star expands to: keep evaluating per outer key.
+        return _SubqueryInfo("memo", keys)
+    info = _SubqueryInfo(
+        "table",
+        keys=tuple(groups),
+        key_columns=tuple(inners[0] for inners in groups.values()),
+        block_where=tuple(rest + joins),
+    )
+    info.outer_refs = tuple(outer_columns.values())
+    return info
+
+
+def _link(
+    conjunct: ast.Expression, refs: List[ast.ColumnRef], level: Dict[str, Any]
+) -> Optional[Tuple[ast.ColumnRef, ast.ColumnRef]]:
+    """``(inner, outer)`` when ``conjunct`` is ``inner_column = outer_column``."""
+    if len(refs) != 1 or not ast.is_join_condition(conjunct):
+        return None
+    outer = refs[0]
+    for inner, other in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
+        if other is outer and inner.table is not None and inner.table.lower() in level:
+            return inner, outer
+    return None
+
+
+def _division(
+    statement: ast.SelectStatement,
+    conjunct_refs: List[Tuple[ast.Expression, List[ast.ColumnRef]]],
+    level: Dict[str, Any],
+    info_of: Callable[[ast.SelectStatement], _SubqueryInfo],
+) -> Optional[_Division]:
+    """The division plan of a block, or None when it is not one.
+
+    The block's only outer references must sit in one top-level
+    [NOT] EXISTS over a key-correlated block with at least one link to the
+    outer row; its select list must not be able to fail (stars, columns,
+    literals), since a decided block is never projected.
+    """
+    correlated = [(conjunct, found) for conjunct, found in conjunct_refs if found]
+    if len(correlated) != 1 or not isinstance(correlated[0][0], ast.Exists):
+        return None
+    connector = correlated[0][0]
+    if not all(
+        isinstance(item.expression, (ast.Star, ast.ColumnRef, ast.Literal))
+        for item in statement.select_items
+    ):
+        return None
+    inner = info_of(connector.subquery)
+    if inner.mode != "table":
+        return None
+    outer_positions = []
+    own_positions = []
+    for position, column in enumerate(inner.outer_refs):
+        if column.table.lower() in level:
+            own_positions.append(position)
+        else:
+            outer_positions.append(position)
+    if not outer_positions:
+        return None
+    block_where = tuple(c for c, _ in conjunct_refs if c is not connector)
+    if not _connected(statement, block_where):
+        return None
+    return _Division(
+        inner=connector.subquery,
+        negated=connector.negated,
+        outer_keys=tuple(inner.keys[p] for p in outer_positions),
+        outer_positions=tuple(outer_positions),
+        own_positions=tuple(own_positions),
+        own_columns=tuple(inner.outer_refs[p] for p in own_positions),
+        block_where=block_where,
+    )
+
+
+def _connected(statement: ast.SelectStatement, conjuncts: Iterable[ast.Expression]) -> bool:
+    """Whether equi-joins among ``conjuncts`` connect every FROM entry of ``statement``."""
+    bindings = {table.binding.lower() for table in statement.from_tables}
+    if len(bindings) < 2:
+        return True
+    parent = {binding: binding for binding in bindings}
+
+    def root(binding: str) -> str:
+        while parent[binding] != binding:
+            binding = parent[binding]
+        return binding
+
+    for conjunct in conjuncts:
+        if not ast.is_join_condition(conjunct):
+            continue
+        left, right = conjunct.left.table, conjunct.right.table
+        if left is None or right is None:
+            continue
+        left, right = left.lower(), right.lower()
+        if left in bindings and right in bindings:
+            parent[root(left)] = root(right)
+    return len({root(binding) for binding in bindings}) == 1
+
+
+class _Table:
+    """Rent-or-buy state of one decorrelated subquery under one parameter vector.
+
+    Each new outer key is evaluated on its own until that has ``spent``
+    what a build would cost; the next one builds.  A per-key evaluation
+    is charged the rows its scans and index probes read (``read``, nested
+    subquery lookups one each) and the rows it derived from them
+    (``derived``: pairs its nested-loop joins examined, rows it returned),
+    plus a fixed overhead.  A build reads ``cost`` rows, the rows of the
+    FROM tables, and derives from them in the proportion the per-key
+    evaluations did: a block whose join output grows with the square of
+    each key's rows (``e1.title = e.title and e2.title = e.title and
+    e1.id <> e2.id``) costs a build that much more.  ``built`` is the
+    hash table (or the division's sets); ``failed`` marks a build that
+    raised, which leaves the statement per key.
+    """
+
+    __slots__ = ("spent", "cost", "read", "derived", "built", "failed")
+
+    def __init__(self, cost: int) -> None:
+        self.spent = 0
+        self.cost = cost
+        self.read = 0
+        self.derived = 0
+        self.built: Any = None
+        self.failed = False
+
+    def charge(self, read: int, derived: int) -> None:
+        """Account for one per-key evaluation."""
+        self.read += read
+        self.derived += derived
+        self.spent += read + derived + _PER_KEY_OVERHEAD
+
+    def pays(self) -> bool:
+        """Whether per-key evaluation has now cost what a build would."""
+        if self.failed:
+            return False
+        estimate = self.cost
+        if self.read:
+            estimate += self.derived * self.cost // self.read
+        return self.spent > estimate
+
+
+class _SubqueryState:
+    """Data-dependent state of one subquery statement: memo and tables."""
+
+    __slots__ = ("statement", "memo", "tables")
+
+    def __init__(self, statement: ast.SelectStatement) -> None:
+        self.statement = statement
+        self.memo: Dict[Any, Any] = {}  # (params, outer values) -> rows
+        self.tables: Dict[Tuple[Any, ...], _Table] = {}  # params -> table
+
+
+class _SubqueryRunner:
+    """The subquery callback handed to the expression compilers.
+
+    Called, it returns a subquery's rows; EXISTS connectors ask ``exists``
+    instead, which can decide a division-shaped block without producing
+    any.
+    """
+
+    __slots__ = ("_rows", "exists")
+
+    def __init__(self, rows: Callable, exists: Callable) -> None:
+        self._rows = rows
+        self.exists = exists
+
+    def __call__(self, statement: ast.SelectStatement, outer_row: Optional[Row]):
+        return self._rows(statement, outer_row)
 
 
 class _StatementScope:
-    """State keyed to statements: subquery memo, correlation info, subquery plans.
+    """State keyed to statements: subquery analysis, memo and tables, subquery plans.
 
     The executor keeps one shared scope for admitted (cached) statements;
     a shape's first sighting runs in a private scope that is dropped with
     it.  Every map is keyed by statement identity and holds the statement
     itself, so an ``id`` is never reused while its entry lives.
+    ``memo_entries`` counts memoized results plus hash-table rows.
     """
 
     __slots__ = ("memo", "memo_entries", "correlations", "subplans")
 
     def __init__(self) -> None:
-        self.memo: Dict[int, Tuple[ast.SelectStatement, Dict[Any, List[Row]]]] = {}
+        self.memo: Dict[int, _SubqueryState] = {}
         self.memo_entries = 0
-        self.correlations: Dict[int, Tuple[ast.SelectStatement, _CorrelationInfo]] = {}
+        self.correlations: Dict[int, Tuple[ast.SelectStatement, _SubqueryInfo]] = {}
         self.subplans: Dict[int, Tuple[ast.SelectStatement, Any]] = {}
 
     def clear_memo(self) -> None:
@@ -175,8 +561,13 @@ class Executor:
         self.parameterised = (
             resolve_compiled_default(parameterised) and self.compiled and self.use_caches
         )
+        # Key-correlated subqueries become once-per-statement hash tables,
+        # and relational division a set comparison, only on the compiled,
+        # cached path; the oracle configurations evaluate per row.
+        self._decorrelate = self.compiled and self.use_caches
+        runner = _SubqueryRunner(self._run_subquery, self._subquery_exists)
         self._evaluator = ExpressionEvaluator(subquery_runner=self._run_subquery)
-        self._compiler = ExpressionCompiler(subquery_runner=self._run_subquery)
+        self._compiler = ExpressionCompiler(subquery_runner=runner)
         # Parameterised execution state: closures compiled for a shared
         # plan read ``_params_box[0]`` (the literal vector of the query
         # being served) instead of baked constants.  ``_param_active`` is
@@ -184,7 +575,7 @@ class Executor:
         # built operator closures pick the right compiler.
         self._params_box: List[Tuple[Any, ...]] = [()]
         self._param_compiler = ParamExpressionCompiler(
-            subquery_runner=self._run_subquery, params_box=self._params_box
+            subquery_runner=runner, params_box=self._params_box
         )
         self._param_active = False
         self._shape_infos: LRUCache = LRUCache(shape_cache_size)
@@ -216,6 +607,12 @@ class Executor:
         self._scope = self._shared_scope
         self.subquery_hits = 0
         self.subquery_misses = 0
+        self.subquery_tables = 0
+        # Work in row units, for the rent-or-buy rule (see _Table): rows
+        # produced by scans and index probes plus one per subquery lookup,
+        # and pairs examined by nested-loop joins.
+        self._rows_read = 0
+        self._rows_joined = 0
         self._data_version = database.data_version
 
     # ------------------------------------------------------------------
@@ -288,6 +685,13 @@ class Executor:
         without caching anything, the rest second sightings (or new guard
         classes) that compiled a shared plan — and ``fallbacks`` are texts
         the shape analysis routed to the per-text pipeline.
+
+        ``subquery`` counts subquery lookups: ``hits`` were answered from
+        an existing hash table or memo entry, ``misses`` built a table or
+        evaluated the subquery for one outer key, and ``tables`` counts
+        the hash tables built (relational-division sets included).
+        ``entries`` is the memo rows plus table rows held for admitted
+        statements.
         """
         return {
             "parse": self._parse_cache.stats,
@@ -303,6 +707,7 @@ class Executor:
             "subquery": {
                 "hits": self.subquery_hits,
                 "misses": self.subquery_misses,
+                "tables": self.subquery_tables,
                 "entries": self._shared_scope.memo_entries,
             },
             "scan_tables": len(self._scan_cache),
@@ -637,10 +1042,12 @@ class Executor:
                     rowids = index.lookup(values)
                 except TypeError:
                     rowids = ()  # unhashable probe value can never equal a stored one
+                self._rows_read += len(rowids)
                 for rowid in rowids:
                     yield table.row_by_id(rowid).prefixed(binding)
                 return
         rows = self._scan_rows(table, node.binding)
+        self._rows_read += len(rows)
         if ops is None:
             yield from rows
             return
@@ -714,6 +1121,7 @@ class Executor:
             self.vector_fallbacks += 1
             return None
         self.vector_scans += 1
+        self._rows_read += count
         return rows
 
     def _build_vector_ops(self, node: PlanNode) -> Optional[Tuple[str, Any, Any]]:
@@ -794,6 +1202,7 @@ class Executor:
             return
 
         matchers = [matcher for _, matcher in equi_matchers] + other_matchers
+        self._rows_joined += len(left_rows) * len(right_rows)
         for left in left_rows:
             for right in right_rows:
                 combined = left.merged(right)
@@ -907,9 +1316,17 @@ class Executor:
     # Projection, distinct, ordering, limits
     # ------------------------------------------------------------------
 
-    def _run_project(self, node: ProjectNode, outer_row: Optional[Row]) -> Iterator[Row]:
+    def _run_project(
+        self,
+        node: ProjectNode,
+        outer_row: Optional[Row],
+        rows: Optional[Iterable[Row]] = None,
+    ) -> Iterator[Row]:
+        """Project the child's rows (or ``rows``, when given) through the select list."""
         items = self._ops(node)
-        for row in self._run_node(node.child, outer_row):
+        if rows is None:
+            rows = self._run_node(node.child, outer_row)
+        for row in rows:
             scoped = self._with_outer(row, outer_row)
             output: Dict[str, Any] = {}
             for name, fn in items:
@@ -975,99 +1392,296 @@ class Executor:
         yield from rows[start:end]
 
     # ------------------------------------------------------------------
-    # Subqueries (memoized on the correlated outer values)
+    # Subqueries: hash tables for key-correlated ones, a memo for the rest
     # ------------------------------------------------------------------
 
     def _run_subquery(
         self, statement: ast.SelectStatement, outer_row: Optional[Row]
     ) -> Iterable[Row]:
-        if not self.use_caches:
+        if not self.use_caches or outer_row is None:
             return self.execute_select(statement, outer_row=outer_row).rows
-        key = self._memo_key(statement, outer_row)
-        if key is None:
-            return self.execute_select(statement, outer_row=outer_row).rows
-        scope = self._scope
-        entry = scope.memo.get(id(statement))
-        if entry is None or entry[0] is not statement:
-            entry = (statement, {})
-            scope.memo[id(statement)] = entry
-        cache = entry[1]
+        self._rows_read += 1
+        info = self._subquery_info(statement)
+        params = self._params_box[0]
+        # Memo keys carry the outer values' types: 1 and 1.0 are equal
+        # keys, but a subquery that reads them returns different values.
+        if info.mode == "row":
+            key: Any = (params, outer_row, tuple(map(type, outer_row.raw.values())))
+        else:
+            values = _outer_values(outer_row, info.keys)
+            if values is None:
+                # The correlation cannot be satisfied by this outer row;
+                # run it and let execution surface the usual error.
+                return self._subquery_rows(statement, outer_row)
+            if info.mode == "table":
+                return self._run_keyed(statement, info, params, values, outer_row)
+            if not values:
+                outer_row = None  # uncorrelated: run once, without an outer row
+            key = (params, values, tuple(map(type, values)))
+        state = self._subquery_state(statement)
         try:
-            cached = cache.get(key)
-        except TypeError:  # unhashable outer value — skip the memo
-            return self.execute_select(statement, outer_row=outer_row).rows
+            cached = state.memo.get(key)
+        except TypeError:  # unhashable outer value: skip the memo
+            return self._subquery_rows(statement, outer_row)
         if cached is not None:
             self.subquery_hits += 1
             return cached
-        rows = self.execute_select(statement, outer_row=outer_row).rows
         self.subquery_misses += 1
-        scope.memo_entries += 1
-        if scope.memo_entries > _SUBQUERY_MEMO_LIMIT:
-            scope.clear_memo()
-            scope.memo_entries = 1
-            entry = (statement, {})
-            scope.memo[id(statement)] = entry
-            cache = entry[1]
-        cache[key] = rows
+        rows = self._subquery_rows(statement, outer_row)
+        self._remember(state, key, rows)
         return rows
 
-    def _memo_key(
-        self, statement: ast.SelectStatement, outer_row: Optional[Row]
-    ) -> Optional[Any]:
-        """The memo key for one subquery execution, or ``None`` to skip.
+    def _run_keyed(
+        self,
+        statement: ast.SelectStatement,
+        info: _SubqueryInfo,
+        params: Tuple[Any, ...],
+        values: Tuple[Any, ...],
+        outer_row: Row,
+    ) -> Iterable[Row]:
+        """Rows of a key-correlated subquery: per key until a table pays."""
+        state = self._subquery_state(statement)
+        table = state.tables.get(params)
+        try:
+            if table is not None and table.built is not None:
+                rows = table.built.get(values, _NO_ROWS)
+                self.subquery_hits += 1
+                return rows
+            key = (params, values)
+            cached = state.memo.get(key)
+        except TypeError:  # unhashable outer value: evaluate it on its own
+            return self._subquery_rows(statement, outer_row)
+        if cached is not None:
+            self.subquery_hits += 1
+            return cached
+        self.subquery_misses += 1
+        if not self._decorrelate:
+            rows = self._subquery_rows(statement, outer_row)
+            self._remember(state, key, rows)
+            return rows
+        if table is None:
+            table = state.tables[params] = _Table(self._rows_in(statement))
+        if table.pays():
+            built = self._build_table(state, info, params)
+            if built is not None:
+                return built.get(values, _NO_ROWS)
+        read, joined = self._rows_read, self._rows_joined
+        rows = self._subquery_rows(statement, outer_row)
+        table.charge(self._rows_read - read, self._rows_joined - joined + len(rows))
+        self._remember(state, key, rows)
+        return rows
 
-        Uncorrelated subqueries key on a constant; correlated ones key on
-        the values of the outer columns they reference.  When the outer
-        values cannot be attributed statically (unqualified references,
-        binding shadowing between the outer query and the subquery) the
-        whole outer row becomes the key — always sound, just less shareable.
+    def _subquery_exists(self, statement: ast.SelectStatement, outer_row: Optional[Row]) -> bool:
+        """Whether a subquery has rows for ``outer_row`` (EXISTS connectors)."""
+        if self._decorrelate and outer_row is not None:
+            division = self._subquery_info(statement).division
+            if division is not None:
+                found = self._divide(statement, division, outer_row)
+                if found is not None:
+                    return found
+        for _ in self._run_subquery(statement, outer_row):
+            return True
+        return False
 
-        Every key is prefixed with the bound-parameter vector: under a
-        parameterised plan the same canonical subquery statement serves
-        many literal variants, whose results must never be conflated
-        (per-text executions bind ``()``, so their keys are unaffected in
-        practice).
+    def _divide(
+        self, statement: ast.SelectStatement, division: _Division, outer_row: Row
+    ) -> Optional[bool]:
+        """Decide a division-shaped block for ``outer_row``, or None to run it.
+
+        Evaluated per outer row (through the memo) until that has cost
+        what a build would; then the inner table is grouped by outer key
+        and the block's own key values are collected once, and every
+        later outer row is a set comparison.
         """
+        values = _outer_values(outer_row, division.outer_keys)
+        if values is None:
+            return None
         params = self._params_box[0]
-        if outer_row is None:
-            return (params, "<top>")
-        info = self._correlation_info(statement)
-        if info.whole_row:
-            return (params, outer_row)
-        raw = outer_row.raw
-        # Shadowing guard first: when the subquery reuses an outer binding
-        # name anywhere in its FROM clauses, the static analysis may have
-        # misattributed outer references as inner (leaving keys empty), so
-        # the whole outer row must be the key.
-        prefixes = set()
-        for key in raw:
-            dot = key.find(".")
-            if dot > 0:
-                prefixes.add(key[:dot].lower())
-        if prefixes & info.inner_bindings:
-            return (params, outer_row)
-        if not info.keys:
-            return (params, "<uncorrelated>")
-        parts = []
-        for key in info.keys:
-            resolved = outer_row.resolve_key(key)
-            if resolved is None:
-                # The correlation cannot be satisfied by this outer row;
-                # skip the memo and let execution surface the usual error.
+        state = self._subquery_state(statement)
+        table = state.tables.get(params)
+        if table is None:
+            cost = self._rows_in(statement) + self._rows_in(division.inner)
+            table = state.tables[params] = _Table(cost)
+        built = table.built
+        if built is None:
+            if not table.pays():
+                read, joined = self._rows_read, self._rows_joined
+                rows = self._run_subquery(statement, outer_row)
+                table.charge(self._rows_read - read, self._rows_joined - joined + len(rows))
+                return len(rows) > 0
+            built = self._build_division(state, table, division, params)
+            if built is None:
                 return None
-            parts.append(_freeze(raw[resolved]))
-        return (params, tuple(parts))
+            self.subquery_misses += 1
+        else:
+            self.subquery_hits += 1
+        by_outer, own, own_null, nonempty = built
+        if any(value is None for value in values):
+            # The inner block has no rows for a NULL outer key.
+            return nonempty if division.negated else False
+        try:
+            matched = by_outer.get(values, _NO_KEYS)
+        except TypeError:
+            matched = _NO_KEYS  # an unhashable probe value equals no stored one
+        if division.negated:
+            # Rows whose own key is NULL, or absent from the inner table
+            # under this outer key, make the block non-empty.
+            return own_null or not own <= matched
+        return not own.isdisjoint(matched)
 
-    def _correlation_info(self, statement: ast.SelectStatement) -> _CorrelationInfo:
+    def _build_table(
+        self, state: _SubqueryState, info: _SubqueryInfo, params: Tuple[Any, ...]
+    ) -> Optional[Dict[Tuple[Any, ...], List[Row]]]:
+        """Run a key-correlated block once and hash its rows on the key columns.
+
+        Returns None when the build raised (the statement then stays per
+        key: the error may come from a row no outer key ever reaches) or
+        the table alone would exceed the memo bound.
+        """
+        table = state.tables[params]
+        try:
+            if info.plan is None:
+                info.plan = self._plan_block(state.statement, info.block_where)
+            project = info.plan.root
+            key_fns = [self._expr_fn(column) for column in info.key_columns]
+            keys = []
+            sources = []
+            for row in self._run_node(project.child, None):
+                key = tuple(fn(row) for fn in key_fns)
+                if any(value is None for value in key):
+                    continue  # a NULL key equals no outer value
+                keys.append(key)
+                sources.append(row)
+            built: Dict[Tuple[Any, ...], List[Row]] = {}
+            for key, row in zip(keys, self._run_project(project, None, sources)):
+                bucket = built.get(key)
+                if bucket is None:
+                    built[key] = [row]
+                else:
+                    bucket.append(row)
+        except Exception:  # noqa: BLE001 - any failure hands back to the per-key path
+            table.failed = True
+            return None
+        if not self._charge(state, len(sources)):
+            table.failed = True
+            return None
+        table.built = built
+        state.tables[params] = table
+        self.subquery_tables += 1
+        return built
+
+    def _build_division(
+        self,
+        state: _SubqueryState,
+        table: _Table,
+        division: _Division,
+        params: Tuple[Any, ...],
+    ) -> Optional[Tuple[Any, ...]]:
+        """Group the inner table by outer key and collect the block's own keys."""
+        inner_state = self._subquery_state(division.inner)
+        inner_table = inner_state.tables.get(params)
+        inner_info = self._subquery_info(division.inner)
+        if inner_table is None:
+            inner_table = inner_state.tables[params] = _Table(0)
+        built = inner_table.built
+        if built is None and not inner_table.failed:
+            built = self._build_table(inner_state, inner_info, params)
+        if built is None:
+            table.failed = True
+            return None
+        outer_positions = division.outer_positions
+        own_positions = division.own_positions
+        by_outer: Dict[Tuple[Any, ...], set] = {}
+        for key in built:
+            outer = tuple(key[p] for p in outer_positions)
+            own_key = tuple(key[p] for p in own_positions)
+            members = by_outer.get(outer)
+            if members is None:
+                by_outer[outer] = {own_key}
+            else:
+                members.add(own_key)
+        own: set = set()
+        own_null = nonempty = False
+        try:
+            if division.plan is None:
+                division.plan = self._plan_block(state.statement, division.block_where)
+            own_fns = [self._expr_fn(column) for column in division.own_columns]
+            for row in self._run_node(division.plan.root.child, None):
+                nonempty = True
+                own_key = tuple(fn(row) for fn in own_fns)
+                if any(value is None for value in own_key):
+                    own_null = True
+                else:
+                    own.add(own_key)
+        except Exception:  # noqa: BLE001 - any failure hands back to per-row
+            table.failed = True
+            return None
+        if not self._charge(state, len(built) + len(own)):
+            table.failed = True
+            return None
+        table.built = (by_outer, own, own_null, nonempty)
+        state.tables[params] = table
+        self.subquery_tables += 1
+        return table.built
+
+    def _subquery_rows(
+        self, statement: ast.SelectStatement, outer_row: Optional[Row]
+    ) -> List[Row]:
+        """Run a subquery for one outer row (no cache validation: mid-statement)."""
+        plan, _ = self._plan_select(statement)
+        return list(self._run_node(plan.root, outer_row))
+
+    def _plan_block(
+        self, statement: ast.SelectStatement, where: Tuple[ast.Expression, ...]
+    ) -> LogicalPlan:
+        """Plan ``statement`` with ``where`` as its WHERE conjuncts."""
+        return self.planner.plan(replace(statement, where=ast.conjoin(where)))
+
+    def _rows_in(self, statement: ast.SelectStatement) -> int:
+        """The rows a build of ``statement`` reads: its FROM tables' sizes."""
+        return sum(
+            self.database.table(table.name).row_count for table in statement.from_tables
+        )
+
+    def _subquery_info(self, statement: ast.SelectStatement) -> _SubqueryInfo:
         correlations = self._scope.correlations
         entry = correlations.get(id(statement))
         if entry is not None and entry[0] is statement:
             return entry[1]
-        info = _analyze_correlation(statement)
-        if len(correlations) >= 10_000:
+        info = _analyze_subquery(statement, self.database.schema, self._subquery_info)
+        if len(correlations) >= _CORRELATION_LIMIT:
             correlations.clear()  # bound growth on endless distinct queries
         correlations[id(statement)] = (statement, info)
         return info
+
+    def _subquery_state(self, statement: ast.SelectStatement) -> _SubqueryState:
+        memo = self._scope.memo
+        state = memo.get(id(statement))
+        if state is None or state.statement is not statement:
+            state = memo[id(statement)] = _SubqueryState(statement)
+        return state
+
+    def _remember(self, state: _SubqueryState, key: Any, rows: List[Row]) -> None:
+        if self._charge(state, 1):
+            state.memo[key] = rows
+
+    def _charge(self, state: _SubqueryState, count: int) -> bool:
+        """Count ``count`` new memo rows against the bound.
+
+        Past the bound every other statement's memo and tables are
+        dropped; False when ``count`` alone exceeds it (keep nothing).
+        """
+        if count > _SUBQUERY_MEMO_LIMIT:
+            return False
+        scope = self._scope
+        scope.memo_entries += count
+        if scope.memo_entries > _SUBQUERY_MEMO_LIMIT:
+            scope.clear_memo()
+            scope.memo_entries = count
+            state.memo.clear()
+            state.tables.clear()
+            scope.memo[id(state.statement)] = state
+        return True
 
     # ------------------------------------------------------------------
     # DML, helpers
@@ -1201,6 +1815,20 @@ def _expression_key(expression: ast.Expression) -> str:
     if isinstance(expression, ast.ColumnRef):
         return expression.qualified
     return str(expression)
+
+
+def _outer_values(outer_row: Row, names: Tuple[str, ...]) -> Optional[Tuple[Any, ...]]:
+    """The (frozen) values of the outer columns ``names``; None if one is missing."""
+    raw = outer_row.raw
+    values = []
+    for name in names:
+        if name not in raw:
+            resolved = outer_row.resolve_key(name)
+            if resolved is None:
+                return None
+            name = resolved
+        values.append(_freeze(raw[name]))
+    return tuple(values)
 
 
 def _freeze(value: Any) -> Any:

@@ -185,11 +185,14 @@ class TestExecutorAdmission:
             return plan(statement)
 
         executor.planner.plan = counting_plan
-        # Q6 is doubly nested: the inner NOT EXISTS runs once per pair of
-        # outer rows, but each of the three SELECTs is planned once.
+        # Q6 is doubly nested: each of its three SELECTs is planned once,
+        # and so is each of the two blocks it is decorrelated into (the
+        # inner block without its links, the middle block without its
+        # NOT EXISTS); nothing is planned per outer row.
         result = executor.execute_sql(PAPER_QUERIES["Q6"])
         assert [row.get("m.title") for row in result.rows] == ["Ocean Heist"]
-        assert len(planned) == 3
+        assert len(planned) == 5
+        assert len({id(statement) for statement in planned}) == 5
         assert executor.cache_stats["shape_plans"]["deferred"] == 1
 
     def test_mutations_are_never_deferred(self, db):
