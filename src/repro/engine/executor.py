@@ -150,12 +150,13 @@ class _SubqueryInfo:
         self,
         mode: str,
         keys: Tuple[str, ...] = (),
+        outer_refs: Tuple[ast.ColumnRef, ...] = (),
         key_columns: Tuple[ast.ColumnRef, ...] = (),
         block_where: Tuple[ast.Expression, ...] = (),
     ) -> None:
         self.mode = mode
         self.keys = keys
-        self.outer_refs: Tuple[ast.ColumnRef, ...] = ()
+        self.outer_refs = outer_refs
         self.key_columns = key_columns
         self.block_where = block_where
         self.plan: Optional[LogicalPlan] = None  # the block's, planned at its first build
@@ -209,6 +210,11 @@ class _Division:
         self.plan: Optional[LogicalPlan] = None
 
 
+#: One block's FROM entries: lowered binding -> (binding as written,
+#: attribute names of its relation).
+_Scope = Dict[str, Tuple[str, frozenset]]
+
+
 class _Lexical:
     """Lexical scoping of one subquery's column references.
 
@@ -229,9 +235,9 @@ class _Lexical:
         self.plain = True
         self.bound: set = set()
 
-    def open(self, statement: ast.SelectStatement, scopes: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    def open(self, statement: ast.SelectStatement, scopes: List[_Scope]) -> List[_Scope]:
         """``scopes`` extended by ``statement``'s own FROM entries."""
-        level: Dict[str, Tuple[str, frozenset]] = {}
+        level: _Scope = {}
         for table in statement.from_tables:
             lowered = table.binding.lower()
             if lowered in level or any(lowered in scope for scope in scopes):
@@ -245,7 +251,7 @@ class _Lexical:
             self.bound.add(lowered)
         return scopes + [level]
 
-    def outer_refs(self, expression: ast.Node, scopes: List[Dict[str, Any]]) -> List[ast.ColumnRef]:
+    def outer_refs(self, expression: ast.Node, scopes: List[_Scope]) -> List[ast.ColumnRef]:
         """The outer references in ``expression``, nested blocks included."""
         found: List[ast.ColumnRef] = []
         stack = [expression]
@@ -343,18 +349,17 @@ def _analyze_subquery(
         # Still a cross product, or extra joins that could reorder the
         # columns a star expands to: keep evaluating per outer key.
         return _SubqueryInfo("memo", keys)
-    info = _SubqueryInfo(
+    return _SubqueryInfo(
         "table",
         keys=tuple(groups),
+        outer_refs=tuple(outer_columns.values()),
         key_columns=tuple(inners[0] for inners in groups.values()),
         block_where=tuple(rest + joins),
     )
-    info.outer_refs = tuple(outer_columns.values())
-    return info
 
 
 def _link(
-    conjunct: ast.Expression, refs: List[ast.ColumnRef], level: Dict[str, Any]
+    conjunct: ast.Expression, refs: List[ast.ColumnRef], level: _Scope
 ) -> Optional[Tuple[ast.ColumnRef, ast.ColumnRef]]:
     """``(inner, outer)`` when ``conjunct`` is ``inner_column = outer_column``."""
     if len(refs) != 1 or not ast.is_join_condition(conjunct):
@@ -369,7 +374,7 @@ def _link(
 def _division(
     statement: ast.SelectStatement,
     conjunct_refs: List[Tuple[ast.Expression, List[ast.ColumnRef]]],
-    level: Dict[str, Any],
+    level: _Scope,
     info_of: Callable[[ast.SelectStatement], _SubqueryInfo],
 ) -> Optional[_Division]:
     """The division plan of a block, or None when it is not one.
@@ -1471,7 +1476,9 @@ class Executor:
         self._remember(state, key, rows)
         return rows
 
-    def _subquery_exists(self, statement: ast.SelectStatement, outer_row: Optional[Row]) -> bool:
+    def _subquery_exists(
+        self, statement: ast.SelectStatement, outer_row: Optional[Row]
+    ) -> bool:
         """Whether a subquery has rows for ``outer_row`` (EXISTS connectors)."""
         if self._decorrelate and outer_row is not None:
             division = self._subquery_info(statement).division

@@ -225,7 +225,10 @@ _BLOCKS = {
     "same_outer": ("I i, I i2 where i.a = o.a and i2.a = o.a and i.id <> i2.id{F}", "i.b"),
     "two_tables": ("I i, J j where j.iid = i.id and i.a = o.a{F}", "j.b"),
     "cross": ("I i, X x where i.a = o.a and x.b = o.b{F}", "x.c"),
-    "shadowed": ("I i where i.a = o.a and exists (select * from O o where o.id = i.id){F}", "i.b"),
+    "shadowed": (
+        "I i where i.a = o.a and exists (select * from O o where o.id = i.id){F}",
+        "i.b",
+    ),
     "unqualified": ("I i where i.a = o.a and c >= 0{F}", "i.b"),
     "uncorrelated": ("I i where i.c >= 0{F}", "i.b"),
     "inequality": ("I i where i.a < o.a{F}", "i.b"),
