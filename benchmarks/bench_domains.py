@@ -54,13 +54,7 @@ def _pipeline(domain: Domain, compiled: bool):
         translator = QueryTranslator(
             schema, lexicon=lexicon, phrase_plans=False, cache_size=None
         )
-        executor = Executor(
-            database,
-            compiled=False,
-            use_caches=False,
-            index_scans=False,
-            parameterised=False,
-        )
+        executor = Executor(database, compiled=False)
     spec = NarrationSpec(
         schema=schema,
         registry=TemplateRegistry(schema, compile_templates=compiled),

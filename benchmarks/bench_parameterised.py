@@ -15,8 +15,8 @@ with a shape lookup plus a literal rebind.
 
 Equivalence is verified in-run on a 50-movie database: parameterised ≡
 per-text ≡ interpreted on literal-rotated variants of the full corpus.
-The service section drives 64 concurrent clients of shape-grouped
-execute traffic and asserts byte-identical results to sequential
+The service section drives 64 concurrent clients of execute traffic
+over shared shapes and asserts byte-identical results to sequential
 synchronous execution.
 """
 
@@ -100,11 +100,9 @@ def _median_seconds(fn, repeats: int) -> float:
 def _verify_equivalence() -> dict:
     """Parameterised ≡ per-text ≡ interpreted on literal-rotated corpus."""
     database = movie_database()
-    param = Executor(database, parameterised=True, compiled=True, use_caches=True,
-                     index_scans=True)
-    per_text = Executor(database, parameterised=False, compiled=True, use_caches=True,
-                        index_scans=True)
-    oracle = Executor(database, compiled=False, use_caches=False, index_scans=False)
+    param = Executor(database, compiled=True, parameterised=True)
+    per_text = Executor(database, compiled=True, parameterised=False)
+    oracle = Executor(database, compiled=False)
     corpus = list(PAPER_QUERIES.values()) + [
         q.sql for q in generate_workload(queries_per_category=10, seed=42)
     ]
@@ -130,7 +128,7 @@ def _verify_equivalence() -> dict:
 
 
 def _verify_service_equivalence(queries, clients: int = 64) -> str:
-    """Shape-batched concurrent execution == sequential synchronous."""
+    """Batched concurrent execution == sequential synchronous."""
     service_db = movie_database()
     reference = Executor(movie_database(), parameterised=False)
     expected = {}
@@ -155,11 +153,9 @@ def _verify_service_equivalence(queries, clients: int = 64) -> str:
             return session.stats()
 
     stats = asyncio.run(run())
-    grouped = stats["requests"]["shape_groups_by_kind"].get("execute", {})
     return (
         f"byte-identical under {clients} clients"
-        f" ({grouped.get('requests', 0)} requests in {grouped.get('groups', 0)}"
-        " shape groups)"
+        f" ({stats['requests']['by_kind'].get('execute', 0)} requests)"
     )
 
 
@@ -182,10 +178,8 @@ _POINT_QUERIES = [
 def _timed_rounds(database, queries, repeats: int):
     """(parameterised_s, per_text_s) medians over fresh-literal rounds."""
     factory = _VariantFactory(queries)
-    param = Executor(database, parameterised=True, compiled=True, use_caches=True,
-                     index_scans=True)
-    per_text = Executor(database, parameterised=False, compiled=True, use_caches=True,
-                        index_scans=True)
+    param = Executor(database, compiled=True, parameterised=True)
+    per_text = Executor(database, compiled=True, parameterised=False)
     # Warm the shared plans (and both executors' data caches) on one
     # round each, then time fresh-literal rounds only.
     for sql in factory.round():

@@ -25,7 +25,7 @@ _SCALING_QUERIES = ("Q1", "Q2", "Q7")
 
 
 def _interpreted(database) -> Executor:
-    return Executor(database, compiled=False, use_caches=False, index_scans=False)
+    return Executor(database, compiled=False)
 
 
 @pytest.fixture(scope="module")

@@ -243,8 +243,8 @@ def _client_batches(workload, clients: int, rounds: int):
 
     Each client rendering its *own* variants is what makes the stream a
     real per-request workload — were every client to replay identical
-    texts, the session's shape-batching would coalesce them into shared
-    renders and the benchmark would measure queueing, not translation.
+    texts, the translator's exact-text cache would serve every repeat and
+    the benchmark would measure queueing, not translation.
     """
     batches = _variant_batches(workload, clients * rounds)
     return [batches[index * rounds : (index + 1) * rounds] for index in range(clients)]

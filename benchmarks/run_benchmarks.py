@@ -65,7 +65,7 @@ _FULL_BASELINES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q7", "Q8", "Q9")
 
 
 def _interpreted(database) -> Executor:
-    return Executor(database, compiled=False, use_caches=False, index_scans=False)
+    return Executor(database, compiled=False)
 
 
 def _median_seconds(fn, repeats: int) -> float:

@@ -40,8 +40,9 @@ memo, tables and plans live in a scope dropped when the call returns.
 Caches keyed by value (full-scan rows, compiled closures) stay shared,
 and every cache is bounded.
 
-``Executor(db, compiled=False, use_caches=False, index_scans=False)``
-reproduces the original fully-interpreted behaviour; the property tests
+``Executor(db, compiled=False)`` reproduces the original, fully
+interpreted behaviour: evaluator closures, no cache of any kind, no
+index probes, and every subquery run per outer row.  The property tests
 assert both modes return identical results.
 """
 
@@ -121,6 +122,12 @@ _PARAM_SUBPLAN_LIMIT = 4096
 #: warm workloads hold 8-14; fresh aliases from ad-hoc queries cycle
 #: through the LRU instead of growing it.
 _SCAN_CACHE_SIZE = 64
+
+#: Bounds on the per-text parse and plan caches and on the shape-keyed
+#: caches (shape analyses, shared plans, captured samples).
+_PARSE_CACHE_SIZE = 512
+_PLAN_CACHE_SIZE = 256
+_SHAPE_CACHE_SIZE = 256
 
 
 class _SubqueryInfo:
@@ -545,31 +552,17 @@ class Executor:
         self,
         database: Database,
         compiled: Optional[bool] = None,
-        use_caches: Optional[bool] = None,
-        index_scans: Optional[bool] = None,
         parameterised: Optional[bool] = None,
-        plan_cache_size: int = 256,
-        parse_cache_size: int = 512,
-        shape_cache_size: int = 256,
     ) -> None:
         self.database = database
         self.planner = Planner()
-        # The four flags default to the compiled configuration, unless
-        # REPRO_ORACLE forces the interpreted defaults for the whole
-        # process (explicit arguments always win either way).
+        # Both flags default on, unless REPRO_ORACLE forces the interpreted
+        # defaults for the whole process (explicit arguments always win).
+        # ``compiled`` turns on everything beyond the interpreted oracle:
+        # closures, caches, index probes, subquery tables and memo.
         self.compiled = resolve_compiled_default(compiled)
-        self.use_caches = resolve_compiled_default(use_caches)
-        self.index_scans = resolve_compiled_default(index_scans)
-        # Parameterised plans need the compiled, cached configuration:
-        # their closures *are* compiled closures, and sharing without a
-        # cache would be pointless.
-        self.parameterised = (
-            resolve_compiled_default(parameterised) and self.compiled and self.use_caches
-        )
-        # Key-correlated subqueries become once-per-statement hash tables,
-        # and relational division a set comparison, only on the compiled,
-        # cached path; the oracle configurations evaluate per row.
-        self._decorrelate = self.compiled and self.use_caches
+        # Parameterised plans' closures *are* compiled closures.
+        self.parameterised = resolve_compiled_default(parameterised) and self.compiled
         runner = _SubqueryRunner(self._run_subquery, self._subquery_exists)
         self._evaluator = ExpressionEvaluator(subquery_runner=self._run_subquery)
         self._compiler = ExpressionCompiler(subquery_runner=runner)
@@ -583,11 +576,11 @@ class Executor:
             subquery_runner=runner, params_box=self._params_box
         )
         self._param_active = False
-        self._shape_infos: LRUCache = LRUCache(shape_cache_size)
-        self._param_plans: LRUCache = LRUCache(shape_cache_size)
+        self._shape_infos: LRUCache = LRUCache(_SHAPE_CACHE_SIZE)
+        self._param_plans: LRUCache = LRUCache(_SHAPE_CACHE_SIZE)
         # Workload capture: one representative SQL text per compiled shape
         # plan, for the warm-start API (`captured_shapes`/`precompile`).
-        self._param_samples: LRUCache = LRUCache(shape_cache_size)
+        self._param_samples: LRUCache = LRUCache(_SHAPE_CACHE_SIZE)
         # Second-sighting admission: hashes of the shapes seen so far.
         self._sightings: LRUCache = LRUCache(SIGHTINGS_SIZE)
         self.shape_hits = 0
@@ -605,8 +598,8 @@ class Executor:
         # the scan cache and subquery memo depend on table contents and are
         # validated against Database.data_version before every top-level
         # statement (so even mutations that bypass the executor are seen).
-        self._parse_cache: LRUCache = LRUCache(parse_cache_size)
-        self._plan_cache: LRUCache = LRUCache(plan_cache_size)
+        self._parse_cache: LRUCache = LRUCache(_PARSE_CACHE_SIZE)
+        self._plan_cache: LRUCache = LRUCache(_PLAN_CACHE_SIZE)
         self._scan_cache: LRUCache = LRUCache(_SCAN_CACHE_SIZE)
         self._shared_scope = _StatementScope()
         self._scope = self._shared_scope
@@ -644,10 +637,10 @@ class Executor:
         return self.execute(self._parse_statement(sql))
 
     def _parse_statement(self, sql: str) -> ast.Statement:
-        statement = self._parse_cache.get(sql) if self.use_caches else None
+        statement = self._parse_cache.get(sql) if self.compiled else None
         if statement is None:
             statement = parse_sql(sql)
-            if self.use_caches:
+            if self.compiled:
                 self._parse_cache.put(sql, statement)
         return statement
 
@@ -861,11 +854,11 @@ class Executor:
                 subplans.clear()
             subplans[id(statement)] = (statement, entry)
             return entry
-        entry = self._plan_cache.get(statement) if self.use_caches else None
+        entry = self._plan_cache.get(statement) if self.compiled else None
         if entry is None:
             plan = self.planner.plan(statement)
             entry = (plan, self._output_columns(statement))
-            if self.use_caches:
+            if self.compiled:
                 self._plan_cache.put(statement, entry)
         return entry
 
@@ -1034,7 +1027,7 @@ class Executor:
             return
         table = self.database.table(node.table_name)
         ops = self._ops(node)
-        if ops is not None and self.index_scans and table.row_count:
+        if ops is not None and self.compiled and table.row_count:
             eq_columns, value_fns, _ = ops
             index = self._scan_index(table, eq_columns)
             if index is not None:
@@ -1056,8 +1049,8 @@ class Executor:
         if ops is None:
             yield from rows
             return
-        # Fallback: apply the pushed conjuncts as plain filters (index scans
-        # disabled, or the pushed column does not exist on the relation).
+        # Fallback: apply the pushed conjuncts as plain filters (interpreted
+        # mode, or the pushed column does not exist on the relation).
         predicates = ops[2]
         if outer_row is None:
             for row in rows:
@@ -1077,7 +1070,7 @@ class Executor:
 
     def _scan_rows(self, table: TableStorage, binding: str) -> List[Row]:
         """Prefixed rows of a full scan, cached per table version."""
-        if not self.use_caches:
+        if not self.compiled:
             return [row.prefixed(binding) for row in table.rows()]
         key = (table.name, binding)
         entry = self._scan_cache.get(key)
@@ -1403,7 +1396,7 @@ class Executor:
     def _run_subquery(
         self, statement: ast.SelectStatement, outer_row: Optional[Row]
     ) -> Iterable[Row]:
-        if not self.use_caches or outer_row is None:
+        if not self.compiled or outer_row is None:
             return self.execute_select(statement, outer_row=outer_row).rows
         self._rows_read += 1
         info = self._subquery_info(statement)
@@ -1460,10 +1453,6 @@ class Executor:
             self.subquery_hits += 1
             return cached
         self.subquery_misses += 1
-        if not self._decorrelate:
-            rows = self._subquery_rows(statement, outer_row)
-            self._remember(state, key, rows)
-            return rows
         if table is None:
             table = state.tables[params] = _Table(self._rows_in(statement))
         if table.pays():
@@ -1480,7 +1469,7 @@ class Executor:
         self, statement: ast.SelectStatement, outer_row: Optional[Row]
     ) -> bool:
         """Whether a subquery has rows for ``outer_row`` (EXISTS connectors)."""
-        if self._decorrelate and outer_row is not None:
+        if outer_row is not None:
             division = self._subquery_info(statement).division
             if division is not None:
                 found = self._divide(statement, division, outer_row)

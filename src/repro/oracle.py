@@ -12,7 +12,7 @@ is perfect for targeted differential tests but means nothing exercises
 set (to anything but ``""`` or ``"0"``):
 
 * the *constructor defaults* of :class:`~repro.engine.executor.Executor`
-  (``compiled``, ``use_caches``, ``index_scans``),
+  (``compiled`` and ``parameterised``),
   :class:`~repro.query_nl.translator.QueryTranslator` (``phrase_plans``)
   and :class:`~repro.templates.registry.TemplateRegistry`
   (``compile_templates``) flip to their interpreted settings, and

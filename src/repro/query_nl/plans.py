@@ -81,8 +81,8 @@ def shape_key(sql: str):
 
     The shape and literal extraction are the shared implementation in
     :mod:`repro.sql.shape` (also used by the engine's parameterised plans
-    and the service's batch grouping); this adds the translation-specific
-    guard vector on top.
+    and the shard router); this adds the translation-specific guard
+    vector on top.
     """
     shaped = sql_shape(sql)
     if shaped is None:

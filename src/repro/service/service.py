@@ -29,12 +29,10 @@ request through three tiers:
   releasing the lock, so a client resumed by its reply finds it free.
 * **batched cold path** — requests land in a bounded ``asyncio.Queue``
   (back-pressure: producers suspend while the queue is full).  A drain
-  task groups each batch's translate *and* execute requests by masked SQL
-  shape (:func:`repro.sql.shape.batch_key`), so one phrase-plan compile
-  serves every same-shape translate in the batch and one parameterised
-  plan binding serves every same-shape execute (a shape's plans are
-  compiled on its second sighting), and hands each group to the worker
-  pool.
+  task collects up to ``max_batch`` queued requests and hands them to
+  the worker pool as one call, in arrival order.  A shape's phrase plan
+  and parameterised plan are compiled on its second sighting and serve
+  every later request of that shape, whichever batch it arrives in.
 * **worker pool** — CPU-bound work (parsing, graph builds, plan
   compilation, execution, narration) runs on the service's
   ``ThreadPoolExecutor``, off the event loop.  Sessions of different
@@ -71,10 +69,10 @@ Observability
 -------------
 
 :meth:`NarrationSession.stats` is the per-session endpoint: request
-counters by kind and tier (including per-kind shape-group counters for
-the batched path), queue high-water mark, the translator's exact-text
-LRU and phrase-plan store statistics (including the unplannable-shape
-report), the shared executor's cache statistics, and the derived
+counters by kind and tier (including batch counters for the batched
+path), queue high-water mark, the translator's exact-text LRU and
+phrase-plan store statistics (including the unplannable-shape report),
+the shared executor's cache statistics, and the derived
 execution shape-sharing rate (what fraction of executions were served by
 a shared parameterised plan).  :meth:`NarrationService.stats` aggregates
 every session.
@@ -95,7 +93,8 @@ from repro.lexicon.lexicon import Lexicon
 from repro.query_nl.empty_answer import AnswerExplainer
 from repro.query_nl.translator import QueryTranslation, QueryTranslator
 from repro.service.resilience import AdmissionController, Deadline
-from repro.sql.shape import batch_key, is_mutation as _is_mutation
+# Not used here: talkbench/trace.py wraps this import site and needs the name.
+from repro.sql.shape import batch_key  # noqa: F401
 from repro.storage.database import Database
 from repro.storage.durability import DurabilityConfig, DurabilityManager
 
@@ -192,9 +191,6 @@ class NarrationSession:
         self._batches = 0
         self._batched_requests = 0
         self._largest_batch = 0
-        # Per-kind group counters; the total group count is derived from
-        # these in stats() (every group has exactly one kind).
-        self._grouped_by_kind: Dict[str, Dict[str, int]] = {}
         self._queue_high_water = 0
 
     # ------------------------------------------------------------------
@@ -206,11 +202,11 @@ class NarrationSession:
     ) -> QueryTranslation:
         """Translate SQL to natural language (Section 3 of the paper).
 
-        Plan/LRU hits are served inline; cold translations are batched by
-        shape and run on the worker pool.  ``timeout`` caps this one
-        request (falling back to the session's ``default_timeout``); the
-        deadline is honored at admission, in the queue and in the drain
-        task, and expiry raises the typed
+        Plan/LRU hits are served inline; cold translations are batched and
+        run on the worker pool.  ``timeout`` caps this one request
+        (falling back to the session's ``default_timeout``); the deadline
+        is honored at admission, in the queue and in the drain task, and
+        expiry raises the typed
         :class:`~repro.service.resilience.DeadlineExceeded`.
         """
         self._check_open()
@@ -229,11 +225,9 @@ class NarrationSession:
     async def execute(self, sql: str, timeout: Optional[float] = None):
         """Execute SQL on the session's shared (cached, compiled) executor.
 
-        Concurrent same-shape requests are grouped by the drain task, so
-        one parameterised plan binding serves the whole group (a fresh
-        shape's first request runs uncompiled and its second compiles the
-        shared plan; every later request of that shape only rebinds
-        literals).
+        A fresh shape's first request runs uncompiled and its second
+        compiles the shared parameterised plan; every later request of
+        that shape only rebinds literals.
         """
         self._check_open()
         return await self._submit("execute", sql, self._deadline(timeout))
@@ -322,12 +316,10 @@ class NarrationSession:
     def stats(self) -> Dict[str, Any]:
         """The per-session cache/plan/request statistics snapshot.
 
-        ``requests`` counts traffic by kind and tier (``shape_groups_by_
-        kind`` shows how well the drain task is coalescing same-shape
-        translates and executes); ``execution_shape_sharing`` derives the
-        executor's shape-hit rate — the fraction of SQL executions served
-        by an already-compiled parameterised plan with only a literal
-        rebind.
+        ``requests`` counts traffic by kind and tier, and the drain task's
+        batches; ``execution_shape_sharing`` derives the executor's
+        shape-hit rate — the fraction of SQL executions served by an
+        already-compiled parameterised plan with only a literal rebind.
         """
         with self._stats_lock:
             requests = {
@@ -336,13 +328,6 @@ class NarrationSession:
                 "batches": self._batches,
                 "batched_requests": self._batched_requests,
                 "largest_batch": self._largest_batch,
-                "shape_groups": sum(
-                    counters["groups"] for counters in self._grouped_by_kind.values()
-                ),
-                "shape_groups_by_kind": {
-                    kind: dict(counters)
-                    for kind, counters in self._grouped_by_kind.items()
-                },
                 "queue_high_water": self._queue_high_water,
                 "queue_depth": self._queue.qsize() if self._queue is not None else 0,
                 "shed": self._admission.stats(),
@@ -415,7 +400,7 @@ class NarrationSession:
             )
 
     async def _drain(self) -> None:
-        """Forever: collect a batch, group it by shape, run groups on workers."""
+        """Forever: collect a batch and run it on a worker, in arrival order."""
         queue = self._queue
         loop = self._loop
         assert queue is not None and loop is not None
@@ -428,30 +413,18 @@ class NarrationSession:
                     batch.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            groups = self._group(batch)
             with self._stats_lock:
                 self._batches += 1
                 self._batched_requests += len(batch)
                 self._largest_batch = max(self._largest_batch, len(batch))
-                for group in groups:
-                    kind_stats = self._grouped_by_kind.setdefault(
-                        group[0].kind, {"groups": 0, "requests": 0}
-                    )
-                    kind_stats["groups"] += 1
-                    kind_stats["requests"] += len(group)
             try:
-                for group in groups:
-                    # One worker invocation per group: requests of one shape
-                    # run back-to-back, so once the shape is admitted its
-                    # phrase plan serves the rest of the group (and every
-                    # later batch).
-                    await loop.run_in_executor(pool, self._process_group, group)
+                await loop.run_in_executor(pool, self._process_batch, batch)
             except asyncio.CancelledError:
                 raise
             except BaseException as error:
                 # Dispatch itself failed (e.g. the pool shut down under a
                 # racing close).  Per-request errors were already delivered
-                # by _process_group; settle whatever is still pending so no
+                # by _process_batch; settle whatever is still pending so no
                 # client awaits forever, and keep draining.
                 for request in batch:
                     if not request.future.done():
@@ -460,58 +433,17 @@ class NarrationSession:
                 for _ in batch:
                     queue.task_done()
 
-    @staticmethod
-    def _group(batch: List[_Request]) -> List[List[_Request]]:
-        """Group translate/execute requests by masked shape; others singleton.
-
-        First-arrival order is preserved across groups, and within a
-        group requests stay in arrival order — results are independent
-        per request (translation is pure; execution sees the same data
-        version throughout a drain cycle unless a request in the batch
-        mutates, and requests of one session run back-to-back under the
-        work lock in arrival order either way), so grouping only affects
-        scheduling, never output.  The grouping key carries the request
-        kind, so a translate and an execute of the same SQL never share
-        a group.
-
-        A mutating execute (INSERT/UPDATE/DELETE) is a *barrier*: it runs
-        as a singleton and no read that arrived after it may join a group
-        created before it — otherwise a same-shape SELECT could jump the
-        mutation and observe stale data that a sequential client would
-        never see.
-        """
-        groups: List[List[_Request]] = []
-        by_shape: Dict[Tuple[str, str], List[_Request]] = {}
-        for request in batch:
-            if request.kind in ("translate", "execute") and isinstance(
-                request.payload, str
-            ):
-                if request.kind == "execute" and _is_mutation(request.payload):
-                    by_shape.clear()
-                    groups.append([request])
-                    continue
-                key = (request.kind, batch_key(request.payload))
-                bucket = by_shape.get(key)
-                if bucket is None:
-                    bucket = []
-                    by_shape[key] = bucket
-                    groups.append(bucket)
-                bucket.append(request)
-            else:
-                groups.append([request])
-        return groups
-
     # ------------------------------------------------------------------
     # Worker side (runs on the service pool)
     # ------------------------------------------------------------------
 
-    def _process_group(self, group: List[_Request]) -> None:
-        for request in group:
+    def _process_batch(self, batch: List[_Request]) -> None:
+        for request in batch:
             result = error = None
             with self._work_lock:
                 if request.deadline.expired:
                     # The budget ran out while the request waited in the
-                    # queue or behind earlier group members: shed it now
+                    # queue or behind earlier batch members: shed it now
                     # rather than spend pipeline time on a dead request.
                     with self._stats_lock:
                         error = self._admission.shed_expired_in_queue()
@@ -691,7 +623,8 @@ class NarrationService:
     ``max_workers`` bounds the CPU-bound worker pool shared by every
     session; ``max_queue`` bounds each session's request queue (producers
     suspend while it is full — back-pressure, not unbounded buffering);
-    ``max_batch`` caps how many queued requests one drain cycle groups.
+    ``max_batch`` caps how many queued requests one drain cycle hands to a
+    worker in one call.
     """
 
     def __init__(

@@ -6,12 +6,8 @@ reasoned about (and fuzzed) in isolation:
 
 Frame
     ``[codec:1][length:4 big-endian][payload:length]``.  ``codec`` names
-    the serializer of this one frame: ``0`` is pickle (always available,
-    handles every repro object), ``1`` is msgpack (used only when the
-    ``msgpack`` package is importable *and* the payload is plain data —
-    anything it cannot encode transparently falls back to a pickle
-    frame).  Mixed-codec streams are therefore legal and the reader never
-    needs negotiation.
+    the serializer of the frame; ``0`` (pickle) is the only one, and a
+    reader refuses any other byte as a damaged frame.
 
 Request (router → worker)
     ``(request_id, kind, payload, seq)`` or
@@ -53,14 +49,8 @@ from typing import Any, Optional, Tuple
 
 from repro.query_nl.translator import QueryTranslation
 
-try:  # pragma: no cover - exercised only where msgpack is installed
-    import msgpack as _msgpack
-except Exception:  # pragma: no cover - the common case in this container
-    _msgpack = None
-
 __all__ = [
     "CHECKPOINT",
-    "CODEC_MSGPACK",
     "CODEC_PICKLE",
     "ERR",
     "FrameReader",
@@ -92,7 +82,6 @@ ERR = "err"
 READY_ID = 0
 
 CODEC_PICKLE = 0
-CODEC_MSGPACK = 1
 
 _HEADER = struct.Struct("!BI")
 
@@ -105,14 +94,7 @@ class RemoteWorkerError(RuntimeError):
 
 
 def encode_frame(obj: Any) -> bytes:
-    """One wire frame for ``obj``: msgpack when it transparently fits, else pickle."""
-    if _msgpack is not None:
-        try:
-            payload = _msgpack.packb(obj, use_bin_type=True)
-        except Exception:
-            pass
-        else:
-            return _HEADER.pack(CODEC_MSGPACK, len(payload)) + payload
+    """One pickled wire frame for ``obj``."""
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     return _HEADER.pack(CODEC_PICKLE, len(payload)) + payload
 
@@ -120,13 +102,6 @@ def encode_frame(obj: Any) -> bytes:
 def _decode(codec: int, payload: bytes) -> Any:
     if codec == CODEC_PICKLE:
         return pickle.loads(payload)
-    if codec == CODEC_MSGPACK:
-        if _msgpack is None:
-            raise ValueError("received a msgpack frame but msgpack is unavailable")
-        decoded = _msgpack.unpackb(payload, raw=False)
-        # Requests/responses are tuples on the wire; msgpack round-trips
-        # them as lists, so restore the outer shape.
-        return tuple(decoded) if isinstance(decoded, list) else decoded
     raise ValueError(f"unknown frame codec {codec}")
 
 

@@ -659,6 +659,7 @@ class ShardRouter:
         while True:
             attempt += 1
             index, handle = await self._pick_worker(order, deadline)
+            pid = handle.pid
             if index != primary:
                 self._degraded_reads += 1
             breaker = self._breakers[index]
@@ -679,6 +680,10 @@ class ShardRouter:
                     ),
                     deadline.bound(config.attempt_timeout),
                 )
+                if handle.pid != pid:
+                    # The worker died after the pick and its respawn took
+                    # the frame: that replica had not replayed the log.
+                    raise WorkerCrashed(f"worker {index} was respawned mid-read")
             except asyncio.CancelledError:
                 raise
             except (ShardError, asyncio.TimeoutError) as error:

@@ -13,8 +13,8 @@ Pipelining and the write barrier
 
 Ordinary requests are *pipelined*: each becomes an asyncio task the
 moment its frame arrives, so many requests are in flight at once and the
-session's batching queue can group same-shape work exactly as it does in
-the single-process service.  A mutation broadcast (``seq is not None``)
+session's queue batches them exactly as it does in the single-process
+service.  A mutation broadcast (``seq is not None``)
 is a **barrier**: the read loop first awaits every in-flight task, then
 runs the mutation alone to completion and responds, and only then reads
 the next frame.  Combined with the router's ordering rule (a read routed

@@ -1,16 +1,15 @@
 """Shared SQL shape extraction: one literal-masking implementation for all layers.
 
-Three subsystems key compile-once-run-many caches on the *shape* of a SQL
-text — the token stream with every NUMBER/STRING literal replaced by a
-placeholder:
+Three subsystems key on the *shape* of a SQL text — the token stream
+with every NUMBER/STRING literal replaced by a placeholder:
 
 * the translator's phrase plans (:mod:`repro.query_nl.plans`) render
   repeated-shape queries by slot substitution,
 * the engine's parameterised plans (:mod:`repro.engine.parameterised`)
   execute repeated-shape queries through one compiled logical plan with
   the literals bound as parameters, and
-* the concurrent service (:mod:`repro.service.service`) groups same-shape
-  translate *and* execute requests so one compile serves a whole batch.
+* the shard router (:mod:`repro.service.sharding`) sends every literal
+  variant of a shape to one worker through :func:`shape_hash`.
 
 This module is the single implementation they all consume.  It layers a
 fast *masking* pass over the lexer's exact :func:`~repro.sql.lexer.shape_of`:
@@ -28,7 +27,7 @@ fast *masking* pass over the lexer's exact :func:`~repro.sql.lexer.shape_of`:
 
 :func:`batch_key`
     A grouping key that is equal exactly for mask-equal texts.  It touches
-    no shared cache and never tokenizes, so the service can call it on the
+    no shared cache and never tokenizes, so it is safe to call on an
     event-loop thread.
 
 Shapes are pure text properties, so one process-wide cache serves every
@@ -99,9 +98,8 @@ def _mask(sql: str):
             # The placeholder must carry the literal's KIND: `x = 0` and
             # `x = '0'` are different shapes (NUMBER_MARK vs STRING_MARK
             # slots), so their masked texts must differ too — otherwise
-            # the shape cache, the service's batch grouping and the
-            # parameterised-plan keys would serve one kind's compiled
-            # artifacts for the other.
+            # the shape cache and the parameterised-plan keys would serve
+            # one kind's compiled artifacts for the other.
             pieces.append(STRING_MARK)
             body = sql[start + 1 : end - 1]
             if "''" in body:
@@ -118,11 +116,8 @@ def _mask(sql: str):
 def batch_key(sql: str) -> str:
     """A grouping key that is equal exactly for mask-equal SQL texts.
 
-    The concurrent service groups same-shape translate and execute
-    requests with this (one phrase-plan or parameterised-plan compile
-    then serves the whole group).  Unlike :func:`sql_shape` it touches no
-    shared cache and never tokenizes, so it is safe and cheap to call on
-    the event-loop thread.
+    Unlike :func:`sql_shape` it touches no shared cache and never
+    tokenizes, so it is safe and cheap to call on an event-loop thread.
     """
     masked = _mask(sql)
     return masked[0] if masked is not None else sql

@@ -24,12 +24,9 @@ the entire logical layer and leaves six physical primitives to fill in.
     The factory :class:`~repro.storage.database.Database` uses to build
     one table per relation according to a config.
 
-No public attribute was renamed by the protocol extraction — ``Table``
+No public attribute was renamed by the protocol extraction: ``Table``
 remains importable from its historical locations as a first-class
-alias of the ``rows`` engine — so no deprecation shims are required;
-the module-level ``__getattr__`` below exists to give a clear,
-``DeprecationWarning``-carrying forward path should any legacy name be
-retired later.
+alias of the ``rows`` engine.
 """
 
 from __future__ import annotations
@@ -203,23 +200,3 @@ class TableStorage(Protocol):
     def has_key(self, columns: Sequence[str], values: Sequence[Any]) -> bool:
         ...
 
-
-_DEPRECATED = {
-    # old name -> (replacement name, replacement object factory)
-    "InMemoryTable": "repro.storage.engine.rows.RowStorage",
-}
-
-
-def __getattr__(name: str):  # pragma: no cover - forward-compat shim
-    if name in _DEPRECATED:
-        import warnings
-
-        warnings.warn(
-            f"repro.storage.api.{name} is deprecated; use {_DEPRECATED[name]}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.storage.engine.rows import RowStorage
-
-        return RowStorage
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -224,24 +224,12 @@ class ValidationHarness:
                 translator = QueryTranslator(
                     schema, lexicon=lexicon, phrase_plans=False, cache_size=None
                 )
-                executor = Executor(
-                    database,
-                    compiled=False,
-                    use_caches=False,
-                    index_scans=False,
-                    parameterised=False,
-                )
+                executor = Executor(database, compiled=False)
             else:
                 translator = QueryTranslator(
                     schema, lexicon=lexicon, phrase_plans=True, cache_size=None
                 )
-                executor = Executor(
-                    database,
-                    compiled=True,
-                    use_caches=True,
-                    index_scans=True,
-                    parameterised=True,
-                )
+                executor = Executor(database, compiled=True, parameterised=True)
             narrator = ContentNarrator(database, spec=spec) if self.narrate else None
             sightings = COMPILED_SIGHTINGS if mode.pipeline == "compiled" else 1
             outcomes = []

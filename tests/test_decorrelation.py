@@ -34,17 +34,11 @@ SELECTIVE = (
 def compiled(database: Database, parameterised: bool = True) -> Executor:
     # Explicit flags: these tests are about the compiled, cached paths and
     # must exercise them under REPRO_ORACLE's flipped defaults too.
-    return Executor(
-        database,
-        compiled=True,
-        use_caches=True,
-        index_scans=True,
-        parameterised=parameterised,
-    )
+    return Executor(database, compiled=True, parameterised=parameterised)
 
 
 def oracle(database: Database) -> Executor:
-    return Executor(database, compiled=False, use_caches=False, index_scans=False)
+    return Executor(database, compiled=False)
 
 
 def outcome(executor: Executor, sql: str):

@@ -16,8 +16,8 @@ Three escalating drills over the WAL + snapshot layer
   group mid-workload (router *and* every worker, no warning), then
   recovers from disk alone.
 
-The drills run in whatever execution mode the suite runs in; CI's
-``durability-smoke`` job runs them both compiled and ``REPRO_ORACLE=1``.
+The drills run in whatever execution mode the suite runs in; CI runs
+the suite both compiled and with ``REPRO_ORACLE=1``.
 """
 
 import asyncio

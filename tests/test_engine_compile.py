@@ -20,7 +20,7 @@ from repro.storage.row import Row
 
 
 def interpreted(database) -> Executor:
-    return Executor(database, compiled=False, use_caches=False, index_scans=False)
+    return Executor(database, compiled=False)
 
 
 @pytest.fixture()
@@ -233,9 +233,9 @@ def test_planner_keeps_inequality_as_filter():
 
 
 def test_index_scan_creates_index_and_matches_full_scan(db):
-    # Explicit index_scans: the assertion is about index creation, so it
+    # Explicit compiled: the assertion is about index creation, so it
     # must keep probing indexes under REPRO_ORACLE's flipped defaults.
-    executor = Executor(db, compiled=True, use_caches=True, index_scans=True)
+    executor = Executor(db, compiled=True)
     sql = "select m.title from MOVIES m where m.year = 2004"
     result = executor.execute_sql(sql)
     assert executor.database.table("MOVIES").find_index(("year",)) is not None
@@ -264,9 +264,9 @@ def test_correlated_equality_uses_index(db):
 
 
 def test_subquery_memo_is_used(db):
-    # Explicit use_caches: the assertion is about the memo itself, so it
+    # Explicit compiled: the assertion is about the memo itself, so it
     # must keep caching under REPRO_ORACLE's flipped defaults.
-    executor = Executor(db, compiled=True, use_caches=True, index_scans=True)
+    executor = Executor(db, compiled=True)
     executor.execute_sql(PAPER_QUERIES["Q5"])
     assert executor.subquery_hits > 0
 
@@ -275,9 +275,7 @@ def test_plan_cache_hit_on_repeat(db):
     # The assertion is about the per-text parse/plan caches, so the
     # shape-shared path (which would serve the repeat without touching
     # either) is explicitly disabled.
-    executor = Executor(
-        db, compiled=True, use_caches=True, index_scans=True, parameterised=False
-    )
+    executor = Executor(db, compiled=True, parameterised=False)
     executor.execute_sql(PAPER_QUERIES["Q1"])
     executor.execute_sql(PAPER_QUERIES["Q1"])
     assert executor.cache_stats["plan"]["hits"] > 0
@@ -287,9 +285,7 @@ def test_plan_cache_hit_on_repeat(db):
 def test_shape_cache_hit_on_repeat(db):
     # Explicit parameterised: the assertion is about the shape cache, so
     # it must keep sharing under REPRO_ORACLE's flipped defaults.
-    executor = Executor(
-        db, compiled=True, use_caches=True, index_scans=True, parameterised=True
-    )
+    executor = Executor(db, compiled=True, parameterised=True)
     executor.execute_sql(PAPER_QUERIES["Q1"])  # first sighting
     before = executor.cache_stats["shape_plans"]
     assert before["misses"] == before["deferred"] == 1
@@ -297,6 +293,23 @@ def test_shape_cache_hit_on_repeat(db):
     executor.execute_sql(PAPER_QUERIES["Q1"])
     stats = executor.cache_stats["shape_plans"]
     assert stats["misses"] - before["misses"] == 1 and stats["hits"] == 1
+
+
+def test_interpreted_executor_caches_and_probes_nothing(db):
+    # compiled=False is the whole interpreted oracle: no parse, plan or
+    # scan cache, no shape plans, no subquery memo or tables, no index.
+    indexes = {table.name: table.indexes() for table in db.tables}
+    executor = interpreted(db)
+    for _ in range(2):
+        for sql in PAPER_QUERIES.values():
+            executor.execute_sql(sql)
+    stats = executor.cache_stats
+    for cache in ("parse", "plan"):
+        assert stats[cache]["size"] == stats[cache]["hits"] == 0
+    assert stats["scan_tables"] == 0
+    assert not any(stats["shape_plans"].values())
+    assert not any(stats["subquery"].values())
+    assert {table.name: table.indexes() for table in db.tables} == indexes
 
 
 def test_insert_through_executor_invalidates_caches(db):

@@ -29,19 +29,15 @@ from repro.sql.shape import reconstruct_sql, sql_shape
 
 
 def interpreted(database) -> Executor:
-    return Executor(database, compiled=False, use_caches=False, index_scans=False)
+    return Executor(database, compiled=False)
 
 
 def per_text(database) -> Executor:
-    return Executor(
-        database, compiled=True, use_caches=True, index_scans=True, parameterised=False
-    )
+    return Executor(database, compiled=True, parameterised=False)
 
 
 def parameterised(database) -> Executor:
-    return Executor(
-        database, compiled=True, use_caches=True, index_scans=True, parameterised=True
-    )
+    return Executor(database, compiled=True, parameterised=True)
 
 
 @pytest.fixture()
@@ -402,8 +398,6 @@ def test_service_shape_batched_execution_matches_sequential_sync(db):
     for results in gathered:
         for sql, got in results.items():
             assert got == expected[sql], sql
-    grouped = stats["requests"]["shape_groups_by_kind"].get("execute")
-    assert grouped is not None and grouped["requests"] >= grouped["groups"]
     if not oracle_enabled():  # oracle mode runs the per-text executor
         sharing = stats["execution_shape_sharing"]
         assert sharing["shared"] > 0

@@ -91,9 +91,7 @@ class TestConcurrentEquivalence:
         spec = movie_spec(database.schema)
         select = "select m.title from MOVIES m where m.year = 2004"
         empty = "select m.title from MOVIES m where m.year = 1800"
-        sync_executor = Executor(
-            database, compiled=True, use_caches=True, index_scans=True
-        )
+        sync_executor = Executor(database, compiled=True)
         expected_rows = sync_executor.execute_sql(select).rows
         expected_story = ContentNarrator(database, spec=spec).narrate_database()
         expected_movie = ContentNarrator(database, spec=spec).narrate_relation("MOVIES")
@@ -208,8 +206,8 @@ class TestServiceMechanics:
         assert fast == repeats
 
     def test_each_reply_settles_as_soon_as_its_request_has_run(self):
-        # Same-shape requests share one group; no member's reply may wait
-        # for the rest of the group to run.
+        # Requests share one batch; no member's reply may wait for the
+        # rest of the batch to run.
         database = movie_database()
         template = "select m.title from MOVIES m where m.year = {year}"
         requests = 8
@@ -235,7 +233,7 @@ class TestServiceMechanics:
                 return events, session.stats()
 
         events, stats = run(main())
-        assert stats["requests"]["shape_groups"] < requests  # groups were shared
+        assert stats["requests"]["largest_batch"] > 1  # batches were shared
         assert events == ["run", "deliver"] * requests
 
     def test_same_shape_requests_share_one_plan_compile(self):
@@ -259,10 +257,9 @@ class TestServiceMechanics:
         assert sighted["misses"] == sighted["deferred"] == 1
         plans = stats["translator"]["plan_store"]
         # One shape: exactly one miss compiled the plan, everything else hit
-        # (via the shape group, later batches, or the direct-await path).
+        # (later requests of a batch, later batches, or the direct-await path).
         assert plans["misses"] - sighted["misses"] == 1
         assert plans["hits"] + plans["misses"] - sighted["misses"] == len(variants)
-        assert stats["requests"]["shape_groups"] <= stats["requests"]["batches"] * 2
 
     def test_backpressure_bounds_the_queue(self):
         schema = movie_schema()

@@ -22,13 +22,11 @@ from repro.utils.cache import SIGHTINGS_SIZE
 
 
 def compiled_executor(database) -> Executor:
-    return Executor(
-        database, compiled=True, use_caches=True, index_scans=True, parameterised=True
-    )
+    return Executor(database, compiled=True, parameterised=True)
 
 
 def interpreted(database) -> Executor:
-    return Executor(database, compiled=False, use_caches=False, index_scans=False)
+    return Executor(database, compiled=False)
 
 
 def plan_translator(database) -> QueryTranslator:
@@ -224,9 +222,7 @@ class TestExecutorAdmission:
         assert [row.get("m.title") for row in result.rows] == ["Bypass"]
 
     def test_per_text_oracle_caches_on_first_execution(self, db):
-        executor = Executor(
-            db, compiled=True, use_caches=True, index_scans=True, parameterised=False
-        )
+        executor = Executor(db, compiled=True, parameterised=False)
         executor.execute_sql(PAPER_QUERIES["Q1"])
         assert executor.cache_stats["parse"]["size"] == 1
         assert executor.cache_stats["plan"]["size"] == 1

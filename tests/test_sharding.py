@@ -729,17 +729,13 @@ class TestWarmStartCapture:
 
     def test_executor_capture_skips_mutations(self):
         database = movie_database()
-        executor = Executor(
-            database, compiled=True, use_caches=True, parameterised=True
-        )
+        executor = Executor(database, compiled=True, parameterised=True)
         executor.execute_sql("select m.title from MOVIES m where m.year = 1995")  # first sighting
         executor.execute_sql("select m.title from MOVIES m where m.year = 2004")
         executor.execute_sql("insert into GENRE values (8, 'capture')")
         captured = executor.captured_shapes()
         assert any("select" in sql.lower() for sql in captured)
-        fresh = Executor(
-            movie_database(), compiled=True, use_caches=True, parameterised=True
-        )
+        fresh = Executor(movie_database(), compiled=True, parameterised=True)
         replayed = fresh.precompile(
             captured + ["insert into GENRE values (9, 'never')"]
         )

@@ -4,10 +4,10 @@ The dict-row engine (``Table``) is the storage oracle: every test here
 runs the same queries — the paper's Q1–Q9, the 50-query generated
 corpus, and randomized DML interleavings — against the paged-heap and
 columnar engines and asserts byte-identical results, in both the
-compiled and (via the CI job's ``REPRO_ORACLE=1`` run) interpreted
-configurations.  The paged engine additionally runs with a buffer pool
-far smaller than the dataset, so eviction and write-back are on the
-query path, not just in unit tests.
+compiled and (via the CI oracle job's ``REPRO_ORACLE=1`` run)
+interpreted configurations.  The paged engine additionally runs with a
+buffer pool far smaller than the dataset, so eviction and write-back
+are on the query path, not just in unit tests.
 """
 
 import pickle
@@ -94,12 +94,6 @@ class TestProtocol:
     def test_engine_name_in_stats(self, engine):
         table = create_storage(movie_relation(), engine_config(engine))
         assert table.stats()["engine"] == engine
-
-    def test_deprecated_alias_warns(self):
-        from repro.storage import api
-
-        with pytest.warns(DeprecationWarning):
-            api.InMemoryTable  # noqa: B018
 
     def test_storage_config_is_picklable(self):
         config = StorageConfig(default_engine="columnar", engines={"CAST": "paged"})
