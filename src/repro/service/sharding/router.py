@@ -659,7 +659,6 @@ class ShardRouter:
         while True:
             attempt += 1
             index, handle = await self._pick_worker(order, deadline)
-            pid = handle.pid
             if index != primary:
                 self._degraded_reads += 1
             breaker = self._breakers[index]
@@ -667,23 +666,21 @@ class ShardRouter:
             # that has not acked every mutation sequenced before this
             # request — degraded or not, every replica applies every
             # write, so the barrier holds on whichever worker serves.
+            # The worker may die between the pick and the send; read()
+            # then refuses to hand the frame to its respawn.
             barrier = self._mutation_seq
             try:
                 await asyncio.wait_for(
                     handle.wait_applied(barrier), deadline.remaining()
                 )
                 result = await asyncio.wait_for(
-                    handle.request(
+                    handle.read(
                         kind,
                         payload,
                         budget=deadline.bound(config.attempt_timeout),
                     ),
                     deadline.bound(config.attempt_timeout),
                 )
-                if handle.pid != pid:
-                    # The worker died after the pick and its respawn took
-                    # the frame: that replica had not replayed the log.
-                    raise WorkerCrashed(f"worker {index} was respawned mid-read")
             except asyncio.CancelledError:
                 raise
             except (ShardError, asyncio.TimeoutError) as error:

@@ -8,6 +8,8 @@ three behaviours to the router:
 
 * :meth:`request` — send a frame, await its response future (in-flight
   pipelining falls out naturally: many requests can be awaiting at once);
+  :meth:`read`, the router's read path, refuses to send while the worker
+  is not open for traffic;
 * :meth:`wait_applied` — block until this worker has acked mutation
   ``seq`` (the router's read-after-write ordering rule);
 * crash handling — when the reader sees the socket die unexpectedly,
@@ -227,6 +229,24 @@ class WorkerHandle:
         if seq is not None:
             await self.mark_applied(seq)
         return result
+
+    async def read(
+        self, kind: str, payload: Any, budget: Optional[float] = None
+    ) -> Any:
+        """Send one routed read, only while this worker is open for traffic.
+
+        The router picks a ready worker, but the pick and the send are
+        separate steps: if the worker dies between them, its respawn may
+        already own the socket without having replayed the mutation log.
+        The ready gate is checked in the same step that sends the frame,
+        and a closed gate fails the read with :class:`WorkerCrashed` so
+        the router retries it like any crash.
+        """
+        if not self.ready.is_set():
+            raise WorkerCrashed(
+                f"worker {self.index} went down before the read was sent"
+            )
+        return await self.request(kind, payload, budget=budget)
 
     async def mark_applied(self, seq: int) -> None:
         """Advance the mutation watermark and wake ordering waiters."""

@@ -169,14 +169,14 @@ def statement_keyword(sql: str) -> str:
 def is_mutation(sql: str) -> bool:
     """Whether a SQL text may change data.
 
-    This is the write-barrier classifier: the service groups execute
-    requests around it, the shard tier broadcasts on it, and the router
-    only ever auto-retries statements it returns ``False`` for.  It is
-    deliberately conservative — anything whose first meaningful keyword
-    (after whitespace, comments and parentheses, see
-    :func:`statement_keyword`) is not ``select`` counts as a mutation.  A
-    false positive costs a singleton batch group or a skipped retry; a
-    false negative could let a read jump a write or replay a write twice.
+    This is the write-barrier classifier: the shard tier broadcasts on
+    it, and the router only ever auto-retries statements it returns
+    ``False`` for.  It is deliberately conservative — anything whose
+    first meaningful keyword (after whitespace, comments and parentheses,
+    see :func:`statement_keyword`) is not ``select`` counts as a
+    mutation.  A false positive costs a needless broadcast or a skipped
+    retry; a false negative could let a read jump a write or replay a
+    write twice.
     """
     return statement_keyword(sql) != "select"
 

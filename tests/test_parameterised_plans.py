@@ -7,8 +7,8 @@ randomised literal rotation so every execution is a genuine shape hit;
 literals, LIMIT/OFFSET, int-vs-float tags) instead of leaking one
 query's values into another's answer; (3) data caches invalidate under
 DML and direct storage mutation exactly like the per-text path; and
-(4) the concurrent service's shape-batched execution is byte-identical
-to sequential synchronous execution under 64 clients.
+(4) the concurrent service's batched execution is byte-identical to
+sequential synchronous execution under 64 clients.
 
 A shape's plan is compiled on its second sighting (the first runs
 uncompiled), so tests about shared plans send each shape once first.
@@ -363,7 +363,7 @@ def test_invalidate_caches_drops_shape_state(db):
 
 
 # ---------------------------------------------------------------------------
-# Service-tier shape-batched execution
+# Service-tier batched execution
 # ---------------------------------------------------------------------------
 
 

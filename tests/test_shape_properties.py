@@ -1,7 +1,7 @@
 """Property-based fuzzing of the SQL shape machinery (``repro.sql.shape``).
 
-The shard router, the batch grouper and the parameterised-plan cache all
-assume two invariants of the masker:
+The shard router and the parameterised-plan cache both assume two
+invariants of the masker:
 
 * ``reconstruct_sql(*sql_shape(q))`` is *shape-faithful*: the rebuilt
   text lexes back to the same shape with the same literals (whitespace
@@ -149,8 +149,8 @@ class TestLiteralRotation:
     def test_number_and_string_literals_are_different_shapes(self):
         # Regression: the masker used one placeholder for both literal
         # kinds, so `x = 0` and `x = '0'` were mask-equal — the shape
-        # cache and the service's batch grouping then served one kind's
-        # compiled plans for the other.  Found by the fuzzer above.
+        # cache then served one kind's compiled plans for the other.
+        # Found by the fuzzer above.
         numeric = "select m.title from MOVIES m where m.title = 0"
         stringy = "select m.title from MOVIES m where m.title = '0'"
         assert batch_key(numeric) != batch_key(stringy)

@@ -487,6 +487,47 @@ class TestCrashRecovery:
         result = run(main())
         assert result.rows
 
+    def test_read_never_reaches_a_respawn_that_has_not_replayed(self):
+        # The worker dies after a read was routed to it and before the
+        # frame goes out; its respawn already owns the socket but has not
+        # replayed the log.  Sent there, the read would miss the write.
+        read = "select g.genre from GENRE g where g.mid = 5"
+
+        async def main():
+            async with ShardRouter(DB_FACTORY, workers=2) as router:
+                await router.execute("insert into GENRE values (5, 'pre-crash')")
+                owner = router._ring.preference(shape_hash(read))[0]
+                handle = router._handles[owner]
+                spawned, replay = asyncio.Event(), asyncio.Event()
+                spawn, wait_applied = handle.spawn, handle.wait_applied
+
+                async def held_spawn(open_for_traffic=True):
+                    await spawn(open_for_traffic)
+                    spawned.set()
+                    await replay.wait()  # the log replay starts after this
+
+                async def crash_after_barrier(seq):
+                    await wait_applied(seq)
+                    handle.wait_applied = wait_applied
+                    router.kill_worker(owner)
+                    await spawned.wait()
+
+                handle.spawn = held_spawn
+                handle.wait_applied = crash_after_barrier
+                try:
+                    result = await router.execute(read)
+                finally:
+                    replay.set()
+                stats = await router.stats()
+            return result, stats
+
+        result, stats = run(main())
+        assert sorted(row.get("g.genre") for row in result.rows) == [
+            "pre-crash",
+            "thriller",
+        ]
+        assert stats["router"]["retries"] >= 1
+
     def test_mutations_during_respawn_converge_with_rejected_log_entries(self):
         # Regression twice over: (a) a respawned worker used to reopen
         # for traffic before the mutation log was replayed, so a write
