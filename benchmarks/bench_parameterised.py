@@ -5,16 +5,18 @@ Measures the question the tentpole exists to answer: how fast is a warm
 *same-shape, different-literal* execution — the traffic pattern of an
 interactive talking database, where every user asks the same question
 shapes about different actors, years and genres — on the parameterised
-path versus the per-text path (parse + plan + compile per fresh text)?
+path versus the pinned one (``parameterised=False``: every literal
+pinned, so parse + plan + compile per fresh text)?  The artifact keys
+still call the pinned executor ``per_text``.
 
 Every timed text is freshly generated (a monotone counter rotates the
-literal values), so the per-text executor's exact-text caches never hit:
-it pays its full pipeline per query, exactly as it would under real
-fresh-literal traffic, while the parameterised executor serves each text
-with a shape lookup plus a literal rebind.
+literal values), so the pinned executor's plans, one per literal
+vector, never hit: it pays its full pipeline per query, exactly as it
+would under real fresh-literal traffic, while the parameterised executor
+serves each text with a shape lookup plus a literal rebind.
 
 Equivalence is verified in-run on a 50-movie database: parameterised ≡
-per-text ≡ interpreted on literal-rotated variants of the full corpus.
+pinned ≡ interpreted on literal-rotated variants of the full corpus.
 The service section drives 64 concurrent clients of execute traffic
 over shared shapes and asserts byte-identical results to sequential
 synchronous execution.

@@ -8,9 +8,9 @@ The package layers, bottom up (see ``docs/architecture.md``):
   pre-resolved column slots;
 * :mod:`repro.engine.plan` — logical plan nodes and the planner
   (conjunct classification, equality pushdown, greedy join ordering);
-* :mod:`repro.engine.parameterised` — shape-shared plans: one compiled
-  plan serves every literal variant of a SQL shape through a bound
-  parameter vector;
+* :mod:`repro.engine.parameterised` — shape plans: one compiled plan
+  serves every literal variant of a SQL shape through a bound parameter
+  vector;
 * :mod:`repro.engine.executor` — the cached, compiled physical executor
   tying all of the above together.
 
@@ -21,7 +21,7 @@ convenience wrapper.
 from repro.engine.compile import ExpressionCompiler
 from repro.engine.evaluator import ExpressionEvaluator
 from repro.engine.executor import Executor, execute
-from repro.engine.parameterised import ParamExpressionCompiler, ParameterisedPlan
+from repro.engine.parameterised import ParameterisedPlan
 from repro.engine.plan import LogicalPlan, Planner, classify_predicates, plan_query
 from repro.engine.result import DmlResult, QueryResult
 
@@ -31,7 +31,6 @@ __all__ = [
     "ExpressionCompiler",
     "ExpressionEvaluator",
     "LogicalPlan",
-    "ParamExpressionCompiler",
     "ParameterisedPlan",
     "Planner",
     "QueryResult",

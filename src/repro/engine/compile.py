@@ -17,6 +17,13 @@ three-valued logic, NULL propagation, ambiguity errors); the property
 tests in ``tests/test_engine_compile.py`` assert the two paths agree on
 the paper queries and the generated workload.
 
+A literal whose node is in the compiler's ordinal map compiles to a read
+of a bound parameter vector instead of its baked value: that is how one
+shape plan (see :mod:`repro.engine.parameterised`) serves every literal
+variant of its SQL shape.  The map is empty outside a shape-plan run.
+Nothing is memoized here: the executor caches each plan node's closures
+on the node itself.
+
 Subqueries are delegated to the ``subquery_runner`` callback — the
 executor supplies one that answers key-correlated subqueries from
 once-per-statement hash tables and memoizes the rest on their outer
@@ -35,7 +42,6 @@ from repro.engine.evaluator import SubqueryRunner, compare_values, like_regex
 from repro.errors import EvaluationError
 from repro.sql import ast
 from repro.storage.row import Row
-from repro.utils.cache import LRUCache
 
 #: A compiled expression: row in, value out.
 CompiledExpr = Callable[[Row], Any]
@@ -51,25 +57,23 @@ _COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
 
 
 class ExpressionCompiler:
-    """Compile AST expressions into closures over :class:`Row`."""
+    """Compile AST expressions into closures over :class:`Row`.
+
+    ``ordinals`` maps ``id(literal node)`` to a position in ``params[0]``,
+    the literal vector of the query being served; the executor installs
+    a shape plan's map for the length of its run.
+    """
 
     def __init__(
-        self, subquery_runner: Optional[SubqueryRunner] = None, memo_size: int = 2048
+        self,
+        subquery_runner: Optional[SubqueryRunner] = None,
+        params: Optional[List[Tuple[Any, ...]]] = None,
     ) -> None:
         self._run_subquery = subquery_runner
-        # Bounded: closures are cheap to rebuild, and a long-lived session
-        # streaming distinct SQL must not accumulate them forever.
-        self._memo: LRUCache = LRUCache(memo_size)
+        self.params: List[Tuple[Any, ...]] = params if params is not None else [()]
+        self.ordinals: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-
-    def compile(self, expression: ast.Expression) -> CompiledExpr:
-        """Compile ``expression`` (memoized per AST node)."""
-        fn = self._memo.get(expression)
-        if fn is None:
-            fn = self._compile(expression)
-            self._memo.put(expression, fn)
-        return fn
 
     def compile_predicate(self, predicate: Optional[ast.Expression]) -> Callable[[Row], bool]:
         """Compile a WHERE/HAVING predicate; NULL counts as not matching."""
@@ -86,19 +90,21 @@ class ExpressionCompiler:
     def _is_constant(self, literal: ast.Literal) -> bool:
         """Whether ``literal``'s value may be baked into the closure.
 
-        Always true here; the parameterised compiler
-        (:class:`repro.engine.parameterised.ParamExpressionCompiler`)
-        overrides it to keep parameter-slot literals out of the
-        value-specialised fast paths (LIKE regexes compiled once,
-        IN lists frozen into sets) so their closures read the bound
-        parameter vector instead.
+        Parameter literals stay out of the value-specialised fast paths
+        (LIKE regexes compiled once, IN lists frozen into sets), so their
+        closures read the bound parameter vector instead.
         """
-        return True
+        return id(literal) not in self.ordinals
 
     # ------------------------------------------------------------------
 
-    def _compile(self, e: ast.Expression) -> CompiledExpr:
+    def compile(self, e: ast.Expression) -> CompiledExpr:
+        """Compile ``e`` into a closure."""
         if isinstance(e, ast.Literal):
+            position = self.ordinals.get(id(e))
+            if position is not None:
+                params = self.params
+                return lambda row: params[0][position]
             value = e.value
             return lambda row: value
         if isinstance(e, ast.ColumnRef):

@@ -2,12 +2,12 @@
 
 The executor is pipelined Python iterators over in-memory rows, but the
 hot paths are *compiled*: every predicate and projection is turned into a
-closure tree once per plan (see :mod:`repro.engine.compile`), plans and
-parsed statements are cached per executor, full scans are cached per
-table version, and equality conjuncts pushed into scans probe hash
-indexes.  The paper needs this to be fast because execution is part of
-the *interactive* loop: it verifies translations (e.g. Q5's flattened
-vs. nested form) and explains empty answers at answer time.
+closure tree once per plan node (see :mod:`repro.engine.compile`), plans
+are cached per SQL shape, full scans are cached per table version, and
+equality conjuncts pushed into scans probe hash indexes.  The paper
+needs this to be fast because execution is part of the *interactive*
+loop: it verifies translations (e.g. Q5's flattened vs. nested form) and
+explains empty answers at answer time.
 
 Subqueries are analysed once per statement.  A *key-correlated* one
 (every outer reference sits in a top-level ``inner_column =
@@ -24,26 +24,30 @@ Division: Four Algorithms and Their Performance", ICDE 1989).  Any other
 subquery is memoized on the outer values it reads.  Tables and memo live
 in the statement scope below and die with the data they were built on.
 
-On top of the per-text caches, SELECT texts are shared per literal
--stripped *shape* (see :mod:`repro.engine.parameterised`): queries that
-differ only in their literal values execute through one compiled plan
-whose predicate closures and index probes read a bound-parameter vector,
-so the warm path for a fresh literal variant is a shape lookup plus a
-rebind — no parse, no plan, no compile.  ``parameterised=False`` keeps
-the per-text path, which doubles as the oracle for the equivalence suite
-in ``tests/test_parameterised_plans.py``.
+Every compiled SELECT text runs through one path, a *shape plan* (see
+:mod:`repro.engine.parameterised`): queries that differ only in their
+literal values execute through one compiled plan whose predicate
+closures and index probes read a bound-parameter vector, so the warm
+path for a fresh literal variant is a shape lookup plus a rebind — no
+parse, no plan, no compile.  Literals the plan bakes in (unaliased
+select items, LIMIT/OFFSET) join the plan's cache key.  A statement the
+shape analysis cannot align, and every SELECT under
+``parameterised=False``, pins all of its literals: a plan with zero free
+parameters, which serves one literal vector only.  DML is parsed and
+run directly.
 
 A shape is admitted to those caches on its *second* sighting.  The first
-SELECT of a shape runs the per-text pipeline but keeps nothing keyed to
-its statement: no parse or plan cache entry, and its subquery analysis,
-memo, tables and plans live in a scope dropped when the call returns.
-Caches keyed by value (full-scan rows, compiled closures) stay shared,
-and every cache is bounded.
+SELECT of a shape keeps nothing keyed to its statement: its plan,
+subquery analysis, memo, tables and subquery plans live in a scope
+dropped when the call returns.  A statement passed in as an AST
+(:meth:`Executor.execute`, :meth:`Executor.execute_select`) runs the same
+way.  Only the full-scan cache is shared with those runs, and every
+cache is bounded.
 
 ``Executor(db, compiled=False)`` reproduces the original, fully
 interpreted behaviour: evaluator closures, no cache of any kind, no
-index probes, and every subquery run per outer row.  The property tests
-assert both modes return identical results.
+index probes, and every subquery run per outer row.  It is the
+reference the differential suites diff the compiled path against.
 """
 
 from __future__ import annotations
@@ -54,13 +58,11 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 from repro.engine.compile import CompiledExpr, ExpressionCompiler
 from repro.engine.evaluator import ExpressionEvaluator
 from repro.engine.parameterised import (
-    UNPARAMETERISABLE,
-    ParamExpressionCompiler,
-    ParamVectorCompiler,
     ParameterisedPlan,
     analyze_statement,
     guard_key,
     ordinal_map,
+    pin_all,
 )
 from repro.engine.plan import (
     AggregateNode,
@@ -110,23 +112,19 @@ _CORRELATION_LIMIT = 10_000
 #: 2 us per row scanned and projected (CAST at 1 000 movies, 2-vCPU Xeon).
 _PER_KEY_OVERHEAD = 8
 
-#: Returned by the parameterised fast path when the text must take the
-#: per-text pipeline instead (never escapes ``execute_sql``).
-_FALLBACK = object()
+#: Bound on the subquery plans of one statement scope (cleared
+#: wholesale; plans rebuild on demand).
+_SUBPLAN_LIMIT = 4096
 
-#: Bound on the identity-keyed subquery-plan cache used while running
-#: parameterised plans (cleared wholesale; plans rebuild on demand).
-_PARAM_SUBPLAN_LIMIT = 4096
+#: The ordinal map outside a shape-plan run: every literal is baked.
+_NO_ORDINALS: Dict[int, int] = {}
 
 #: Bound on the cached prefixed full scans, one per (table, alias).  The
 #: warm workloads hold 8-14; fresh aliases from ad-hoc queries cycle
 #: through the LRU instead of growing it.
 _SCAN_CACHE_SIZE = 64
 
-#: Bounds on the per-text parse and plan caches and on the shape-keyed
-#: caches (shape analyses, shared plans, captured samples).
-_PARSE_CACHE_SIZE = 512
-_PLAN_CACHE_SIZE = 256
+#: Bound on the shape-keyed caches (shape analyses, shape plans).
 _SHAPE_CACHE_SIZE = 256
 
 
@@ -525,10 +523,11 @@ class _SubqueryRunner:
 class _StatementScope:
     """State keyed to statements: subquery analysis, memo and tables, subquery plans.
 
-    The executor keeps one shared scope for admitted (cached) statements;
-    a shape's first sighting runs in a private scope that is dropped with
-    it.  Every map is keyed by statement identity and holds the statement
-    itself, so an ``id`` is never reused while its entry lives.
+    The executor keeps one shared scope for the statements of its shape
+    plans; a shape's first sighting, and a statement passed in as an AST,
+    runs in a private scope that is dropped with it.  Every map is keyed
+    by statement identity and holds the statement itself, so an ``id`` is
+    never reused while its entry lives.
     ``memo_entries`` counts memoized results plus hash-table rows.
     """
 
@@ -561,26 +560,17 @@ class Executor:
         # ``compiled`` turns on everything beyond the interpreted oracle:
         # closures, caches, index probes, subquery tables and memo.
         self.compiled = resolve_compiled_default(compiled)
-        # Parameterised plans' closures *are* compiled closures.
+        # ``parameterised`` only chooses which literals of a shape plan are
+        # free parameters: off, every literal is pinned.
         self.parameterised = resolve_compiled_default(parameterised) and self.compiled
         runner = _SubqueryRunner(self._run_subquery, self._subquery_exists)
         self._evaluator = ExpressionEvaluator(subquery_runner=self._run_subquery)
-        self._compiler = ExpressionCompiler(subquery_runner=runner)
-        # Parameterised execution state: closures compiled for a shared
-        # plan read ``_params_box[0]`` (the literal vector of the query
-        # being served) instead of baked constants.  ``_param_active`` is
-        # True exactly while a parameterised plan is running, so lazily
-        # built operator closures pick the right compiler.
-        self._params_box: List[Tuple[Any, ...]] = [()]
-        self._param_compiler = ParamExpressionCompiler(
-            subquery_runner=runner, params_box=self._params_box
-        )
-        self._param_active = False
+        # A shape plan's closures read ``_params[0]``, the literal vector of
+        # the query being served, through the compiler's ordinal map.
+        self._params: List[Tuple[Any, ...]] = [()]
+        self._compiler = ExpressionCompiler(subquery_runner=runner, params=self._params)
         self._shape_infos: LRUCache = LRUCache(_SHAPE_CACHE_SIZE)
-        self._param_plans: LRUCache = LRUCache(_SHAPE_CACHE_SIZE)
-        # Workload capture: one representative SQL text per compiled shape
-        # plan, for the warm-start API (`captured_shapes`/`precompile`).
-        self._param_samples: LRUCache = LRUCache(_SHAPE_CACHE_SIZE)
+        self._shape_plans: LRUCache = LRUCache(_SHAPE_CACHE_SIZE)
         # Second-sighting admission: hashes of the shapes seen so far.
         self._sightings: LRUCache = LRUCache(SIGHTINGS_SIZE)
         self.shape_hits = 0
@@ -594,12 +584,9 @@ class Executor:
         # exact short-circuit semantics).
         self.vector_scans = 0
         self.vector_fallbacks = 0
-        # Caches.  Parse and plan caches hold data-independent artefacts;
-        # the scan cache and subquery memo depend on table contents and are
+        # The scan cache and subquery memo depend on table contents and are
         # validated against Database.data_version before every top-level
         # statement (so even mutations that bypass the executor are seen).
-        self._parse_cache: LRUCache = LRUCache(_PARSE_CACHE_SIZE)
-        self._plan_cache: LRUCache = LRUCache(_PLAN_CACHE_SIZE)
         self._scan_cache: LRUCache = LRUCache(_SCAN_CACHE_SIZE)
         self._shared_scope = _StatementScope()
         self._scope = self._shared_scope
@@ -620,29 +607,22 @@ class Executor:
     def execute_sql(self, sql: str):
         """Parse and execute ``sql``; returns a QueryResult or DmlResult.
 
-        With ``parameterised`` on (the default), SELECT texts are first
-        routed through the shape-shared plan cache: a text whose shape
-        (and guard vector) was executed before skips parse, plan and
-        compile entirely and runs the shared plan with its literals bound
-        as parameters.  Texts the shape analysis cannot prove sharable
-        fall back to the per-text pipeline below.
+        In compiled mode a SELECT text runs through its shape plan: a text
+        whose shape (and guard vector) was executed before skips parse,
+        plan and compile entirely and runs the shared plan with its
+        literals bound as parameters.  DML, and texts that do not lex,
+        are parsed and run directly.
         """
         return self._execute_sql(sql, admit=False)
 
     def _execute_sql(self, sql: str, admit: bool):
-        if self.parameterised:
-            result = self._execute_parameterised(sql, admit)
-            if result is not _FALLBACK:
-                return result
-        return self.execute(self._parse_statement(sql))
-
-    def _parse_statement(self, sql: str) -> ast.Statement:
-        statement = self._parse_cache.get(sql) if self.compiled else None
-        if statement is None:
-            statement = parse_sql(sql)
-            if self.compiled:
-                self._parse_cache.put(sql, statement)
-        return statement
+        if self.compiled:
+            if not _is_mutation_text(sql):
+                shaped = sql_shape(sql)
+                if shaped is not None:
+                    return self._execute_shape(sql, shaped[0], shaped[1], admit)
+            self.shape_fallbacks += 1
+        return self.execute(parse_sql(sql))
 
     def execute(self, statement: ast.Statement):
         """Execute a parsed statement."""
@@ -661,28 +641,37 @@ class Executor:
     def execute_select(
         self, statement: ast.SelectStatement, outer_row: Optional[Row] = None
     ) -> QueryResult:
-        """Execute a SELECT, optionally with an outer row for correlation."""
-        if outer_row is None:
-            self._validate_caches()
-        plan, columns = self._plan_select(statement)
-        rows = list(self._run_node(plan.root, outer_row))
+        """Execute a SELECT, optionally with an outer row for correlation.
+
+        The statement runs like a shape's first sighting: its plan,
+        subquery plans, memo and tables live in a private scope dropped
+        on return (the shared data caches are validated first).
+        """
+        self._validate_caches()
+        scope, self._scope = self._scope, _StatementScope()
+        try:
+            plan, columns = self._plan_select(statement)
+            rows = list(self._run_node(plan.root, outer_row))
+        finally:
+            self._scope = scope
         return QueryResult(columns=columns, rows=rows)
 
     def explain(self, statement: ast.SelectStatement) -> str:
         """Return the indented logical plan for a SELECT statement."""
-        return self._plan_select(statement)[0].explain()
+        return self.planner.plan(statement).explain()
 
     @property
     def cache_stats(self) -> Dict[str, Any]:
         """Observability: hit/miss counters for every cache layer.
 
-        ``shape_plans`` covers the parameterised path: ``hits`` are
-        executions served by a shared plan with only a rebind, ``misses``
-        are executions with no shared plan to serve them — ``deferred`` of
-        them first sightings of a shape, run once on the per-text pipeline
-        without caching anything, the rest second sightings (or new guard
-        classes) that compiled a shared plan — and ``fallbacks`` are texts
-        the shape analysis routed to the per-text pipeline.
+        ``shape_plans`` covers ``execute_sql``: ``hits`` are executions
+        served by a shape plan with only a rebind, ``misses`` are
+        executions with no shape plan to serve them — ``deferred`` of them
+        first sightings of a shape, run once without caching anything, the
+        rest second sightings (or new guard classes) that compiled a shape
+        plan — and ``fallbacks`` are DML and texts that do not lex, parsed
+        and run directly.  Hits, misses and fallbacks sum to the
+        executions of a compiled executor.
 
         ``subquery`` counts subquery lookups: ``hits`` were answered from
         an existing hash table or memo entry, ``misses`` built a table or
@@ -692,14 +681,12 @@ class Executor:
         statements.
         """
         return {
-            "parse": self._parse_cache.stats,
-            "plan": self._plan_cache.stats,
             "shape_plans": {
                 "hits": self.shape_hits,
                 "misses": self.shape_misses,
                 "deferred": self.shape_deferred,
                 "fallbacks": self.shape_fallbacks,
-                "entries": len(self._param_plans),
+                "entries": len(self._shape_plans),
                 "shapes": len(self._shape_infos),
             },
             "subquery": {
@@ -711,28 +698,13 @@ class Executor:
             "scan_tables": len(self._scan_cache),
         }
 
-    def captured_shapes(self) -> List[str]:
-        """The captured execution workload: one SELECT per compiled shape plan.
-
-        Executing each returned text on a fresh executor of an equivalent
-        database recompiles the same parameterised plan, so a respawned
-        shard worker's first real request of every hot shape is a rebind,
-        not a cold parse-plan-compile.  Texts whose plan has been evicted
-        are dropped.
-        """
-        return [
-            sample
-            for key, sample in self._param_samples.items()
-            if key in self._param_plans
-        ]
-
     def precompile(self, shapes) -> int:
-        """Warm-start: replay captured shape texts through the executor.
+        """Warm-start: replay SQL texts through the executor.
 
-        Only plain SELECTs are replayed (parameterised plans cover nothing
-        else, and replaying a mutation would change data); each runs once
-        and is admitted directly, compiling its shared plan.  Texts that
-        fail are skipped.  Returns how many texts replayed cleanly.
+        Only plain SELECTs are replayed (shape plans cover nothing else,
+        and replaying a mutation would change data); each runs once and is
+        admitted directly, compiling its shape plan.  Texts that fail are
+        skipped.  Returns how many texts replayed cleanly.
         """
         replayed = 0
         for sql in shapes:
@@ -746,90 +718,68 @@ class Executor:
         return replayed
 
     # ------------------------------------------------------------------
-    # Parameterised (shape-shared) execution
+    # Shape plans
     # ------------------------------------------------------------------
 
-    def _execute_parameterised(self, sql: str, admit: bool):
-        """Execute ``sql`` through the shape-shared plan cache.
+    def _execute_shape(self, sql: str, shape, literals, admit: bool) -> QueryResult:
+        """Execute the SELECT ``sql`` through the shape-plan cache.
 
-        Returns :data:`_FALLBACK` when the text must take the per-text
-        path: the shape does not lex, the statement is not a SELECT, or
-        the literal walk cannot be aligned with the lexer's literal
-        vector (see :func:`repro.engine.parameterised.analyze_statement`).
-        A SELECT shape's first sighting (unless ``admit``) runs once via
-        :meth:`_execute_unadmitted`; mutations are never deferred.
+        A shape's first sighting (unless ``admit``) runs once in a private
+        scope and leaves nothing but its sighting behind; a later text of
+        the shape with no plan for its guard vector compiles one.
         """
-        shaped = sql_shape(sql)
-        if shaped is None:
-            self.shape_fallbacks += 1
-            return _FALLBACK
-        shape, literals = shaped
         info = self._shape_infos.get(shape, record_miss=False)
-        if info is UNPARAMETERISABLE:
-            self.shape_fallbacks += 1
-            return _FALLBACK
         entry: Optional[ParameterisedPlan] = None
         if info is not None:
-            entry = self._param_plans.get((shape, guard_key(literals, info)))
+            entry = self._shape_plans.get((shape, guard_key(literals, info)))
         if entry is None:
-            if info is None and not admit and not _is_mutation_text(sql):
+            self.shape_misses += 1
+            if info is None and not admit:
                 digest = hash(shape)
                 if digest not in self._sightings:
                     self._sightings.put(digest, True)
-                    self.shape_misses += 1
                     self.shape_deferred += 1
-                    return self._execute_unadmitted(parse_sql(sql))
-            statement = self._parse_statement(sql)
-            if info is None:
-                info = analyze_statement(statement, literals)
-                if info is None:
-                    self._shape_infos.put(shape, UNPARAMETERISABLE)
-                    self.shape_fallbacks += 1
-                    return _FALLBACK
-                self._shape_infos.put(shape, info)
-            # This text becomes the canonical statement for its guard
-            # class; its own literal values are what the pinned guard
-            # positions bake into the plan.
-            ordinals = ordinal_map(statement, literals, info)
-            if ordinals is None:
-                self._shape_infos.put(shape, UNPARAMETERISABLE)
-                self.shape_fallbacks += 1
-                return _FALLBACK
-            plan = self.planner.plan(statement)
-            entry = ParameterisedPlan(
-                statement, plan, self._output_columns(statement), ordinals
-            )
-            self._param_plans.put((shape, guard_key(literals, info)), entry)
-            self._param_samples.put((shape, guard_key(literals, info)), sql)
-            self.shape_misses += 1
+                    return self.execute_select(parse_sql(sql))
+            entry = self._compile_shape_plan(sql, shape, literals, info)
         else:
             self.shape_hits += 1
         self._validate_caches()
-        self._params_box[0] = literals
-        self._param_compiler.set_ordinals(entry.ordinals)
-        self._param_active = True
+        self._params[0] = literals
+        self._compiler.ordinals = entry.ordinals
         try:
             rows = list(self._run_node(entry.plan.root, None))
         finally:
-            self._param_active = False
-            self._params_box[0] = ()
+            self._compiler.ordinals = _NO_ORDINALS
+            self._params[0] = ()
         return QueryResult(columns=entry.columns, rows=rows)
 
-    def _execute_unadmitted(self, statement: ast.SelectStatement) -> QueryResult:
-        """Run a SELECT shape's first sighting, keeping nothing keyed to it.
+    def _compile_shape_plan(self, sql: str, shape, literals, info) -> ParameterisedPlan:
+        """Plan ``sql`` as the canonical statement of its guard class.
 
-        The statement is planned and run like any per-text statement, but
-        its plan, subquery plans, subquery memo and correlation info live
-        in a private scope dropped on return.  The shared data caches are
-        validated before the scope is entered (mutations never get here:
-        their invalidation must reach the shared caches).
+        Its own literal values are what the pinned guard positions bake
+        into the plan.  With ``parameterised`` off, or when the literal
+        walk cannot be aligned with the lexer's literal vector (see
+        :func:`repro.engine.parameterised.analyze_statement`), every
+        literal is pinned.
         """
-        self._validate_caches()
-        self._scope = _StatementScope()
-        try:
-            return self.execute_select(statement)
-        finally:
-            self._scope = self._shared_scope
+        statement = parse_sql(sql)
+        ordinals = None
+        if self.parameterised:
+            if info is None:
+                info = analyze_statement(statement, literals)
+            if info is not None:
+                ordinals = ordinal_map(statement, literals, info)
+        if ordinals is None:
+            info, ordinals = pin_all(literals), {}
+        self._shape_infos.put(shape, info)
+        entry = ParameterisedPlan(
+            statement,
+            self.planner.plan(statement),
+            self._output_columns(statement),
+            ordinals,
+        )
+        self._shape_plans.put((shape, guard_key(literals, info)), entry)
+        return entry
 
     # ------------------------------------------------------------------
     # Planning and cache upkeep
@@ -838,28 +788,23 @@ class Executor:
     def _plan_select(
         self, statement: ast.SelectStatement
     ) -> Tuple[LogicalPlan, Tuple[str, ...]]:
-        if self._param_active or self._scope is not self._shared_scope:
-            # Subqueries of a parameterised plan get identity-keyed plans:
-            # the per-text plan cache keys by value equality, and a
-            # value-equal statement from an unrelated text must never
-            # receive closures that read this shape's parameter slots.  A
-            # first sighting keys its plans the same way, in its own
-            # scope, so they are built once per statement and die with it.
-            subplans = self._scope.subplans
-            cached = subplans.get(id(statement))
-            if cached is not None and cached[0] is statement:
-                return cached[1]
-            entry = (self.planner.plan(statement), self._output_columns(statement))
-            if len(subplans) >= _PARAM_SUBPLAN_LIMIT:
-                subplans.clear()
-            subplans[id(statement)] = (statement, entry)
-            return entry
-        entry = self._plan_cache.get(statement) if self.compiled else None
-        if entry is None:
-            plan = self.planner.plan(statement)
-            entry = (plan, self._output_columns(statement))
-            if self.compiled:
-                self._plan_cache.put(statement, entry)
+        """Plan a statement once per scope (on every call when interpreted).
+
+        Plans are keyed by statement identity: a value-equal statement
+        (``1`` equals ``1.0`` and ``TRUE``) must never receive another's
+        plan, whose closures bake its literals or read its shape plan's
+        parameter slots.
+        """
+        if not self.compiled:
+            return self.planner.plan(statement), self._output_columns(statement)
+        subplans = self._scope.subplans
+        cached = subplans.get(id(statement))
+        if cached is not None and cached[0] is statement:
+            return cached[1]
+        entry = (self.planner.plan(statement), self._output_columns(statement))
+        if len(subplans) >= _SUBPLAN_LIMIT:
+            subplans.clear()
+        subplans[id(statement)] = (statement, entry)
         return entry
 
     def _validate_caches(self) -> None:
@@ -875,17 +820,13 @@ class Executor:
     def invalidate_caches(self) -> None:
         """Drop every cache, including the data-independent ones.
 
-        DML only needs :meth:`_clear_data_caches` (parse results, plans and
-        compiled closures do not depend on table contents); this is the
-        blunt instrument for callers that want a pristine executor.
+        DML only needs :meth:`_clear_data_caches` (plans and compiled
+        closures do not depend on table contents); this is the blunt
+        instrument for callers that want a pristine executor.
         """
-        self._parse_cache.clear()
-        self._plan_cache.clear()
         self._shape_infos.clear()
-        self._param_plans.clear()
-        self._param_samples.clear()
+        self._shape_plans.clear()
         self._sightings.clear()
-        self._param_compiler.clear()
         self._shared_scope = self._scope = _StatementScope()
         self._clear_data_caches()
         self._data_version = self.database.data_version
@@ -896,18 +837,14 @@ class Executor:
 
     def _expr_fn(self, expression: ast.Expression) -> CompiledExpr:
         # Operator closures are built lazily while a plan first runs, so
-        # _param_active routes the nodes of a parameterised plan (and of
-        # its subqueries) to the parameter-aware compiler.
-        if self._param_active:
-            return self._param_compiler.compile(expression)
+        # the nodes of a shape plan (and of its subqueries) compile under
+        # that plan's ordinal map.
         if self.compiled:
             return self._compiler.compile(expression)
         evaluator = self._evaluator
         return lambda row: evaluator.evaluate(expression, row)
 
     def _pred_fn(self, predicate: Optional[ast.Expression]) -> Callable[[Row], bool]:
-        if self._param_active:
-            return self._param_compiler.compile_predicate(predicate)
         if self.compiled:
             return self._compiler.compile_predicate(predicate)
         evaluator = self._evaluator
@@ -1140,7 +1077,9 @@ class Executor:
             return None
         scan, predicates = chain
         table = self.database.table(scan.table_name)
-        compiler = self._vector_compiler(table.relation, scan.binding)
+        compiler = VectorExpressionCompiler(
+            table.relation, scan.binding, self._params, self._compiler.ordinals
+        )
         try:
             selection_fn = compiler.compile_conjunction(predicates)
             if project_items is None:
@@ -1150,16 +1089,6 @@ class Executor:
         except VectorUnsupported:
             return None
         return (scan.table_name, selection_fn, build_fn)
-
-    def _vector_compiler(self, relation, binding: str) -> VectorExpressionCompiler:
-        if self._param_active:
-            return ParamVectorCompiler(
-                relation,
-                binding,
-                params_box=self._params_box,
-                ordinals=self._param_compiler.ordinals,
-            )
-        return VectorExpressionCompiler(relation, binding)
 
     # ------------------------------------------------------------------
     # Joins
@@ -1397,10 +1326,10 @@ class Executor:
         self, statement: ast.SelectStatement, outer_row: Optional[Row]
     ) -> Iterable[Row]:
         if not self.compiled or outer_row is None:
-            return self.execute_select(statement, outer_row=outer_row).rows
+            return self._subquery_rows(statement, outer_row)
         self._rows_read += 1
         info = self._subquery_info(statement)
-        params = self._params_box[0]
+        params = self._params[0]
         # Memo keys carry the outer values' types: 1 and 1.0 are equal
         # keys, but a subquery that reads them returns different values.
         if info.mode == "row":
@@ -1492,7 +1421,7 @@ class Executor:
         values = _outer_values(outer_row, division.outer_keys)
         if values is None:
             return None
-        params = self._params_box[0]
+        params = self._params[0]
         state = self._subquery_state(statement)
         table = state.tables.get(params)
         if table is None:
@@ -1686,8 +1615,8 @@ class Executor:
     def _after_dml(self) -> None:
         """Invalidate data-dependent caches after a mutation.
 
-        Parse results, plans and compiled closures are data-independent
-        and survive; scans and subquery memos must go.
+        Plans and compiled closures are data-independent and survive;
+        scans and subquery memos must go.
         """
         self._clear_data_caches()
         self._data_version = self.database.data_version

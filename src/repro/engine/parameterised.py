@@ -1,11 +1,10 @@
-"""Parameterised execution plans: shape analysis and the parameter compiler.
+"""Shape plans: shape analysis, guard keys and parameter slots.
 
-The executor plans and compiles once per SQL *text*; two queries that
-differ only in their literal values ("Brad Pitt" vs "Mark Hamill", 2004
-vs 1995) repeat the whole parse → plan → compile pipeline.  The
+Two queries that differ only in their literal values ("Brad Pitt" vs
+"Mark Hamill", 2004 vs 1995) need the same parse, plan and compile.  The
 translation layer already shares work per token *shape*
-(:mod:`repro.query_nl.plans`); this module brings the same sharing to
-execution, closing the last uncompiled axis — literal variance.
+(:mod:`repro.query_nl.plans`); this module gives execution the same
+sharing, and the executor runs every compiled SELECT text through it.
 
 How it works
 ------------
@@ -14,18 +13,16 @@ How it works
 shared with the translator) splits a SQL text into a literal-stripped
 token shape plus the literal values in text order.  The first text of a
 shape to be admitted (its second sighting; the executor runs the first
-uncached) becomes the *canonical* statement: it is parsed and planned
-normally, and its plan is cached under the shape.
+without caching anything) becomes the *canonical* statement: it is
+parsed and planned normally, and its plan is cached under the shape.
 
 **Parameter slots.**  :func:`source_literals` walks the canonical AST in
 source order and pairs each :class:`~repro.sql.ast.Literal` node with its
-position in the lexer's literal vector (verified value-by-value —
-any disagreement marks the shape unparameterisable and execution falls
-back to the per-text path).  :class:`ParamExpressionCompiler` then
-compiles those literal nodes into closures that read the executor's
-*bound-parameter vector* instead of a baked constant, so one closure tree
-serves every literal variant; index probes likewise resolve their probe
-key from the vector at run time.
+position in the lexer's literal vector, verified value-by-value.  The
+executor's expression compilers then compile those literal nodes into
+closures that read the *bound-parameter vector* instead of a baked
+constant, so one closure tree serves every literal variant; index probes
+likewise resolve their probe key from the vector at run time.
 
 **Guards.**  Some literal positions feed *compile-time* decisions whose
 output would otherwise bake one query's values into another's answer:
@@ -40,37 +37,34 @@ vector) exactly like the phrase plans' guards, so two queries share a
 plan only when they agree on every pinned value.  The guard also carries
 a type tag per literal (``i``/``f``/``s``) so ``price = 10`` and
 ``price = 10.5`` — the same shape — keep distinct plans (their rendered
-output and arithmetic can differ).  Everything the guards cannot express
-(DML, subqueries carrying their own LIMIT, texts the masker cannot
-reproduce) falls back to the per-text path, which remains the oracle:
-the equivalence suite asserts parameterised ≡ per-text ≡ interpreted on
-every corpus query under randomised literal rotation.
+output and arithmetic can differ).
+
+**Zero free parameters.**  A statement whose literal walk cannot be
+aligned with the lexer's vector (a subquery carrying its own LIMIT, say)
+gets :func:`pin_all`: every literal is pinned, so its plan is keyed by
+the full literal vector and its type tags and serves exactly one text.
+``Executor(parameterised=False)`` pins every literal of every shape the
+same way.  The equivalence suite asserts shape plans ≡ pinned plans ≡
+the interpreted executor on every corpus query under randomised literal
+rotation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.compile import CompiledExpr, ExpressionCompiler
 from repro.engine.plan import LogicalPlan
-from repro.engine.vector import Vec, VectorExpressionCompiler
 from repro.sql import ast
 
 __all__ = [
-    "UNPARAMETERISABLE",
-    "ParamExpressionCompiler",
-    "ParamVectorCompiler",
     "ParameterisedPlan",
     "ShapeInfo",
     "analyze_statement",
     "guard_key",
     "ordinal_map",
+    "pin_all",
     "source_literals",
 ]
-
-#: Stored in the shape-info cache for shapes the analysis refused: the
-#: executor skips straight to the per-text path for them.
-UNPARAMETERISABLE = "unparameterisable"
 
 
 def source_literals(statement: ast.Statement) -> List[ast.Literal]:
@@ -141,7 +135,7 @@ class ParameterisedPlan:
 def analyze_statement(
     statement: ast.Statement, literals: Sequence[Any]
 ) -> Optional[ShapeInfo]:
-    """Shape analysis for a canonical statement, or ``None`` to fall back.
+    """Shape analysis for a canonical statement, or ``None`` to pin every literal.
 
     Verifies that the source-order literal walk reproduces the lexer's
     literal vector (any trailing positions must be exactly the statement's
@@ -160,7 +154,7 @@ def analyze_statement(
     # Literal tokens that never became expression nodes: only the
     # statement's own LIMIT/OFFSET integers may account for them (a
     # subquery carrying LIMIT leaves a mid-vector hole, which fails the
-    # count check below and falls back).
+    # count check below).
     tail = []
     if statement.limit is not None:
         tail.append(statement.limit)
@@ -194,11 +188,14 @@ def ordinal_map(
     Re-runs the source-order walk on a fresh canonical statement (a new
     guard class of an already-analyzed shape) and re-verifies alignment;
     ``None`` means the statement disagrees with the shape analysis and
-    the caller must fall back.
+    the caller must pin every literal (:func:`pin_all`).  A shape whose
+    literals are all pinned has no slots to align.
     """
-    nodes = source_literals(statement)
     if len(literals) != info.literal_count:
         return None
+    if len(info.pinned) == len(literals):
+        return {}
+    nodes = source_literals(statement)
     if len(nodes) + sum(1 for p in info.pinned if p >= len(nodes)) != len(literals):
         return None
     for node, literal in zip(nodes, literals):
@@ -212,6 +209,11 @@ def ordinal_map(
     }
 
 
+def pin_all(literals: Sequence[Any]) -> ShapeInfo:
+    """A shape with zero free parameters: every literal joins the guard."""
+    return ShapeInfo(tuple(range(len(literals))), len(literals))
+
+
 def guard_key(literals: Sequence[Any], info: ShapeInfo):
     """The guard vector: type tags plus the values at pinned positions."""
     tags = []
@@ -223,115 +225,3 @@ def guard_key(literals: Sequence[Any], info: ShapeInfo):
         else:
             tags.append("s")
     return tuple(tags), tuple(literals[position] for position in info.pinned)
-
-
-#: Bound on the parameter compiler's identity memo before it is dropped
-#: wholesale (closures are cheap to rebuild; plan-node op caches keep the
-#: hot ones alive regardless).
-_ID_MEMO_LIMIT = 20_000
-
-
-class ParamExpressionCompiler(ExpressionCompiler):
-    """An expression compiler whose literal slots read a parameter vector.
-
-    Differences from the base compiler:
-
-    * memoization is by node *identity*, not value equality — two equal
-      ``Literal(5)`` nodes at different positions must compile to
-      closures reading different slots;
-    * a literal registered in the active ordinal map compiles to a read
-      of the executor's bound-parameter box (``box[0][position]``), and
-    * :meth:`_is_constant` keeps those literals out of the base class's
-      value-specialised fast paths (baked LIKE regexes, frozen IN sets) —
-      their generic closures go through the parameter reads instead.
-
-    The active ordinal map is installed by the executor before every
-    parameterised execution; closures are built lazily during the first
-    run of each plan operator, so every compile happens under the map of
-    the statement that owns the node.
-    """
-
-    def __init__(
-        self,
-        subquery_runner=None,
-        params_box: Optional[List[Tuple[Any, ...]]] = None,
-    ) -> None:
-        super().__init__(subquery_runner=subquery_runner)
-        self._params_box = params_box if params_box is not None else [()]
-        self._ordinals: Dict[int, int] = {}
-        self._id_memo: Dict[int, Tuple[ast.Expression, CompiledExpr]] = {}
-
-    def set_ordinals(self, ordinals: Dict[int, int]) -> None:
-        """Install the ordinal map of the statement about to execute."""
-        self._ordinals = ordinals
-
-    @property
-    def ordinals(self) -> Dict[int, int]:
-        """The ordinal map currently installed (read by the vector path)."""
-        return self._ordinals
-
-    def compile(self, expression: ast.Expression) -> CompiledExpr:
-        key = id(expression)
-        entry = self._id_memo.get(key)
-        if entry is not None and entry[0] is expression:
-            return entry[1]
-        fn = self._compile(expression)
-        if len(self._id_memo) >= _ID_MEMO_LIMIT:
-            self._id_memo.clear()
-        self._id_memo[key] = (expression, fn)
-        return fn
-
-    def clear(self) -> None:
-        """Drop the identity memo (used by ``Executor.invalidate_caches``)."""
-        self._id_memo.clear()
-        self._ordinals = {}
-
-    def _compile(self, e: ast.Expression) -> CompiledExpr:
-        if isinstance(e, ast.Literal):
-            position = self._ordinals.get(id(e))
-            if position is not None:
-                box = self._params_box
-                return lambda row, _p=position: box[0][_p]
-        return super()._compile(e)
-
-    def _is_constant(self, literal: ast.Literal) -> bool:
-        return id(literal) not in self._ordinals
-
-
-class ParamVectorCompiler(VectorExpressionCompiler):
-    """Vector compiler whose parameter-slot literals read the bound vector.
-
-    The mirror of :class:`ParamExpressionCompiler` for the columnar
-    path: ordinal-mapped literals become scalar vectors that read
-    ``box[0][position]`` at evaluation time, and :meth:`_is_constant`
-    keeps them out of the value-specialised fused fast paths (baked
-    LIKE regexes, frozen IN sets), whose closures would otherwise bake
-    the first variant's values into every later one.
-
-    Built fresh per (plan node, ordinal map): the executor constructs
-    one whenever it compiles vector ops while a parameterised execution
-    is active, and the captured ordinal map is the owning statement's —
-    safe because a plan node belongs to exactly one parameterised entry
-    (the same invariant the row path's node-cached closures rely on).
-    """
-
-    def __init__(
-        self,
-        relation: Any,
-        binding: str,
-        params_box: List[Tuple[Any, ...]],
-        ordinals: Dict[int, int],
-    ) -> None:
-        super().__init__(relation, binding)
-        self._params_box = params_box
-        self._ordinals = dict(ordinals)
-
-    def _literal(self, e: ast.Literal) -> Vec:
-        position = self._ordinals.get(id(e))
-        if position is not None:
-            box = self._params_box
-            return Vec(True, lambda arrays, n, _p=position: box[0][_p])
-        return super()._literal(e)
-
-    def _is_constant(self, literal: ast.Literal) -> bool:
-        return id(literal) not in self._ordinals

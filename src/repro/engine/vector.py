@@ -8,8 +8,8 @@ allocation for rows the filter rejects.  This module compiles the
 *restricted* expression subset that makes that profitable —
 
 * column references bound to the scanned relation,
-* literals (including parameter-slot literals, via
-  :class:`repro.engine.parameterised.ParamVectorCompiler`),
+* literals (including a shape plan's parameter literals, which read the
+  bound parameter vector),
 * comparisons, ``AND``/``OR``/``NOT``, ``IS [NOT] NULL``,
   ``[NOT] BETWEEN``, ``[NOT] IN (literals)``, ``[NOT] LIKE``,
 * arithmetic, ``||``, and the scalar functions
@@ -98,20 +98,36 @@ class VectorExpressionCompiler:
     One compiler per (relation, binding): column references are
     resolved against the relation's attributes at *compile* time, so
     the generated closures index straight into the arrays dict.
+    ``params`` and ``ordinals`` are the row compiler's (see
+    :class:`repro.engine.compile.ExpressionCompiler`): a literal in the
+    ordinal map becomes a scalar vector reading its position in
+    ``params[0]``, and stays out of the fused fast paths (baked LIKE
+    regexes, frozen IN sets), whose closures would bake one variant's
+    values into every later one.
     """
 
-    def __init__(self, relation, binding: str) -> None:
+    def __init__(
+        self,
+        relation,
+        binding: str,
+        params: Optional[List[Tuple[Any, ...]]] = None,
+        ordinals: Optional[Dict[int, int]] = None,
+    ) -> None:
         self._binding = (binding or "").lower()
         self._attrs = {a.name.lower(): a.name for a in relation.attributes}
-
-    # -- hooks the parameterised subclass overrides --------------------
+        self._params = params
+        self._ordinals = ordinals or {}
 
     def _literal(self, e: ast.Literal) -> Vec:
+        position = self._ordinals.get(id(e))
+        if position is not None:
+            params = self._params
+            return Vec(True, lambda arrays, n: params[0][position])
         value = e.value
         return Vec(True, lambda arrays, n: value)
 
     def _is_constant(self, literal: ast.Literal) -> bool:
-        return True
+        return id(literal) not in self._ordinals
 
     # -- public entry points -------------------------------------------
 

@@ -10,6 +10,10 @@ selection constraints one at a time (then pairwise) and re-executes: the
 constraints whose removal brings results back are reported as responsible.
 For very large answers it reports the cross products / weakly selective
 parts of the query.
+
+A SQL text runs through :meth:`Executor.execute_sql`, so a repeated
+explanation reuses the text's shape plan and subquery memo; the text is
+parsed only when its answer is empty or large and must be taken apart.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from repro.nlg.realize import realize_paragraph
 from repro.sql import ast
 from repro.sql.parser import parse_select
 from repro.sql.printer import expression_to_sql
+from repro.sql.shape import is_mutation
 from repro.storage.database import Database
 
 
@@ -49,21 +54,26 @@ class AnswerExplainer:
         self.database = database
         self.lexicon = lexicon or default_lexicon(database.schema)
         # An injected executor lets a session share one executor (and its
-        # plan/scan/subquery caches) between explanation and execution.
+        # shape-plan/scan/subquery caches) between explanation and execution.
         self.executor = executor if executor is not None else Executor(database)
 
     # ------------------------------------------------------------------
 
     def explain(self, sql_or_statement, large_threshold: int = 1000) -> EmptyAnswerExplanation:
-        statement = (
-            parse_select(sql_or_statement)
-            if isinstance(sql_or_statement, str)
-            else sql_or_statement
-        )
-        result = self.executor.execute_select(statement)
-        if result.row_count == 0:
-            return self._explain_empty(statement)
-        if result.row_count >= large_threshold:
+        if isinstance(sql_or_statement, str):
+            if is_mutation(sql_or_statement):
+                parse_select(sql_or_statement)  # raises for a non-SELECT: nothing runs
+            result = self.executor.execute_sql(sql_or_statement)
+        else:
+            result = self.executor.execute_select(sql_or_statement)
+        if result.row_count == 0 or result.row_count >= large_threshold:
+            statement = (
+                parse_select(sql_or_statement)
+                if isinstance(sql_or_statement, str)
+                else sql_or_statement
+            )
+            if result.row_count == 0:
+                return self._explain_empty(statement)
             return self._explain_large(statement, result.row_count)
         explanation = EmptyAnswerExplanation(row_count=result.row_count)
         explanation.text = realize_paragraph(

@@ -38,7 +38,6 @@ invalidated by the lexicon's ``version`` counter.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -354,34 +353,8 @@ def compile_plan(
 #: How many unplannable-shape examples the report keeps.
 _UNPLANNABLE_SAMPLES = 32
 
-#: Fallback LRU size when neither the constructor nor the environment
-#: chooses one.
-_DEFAULT_PLAN_STORE_SIZE = 512
-
-#: Environment knob for per-deployment plan-store sizing (see
-#: ``docs/performance.md``): a positive integer bounds every store created
-#: without an explicit ``maxsize``; ``0`` disables eviction entirely.
-_PLAN_STORE_SIZE_VAR = "REPRO_PLAN_STORE_SIZE"
-
-
-def _resolve_plan_store_size(maxsize) -> Optional[int]:
-    """The effective LRU bound: explicit argument, else env, else default."""
-    if maxsize is None:
-        raw = os.environ.get(_PLAN_STORE_SIZE_VAR, "").strip()
-        if raw:
-            try:
-                maxsize = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{_PLAN_STORE_SIZE_VAR} must be an integer, got {raw!r}"
-                ) from None
-        else:
-            return _DEFAULT_PLAN_STORE_SIZE
-    if maxsize == 0:
-        return None  # unbounded: eviction disabled
-    if maxsize < 0:
-        raise ValueError("plan store maxsize must be >= 0")
-    return maxsize
+#: Bound on the plans of one store.
+_PLAN_STORE_SIZE = 512
 
 
 class PlanStore:
@@ -392,12 +365,9 @@ class PlanStore:
     same schema — so every access runs under an internal lock (the LRU's
     recency bookkeeping is not otherwise safe to interleave).
 
-    ``maxsize`` bounds the LRU: an explicit integer wins, ``None`` defers
-    to the ``REPRO_PLAN_STORE_SIZE`` environment variable (falling back
-    to 512), and ``0`` — as argument or environment value — disables
-    eviction.  :attr:`stats` reports the configured bound and the
-    eviction count, so a deployment can see when its hot shape set
-    outgrows the store and resize it.
+    The plan LRU holds :data:`_PLAN_STORE_SIZE` (512) plans; :attr:`stats`
+    reports that bound and the eviction count, so a deployment can see
+    when its hot shape set outgrows the store.
 
     **Admission.**  A shape is compiled and stored on its second sighting
     only (:meth:`admits`): the first sighting of a literal-stripped shape
@@ -422,26 +392,18 @@ class PlanStore:
         "deferred",
         "unplannable",
         "_unplannable_samples",
-        "_samples",
         "_sightings",
         "_lock",
     )
 
-    def __init__(self, maxsize: Optional[int] = None) -> None:
-        resolved = _resolve_plan_store_size(maxsize)
-        self.plans = LRUCache(resolved)
+    def __init__(self) -> None:
+        self.plans = LRUCache(_PLAN_STORE_SIZE)
         self.lexicon_version: Optional[int] = None
         self.hits = 0
         self.misses = 0
         self.deferred = 0
         self.unplannable = 0
         self._unplannable_samples: List[str] = []
-        # Workload capture: one representative SQL text per successfully
-        # planned shape, bounded like the plan LRU.  Replaying these texts
-        # through a fresh translator recompiles the same (shape, guards)
-        # plans — the warm-start API (`captured_shapes`) the shard tier
-        # uses to precompile respawned workers.
-        self._samples = LRUCache(resolved)
         self._sightings = LRUCache(SIGHTINGS_SIZE)
         self._lock = threading.Lock()
 
@@ -469,7 +431,6 @@ class PlanStore:
         with self._lock:
             if self.lexicon_version != lexicon.version:
                 self.plans.clear()
-                self._samples.clear()
                 self.lexicon_version = lexicon.version
             return self.plans.get(key)
 
@@ -477,7 +438,6 @@ class PlanStore:
         with self._lock:
             if self.lexicon_version != lexicon.version:
                 self.plans.clear()
-                self._samples.clear()
                 self.lexicon_version = lexicon.version
             self.plans.put(key, plan)
             if plan is UNPLANNABLE:
@@ -487,26 +447,6 @@ class PlanStore:
                     and len(self._unplannable_samples) < _UNPLANNABLE_SAMPLES
                 ):
                     self._unplannable_samples.append(sample_sql)
-            elif sample_sql is not None:
-                self._samples.put(key, sample_sql)
-
-    def captured_shapes(self) -> List[str]:
-        """The captured workload: one SQL text per successfully planned shape.
-
-        Each returned text, translated through a fresh translator of the
-        same schema and lexicon, recompiles exactly one of this store's
-        plans (same shape, same guard vector) — so replaying the list is a
-        faithful warm-start of the production shape set.  Texts whose plan
-        has been evicted are dropped; unplannable shapes are excluded
-        (replaying them would only re-discover the refusal).  See
-        :meth:`repro.query_nl.translator.QueryTranslator.precompile`.
-        """
-        with self._lock:
-            return [
-                sample
-                for key, sample in self._samples.items()
-                if key in self.plans
-            ]
 
     @property
     def stats(self) -> dict:

@@ -295,15 +295,14 @@ class QueryTranslator:
         return rendered
 
     def precompile(self, shapes) -> int:
-        """Warm-start: replay captured shape texts, compiling their plans.
+        """Warm-start: replay SQL texts, compiling their plans.
 
-        ``shapes`` is an iterable of SQL texts — typically
-        :meth:`PlanStore.captured_shapes` output from a production
-        translator (possibly in another process).  Each text runs through
-        the full pipeline once and is admitted directly (a captured shape
-        was already seen twice where it was captured), compiling its
-        phrase plan, so the first *real* request of every replayed shape
-        is already a plan hit instead of a cold compile.  A text that
+        ``shapes`` is an iterable of SQL texts — typically one per hot
+        shape, such as the shard router's per-worker capture.  Each text
+        runs through the full pipeline once and is admitted directly (a
+        replayed shape was already seen where it was captured), compiling
+        its phrase plan, so the first *real* request of every replayed
+        shape is already a plan hit instead of a cold compile.  A text that
         fails to translate is skipped (capture may outlive a schema
         tweak); returns how many texts replayed cleanly.
         """
@@ -315,10 +314,6 @@ class QueryTranslator:
                 continue
             replayed += 1
         return replayed
-
-    def captured_shapes(self) -> List[str]:
-        """This translator's captured workload (see :meth:`PlanStore.captured_shapes`)."""
-        return self._plans.captured_shapes() if self._plans is not None else []
 
     def stats(self) -> Dict[str, Any]:
         """Cache/plan observability for this translator.

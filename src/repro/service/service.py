@@ -16,8 +16,8 @@ a set of :class:`NarrationSession`\\ s, one per (schema, database) pair.
 A session owns the shared compiled state for its schema — the
 ``builder_for`` query-graph builder, the ``default_lexicon_for`` lexicon
 and its phrase-plan store, the compiled template registry inside its
-spec, one shared :class:`~repro.engine.executor.Executor` (plan, scan
-and subquery caches included) and one
+spec, one shared :class:`~repro.engine.executor.Executor` (shape-plan,
+scan and subquery caches included) and one
 :class:`~repro.content.narrator.ContentNarrator` — and funnels every
 request through three tiers:
 
@@ -31,8 +31,9 @@ request through three tiers:
   (back-pressure: producers suspend while the queue is full).  A drain
   task collects up to ``max_batch`` queued requests and hands them to
   the worker pool as one call, in arrival order.  A shape's phrase plan
-  and parameterised plan are compiled on its second sighting and serve
-  every later request of that shape, whichever batch it arrives in.
+  and shape plan are compiled on its second sighting and serve every
+  later request of that shape, whichever batch it arrives in; an
+  ``explain_empty`` text runs through the same shape plan as ``execute``.
 * **worker pool** — CPU-bound work (parsing, graph builds, plan
   compilation, execution, narration) runs on the service's
   ``ThreadPoolExecutor``, off the event loop.  Sessions of different
@@ -74,7 +75,7 @@ path), queue high-water mark, the translator's exact-text LRU and
 phrase-plan store statistics (including the unplannable-shape report),
 the shared executor's cache statistics, and the derived
 execution shape-sharing rate (what fraction of executions were served by
-a shared parameterised plan).  :meth:`NarrationService.stats` aggregates
+a compiled shape plan).  :meth:`NarrationService.stats` aggregates
 every session.
 """
 
@@ -225,9 +226,9 @@ class NarrationSession:
     async def execute(self, sql: str, timeout: Optional[float] = None):
         """Execute SQL on the session's shared (cached, compiled) executor.
 
-        A fresh shape's first request runs uncompiled and its second
-        compiles the shared parameterised plan; every later request of
-        that shape only rebinds literals.
+        A fresh shape's first request runs without caching anything and
+        its second compiles the shape plan; every later request of that
+        shape only rebinds literals.
         """
         self._check_open()
         return await self._submit("execute", sql, self._deadline(timeout))
@@ -257,29 +258,15 @@ class NarrationSession:
             timeout = self._default_timeout
         return Deadline.after(timeout)
 
-    def captured_shapes(self) -> Dict[str, List[str]]:
-        """The session's captured workload, one representative text per shape.
-
-        ``translate`` holds the phrase-plan store's capture, ``execute``
-        the shared executor's parameterised-plan capture.  Feeding the
-        dict to :meth:`precompile` on a fresh session of an equivalent
-        (schema, database) warm-starts it — the shard tier does exactly
-        this for respawned workers, and a deployment can persist the dict
-        to warm-start the next process generation.
-        """
-        captured: Dict[str, List[str]] = {
-            "translate": self.translator.captured_shapes(),
-            "execute": [],
-        }
-        if self._executor is not None:
-            captured["execute"] = self._executor.captured_shapes()
-        return captured
-
     async def precompile(self, shapes: Dict[str, List[str]]) -> Dict[str, int]:
-        """Warm-start: replay a :meth:`captured_shapes` dict on this session.
+        """Warm-start: replay SQL texts on this session.
 
-        Runs on the worker pool under the session lock like any other
-        pipeline touch; returns how many texts replayed cleanly per kind.
+        ``shapes`` maps ``"translate"`` and ``"execute"`` to SQL texts,
+        typically one per hot shape; each is admitted directly, compiling
+        its phrase plan or shape plan.  The shard router sends its
+        per-worker capture this way to a respawned worker.  Runs on the
+        worker pool under the session lock like any other pipeline touch;
+        returns how many texts replayed cleanly per kind.
         """
         self._check_open()
         return await self._submit("precompile", shapes)
@@ -319,7 +306,7 @@ class NarrationSession:
         ``requests`` counts traffic by kind and tier, and the drain task's
         batches; ``execution_shape_sharing`` derives the executor's
         shape-hit rate — the fraction of SQL executions served by an
-        already-compiled parameterised plan with only a literal rebind.
+        already-compiled shape plan with only a literal rebind.
         """
         with self._stats_lock:
             requests = {
@@ -531,8 +518,8 @@ class NarrationSession:
 
     def _shared_explainer(self) -> AnswerExplainer:
         if self._explainer is None:
-            # Shares the session executor, so explanation re-executions hit
-            # the same plan/scan/subquery caches as ordinary execution.
+            # Shares the session executor, so an explained text hits the
+            # same shape-plan/scan/subquery caches as ordinary execution.
             self._explainer = AnswerExplainer(
                 self._require_database(),
                 lexicon=self.translator.lexicon,

@@ -3,8 +3,7 @@
 Before this module the storage layer's tuning was scattered — implicit
 index self-tuning inside ``Table.lookup``, page/pool sizes that would
 have become constructor kwargs, and ``REPRO_*`` environment variables
-read at point of use (the ``REPRO_PLAN_STORE_SIZE`` pattern).  The
-config consolidates them behind one frozen dataclass, mirroring
+read at point of use.  The config consolidates them behind one frozen dataclass, mirroring
 :class:`~repro.storage.durability.DurabilityConfig` and
 ``ShardRouterConfig``: construct it once, validate eagerly, pass it to
 :class:`~repro.storage.database.Database` (or a session / shard router)

@@ -6,8 +6,8 @@ evaluation), and decides a relational-division block by set containment.
 These tests pin the answers and errors of those paths to the interpreted
 oracle on generated data (NULLs, duplicates, int/float-equal keys, empty
 tables), in every compiled form a statement can take: first sighting,
-admitted shape plan rebound to rotated literals, and the per-text path,
-across an INSERT and a DELETE.  They also pin the counters that show the
+admitted shape plan rebound to rotated literals, and the pinned plans of
+``parameterised=False``, across an INSERT and a DELETE.  They also pin the counters that show the
 paths are taken, and the SQL semantics of ``NULL [NOT] IN (...)``.
 """
 
@@ -97,7 +97,7 @@ _EXPECTED = {
 def _executors(database: Database):
     return {
         "compiled": compiled(database),
-        "per-text": compiled(database, parameterised=False),
+        "pinned": compiled(database, parameterised=False),
         "oracle": oracle(database),
     }
 
@@ -285,7 +285,7 @@ def _check_against_oracle(rows, template, k, f):
 
     first = compiled(database)
     shared = compiled(database)
-    per_text = compiled(database, parameterised=False)
+    pinned = compiled(database, parameterised=False)
     # Admission: two sightings of rotated literals compile the shape plan
     # with *their* literals, so the target is a rebind of that plan.
     for rotation in (1, 2):
@@ -293,7 +293,7 @@ def _check_against_oracle(rows, template, k, f):
 
     def compare(stage):
         expected = outcome(reference, target)
-        for name, executor in (("shared", shared), ("per-text", per_text)):
+        for name, executor in (("shared", shared), ("pinned", pinned)):
             for sighting in range(2):
                 got = outcome(executor, target)
                 assert got == expected, (stage, name, sighting, target)
@@ -303,7 +303,7 @@ def _check_against_oracle(rows, template, k, f):
     assert outcome(first, target) == expected, ("first sighting", target)
     # Tables and memo entries are data-dependent: both mutations must
     # reach every compiled form (and the admitted statement's tables).
-    per_text.execute_sql("insert into I (id, a, b, c) values (100, 1, 2, 3)")
+    pinned.execute_sql("insert into I (id, a, b, c) values (100, 1, 2, 3)")
     compare("after INSERT")
     shared.execute_sql("delete from O where id = 0")
     compare("after DELETE")

@@ -271,15 +271,19 @@ def test_subquery_memo_is_used(db):
     assert executor.subquery_hits > 0
 
 
-def test_plan_cache_hit_on_repeat(db):
-    # The assertion is about the per-text parse/plan caches, so the
-    # shape-shared path (which would serve the repeat without touching
-    # either) is explicitly disabled.
+@pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
+def test_pinned_plan_hit_on_repeat(db, name):
+    # parameterised=False pins every literal: a repeated text is admitted
+    # on its second sighting and hits on its third, and every sighting
+    # matches the interpreted oracle.
     executor = Executor(db, compiled=True, parameterised=False)
-    executor.execute_sql(PAPER_QUERIES["Q1"])
-    executor.execute_sql(PAPER_QUERIES["Q1"])
-    assert executor.cache_stats["plan"]["hits"] > 0
-    assert executor.cache_stats["parse"]["hits"] > 0
+    expected = interpreted(db).execute_sql(PAPER_QUERIES[name])
+    for _ in range(3):
+        result = executor.execute_sql(PAPER_QUERIES[name])
+        assert result.columns == expected.columns
+        assert result.rows == expected.rows
+    stats = executor.cache_stats["shape_plans"]
+    assert (stats["deferred"], stats["misses"], stats["hits"]) == (1, 2, 1)
 
 
 def test_shape_cache_hit_on_repeat(db):
@@ -296,16 +300,14 @@ def test_shape_cache_hit_on_repeat(db):
 
 
 def test_interpreted_executor_caches_and_probes_nothing(db):
-    # compiled=False is the whole interpreted oracle: no parse, plan or
-    # scan cache, no shape plans, no subquery memo or tables, no index.
+    # compiled=False is the whole interpreted oracle: no scan cache, no
+    # shape plans, no subquery memo or tables, no index.
     indexes = {table.name: table.indexes() for table in db.tables}
     executor = interpreted(db)
     for _ in range(2):
         for sql in PAPER_QUERIES.values():
             executor.execute_sql(sql)
     stats = executor.cache_stats
-    for cache in ("parse", "plan"):
-        assert stats[cache]["size"] == stats[cache]["hits"] == 0
     assert stats["scan_tables"] == 0
     assert not any(stats["shape_plans"].values())
     assert not any(stats["subquery"].values())

@@ -1,14 +1,14 @@
 """Tests for parameterised (shape-shared) execution plans.
 
-Four concerns: (1) the parameterised path returns results identical to
-the per-text path and the interpreted oracle on the full corpus — with
-randomised literal rotation so every execution is a genuine shape hit;
-(2) value-driven plan choices split on the guard vector (pinned select
-literals, LIMIT/OFFSET, int-vs-float tags) instead of leaking one
-query's values into another's answer; (3) data caches invalidate under
-DML and direct storage mutation exactly like the per-text path; and
-(4) the concurrent service's batched execution is byte-identical to
-sequential synchronous execution under 64 clients.
+Four concerns: (1) shape plans return results identical to pinned
+plans (``parameterised=False``, every literal pinned) and the
+interpreted oracle on the full corpus — with randomised literal rotation
+so every execution is a genuine shape hit; (2) value-driven plan choices
+split on the guard vector (pinned select literals, LIMIT/OFFSET,
+int-vs-float tags) instead of leaking one query's values into another's
+answer; (3) data caches invalidate under DML and direct storage
+mutation; and (4) the concurrent service's batched execution is
+byte-identical to sequential synchronous execution under 64 clients.
 
 A shape's plan is compiled on its second sighting (the first runs
 uncompiled), so tests about shared plans send each shape once first.
@@ -21,6 +21,7 @@ import pytest
 
 from repro.datasets import PAPER_QUERIES, generate_workload, movie_database
 from repro.engine import Executor
+from repro.engine import executor as executor_module
 from repro.engine.parameterised import analyze_statement, source_literals
 from repro.oracle import oracle_enabled
 from repro.service import NarrationService
@@ -32,7 +33,7 @@ def interpreted(database) -> Executor:
     return Executor(database, compiled=False)
 
 
-def per_text(database) -> Executor:
+def pinned(database) -> Executor:
     return Executor(database, compiled=True, parameterised=False)
 
 
@@ -89,7 +90,7 @@ def _variants(sql, rng, count=3):
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: parameterised == per-text == interpreted
+# Equivalence: shape plans == pinned plans == interpreted
 # ---------------------------------------------------------------------------
 
 
@@ -101,7 +102,7 @@ def assert_same(a, b, context):
 def test_corpus_equivalence_with_literal_rotation(db):
     rng = random.Random(20260728)
     param = parameterised(db)
-    text_oracle = per_text(db)
+    text_oracle = pinned(db)
     slow = interpreted(db)
     for sql in corpus():
         for variant in _variants(sql, rng):
@@ -121,17 +122,22 @@ def test_corpus_equivalence_with_literal_rotation(db):
     assert stats["hits"] > 0 and stats["misses"] > 0
 
 
-def test_repeated_shape_is_served_from_the_shape_cache(db):
+def test_repeated_shape_is_served_from_the_shape_cache(db, monkeypatch):
     executor = parameterised(db)
     executor.execute_sql("select m.title from MOVIES m where m.year = 2010")  # first sighting
     executor.execute_sql("select m.title from MOVIES m where m.year = 2004")
+    variant = "select m.title from MOVIES m where m.year = 1997"
+    expected = interpreted(db).execute_sql(variant)
     before = executor.cache_stats
-    executor.execute_sql("select m.title from MOVIES m where m.year = 1997")
+    calls = []
+    monkeypatch.setattr(executor_module, "parse_sql", calls.append)
+    monkeypatch.setattr(executor.planner, "plan", calls.append)
+    result = executor.execute_sql(variant)
     after = executor.cache_stats
     assert after["shape_plans"]["hits"] == before["shape_plans"]["hits"] + 1
-    # The variant never touched the per-text parse or plan caches.
-    assert after["parse"]["misses"] == before["parse"]["misses"]
-    assert after["plan"]["misses"] == before["plan"]["misses"]
+    # The variant was neither parsed nor planned.
+    assert calls == []
+    assert_same(result, expected, variant)
 
 
 def test_index_probe_resolves_key_from_parameters(db):
@@ -255,11 +261,11 @@ def test_between_bounds_keep_their_positions(db):
 
 
 # ---------------------------------------------------------------------------
-# Fallbacks: what the analysis refuses stays on the per-text path
+# DML and shapes the analysis refuses
 # ---------------------------------------------------------------------------
 
 
-def test_dml_falls_back_to_the_per_text_path(db):
+def test_dml_is_parsed_and_run_directly(db):
     executor = parameterised(db)
     result = executor.execute_sql(
         "insert into MOVIES (id, title, year) values (999, 'Fallback', 2001)"
@@ -269,26 +275,36 @@ def test_dml_falls_back_to_the_per_text_path(db):
     assert executor.cache_stats["shape_plans"]["entries"] == 0
 
 
-def test_subquery_limit_falls_back(db):
+def test_subquery_limit_pins_every_literal(db):
     # The inner LIMIT integer is a literal token that never becomes an
-    # expression node, leaving a mid-vector hole the analysis rejects.
+    # expression node, leaving a mid-vector hole the analysis rejects:
+    # the shape's plans have zero free parameters.
     executor = parameterised(db)
+    oracle = interpreted(db)
     sql = (
         "select m.title from MOVIES m where m.id in"
-        " (select c.mid from CAST c limit 3)"
+        " (select c.mid from CAST c where c.mid > {low} limit 3)"
     )
-    executor.execute_sql(sql)  # first sighting
-    result = executor.execute_sql(sql)
-    assert_same(result, interpreted(db).execute_sql(sql), sql)
-    assert executor.cache_stats["shape_plans"]["fallbacks"] == 1
+    expected = [(1, 1, 0), (2, 1, 0), (2, 1, 1)]  # (misses, deferred, hits)
+    for sighting, counts in enumerate(expected):
+        text = sql.format(low=0)
+        assert_same(executor.execute_sql(text), oracle.execute_sql(text), sighting)
+        stats = executor.cache_stats["shape_plans"]
+        assert (stats["misses"], stats["deferred"], stats["hits"]) == counts
+    # Another literal vector gets its own plan, never the first one's.
+    text = sql.format(low=5)
+    assert_same(executor.execute_sql(text), oracle.execute_sql(text), text)
+    stats = executor.cache_stats["shape_plans"]
+    assert stats["misses"] == 3 and stats["entries"] == 2
+    assert stats["fallbacks"] == 0
 
 
-def test_fallback_shapes_are_remembered(db):
+def test_dml_keeps_no_shape_state(db):
     executor = parameterised(db)
     executor.execute_sql("delete from MOVIES where id = 12345")
     executor.execute_sql("delete from MOVIES where id = 54321")
     stats = executor.cache_stats["shape_plans"]
-    assert stats["fallbacks"] == 2 and stats["shapes"] == 1
+    assert stats["fallbacks"] == 2 and stats["shapes"] == 0
 
 
 def test_analysis_rejects_non_select_and_misaligned_statements(db):
@@ -373,7 +389,7 @@ def test_service_shape_batched_execution_matches_sequential_sync(db):
     for sql in corpus():
         queries.extend(_variants(sql, rng, count=1))
     # Sequential synchronous reference on an identical database.
-    reference_executor = per_text(movie_database())
+    reference_executor = pinned(movie_database())
     expected = {}
     for sql in queries:
         result = reference_executor.execute_sql(sql)
@@ -398,7 +414,7 @@ def test_service_shape_batched_execution_matches_sequential_sync(db):
     for results in gathered:
         for sql, got in results.items():
             assert got == expected[sql], sql
-    if not oracle_enabled():  # oracle mode runs the per-text executor
+    if not oracle_enabled():  # oracle mode runs the interpreted executor
         sharing = stats["execution_shape_sharing"]
         assert sharing["shared"] > 0
 

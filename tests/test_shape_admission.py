@@ -14,7 +14,6 @@ import pytest
 from repro.datasets import PAPER_QUERIES, movie_database
 from repro.engine import Executor
 from repro.engine import executor as executor_module
-from repro.engine import parameterised as parameterised_module
 from repro.query_nl.empty_answer import AnswerExplainer
 from repro.query_nl.translator import QueryTranslator
 from repro.sql import shape as shape_module
@@ -61,7 +60,6 @@ class TestTranslatorAdmission:
         plans = stats["plan_store"]
         assert plans["size"] == 0
         assert plans["misses"] == plans["deferred"] == 1 and plans["hits"] == 0
-        assert translator.captured_shapes() == []
 
     def test_second_sighting_compiles_and_third_hits(self, db):
         translator = plan_translator(db)
@@ -70,7 +68,6 @@ class TestTranslatorAdmission:
         stats = translator.stats()
         assert stats["plan_store"]["size"] == 1
         assert stats["exact_cache"]["size"] == 1
-        assert translator.captured_shapes() == [self.SQL.format(year=1995)]
         translator.translate(self.SQL.format(year=1977))
         plans = translator.stats()["plan_store"]
         assert plans["hits"] == 1
@@ -109,12 +106,8 @@ class TestTranslatorAdmission:
         assert translator.stats()["plan_store"] is None
 
     def test_precompile_admits_replayed_shapes_directly(self, db):
-        source = plan_translator(db)
-        for year in (2004, 1995):
-            source.translate(self.SQL.format(year=year))
-        captured = source.captured_shapes()
-        fresh = plan_translator(movie_database())
-        assert fresh.precompile(captured) == len(captured) == 1
+        fresh = plan_translator(db)
+        assert fresh.precompile([self.SQL.format(year=1995)]) == 1
         assert fresh.stats()["plan_store"]["size"] == 1
         fresh.translate(self.SQL.format(year=1977))
         assert fresh.stats()["plan_store"]["hits"] == 1
@@ -128,8 +121,6 @@ class TestTranslatorAdmission:
 def _footprint(executor: Executor) -> dict:
     stats = executor.cache_stats
     return {
-        "parse": stats["parse"]["size"],
-        "plan": stats["plan"]["size"],
         "entries": stats["shape_plans"]["entries"],
         "shapes": stats["shape_plans"]["shapes"],
         "memo": stats["subquery"]["entries"],
@@ -143,14 +134,11 @@ class TestExecutorAdmission:
         for name in ("Q1", "Q5", "Q6", "Q7"):
             sql = PAPER_QUERIES[name]
             assert_same(executor.execute_sql(sql), oracle.execute_sql(sql))
-        assert _footprint(executor) == {
-            "parse": 0, "plan": 0, "entries": 0, "shapes": 0, "memo": 0
-        }
+        assert _footprint(executor) == {"entries": 0, "shapes": 0, "memo": 0}
         shape = executor.cache_stats["shape_plans"]
         assert shape["misses"] == shape["deferred"] == 4 and shape["hits"] == 0
         # The statement-keyed state really was used, then dropped with it.
         assert executor.cache_stats["subquery"]["misses"] > 0
-        assert executor.captured_shapes() == []
 
     def test_second_sighting_compiles_and_third_hits(self, db):
         executor = compiled_executor(db)
@@ -221,21 +209,21 @@ class TestExecutorAdmission:
         assert executor.cache_stats["shape_plans"]["deferred"] == 2
         assert [row.get("m.title") for row in result.rows] == ["Bypass"]
 
-    def test_per_text_oracle_caches_on_first_execution(self, db):
+    def test_pinned_plans_are_admitted_on_the_second_sighting(self, db):
         executor = Executor(db, compiled=True, parameterised=False)
-        executor.execute_sql(PAPER_QUERIES["Q1"])
-        assert executor.cache_stats["parse"]["size"] == 1
-        assert executor.cache_stats["plan"]["size"] == 1
+        sql = PAPER_QUERIES["Q1"]
+        executor.execute_sql(sql)
+        assert _footprint(executor) == {"entries": 0, "shapes": 0, "memo": 0}
+        executor.execute_sql(sql)
+        executor.execute_sql(sql)
+        shape = executor.cache_stats["shape_plans"]
+        assert shape["entries"] == shape["shapes"] == 1
+        assert (shape["deferred"], shape["misses"], shape["hits"]) == (1, 2, 1)
 
     def test_precompile_admits_replayed_shapes_directly(self, db):
-        source = compiled_executor(db)
         sql = PAPER_QUERIES["Q1"]
-        source.execute_sql(sql)
-        assert source.captured_shapes() == []  # seen once: not admitted
-        source.execute_sql(sql)
-        captured = source.captured_shapes()
-        fresh = compiled_executor(movie_database())
-        assert fresh.precompile(captured) == len(captured) == 1
+        fresh = compiled_executor(db)
+        assert fresh.precompile([sql]) == 1
         assert fresh.cache_stats["shape_plans"]["entries"] == 1
         fresh.execute_sql(sql.replace("Brad Pitt", "Mark Hamill"))
         assert fresh.cache_stats["shape_plans"]["hits"] == 1
@@ -277,7 +265,6 @@ class TestShapeChurnSoak:
         return [
             ("exact-text LRU", len(translator._cache), translator._cache.maxsize),
             ("phrase plans", len(plans.plans), plans.plans.maxsize),
-            ("captured translate shapes", len(plans._samples), plans._samples.maxsize),
             ("plan-store sightings", len(plans._sightings), SIGHTINGS_SIZE),
             (
                 "graph-builder bindings",
@@ -286,26 +273,13 @@ class TestShapeChurnSoak:
             ),
             ("graph-builder scopes", len(builder._scope_cache), builder._scope_cache.maxsize),
             ("masked shapes", len(shape_module._MASK_CACHE), shape_module._MASK_CACHE.maxsize),
-            ("parse cache", len(executor._parse_cache), executor._parse_cache.maxsize),
-            ("plan cache", len(executor._plan_cache), executor._plan_cache.maxsize),
             ("scan cache", len(executor._scan_cache), executor_module._SCAN_CACHE_SIZE),
             ("shape infos", len(executor._shape_infos), executor._shape_infos.maxsize),
-            ("shape plans", len(executor._param_plans), executor._param_plans.maxsize),
-            (
-                "captured execute shapes",
-                len(executor._param_samples),
-                executor._param_samples.maxsize,
-            ),
+            ("shape plans", len(executor._shape_plans), executor._shape_plans.maxsize),
             ("executor sightings", len(executor._sightings), SIGHTINGS_SIZE),
             ("subquery memo", scope.memo_entries, executor_module._SUBQUERY_MEMO_LIMIT),
             ("correlation info", len(scope.correlations), 10_000),
-            ("subquery plans", len(scope.subplans), executor_module._PARAM_SUBPLAN_LIMIT),
-            ("compiled closures", len(executor._compiler._memo), executor._compiler._memo.maxsize),
-            (
-                "parameter closures",
-                len(executor._param_compiler._id_memo),
-                parameterised_module._ID_MEMO_LIMIT,
-            ),
+            ("subquery plans", len(scope.subplans), executor_module._SUBPLAN_LIMIT),
         ]
 
     def _assert_bounded(self, translator, executor):
@@ -338,8 +312,8 @@ class TestShapeChurnSoak:
         for index in range(self.ONCE):
             serve(self._query(f"o{index}", 1990))
             if index % 40 == 0:
-                # explain_empty reaches the executor through execute_select
-                # on parsed statements, never through the admission check.
+                # A fresh alias per explanation: a first sighting, whose
+                # relaxed re-runs keep nothing either.
                 explanation = explainer.explain(
                     self._query(f"e{index}", 3000) + f" and e{index}.id > 0"
                 )

@@ -688,8 +688,8 @@ class TestCrashRecovery:
         plan_store = worker["session"]["translator"]["plan_store"]
         assert plan_store is not None and plan_store["size"] > 0
         if not oracle_enabled():
-            # Oracle mode runs the per-text executor path (no shape
-            # plans), so there is nothing to capture on the execute side.
+            # Oracle mode runs the interpreted executor (no shape plans),
+            # so there is nothing to capture on the execute side.
             executor = worker["session"].get("executor")
             assert executor is not None
             assert executor["shape_plans"]["entries"] > 0
@@ -744,70 +744,56 @@ class TestGracefulShutdown:
 
 
 # ---------------------------------------------------------------------------
-# Warm-start capture API (satellite: usable outside the shard tier)
+# Warm-start replay outside the shard tier: precompile takes literal texts
 # ---------------------------------------------------------------------------
 
 
 class TestWarmStartCapture:
-    def test_translator_capture_and_replay(self):
+    def test_translator_precompile_admits_directly(self):
         corpus = corpus_sql(15)
         database = movie_database()
         spec = movie_spec(database.schema)
-        source = QueryTranslator(database.schema, spec=spec, phrase_plans=True)
+        fresh = QueryTranslator(database.schema, spec=spec, phrase_plans=True)
+        replayed = fresh.precompile(corpus)
+        assert replayed == len(corpus)
+        assert fresh.stats()["plan_store"]["size"] > 0
+        # A second translator of the lexicon shares the warmed plan store
+        # (and has no exact-text entries to answer from instead).
+        other = QueryTranslator(database.schema, spec=spec, phrase_plans=True)
+        before = other.stats()["plan_store"]["hits"]
         for sql in corpus:
-            source.translate(sql)
-        captured = source.captured_shapes()
-        assert captured
-        fresh = QueryTranslator(
-            movie_database().schema, spec=spec, phrase_plans=True
-        )
-        replayed = fresh.precompile(captured)
-        assert replayed == len(captured)
-        before = fresh.stats()["plan_store"]["hits"]
-        for sql in corpus:
-            fresh.translate(sql)
-        assert fresh.stats()["plan_store"]["hits"] > before
+            other.translate(sql)
+        assert other.stats()["plan_store"]["hits"] > before
 
-    def test_executor_capture_skips_mutations(self):
+    def test_executor_precompile_refuses_mutations(self):
         database = movie_database()
         executor = Executor(database, compiled=True, parameterised=True)
-        executor.execute_sql("select m.title from MOVIES m where m.year = 1995")  # first sighting
-        executor.execute_sql("select m.title from MOVIES m where m.year = 2004")
-        executor.execute_sql("insert into GENRE values (8, 'capture')")
-        captured = executor.captured_shapes()
-        assert any("select" in sql.lower() for sql in captured)
-        fresh = Executor(movie_database(), compiled=True, parameterised=True)
-        replayed = fresh.precompile(
-            captured + ["insert into GENRE values (9, 'never')"]
+        replayed = executor.precompile(
+            [
+                "select m.title from MOVIES m where m.year = 2004",
+                "insert into GENRE values (9, 'never')",
+            ]
         )
-        assert replayed == len(captured)  # the mutation was refused
-        refused = fresh.execute_sql("select g.genre from GENRE g where g.mid = 9")
+        assert replayed == 1  # the mutation was refused
+        assert executor.cache_stats["shape_plans"]["entries"] == 1
+        refused = executor.execute_sql("select g.genre from GENRE g where g.mid = 9")
         assert not refused.rows
+        executor.execute_sql("select m.title from MOVIES m where m.year = 1995")
+        assert executor.cache_stats["shape_plans"]["hits"] == 1
 
-    def test_session_capture_round_trips_through_service(self):
+    def test_session_precompile_round_trips_through_service(self):
         corpus = corpus_sql(10)
-        database = movie_database()
 
         async def main():
             async with NarrationService(max_workers=2) as service:
-                session = service.session(database=database, phrase_plans=True)
-                for sql in corpus:
-                    await session.translate(sql)
-                    await session.execute(sql)
-                captured = session.captured_shapes()
-            async with NarrationService(max_workers=2) as fresh_service:
-                fresh = fresh_service.session(
-                    database=movie_database(), phrase_plans=True
-                )
-                counts = await fresh.precompile(captured)
+                fresh = service.session(database=movie_database(), phrase_plans=True)
+                counts = await fresh.precompile({"translate": corpus, "execute": corpus})
                 stats = fresh.stats()
-            return captured, counts, stats
+            return counts, stats
 
-        captured, counts, stats = run(main())
-        assert set(captured) == {"translate", "execute"}
-        assert captured["translate"]
-        if not oracle_enabled():  # no shape plans on the oracle executor
-            assert captured["execute"]
-        assert counts["translate"] == len(captured["translate"])
+        counts, stats = run(main())
+        assert counts == {"translate": len(corpus), "execute": len(corpus)}
         plan_store = stats["translator"]["plan_store"]
         assert plan_store is not None and plan_store["size"] > 0
+        if not oracle_enabled():  # no shape plans on the interpreted executor
+            assert stats["executor"]["shape_plans"]["entries"] > 0
