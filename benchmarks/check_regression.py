@@ -28,6 +28,13 @@ Ratios whose committed value is below ``2.0`` are reported but never
 fail the run: sub-2x numbers sit inside measurement noise, and the guard
 exists for the order-of-magnitude compiled-path wins.
 
+Group commit is guarded as a count, not a time: the smoke run's
+``durability.service.wal_syncs`` must show at most one WAL sync per
+``batch_every`` inserts plus the closing flush under ``fsync="batch"``,
+and exactly one sync per insert under ``fsync="always"``.  The timed
+``batch_vs_always_ratio`` beside it is information only — on a fast
+disk one fsync per insert is within the run-to-run spread of an insert.
+
 Usage::
 
     python benchmarks/check_regression.py bench_smoke.json BENCH_perf.json
@@ -39,7 +46,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 MACHINE_RELATIVE_TOLERANCE = 0.5
 FROZEN_REFERENCE_TOLERANCE = 0.35
@@ -69,6 +76,33 @@ def _is_frozen_reference(path: Tuple[str, ...]) -> bool:
         and path[-1].startswith("speedup_")
         and path[-1] != "tokenize_speedup_vs_char"
     )
+
+
+def check_group_commit(smoke: dict) -> List[str]:
+    """Group commit's promise, as WAL sync counts; returns the violations."""
+    durability = smoke.get("durability")
+    if durability is None:
+        return []  # a run without the durability section
+    service = durability["service"]
+    inserts, batch_every = service["inserts"], service["batch_every"]
+    syncs = service["wal_syncs"]
+    batch_bound = inserts // batch_every + 1
+    print(
+        f"  durability.service.wal_syncs: batch {syncs['batch']} (at most"
+        f" {batch_bound}), always {syncs['always']} (exactly {inserts})"
+        f" for {inserts} inserts"
+    )
+    violations = []
+    if syncs["batch"] > batch_bound:
+        violations.append(
+            f"fsync=batch synced {syncs['batch']} times for {inserts} inserts"
+            f" (at most {batch_bound}: one per {batch_every} plus the flush)"
+        )
+    if syncs["always"] != inserts:
+        violations.append(
+            f"fsync=always synced {syncs['always']} times for {inserts} inserts"
+        )
+    return violations
 
 
 def check(smoke: dict, reference: dict) -> int:
@@ -102,7 +136,10 @@ def check(smoke: dict, reference: dict) -> int:
             f"::error::benchmark regression: {label} measured {measured:.2f}x,"
             f" below {floor:.2f}x (50%/35% of committed {committed:.2f}x)"
         )
-    return 1 if failures else 0
+    violations = check_group_commit(smoke)
+    for violation in violations:
+        print(f"::error::group commit: {violation}")
+    return 1 if failures or violations else 0
 
 
 def main(argv=None) -> int:

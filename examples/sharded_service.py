@@ -8,9 +8,9 @@ of their SQL *shape* — so every literal variant of one query lands on
 the worker whose compiled plans already know that shape.  Mutations
 broadcast to every replica under a sequence number, reads routed after a
 write wait for that worker's ack, and one worker is SIGKILLed mid-demo
-to show supervision: the router respawns it, replays the mutation log
-and warm-starts its caches from the captured workload, while results
-stay byte-identical to a single-process session throughout.
+to show supervision: the router respawns it and replays the mutation
+log before reopening it, while results stay byte-identical to a
+single-process session throughout.
 
 Run with::
 
@@ -63,8 +63,8 @@ async def main() -> None:
         print(f"\nafter the write, mid 5 genres now include: {[r['genre'] for r in result.rows]}")
 
         # Crash drill: kill worker 0 outright.  In-flight requests fail
-        # with the typed WorkerCrashed; the router respawns the worker,
-        # replays the mutation log and precompiles the captured shapes.
+        # with the typed WorkerCrashed; the router respawns the worker and
+        # replays the mutation log before the worker serves again.
         pid = router.kill_worker(0)
         print(f"\nSIGKILLed worker 0 (pid {pid}); waiting for the respawn ...")
         result = await retry_until_respawned(

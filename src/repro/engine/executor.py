@@ -42,7 +42,9 @@ subquery analysis, memo, tables and subquery plans live in a scope
 dropped when the call returns.  A statement passed in as an AST
 (:meth:`Executor.execute`, :meth:`Executor.execute_select`) runs the same
 way.  Only the full-scan cache is shared with those runs, and every
-cache is bounded.
+cache is bounded.  A full-scan entry is checked against its table's
+version when it is read, so a write rescans only the table it touched;
+the subquery memo is dropped whenever any table's data moves.
 
 ``Executor(db, compiled=False)`` reproduces the original, fully
 interpreted behaviour: evaluator closures, no cache of any kind, no
@@ -584,8 +586,9 @@ class Executor:
         # exact short-circuit semantics).
         self.vector_scans = 0
         self.vector_fallbacks = 0
-        # The scan cache and subquery memo depend on table contents and are
-        # validated against Database.data_version before every top-level
+        # The scan cache and subquery memo depend on table contents: each
+        # scan entry is checked against its table's version when read, and
+        # the memo against Database.data_version before every top-level
         # statement (so even mutations that bypass the executor are seen).
         self._scan_cache: LRUCache = LRUCache(_SCAN_CACHE_SIZE)
         self._shared_scope = _StatementScope()
@@ -613,14 +616,11 @@ class Executor:
         literals bound as parameters.  DML, and texts that do not lex,
         are parsed and run directly.
         """
-        return self._execute_sql(sql, admit=False)
-
-    def _execute_sql(self, sql: str, admit: bool):
         if self.compiled:
             if not _is_mutation_text(sql):
                 shaped = sql_shape(sql)
                 if shaped is not None:
-                    return self._execute_shape(sql, shaped[0], shaped[1], admit)
+                    return self._execute_shape(sql, shaped[0], shaped[1])
             self.shape_fallbacks += 1
         return self.execute(parse_sql(sql))
 
@@ -698,35 +698,16 @@ class Executor:
             "scan_tables": len(self._scan_cache),
         }
 
-    def precompile(self, shapes) -> int:
-        """Warm-start: replay SQL texts through the executor.
-
-        Only plain SELECTs are replayed (shape plans cover nothing else,
-        and replaying a mutation would change data); each runs once and is
-        admitted directly, compiling its shape plan.  Texts that fail are
-        skipped.  Returns how many texts replayed cleanly.
-        """
-        replayed = 0
-        for sql in shapes:
-            if not isinstance(sql, str) or _is_mutation_text(sql):
-                continue
-            try:
-                self._execute_sql(sql, admit=True)
-            except Exception:
-                continue
-            replayed += 1
-        return replayed
-
     # ------------------------------------------------------------------
     # Shape plans
     # ------------------------------------------------------------------
 
-    def _execute_shape(self, sql: str, shape, literals, admit: bool) -> QueryResult:
+    def _execute_shape(self, sql: str, shape, literals) -> QueryResult:
         """Execute the SELECT ``sql`` through the shape-plan cache.
 
-        A shape's first sighting (unless ``admit``) runs once in a private
-        scope and leaves nothing but its sighting behind; a later text of
-        the shape with no plan for its guard vector compiles one.
+        A shape's first sighting runs once in a private scope and leaves
+        nothing but its sighting behind; a later text of the shape with
+        no plan for its guard vector compiles one.
         """
         info = self._shape_infos.get(shape, record_miss=False)
         entry: Optional[ParameterisedPlan] = None
@@ -734,7 +715,7 @@ class Executor:
             entry = self._shape_plans.get((shape, guard_key(literals, info)))
         if entry is None:
             self.shape_misses += 1
-            if info is None and not admit:
+            if info is None:
                 digest = hash(shape)
                 if digest not in self._sightings:
                     self._sightings.put(digest, True)
@@ -808,27 +789,31 @@ class Executor:
         return entry
 
     def _validate_caches(self) -> None:
+        """Drop the subquery memo once any table's data has moved.
+
+        The memo does not record which tables it read, so any write
+        clears it.  Scan-cache entries need nothing here: each one is
+        checked against its own table's version when it is read
+        (:meth:`_scan_rows`), and within one database a table's version
+        only rises.
+        """
         version = self.database.data_version
         if version != self._data_version:
             self._data_version = version
-            self._clear_data_caches()
-
-    def _clear_data_caches(self) -> None:
-        self._scan_cache.clear()
-        self._shared_scope.clear_memo()
+            self._shared_scope.clear_memo()
 
     def invalidate_caches(self) -> None:
         """Drop every cache, including the data-independent ones.
 
-        DML only needs :meth:`_clear_data_caches` (plans and compiled
-        closures do not depend on table contents); this is the blunt
-        instrument for callers that want a pristine executor.
+        Writes need none of this (plans and compiled closures do not
+        depend on table contents); this is the blunt instrument for
+        callers that want a pristine executor.
         """
         self._shape_infos.clear()
         self._shape_plans.clear()
         self._sightings.clear()
+        self._scan_cache.clear()
         self._shared_scope = self._scope = _StatementScope()
-        self._clear_data_caches()
         self._data_version = self.database.data_version
 
     # ------------------------------------------------------------------
@@ -1612,15 +1597,6 @@ class Executor:
     # DML, helpers
     # ------------------------------------------------------------------
 
-    def _after_dml(self) -> None:
-        """Invalidate data-dependent caches after a mutation.
-
-        Plans and compiled closures are data-independent and survive;
-        scans and subquery memos must go.
-        """
-        self._clear_data_caches()
-        self._data_version = self.database.data_version
-
     def _with_outer(self, row: Row, outer_row: Optional[Row]) -> Row:
         if outer_row is None:
             return row
@@ -1653,7 +1629,6 @@ class Executor:
             }
             self.database.insert(statement.table, values)
             inserted += 1
-        self._after_dml()
         return DmlResult(statement_kind="INSERT", affected_rows=inserted)
 
     def _execute_update(self, statement: ast.UpdateStatement) -> DmlResult:
@@ -1668,7 +1643,6 @@ class Executor:
         for column, expression in statement.assignments:
             changes[column] = self._expr_fn(expression)(_EMPTY_ROW)
         affected = self.database.update_where(statement.table, predicate, changes)
-        self._after_dml()
         return DmlResult(statement_kind="UPDATE", affected_rows=affected)
 
     def _execute_delete(self, statement: ast.DeleteStatement) -> DmlResult:
@@ -1680,7 +1654,6 @@ class Executor:
             return matches(row.prefixed(binding))
 
         affected = self.database.delete_where(statement.table, predicate)
-        self._after_dml()
         return DmlResult(statement_kind="DELETE", affected_rows=affected)
 
 

@@ -14,11 +14,14 @@ parts of the query.
 A SQL text runs through :meth:`Executor.execute_sql`, so a repeated
 explanation reuses the text's shape plan and subquery memo; the text is
 parsed only when its answer is empty or large and must be taken apart.
+Each relaxed statement is printed back to SQL and runs through
+``execute_sql`` too, so a repeated explanation of an empty answer plans
+nothing once its relaxations' shapes are admitted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from repro.engine.executor import Executor
@@ -27,7 +30,7 @@ from repro.lexicon.morphology import join_list
 from repro.nlg.realize import realize_paragraph
 from repro.sql import ast
 from repro.sql.parser import parse_select
-from repro.sql.printer import expression_to_sql
+from repro.sql.printer import expression_to_sql, to_sql
 from repro.sql.shape import is_mutation
 from repro.storage.database import Database
 
@@ -90,20 +93,12 @@ class AnswerExplainer:
             if ast.is_selection_condition(conjunct)
         ]
 
-    def _with_conjuncts(
+    def _relaxed_count(
         self, statement: ast.SelectStatement, conjuncts: List[ast.Expression]
-    ) -> ast.SelectStatement:
-        return ast.SelectStatement(
-            select_items=statement.select_items,
-            from_tables=statement.from_tables,
-            where=ast.conjoin(conjuncts),
-            group_by=statement.group_by,
-            having=statement.having,
-            order_by=statement.order_by,
-            distinct=statement.distinct,
-            limit=statement.limit,
-            offset=statement.offset,
-        )
+    ) -> int:
+        """Rows ``statement`` returns with only ``conjuncts`` in its WHERE."""
+        relaxed = replace(statement, where=ast.conjoin(conjuncts))
+        return self.executor.execute_sql(to_sql(relaxed)).row_count
 
     def _explain_empty(self, statement: ast.SelectStatement) -> EmptyAnswerExplanation:
         explanation = EmptyAnswerExplanation(row_count=0)
@@ -114,12 +109,10 @@ class AnswerExplainer:
         relaxed_counts: List[Tuple[str, int]] = []
         for conjunct in selections:
             relaxed = [c for c in all_conjuncts if c is not conjunct]
-            relaxed_result = self.executor.execute_select(
-                self._with_conjuncts(statement, relaxed)
-            )
+            count = self._relaxed_count(statement, relaxed)
             rendered = expression_to_sql(conjunct, top_level=True)
-            relaxed_counts.append((rendered, relaxed_result.row_count))
-            if relaxed_result.row_count > 0:
+            relaxed_counts.append((rendered, count))
+            if count > 0:
                 responsible.append(rendered)
 
         pair_responsible: List[str] = []
@@ -127,10 +120,7 @@ class AnswerExplainer:
             for index, first in enumerate(selections):
                 for second in selections[index + 1 :]:
                     relaxed = [c for c in all_conjuncts if c is not first and c is not second]
-                    relaxed_result = self.executor.execute_select(
-                        self._with_conjuncts(statement, relaxed)
-                    )
-                    if relaxed_result.row_count > 0:
+                    if self._relaxed_count(statement, relaxed) > 0:
                         pair_responsible.append(
                             expression_to_sql(first, top_level=True)
                             + " together with "

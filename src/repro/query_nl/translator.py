@@ -17,11 +17,11 @@ Two fast paths sit in front of the full pipeline:
   graph build.  The query graph and classification of a plan-rendered
   translation are materialised lazily on first access.
 
-Both are admitted on a shape's *second* sighting: the first translation
-of a shape runs the full pipeline and caches nothing (no phrase plan, no
-exact-text entry), so one-off queries cost no sentinel probe and evict
-nothing; the second compiles the plan and caches the text, and every
-later request is served as before.
+Both are admitted on a shape's *second* sighting, and by no other
+route: the first translation of a shape runs the full pipeline and
+caches nothing (no phrase plan, no exact-text entry), so one-off queries
+cost no sentinel probe and evict nothing; the second compiles the plan
+and caches the text, and every later request is served as before.
 
 ``QueryTranslator(schema, phrase_plans=False)`` is the oracle mode that
 always runs the full pipeline; the differential tests assert both modes
@@ -207,13 +207,13 @@ class QueryTranslator:
     def translate(self, sql_or_statement: Union[str, ast.Statement]) -> QueryTranslation:
         """Translate SQL text or a parsed statement."""
         if isinstance(sql_or_statement, str):
-            return self._translate_sql(sql_or_statement, admit=False)
+            return self._translate_sql(sql_or_statement)
         statement = sql_or_statement
         sql = str(statement) if isinstance(statement, ast.SelectStatement) else ""
         return self._translate_statement(sql, statement)
 
-    def _translate_sql(self, sql: str, admit: bool) -> QueryTranslation:
-        """Translate SQL text; ``admit`` skips the first-sighting deferral."""
+    def _translate_sql(self, sql: str) -> QueryTranslation:
+        """Translate SQL text through the exact-text LRU and phrase plans."""
         if self._cache is not None:
             # Translations are lexical output: vocabulary overrides on
             # the (possibly shared) lexicon invalidate the exact-text
@@ -226,7 +226,7 @@ class QueryTranslator:
                 # Shallow-copy the mutable list so callers cannot
                 # corrupt the cached translation.
                 return cached.copy()
-        translation, admitted = self._translate_text(sql, admit)
+        translation, admitted = self._translate_text(sql)
         if self._cache is not None and admitted:
             # Cache the pristine original and hand the caller the copy, so
             # every lookup — hit or miss — performs exactly one copy.
@@ -294,27 +294,6 @@ class QueryTranslator:
             return rendered.copy()
         return rendered
 
-    def precompile(self, shapes) -> int:
-        """Warm-start: replay SQL texts, compiling their plans.
-
-        ``shapes`` is an iterable of SQL texts — typically one per hot
-        shape, such as the shard router's per-worker capture.  Each text
-        runs through the full pipeline once and is admitted directly (a
-        replayed shape was already seen where it was captured), compiling
-        its phrase plan, so the first *real* request of every replayed
-        shape is already a plan hit instead of a cold compile.  A text that
-        fails to translate is skipped (capture may outlive a schema
-        tweak); returns how many texts replayed cleanly.
-        """
-        replayed = 0
-        for sql in shapes:
-            try:
-                self._translate_sql(sql, admit=True)
-            except Exception:
-                continue
-            replayed += 1
-        return replayed
-
     def stats(self) -> Dict[str, Any]:
         """Cache/plan observability for this translator.
 
@@ -333,11 +312,11 @@ class QueryTranslator:
     # Shape-keyed phrase plans
     # ------------------------------------------------------------------
 
-    def _translate_text(self, sql: str, admit: bool) -> Tuple[QueryTranslation, bool]:
+    def _translate_text(self, sql: str) -> Tuple[QueryTranslation, bool]:
         """``(translation, admitted)``; a first sighting is not admitted.
 
-        A shape's first sighting (unless ``admit``) runs the full pipeline
-        and compiles nothing; the caller caches nothing for it either.
+        A shape's first sighting runs the full pipeline and compiles
+        nothing; the caller caches nothing for it either.
         """
         plans = self._plans
         compile_key = None
@@ -353,7 +332,7 @@ class QueryTranslator:
                     if self.verify_plans:
                         self._verify_plan_hit(rendered, sql)
                     return rendered, True
-                if plan is None and not admit and not plans.admits(shape):
+                if plan is None and not plans.admits(shape):
                     plans.record_miss(deferred=True)
                     return self._translate_statement(sql, parse_sql(sql)), False
                 plans.record_miss()

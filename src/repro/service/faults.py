@@ -41,7 +41,7 @@ fsync_stall_s the stall applied when it does (0.02)
 
 Faults apply only to *ordinary* requests (translate / execute-read /
 explain / narrate): mutation barrier frames, control frames
-(stats/precompile/ping/shutdown) and the ready hello are exempt, so a
+(stats/checkpoint/ping/shutdown) and the ready hello are exempt, so a
 fault schedule can never make replicas diverge (a worker that crashes
 *around* a mutation is converged by the router's log replay — that path
 is chaos-tested too, via ``crash_nth`` landing between mutations) and a

@@ -33,7 +33,8 @@ request through three tiers:
   the worker pool as one call, in arrival order.  A shape's phrase plan
   and shape plan are compiled on its second sighting and serve every
   later request of that shape, whichever batch it arrives in; an
-  ``explain_empty`` text runs through the same shape plan as ``execute``.
+  ``explain_empty`` text, and each relaxation of an empty answer, runs
+  through a shape plan like an ``execute`` text.
 * **worker pool** — CPU-bound work (parsing, graph builds, plan
   compilation, execution, narration) runs on the service's
   ``ThreadPoolExecutor``, off the event loop.  Sessions of different
@@ -258,19 +259,6 @@ class NarrationSession:
             timeout = self._default_timeout
         return Deadline.after(timeout)
 
-    async def precompile(self, shapes: Dict[str, List[str]]) -> Dict[str, int]:
-        """Warm-start: replay SQL texts on this session.
-
-        ``shapes`` maps ``"translate"`` and ``"execute"`` to SQL texts,
-        typically one per hot shape; each is admitted directly, compiling
-        its phrase plan or shape plan.  The shard router sends its
-        per-worker capture this way to a respawned worker.  Runs on the
-        worker pool under the session lock like any other pipeline touch;
-        returns how many texts replayed cleanly per kind.
-        """
-        self._check_open()
-        return await self._submit("precompile", shapes)
-
     async def checkpoint(self) -> int:
         """Snapshot the session's database now; returns the WAL seq covered.
 
@@ -457,17 +445,6 @@ class NarrationSession:
         if kind == "narrate_relation":
             relation_name, kwargs = request.payload
             return self._shared_narrator().narrate_relation(relation_name, **kwargs)
-        if kind == "precompile":
-            shapes = request.payload
-            replayed = {
-                "translate": self.translator.precompile(shapes.get("translate", ()))
-            }
-            execute_shapes = shapes.get("execute", ())
-            if execute_shapes and self.database is not None:
-                replayed["execute"] = self._shared_executor().precompile(execute_shapes)
-            else:
-                replayed["execute"] = 0
-            return replayed
         if kind == "checkpoint":
             assert self._durability is not None
             return self._durability.checkpoint()

@@ -14,7 +14,7 @@ Request (router → worker)
     ``(request_id, kind, payload, seq, budget)``.  ``kind`` is one of the
     session kinds (``translate``/``execute``/``explain``/
     ``narrate_database``/``narrate_relation``) or a control kind
-    (:data:`STATS`, :data:`PRECOMPILE`, :data:`PING`, :data:`SHUTDOWN`).
+    (:data:`STATS`, :data:`CHECKPOINT`, :data:`PING`, :data:`SHUTDOWN`).
     ``seq`` is ``None`` for ordinary requests; a mutation broadcast
     carries its monotonic sequence number here, which makes the request a
     *barrier* on the worker (see :mod:`.worker`).  ``budget`` (optional,
@@ -56,7 +56,6 @@ __all__ = [
     "FrameReader",
     "OK",
     "PING",
-    "PRECOMPILE",
     "READY_ID",
     "RemoteWorkerError",
     "SHUTDOWN",
@@ -69,7 +68,6 @@ __all__ = [
 
 #: Control request kinds (never collide with session kinds).
 STATS = "__stats__"
-PRECOMPILE = "__precompile__"
 PING = "__ping__"
 SHUTDOWN = "__shutdown__"
 CHECKPOINT = "__checkpoint__"

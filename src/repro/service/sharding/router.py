@@ -40,33 +40,36 @@ Supervision
 A dead worker (socket EOF, or a response frame the router cannot decode)
 fails its in-flight requests with the typed
 :class:`~.supervisor.WorkerCrashed`, then the router respawns it: fresh
-process from the same factories, the full mutation log replayed in
+process from the same factories, the mutation log tail replayed in
 sequence order (the replica converges to the fleet state; rejected
-entries re-reject and still advance the watermark), and the captured
-workload of the dead incarnation replayed through the warm-start API
-(:data:`~.protocol.PRECOMPILE`) so the respawned worker's first real
-request of every hot shape is a plan hit, not a cold compile.  The whole
+entries re-reject and still advance the watermark), then reopen.  The
 rebuild runs under the mutation lock and the worker reopens for traffic
 only once it has converged, so neither reads nor new writes can observe
-(or interleave with) a half-rebuilt replica.  Once ``max_respawns`` is
-exhausted the worker is marked permanently dead and its requests fail
-fast with :class:`ShardError`.
+(or interleave with) a half-rebuilt replica.  The respawned worker's
+caches start empty; its shapes are admitted again on their second
+sighting, like any shape.  Once ``max_respawns`` is exhausted the worker
+is marked permanently dead and its requests fail fast with
+:class:`ShardError`.
 
 Resilience
 ----------
 
-Every knob lives in :class:`ShardRouterConfig`; the semantics are:
+:class:`ShardRouterConfig` holds the deadlines and the respawn budget;
+the semantics are:
 
-* **Deadlines** — every request carries a
+* **Deadlines** — every read carries a
   :class:`~repro.service.resilience.Deadline` (default
   ``request_timeout``), honored while waiting for a ready worker, at the
   read-after-write barrier, and across the worker round-trip; the
   remaining budget also ships to the worker so its session queue can
   shed an expired read.  Expiry raises the typed
-  :class:`~repro.service.resilience.DeadlineExceeded`.
+  :class:`~repro.service.resilience.DeadlineExceeded`.  A mutation's
+  deadline is the caller's ``timeout`` alone, honored before the
+  broadcast begins.
 * **Retries** — reads are idempotent (routing is deterministic, replicas
   are byte-equivalent), so a read that hits a crashed worker or an
-  attempt timeout retries under ``config.retry`` (exponential backoff,
+  attempt timeout retries under a default
+  :class:`~repro.service.resilience.RetryPolicy` (exponential backoff,
   seeded jitter) within its deadline.  **Mutations are never
   auto-retried**: a crashed worker may or may not have applied the
   write, and the log replay — not a blind resend — is what converges it.
@@ -87,7 +90,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.query_nl.translator import QueryTranslation
@@ -100,7 +103,6 @@ from repro.service.resilience import (
 from repro.service.service import ServiceClosed
 from repro.service.sharding.protocol import (
     CHECKPOINT,
-    PRECOMPILE,
     SHUTDOWN,
     STATS,
     unwire_translation,
@@ -116,69 +118,35 @@ from repro.storage.config import StorageConfig
 from repro.storage.durability import DurabilityConfig
 from repro.storage.snapshot import latest_snapshot, prune_snapshots
 from repro.storage.wal import WriteAheadLog
-from repro.utils.cache import LRUCache
 
 __all__ = ["HashRing", "ShardRouter", "ShardRouterConfig"]
+
+#: Seconds a worker gets to drain politely on ``aclose`` before the
+#: supervisor terminates it.
+_SHUTDOWN_TIMEOUT = 10.0
+#: Seconds ``stats()`` waits for each worker to be ready.
+_STATS_TIMEOUT = 30.0
+#: Sleep slice while every candidate worker is ready but breaker-blocked.
+_BREAKER_WAIT = 0.02
 
 
 @dataclass(frozen=True)
 class ShardRouterConfig:
-    """Every shard-tier timeout, budget and resilience knob, in one place.
+    """The shard tier's read deadlines and respawn budget.
 
-    The defaults reproduce the tier's long-standing behaviour (the
-    previously hardcoded 10/30/60 second timeouts) plus the PR 7
-    resilience semantics at conservative settings; construct with
-    overrides (or ``dataclasses.replace`` an existing config) to tune.
-
-    ============================ ==============================================
-    knob                         meaning
-    ============================ ==============================================
-    ``request_timeout``          overall per-read deadline in seconds
-                                 (``None`` = unbounded); the old hardcoded
-                                 60 s ready-wait
-    ``attempt_timeout``          one worker round-trip slice of that deadline —
-                                 a dropped response frame costs this much, not
-                                 the whole budget
-    ``mutation_timeout``         admission deadline for mutation broadcasts
-                                 (``None`` = unbounded).  Honored *before* the
-                                 broadcast; barrier frames in flight always run
-                                 to completion so the ack watermark stays sound
-    ``shutdown_timeout``         polite worker drain on ``aclose`` before the
-                                 supervisor terminates (the old hardcoded 10 s)
-    ``stats_timeout``            per-worker ready-wait inside ``stats()`` (the
-                                 old hardcoded 30 s)
-    ``stop_timeout``             process-join slice when tearing a worker down
-    ``max_respawns``             crash-respawn budget per worker slot before it
-                                 is marked permanently dead
-    ``retry``                    the :class:`RetryPolicy` for idempotent reads
-                                 (``attempts=1`` disables auto-retry)
-    ``degraded_reads``           reroute reads owned by a dead/rebuilding/
-                                 breaker-open worker to the next live ring node
-                                 (byte-identical, colder caches) instead of
-                                 waiting or failing
-    ``breaker_failures``         consecutive infrastructure failures that trip
-                                 a worker's circuit breaker open
-    ``breaker_reset``            seconds an open breaker waits before admitting
-                                 half-open probes
-    ``breaker_probes``           concurrent probes a half-open breaker admits
-    ``breaker_wait``             sleep slice while every candidate is ready but
-                                 breaker-blocked (bounded by the deadline)
-    ============================ ==============================================
+    ``request_timeout``
+        Overall per-read deadline in seconds (``None`` = unbounded).
+    ``attempt_timeout``
+        One worker round-trip's slice of that deadline: a dropped
+        response frame costs this much, not the whole budget.
+    ``max_respawns``
+        Crash-respawn budget per worker slot before it is marked
+        permanently dead.
     """
 
     request_timeout: Optional[float] = 60.0
     attempt_timeout: float = 10.0
-    mutation_timeout: Optional[float] = None
-    shutdown_timeout: float = 10.0
-    stats_timeout: float = 30.0
-    stop_timeout: float = 5.0
     max_respawns: int = 8
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    degraded_reads: bool = True
-    breaker_failures: int = 5
-    breaker_reset: float = 5.0
-    breaker_probes: int = 1
-    breaker_wait: float = 0.02
 
     def __post_init__(self) -> None:
         if self.max_respawns < 0:
@@ -262,24 +230,15 @@ class ShardRouter:
         database_factory: Union[str, Callable],
         spec_factory: Union[str, Callable, None] = None,
         workers: int = 2,
-        service_workers: int = 2,
-        cache_size: int = 512,
         phrase_plans: Optional[bool] = None,
         start_method: Optional[str] = None,
-        ring_replicas: int = 64,
-        capture_limit: int = 512,
-        max_respawns: Optional[int] = None,
         config: Optional[ShardRouterConfig] = None,
         durability: Optional[DurabilityConfig] = None,
         storage: Optional[StorageConfig] = None,
     ) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
-        if config is None:
-            config = ShardRouterConfig()
-        if max_respawns is not None:  # convenience override, pre-config API
-            config = replace(config, max_respawns=max_respawns)
-        self._config = config
+        self._config = config if config is not None else ShardRouterConfig()
         self.workers = workers
         self._durability = durability
         self._spec = {
@@ -287,8 +246,6 @@ class ShardRouter:
             "spec_factory": (
                 _factory_path(spec_factory) if spec_factory is not None else None
             ),
-            "service_workers": service_workers,
-            "cache_size": cache_size,
             "phrase_plans": phrase_plans,
             "durability_dir": (
                 str(durability.directory) if durability is not None else None
@@ -302,20 +259,15 @@ class ShardRouter:
             "storage": storage,
         }
         self._start_method = start_method or default_start_method()
-        self._ring = HashRing(range(workers), replicas=ring_replicas)
+        self._ring = HashRing(range(workers))
         self._handles: List[WorkerHandle] = [
             WorkerHandle(index, self._spec, self._start_method)
             for index in range(workers)
         ]
-        self._max_respawns = config.max_respawns
         self._breakers: List[CircuitBreaker] = [
-            CircuitBreaker(
-                failure_threshold=config.breaker_failures,
-                reset_timeout=config.breaker_reset,
-                probes=config.breaker_probes,
-            )
-            for _ in range(workers)
+            CircuitBreaker() for _ in range(workers)
         ]
+        self._retry = RetryPolicy()
         self._started = False
         self._closed = False
         self._start_lock = asyncio.Lock()
@@ -332,12 +284,6 @@ class ShardRouter:
         self._checkpoints = 0
         self._compactions = 0
         self._recovered_mutations = 0
-        # Warm-start capture: per worker, one representative text per
-        # routed shape, bounded; replayed into a respawned incarnation.
-        self._captured: List[Dict[str, LRUCache]] = [
-            {"translate": LRUCache(capture_limit), "execute": LRUCache(capture_limit)}
-            for _ in range(workers)
-        ]
         self._counts: Dict[str, int] = {}
         self._crashes = 0
         self._retries = 0
@@ -417,7 +363,7 @@ class ShardRouter:
         process (``restored_seq`` in the hello); the router fast-forwards
         the ack watermark to that seq and replays only the mutations the
         snapshot does not cover.  Without durability the log is empty at
-        start and this is exactly the old spawn-and-open.
+        start and this is exactly spawn-and-open.
         """
         await handle.spawn(open_for_traffic=False)
         if handle.restored_seq:
@@ -430,7 +376,11 @@ class ShardRouter:
             except (ShardError, asyncio.TimeoutError):
                 raise  # the fresh incarnation itself died
             except Exception:
-                pass  # a deterministically-rejected mutation re-rejected
+                # A deterministically-rejected mutation: the fleet
+                # applied nothing for this seq and neither does the
+                # replica — the watermark still advanced, so keep
+                # replaying.
+                pass
         handle.ready.set()
 
     async def aclose(self) -> None:
@@ -451,7 +401,7 @@ class ShardRouter:
                 return_exceptions=True,
             )
         for handle in self._handles:
-            await handle.stop(timeout=self._config.stop_timeout)
+            await handle.stop()
         if self._wal is not None:
             self._wal.close()  # flush any batched group commit
             self._wal = None
@@ -461,7 +411,7 @@ class ShardRouter:
             try:
                 await asyncio.wait_for(
                     handle.request(SHUTDOWN, None),
-                    timeout=self._config.shutdown_timeout,
+                    timeout=_SHUTDOWN_TIMEOUT,
                 )
             except Exception:
                 pass  # stop() terminates what would not drain
@@ -481,23 +431,19 @@ class ShardRouter:
         self, sql: str, timeout: Optional[float] = None
     ) -> QueryTranslation:
         """Translate SQL to natural language on the shape's worker."""
-        wire = await self._routed(
-            "translate", sql, shape_hash(sql), capture="translate", timeout=timeout
-        )
+        wire = await self._routed("translate", sql, shape_hash(sql), timeout=timeout)
         return unwire_translation(wire)
 
     async def execute(self, sql: str, timeout: Optional[float] = None):
         """Execute SQL: reads on the shape's worker, writes on every worker.
 
         Reads are idempotent and auto-retry (and degrade to the next live
-        replica) under ``config.retry`` within their deadline; mutations
+        replica) within their deadline; mutations
         never do — see the module docstring's retry/idempotency contract.
         """
         if _is_mutation(sql):
             return await self._broadcast_mutation(sql, timeout=timeout)
-        return await self._routed(
-            "execute", sql, shape_hash(sql), capture="execute", timeout=timeout
-        )
+        return await self._routed("execute", sql, shape_hash(sql), timeout=timeout)
 
     async def explain_empty(self, sql: str, timeout: Optional[float] = None):
         """Explain an empty (or very large) answer on the shape's worker."""
@@ -545,7 +491,7 @@ class ShardRouter:
                 continue
             try:
                 await asyncio.wait_for(
-                    handle.ready.wait(), timeout=self._config.stats_timeout
+                    handle.ready.wait(), timeout=_STATS_TIMEOUT
                 )
                 remote = await handle.request(STATS, None)
             except Exception:
@@ -606,8 +552,8 @@ class ShardRouter:
 
         The router notices the death exactly as it would a real crash —
         in-flight requests on that worker fail with
-        :class:`WorkerCrashed`, and supervision respawns, replays the
-        mutation log and warm-starts the replacement.
+        :class:`WorkerCrashed`, and supervision respawns the worker and
+        replays the mutation log into the replacement.
         """
         handle = self._handles[index]
         pid = handle.pid
@@ -623,7 +569,6 @@ class ShardRouter:
         kind: str,
         payload: Any,
         key_hash: int,
-        capture: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> Any:
         """Serve one idempotent read under the full resilience contract.
@@ -633,9 +578,9 @@ class ShardRouter:
         honor the read-after-write barrier on whichever worker serves,
         and run the round-trip inside an attempt slice of the request
         deadline.  Infrastructure failures (crash, attempt timeout,
-        mid-wait give-up) retry under ``config.retry``; pipeline errors
-        (the worker answered; the SQL was bad) propagate immediately and
-        count as breaker successes.  The deadline is terminal: expiry
+        mid-wait give-up) retry under the router's :class:`RetryPolicy`;
+        pipeline errors (the worker answered; the SQL was bad) propagate
+        immediately and count as breaker successes.  The deadline is terminal: expiry
         raises :class:`DeadlineExceeded` no matter how many attempts
         remain.
         """
@@ -648,12 +593,7 @@ class ShardRouter:
         order = self._ring.preference(key_hash)
         primary = order[0]
         self._counts[kind] = self._counts.get(kind, 0) + 1
-        if capture is not None and isinstance(payload, str):
-            # Warm-start capture always belongs to the shape's owner:
-            # a degraded fallback serving it once must not pollute the
-            # fallback's respawn warm-set.
-            self._captured[primary][capture].put(shape_hash(payload), payload)
-        policy = config.retry
+        policy = self._retry
         salt = f"{kind}:{key_hash}"
         attempt = 0
         while True:
@@ -717,26 +657,22 @@ class ShardRouter:
     ) -> Tuple[int, WorkerHandle]:
         """The first live, breaker-admitted worker in ring order.
 
-        With ``degraded_reads`` off only the shape's owner is eligible
-        (requests wait on its ready gate, the pre-PR 7 behaviour); with
-        it on, a dead/rebuilding/breaker-open owner is skipped in favour
-        of the next live node.  When nothing is immediately eligible the
-        pick waits — on the first viable worker's ready gate, or out a
+        A dead/rebuilding/breaker-open owner is skipped in favour of the
+        next live node.  When nothing is immediately eligible the pick
+        waits — on the first viable worker's ready gate, or out a
         breaker slice — bounded by the deadline.  Raises
         :class:`ShardError` terminally when every worker's respawn
         budget is exhausted.
         """
-        config = self._config
         while True:
             viable = [i for i in order if not self._handles[i].gave_up]
             if not viable:
                 raise ShardError(
                     "every worker is permanently down (respawn budget of"
-                    f" {self._max_respawns} exhausted)"
+                    f" {self._config.max_respawns} exhausted)"
                 )
-            candidates = viable if config.degraded_reads else viable[:1]
             blocked_but_ready = False
-            for index in candidates:
+            for index in viable:
                 handle = self._handles[index]
                 if not handle.ready.is_set():
                     continue
@@ -752,7 +688,7 @@ class ShardRouter:
             if blocked_but_ready:
                 # Ready workers exist but every breaker is open: wait out
                 # a slice of the breaker timer rather than busy-spinning.
-                await asyncio.sleep(deadline.bound(config.breaker_wait))
+                await asyncio.sleep(deadline.bound(_BREAKER_WAIT))
                 continue
             # Nothing ready at all (fleet-wide respawn in flight): wait
             # on the first viable worker's gate under the deadline.
@@ -769,9 +705,7 @@ class ShardRouter:
     async def _broadcast_mutation(self, sql: str, timeout: Optional[float] = None):
         self._check_open()
         await self.start()
-        deadline = Deadline.after(
-            timeout if timeout is not None else self._config.mutation_timeout
-        )
+        deadline = Deadline.after(timeout)
         deadline.require("the mutation broadcast was admitted")
         async with self._mutation_lock:
             # Deadlines stop at this door: once the broadcast holds the
@@ -920,19 +854,14 @@ class ShardRouter:
         task.add_done_callback(self._respawn_tasks.discard)
 
     async def _respawn(self, handle: WorkerHandle) -> None:
-        """Fresh process → replay mutation log → warm-start → reopen."""
-        if handle.respawns >= self._max_respawns:
+        """Fresh process → replay the mutation log tail → reopen."""
+        if handle.respawns >= self._config.max_respawns:
             # Permanently down: fail fast and typed from now on (the
             # ready gate stays cleared; give_up also wakes any reader
             # blocked on the watermark).
             await handle.give_up()
             return
         handle.respawns += 1
-        captured = self._captured[handle.index]
-        warm = {
-            "translate": [sql for _, sql in captured["translate"].items()],
-            "execute": [sql for _, sql in captured["execute"].items()],
-        }
         try:
             # The whole rebuild holds the mutation lock, and the worker
             # reopens (ready.set) only at the very end: a concurrent
@@ -942,28 +871,7 @@ class ShardRouter:
             # reads keep waiting on the ready gate, never reaching the
             # fresh replica before it has converged.
             async with self._mutation_lock:
-                await handle.spawn(open_for_traffic=False)
-                if handle.restored_seq:
-                    # The fresh replica fast-forwarded from the newest
-                    # snapshot in its own process; only the log tail
-                    # beyond it needs replaying.
-                    await handle.mark_applied(handle.restored_seq)
-                for seq, sql in self._mutation_log:
-                    if seq <= handle.restored_seq:
-                        continue
-                    try:
-                        await handle.request("execute", sql, seq=seq)
-                    except (ShardError, asyncio.TimeoutError):
-                        raise  # the fresh incarnation itself died
-                    except Exception:
-                        # A deterministically-rejected mutation: the
-                        # fleet applied nothing for this seq and neither
-                        # does the replica — the watermark still
-                        # advanced, so keep replaying.
-                        pass
-                if warm["translate"] or warm["execute"]:
-                    await handle.request(PRECOMPILE, warm)
-                handle.ready.set()
+                await self._start_worker(handle)
                 # A fresh, converged incarnation deserves a fresh breaker:
                 # the failures that tripped it died with the old process.
                 self._breakers[handle.index].reset()

@@ -19,9 +19,9 @@ three behaviours to the router:
   to respawn.
 
 Respawn itself is deliberately *not* automatic at this layer: the router
-owns the mutation log and the warm-start capture, so it drives the
-sequence (fresh process → replay mutations → precompile captured shapes →
-reopen for traffic) through :meth:`spawn` and ordinary requests.
+owns the mutation log, so it drives the sequence (fresh process → replay
+the mutation log tail → reopen for traffic) through :meth:`spawn` and
+ordinary requests.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class WorkerHandle:
 
         A respawn passes ``open_for_traffic=False``: the fresh replica has
         applied *nothing* yet, so the router keeps ``ready`` cleared (and
-        the watermark at zero) until the mutation log is replayed and the
-        warm-start precompile has run, then opens the gate itself.
+        the watermark at zero) until the mutation log is replayed, then
+        opens the gate itself.
 
         Raises :class:`ShardError` when the worker reports a build failure
         (e.g. an unresolvable factory path) instead of coming up.

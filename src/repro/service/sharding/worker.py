@@ -4,9 +4,11 @@ A worker owns a private replica of the (schema, database) pair — built in
 this process by the *factory* the router named, never pickled across —
 and serves requests from its socket through a private
 :class:`~repro.service.service.NarrationService` session, so every
-compiled cache (phrase plans, exact-text LRU, parameterised plans, scan
-and subquery caches, compiled templates) is process-local and stays hot
-for the shapes the router's consistent hash assigns to this worker.
+compiled cache (phrase plans, exact-text LRU, shape plans, scan and
+subquery caches, compiled templates) is process-local and stays hot for
+the shapes the router's consistent hash assigns to this worker.  A
+respawned worker starts with empty caches and admits its shapes again
+on their second sighting.
 
 Pipelining and the write barrier
 --------------------------------
@@ -65,7 +67,6 @@ from repro.service.sharding.protocol import (
     ERR,
     OK,
     PING,
-    PRECOMPILE,
     READY_ID,
     SHUTDOWN,
     STATS,
@@ -244,13 +245,14 @@ def _build_session(spec: Dict[str, Any]) -> Tuple[NarrationService, Any, int]:
             restore_into(database, state)
             restored_seq = state["wal_seq"]
     spec_factory_path = spec.get("spec_factory")
-    service = NarrationService(max_workers=spec.get("service_workers", 2))
+    # One pool thread: the worker serves one session, whose drain awaits
+    # each pool call before it hands over the next batch.
+    service = NarrationService(max_workers=1)
     session = service.session(
         database=database,
         spec_factory=(
             resolve_factory(spec_factory_path) if spec_factory_path else None
         ),
-        cache_size=spec.get("cache_size", 512),
         phrase_plans=spec.get("phrase_plans"),
     )
     return service, session, restored_seq
@@ -272,8 +274,6 @@ async def _run(
         return await session.narrate_relation(relation_name, timeout=budget, **kwargs)
     if kind == STATS:
         return {"pid": os.getpid(), "session": session.stats()}
-    if kind == PRECOMPILE:
-        return await session.precompile(payload)
     if kind == CHECKPOINT:
         directory, wal_seq = payload
         return await session.snapshot_to(directory, wal_seq)

@@ -26,9 +26,9 @@ what a bare ``Database(schema)`` uses):
     Page size in bytes for ``paged`` relations.
 ``REPRO_STORAGE_POOL_PAGES``
     Buffer pool capacity, in pages, for ``paged`` relations.
-``REPRO_STORAGE_AUTO_INDEX``
-    ``0`` disables implicit index creation in ``lookup`` (explicit
-    ``create_index``/``ensure_index`` still work).
+
+Lookups always self-tune: the first ``lookup`` on a column set builds a
+hash index that every later write maintains.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ STORAGE_ENGINES: Tuple[str, ...] = (ENGINE_ROWS, ENGINE_PAGED, ENGINE_COLUMNAR)
 ENGINE_ENV = "REPRO_STORAGE_ENGINE"
 PAGE_SIZE_ENV = "REPRO_STORAGE_PAGE_SIZE"
 POOL_PAGES_ENV = "REPRO_STORAGE_POOL_PAGES"
-AUTO_INDEX_ENV = "REPRO_STORAGE_AUTO_INDEX"
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,6 @@ class StorageConfig:
         default) uses anonymous temp files, which is correct because
         the heap is scratch space — durability is the WAL/snapshot's
         job (see :class:`~repro.storage.durability.DurabilityConfig`).
-    ``auto_index``
-        Whether ``lookup`` self-tunes by building hash indexes on first
-        use.  ``False`` degrades lookups (no covering index) to linear
-        scans instead of creating indexes implicitly.
 
     The dataclass is frozen (shareable across databases and picklable
     into shard worker specs) and validates eagerly, like
@@ -96,7 +91,6 @@ class StorageConfig:
     page_size: int = 4096
     buffer_pool_pages: int = 64
     directory: Optional[Union[str, Path]] = None
-    auto_index: bool = True
 
     def __post_init__(self) -> None:
         if self.default_engine not in STORAGE_ENGINES:
@@ -152,7 +146,4 @@ class StorageConfig:
                 raise ValueError(
                     f"{POOL_PAGES_ENV} must be an integer, got {pool!r}"
                 ) from None
-        auto = env.get(AUTO_INDEX_ENV, "").strip()
-        if auto:
-            kwargs["auto_index"] = auto not in ("0", "false", "no", "off")
         return cls(**kwargs)

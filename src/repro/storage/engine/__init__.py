@@ -70,12 +70,11 @@ def create_storage(
             page_size=config.page_size,
             buffer_pool_pages=config.buffer_pool_pages,
             directory=config.directory,
-            auto_index=config.auto_index,
         )
     if engine == ENGINE_COLUMNAR:
-        return ColumnarStorage(relation, auto_index=config.auto_index)
+        return ColumnarStorage(relation)
     # The rows engine is built as the historical ``Table`` subclass so
     # existing reprs and isinstance expectations keep holding.
     from repro.storage.table import Table
 
-    return Table(relation, auto_index=config.auto_index)
+    return Table(relation)

@@ -49,11 +49,10 @@ class BaseTableStorage:
     #: :class:`~repro.storage.config.StorageConfig` routing.
     engine_name = "base"
 
-    def __init__(self, relation: Relation, auto_index: bool = True) -> None:
+    def __init__(self, relation: Relation) -> None:
         self.relation = relation
         self._next_rowid = 1
         self._version = 0
-        self._auto_index = auto_index
         self._indexes: Dict[str, HashIndex] = {}
         #: Per-column NULL tallies, maintained by every mutation.  The
         #: streaming narrator uses them to prove a heading-only fallback
@@ -386,27 +385,8 @@ class BaseTableStorage:
         Self-tuning like the executor's index scans: the first lookup on a
         column set builds the index (``ensure_index``), later lookups are
         O(1) probes.  Rowids are monotonic, so the sorted probe result
-        preserves the insertion order the old linear scan returned.  With
-        ``auto_index=False`` in the :class:`~repro.storage.config.StorageConfig`
-        no index is built implicitly: an existing index is still probed,
-        otherwise a linear scan answers the lookup.
+        preserves the insertion order a linear scan would return.
         """
-        if not self._auto_index:
-            index = self.find_index(columns)
-            if index is None:
-                canonical = [self.relation.attribute(c).name for c in columns]
-                probe = list(values)
-                if any(v is None for v in probe):
-                    # SQL equality: NULL matches nothing.
-                    return []
-                return [
-                    Row(row_values)
-                    for _, row_values in self._iter_items()
-                    if all(
-                        row_values.get(c) == v for c, v in zip(canonical, probe)
-                    )
-                ]
-            return [self.row_by_id(rowid) for rowid in index.lookup(tuple(values))]
         index = self.ensure_index(columns)
         return [self.row_by_id(rowid) for rowid in index.lookup(tuple(values))]
 

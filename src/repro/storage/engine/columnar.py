@@ -46,7 +46,7 @@ class ColumnarStorage(BaseTableStorage):
 
     engine_name = "columnar"
 
-    def __init__(self, relation: Relation, auto_index: bool = True) -> None:
+    def __init__(self, relation: Relation) -> None:
         self._names: Tuple[str, ...] = tuple(a.name for a in relation.attributes)
         self._columns: Dict[str, List[Any]] = {name: [] for name in self._names}
         self._validity: Dict[str, bytearray] = {name: bytearray() for name in self._names}
@@ -54,7 +54,7 @@ class ColumnarStorage(BaseTableStorage):
         self._positions: Dict[int, int] = {}
         self._dead = 0
         self._compactions = 0
-        super().__init__(relation, auto_index=auto_index)
+        super().__init__(relation)
 
     # ------------------------------------------------------------------
     # Physical primitives

@@ -310,7 +310,6 @@ class PagedHeapStorage(BaseTableStorage):
         page_size: int = 4096,
         buffer_pool_pages: int = 64,
         directory: Optional[Union[str, Path]] = None,
-        auto_index: bool = True,
     ) -> None:
         if not MIN_PAGE_SIZE <= page_size <= MAX_PAGE_SIZE:
             raise ValueError(
@@ -327,7 +326,7 @@ class PagedHeapStorage(BaseTableStorage):
         #: Records wider than a page; kept in memory, counted in stats().
         self._oversize: Dict[int, bytes] = {}
         self._fill_page: Optional[int] = None
-        super().__init__(relation, auto_index=auto_index)
+        super().__init__(relation)
 
     # ------------------------------------------------------------------
     # Encoding

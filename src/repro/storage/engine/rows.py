@@ -22,9 +22,9 @@ class RowStorage(BaseTableStorage):
 
     engine_name = "rows"
 
-    def __init__(self, relation: Relation, auto_index: bool = True) -> None:
+    def __init__(self, relation: Relation) -> None:
         self._rows: Dict[int, Dict[str, Any]] = {}
-        super().__init__(relation, auto_index=auto_index)
+        super().__init__(relation)
 
     # ------------------------------------------------------------------
     # Physical primitives

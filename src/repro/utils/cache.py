@@ -75,15 +75,6 @@ class LRUCache:
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._data)
 
-    def items(self) -> list:
-        """A snapshot of ``(key, value)`` pairs, oldest first.
-
-        Unlike :meth:`get` this does not refresh recency — it exists for
-        observers (workload capture, stats) that must not perturb the
-        eviction order they are reporting on.
-        """
-        return list(self._data.items())
-
     @property
     def stats(self) -> dict:
         return {

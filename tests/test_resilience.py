@@ -561,7 +561,9 @@ class TestShardResilience:
                     "translations": [await oracle.translate(sql) for sql in corpus],
                     "results": [await oracle.execute(sql) for sql in corpus],
                 }
-            async with ShardRouter(DB_FACTORY, workers=2, max_respawns=0) as router:
+            async with ShardRouter(
+                DB_FACTORY, workers=2, config=ShardRouterConfig(max_respawns=0)
+            ) as router:
                 await router.execute("select count(*) from MOVIES")
                 # Kill a worker that owns at least one corpus shape —
                 # killing a fixed index would assert degraded reads the

@@ -4,9 +4,9 @@ A literal-stripped shape's first sighting is translated and executed on
 the full pipelines and leaves nothing keyed to its statement behind; its
 second sighting compiles the phrase plan and the shape plan.  These tests
 pin that contract for the translator, the plan store and the executor,
-the counters that report it, warm-start replay, and a shape-churn soak
-in which every cache and memo stays within its bound while a hot shape
-keeps hitting.
+the counters that report it, the scan cache across writes, explanations
+of empty answers, and a shape-churn soak in which every cache and memo
+stays within its bound while a hot shape keeps hitting.
 """
 
 import pytest
@@ -105,13 +105,6 @@ class TestTranslatorAdmission:
         assert translator.stats()["exact_cache"]["size"] == 1
         assert translator.stats()["plan_store"] is None
 
-    def test_precompile_admits_replayed_shapes_directly(self, db):
-        fresh = plan_translator(db)
-        assert fresh.precompile([self.SQL.format(year=1995)]) == 1
-        assert fresh.stats()["plan_store"]["size"] == 1
-        fresh.translate(self.SQL.format(year=1977))
-        assert fresh.stats()["plan_store"]["hits"] == 1
-
 
 # ---------------------------------------------------------------------------
 # Executor
@@ -192,8 +185,9 @@ class TestExecutorAdmission:
         )
         shape = executor.cache_stats["shape_plans"]
         assert shape["fallbacks"] == 1 and shape["deferred"] == 1
-        # The insert's invalidation reached the shared scan cache.
-        assert executor.cache_stats["scan_tables"] == 0
+        # The scan entry outlives the insert: it is checked against the
+        # table's version when read, so the next read rescans MOVIES.
+        assert executor.cache_stats["scan_tables"] == 1
         titles = [row.get("m.title") for row in executor.execute_sql(read).rows]
         assert "Admitted" in titles
 
@@ -220,14 +214,6 @@ class TestExecutorAdmission:
         assert shape["entries"] == shape["shapes"] == 1
         assert (shape["deferred"], shape["misses"], shape["hits"]) == (1, 2, 1)
 
-    def test_precompile_admits_replayed_shapes_directly(self, db):
-        sql = PAPER_QUERIES["Q1"]
-        fresh = compiled_executor(db)
-        assert fresh.precompile([sql]) == 1
-        assert fresh.cache_stats["shape_plans"]["entries"] == 1
-        fresh.execute_sql(sql.replace("Brad Pitt", "Mark Hamill"))
-        assert fresh.cache_stats["shape_plans"]["hits"] == 1
-
     def test_scan_cache_is_bounded_under_fresh_aliases(self, db):
         executor = compiled_executor(db)
         bound = executor_module._SCAN_CACHE_SIZE
@@ -238,6 +224,110 @@ class TestExecutorAdmission:
             )
             assert executor.cache_stats["scan_tables"] <= bound
         assert executor.cache_stats["scan_tables"] == bound
+
+
+# ---------------------------------------------------------------------------
+# Scan cache across writes
+# ---------------------------------------------------------------------------
+
+
+class TestScanCacheAcrossWrites:
+    JOIN = "select m.title, g.genre from MOVIES m, GENRE g where m.id = g.mid"
+
+    def test_every_table_version_only_rises(self, db):
+        # The premise of per-entry validation: an entry cached at a
+        # table's version can never match that table's data again once
+        # any write has moved it.
+        genre = db.table("GENRE")
+        versions = [genre.version]
+
+        def record():
+            versions.append(genre.version)
+
+        db.insert("GENRE", {"mid": 1, "genre": "noir"})
+        record()
+        db.update_where("GENRE", lambda row: row["genre"] == "noir", {"genre": "pulp"})
+        record()
+        db.delete_where("GENRE", lambda row: row["genre"] == "pulp")
+        record()
+        genre.restore(genre.export_rows(), genre.next_rowid)
+        record()
+        genre.truncate()
+        record()
+        assert all(later > earlier for earlier, later in zip(versions, versions[1:]))
+
+    def test_a_write_rescans_only_the_table_it_touched(self, db):
+        executor = compiled_executor(db)
+        scans = []
+        for name in ("MOVIES", "GENRE"):
+            table = db.table(name)
+
+            def counted(rows=table.rows, name=name):
+                scans.append(name)
+                return rows()
+
+            table.rows = counted
+        executor.execute_sql(self.JOIN)
+        assert sorted(scans) == ["GENRE", "MOVIES"]
+        scans.clear()
+        executor.execute_sql(self.JOIN)
+        assert scans == []
+        db.insert("GENRE", {"mid": 1, "genre": "noir"})
+        result = executor.execute_sql(self.JOIN)
+        assert scans == ["GENRE"]
+        assert "noir" in [row.get("g.genre") for row in result.rows]
+        assert_same(result, interpreted(db).execute_sql(self.JOIN))
+
+
+# ---------------------------------------------------------------------------
+# Explanations of empty answers run their relaxations as shapes
+# ---------------------------------------------------------------------------
+
+
+class TestExplainRelaxations:
+    SQL = "select m.title from MOVIES m where m.year = 1850 and m.title = 'Troy'"
+
+    def test_third_explanation_plans_nothing(self, db):
+        explainer = AnswerExplainer(db, executor=compiled_executor(db))
+        planned = []
+        plan = explainer.executor.planner.plan
+
+        def counting_plan(statement):
+            planned.append(statement)
+            return plan(statement)
+
+        explainer.executor.planner.plan = counting_plan
+        counts = []
+        for _ in range(3):
+            before = len(planned)
+            explanation = explainer.explain(self.SQL)
+            counts.append(len(planned) - before)
+        # The query and both relaxations: first sightings, then compiles.
+        assert counts == [3, 3, 0]
+        assert explanation.responsible_conditions == ["m.year = 1850"]
+
+    @pytest.mark.parametrize(
+        "name", ["movies", "twitter", "twitch", "companies", "gameofthrones"]
+    )
+    def test_corpus_explanations_match_the_interpreted_executor(self, name):
+        from repro.datasets.domains import get_domain
+
+        domain = get_domain(name)
+        database = domain.database()
+        probe = compiled_executor(database)
+        queries = [
+            query
+            for query in domain.corpus()
+            if probe.execute_sql(query.sql).row_count == 0
+        ]
+        assert queries, f"{name} has no empty-answer corpus query"
+        compiled = AnswerExplainer(database, executor=compiled_executor(database))
+        oracle = AnswerExplainer(database, executor=interpreted(database))
+        for query in queries:
+            expected = oracle.explain(query.sql)
+            # First sighting, admission, then shape-plan hits.
+            for _ in range(3):
+                assert compiled.explain(query.sql) == expected, query.name
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shard-tier suite: protocol, routing, ordering, crashes, warm-start.
+"""Shard-tier suite: protocol, routing, ordering, crashes, respawns.
 
 The contract under test mirrors the service suite's, one level up: any
 request history through a :class:`~repro.service.ShardRouter` — including
@@ -19,7 +19,6 @@ import pytest
 from repro.content.presets import movie_spec
 from repro.datasets import generate_workload, movie_database
 from repro.engine import Executor
-from repro.oracle import oracle_enabled
 from repro.query_nl.translator import QueryTranslator
 from repro.service import (
     HashRing,
@@ -27,6 +26,7 @@ from repro.service import (
     ServiceClosed,
     ShardError,
     ShardRouter,
+    ShardRouterConfig,
     WorkerCrashed,
 )
 from repro.service.sharding import WorkerHandle, default_start_method
@@ -422,7 +422,7 @@ class TestMutationOrdering:
 
 
 # ---------------------------------------------------------------------------
-# Crash recovery and warm-start
+# Crash recovery
 # ---------------------------------------------------------------------------
 
 
@@ -636,7 +636,9 @@ class TestCrashRecovery:
         # untyped asyncio.TimeoutError; now the handle is marked
         # permanently dead and fails fast with the typed ShardError.
         async def main():
-            async with ShardRouter(DB_FACTORY, workers=1, max_respawns=0) as router:
+            async with ShardRouter(
+                DB_FACTORY, workers=1, config=ShardRouterConfig(max_respawns=0)
+            ) as router:
                 await router.execute("select count(*) from MOVIES")
                 router.kill_worker(0)
                 for _ in range(int(TIMEOUT / 0.05)):
@@ -663,36 +665,34 @@ class TestCrashRecovery:
         assert stats["workers"][0]["session"] is None
         assert stats["fleet"]["live_workers"] == 0
 
-    def test_respawn_is_warm_started_from_captured_shapes(self):
+    def test_respawned_worker_starts_cold(self):
+        # A respawn replays the mutation log and reopens; it replays no
+        # earlier traffic, so the new incarnation's caches start empty
+        # and fill again on second sightings, like any worker's.
         corpus = corpus_sql(20)
 
         async def main():
             async with ShardRouter(
                 DB_FACTORY, workers=1, phrase_plans=True
             ) as router:
-                for sql in corpus:
-                    await router.translate(sql)
-                    await router.execute(sql)
+                for _ in range(2):  # the second pass admits every shape
+                    for sql in corpus:
+                        await router.translate(sql)
+                        await router.execute(sql)
+                warm = await router.stats()
                 router.kill_worker(0)
                 await retry_crashed(
                     lambda: router.execute("select count(*) from MOVIES")
                 )
-                return await router.stats()
+                return warm, await router.stats()
 
-        stats = run(main())
+        warm, stats = run(main())
+        assert warm["workers"][0]["session"]["translator"]["plan_store"]["size"] > 0
         worker = stats["workers"][0]
         assert worker["respawns"] == 1
-        # The respawned process compiled plans before serving real
-        # traffic: its plan store is populated although this incarnation
-        # only ever saw one live query.
-        plan_store = worker["session"]["translator"]["plan_store"]
-        assert plan_store is not None and plan_store["size"] > 0
-        if not oracle_enabled():
-            # Oracle mode runs the interpreted executor (no shape plans),
-            # so there is nothing to capture on the execute side.
-            executor = worker["session"].get("executor")
-            assert executor is not None
-            assert executor["shape_plans"]["entries"] > 0
+        session = worker["session"]
+        assert session["translator"]["plan_store"]["size"] == 0
+        assert session["executor"]["shape_plans"]["entries"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -741,59 +741,3 @@ class TestGracefulShutdown:
         assert len(outcomes) == 32
         for outcome in outcomes:
             assert isinstance(outcome, ServiceClosed) or hasattr(outcome, "rows")
-
-
-# ---------------------------------------------------------------------------
-# Warm-start replay outside the shard tier: precompile takes literal texts
-# ---------------------------------------------------------------------------
-
-
-class TestWarmStartCapture:
-    def test_translator_precompile_admits_directly(self):
-        corpus = corpus_sql(15)
-        database = movie_database()
-        spec = movie_spec(database.schema)
-        fresh = QueryTranslator(database.schema, spec=spec, phrase_plans=True)
-        replayed = fresh.precompile(corpus)
-        assert replayed == len(corpus)
-        assert fresh.stats()["plan_store"]["size"] > 0
-        # A second translator of the lexicon shares the warmed plan store
-        # (and has no exact-text entries to answer from instead).
-        other = QueryTranslator(database.schema, spec=spec, phrase_plans=True)
-        before = other.stats()["plan_store"]["hits"]
-        for sql in corpus:
-            other.translate(sql)
-        assert other.stats()["plan_store"]["hits"] > before
-
-    def test_executor_precompile_refuses_mutations(self):
-        database = movie_database()
-        executor = Executor(database, compiled=True, parameterised=True)
-        replayed = executor.precompile(
-            [
-                "select m.title from MOVIES m where m.year = 2004",
-                "insert into GENRE values (9, 'never')",
-            ]
-        )
-        assert replayed == 1  # the mutation was refused
-        assert executor.cache_stats["shape_plans"]["entries"] == 1
-        refused = executor.execute_sql("select g.genre from GENRE g where g.mid = 9")
-        assert not refused.rows
-        executor.execute_sql("select m.title from MOVIES m where m.year = 1995")
-        assert executor.cache_stats["shape_plans"]["hits"] == 1
-
-    def test_session_precompile_round_trips_through_service(self):
-        corpus = corpus_sql(10)
-
-        async def main():
-            async with NarrationService(max_workers=2) as service:
-                fresh = service.session(database=movie_database(), phrase_plans=True)
-                counts = await fresh.precompile({"translate": corpus, "execute": corpus})
-                stats = fresh.stats()
-            return counts, stats
-
-        counts, stats = run(main())
-        assert counts == {"translate": len(corpus), "execute": len(corpus)}
-        plan_store = stats["translator"]["plan_store"]
-        assert plan_store is not None and plan_store["size"] > 0
-        if not oracle_enabled():  # no shape plans on the interpreted executor
-            assert stats["executor"]["shape_plans"]["entries"] > 0

@@ -138,13 +138,11 @@ class TestStorageConfig:
                 "REPRO_STORAGE_ENGINE": "paged",
                 "REPRO_STORAGE_PAGE_SIZE": "1024",
                 "REPRO_STORAGE_POOL_PAGES": "8",
-                "REPRO_STORAGE_AUTO_INDEX": "off",
             }
         )
         assert config.default_engine == "paged"
         assert config.page_size == 1024
         assert config.buffer_pool_pages == 8
-        assert config.auto_index is False
 
 
 # ----------------------------------------------------------------------
