@@ -11,6 +11,9 @@ The package layers, bottom up (see ``docs/architecture.md``):
 * :mod:`repro.engine.parameterised` — shape plans: one compiled plan
   serves every literal variant of a SQL shape through a bound parameter
   vector;
+* :mod:`repro.engine.vector` — fused column-at-a-time scan filters and
+  plain-column projections over a columnar table's arrays; everything
+  else runs on the row path;
 * :mod:`repro.engine.executor` — the cached, compiled physical executor
   tying all of the above together.
 

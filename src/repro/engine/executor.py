@@ -43,8 +43,12 @@ dropped when the call returns.  A statement passed in as an AST
 (:meth:`Executor.execute`, :meth:`Executor.execute_select`) runs the same
 way.  Only the full-scan cache is shared with those runs, and every
 cache is bounded.  A full-scan entry is checked against its table's
-version when it is read, so a write rescans only the table it touched;
+version when it is read, so a write rescans only the table it touched,
+and the next statement after a write drops the entries it made stale;
 the subquery memo is dropped whenever any table's data moves.
+
+Over a columnar table, a filter chain or plain-column projection directly
+over a full scan runs column-at-a-time (:mod:`repro.engine.vector`).
 
 ``Executor(db, compiled=False)`` reproduces the original, fully
 interpreted behaviour: evaluator closures, no cache of any kind, no
@@ -588,8 +592,9 @@ class Executor:
         self.vector_fallbacks = 0
         # The scan cache and subquery memo depend on table contents: each
         # scan entry is checked against its table's version when read, and
-        # the memo against Database.data_version before every top-level
-        # statement (so even mutations that bypass the executor are seen).
+        # before every top-level statement a move of Database.data_version
+        # drops the memo and the stale scan entries (so even mutations that
+        # bypass the executor are seen).
         self._scan_cache: LRUCache = LRUCache(_SCAN_CACHE_SIZE)
         self._shared_scope = _StatementScope()
         self._scope = self._shared_scope
@@ -789,18 +794,22 @@ class Executor:
         return entry
 
     def _validate_caches(self) -> None:
-        """Drop the subquery memo once any table's data has moved.
+        """Drop what a write made stale once any table's data has moved.
 
         The memo does not record which tables it read, so any write
-        clears it.  Scan-cache entries need nothing here: each one is
-        checked against its own table's version when it is read
-        (:meth:`_scan_rows`), and within one database a table's version
-        only rises.
+        clears it.  Scan-cache entries record their table's version:
+        within one database a table's version only rises, so an entry
+        whose version differs can never be served again and is dropped
+        now rather than kept resident until its key is read or evicted.
         """
         version = self.database.data_version
         if version != self._data_version:
             self._data_version = version
             self._shared_scope.clear_memo()
+            table = self.database.table
+            self._scan_cache.discard_if(
+                lambda key, entry: entry[0] != table(key[0]).version
+            )
 
     def invalidate_caches(self) -> None:
         """Drop every cache, including the data-independent ones.
@@ -1006,17 +1015,19 @@ class Executor:
     # Vectorized scans (columnar engine, compiled mode only)
     # ------------------------------------------------------------------
 
-    def _try_vectorized(self, node: PlanNode) -> Optional[List[Row]]:
+    def _try_vectorized(self, node: PlanNode) -> Optional[Iterable[Row]]:
         """Run a Filter/Project node column-at-a-time, or None to decline.
 
         Applies when the node sits directly over a full scan (no pushed
         equality conjuncts — the index path beats any scan there) of a
         table exposing columnar arrays, the executor is in compiled
-        mode, and the expressions fit the vectorized subset.  The result
-        list is byte-identical to the row path: same rows, same key
-        order, same insertion order.  Data-dependent evaluation errors
-        hand back to the row path, which re-runs with the oracle's exact
-        short-circuit semantics (see :mod:`repro.engine.vector`).
+        mode, and the expressions fit the fused subset of
+        :mod:`repro.engine.vector`.  The result list is byte-identical to
+        the row path: same rows, same key order, same insertion order.
+        A data-dependent evaluation error falls back once: the node and
+        its chain re-run row at a time, which raises the oracle's exact
+        error (the vector pass may have met a different failing row
+        first).
         """
         if not self.compiled:
             return None
@@ -1035,42 +1046,52 @@ class Executor:
             return None
         count = table.row_count
         try:
-            selection = selection_fn(arrays, count)
-            rows = build_fn(arrays, count, selection)
+            rows = build_fn(arrays, selection_fn(arrays, count))
         except (EvaluationError, TypeError, ZeroDivisionError):
             self.vector_fallbacks += 1
-            return None
+            return self._row_chain(node)
         self.vector_scans += 1
         self._rows_read += count
         return rows
 
+    def _row_chain(self, node: PlanNode) -> Iterator[Row]:
+        """Run a vectorizable node's Filter* -> Scan chain row at a time."""
+        if isinstance(node, ProjectNode):
+            return self._run_project(node, None, rows=self._row_chain(node.child))
+        if isinstance(node, FilterNode):
+            predicate = self._ops(node)
+            return (row for row in self._row_chain(node.child) if predicate(row))
+        return self._run_scan(node, None)
+
     def _build_vector_ops(self, node: PlanNode) -> Optional[Tuple[str, Any, Any]]:
-        """Compile (table, selection, builder) for a node, or None."""
+        """Compile (table, selection, builder) for a node, or None.
+
+        Row-oriented tables (no ``columnar_arrays()``) decline before
+        anything is compiled.
+        """
         if isinstance(node, FilterNode):
             chain = _filter_chain(node)
-            project_items = None
         elif isinstance(node, ProjectNode):
             chain = _filter_chain(node.child)
-            project_items = []
-            for item in node.items:
-                if isinstance(item.expression, ast.Star):
-                    return None
-                project_items.append((item.output_name, item.expression))
         else:
             return None
         if chain is None:
             return None
         scan, predicates = chain
         table = self.database.table(scan.table_name)
+        if table.columnar_arrays() is None:
+            return None
         compiler = VectorExpressionCompiler(
             table.relation, scan.binding, self._params, self._compiler.ordinals
         )
         try:
             selection_fn = compiler.compile_conjunction(predicates)
-            if project_items is None:
-                build_fn = _prefixed_row_builder(table.relation, scan.binding)
+            if isinstance(node, FilterNode):
+                build_fn = compiler.compile_scan_rows()
             else:
-                build_fn = compiler.compile_projection(project_items)
+                build_fn = compiler.compile_projection(
+                    [(item.output_name, item.expression) for item in node.items]
+                )
         except VectorUnsupported:
             return None
         return (scan.table_name, selection_fn, build_fn)
@@ -1685,27 +1706,6 @@ def _filter_chain(
         return None
     predicates.reverse()
     return current, predicates
-
-
-def _prefixed_row_builder(
-    relation: Any, binding: str
-) -> Callable[[Dict[str, List[Any]], int, Iterable[int]], List[Row]]:
-    """Build ``binding.attr``-keyed rows from columnar arrays.
-
-    Key order is relation declaration order — the same order
-    ``_scan_rows``'s ``row.prefixed(binding)`` produces, so a vectorized
-    filter's output rows are indistinguishable from the row path's.
-    """
-    names = [(f"{binding}.{a.name}", a.name) for a in relation.attributes]
-
-    def build(
-        arrays: Dict[str, List[Any]], n: int, selection: Iterable[int]
-    ) -> List[Row]:
-        columns = [(key, arrays[name]) for key, name in names]
-        adopt = Row.adopt
-        return [adopt({key: column[i] for key, column in columns}) for i in selection]
-
-    return build
 
 
 def _expression_key(expression: ast.Expression) -> str:

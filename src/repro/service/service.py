@@ -147,7 +147,6 @@ class NarrationSession:
         cache_size: Optional[int] = 512,
         phrase_plans: Optional[bool] = None,
         admission: Optional[AdmissionController] = None,
-        default_timeout: Optional[float] = None,
         durability: Optional[DurabilityConfig] = None,
     ) -> None:
         self._service = service
@@ -172,10 +171,8 @@ class NarrationSession:
         )
         self._max_batch = max_batch
         self._max_queue = max_queue
-        # Resilience: admission control (shedding off unless configured)
-        # and the default per-request deadline (None = unbounded).
+        # Resilience: admission control (shedding off unless configured).
         self._admission = admission if admission is not None else AdmissionController()
-        self._default_timeout = default_timeout
         # Serializes every pipeline touch; see the module docstring's
         # thread-safety contract.
         self._work_lock = threading.Lock()
@@ -206,9 +203,8 @@ class NarrationSession:
 
         Plan/LRU hits are served inline; cold translations are batched and
         run on the worker pool.  ``timeout`` caps this one request
-        (falling back to the session's ``default_timeout``); the deadline
-        is honored at admission, in the queue and in the drain task, and
-        expiry raises the typed
+        (default: unbounded); the deadline is honored at admission, in
+        the queue and in the drain task, and expiry raises the typed
         :class:`~repro.service.resilience.DeadlineExceeded`.
         """
         self._check_open()
@@ -222,7 +218,7 @@ class NarrationSession:
                     self._fast_path_hits += 1
                     self._counts["translate"] = self._counts.get("translate", 0) + 1
                 return fast
-        return await self._submit("translate", sql, self._deadline(timeout))
+        return await self._submit("translate", sql, Deadline.after(timeout))
 
     async def execute(self, sql: str, timeout: Optional[float] = None):
         """Execute SQL on the session's shared (cached, compiled) executor.
@@ -232,17 +228,17 @@ class NarrationSession:
         shape only rebinds literals.
         """
         self._check_open()
-        return await self._submit("execute", sql, self._deadline(timeout))
+        return await self._submit("execute", sql, Deadline.after(timeout))
 
     async def explain_empty(self, sql: str, timeout: Optional[float] = None):
         """Explain an empty (or very large) answer (Section 3.1)."""
         self._check_open()
-        return await self._submit("explain", sql, self._deadline(timeout))
+        return await self._submit("explain", sql, Deadline.after(timeout))
 
     async def narrate_database(self, *, timeout: Optional[float] = None, **kwargs) -> str:
         """Narrate the database contents (Section 2)."""
         self._check_open()
-        return await self._submit("narrate_database", kwargs, self._deadline(timeout))
+        return await self._submit("narrate_database", kwargs, Deadline.after(timeout))
 
     async def narrate_relation(
         self, relation_name: str, *, timeout: Optional[float] = None, **kwargs
@@ -250,14 +246,8 @@ class NarrationSession:
         """Narrate one relation's (top) tuples."""
         self._check_open()
         return await self._submit(
-            "narrate_relation", (relation_name, kwargs), self._deadline(timeout)
+            "narrate_relation", (relation_name, kwargs), Deadline.after(timeout)
         )
-
-    def _deadline(self, timeout: Optional[float]) -> Deadline:
-        """The request deadline: explicit timeout, session default, or none."""
-        if timeout is None:
-            timeout = self._default_timeout
-        return Deadline.after(timeout)
 
     async def checkpoint(self) -> int:
         """Snapshot the session's database now; returns the WAL seq covered.
@@ -625,7 +615,6 @@ class NarrationService:
         cache_size: Optional[int] = 512,
         phrase_plans: Optional[bool] = None,
         admission: Optional[AdmissionController] = None,
-        default_timeout: Optional[float] = None,
         durability: Optional[DurabilityConfig] = None,
     ) -> NarrationSession:
         """The session for ``(schema, database)``, created on first use.
@@ -636,9 +625,7 @@ class NarrationService:
         from the schema once, when the session is first created.
         ``admission`` installs load shedding (an
         :class:`~repro.service.resilience.AdmissionController`; default:
-        deadline shedding only, no depth threshold) and
-        ``default_timeout`` the per-request deadline every request gets
-        unless it passes its own (default: unbounded).  ``durability``
+        deadline shedding only, no depth threshold).  ``durability``
         (a :class:`~repro.storage.durability.DurabilityConfig`) makes
         the session persistent: mutations are write-ahead logged before
         applied, checkpoints happen on the configured cadence, and when
@@ -646,10 +633,10 @@ class NarrationService:
         *recovered* database rather than the one passed in.
 
         Configuration (``spec``/``spec_factory``/``lexicon``/
-        ``cache_size``/``phrase_plans``/``admission``/
-        ``default_timeout``/``durability``) applies on first creation
-        only; asking for an existing session *with* configuration raises
-        rather than silently answering with the first caller's settings.
+        ``cache_size``/``phrase_plans``/``admission``/``durability``)
+        applies on first creation only; asking for an existing session
+        *with* configuration raises rather than silently answering with
+        the first caller's settings.
         """
         if self._closed:
             raise ServiceClosed("the narration service has been closed")
@@ -664,7 +651,6 @@ class NarrationService:
             or cache_size != 512
             or phrase_plans is not None
             or admission is not None
-            or default_timeout is not None
             or durability is not None
         )
         with self._sessions_lock:
@@ -691,7 +677,6 @@ class NarrationService:
                 cache_size=cache_size,
                 phrase_plans=phrase_plans,
                 admission=admission,
-                default_timeout=default_timeout,
                 durability=durability,
             )
             self._sessions[key] = created

@@ -231,7 +231,6 @@ class ShardRouter:
         spec_factory: Union[str, Callable, None] = None,
         workers: int = 2,
         phrase_plans: Optional[bool] = None,
-        start_method: Optional[str] = None,
         config: Optional[ShardRouterConfig] = None,
         durability: Optional[DurabilityConfig] = None,
         storage: Optional[StorageConfig] = None,
@@ -258,7 +257,7 @@ class ShardRouter:
             # other's files; each replica gets its own temp-file heap.
             "storage": storage,
         }
-        self._start_method = start_method or default_start_method()
+        self._start_method = default_start_method()
         self._ring = HashRing(range(workers))
         self._handles: List[WorkerHandle] = [
             WorkerHandle(index, self._spec, self._start_method)

@@ -8,7 +8,7 @@ data changes, so this is a thin OrderedDict wrapper instead.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Iterator, Optional
+from typing import Any, Callable, Hashable, Iterator, Optional
 
 #: How many first-sighting shape hashes the second-sighting admission of
 #: the plan store and the executor remembers (an ``LRUCache`` each):
@@ -68,6 +68,11 @@ class LRUCache:
 
     def clear(self) -> None:
         self._data.clear()
+
+    def discard_if(self, stale: Callable[[Hashable, Any], bool]) -> None:
+        """Drop every entry for which ``stale(key, value)`` holds."""
+        for key in [key for key, value in self._data.items() if stale(key, value)]:
+            del self._data[key]
 
     def __len__(self) -> int:
         return len(self._data)

@@ -278,6 +278,28 @@ class TestScanCacheAcrossWrites:
         assert "noir" in [row.get("g.genre") for row in result.rows]
         assert_same(result, interpreted(db).execute_sql(self.JOIN))
 
+    def test_a_write_drops_the_entries_it_made_stale(self, db):
+        # The next statement after a write drops the written table's
+        # entries even when it does not read that table, so their rows
+        # do not stay resident until the key is read again.
+        executor = compiled_executor(db)
+        executor.execute_sql(self.JOIN)
+        assert sorted(key[0] for key in executor._scan_cache) == ["GENRE", "MOVIES"]
+        movies = db.table("MOVIES")
+        scans = []
+
+        def counted(rows=movies.rows):
+            scans.append("MOVIES")
+            return rows()
+
+        movies.rows = counted
+        db.insert("GENRE", {"mid": 1, "genre": "noir"})
+        sql = "select m.title from MOVIES m where m.year > 2000"
+        result = executor.execute_sql(sql)
+        assert [key[0] for key in executor._scan_cache] == ["MOVIES"]
+        assert scans == []
+        assert_same(result, interpreted(db).execute_sql(sql))
+
 
 # ---------------------------------------------------------------------------
 # Explanations of empty answers run their relaxations as shapes

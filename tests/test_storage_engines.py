@@ -21,7 +21,9 @@ from repro.catalog.types import DataType
 from repro.content.ranking import rank_tuples, tracker_for
 from repro.datasets import PAPER_QUERIES, get_domain, movie_database
 from repro.datasets.workload import generate_workload
+from repro.engine import executor as executor_module
 from repro.engine.executor import Executor
+from repro.errors import EvaluationError
 from repro.storage import (
     ColumnarStorage,
     Database,
@@ -436,30 +438,73 @@ class TestColumnAccess:
 
 
 class TestVectorizedScans:
-    QUERIES = [
+    #: Shapes inside the fused subset: each execution runs one node
+    #: column-at-a-time (an unsupported projection leaves its filter
+    #: chain vectorized).
+    FUSED = [
         "select m.title from MOVIES m where m.year > 1990",
+        "select m.title from MOVIES m where 1990 < m.year",
         "select m.title from MOVIES m where m.year > 1990 and m.title like '%a%'",
+        "select m.title from MOVIES m where m.title not like 'S%'",
         "select m.title, m.year from MOVIES m where m.year between 1970 and 1999",
+        "select m.id from MOVIES m where m.year is null",
         "select upper(m.title) from MOVIES m where m.year is not null",
+        "select * from MOVIES m where m.year >= 1995",
+        "select m.title from MOVIES m",
+    ]
+    #: Shapes outside it (OR, IN list, NOT, arithmetic, computed
+    #: projections): they run on the row path only, including an OR
+    #: whose right side would divide by zero where the left one holds.
+    ROW_ONLY = [
+        "select upper(m.title) from MOVIES m",
         "select m.title || ' (' || m.year || ')' from MOVIES m",
         "select m.title from MOVIES m where m.year in (1977, 1994, 2004)",
         "select m.title from MOVIES m where m.year + 1 >= 1995 or m.title = 'Seven'",
         "select m.title from MOVIES m where not (m.year < 1980)",
+        "select m.title from MOVIES m where m.year = 1977 or 1 / (m.year - 1977) > 0",
     ]
 
-    def test_vectorized_results_match_the_row_path(self):
+    def test_fused_shapes_run_one_vector_scan(self):
         oracle = Executor(database_for("rows"))
-        subject = Executor(database_for("columnar"))
-        for sql in self.QUERIES:
+        subject = Executor(database_for("columnar"), compiled=True)
+        for sql in self.FUSED:
+            before = subject.vector_scans
             assert rows_of(subject.execute_sql(sql)) == rows_of(
                 oracle.execute_sql(sql)
             ), sql
-        if subject.compiled:
-            assert subject.vector_scans > 0
+            assert subject.vector_scans == before + 1, sql
+        assert subject.vector_fallbacks == 0
+
+    def test_other_shapes_run_on_the_row_path(self):
+        oracle = Executor(database_for("rows"))
+        subject = Executor(database_for("columnar"), compiled=True)
+        for sql in self.ROW_ONLY:
+            assert rows_of(subject.execute_sql(sql)) == rows_of(
+                oracle.execute_sql(sql)
+            ), sql
+        assert (subject.vector_scans, subject.vector_fallbacks) == (0, 0)
+
+    @pytest.mark.parametrize("engine", ["rows", "paged"])
+    def test_row_engines_compile_no_vector_closures(self, engine, monkeypatch):
+        built = []
+        compiler = executor_module.VectorExpressionCompiler
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return compiler(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "VectorExpressionCompiler", counting)
+        executor = Executor(database_for(engine), compiled=True)
+        for sql in self.FUSED:
+            for _ in range(3):  # first sighting, admission, shape-plan hit
+                executor.execute_sql(sql)
+        assert built == []
+        Executor(database_for("columnar"), compiled=True).execute_sql(self.FUSED[0])
+        assert len(built) == 1
 
     def test_parameterised_variants_share_the_vector_plan(self):
         oracle = Executor(database_for("rows"))
-        subject = Executor(database_for("columnar"))
+        subject = Executor(database_for("columnar"), compiled=True)
         for year in (1960, 1980, 2000):
             for pattern in ("S%", "%e%"):
                 sql = (
@@ -469,20 +514,19 @@ class TestVectorizedScans:
                 assert rows_of(subject.execute_sql(sql)) == rows_of(
                     oracle.execute_sql(sql)
                 ), sql
+        assert subject.vector_scans == 6
 
-    def test_short_circuit_error_semantics_are_preserved(self):
-        # The row path short-circuits OR past the division for the
-        # year-1977 row; the vector path evaluates both branches, hits
-        # the zero divide, and must silently fall back — same rows out.
-        sql = (
-            "select m.title from MOVIES m "
-            "where m.year = 1977 or 1 / (m.year - 1977) > 0"
-        )
-        oracle = Executor(database_for("rows"))
-        subject = Executor(database_for("columnar"))
-        assert rows_of(subject.execute_sql(sql)) == rows_of(oracle.execute_sql(sql))
-        if subject.compiled:
-            assert subject.vector_fallbacks > 0
+    def test_raising_fused_conjunct_falls_back_once(self):
+        # Text against a number: the vector pass raises a TypeError, and
+        # the node re-runs row at a time to raise the row path's error.
+        sql = "select m.title from MOVIES m where m.title > 5"
+        with pytest.raises(EvaluationError) as oracle_error:
+            Executor(database_for("rows")).execute_sql(sql)
+        subject = Executor(database_for("columnar"), compiled=True)
+        with pytest.raises(EvaluationError) as subject_error:
+            subject.execute_sql(sql)
+        assert str(subject_error.value) == str(oracle_error.value)
+        assert (subject.vector_scans, subject.vector_fallbacks) == (0, 1)
 
     def test_errors_every_path_raises_stay_identical(self):
         sql = "select m.title from MOVIES m where 1 / (m.year - 1977) > 0"
