@@ -130,7 +130,7 @@ def _verify_equivalence() -> dict:
 
 
 def _verify_service_equivalence(queries, clients: int = 64) -> str:
-    """Batched concurrent execution == sequential synchronous."""
+    """Concurrent execution through the service == sequential synchronous."""
     service_db = movie_database()
     reference = Executor(movie_database(), parameterised=False)
     expected = {}

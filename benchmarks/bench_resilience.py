@@ -12,11 +12,11 @@ This benchmark quantifies that claim three ways:
 
 * ``fast_path`` — warm direct-await translates (LRU hit, served inline
   on the event loop) through a default session versus one whose
-  resilience hooks are stubbed out entirely;
-* ``queued_execute`` — warm single-shape executes through the full
-  queue → drain → worker-pool path, default versus stubbed (this is the
-  path that actually runs the admission check and deadline construction
-  per request);
+  admission check is stubbed out;
+* ``queued_execute`` — warm single-shape executes through the session's
+  turn and one worker-pool call, default versus stubbed admission (this
+  is the path that actually runs the admission check per request; both
+  sides build the same deadline);
 * ``micro_ns`` — the isolated per-call cost of each policy primitive.
 
 The acceptance budget is a warm fast-path p50 regression under 5% at
@@ -58,16 +58,15 @@ class _BypassAdmission(AdmissionController):
         return None
 
 
-def _bypass_resilience(session) -> None:
-    """Stub the session's resilience hooks: the pre-PR 7 request path."""
+def _bypass_admission(session) -> None:
+    """Stub the session's admission check; deadlines are built as usual."""
     session._admission = _BypassAdmission()
-    session._deadline = lambda timeout: Deadline.NONE
 
 
 async def _measure_path(session, kind: str, batches: int, calls: int):
     """Per-call latencies (seconds) over ``batches`` timed batches."""
     request = session.translate if kind == "translate" else session.execute
-    for _ in range(5):  # warm the caches and the queue machinery
+    for _ in range(5):  # warm the caches and the worker pool
         await request(_SQL)
     samples = []
     for _ in range(batches):
@@ -85,7 +84,7 @@ async def _compare(kind: str, batches: int, calls: int):
     try:
         default_session = default_service.session(database=movie_database())
         bypassed_session = bypassed_service.session(database=movie_database())
-        _bypass_resilience(bypassed_session)
+        _bypass_admission(bypassed_session)
         default_samples, bypassed_samples = [], []
         for _ in range(batches):
             default_samples.extend(
@@ -143,8 +142,8 @@ def bench_resilience(quick: bool = False) -> dict:
     result = {
         "note": (
             "default resilience (unbounded deadline, no shed threshold,"
-            " closed breakers) vs the same session with the hooks stubbed"
-            " out; interleaved medians, per-call"
+            " closed breakers) vs the same session with its admission check"
+            " stubbed out; interleaved medians, per-call"
         ),
         "fast_path": {
             "p50_default_us": round(fast_default * 1e6, 3),

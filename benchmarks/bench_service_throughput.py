@@ -16,12 +16,12 @@ Two service streams are measured warm:
   path (the steady state of real "talk back" traffic);
 * ``literal_variants`` — every request rotates the literal values, so
   the exact-text LRU never hits and every request exercises the
-  shape-keyed phrase-plan path through the batching queue.
+  shape-keyed phrase-plan path through the worker pool.
 
 The in-run equivalence check asserts concurrent output is byte-identical
 to sequential synchronous translation before any number is recorded, and
-the run fails if warm batched throughput at 64 clients drops below 5x
-the naive baseline (the service's reason to exist).
+the run fails if warm throughput at 64 clients drops below 5x the naive
+baseline (the service's reason to exist).
 
 Usage::
 
@@ -89,7 +89,7 @@ def _service_rps(
     phrase plan); every client then replays ``measure_batches``.  When the
     measured texts equal the warm ones the steady state is the exact-text
     LRU + direct-await path; when they only share *shapes* every request
-    is a phrase-plan render through the batching queue.
+    is a phrase-plan render on the worker pool.
     """
 
     async def client(session, batches):
@@ -202,9 +202,9 @@ def bench_service_throughput(quick: bool = False, max_workers: int = 4) -> dict:
             "speedup": round(repeated_rps / max(naive, 1e-9), 1),
         }
         if clients == CLIENT_COUNTS[-1]:
-            results["batching_stats"] = stats["requests"]
+            results["request_stats"] = stats["requests"]
     # Fresh texts over warm *plans*, with the exact-text LRU disabled: every
-    # request is a shape-keyed plan render through the batching queue.
+    # request is a shape-keyed plan render on the worker pool.
     variants_rps, variant_stats = _service_rps(
         schema,
         variant_batches[:1],
@@ -219,7 +219,7 @@ def bench_service_throughput(quick: bool = False, max_workers: int = 4) -> dict:
     top = results["clients"][str(CLIENT_COUNTS[-1])]
     if top["speedup"] < 5:
         raise AssertionError(
-            "service-bench regression: warm batched throughput at"
+            "service-bench regression: warm throughput at"
             f" {CLIENT_COUNTS[-1]} clients is only {top['speedup']}x the naive"
             " one-thread-per-request baseline (expected >= 5x)"
         )

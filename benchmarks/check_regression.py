@@ -11,8 +11,8 @@ tolerance of its committed value.
 Two classes of ratio are guarded differently:
 
 * **machine-relative** ratios compare two measurements from the *same*
-  run (interpreted vs compiled executor, naive vs batched service, plan
-  path vs full pipeline, char vs regex lexer).  They are largely
+  run (interpreted vs compiled executor, naive vs service, plan path vs
+  full pipeline, char vs regex lexer).  They are largely
   independent of how fast the runner is, but their denominators are
   often sub-millisecond warm medians that jitter up to ~2x on shared CI
   runners, so the floor is ``0.5x`` of the committed ratio — tight

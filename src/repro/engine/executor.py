@@ -59,6 +59,7 @@ reference the differential suites diff the compiled path against.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine.compile import CompiledExpr, ExpressionCompiler
@@ -1319,10 +1320,11 @@ class Executor:
             raise
 
     def _run_limit(self, node: LimitNode, outer_row: Optional[Row]) -> Iterator[Row]:
-        rows = list(self._run_node(node.child, outer_row))
+        # Stops reading the child after ``offset + limit`` rows: later rows
+        # are never built, so they can neither cost time nor raise.
         start = node.offset or 0
         end = start + node.limit if node.limit is not None else None
-        yield from rows[start:end]
+        yield from islice(self._run_node(node.child, outer_row), start, end)
 
     # ------------------------------------------------------------------
     # Subqueries: hash tables for key-correlated ones, a memo for the rest

@@ -13,7 +13,7 @@ knows about the shard tier — the import direction is strictly
 :class:`Deadline`
     A monotonic-clock budget created once at the request edge and carried
     with the request through every layer — the admission check, the
-    service queue, the drain task, the worker round-trip.  Layers consume
+    wait for the session's turn, the worker round-trip.  Layers consume
     ``remaining()``; nobody re-derives a timeout from a magic constant.
 
 :class:`RetryPolicy`
@@ -35,7 +35,7 @@ knows about the shard tier — the import direction is strictly
     overloaded service answers a typed :class:`ServiceOverloaded`
     *immediately* instead of a timeout after the damage is done; a
     request whose deadline already expired is shed for free before it
-    occupies a queue slot.
+    waits for its turn.
 
 Every policy default is chosen so that a healthy system behaves exactly
 as it did before this module existed (no deadline → unbounded, breaker
@@ -75,10 +75,11 @@ class DeadlineExceeded(TimeoutError):
 class ServiceOverloaded(RuntimeError):
     """The service shed this request at admission instead of queueing it.
 
-    Raised by :class:`AdmissionController` when the session queue is at
-    its shed threshold.  Typed so load-balancing callers can distinguish
-    "back off and retry elsewhere" from a real failure — and so overload
-    shows up as an immediate, explicit answer rather than a timeout.
+    Raised by :class:`AdmissionController` when the requests waiting for
+    the session's turn are at its shed threshold.  Typed so
+    load-balancing callers can distinguish "back off and retry elsewhere"
+    from a real failure — and so overload shows up as an immediate,
+    explicit answer rather than a timeout.
     """
 
 
@@ -298,15 +299,14 @@ class AdmissionController:
 
     Two independent rules, both off unless configured:
 
-    * ``max_depth`` — when the session queue already holds this many
-      requests, a new one is answered :class:`ServiceOverloaded` at once
-      (instead of joining a queue it would only time out in).  ``None``
-      preserves the pre-existing back-pressure behaviour: producers
-      suspend on the bounded queue.
+    * ``max_depth`` — when this many requests already wait for the
+      session's turn, a new one is answered :class:`ServiceOverloaded`
+      at once (instead of joining a line it would only time out in).
+      ``None`` lets every request wait its turn.
     * deadline shedding — a request whose :class:`Deadline` has already
-      expired is answered :class:`DeadlineExceeded` without occupying a
-      queue slot.  The drain task applies the same rule to requests that
-      expired *while queued* (counted separately as ``shed_in_queue``).
+      expired is answered :class:`DeadlineExceeded` before it waits for
+      its turn.  The pool call applies the same rule to a request that
+      expired *while it waited* (counted separately as ``shed_in_queue``).
 
     Counters are plain ints mutated under the session's stats lock (or
     the event loop); they feed the ``shed`` block of ``stats()``.

@@ -24,22 +24,24 @@ request through three tiers:
 * **direct-await fast path** — a translate request whose SQL hits the
   exact-text LRU or a compiled phrase plan is served inline on the event
   loop (microseconds, no parse, no graph build).  The session lock is
-  only *tried*; if a worker holds it the request falls through to the
-  queue rather than blocking the loop.  Workers settle replies only after
-  releasing the lock, so a client resumed by its reply finds it free.
-* **batched cold path** — requests land in a bounded ``asyncio.Queue``
-  (back-pressure: producers suspend while the queue is full).  A drain
-  task collects up to ``max_batch`` queued requests and hands them to
-  the worker pool as one call, in arrival order.  A shape's phrase plan
-  and shape plan are compiled on its second sighting and serve every
-  later request of that shape, whichever batch it arrives in; an
+  only *tried*; if a worker holds it the request takes its turn like any
+  other rather than blocking the loop.  Workers release the lock before
+  a reply settles, so a client resumed by its reply finds it free.
+* **one hand-off per request** — every other request waits its turn on
+  the session's FIFO ``asyncio.Lock`` (arrival order), then awaits one
+  worker-pool call that takes the work lock, sheds the request typed if
+  its deadline ran out while it waited, and otherwise runs it.
+  Admission counts the requests still waiting for their turn.  A
+  shape's phrase plan and shape plan are compiled on its second
+  sighting and serve every later request of that shape; an
   ``explain_empty`` text, and each relaxation of an empty answer, runs
   through a shape plan like an ``execute`` text.
 * **worker pool** — CPU-bound work (parsing, graph builds, plan
   compilation, execution, narration) runs on the service's
   ``ThreadPoolExecutor``, off the event loop.  Sessions of different
-  schemas run in parallel; within a session the work lock serializes
-  pipeline access, which is what makes the shared caches sound.
+  schemas run in parallel; within a session one request runs at a time
+  and the work lock serializes pipeline access, which is what makes the
+  shared caches sound.
 
 Thread-safety contract
 ----------------------
@@ -71,8 +73,8 @@ Observability
 -------------
 
 :meth:`NarrationSession.stats` is the per-session endpoint: request
-counters by kind and tier (including batch counters for the batched
-path), queue high-water mark, the translator's exact-text LRU and
+counters by kind and tier, the number of requests waiting for their
+turn, the shed counters, the translator's exact-text LRU and
 phrase-plan store statistics (including the unplannable-shape report),
 the shared executor's cache statistics, and the derived
 execution shape-sharing rate (what fraction of executions were served by
@@ -85,7 +87,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.catalog.schema import Schema
 from repro.content.narrator import ContentNarrator
@@ -102,27 +104,15 @@ from repro.storage.durability import DurabilityConfig, DurabilityManager
 
 __all__ = ["NarrationService", "NarrationSession", "ServiceClosed"]
 
+#: ``NarrationService.session``'s exact-text cache size when none is given.
+_DEFAULT_CACHE_SIZE = 512
+#: Marks a ``session()`` argument the caller left out, so that an explicit
+#: default still counts as configuration.
+_UNSET: Any = object()
+
 
 class ServiceClosed(RuntimeError):
     """Raised when a request is submitted to a closed service/session."""
-
-
-class _Request:
-    """One queued unit of work: kind, payload, deadline and the caller's future."""
-
-    __slots__ = ("kind", "payload", "future", "deadline")
-
-    def __init__(
-        self,
-        kind: str,
-        payload: Any,
-        future: "asyncio.Future",
-        deadline: Deadline = Deadline.NONE,
-    ) -> None:
-        self.kind = kind
-        self.payload = payload
-        self.future = future
-        self.deadline = deadline
 
 
 class NarrationSession:
@@ -142,9 +132,7 @@ class NarrationSession:
         database: Optional[Database],
         spec: Optional[NarrationSpec],
         lexicon: Optional[Lexicon],
-        max_queue: int,
-        max_batch: int,
-        cache_size: Optional[int] = 512,
+        cache_size: Optional[int] = _DEFAULT_CACHE_SIZE,
         phrase_plans: Optional[bool] = None,
         admission: Optional[AdmissionController] = None,
         durability: Optional[DurabilityConfig] = None,
@@ -169,8 +157,6 @@ class NarrationSession:
             cache_size=cache_size,
             phrase_plans=phrase_plans,
         )
-        self._max_batch = max_batch
-        self._max_queue = max_queue
         # Resilience: admission control (shedding off unless configured).
         self._admission = admission if admission is not None else AdmissionController()
         # Serializes every pipeline touch; see the module docstring's
@@ -178,19 +164,17 @@ class NarrationSession:
         self._work_lock = threading.Lock()
         # Counter updates come from both the event loop and the workers.
         self._stats_lock = threading.Lock()
+        # Requests take their turn in arrival order (asyncio.Lock wakes
+        # its waiters first in, first out); the holder's one pool call is
+        # the session's only request in flight.
+        self._turn = asyncio.Lock()
+        self._waiting = 0
         self._executor: Optional[Executor] = None
         self._narrator: Optional[ContentNarrator] = None
         self._explainer: Optional[AnswerExplainer] = None
-        self._queue: Optional["asyncio.Queue[_Request]"] = None
-        self._drain_task: Optional["asyncio.Task"] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
         self._counts: Dict[str, int] = {}
         self._fast_path_hits = 0
-        self._batches = 0
-        self._batched_requests = 0
-        self._largest_batch = 0
-        self._queue_high_water = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -201,10 +185,11 @@ class NarrationSession:
     ) -> QueryTranslation:
         """Translate SQL to natural language (Section 3 of the paper).
 
-        Plan/LRU hits are served inline; cold translations are batched and
-        run on the worker pool.  ``timeout`` caps this one request
-        (default: unbounded); the deadline is honored at admission, in
-        the queue and in the drain task, and expiry raises the typed
+        Plan/LRU hits are served inline; cold translations wait their
+        turn and run on the worker pool.  ``timeout`` caps this one
+        request (default: unbounded); the deadline is honored at
+        admission and again when the request's turn comes, and expiry
+        raises the typed
         :class:`~repro.service.resilience.DeadlineExceeded`.
         """
         self._check_open()
@@ -281,8 +266,9 @@ class NarrationSession:
     def stats(self) -> Dict[str, Any]:
         """The per-session cache/plan/request statistics snapshot.
 
-        ``requests`` counts traffic by kind and tier, and the drain task's
-        batches; ``execution_shape_sharing`` derives the executor's
+        ``requests`` counts traffic by kind and tier, the requests still
+        waiting for their turn (``queue_depth``) and the shed ones;
+        ``execution_shape_sharing`` derives the executor's
         shape-hit rate — the fraction of SQL executions served by an
         already-compiled shape plan with only a literal rebind.
         """
@@ -290,11 +276,7 @@ class NarrationSession:
             requests = {
                 "by_kind": dict(self._counts),
                 "fast_path_hits": self._fast_path_hits,
-                "batches": self._batches,
-                "batched_requests": self._batched_requests,
-                "largest_batch": self._largest_batch,
-                "queue_high_water": self._queue_high_water,
-                "queue_depth": self._queue.qsize() if self._queue is not None else 0,
+                "queue_depth": self._waiting,
                 "shed": self._admission.stats(),
             }
         snapshot: Dict[str, Any] = {
@@ -319,121 +301,68 @@ class NarrationSession:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Queueing and batching
+    # Dispatch: one turn, one pool call
     # ------------------------------------------------------------------
 
     async def _submit(
         self, kind: str, payload: Any, deadline: Deadline = Deadline.NONE
     ) -> Any:
-        loop = asyncio.get_running_loop()
-        self._ensure_started(loop)
-        queue = self._queue
-        assert queue is not None
         # Admission control: shed typed (ServiceOverloaded at the depth
         # threshold, DeadlineExceeded for an already-expired budget)
-        # instead of queueing work that can only fail later.
-        self._admission.admit(queue.qsize(), deadline)
-        future: "asyncio.Future" = loop.create_future()
-        request = _Request(kind, payload, future, deadline)
-        await queue.put(request)  # suspends while full: back-pressure
-        if self._closed and (self._drain_task is None or self._drain_task.done()):
-            # The put was suspended on a full queue while the session
-            # closed: the drain task is gone, so nothing will ever settle
-            # this future.  Reject it here (aclose's flush also sweeps the
-            # queue, so whichever side runs first wins — both check
-            # ``future.done()``).
-            if not future.done():
-                future.set_exception(
-                    ServiceClosed("the narration service has been closed")
-                )
+        # instead of accepting work that can only fail later.
+        self._admission.admit(self._waiting, deadline)
         with self._stats_lock:
             self._counts[kind] = self._counts.get(kind, 0) + 1
-            size = queue.qsize()
-            if size > self._queue_high_water:
-                self._queue_high_water = size
-        return await future
-
-    def _ensure_started(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self._loop is None:
-            self._loop = loop
-            self._queue = asyncio.Queue(self._max_queue)
-            self._drain_task = loop.create_task(self._drain())
-        elif self._loop is not loop:
-            raise RuntimeError(
-                "a NarrationSession is bound to the event loop that first"
-                " used it; create one service per loop"
-            )
-
-    async def _drain(self) -> None:
-        """Forever: collect a batch and run it on a worker, in arrival order."""
-        queue = self._queue
-        loop = self._loop
-        assert queue is not None and loop is not None
-        pool = self._service._pool
-        while True:
-            first = await queue.get()
-            batch = [first]
-            while len(batch) < self._max_batch:
-                try:
-                    batch.append(queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            with self._stats_lock:
-                self._batches += 1
-                self._batched_requests += len(batch)
-                self._largest_batch = max(self._largest_batch, len(batch))
-            try:
-                await loop.run_in_executor(pool, self._process_batch, batch)
-            except asyncio.CancelledError:
-                raise
-            except BaseException as error:
-                # Dispatch itself failed (e.g. the pool shut down under a
-                # racing close).  Per-request errors were already delivered
-                # by _process_batch; settle whatever is still pending so no
-                # client awaits forever, and keep draining.
-                for request in batch:
-                    if not request.future.done():
-                        self._deliver(request.future, error=error)
-            finally:
-                for _ in batch:
-                    queue.task_done()
+        self._waiting += 1
+        try:
+            await self._turn.acquire()
+        finally:
+            self._waiting -= 1
+        loop = asyncio.get_running_loop()
+        work = None
+        try:
+            # What ``run_in_executor`` does, keeping the pool's own future:
+            # cancelling the client cancels a run that has not started,
+            # and only that.
+            work = self._service._pool.submit(self._serve, kind, payload, deadline)
+            return await asyncio.wrap_future(work, loop=loop)
+        finally:
+            if work is None or work.done():
+                self._turn.release()
+            else:
+                # The client was cancelled mid-run: its run keeps the turn
+                # until it ends, so the next request never runs beside it.
+                work.add_done_callback(
+                    lambda _: loop.call_soon_threadsafe(self._turn.release)
+                )
 
     # ------------------------------------------------------------------
     # Worker side (runs on the service pool)
     # ------------------------------------------------------------------
 
-    def _process_batch(self, batch: List[_Request]) -> None:
-        for request in batch:
-            result = error = None
-            with self._work_lock:
-                if request.deadline.expired:
-                    # The budget ran out while the request waited in the
-                    # queue or behind earlier batch members: shed it now
-                    # rather than spend pipeline time on a dead request.
-                    with self._stats_lock:
-                        error = self._admission.shed_expired_in_queue()
-                else:
-                    try:
-                        result = self._run(request)
-                    except BaseException as exc:  # delivered, never swallowed
-                        error = exc
-            # Settled only once the work lock is free: a client resumed by
-            # its reply may call ``translate`` at once, and its fast path
-            # must not find the lock still held by this thread.
-            self._deliver(request.future, result=result, error=error)
+    def _serve(self, kind: str, payload: Any, deadline: Deadline) -> Any:
+        # Returns only once the work lock is free again: a client resumed
+        # by its reply may call ``translate`` at once, and its fast path
+        # must not find the lock still held by this thread.
+        with self._work_lock:
+            if deadline.expired:
+                # The budget ran out while the request waited its turn:
+                # shed it now rather than spend pipeline time on it.
+                with self._stats_lock:
+                    raise self._admission.shed_expired_in_queue()
+            return self._run(kind, payload)
 
-    def _run(self, request: _Request) -> Any:
-        kind = request.kind
+    def _run(self, kind: str, payload: Any) -> Any:
         if kind == "translate":
-            return self.translator.translate(request.payload)
+            return self.translator.translate(payload)
         if kind == "execute":
-            return self._shared_executor().execute_sql(request.payload)
+            return self._shared_executor().execute_sql(payload)
         if kind == "explain":
-            return self._shared_explainer().explain(request.payload)
+            return self._shared_explainer().explain(payload)
         if kind == "narrate_database":
-            return self._shared_narrator().narrate_database(**request.payload)
+            return self._shared_narrator().narrate_database(**payload)
         if kind == "narrate_relation":
-            relation_name, kwargs = request.payload
+            relation_name, kwargs = payload
             return self._shared_narrator().narrate_relation(relation_name, **kwargs)
         if kind == "checkpoint":
             assert self._durability is not None
@@ -441,25 +370,10 @@ class NarrationSession:
         if kind == "snapshot_to":
             from repro.storage.snapshot import write_snapshot
 
-            directory, wal_seq = request.payload
+            directory, wal_seq = payload
             info = write_snapshot(directory, self._require_database(), wal_seq)
             return {"path": str(info.path), "wal_seq": wal_seq}
         raise ValueError(f"unknown request kind {kind!r}")  # pragma: no cover
-
-    def _deliver(self, future: "asyncio.Future", result: Any = None,
-                 error: Optional[BaseException] = None) -> None:
-        loop = self._loop
-        assert loop is not None
-
-        def settle() -> None:
-            if future.done():  # cancelled by the client, or already settled
-                return
-            if error is not None:
-                future.set_exception(error)
-            else:
-                future.set_result(result)
-
-        loop.call_soon_threadsafe(settle)
 
     # ------------------------------------------------------------------
     # Shared per-session pipeline objects (created lazily, used under lock)
@@ -503,62 +417,21 @@ class NarrationSession:
             raise ServiceClosed("the narration service has been closed")
 
     async def aclose(self) -> None:
-        """Finish queued work, stop the drain task, settle every straggler.
+        """Answer every request already submitted, then refuse new ones.
 
-        Requests already queued are drained and answered normally; after
-        the drain task stops, any request that slipped into the queue
-        through the close race (a producer suspended on a full queue wakes
-        *after* the drain finished) is settled with :class:`ServiceClosed`
-        rather than left pending forever.
+        ``_closed`` flips first, so later calls raise
+        :class:`ServiceClosed`; the turn lock is FIFO, so taking it last
+        waits out every request already waiting or running.
         """
         if self._closed:
             return
         self._closed = True
-        if self._queue is not None and self._drain_task is not None:
-            if not self._drain_task.done():
-                await self._queue.join()
-            self._drain_task.cancel()
-            try:
-                await self._drain_task
-            except asyncio.CancelledError:
-                pass
-            await self._flush_rejected()
-        self._drain_task = None
+        async with self._turn:
+            pass
         if self._durability is not None:
             # Flush any batched WAL appends; the directory stays valid
             # for the next session generation to recover from.
             self._durability.close()
-
-    async def _flush_rejected(self) -> None:
-        """Settle requests the dead drain task will never see.
-
-        Emptying the queue frees capacity, which wakes producers suspended
-        in ``queue.put``; each wake-up may enqueue another straggler, so
-        the sweep repeats (yielding to the loop between passes) until a
-        pass finds the queue empty and the previous pass settled nothing.
-        """
-        queue = self._queue
-        assert queue is not None
-        while True:
-            settled = 0
-            while True:
-                try:
-                    request = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                queue.task_done()
-                settled += 1
-                if not request.future.done():
-                    request.future.set_exception(
-                        ServiceClosed("the narration service has been closed")
-                    )
-            if settled == 0:
-                break
-            # Let woken producers run their ``put`` before the next sweep.
-            await asyncio.sleep(0)
-        # One more yield: a producer woken by the final sweep may still be
-        # about to put; its request is settled by the _submit-side guard.
-        await asyncio.sleep(0)
 
 
 class NarrationService:
@@ -575,27 +448,13 @@ class NarrationService:
             print(session.stats())
 
     ``max_workers`` bounds the CPU-bound worker pool shared by every
-    session; ``max_queue`` bounds each session's request queue (producers
-    suspend while it is full — back-pressure, not unbounded buffering);
-    ``max_batch`` caps how many queued requests one drain cycle hands to a
-    worker in one call.
+    session; each session has at most one request on it at a time.
     """
 
-    def __init__(
-        self,
-        max_workers: int = 4,
-        max_queue: int = 256,
-        max_batch: int = 32,
-    ) -> None:
+    def __init__(self, max_workers: int = 4) -> None:
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if max_queue <= 0:
-            raise ValueError("max_queue must be positive")
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
         self.max_workers = max_workers
-        self.max_queue = max_queue
-        self.max_batch = max_batch
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-service"
         )
@@ -612,7 +471,7 @@ class NarrationService:
         spec: Optional[NarrationSpec] = None,
         spec_factory=None,
         lexicon: Optional[Lexicon] = None,
-        cache_size: Optional[int] = 512,
+        cache_size: Optional[int] = _UNSET,
         phrase_plans: Optional[bool] = None,
         admission: Optional[AdmissionController] = None,
         durability: Optional[DurabilityConfig] = None,
@@ -623,7 +482,8 @@ class NarrationService:
         explain, narrate) or just a ``schema`` for translation only.
         ``spec_factory`` (e.g. ``movie_spec``) builds a narration spec
         from the schema once, when the session is first created.
-        ``admission`` installs load shedding (an
+        ``cache_size`` sizes the translator's exact-text cache (default
+        512; ``None`` turns it off).  ``admission`` installs load shedding (an
         :class:`~repro.service.resilience.AdmissionController`; default:
         deadline shedding only, no depth threshold).  ``durability``
         (a :class:`~repro.storage.durability.DurabilityConfig`) makes
@@ -648,7 +508,7 @@ class NarrationService:
             spec is not None
             or spec_factory is not None
             or lexicon is not None
-            or cache_size != 512
+            or cache_size is not _UNSET
             or phrase_plans is not None
             or admission is not None
             or durability is not None
@@ -672,9 +532,7 @@ class NarrationService:
                 database,
                 spec,
                 lexicon,
-                max_queue=self.max_queue,
-                max_batch=self.max_batch,
-                cache_size=cache_size,
+                cache_size=_DEFAULT_CACHE_SIZE if cache_size is _UNSET else cache_size,
                 phrase_plans=phrase_plans,
                 admission=admission,
                 durability=durability,
@@ -688,18 +546,17 @@ class NarrationService:
             sessions = list(self._sessions.values())
         return {
             "max_workers": self.max_workers,
-            "max_queue": self.max_queue,
-            "max_batch": self.max_batch,
             "sessions": [session.stats() for session in sessions],
         }
 
     # ------------------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Drain every session, then shut the worker pool down.
+        """Answer every session's submitted requests, then shut the pool down.
 
         ``_closed`` flips *first*, so no new session can be created and no
-        new request accepted while the drain and pool shutdown proceed.
+        new request accepted while the sessions close and the pool shuts
+        down.
         """
         if self._closed:
             return

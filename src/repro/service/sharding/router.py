@@ -61,8 +61,8 @@ the semantics are:
   :class:`~repro.service.resilience.Deadline` (default
   ``request_timeout``), honored while waiting for a ready worker, at the
   read-after-write barrier, and across the worker round-trip; the
-  remaining budget also ships to the worker so its session queue can
-  shed an expired read.  Expiry raises the typed
+  remaining budget also ships to the worker so its session can shed a
+  read that expired while it waited its turn.  Expiry raises the typed
   :class:`~repro.service.resilience.DeadlineExceeded`.  A mutation's
   deadline is the caller's ``timeout`` alone, honored before the
   broadcast begins.

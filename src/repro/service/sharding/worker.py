@@ -14,12 +14,12 @@ Pipelining and the write barrier
 --------------------------------
 
 Ordinary requests are *pipelined*: each becomes an asyncio task the
-moment its frame arrives, so many requests are in flight at once and the
-session's queue batches them exactly as it does in the single-process
-service.  A mutation broadcast (``seq is not None``)
-is a **barrier**: the read loop first awaits every in-flight task, then
-runs the mutation alone to completion and responds, and only then reads
-the next frame.  Combined with the router's ordering rule (a read routed
+moment its frame arrives, so the next request is already waiting its
+turn on the session while the current one runs, and the session runs
+them in arrival order exactly as the single-process service does.  A
+mutation broadcast (``seq is not None``) is a **barrier**: the read loop
+first awaits every in-flight task, then runs the mutation alone to
+completion and responds, and only then reads the next frame.  Combined with the router's ordering rule (a read routed
 after a write waits for that worker's ack) this makes each replica's
 visible history identical to the single-process service's — which is what
 keeps shard-tier results byte-identical to the oracle.
@@ -28,10 +28,10 @@ Deadlines and faults
 --------------------
 
 A request frame may carry a *budget* (seconds of deadline remaining,
-router-measured); the worker hands it to its session, whose queue and
-drain task shed the request typed when the budget runs out.  Barrier
-frames (mutations) never honor a budget — shedding a write on one
-replica while another applies it would diverge the fleet.
+router-measured); the worker hands it to its session, which sheds the
+request typed if the budget has run out at admission or by its turn.
+Barrier frames (mutations) never honor a budget — shedding a write on
+one replica while another applies it would diverge the fleet.
 
 When ``REPRO_FAULTS`` is set (see :mod:`repro.service.faults`) the
 worker arms a seeded :class:`~repro.service.faults.FaultInjector` scoped
@@ -47,10 +47,10 @@ Lifecycle
 ---------
 
 On start the worker builds its replica, then sends the ready frame
-(request id 0) carrying its pid.  :data:`~.protocol.SHUTDOWN` drains
-in-flight work, closes the service gracefully (the drain/flush path in
-``NarrationService.aclose``) and exits 0.  A torn socket means the router
-died; the worker exits rather than serve nobody.
+(request id 0) carrying its pid.  :data:`~.protocol.SHUTDOWN` waits out
+in-flight work, closes the service gracefully (``NarrationService.aclose``
+answers every request already submitted) and exits 0.  A torn socket
+means the router died; the worker exits rather than serve nobody.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ def _build_session(spec: Dict[str, Any]) -> Tuple[NarrationService, Any, int]:
             restore_into(database, state)
             restored_seq = state["wal_seq"]
     spec_factory_path = spec.get("spec_factory")
-    # One pool thread: the worker serves one session, whose drain awaits
-    # each pool call before it hands over the next batch.
+    # One pool thread: the worker serves one session, and a session hands
+    # the pool one request at a time.
     service = NarrationService(max_workers=1)
     session = service.session(
         database=database,

@@ -48,6 +48,21 @@ class TestBasicSelect:
         ).to_tuples()
         assert offset_rows == all_rows[2:5]
 
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_limit_stops_reading_its_input(self, compiled):
+        # Every row after the limit would raise (a title compared with a
+        # number); LIMIT must never build them.
+        executor = Executor(movie_database(), compiled=compiled)
+        for _ in range(3):  # first sighting, compile, shape-plan hit
+            none = executor.execute_sql(
+                "select m.title from MOVIES m where m.year > 2000 and m.title > 5 limit 0"
+            )
+            first = executor.execute_sql(
+                "select m.title from MOVIES m where m.id = 1 or m.title > 5 limit 1"
+            )
+            assert none.to_tuples() == []
+            assert first.to_tuples() == [("Match Point",)]
+
     def test_empty_result(self, executor):
         result = executor.execute_sql("select title from MOVIES where year = 1900")
         assert result.is_empty and not result

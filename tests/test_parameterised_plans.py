@@ -7,8 +7,8 @@ so every execution is a genuine shape hit; (2) value-driven plan choices
 split on the guard vector (pinned select literals, LIMIT/OFFSET,
 int-vs-float tags) instead of leaking one query's values into another's
 answer; (3) data caches invalidate under DML and direct storage
-mutation; and (4) the concurrent service's batched execution is
-byte-identical to sequential synchronous execution under 64 clients.
+mutation; and (4) the concurrent service's execution is byte-identical
+to sequential synchronous execution under 64 clients.
 
 A shape's plan is compiled on its second sighting (the first runs
 uncompiled), so tests about shared plans send each shape once first.
@@ -379,7 +379,7 @@ def test_invalidate_caches_drops_shape_state(db):
 
 
 # ---------------------------------------------------------------------------
-# Service-tier batched execution
+# Service-tier concurrent execution
 # ---------------------------------------------------------------------------
 
 

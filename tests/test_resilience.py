@@ -5,10 +5,10 @@ Three layers of coverage, mirroring the layering of the code:
 * **policy units** — :class:`Deadline`, :class:`RetryPolicy`,
   :class:`CircuitBreaker` and :class:`AdmissionController` exercised in
   isolation with injected clocks (no sleeps, no timing races);
-* **service integration** — admission shedding, in-queue deadline
-  expiry and overload answers through the real ``NarrationSession``
-  queue/drain machinery, made deterministic by holding the session's
-  work lock instead of racing wall clock;
+* **service integration** — admission shedding, deadline expiry while
+  a request waits its turn and overload answers through the real
+  ``NarrationSession`` dispatch, made deterministic by holding the
+  session's work lock instead of racing wall clock;
 * **shard-tier drills** — a SIGKILLed worker stays invisible to
   idempotent reads, a permanently-dead worker's shapes degrade to the
   next ring node byte-identically, and the chaos soak replays the
@@ -309,7 +309,7 @@ class TestMutationDetection:
 
     def test_degenerate_inputs_fail_safe_as_mutations(self):
         # No recognisable keyword → classified as a mutation: the cost is
-        # a lost batching/retry opportunity, never a wrong answer (an
+        # a lost routing/retry opportunity, never a wrong answer (an
         # auto-retried write would be the dangerous misclassification).
         assert is_mutation("")
         assert is_mutation("   ")
@@ -442,8 +442,8 @@ class TestServiceShedding:
         assert stats["requests"]["shed"]["in_queue"] == 0
 
     def test_deadline_expiry_in_queue_is_shed_typed(self):
-        # Hold the session's work lock so the drain task is provably busy
-        # while the queued request's budget runs out — no wall-clock race.
+        # Hold the session's work lock so the request's pool call provably
+        # waits while its budget runs out — no wall-clock race.
         database = movie_database()
 
         async def main():
@@ -455,7 +455,7 @@ class TestServiceShedding:
                     pending = asyncio.ensure_future(
                         session.execute("select count(*) from GENRE", timeout=0.05)
                     )
-                    await asyncio.sleep(0.3)  # the budget expires while queued
+                    await asyncio.sleep(0.3)  # the budget expires while it waits
                 finally:
                     session._work_lock.release()
                 with pytest.raises(DeadlineExceeded) as excinfo:
@@ -479,8 +479,8 @@ class TestServiceShedding:
                 assert session._work_lock.acquire(timeout=5)
                 submitted = []
                 try:
-                    # The drain task pulls the first request and blocks on
-                    # the held lock; the rest pile up in the queue until
+                    # The first request takes its turn and blocks on the
+                    # held lock; the rest wait for their turn until
                     # the depth threshold answers ServiceOverloaded.
                     for mid in range(6):
                         submitted.append(

@@ -8,6 +8,8 @@ worker threads and the event loop interleave.
 """
 
 import asyncio
+import sys
+import threading
 
 import pytest
 
@@ -77,8 +79,8 @@ class TestConcurrentEquivalence:
         for client in clients:
             assert client == expected
         assert stats["requests"]["by_kind"]["translate"] == 64 * len(corpus)
-        # Stats consistency: a drained, unconfigured session shed nothing
-        # and holds no queued work.
+        # Stats consistency: an idle, unconfigured session shed nothing
+        # and has no request waiting.
         assert stats["requests"]["queue_depth"] == 0
         assert stats["requests"]["shed"] == {
             "overload": 0,
@@ -143,7 +145,7 @@ class TestConcurrentEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Fast path, batching and back-pressure
+# Fast path, dispatch and ordering
 # ---------------------------------------------------------------------------
 
 
@@ -156,7 +158,7 @@ class TestServiceMechanics:
             async with NarrationService(max_workers=2) as service:
                 session = service.session(schema=schema)
                 await session.translate(sql)  # cold: compiles on a worker
-                # Warm requests with an idle queue take the direct-await
+                # Warm requests on an idle session take the direct-await
                 # path.  The first may still race the worker releasing the
                 # session lock, so probe a few times.
                 warm = None
@@ -174,7 +176,7 @@ class TestServiceMechanics:
     def test_replies_settle_after_the_work_lock_is_released(self):
         # A reply settled while the pool thread still holds the session
         # lock resumes its client into a fast path that finds the lock
-        # taken, sending a cached translate through the queue and pool.
+        # taken, sending a cached translate through the pool.
         database = movie_database()
         sql = "select m.title from MOVIES m where m.year = 2004"
         repeats = 25
@@ -183,31 +185,31 @@ class TestServiceMechanics:
             async with NarrationService(max_workers=2) as service:
                 session = service.session(database=database, phrase_plans=True)
                 lock_held = []
-                deliver = session._deliver
 
-                def spy(future, result=None, error=None):
+                async def pooled(request):
+                    reply = await request(sql)
                     lock_held.append(session._work_lock.locked())
-                    deliver(future, result=result, error=error)
+                    return reply
 
-                session._deliver = spy
-                await session.translate(sql)  # first sighting, on the pool
-                await session.translate(sql)  # admitted and cached, on the pool
+                await pooled(session.translate)  # first sighting, on the pool
+                await pooled(session.translate)  # admitted and cached, on the pool
                 before = session.stats()["requests"]["fast_path_hits"]
                 for _ in range(repeats):
-                    await session.execute(sql)  # always served by the pool
+                    await pooled(session.execute)  # always served by the pool
                     await session.translate(sql)
-                after = session.stats()["requests"]["fast_path_hits"]
-                return lock_held, after - before
+                return lock_held, before, session.stats()["requests"]
 
-        lock_held, fast = run(main())
+        lock_held, before, requests = run(main())
         assert len(lock_held) == 2 + repeats and not any(lock_held)
         # Every translate that follows a pool-served reply is a cache hit
-        # served on the fast path.
-        assert fast == repeats
+        # served on the fast path; only the first two went to the pool.
+        assert before == 0
+        assert requests["fast_path_hits"] == repeats
+        assert requests["by_kind"] == {"translate": 2 + repeats, "execute": repeats}
 
     def test_each_reply_settles_as_soon_as_its_request_has_run(self):
-        # Requests share one batch; no member's reply may wait for the
-        # rest of the batch to run.
+        # Concurrent requests each get their own pool call: no reply waits
+        # for a later request to run.
         database = movie_database()
         template = "select m.title from MOVIES m where m.year = {year}"
         requests = 8
@@ -216,25 +218,22 @@ class TestServiceMechanics:
             async with NarrationService(max_workers=2) as service:
                 session = service.session(database=database)
                 events = []
-                run_request, deliver = session._run, session._deliver
+                run_request = session._run
 
-                def spy_run(request):
+                def spy_run(kind, payload):
                     events.append("run")
-                    return run_request(request)
+                    return run_request(kind, payload)
 
-                def spy_deliver(future, result=None, error=None):
-                    events.append("deliver")
-                    deliver(future, result=result, error=error)
+                async def client(year):
+                    result = await session.execute(template.format(year=year))
+                    events.append("reply")
+                    return result
 
-                session._run, session._deliver = spy_run, spy_deliver
-                await asyncio.gather(
-                    *[session.execute(template.format(year=1990 + i)) for i in range(requests)]
-                )
-                return events, session.stats()
+                session._run = spy_run
+                await asyncio.gather(*[client(1990 + i) for i in range(requests)])
+                return events
 
-        events, stats = run(main())
-        assert stats["requests"]["largest_batch"] > 1  # batches were shared
-        assert events == ["run", "deliver"] * requests
+        assert run(main()) == ["run", "reply"] * requests
 
     def test_same_shape_requests_share_one_plan_compile(self):
         schema = movie_schema()
@@ -257,33 +256,168 @@ class TestServiceMechanics:
         assert sighted["misses"] == sighted["deferred"] == 1
         plans = stats["translator"]["plan_store"]
         # One shape: exactly one miss compiled the plan, everything else hit
-        # (later requests of a batch, later batches, or the direct-await path).
+        # (on the pool or on the direct-await path).
         assert plans["misses"] - sighted["misses"] == 1
         assert plans["hits"] + plans["misses"] - sighted["misses"] == len(variants)
 
-    def test_backpressure_bounds_the_queue(self):
+    def test_one_request_per_session_is_on_the_pool_at_a_time(self):
+        # Fifty concurrent requests on a two-thread pool: the session hands
+        # the pool one at a time, and every waiting request is answered.
         schema = movie_schema()
         template = "select m.title from MOVIES m where m.year = {year}"
 
         async def main():
-            async with NarrationService(max_workers=2, max_queue=4, max_batch=2) as service:
+            async with NarrationService(max_workers=2) as service:
                 session = service.session(schema=schema, cache_size=None)
+                guard = threading.Lock()
+                on_pool = [0, 0]  # now, most at once
+                serve = session._serve
+
+                def spy_serve(kind, payload, deadline):
+                    with guard:
+                        on_pool[0] += 1
+                        on_pool[1] = max(on_pool)
+                    try:
+                        return serve(kind, payload, deadline)
+                    finally:
+                        with guard:
+                            on_pool[0] -= 1
+
+                session._serve = spy_serve
                 await asyncio.gather(
                     *[session.translate(template.format(year=1900 + i)) for i in range(50)]
                 )
-                return session.stats()
+                return on_pool[1], session.stats()
 
-        stats = run(main())
-        assert stats["requests"]["queue_high_water"] <= 4
+        most, stats = run(main())
+        assert most == 1
         assert stats["requests"]["by_kind"]["translate"] == 50
-        # Back-pressure suspends producers; the default admission
-        # controller must not have shed a single request.
+        # The default admission controller must not have shed a single
+        # request, and nothing is left waiting.
         assert stats["requests"]["queue_depth"] == 0
         assert stats["requests"]["shed"] == {
             "overload": 0,
             "deadline": 0,
             "in_queue": 0,
         }
+
+    def test_requests_run_in_arrival_order(self):
+        # Interleaved writes and reads on one session: each count sees
+        # exactly the inserts submitted before it.
+        database = movie_database()
+        pairs = 20
+        count = "select count(*) from GENRE"
+
+        async def main():
+            async with NarrationService(max_workers=4) as service:
+                session = service.session(database=database)
+                base = (await session.execute(count)).rows[0]["count(*)"]
+                requests = []
+                for index in range(pairs):
+                    requests.append(
+                        session.execute(
+                            f"insert into GENRE (mid, genre) values (1, 'Order {index}')"
+                        )
+                    )
+                    requests.append(session.execute(count))
+                replies = await asyncio.gather(*requests)
+                return base, [reply.rows[0]["count(*)"] for reply in replies[1::2]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # pool threads interleave as often as they can
+        try:
+            base, counts = run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [base + inserted for inserted in range(1, pairs + 1)]
+
+    def test_a_cancelled_client_keeps_the_turn_until_its_run_ends(self):
+        database = movie_database()
+        first = "select count(*) from MOVIES"
+        second = "select count(*) from GENRE"
+
+        async def main():
+            async with NarrationService(max_workers=2) as service:
+                session = service.session(database=database)
+                await session.execute(first)
+                events = []
+                started = threading.Event()
+                serve = session._serve
+
+                def spy_serve(kind, payload, deadline):
+                    events.append(("start", payload))
+                    started.set()
+                    try:
+                        return serve(kind, payload, deadline)
+                    finally:
+                        events.append(("end", payload))
+
+                session._serve = spy_serve
+                # Holding the work lock parks the first request on the pool.
+                assert session._work_lock.acquire(timeout=5)
+                try:
+                    cancelled = asyncio.ensure_future(session.execute(first))
+                    # Cancel only once the run has started on the pool.
+                    assert await asyncio.to_thread(started.wait, 5)
+                    cancelled.cancel()
+                    following = asyncio.ensure_future(session.execute(second))
+                    await asyncio.sleep(0.05)
+                    waiting = session.stats()["requests"]["queue_depth"]
+                finally:
+                    session._work_lock.release()
+                result = await following
+                return cancelled.cancelled(), waiting, events, result
+
+        cancelled, waiting, events, result = run(main())
+        assert cancelled
+        # The next request waited for its turn while the cancelled run
+        # still held the pool, and started only after it ended.
+        assert waiting == 1
+        assert events == [
+            ("start", first),
+            ("end", first),
+            ("start", second),
+            ("end", second),
+        ]
+        assert result.rows
+
+    def test_a_client_cancelled_before_its_run_starts_runs_nothing(self):
+        # One pool thread, two sessions: the first session's request
+        # holds the thread, so the second's waits in the pool unstarted.
+        database = movie_database()
+        sql = "select count(*) from MOVIES"
+
+        async def main():
+            async with NarrationService(max_workers=1) as service:
+                busy = service.session(database=database)
+                other = service.session(schema=database.schema)
+                started = []
+                serve = other._serve
+
+                def spy_serve(kind, payload, deadline):
+                    started.append(payload)
+                    return serve(kind, payload, deadline)
+
+                other._serve = spy_serve
+                assert busy._work_lock.acquire(timeout=5)
+                try:
+                    holding = asyncio.ensure_future(busy.execute(sql))
+                    await asyncio.sleep(0.05)
+                    cancelled = asyncio.ensure_future(other.translate(sql))
+                    await asyncio.sleep(0.05)
+                    cancelled.cancel()
+                    await asyncio.sleep(0.05)
+                finally:
+                    busy._work_lock.release()
+                await holding
+                # The cancelled request gave the turn back: the next one runs.
+                after = await other.translate(sql)
+                return cancelled.cancelled(), started, after
+
+        cancelled, started, after = run(main())
+        assert cancelled
+        assert started == [sql]  # only the request after the cancelled one
+        assert after.text
 
     def test_errors_propagate_to_the_awaiting_client(self):
         schema = movie_schema()
@@ -331,6 +465,9 @@ class TestServiceMechanics:
                 service.session(database=database, cache_size=None)
                 with pytest.raises(ValueError):
                     service.session(database=database, phrase_plans=False)
+                # An explicit default is configuration too.
+                with pytest.raises(ValueError):
+                    service.session(database=database, cache_size=512)
                 # reuse without configuration is fine
                 assert service.session(database=database) is not None
 
