@@ -10,19 +10,26 @@ and a couple of integer comparisons.
 
 This benchmark quantifies that claim three ways:
 
-* ``fast_path`` — warm direct-await translates (LRU hit, served inline
-  on the event loop) through a default session versus one whose
-  admission check is stubbed out;
+* ``micro_ns`` — the isolated per-call cost of each policy primitive;
 * ``queued_execute`` — warm single-shape executes through the session's
   turn and one worker-pool call, default versus stubbed admission (this
   is the path that actually runs the admission check per request; both
   sides build the same deadline);
-* ``micro_ns`` — the isolated per-call cost of each policy primitive.
+* ``fast_path`` — warm direct-await translates (LRU hit, served inline
+  on the event loop) through a default session versus one whose
+  admission check is stubbed out.
 
-The acceptance budget is a warm fast-path p50 regression under 5% at
-defaults; measurements are interleaved (default / bypassed / default /
-bypassed ...) so clock drift and thermal state cancel instead of biasing
-one side.
+The acceptance budget is what the defaults add to a queued request:
+one ``Deadline.after(None)`` and one ``admit()`` call
+(``micro_ns.deadline_after_none + micro_ns.admission_admit``) must stay
+under 1% of the queued execute's default p50.  The two timed
+comparisons are kept as information only.  Timing cannot resolve the
+stub on either path: a translate served inline never reaches admission,
+so both fast-path sessions run the same code, and on a queued execute
+the stub removes about 0.2 µs of a request near 150 µs, far inside the
+spread between runs.  Their batches are interleaved (default / bypassed
+/ default / bypassed ...) so clock drift and thermal state cancel
+instead of biasing one side.
 """
 
 from __future__ import annotations
@@ -138,7 +145,8 @@ def bench_resilience(quick: bool = False) -> dict:
         "retry_delay": _micro(lambda: policy.delay(2, "execute:42"), iterations // 10),
     }
 
-    fast_regression = _regression_pct(fast_default, fast_bypassed)
+    per_request_ns = micro["deadline_after_none"] + micro["admission_admit"]
+    budget_pct = per_request_ns / (queued_default * 1e9) * 100.0
     result = {
         "note": (
             "default resilience (unbounded deadline, no shed threshold,"
@@ -148,7 +156,7 @@ def bench_resilience(quick: bool = False) -> dict:
         "fast_path": {
             "p50_default_us": round(fast_default * 1e6, 3),
             "p50_bypassed_us": round(fast_bypassed * 1e6, 3),
-            "regression_pct": fast_regression,
+            "regression_pct": _regression_pct(fast_default, fast_bypassed),
         },
         "queued_execute": {
             "p50_default_us": round(queued_default * 1e6, 3),
@@ -156,8 +164,11 @@ def bench_resilience(quick: bool = False) -> dict:
             "regression_pct": _regression_pct(queued_default, queued_bypassed),
         },
         "micro_ns": {key: round(value, 1) for key, value in micro.items()},
-        "budget": "warm fast-path p50 regression < 5% at defaults",
-        "passes_budget": fast_regression < 5.0,
+        "budget": (
+            "micro_ns.deadline_after_none + micro_ns.admission_admit"
+            " < 1% of queued_execute.p50_default_us"
+        ),
+        "passes_budget": budget_pct < 1.0,
     }
     return result
 

@@ -561,15 +561,23 @@ def main(argv=None) -> int:
         + f" ipc round-trip p50 {shard['ipc_round_trip_p50_ms']:.2f}ms"
     )
     resilience = summary["resilience"]
+    per_request_ns = (
+        resilience["micro_ns"]["deadline_after_none"]
+        + resilience["micro_ns"]["admission_admit"]
+    )
+    queued_us = resilience["queued_execute"]["p50_default_us"]
     print(
         "  resilience overhead:"
-        f" fast path {resilience['fast_path']['p50_bypassed_us']:.1f}us ->"
+        f" deadline + admit {per_request_ns:.0f}ns of a {queued_us:.1f}us"
+        f" queued execute ({per_request_ns / (queued_us * 1e3) * 100:.2f}%,"
+        f" budget <1% {'met' if resilience['passes_budget'] else 'MISSED'});"
+        f" timed, information only: fast path"
+        f" {resilience['fast_path']['p50_bypassed_us']:.1f}us ->"
         f" {resilience['fast_path']['p50_default_us']:.1f}us"
-        f" ({resilience['fast_path']['regression_pct']:+.1f}%);"
+        f" ({resilience['fast_path']['regression_pct']:+.1f}%),"
         f" queued execute {resilience['queued_execute']['p50_bypassed_us']:.1f}us ->"
-        f" {resilience['queued_execute']['p50_default_us']:.1f}us"
-        f" ({resilience['queued_execute']['regression_pct']:+.1f}%);"
-        f" budget {'met' if resilience['passes_budget'] else 'MISSED'}"
+        f" {queued_us:.1f}us"
+        f" ({resilience['queued_execute']['regression_pct']:+.1f}%)"
     )
     durability = summary["durability"]["service"]
     print(

@@ -83,6 +83,7 @@ from repro.engine.plan import (
     ProjectNode,
     ScanNode,
     SortNode,
+    keyed_equalities,
 )
 from repro.engine.result import DmlResult, QueryResult
 from repro.engine.vector import VectorExpressionCompiler, VectorUnsupported
@@ -961,17 +962,10 @@ class Executor:
         ops = self._ops(node)
         if ops is not None and self.compiled and table.row_count:
             eq_columns, value_fns, _ = ops
-            index = self._scan_index(table, eq_columns)
-            if index is not None:
-                context = outer_row if outer_row is not None else _EMPTY_ROW
-                values = tuple(fn(context) for fn in value_fns)
-                if any(v is None for v in values):
-                    return  # `col = NULL` never matches
+            context = outer_row if outer_row is not None else _EMPTY_ROW
+            rowids = self._probe(table, eq_columns, value_fns, context)
+            if rowids is not None:
                 binding = node.binding
-                try:
-                    rowids = index.lookup(values)
-                except TypeError:
-                    rowids = ()  # unhashable probe value can never equal a stored one
                 self._rows_read += len(rowids)
                 for rowid in rowids:
                     yield table.row_by_id(rowid).prefixed(binding)
@@ -994,11 +988,29 @@ class Executor:
                 if all(predicate(scoped) for predicate in predicates):
                     yield row
 
-    def _scan_index(self, table: TableStorage, columns: Tuple[str, ...]):
+    def _probe(
+        self,
+        table: TableStorage,
+        columns: Tuple[str, ...],
+        value_fns: Iterable[CompiledExpr],
+        context: Row,
+    ) -> Optional[Tuple[int, ...]]:
+        """Sorted rowids whose ``columns`` equal the probe values.
+
+        None when the table lacks one of ``columns`` (the caller scans);
+        a NULL probe value matches no row.
+        """
         try:
-            return table.ensure_index(columns)
+            index = table.ensure_index(columns)
         except UnknownAttributeError:
             return None
+        values = tuple(fn(context) for fn in value_fns)
+        if any(v is None for v in values):
+            return ()  # `col = NULL` never matches
+        try:
+            return index.lookup(values)
+        except TypeError:
+            return ()  # unhashable probe value can never equal a stored one
 
     def _scan_rows(self, table: TableStorage, binding: str) -> List[Row]:
         """Prefixed rows of a full scan, cached per table version."""
@@ -1665,7 +1677,12 @@ class Executor:
         changes: Dict[str, Any] = {}
         for column, expression in statement.assignments:
             changes[column] = self._expr_fn(expression)(_EMPTY_ROW)
-        affected = self.database.update_where(statement.table, predicate, changes)
+        affected = self.database.update_where(
+            statement.table,
+            predicate,
+            changes,
+            rowids=self._dml_rowids(statement.table, binding, statement.where),
+        )
         return DmlResult(statement_kind="UPDATE", affected_rows=affected)
 
     def _execute_delete(self, statement: ast.DeleteStatement) -> DmlResult:
@@ -1676,8 +1693,36 @@ class Executor:
         def predicate(row: Row) -> bool:
             return matches(row.prefixed(binding))
 
-        affected = self.database.delete_where(statement.table, predicate)
+        affected = self.database.delete_where(
+            statement.table,
+            predicate,
+            rowids=self._dml_rowids(statement.table, binding, statement.where),
+        )
         return DmlResult(statement_kind="DELETE", affected_rows=affected)
+
+    def _dml_rowids(
+        self, table_name: str, binding: str, where: Optional[ast.Expression]
+    ) -> Optional[Tuple[int, ...]]:
+        """Candidate rowids of a keyed UPDATE or DELETE, or None to scan.
+
+        The WHERE's index-usable equalities (:func:`keyed_equalities`)
+        probe the table as a compiled scan's pushed equalities do, with
+        the same fallbacks to a scan: interpreted mode, no such conjunct,
+        an empty table, or a column the table lacks.  The rowids come
+        sorted, which is the scan's order.
+        """
+        if not self.compiled:
+            return None
+        table = self.database.table(table_name)
+        pairs = keyed_equalities(where, binding, table.relation.has_attribute)
+        if not pairs or not table.row_count:
+            return None
+        return self._probe(
+            table,
+            tuple(column for column, _ in pairs),
+            [self._expr_fn(value) for _, value in pairs],
+            _EMPTY_ROW,
+        )
 
 
 # ---------------------------------------------------------------------------

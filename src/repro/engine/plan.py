@@ -11,8 +11,8 @@ equi-join condition when one exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PlanningError
 from repro.sql import ast
@@ -302,6 +302,42 @@ def pushable_equality(
         ):
             return column_side.column, value_side
     return None
+
+
+def keyed_equalities(
+    where: Optional[ast.Expression], binding: str, has_column: Callable[[str], bool]
+) -> List[Tuple[str, ast.Expression]]:
+    """``(column, value)`` pairs an UPDATE or DELETE can probe an index with.
+
+    The top-level conjuncts of ``where`` that :func:`pushable_equality`
+    pushes into a scan of ``binding``, with a value side that names no
+    column.  A DML WHERE has one binding and no outer scope, so outside
+    subqueries a bare name can only be a column of the target table: a
+    bare column side for which ``has_column`` holds is read as
+    ``binding.column``.  Any other name leaves its conjunct unprobed.
+    """
+    pairs: List[Tuple[str, ast.Expression]] = []
+    for conjunct in ast.conjuncts(where):
+        if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
+            conjunct = replace(
+                conjunct,
+                left=_bound(conjunct.left, binding, has_column),
+                right=_bound(conjunct.right, binding, has_column),
+            )
+        pushable = pushable_equality(conjunct, binding)
+        if pushable is not None and not any(
+            isinstance(node, ast.ColumnRef) for node in pushable[1].walk()
+        ):
+            pairs.append(pushable)
+    return pairs
+
+
+def _bound(
+    side: ast.Expression, binding: str, has_column: Callable[[str], bool]
+) -> ast.Expression:
+    if isinstance(side, ast.ColumnRef) and side.table is None and has_column(side.column):
+        return ast.ColumnRef(side.column, binding)
+    return side
 
 
 def _constant_wrt(expression: ast.Expression, binding_lower: str) -> bool:

@@ -188,10 +188,19 @@ class Database:
             rows = data.get(table_name, ())
             self.insert_many(table_name, rows, coerce=coerce)
 
-    def delete_where(self, table_name: str, predicate) -> int:
-        """Delete rows matching ``predicate(row)``; returns the number removed."""
+    def delete_where(
+        self, table_name: str, predicate, *, rowids: Optional[Iterable[int]] = None
+    ) -> int:
+        """Delete rows matching ``predicate(row)``; returns the number removed.
+
+        ``rowids``, when given, are the only rows ``predicate`` is tested
+        on (an index probe's answer, in rowid order); without it, every
+        row of the table is.
+        """
         table = self.table(table_name)
-        to_delete = [rowid for rowid, row in table.rows_with_ids() if predicate(row)]
+        to_delete = [
+            rowid for rowid, row in _candidates(table, rowids) if predicate(row)
+        ]
         if self.enforce_foreign_keys:
             for rowid in to_delete:
                 self._check_no_referencing_children(table.name, table.row_by_id(rowid))
@@ -205,13 +214,27 @@ class Database:
             self._note_applied()
         return removed
 
-    def update_where(self, table_name: str, predicate, changes: Mapping[str, Any]) -> int:
-        """Update rows matching ``predicate(row)`` with ``changes``."""
+    def update_where(
+        self,
+        table_name: str,
+        predicate,
+        changes: Mapping[str, Any],
+        *,
+        rowids: Optional[Iterable[int]] = None,
+    ) -> int:
+        """Update rows matching ``predicate(row)`` with ``changes``.
+
+        ``rowids`` narrows the rows ``predicate`` is tested on, as in
+        :meth:`delete_where`.  With foreign keys enforced, an update that
+        matches rows must leave every changed foreign key with a parent
+        and must not move a key that child rows still reference.
+        """
         table = self.table(table_name)
-        to_update = [rowid for rowid, row in table.rows_with_ids() if predicate(row)]
-        if self.enforce_foreign_keys:
-            merged_probe = dict(changes)
-            self._check_foreign_keys(table.name, merged_probe, partial=True)
+        to_update = [
+            rowid for rowid, row in _candidates(table, rowids) if predicate(row)
+        ]
+        if self.enforce_foreign_keys and to_update:
+            self._check_update(table, to_update, changes)
         if to_update:
             self._log(("update", table.name, list(to_update), dict(changes)))
         updated = table.update_rows(to_update, changes)
@@ -246,7 +269,9 @@ class Database:
             _, table_name, rowids, changes = op
             table = self.table(table_name)
             if self.enforce_foreign_keys:
-                self._check_foreign_keys(table.name, dict(changes), partial=True)
+                self._check_update(
+                    table, [rowid for rowid in rowids if table.has_row(rowid)], changes
+                )
             table.update_rows(rowids, changes)
         else:
             raise RecoveryError(f"unknown logged operation kind {kind!r}")
@@ -358,20 +383,49 @@ class Database:
                 continue
             parent = self.table(fk.target_relation)
             if not parent.has_key(fk.target_attributes, child_values):
+                statement = "update" if partial else "insert into"
                 raise ForeignKeyViolationError(
-                    f"insert into {table_name} violates {fk}: no parent row with"
+                    f"{statement} {table_name} violates {fk}: no parent row with"
                     f" {dict(zip(fk.target_attributes, child_values))!r}"
                 )
 
-    def _check_no_referencing_children(self, table_name: str, row: Row) -> None:
+    def _check_update(
+        self, table: BaseTableStorage, rowids: Sequence[int], changes: Mapping[str, Any]
+    ) -> None:
+        """FK checks for applying ``changes`` to the rows ``rowids``.
+
+        The changed foreign keys need a parent row, and no row may move a
+        key that child rows still reference (checked on the old row).
+        """
+        self._check_foreign_keys(table.name, changes, partial=True)
+        for rowid in rowids:
+            self._check_no_referencing_children(
+                table.name, table.row_by_id(rowid), changes
+            )
+
+    def _check_no_referencing_children(
+        self, table_name: str, row: Row, changes: Optional[Mapping[str, Any]] = None
+    ) -> None:
+        """Reject removing ``row``'s referenced keys while children hold them.
+
+        With ``changes`` (an update), only the foreign keys whose target
+        columns the update gives a new value are checked.
+        """
+        lowered = None if changes is None else {k.lower(): v for k, v in changes.items()}
         for fk in self.schema.foreign_keys_to(table_name):
             parent_key = [row.get(col) for col in fk.target_attributes]
             if any(v is None for v in parent_key):
                 continue
+            if lowered is not None and all(
+                lowered.get(col.lower(), value) == value
+                for col, value in zip(fk.target_attributes, parent_key)
+            ):
+                continue
             child = self.table(fk.source_relation)
             if child.has_key(fk.source_attributes, parent_key):
+                statement = "delete from" if changes is None else "update"
                 raise ForeignKeyViolationError(
-                    f"cannot delete from {table_name}: rows in {fk.source_relation}"
+                    f"cannot {statement} {table_name}: rows in {fk.source_relation}"
                     f" still reference key {parent_key!r} via {fk}"
                 )
 
@@ -406,3 +460,12 @@ class Database:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Database({self.schema.name}: {self.total_rows} rows in {len(self.tables)} tables)"
+
+
+def _candidates(
+    table: BaseTableStorage, rowids: Optional[Iterable[int]]
+) -> Iterable[Tuple[int, Row]]:
+    """``(rowid, row)`` pairs a DML predicate is tested on."""
+    if rowids is None:
+        return table.rows_with_ids()
+    return ((rowid, table.row_by_id(rowid)) for rowid in rowids)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog import SchemaBuilder
 from repro.datasets import movie_database, movie_schema, seed_rows
+from repro.engine import Executor
 from repro.errors import ForeignKeyViolationError, UnknownTableError
 from repro.storage import Database, dump_records, load_csv_text, load_records
 
@@ -60,6 +61,52 @@ class TestForeignKeys:
     def test_update_fk_to_missing_parent_rejected(self, database):
         with pytest.raises(ForeignKeyViolationError):
             database.update_where("CAST", lambda row: True, {"mid": 12345})
+
+    def test_update_fk_violation_names_the_update(self, database):
+        with pytest.raises(ForeignKeyViolationError, match=r"^update CAST violates"):
+            database.update_where("CAST", lambda row: row["mid"] == 4, {"mid": 12345})
+
+    def test_update_matching_no_row_skips_fk_checks(self, database):
+        log = []
+        database.attach_wal(log)
+        before = dump_records(database)
+        updated = database.update_where("CAST", lambda row: row["mid"] == -1, {"mid": 999999})
+        assert updated == 0
+        assert log == []
+        assert dump_records(database) == before
+
+    def test_update_moving_a_referenced_key_rejected(self, database):
+        log = []
+        database.attach_wal(log)
+        before = dump_records(database)
+        with pytest.raises(ForeignKeyViolationError, match=r"^cannot update MOVIES"):
+            database.update_where("MOVIES", lambda row: row["id"] == 4, {"id": 987654})
+        assert log == []
+        assert dump_records(database) == before
+        orphans = Executor(database).execute_sql(
+            "select count(*) from CAST c where not exists"
+            " (select * from MOVIES m where m.id = c.mid)"
+        )
+        assert orphans.scalar() == 0
+
+    def test_update_keeping_a_referenced_key_allowed(self, database):
+        assert database.update_where("MOVIES", lambda row: row["id"] == 4, {"year": 2005}) == 1
+        assert database.update_where("MOVIES", lambda row: row["id"] == 4, {"id": 4}) == 1
+
+    def test_update_moving_an_unreferenced_key_allowed(self, database):
+        database.insert("MOVIES", {"id": 555, "title": "Childless", "year": 2001})
+        assert database.update_where("MOVIES", lambda row: row["id"] == 555, {"id": 556}) == 1
+        assert [row["title"] for row in database.table("MOVIES").lookup(["id"], [556])] == [
+            "Childless"
+        ]
+
+    def test_replayed_update_moving_a_referenced_key_rejected(self, database):
+        rowid = next(
+            rowid for rowid, row in database.table("MOVIES").rows_with_ids() if row["id"] == 4
+        )
+        before = dump_records(database)
+        assert database.replay([("update", "MOVIES", [rowid], {"id": 987654})]) == (0, 1)
+        assert dump_records(database) == before
 
     def test_enforcement_can_be_disabled(self):
         database = Database(movie_schema(), enforce_foreign_keys=False)

@@ -23,7 +23,7 @@ from repro.datasets import PAPER_QUERIES, get_domain, movie_database
 from repro.datasets.workload import generate_workload
 from repro.engine import executor as executor_module
 from repro.engine.executor import Executor
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ReproError
 from repro.storage import (
     ColumnarStorage,
     Database,
@@ -288,6 +288,8 @@ class TestQueryDifferential:
 
 
 class TestRandomizedDml:
+    """Random DML through the compiled engines vs the interpreted rows oracle."""
+
     CHECK_QUERIES = [
         "select m.id, m.title, m.year from MOVIES m",
         "select m.title from MOVIES m where m.year > 1990",
@@ -300,8 +302,8 @@ class TestRandomizedDml:
         rng = random.Random(seed)
         oracle_db = database_for("rows")
         subject_db = database_for(engine)
-        oracle = Executor(oracle_db)
-        subject = Executor(subject_db)
+        oracle = Executor(oracle_db, compiled=False)
+        subject = Executor(subject_db, compiled=True)
         next_id = 10_000
         for step in range(120):
             roll = rng.random()
@@ -340,6 +342,95 @@ class TestRandomizedDml:
                 f"update MOVIES set title = '{grown.strip()}' where id = 2"
             )
         assert dump_records(database) == dump_records(oracle)
+
+
+class TestKeyedDml:
+    """Keyed UPDATE/DELETE probe a hash index; ``compiled=False`` scans."""
+
+    STATEMENTS = [
+        "delete from CAST where mid = 4",
+        "delete from CAST where CAST.mid = 4",
+        "delete from CAST c where c.mid = 4",
+        "delete from CAST where 4 = mid",
+        "delete from CAST where mid = 4 and aid = 4",
+        "delete from CAST where mid = 4 and role = 'Hector'",
+        "update CAST set role = 'Paris' where mid = 4 and role = 'Hector'",
+        "update CAST set role = 'Paris' where mid = 4 and role = 'Nobody'",
+        "delete from GENRE where mid = NULL",
+        "update MOVIES set year = 1999 where id = 1.0",
+        "update MOVIES set year = 1999 where id = TRUE",
+        "delete from GENRE where mid = 987654",
+        "update MOVIES set year = 1999 where year > 2000",
+        "update MOVIES set id = 556 where id = 555",
+        "delete from MOVIES where id = 555",
+        "delete from MOVIES where id = 4",
+        "update MOVIES set id = 987654 where id = 4",
+        "update CAST set mid = 987654 where mid = 4",
+        "delete from CAST where nosuch = 1",
+        "delete from CAST where mid = 4 and nosuch = 1",
+        "delete from CAST where mid = MOVIES.id",
+    ]
+
+    @staticmethod
+    def run(sql, compiled):
+        """The outcome, final records and WAL payloads of ``sql`` in one mode."""
+        database = movie_database()
+        database.insert("MOVIES", {"id": 555, "title": "Childless", "year": 2001})
+        payloads = []
+        database.attach_wal(payloads)
+        try:
+            outcome = Executor(database, compiled=compiled).execute_sql(sql).affected_rows
+        except ReproError as error:
+            outcome = (type(error).__name__, str(error))
+        return outcome, dump_records(database), payloads
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_probe_matches_the_scan(self, sql):
+        assert self.run(sql, compiled=True) == self.run(sql, compiled=False)
+
+    @staticmethod
+    def count_full_scans(database, table_name):
+        table = database.table(table_name)
+        calls = []
+        original = table.rows_with_ids
+
+        def counted():
+            calls.append(table_name)
+            return original()
+
+        table.rows_with_ids = counted
+        return calls
+
+    @pytest.mark.parametrize("compiled, scans", [(True, 0), (False, 1)])
+    @pytest.mark.parametrize(
+        "sql, table_name",
+        [
+            ("delete from CAST where mid = 4", "CAST"),
+            ("update MOVIES set year = 1999 where id = 4", "MOVIES"),
+        ],
+    )
+    def test_keyed_write_reads_no_full_table(self, sql, table_name, compiled, scans):
+        database = movie_database()
+        calls = self.count_full_scans(database, table_name)
+        assert Executor(database, compiled=compiled).execute_sql(sql).affected_rows > 0
+        assert len(calls) == scans
+
+    def test_rows_the_probe_skips_are_not_evaluated(self):
+        # Movie 1 has year 2005: only the scan evaluates the division on it.
+        sql = "update MOVIES set year = 2004 where 1 / (year - 2005) < 1 and id = 4"
+        assert Executor(movie_database(), compiled=True).execute_sql(sql).affected_rows == 1
+        with pytest.raises(EvaluationError, match="division by zero"):
+            Executor(movie_database(), compiled=False).execute_sql(sql)
+
+    def test_unknown_column_raises_alike(self):
+        errors = []
+        for compiled in (True, False):
+            with pytest.raises(EvaluationError) as caught:
+                Executor(movie_database(), compiled=compiled).execute_sql(
+                    "delete from CAST where nosuch = 1"
+                )
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
 
 
 # ----------------------------------------------------------------------
@@ -642,7 +733,8 @@ DOMAIN_DML = {
 
 
 class TestCrossDomainDml:
-    """Randomized DML streams over each new domain, engines vs rows oracle."""
+    """Randomized DML streams over each new domain, compiled engines vs the
+    interpreted rows oracle."""
 
     @pytest.mark.parametrize("domain_name", sorted(DOMAIN_DML))
     @pytest.mark.parametrize("engine", ["paged", "columnar"])
@@ -652,8 +744,8 @@ class TestCrossDomainDml:
         rng = random.Random(f"{domain_name}-dml-0")
         oracle_db = domain.database(storage=StorageConfig(default_engine="rows"))
         subject_db = domain.database(storage=engine_config(engine))
-        oracle = Executor(oracle_db)
-        subject = Executor(subject_db)
+        oracle = Executor(oracle_db, compiled=False)
+        subject = Executor(subject_db, compiled=True)
         next_id = 10_000
         for step in range(120):
             roll = rng.random()
