@@ -2,9 +2,9 @@
 
 Covers the language-side compile-once-run-many pipeline of the narration
 stack: the precompiled-regex lexer vs. the character-by-character oracle,
-cold/warm query translation over the 50-query generated workload, and
-streaming vs. eager database narration under a fixed length budget —
-asserting byte equivalence wherever both paths run.
+cold/warm query translation over the 50-query generated workload,
+database narration under a fixed length budget, and streaming vs. eager
+relation narration — asserting byte equivalence wherever both paths run.
 """
 
 import pytest
@@ -77,22 +77,11 @@ def test_warm_translate_workload(benchmark, workload_sql):
     )
 
 
-def test_narrate_database_streaming(benchmark, db200):
+def test_narrate_database(benchmark, db200):
     spec = movie_spec(db200.schema)
     budget = LengthBudget(max_sentences=12)
     text = benchmark(
         lambda: ContentNarrator(db200, spec=spec).narrate_database(budget=budget)
-    )
-    assert text.count(".") >= 10
-
-
-def test_narrate_database_eager_baseline(benchmark, db200):
-    spec = movie_spec(db200.schema)
-    budget = LengthBudget(max_sentences=12)
-    text = benchmark(
-        lambda: ContentNarrator(db200, spec=spec).narrate_database(
-            budget=budget, streaming=False
-        )
     )
     assert text.count(".") >= 10
 
@@ -106,9 +95,6 @@ def test_streaming_matches_eager_byte_for_byte(db200):
         LengthBudget(max_words=60),
         None,
     ):
-        assert narrator.narrate_database(budget=budget) == narrator.narrate_database(
-            budget=budget, streaming=False
-        )
         assert narrator.narrate_relation(
             "MOVIES", budget=budget
         ) == narrator.narrate_relation("MOVIES", budget=budget, streaming=False)

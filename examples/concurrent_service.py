@@ -5,7 +5,7 @@ Sixteen simulated clients share one :class:`repro.NarrationService`
 session over the movie database.  Translation requests that repeat a
 shape are served from compiled phrase plans (most without ever leaving
 the event loop), execution shares one compiled executor, and narration
-streams from the maintained ranking — all byte-identical to what each
+reads the maintained ranking — all byte-identical to what each
 client would get from a private synchronous pipeline.
 
 Run with::

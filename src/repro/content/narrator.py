@@ -21,9 +21,9 @@ document planner into a handful of high-level calls:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
-from repro.content.navigation import find_by_heading, non_bridge_path, related_rows
+from repro.content.navigation import find_by_heading, related_rows
 from repro.content.patterns import (
     SynthesisMode,
     split_pattern_clause,
@@ -31,11 +31,11 @@ from repro.content.patterns import (
 )
 from repro.content.personalization import DEFAULT_PROFILE, UserProfile
 from repro.content.presets import NarrationSpec, default_spec
-from repro.content.ranking import coverage_plan, rank_relations, rank_tuples
-from repro.content.single_relation import TupleStyle, heading_value, tuple_clauses
+from repro.content.ranking import coverage_plan, rank_tuples
+from repro.content.single_relation import TupleStyle, tuple_clauses
 from repro.engine.result import QueryResult
-from repro.errors import TranslationError, UnknownRelationError
-from repro.graph.schema_graph import SchemaGraph, graph_for
+from repro.errors import TranslationError
+from repro.graph.schema_graph import graph_for
 from repro.lexicon.morphology import join_list
 from repro.nlg.clause import Clause
 from repro.nlg.document import (
@@ -62,8 +62,6 @@ class ContentNarrator:
         self.spec = spec or default_spec(database.schema)
         self.profile = profile or DEFAULT_PROFILE
         self.graph = graph_for(database.schema)
-        #: (relation, partner, mode, limit, data version) -> weight histogram.
-        self._histogram_cache: Dict[Tuple, List[Tuple[float, float]]] = {}
 
     # ------------------------------------------------------------------
     # Low-level building blocks
@@ -226,32 +224,15 @@ class ContentNarrator:
         mode: SynthesisMode = SynthesisMode.COMPACT,
         budget: Optional[LengthBudget] = None,
         include_overview: bool = True,
-        streaming: bool = True,
     ) -> str:
         """A ranking-bounded narrative of the whole database.
 
         The narrative starts from ``start`` (default: the schema graph's
         central relation), covers relations most-interesting-first and
         narrates the top tuples of each, connecting them to their most
-        interesting neighbour through the unary pattern.
-
-        With ``streaming`` (the default) relations are ranked and narrated
-        lazily and production stops as soon as the sentence budget is
-        provably settled — later relations are never tuple-ranked at all.
-        The output is byte-identical to the eager (``streaming=False``)
-        pipeline, which builds every clause before trimming.
+        interesting neighbour through the unary pattern.  Every clause is
+        built before the length budget trims the plan.
         """
-        resolved = self._budget(budget)
-        if streaming:
-            plan = collect_streaming(
-                self._database_sentence_stream(
-                    start, relations, max_relations, max_tuples_per_relation,
-                    mode, include_overview,
-                ),
-                resolved,
-            )
-            return plan.render(resolved)
-
         plan = DocumentPlan()
         if include_overview:
             plan.add_text(self._overview_sentence(), weight=10.0, about="overview")
@@ -282,102 +263,9 @@ class ContentNarrator:
                 clauses = self._entity_clauses(relation_name, entry.row, partner, mode)
                 for clause in clauses:
                     plan.add_clause(clause)
-        return plan.render(resolved)
+        return plan.render(self._budget(budget))
 
-    def _database_sentence_stream(
-        self,
-        start: Optional[str],
-        relations: Optional[Sequence[str]],
-        max_relations: Optional[int],
-        max_tuples_per_relation: Optional[int],
-        mode: SynthesisMode,
-        include_overview: bool,
-    ):
-        """Yield ``(sentence, future-weight bound)`` pairs lazily.
-
-        Mirrors the eager pipeline's order exactly: overview first, then
-        the covered relations (start relation first, rest in ranking
-        order), each tuple's clauses in narration order.  Tuple ranking
-        for a relation only happens when the stream reaches it.
-        """
-        allowed = None
-        if relations is not None:
-            allowed = {self.database.schema.relation(r).name for r in relations}
-
-        tuples_limit = (
-            max_tuples_per_relation
-            if max_tuples_per_relation is not None
-            else self.profile.max_tuples_per_relation
-        )
-        ranked_relations = rank_relations(
-            self.database, self.profile, limit=max_relations
-        )
-        start_name = (
-            self.database.schema.relation(start).name
-            if start is not None
-            else self.graph.central_relation().name
-        )
-        ordered = sorted(
-            [r.name for r in ranked_relations], key=lambda name: (name != start_name,)
-        )
-        active = [
-            name for name in ordered if allowed is None or name in allowed
-        ]
-        partners = {name: self._default_partner(name) for name in active}
-        # Per-relation histograms of producible clause weights (with counts)
-        # give the early-exit certificate at clause granularity: the bound
-        # attached to each streamed sentence is the heaviest weight with a
-        # non-exhausted count anywhere after it, so the collector can stop
-        # inside a relation once its heavy clauses have all been produced —
-        # which is what lets varied-weight schemas (the shipped movie spec)
-        # exit early, not only uniform-weight profiles.
-        histograms = [
-            self._clause_weight_histogram(name, partners[name], mode, tuples_limit)
-            for name in active
-        ]
-        suffix_bounds: List[float] = [0.0] * (len(active) + 1)
-        for index in range(len(active) - 1, -1, -1):
-            top = histograms[index][0][0] if histograms[index] else 0.0
-            suffix_bounds[index] = max(top, suffix_bounds[index + 1])
-
-        if include_overview:
-            text = realize_sentence(self._overview_sentence())
-            if text:
-                yield (
-                    PlannedSentence(text=text, weight=10.0, about="overview"),
-                    suffix_bounds[0],
-                )
-        for index, relation_name in enumerate(active):
-            partner = partners[relation_name]
-            tail_bound = suffix_bounds[index + 1]
-            remaining = dict(histograms[index])
-            ranked = rank_tuples(
-                self.database, relation_name, tuples_limit, self.profile
-            )
-            for entry in ranked:
-                for clause in self._entity_clauses(relation_name, entry.row, partner, mode):
-                    text = realize_sentence(clause)
-                    if text:
-                        count = remaining.get(clause.weight)
-                        if count is not None:
-                            if count <= 1:
-                                del remaining[clause.weight]
-                            elif count != float("inf"):
-                                remaining[clause.weight] = count - 1
-                        bound = max(remaining) if remaining else 0.0
-                        yield (
-                            PlannedSentence(
-                                text=text, weight=clause.weight, about=clause.about
-                            ),
-                            bound if bound > tail_bound else tail_bound,
-                        )
-
-    def _tuple_clause_bound(
-        self,
-        relation_name: str,
-        style: TupleStyle,
-        use_attribute_order: bool = True,
-    ) -> float:
+    def _tuple_clause_bound(self, relation_name: str, style: TupleStyle) -> float:
         """An upper bound on the weight of any clause one tuple can yield.
 
         Full-style tuples produce attribute clauses weighted by attribute
@@ -385,16 +273,22 @@ class ContentNarrator:
         no clause at all, and the heading-only fallback (weighted by
         relation weight) only happens for a tuple whose narrated
         attributes are all NULL — both of which the table's NULL tallies
-        rule in or out without touching a row.  ``use_attribute_order``
-        must be false when bounding tuples narrated *without* the spec's
-        attribute order (procedural-mode child tuples), which fall back to
-        the default descriptive-attribute set.
+        rule in or out without touching a row.
         """
         relation = self.database.schema.relation(relation_name)
         relation_weight = self.profile.relation_weight(relation)
         if style is TupleStyle.HEADING_ONLY:
             return relation_weight
-        names = self._narrated_attributes(relation, use_attribute_order)
+        order = self.spec.order_for(relation.name)
+        if order is not None:
+            names = list(order)
+        else:
+            heading_name = self.profile.heading_attribute(relation)
+            names = [
+                a.name
+                for a in relation.attributes
+                if not a.primary_key and a.name != heading_name
+            ]
         if not names:
             return relation_weight
         table = self.database.table(relation.name)
@@ -408,96 +302,6 @@ class ContentNarrator:
         if fallback_possible or not weights:
             weights.append(relation_weight)
         return max(weights)
-
-    def _narrated_attributes(self, relation, use_attribute_order: bool = True):
-        heading_name = self.profile.heading_attribute(relation)
-        order = self.spec.order_for(relation.name) if use_attribute_order else None
-        if order is not None:
-            return list(order)
-        return [
-            a.name
-            for a in relation.attributes
-            if not a.primary_key and a.name != heading_name
-        ]
-
-    def _clause_weight_histogram(
-        self,
-        relation_name: str,
-        partner_name: Optional[str],
-        mode: SynthesisMode,
-        tuples_limit: Optional[int],
-    ) -> List[Tuple[float, float]]:
-        """``(weight, max count)`` pairs, heaviest first, for one relation.
-
-        An upper bound on the multiset of clause weights narrating the
-        relation can stream: per narrated attribute at most one clause per
-        narrated tuple and never more than its non-NULL population, the
-        heading fallback at most once per potentially all-NULL tuple, and
-        one relationship sentence per tuple (weighted by the partner's or,
-        role-swapped, the relation's own weight) only when the schema path
-        to the partner is populated at all.  Procedural-mode child detail
-        clauses are unbounded per tuple, so their weights carry an
-        infinite count — the certificate then degrades to the old
-        max-weight bound for exactly those weights.  Memoized per
-        ``Database.data_version``.
-        """
-        key = (relation_name, partner_name, mode, tuples_limit, self.database.data_version)
-        cached = self._histogram_cache.get(key)
-        if cached is not None:
-            return cached
-        schema = self.database.schema
-        relation = schema.relation(relation_name)
-        table = self.database.table(relation.name)
-        rows = len(table)
-        narrated = rows if tuples_limit is None else min(tuples_limit, rows)
-        buckets: Dict[float, float] = {}
-
-        def add(weight: float, count: float) -> None:
-            buckets[weight] = buckets.get(weight, 0) + count
-
-        if narrated:
-            names = self._narrated_attributes(relation)
-            if names:
-                min_nulls: Optional[int] = None
-                for name in names:
-                    nulls = table.null_count(name)
-                    if rows - nulls > 0:
-                        add(
-                            self.profile.attribute_weight(relation, name),
-                            min(narrated, rows - nulls),
-                        )
-                    min_nulls = nulls if min_nulls is None else min(min_nulls, nulls)
-                fallback = min(narrated, min_nulls or 0)
-                if fallback:
-                    add(self.profile.relation_weight(relation), fallback)
-            else:
-                add(self.profile.relation_weight(relation), narrated)
-            if partner_name is not None and self._partner_path_populated(
-                relation.name, partner_name
-            ):
-                partner = schema.relation(partner_name)
-                add(self.profile.relation_weight(partner), narrated)
-                add(self.profile.relation_weight(relation), narrated)
-                if mode is SynthesisMode.PROCEDURAL:
-                    infinity = float("inf")
-                    partner_table = self.database.table(partner.name)
-                    partner_rows = len(partner_table)
-                    for name in self._narrated_attributes(partner, use_attribute_order=False):
-                        if partner_rows - partner_table.null_count(name) > 0:
-                            add(self.profile.attribute_weight(partner, name), infinity)
-                    add(self.profile.relation_weight(partner), infinity)
-        histogram = sorted(buckets.items(), key=lambda item: -item[0])
-        self._histogram_cache[key] = histogram
-        if len(self._histogram_cache) > 256:
-            self._histogram_cache.clear()
-        return histogram
-
-    def _partner_path_populated(self, relation_name: str, partner_name: str) -> bool:
-        """Whether any tuple can have related partner rows at all."""
-        path = self.graph.shortest_path(relation_name, partner_name)
-        if not path:
-            return False
-        return all(len(self.database.table(name)) > 0 for name in path[1:])
 
     def narrate_schema(self) -> str:
         """A narrative describing the schema itself (Section 2.1)."""

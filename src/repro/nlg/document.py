@@ -134,8 +134,8 @@ def collect_streaming(
     would drop (lightest first, later arrivals before earlier ones on
     ties).  Once the heap is full and the producer's bound says no future
     sentence can outweigh the lightest survivor, the stream is abandoned —
-    that is what makes narrating a large database O(budget) clause
-    productions instead of O(rows).
+    that is what makes ``ContentNarrator.narrate_relation`` on a large
+    relation O(budget) clause productions instead of O(rows).
 
     The returned plan's ``render(budget)`` is byte-identical to the eager
     pipeline (produce everything, then trim): the survivor set equals the

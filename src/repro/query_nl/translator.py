@@ -172,7 +172,6 @@ class QueryTranslator:
         lexicon: Optional[Lexicon] = None,
         cache_size: Optional[int] = 512,
         phrase_plans: Optional[bool] = None,
-        verify_plans: bool = False,
     ) -> None:
         # ``phrase_plans`` defaults to on, unless REPRO_ORACLE forces the
         # interpreted defaults (an explicit argument always wins).
@@ -198,7 +197,6 @@ class QueryTranslator:
         self._aggregate = AggregateTranslator(schema, self.lexicon)
         self._impossible = ImpossibleTranslator(schema, self.lexicon)
         self._dml = DmlTranslator(schema, self.lexicon)
-        self.verify_plans = verify_plans
         self._plans = plan_store_for(self.lexicon) if phrase_plans else None
         self._cache_lexicon_version = self.lexicon.version
 
@@ -214,25 +212,11 @@ class QueryTranslator:
 
     def _translate_sql(self, sql: str) -> QueryTranslation:
         """Translate SQL text through the exact-text LRU and phrase plans."""
-        if self._cache is not None:
-            # Translations are lexical output: vocabulary overrides on
-            # the (possibly shared) lexicon invalidate the exact-text
-            # LRU just like they invalidate the phrase-plan store.
-            if self._cache_lexicon_version != self.lexicon.version:
-                self._cache.clear()
-                self._cache_lexicon_version = self.lexicon.version
-            cached = self._cache.get(sql)
-            if cached is not None:
-                # Shallow-copy the mutable list so callers cannot
-                # corrupt the cached translation.
-                return cached.copy()
+        cached = self._exact_hit(sql)
+        if cached is not None:
+            return cached
         translation, admitted = self._translate_text(sql)
-        if self._cache is not None and admitted:
-            # Cache the pristine original and hand the caller the copy, so
-            # every lookup — hit or miss — performs exactly one copy.
-            self._cache.put(sql, translation)
-            return translation.copy()
-        return translation
+        return self._remember(sql, translation) if admitted else translation
 
     def translate_procedurally(
         self, sql_or_statement: Union[str, ast.SelectStatement]
@@ -264,35 +248,15 @@ class QueryTranslator:
         safe to run on the event loop.  A miss records nothing (the cold
         path that follows does its own accounting).
         """
-        if self._cache is not None:
-            if self._cache_lexicon_version != self.lexicon.version:
-                self._cache.clear()
-                self._cache_lexicon_version = self.lexicon.version
-            # A probe: a miss here is retried (and counted) by the cold
-            # path's ``translate``, so it must not skew the stats.
-            cached = self._cache.get(sql, record_miss=False)
-            if cached is not None:
-                return cached.copy()
-        plans = self._plans
-        if plans is None:
+        # A probe: a miss here is retried (and counted) by the cold
+        # path's ``translate``, so it must not skew the stats.
+        cached = self._exact_hit(sql, record_miss=False)
+        if cached is not None:
+            return cached
+        if self._plans is None:
             return None
-        keyed = shape_key(sql)
-        if keyed is None:
-            return None
-        shape, guards, literals = keyed
-        plan = plans.lookup(self.lexicon, (shape, guards))
-        if plan is None or plan is UNPLANNABLE:
-            return None
-        plans.record_hit()
-        rendered = self._render_plan(plan, sql, literals)
-        if self.verify_plans:
-            self._verify_plan_hit(rendered, sql)
-        if self._cache is not None:
-            # Mirror ``translate``: the pristine rendering is cached and
-            # the caller receives its own copy.
-            self._cache.put(sql, rendered)
-            return rendered.copy()
-        return rendered
+        rendered, _miss = self._plan_hit(sql)
+        return None if rendered is None else self._remember(sql, rendered)
 
     def stats(self) -> Dict[str, Any]:
         """Cache/plan observability for this translator.
@@ -309,8 +273,54 @@ class QueryTranslator:
         }
 
     # ------------------------------------------------------------------
-    # Shape-keyed phrase plans
+    # The exact-text LRU and shape-keyed phrase plans
     # ------------------------------------------------------------------
+
+    def _exact_hit(self, sql: str, record_miss: bool = True) -> Optional[QueryTranslation]:
+        """A copy of the exact-text LRU's translation of ``sql``, if cached."""
+        if self._cache is None:
+            return None
+        # Translations are lexical output: vocabulary overrides on the
+        # (possibly shared) lexicon invalidate the exact-text LRU just
+        # like they invalidate the phrase-plan store.
+        if self._cache_lexicon_version != self.lexicon.version:
+            self._cache.clear()
+            self._cache_lexicon_version = self.lexicon.version
+        cached = self._cache.get(sql, record_miss=record_miss)
+        # Shallow-copy the mutable list so callers cannot corrupt the
+        # cached translation.
+        return None if cached is None else cached.copy()
+
+    def _remember(self, sql: str, translation: QueryTranslation) -> QueryTranslation:
+        """Cache the pristine ``translation`` and hand the caller a copy.
+
+        Every lookup, hit or miss, then performs exactly one copy.
+        """
+        if self._cache is None:
+            return translation
+        self._cache.put(sql, translation)
+        return translation.copy()
+
+    def _plan_hit(self, sql: str):
+        """``(translation, miss)``: ``sql`` rendered from its phrase plan.
+
+        On a store hit (counted here) ``translation`` is the rendering and
+        ``miss`` is ``None``.  Otherwise ``translation`` is ``None`` and
+        ``miss`` is ``(shape, guards, literals, entry)``, ``entry`` being
+        the store's ``None`` (never compiled) or ``UNPLANNABLE``; ``miss``
+        is ``None`` too when the text has no shape key.  Misses are left
+        for the caller to count.
+        """
+        keyed = shape_key(sql)
+        if keyed is None:
+            return None, None
+        shape, guards, literals = keyed
+        plans = self._plans
+        plan = plans.lookup(self.lexicon, (shape, guards))
+        if plan is None or plan is UNPLANNABLE:
+            return None, (shape, guards, literals, plan)
+        plans.record_hit()
+        return self._render_plan(plan, sql, literals), None
 
     def _translate_text(self, sql: str) -> Tuple[QueryTranslation, bool]:
         """``(translation, admitted)``; a first sighting is not admitted.
@@ -321,30 +331,24 @@ class QueryTranslator:
         plans = self._plans
         compile_key = None
         if plans is not None:
-            keyed = shape_key(sql)
-            if keyed is not None:
-                shape, guards, literals = keyed
-                key = (shape, guards)
-                plan = plans.lookup(self.lexicon, key)
-                if plan is not None and plan is not UNPLANNABLE:
-                    plans.record_hit()
-                    rendered = self._render_plan(plan, sql, literals)
-                    if self.verify_plans:
-                        self._verify_plan_hit(rendered, sql)
-                    return rendered, True
+            rendered, miss = self._plan_hit(sql)
+            if rendered is not None:
+                return rendered, True
+            if miss is not None:
+                shape, guards, literals, plan = miss
                 if plan is None and not plans.admits(shape):
                     plans.record_miss(deferred=True)
                     return self._translate_statement(sql, parse_sql(sql)), False
                 plans.record_miss()
                 if plan is None:
-                    compile_key = (key, shape, guards, literals)
+                    compile_key = (shape, guards, literals)
         translation = self._translate_statement(sql, parse_sql(sql))
         if compile_key is not None:
-            key, shape, guards, literals = compile_key
+            shape, guards, literals = compile_key
             plan = compile_plan(translation, literals, guards, shape, self._probe_translate)
             plans.store(
                 self.lexicon,
-                key,
+                (shape, guards),
                 plan if plan is not None else UNPLANNABLE,
                 sample_sql=sql,
             )
@@ -371,15 +375,6 @@ class QueryTranslator:
             rewritten_sql=render_segments(plan.rewritten_sql, literals),
             graph_factory=graph_factory,
         )
-
-    def _verify_plan_hit(self, rendered: QueryTranslation, sql: str) -> None:
-        """Assert a plan-rendered translation equals the full pipeline's."""
-        oracle = self._probe_translate(sql)
-        if rendered != oracle:  # compares every textual field
-            raise AssertionError(
-                f"phrase plan diverged from the full pipeline on {sql!r}:"
-                f" {rendered!r} != {oracle!r}"
-            )
 
     # ------------------------------------------------------------------
 

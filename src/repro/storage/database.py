@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.catalog.foreign_key import ForeignKey
 from repro.catalog.schema import Schema
 from repro.errors import (
     ForeignKeyViolationError,
@@ -369,21 +370,23 @@ class Database:
     # ------------------------------------------------------------------
 
     def _check_foreign_keys(
-        self, table_name: str, values: Mapping[str, Any], partial: bool = False
+        self,
+        table_name: str,
+        values: Mapping[str, Any],
+        fks: Optional[Sequence[ForeignKey]] = None,
+        statement: str = "insert into",
     ) -> None:
+        """Each of ``fks`` (default: every FK from the table) needs a parent row."""
         lowered = {k.lower(): v for k, v in values.items()}
-        for fk in self.schema.foreign_keys_from(table_name):
+        if fks is None:
+            fks = self.schema.foreign_keys_from(table_name)
+        for fk in fks:
             child_values = [lowered.get(col.lower()) for col in fk.source_attributes]
-            if partial and all(
-                col.lower() not in lowered for col in fk.source_attributes
-            ):
-                continue
             if any(v is None for v in child_values):
                 # SQL semantics: NULL FK components never fail the constraint.
                 continue
             parent = self.table(fk.target_relation)
             if not parent.has_key(fk.target_attributes, child_values):
-                statement = "update" if partial else "insert into"
                 raise ForeignKeyViolationError(
                     f"{statement} {table_name} violates {fk}: no parent row with"
                     f" {dict(zip(fk.target_attributes, child_values))!r}"
@@ -394,14 +397,24 @@ class Database:
     ) -> None:
         """FK checks for applying ``changes`` to the rows ``rowids``.
 
-        The changed foreign keys need a parent row, and no row may move a
-        key that child rows still reference (checked on the old row).
+        Every foreign key with a column the update assigns needs a parent
+        row for each row's new values (the columns it does not assign keep
+        the row's old values), and no row may move a key that child rows
+        still reference (checked on the old row).
         """
-        self._check_foreign_keys(table.name, changes, partial=True)
+        assigned = {name.lower() for name in changes}
+        changed = [
+            fk
+            for fk in self.schema.foreign_keys_from(table.name)
+            if any(col.lower() in assigned for col in fk.source_attributes)
+        ]
         for rowid in rowids:
-            self._check_no_referencing_children(
-                table.name, table.row_by_id(rowid), changes
-            )
+            row = table.row_by_id(rowid)
+            if changed:
+                self._check_foreign_keys(
+                    table.name, {**row.raw, **changes}, changed, "update"
+                )
+            self._check_no_referencing_children(table.name, row, changes)
 
     def _check_no_referencing_children(
         self, table_name: str, row: Row, changes: Optional[Mapping[str, Any]] = None

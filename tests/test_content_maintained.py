@@ -1,23 +1,16 @@
 """Differential suite for the maintained content-side structures.
 
-* the :class:`repro.content.ranking.ConnectivityTracker` (top-k ranking
-  maintained on DML, like the hash indexes) must order and score tuples
-  exactly like the score-every-row oracle, across schemas and through
-  arbitrary insert/update/delete sequences;
-* the per-relation clause-weight histograms must keep streaming narration
-  byte-identical to the eager pipeline while letting the early-exit
-  certificate fire on varied-weight schemas (the shipped movie spec).
+The :class:`repro.content.ranking.ConnectivityTracker` (top-k ranking
+maintained on DML, like the hash indexes) must order and score tuples
+exactly like the score-every-row oracle, across schemas and through
+arbitrary insert/update/delete sequences.
 """
 
 import random
 
 import pytest
 
-import repro.content.narrator as narrator_module
-from repro.content.narrator import ContentNarrator
-from repro.content.patterns import SynthesisMode
 from repro.content.personalization import UserProfile
-from repro.content.presets import default_spec, movie_spec
 from repro.content.ranking import ConnectivityTracker, rank_tuples, tracker_for
 from repro.datasets import (
     GeneratorConfig,
@@ -27,7 +20,6 @@ from repro.datasets import (
     movie_database,
 )
 from repro.errors import ForeignKeyViolationError, PrimaryKeyViolationError
-from repro.nlg.document import LengthBudget
 
 
 def assert_ranking_matches_oracle(database, label=""):
@@ -137,155 +129,3 @@ class TestMaintainedRanking:
             r.row.as_dict() for r in rank_tuples(database, "MOVIES", profile=heavy)
         ]
         assert default_order == heavy_order
-
-
-# ---------------------------------------------------------------------------
-# Weight-histogram streaming certificates
-# ---------------------------------------------------------------------------
-
-BUDGETS = [
-    LengthBudget(max_sentences=2),
-    LengthBudget(max_sentences=4),
-    LengthBudget(max_sentences=12),
-    LengthBudget(max_words=60),
-    LengthBudget(max_sentences=3, max_words=25),
-    None,
-]
-
-
-class TestHistogramStreaming:
-    def test_streaming_byte_identical_across_specs_and_modes(self):
-        databases = [
-            (movie_database(), movie_spec),
-            (employee_database(), default_spec),
-            (library_database(), default_spec),
-            (
-                generate_movie_database(GeneratorConfig(movies=60, directors=6, actors=15)),
-                movie_spec,
-            ),
-        ]
-        for database, spec_factory in databases:
-            narrator = ContentNarrator(database, spec=spec_factory(database.schema))
-            for mode in (SynthesisMode.COMPACT, SynthesisMode.PROCEDURAL):
-                for budget in BUDGETS:
-                    assert narrator.narrate_database(
-                        budget=budget, mode=mode
-                    ) == narrator.narrate_database(budget=budget, mode=mode, streaming=False)
-
-    def test_streaming_byte_identical_with_varied_weight_profile(self):
-        database = generate_movie_database(
-            GeneratorConfig(movies=60, directors=6, actors=15)
-        )
-        profile = UserProfile(
-            name="varied",
-            relation_weights={"MOVIES": 5.0, "GENRE": 0.5},
-            attribute_weights={("MOVIES", "year"): 4.0},
-        )
-        narrator = ContentNarrator(database, spec=movie_spec(database.schema), profile=profile)
-        for budget in BUDGETS:
-            assert narrator.narrate_database(budget=budget) == narrator.narrate_database(
-                budget=budget, streaming=False
-            )
-
-    def test_certificate_fires_on_varied_weight_movie_spec(self, monkeypatch):
-        """Under a tight budget the stream must stop before ranking every relation."""
-        database = generate_movie_database(
-            GeneratorConfig(movies=100, directors=10, actors=25)
-        )
-        ranked = []
-        original = narrator_module.rank_tuples
-
-        def spy(db, relation_name, limit=None, profile=None, maintained=True):
-            ranked.append(relation_name)
-            return original(db, relation_name, limit, profile, maintained)
-
-        monkeypatch.setattr(narrator_module, "rank_tuples", spy)
-        narrator = ContentNarrator(database, spec=movie_spec(database.schema))
-        streamed = narrator.narrate_database(budget=LengthBudget(max_sentences=4))
-        assert ranked == ["MOVIES"], ranked  # later relations never tuple-ranked
-        monkeypatch.setattr(narrator_module, "rank_tuples", original)
-        assert streamed == narrator.narrate_database(
-            budget=LengthBudget(max_sentences=4), streaming=False
-        )
-
-    def test_certificate_fires_mid_relation_with_heavy_attribute(self, monkeypatch):
-        """A unique-heavy attribute exhausts its histogram bucket and exits."""
-        database = generate_movie_database(
-            GeneratorConfig(movies=100, directors=10, actors=25)
-        )
-        profile = UserProfile(
-            name="year-heavy",
-            relation_weights={name: 1.0 for name in database.schema.relation_names},
-            attribute_weights={
-                ("MOVIES", "year"): 4.0,
-                ("DIRECTOR", "bdate"): 1.0,
-                ("DIRECTOR", "blocation"): 1.0,
-                ("CAST", "role"): 1.0,
-            },
-        )
-        ranked = []
-        original = narrator_module.rank_tuples
-
-        def spy(db, relation_name, limit=None, profile=None, maintained=True):
-            ranked.append(relation_name)
-            return original(db, relation_name, limit, profile, maintained)
-
-        monkeypatch.setattr(narrator_module, "rank_tuples", spy)
-        narrator = ContentNarrator(
-            database, spec=movie_spec(database.schema), profile=profile
-        )
-        streamed = narrator.narrate_database(budget=LengthBudget(max_sentences=5))
-        assert ranked == ["MOVIES"], ranked
-        monkeypatch.setattr(narrator_module, "rank_tuples", original)
-        assert streamed == narrator.narrate_database(
-            budget=LengthBudget(max_sentences=5), streaming=False
-        )
-
-    def test_histogram_excludes_all_null_attributes(self):
-        database = movie_database(seed_data=False)
-        database.insert("DIRECTOR", {"id": 1, "name": "A. Director"})
-        database.insert("DIRECTOR", {"id": 2, "name": "B. Director"})
-        narrator = ContentNarrator(database, spec=movie_spec(database.schema))
-        histogram = narrator._clause_weight_histogram(
-            "DIRECTOR", None, SynthesisMode.COMPACT, 3
-        )
-        weights = [weight for weight, _count in histogram]
-        # bdate/blocation are entirely NULL: only the heading fallback remains.
-        assert weights == [narrator.profile.relation_weight(
-            database.schema.relation("DIRECTOR")
-        )]
-        assert narrator.narrate_relation(
-            "DIRECTOR", budget=LengthBudget(max_sentences=2)
-        ) == narrator.narrate_relation(
-            "DIRECTOR", budget=LengthBudget(max_sentences=2), streaming=False
-        )
-
-    def test_empty_partner_path_drops_relationship_weights(self):
-        database = movie_database(seed_data=False)
-        database.insert("MOVIES", {"id": 1, "title": "Solo", "year": 2000})
-        narrator = ContentNarrator(database, spec=movie_spec(database.schema))
-        histogram = narrator._clause_weight_histogram(
-            "MOVIES", "DIRECTOR", SynthesisMode.COMPACT, 3
-        )
-        partner_weight = narrator.profile.relation_weight(
-            database.schema.relation("DIRECTOR")
-        )
-        # DIRECTED is empty, so no relationship sentence can ever be produced.
-        assert all(weight != partner_weight for weight, _count in histogram)
-
-    def test_histogram_invalidated_by_dml(self):
-        database = movie_database()
-        narrator = ContentNarrator(database, spec=movie_spec(database.schema))
-        first = narrator._clause_weight_histogram(
-            "MOVIES", "DIRECTOR", SynthesisMode.COMPACT, 3
-        )
-        database.insert("MOVIES", {"id": 900, "title": "New", "year": 2020})
-        second = narrator._clause_weight_histogram(
-            "MOVIES", "DIRECTOR", SynthesisMode.COMPACT, 3
-        )
-        assert first is not second
-        assert narrator.narrate_database(
-            budget=LengthBudget(max_sentences=12)
-        ) == narrator.narrate_database(
-            budget=LengthBudget(max_sentences=12), streaming=False
-        )

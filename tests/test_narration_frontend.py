@@ -8,8 +8,10 @@ Three families of differential assertions back the compiled pipeline:
 * compiled templates must realise byte-for-byte what the interpreted
   ``Template``/``ListTemplate`` walkers produce, including the structural
   subject/verb/complement split the aggregation step relies on;
-* streaming narration must render byte-for-byte what the eager
-  build-everything-then-trim pipeline renders, across datasets, budgets
+* streaming relation narration must render byte-for-byte what the
+  eager build-everything-then-trim pipeline renders, across datasets,
+  budgets and styles; database narration (eager only) must agree between
+  compiled and interpreted templates across datasets, profiles, budgets
   and synthesis modes.
 """
 
@@ -19,11 +21,14 @@ import pytest
 
 from repro.content.narrator import ContentNarrator
 from repro.content.patterns import SynthesisMode
-from repro.content.presets import employee_spec, library_spec, movie_spec
+from repro.content.personalization import UserProfile
+from repro.content.presets import default_spec, employee_spec, library_spec, movie_spec
 from repro.content.single_relation import TupleStyle, _split_structurally
 from repro.datasets import (
     PAPER_QUERIES,
+    GeneratorConfig,
     employee_database,
+    generate_movie_database,
     generate_workload,
     library_database,
     movie_database,
@@ -294,36 +299,101 @@ class TestCompiledTemplateEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Streaming narration
+# Streaming relation narration, and database narration across budgets
 # ---------------------------------------------------------------------------
 
 
 BUDGETS = [
     None,
+    LengthBudget(max_sentences=0),
     LengthBudget(max_sentences=1),
+    LengthBudget(max_sentences=2),
     LengthBudget(max_sentences=3),
+    LengthBudget(max_sentences=4),
     LengthBudget(max_sentences=12),
     LengthBudget(max_words=40),
+    LengthBudget(max_words=60),
+    LengthBudget(max_sentences=3, max_words=25),
     LengthBudget(max_sentences=6, max_words=50),
-    LengthBudget(max_sentences=0),
 ]
 
 
-class TestStreamingNarration:
-    @pytest.mark.parametrize("database_factory,spec_factory", [
-        (movie_database, movie_spec),
-        (employee_database, employee_spec),
-        (library_database, library_spec),
-    ])
-    def test_narrate_database_matches_eager(self, database_factory, spec_factory):
-        database = database_factory()
-        narrator = ContentNarrator(database, spec=spec_factory(database.schema))
-        for budget in BUDGETS:
-            for mode in (SynthesisMode.COMPACT, SynthesisMode.PROCEDURAL):
-                streamed = narrator.narrate_database(budget=budget, mode=mode)
-                eager = narrator.narrate_database(budget=budget, mode=mode, streaming=False)
-                assert streamed == eager, (budget, mode)
+def _generated_movies():
+    return generate_movie_database(GeneratorConfig(movies=60, directors=6, actors=15))
 
+
+def _reverse_join_profile():
+    """A designer label for the reverse direction swaps the roles, so the
+    relationship sentence carries the *narrated* relation's weight."""
+    return UserProfile(
+        relation_weights={"DIRECTOR": 50.0},
+        attribute_weights={
+            ("DIRECTOR", "blocation"): 0.1,
+            ("DIRECTOR", "bdate"): 0.1,
+        },
+    )
+
+
+def _procedural_children(spec):
+    """Procedural child tuples are narrated with the default attribute set,
+    not the spec's attribute order."""
+    spec.attribute_order["MOVIES"] = ()
+
+
+#: id -> (database factory, spec factory, profile factory, spec tweak)
+DATABASE_CASES = {
+    "movies": (movie_database, movie_spec, None, None),
+    "employees": (employee_database, employee_spec, None, None),
+    "library": (library_database, library_spec, None, None),
+    "employees-default-spec": (employee_database, default_spec, None, None),
+    "library-default-spec": (library_database, default_spec, None, None),
+    "generated-movies": (_generated_movies, movie_spec, None, None),
+    "varied-weights": (
+        _generated_movies,
+        movie_spec,
+        lambda: UserProfile(
+            name="varied",
+            relation_weights={"MOVIES": 5.0, "GENRE": 0.5},
+            attribute_weights={("MOVIES", "year"): 4.0},
+        ),
+        None,
+    ),
+    "reverse-join": (movie_database, movie_spec, _reverse_join_profile, None),
+    "procedural-children": (
+        movie_database,
+        movie_spec,
+        lambda: UserProfile(
+            relation_weights={"MOVIES": 0.5},
+            attribute_weights={("MOVIES", "year"): 40.0},
+        ),
+        _procedural_children,
+    ),
+}
+
+
+class TestDatabaseNarration:
+    @pytest.mark.parametrize("mode", [SynthesisMode.COMPACT, SynthesisMode.PROCEDURAL])
+    @pytest.mark.parametrize("case", sorted(DATABASE_CASES))
+    def test_narrate_database_matches_interpreted_templates(self, case, mode):
+        database_factory, spec_factory, profile_factory, tweak = DATABASE_CASES[case]
+        database = database_factory()
+        narrators = []
+        # Explicit on both sides, so the comparison holds under
+        # REPRO_ORACLE's flipped defaults too.
+        for compile_templates in (True, False):
+            spec = spec_factory(database.schema)
+            spec.registry.compile_templates = compile_templates
+            if tweak is not None:
+                tweak(spec)
+            profile = profile_factory() if profile_factory is not None else None
+            narrators.append(ContentNarrator(database, spec=spec, profile=profile))
+        compiled, interpreted = narrators
+        for budget in BUDGETS:
+            text = compiled.narrate_database(budget=budget, mode=mode)
+            assert text == interpreted.narrate_database(budget=budget, mode=mode), budget
+
+
+class TestStreamingNarration:
     @pytest.mark.parametrize("database_factory,spec_factory", [
         (movie_database, movie_spec),
         (employee_database, employee_spec),
@@ -343,47 +413,21 @@ class TestStreamingNarration:
                     )
                     assert streamed == eager, (relation, budget, style)
 
-    def test_streaming_bound_covers_reverse_join_template_weight(self):
-        """A designer label for the reverse direction swaps the roles, and the
-        resulting relationship sentence carries the *narrated* relation's
-        weight — the early-exit bound must account for it."""
-        from repro.content.personalization import UserProfile
-
-        database = movie_database()
-        spec = movie_spec(database.schema)
-        profile = UserProfile(
-            relation_weights={"DIRECTOR": 50.0},
-            attribute_weights={
-                ("DIRECTOR", "blocation"): 0.1,
-                ("DIRECTOR", "bdate"): 0.1,
-            },
+    def test_narrate_relation_bound_excludes_all_null_attributes(self):
+        """An all-NULL attribute yields no clause, so the tuple bound drops
+        its weight and keeps the heading fallback's."""
+        database = movie_database(seed_data=False)
+        database.insert("DIRECTOR", {"id": 1, "name": "A. Director"})
+        database.insert("DIRECTOR", {"id": 2, "name": "B. Director"})
+        narrator = ContentNarrator(database, spec=movie_spec(database.schema))
+        director = database.schema.relation("DIRECTOR")
+        assert narrator._tuple_clause_bound("DIRECTOR", TupleStyle.FULL) == \
+            narrator.profile.relation_weight(director)
+        assert narrator.narrate_relation(
+            "DIRECTOR", budget=LengthBudget(max_sentences=2)
+        ) == narrator.narrate_relation(
+            "DIRECTOR", budget=LengthBudget(max_sentences=2), streaming=False
         )
-        narrator = ContentNarrator(database, spec=spec, profile=profile)
-        for budget in BUDGETS:
-            for mode in (SynthesisMode.COMPACT, SynthesisMode.PROCEDURAL):
-                assert narrator.narrate_database(budget=budget, mode=mode) == \
-                    narrator.narrate_database(budget=budget, mode=mode, streaming=False), \
-                    (budget, mode)
-
-    def test_streaming_bound_covers_procedural_children_default_order(self):
-        """Procedural child tuples are narrated with the default attribute
-        set, not the spec's attribute order — the bound must use the same."""
-        from repro.content.personalization import UserProfile
-
-        database = movie_database()
-        spec = movie_spec(database.schema)
-        spec.attribute_order["MOVIES"] = ()
-        profile = UserProfile(
-            relation_weights={"MOVIES": 0.5},
-            attribute_weights={("MOVIES", "year"): 40.0},
-        )
-        narrator = ContentNarrator(database, spec=spec, profile=profile)
-        for budget in BUDGETS:
-            assert narrator.narrate_database(
-                budget=budget, mode=SynthesisMode.PROCEDURAL
-            ) == narrator.narrate_database(
-                budget=budget, mode=SynthesisMode.PROCEDURAL, streaming=False
-            ), budget
 
     def test_streaming_stops_early_on_uniform_weights(self):
         """With uniform weights a settled budget abandons the stream early."""

@@ -108,6 +108,50 @@ class TestForeignKeys:
         assert database.replay([("update", "MOVIES", [rowid], {"id": 987654})]) == (0, 1)
         assert dump_records(database) == before
 
+    @staticmethod
+    def _composite_database():
+        schema = (
+            SchemaBuilder("s")
+            .relation("P")
+            .column("x", "integer", primary_key=True)
+            .column("y", "integer", primary_key=True)
+            .done()
+            .relation("C")
+            .column("id", "integer", primary_key=True)
+            .column("a", "integer")
+            .column("b", "integer")
+            .done()
+            .foreign_key("C", ["a", "b"], "P", ["x", "y"])
+            .build()
+        )
+        database = Database(schema)
+        database.insert("P", {"x": 1, "y": 1})
+        database.insert("P", {"x": 2, "y": 1})
+        database.insert("C", {"id": 1, "a": 1, "b": 1})
+        return database
+
+    def test_update_of_one_composite_fk_column_checks_the_whole_key(self):
+        database = self._composite_database()
+        with pytest.raises(ForeignKeyViolationError):
+            database.insert("C", {"id": 2, "a": 999, "b": 1})
+        log = []
+        database.attach_wal(log)
+        before = dump_records(database)
+        with pytest.raises(ForeignKeyViolationError, match=r"^update C violates"):
+            database.update_where("C", lambda row: True, {"a": 999})
+        assert log == []
+        assert dump_records(database) == before
+        # The unassigned column keeps the row's value: (2, 1) has a parent.
+        assert database.update_where("C", lambda row: True, {"a": 2}) == 1
+        assert [row["a"] for row in database.table("C").rows()] == [2]
+
+    def test_replayed_update_of_one_composite_fk_column_rejected(self):
+        database = self._composite_database()
+        rowid = next(rowid for rowid, _row in database.table("C").rows_with_ids())
+        before = dump_records(database)
+        assert database.replay([("update", "C", [rowid], {"a": 999})]) == (0, 1)
+        assert dump_records(database) == before
+
     def test_enforcement_can_be_disabled(self):
         database = Database(movie_schema(), enforce_foreign_keys=False)
         database.insert("CAST", {"mid": 999, "aid": 999, "role": "ghost"})

@@ -324,15 +324,6 @@ class TestPhrasePlanEquivalence:
                 )
         assert fast._plans.hits > hits_before
 
-    def test_verify_plans_mode_passes_on_workload(self):
-        translator = QueryTranslator(
-            movie_schema(), cache_size=None, phrase_plans=True, verify_plans=True
-        )
-        for sql in workload_sql():
-            translator.translate(sql)  # compiles
-        for sql in workload_sql():
-            translator.translate(sql)  # every hit self-verifies vs the oracle
-
     def test_lazy_graph_and_classification_materialise(self):
         translator = QueryTranslator(movie_schema(), cache_size=None, phrase_plans=True)
         sql = "select m.title from MOVIES m where m.year = 1995"
