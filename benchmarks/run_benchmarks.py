@@ -107,22 +107,25 @@ def bench_database(movies: int, repeats: int, baselines) -> dict:
             )
         results[name] = entry
     # Regression guard: Q6 (relational division) has no interpreted
-    # baseline to show a ratio against, so compare it with Q1 from the
-    # same run.  Decided by set containment it costs a few Q1s cold; a
-    # relapse to per-row evaluation grows with the square of the movies.
+    # baseline to show a ratio against, so compare it with Q4 from the
+    # same run: a join of MOVIES and CAST with no pushed equality, which
+    # the planner leaves on hash joins over full scans, so its cold cost
+    # grows with the data as Q6's does.  Decided by set containment Q6
+    # costs a few Q4s cold; a relapse to per-row evaluation grows with
+    # the square of the movies.
     division_ratio = results["Q6"]["compiled_cold_s"] / max(
-        results["Q1"]["compiled_cold_s"], 1e-9
+        results["Q4"]["compiled_cold_s"], 1e-9
     )
     if division_ratio > 5:
         raise AssertionError(
-            f"engine regression: Q6 cold is {division_ratio:.1f}x Q1 cold at"
+            f"engine regression: Q6 cold is {division_ratio:.1f}x Q4 cold at"
             f" {movies} movies (expected <= 5x; relational division is being"
             " evaluated per outer row)"
         )
     return {
         "total_rows": database.total_rows,
         "queries": results,
-        "q6_vs_q1_cold": round(division_ratio, 2),
+        "q6_vs_q4_cold": round(division_ratio, 2),
     }
 
 

@@ -562,7 +562,7 @@ class Executor:
         parameterised: Optional[bool] = None,
     ) -> None:
         self.database = database
-        self.planner = Planner()
+        self.planner = Planner(database.schema)
         # Both flags default on, unless REPRO_ORACLE forces the interpreted
         # defaults for the whole process (explicit arguments always win).
         # ``compiled`` turns on everything beyond the interpreted oracle:
@@ -867,9 +867,23 @@ class Executor:
                 )
             return None
         if isinstance(node, JoinNode):
+            equi = [(cond, self._pred_fn(cond)) for cond in node.equi_conditions]
+            others = [self._pred_fn(cond) for cond in node.other_conditions]
+            probe = node.index_condition
+            if probe is None or not self.compiled:
+                return equi, others
+            # An index join: the outer key's closure, the inner join column,
+            # the inner scan's pushed columns as stored, the other matchers.
+            scan = node.right
+            outer, inner = probe.left, probe.right
+            if outer.table.lower() == scan.binding.lower():
+                outer, inner = inner, outer
+            relation = self.database.table(scan.table_name).relation
             return (
-                [(cond, self._pred_fn(cond)) for cond in node.equi_conditions],
-                [self._pred_fn(cond) for cond in node.other_conditions],
+                self._expr_fn(outer),
+                inner.column,
+                tuple(relation.attribute(column).name for column in scan.eq_columns),
+                [matcher for cond, matcher in equi if cond is not probe] + others,
             )
         if isinstance(node, AggregateNode):
             group_fns = [self._expr_fn(e) for e in node.group_by]
@@ -1114,6 +1128,9 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _run_join(self, node: JoinNode, outer_row: Optional[Row]) -> Iterator[Row]:
+        if node.index_condition is not None and self.compiled:
+            yield from self._run_index_join(node, outer_row)
+            return
         left_rows = list(self._run_node(node.left, outer_row))
         right_rows = list(self._run_node(node.right, outer_row))
         equi_matchers, other_matchers = self._ops(node)
@@ -1152,6 +1169,48 @@ class Executor:
         for left in left_rows:
             for right in right_rows:
                 combined = left.merged(right)
+                if self._join_matches(combined, matchers, outer_row):
+                    yield combined
+
+    def _run_index_join(self, node: JoinNode, outer_row: Optional[Row]) -> Iterator[Row]:
+        """An index join: one hash-index lookup on the inner table per outer row.
+
+        Yields what the hash join over the same tree yields, in the same
+        order: each outer row's matches in ascending rowid order, which is
+        a scan's order.  As the inner scan's probe would, the values of its
+        pushed conjuncts are evaluated once when the table has rows (a NULL
+        one matches nothing) and compared with each candidate's stored
+        columns; the other join conditions are tested on the merged row.
+        """
+        left_rows = list(self._run_node(node.left, outer_row))
+        outer_key, column, pushed_columns, matchers = self._ops(node)
+        scan = node.right
+        table = self.database.table(scan.table_name)
+        if not table.row_count:
+            return
+        pushed: Tuple[Tuple[str, Any], ...] = ()
+        if pushed_columns:
+            context = outer_row if outer_row is not None else _EMPTY_ROW
+            wanted = [fn(context) for fn in self._ops(scan)[1]]
+            if any(value is None for value in wanted):
+                return  # `col = NULL` never matches
+            pushed = tuple(zip(pushed_columns, wanted))
+        index = table.ensure_index((column,))
+        binding = scan.binding
+        for left in left_rows:
+            key = outer_key(left)
+            if key is None:
+                continue
+            try:
+                rowids = index.lookup((key,))
+            except TypeError:
+                continue  # an unhashable key equals no stored one
+            self._rows_read += len(rowids)
+            for rowid in rowids:
+                stored = table.row_by_id(rowid)
+                if pushed and not all(stored.raw[name] == value for name, value in pushed):
+                    continue
+                combined = left.merged(stored.prefixed(binding))
                 if self._join_matches(combined, matchers, outer_row):
                     yield combined
 

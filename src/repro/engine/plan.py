@@ -7,6 +7,13 @@ variable), an *equi-join* between two tuple variables, or a *residual*
 predicate (anything else, including subquery connectors), and a left-deep
 join tree is built greedily so that every join has at least one usable
 equi-join condition when one exists.
+
+The planner also picks each join's access path from the schema, after
+Selinger et al., "Access Path Selection in a Relational Database
+Management System" (SIGMOD 1979), without a cost model: the tree starts
+at a binding with pushed equality conjuncts, and a join whose inner input
+is a bare base-table scan joined on declared columns probes that table's
+hash index per outer row (see :class:`Planner`).
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import PlanningError
+from repro.catalog.relation import Relation
+from repro.catalog.schema import Schema
+from repro.errors import PlanningError, UnknownRelationError
 from repro.sql import ast
 
 
@@ -84,13 +93,18 @@ class JoinNode(PlanNode):
 
     ``equi_conditions`` are equality predicates usable for hashing;
     ``other_conditions`` are arbitrary predicates evaluated after the match.
-    With no conditions at all this is a cross product.
+    With no conditions at all this is a cross product.  ``index_condition``
+    is the equi-condition an *index join* probes the inner table's hash
+    index on, once per outer row; the planner sets it only when ``right``
+    is a base-table :class:`ScanNode`.  Without it the join hashes its
+    inner input.
     """
 
     left: PlanNode
     right: PlanNode
     equi_conditions: Tuple[ast.BinaryOp, ...] = ()
     other_conditions: Tuple[ast.Expression, ...] = ()
+    index_condition: Optional[ast.BinaryOp] = None
 
     def children(self) -> Sequence[PlanNode]:
         return (self.left, self.right)
@@ -102,7 +116,10 @@ class JoinNode(PlanNode):
         if not conds:
             return "CrossJoin"
         text = " AND ".join(expression_to_sql(c, top_level=True) for c in conds)
-        kind = "HashJoin" if self.equi_conditions else "NestedLoopJoin"
+        if self.index_condition is not None:
+            kind = "IndexJoin"
+        else:
+            kind = "HashJoin" if self.equi_conditions else "NestedLoopJoin"
         return f"{kind}({text})"
 
 
@@ -362,7 +379,21 @@ def _constant_wrt(expression: ast.Expression, binding_lower: str) -> bool:
 
 
 class Planner:
-    """Build a :class:`LogicalPlan` from a SELECT statement."""
+    """Build a :class:`LogicalPlan` from a SELECT statement over ``schema``.
+
+    The left-deep join tree starts at the first binding in FROM order with
+    pushed equality conjuncts; a FROM list with none starts at its first
+    binding.  The tree then grows along equi-join edges.  In a tree that
+    starts at such a binding, a join is an index join
+    (:attr:`JoinNode.index_condition`) when its inner input is a bare
+    base-table scan, every column that scan's pushed conjuncts name is
+    declared by its table, and an equi-condition ``outer.col = inner.col``
+    joins columns both tables declare.  The choice reads only the
+    statement and ``schema``, so a plan stays valid whatever the data.
+    """
+
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
 
     def plan(self, statement: ast.SelectStatement) -> LogicalPlan:
         if not statement.from_tables:
@@ -381,6 +412,7 @@ class Planner:
         # Base access paths: scan (with pushed equality conjuncts) plus
         # local filters for whatever could not be pushed.
         inputs: Dict[str, PlanNode] = {}
+        scans: Dict[str, ScanNode] = {}
         for table in statement.from_tables:
             eq_columns: List[str] = []
             eq_values: List[ast.Expression] = []
@@ -395,18 +427,20 @@ class Planner:
                     pushed.append(predicate)
                 else:
                     filters.append(predicate)
-            node: PlanNode = ScanNode(
+            scan = ScanNode(
                 table_name=table.name,
                 binding=table.binding,
                 eq_columns=tuple(eq_columns),
                 eq_values=tuple(eq_values),
                 pushed_filters=tuple(pushed),
             )
+            scans[table.binding.lower()] = scan
+            node: PlanNode = scan
             for predicate in filters:
                 node = FilterNode(child=node, predicate=predicate)
             inputs[table.binding] = node
 
-        root = self._join_order(inputs, bindings, classified.joins)
+        root = self._join_order(inputs, scans, bindings, classified.joins)
 
         for predicate in classified.residual:
             root = FilterNode(child=root, predicate=predicate)
@@ -441,15 +475,22 @@ class Planner:
     def _join_order(
         self,
         inputs: Dict[str, PlanNode],
+        scans: Dict[str, ScanNode],
         bindings: Sequence[str],
         join_conditions: List[ast.BinaryOp],
     ) -> PlanNode:
-        """Greedy left-deep join ordering that prefers connected joins."""
+        """Greedy left-deep join ordering that prefers connected joins.
+
+        ``scans`` maps each lower-cased binding to the base-table scan under
+        its input.  The tree starts at the first binding with pushed
+        equality conjuncts, else at the first binding.
+        """
         all_bindings = set(bindings)
         remaining = list(bindings)
         pending = list(join_conditions)
 
-        current_bindings = {remaining.pop(0)}
+        start = next((b for b in bindings if scans[b.lower()].eq_columns), None)
+        current_bindings = {remaining.pop(0 if start is None else remaining.index(start))}
         root = inputs[next(iter(current_bindings))]
 
         while remaining:
@@ -471,8 +512,15 @@ class Planner:
 
             equi = tuple(c for c in usable if ast.is_join_condition(c))
             other = tuple(c for c in usable if not ast.is_join_condition(c))
+            index_condition = None
+            if start is not None and isinstance(inputs[candidate], ScanNode):
+                index_condition = self._index_condition(equi, inputs[candidate], scans)
             root = JoinNode(
-                left=root, right=inputs[candidate], equi_conditions=equi, other_conditions=other
+                left=root,
+                right=inputs[candidate],
+                equi_conditions=equi,
+                other_conditions=other,
+                index_condition=index_condition,
             )
             current_bindings = new_bindings
 
@@ -481,6 +529,44 @@ class Planner:
         for cond in pending:
             root = FilterNode(child=root, predicate=cond)
         return root
+
+    def _index_condition(
+        self,
+        equi: Sequence[ast.BinaryOp],
+        inner: ScanNode,
+        scans: Dict[str, ScanNode],
+    ) -> Optional[ast.BinaryOp]:
+        """The first of ``equi`` an index join into the scan ``inner`` can probe on.
+
+        None unless ``inner``'s pushed columns are all declared and some
+        condition joins a declared column of the prefix to a declared
+        column of ``inner``.
+        """
+        binding = inner.binding.lower()
+        relation = self._relation(inner.table_name)
+        if relation is None or not all(
+            relation.has_attribute(column) for column in inner.eq_columns
+        ):
+            return None
+        for cond in equi:
+            for outer_ref, inner_ref in ((cond.left, cond.right), (cond.right, cond.left)):
+                if inner_ref.table.lower() != binding:
+                    continue
+                outer = self._relation(scans[outer_ref.table.lower()].table_name)
+                if (
+                    outer is not None
+                    and outer.has_attribute(outer_ref.column)
+                    and relation.has_attribute(inner_ref.column)
+                ):
+                    return cond
+        return None
+
+    def _relation(self, table_name: str) -> Optional[Relation]:
+        """The schema's relation named ``table_name``, or None when unknown."""
+        try:
+            return self.schema.relation(table_name)
+        except UnknownRelationError:
+            return None
 
     def _pick_connected(
         self,
@@ -533,6 +619,6 @@ class Planner:
                 self._collect_shallow_aggregates(child, out, seen)
 
 
-def plan_query(statement: ast.SelectStatement) -> LogicalPlan:
-    """Plan ``statement`` with the default planner."""
-    return Planner().plan(statement)
+def plan_query(statement: ast.SelectStatement, schema: Schema) -> LogicalPlan:
+    """Plan ``statement`` over ``schema`` with the default planner."""
+    return Planner(schema).plan(statement)

@@ -213,7 +213,9 @@ def test_repeated_execution_is_stable(db):
 
 
 def test_planner_pushes_equality_into_scan():
-    plan = plan_query(parse_select("select m.title from MOVIES m where m.year = 2004"))
+    plan = plan_query(
+        parse_select("select m.title from MOVIES m where m.year = 2004"), movie_database().schema
+    )
 
     def scans(node):
         if isinstance(node, ScanNode):
@@ -227,7 +229,9 @@ def test_planner_pushes_equality_into_scan():
 
 
 def test_planner_keeps_inequality_as_filter():
-    plan = plan_query(parse_select("select m.title from MOVIES m where m.year > 2004"))
+    plan = plan_query(
+        parse_select("select m.title from MOVIES m where m.year > 2004"), movie_database().schema
+    )
     assert "Filter(m.year > 2004)" in plan.explain()
     assert "IndexScan" not in plan.explain()
 

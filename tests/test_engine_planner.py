@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.datasets import PAPER_QUERIES
+from repro.datasets import PAPER_QUERIES, movie_database
+from repro.engine import Executor
 from repro.engine.plan import (
     AggregateNode,
     DistinctNode,
@@ -21,8 +22,11 @@ from repro.sql import ast
 from repro.sql.parser import parse_select
 
 
+SCHEMA = movie_database().schema
+
+
 def plan(sql: str):
-    return plan_query(parse_select(sql))
+    return plan_query(parse_select(sql), SCHEMA)
 
 
 def node_types(plan_obj):
@@ -106,7 +110,7 @@ class TestPlanShapes:
             ),
         )
         with pytest.raises(PlanningError):
-            Planner().plan(bad)
+            Planner(SCHEMA).plan(bad)
 
     def test_from_less_select(self):
         logical = plan("select 1 + 1")
@@ -125,3 +129,58 @@ class TestPlanShapes:
         text = plan(PAPER_QUERIES["Q1"]).explain()
         assert text.splitlines()[0].startswith("Project")
         assert any(line.startswith("  ") for line in text.splitlines())
+
+
+class TestAccessPaths:
+    """Where the join tree starts and which joins probe an index (schema-aware)."""
+
+    @staticmethod
+    def explain(sql):
+        return Executor(movie_database()).explain(parse_select(sql))
+
+    @staticmethod
+    def start(text):
+        """The start binding's scan: the first scan an explain prints."""
+        return next(line.strip() for line in text.splitlines() if "Scan(" in line)
+
+    def test_q1_starts_at_the_actor_and_probes_per_outer_row(self):
+        assert self.explain(PAPER_QUERIES["Q1"]).splitlines() == [
+            "Project(m.title)",
+            "  IndexJoin(m.id = c.mid)",
+            "    IndexJoin(c.aid = a.id)",
+            "      IndexScan(ACTOR AS a: a.name = 'Brad Pitt')",
+            "      Scan(CAST AS c)",
+            "    Scan(MOVIES AS m)",
+        ]
+
+    def test_six_way_join_starts_at_the_director(self):
+        assert self.explain(PAPER_QUERIES["Q2"]).splitlines() == [
+            "Project(a.name, m.title)",
+            "  IndexJoin(m.id = g.mid)",
+            "    IndexJoin(c.aid = a.id)",
+            "      IndexJoin(m.id = c.mid)",
+            "        IndexJoin(m.id = r.mid)",
+            "          IndexJoin(r.did = d.id)",
+            "            IndexScan(DIRECTOR AS d: d.name = 'G. Loucas')",
+            "            Scan(DIRECTED AS r)",
+            "          Scan(MOVIES AS m)",
+            "        Scan(CAST AS c)",
+            "      Scan(ACTOR AS a)",
+            "    IndexScan(GENRE AS g: g.genre = 'action')",
+        ]
+
+    @pytest.mark.parametrize("name", ["Q3", "Q4", "Q7", "Q8"])
+    def test_tree_from_a_full_scan_keeps_from_order_and_hash_joins(self, name):
+        text = self.explain(PAPER_QUERIES[name])
+        assert "IndexJoin" not in text and "HashJoin" in text
+        assert self.start(text) == "Scan(MOVIES AS m)"
+
+    def test_filtered_inner_input_keeps_the_hash_join(self):
+        text = self.explain(
+            "select m.title from MOVIES m, CAST c where m.id = 4 and m.id = c.mid and c.role > 'A'"
+        )
+        assert "HashJoin(m.id = c.mid)" in text and "IndexJoin" not in text
+
+    def test_undeclared_join_column_keeps_the_hash_join(self):
+        text = self.explain("select m.title from MOVIES m, CAST c where m.id = 4 and m.nosuch = c.mid")
+        assert "HashJoin(m.nosuch = c.mid)" in text
