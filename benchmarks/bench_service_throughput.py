@@ -16,7 +16,9 @@ Two service streams are measured warm:
   path (the steady state of real "talk back" traffic);
 * ``literal_variants`` — every request rotates the literal values, so
   the exact-text LRU never hits and every request exercises the
-  shape-keyed phrase-plan path through the worker pool.
+  shape-keyed phrase-plan path.  Its requests run on the event loop
+  too: a phrase-plan hit takes the fast path, and a miss on an idle
+  session runs inline, so neither stream reaches the worker pool.
 
 The in-run equivalence check asserts concurrent output is byte-identical
 to sequential synchronous translation before any number is recorded, and

@@ -322,6 +322,8 @@ class AdmissionController:
 
     def admit(self, depth: int, deadline: Deadline = Deadline.NONE) -> None:
         """Raise the typed shed error, or return to admit the request."""
+        if deadline.at is None and self.max_depth is None:
+            return  # the defaults: nothing can shed this request
         if deadline.expired:
             self.shed_deadline += 1
             raise DeadlineExceeded("deadline expired before the request was queued")

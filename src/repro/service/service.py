@@ -27,21 +27,39 @@ request through three tiers:
   only *tried*; if a worker holds it the request takes its turn like any
   other rather than blocking the loop.  Workers release the lock before
   a reply settles, so a client resumed by its reply finds it free.
+* **inline on an idle session** — any other request, once admitted,
+  runs on the event loop as well when the session is idle: no request
+  holds or waits for the session's turn, the work lock can be taken
+  without blocking, and the request cannot wait on the disk.
+  ``checkpoint`` and ``snapshot_to`` never run here, nor does a durable
+  session's write whose log appends could sync the log (every append
+  under ``fsync="always"``, the one that completes a group commit
+  under ``"batch"``) or reach the checkpoint cadence; the session
+  bounds a statement's appends by its VALUES tuples.  The rule rests on
+  the GIL: while a pool thread runs Python, the loop runs almost
+  nothing anyway, apart from switch-interval slices and disk waits, and
+  the rule keeps disk waits on the pool.  So the hand-off bought no
+  concurrency, only latency: about 40 µs a request through the session
+  (turn, ``wrap_future``, thread wake-ups, self-pipe), against 25 µs
+  for a bare ``ThreadPoolExecutor`` round trip, on a 2-vCPU Xeon with
+  both pinned to one vCPU.  The cost: a run longer than the
+  interpreter's switch interval (5 ms by default) now holds the loop
+  for its whole length, where a pool run would have let the loop in
+  between slices.
 * **one hand-off per request** — every other request waits its turn on
   the session's FIFO ``asyncio.Lock`` (arrival order), then awaits one
-  worker-pool call that takes the work lock, sheds the request typed if
-  its deadline ran out while it waited, and otherwise runs it.
-  Admission counts the requests still waiting for their turn.  A
-  shape's phrase plan and shape plan are compiled on its second
-  sighting and serve every later request of that shape; an
-  ``explain_empty`` text, and each relaxation of an empty answer, runs
-  through a shape plan like an ``execute`` text.
-* **worker pool** — CPU-bound work (parsing, graph builds, plan
-  compilation, execution, narration) runs on the service's
-  ``ThreadPoolExecutor``, off the event loop.  Sessions of different
-  schemas run in parallel; within a session one request runs at a time
-  and the work lock serializes pipeline access, which is what makes the
-  shared caches sound.
+  call on the service's ``ThreadPoolExecutor`` that takes the work lock,
+  sheds the request typed if its deadline ran out while it waited, and
+  otherwise runs it.  Admission counts the requests still waiting for
+  their turn.  Sessions of different schemas run on the pool in
+  parallel; within a session one request runs at a time, inline or
+  pooled, and the work lock serializes pipeline access, which is what
+  makes the shared caches sound.
+
+On every tier a shape's phrase plan and shape plan are compiled on its
+second sighting and serve every later request of that shape; an
+``explain_empty`` text, and each relaxation of an empty answer, runs
+through a shape plan like an ``execute`` text.
 
 Thread-safety contract
 ----------------------
@@ -52,7 +70,8 @@ concurrency with a small set of rules, each enforced in code:
 
 * every *pipeline touch* for a session — translator, executor, narrator,
   explainer — happens under that session's ``threading.Lock`` (workers
-  block on it; the event-loop fast path only ever try-acquires);
+  block on it; the event loop, fast path and inline runs alike, only
+  ever try-acquires);
 * state shared *across* sessions is internally locked where mutation is
   structural: the per-lexicon :class:`~repro.query_nl.plans.PlanStore`,
   the shared :class:`~repro.querygraph.builder.QueryGraphBuilder` (its
@@ -73,12 +92,13 @@ Observability
 -------------
 
 :meth:`NarrationSession.stats` is the per-session endpoint: request
-counters by kind and tier, the number of requests waiting for their
-turn, the shed counters, the translator's exact-text LRU and
-phrase-plan store statistics (including the unplannable-shape report),
-the shared executor's cache statistics, and the derived
-execution shape-sharing rate (what fraction of executions were served by
-a compiled shape plan).  :meth:`NarrationService.stats` aggregates
+counters by kind and by tier (``fast_path_hits``, ``inline``,
+``pooled``; every admitted request counts on exactly one), the number
+of requests waiting for their turn, the shed counters, the translator's
+exact-text LRU and phrase-plan store statistics (including the
+unplannable-shape report), the shared executor's cache statistics, and
+the derived execution shape-sharing rate (what fraction of executions
+were served by a compiled shape plan).  :meth:`NarrationService.stats` aggregates
 every session.
 """
 
@@ -99,6 +119,7 @@ from repro.query_nl.translator import QueryTranslation, QueryTranslator
 from repro.service.resilience import AdmissionController, Deadline
 # Not used here: talkbench/trace.py wraps this import site and needs the name.
 from repro.sql.shape import batch_key  # noqa: F401
+from repro.sql.shape import is_mutation
 from repro.storage.database import Database
 from repro.storage.durability import DurabilityConfig, DurabilityManager
 
@@ -175,6 +196,8 @@ class NarrationSession:
         self._closed = False
         self._counts: Dict[str, int] = {}
         self._fast_path_hits = 0
+        self._inline = 0
+        self._pooled = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -185,11 +208,12 @@ class NarrationSession:
     ) -> QueryTranslation:
         """Translate SQL to natural language (Section 3 of the paper).
 
-        Plan/LRU hits are served inline; cold translations wait their
-        turn and run on the worker pool.  ``timeout`` caps this one
+        Plan/LRU hits are served inline.  A cold translation runs on the
+        event loop too when the session is idle, and otherwise waits
+        its turn and runs on the worker pool.  ``timeout`` caps this one
         request (default: unbounded); the deadline is honored at
-        admission and again when the request's turn comes, and expiry
-        raises the typed
+        admission and again when a waiting request's turn comes, and
+        expiry raises the typed
         :class:`~repro.service.resilience.DeadlineExceeded`.
         """
         self._check_open()
@@ -258,7 +282,8 @@ class NarrationSession:
         shard tier uses it to checkpoint a worker replica into the
         *router's* durability directory (the router owns the WAL and its
         compaction; the worker only contributes the state bytes).  Runs
-        under the session work lock like every pipeline touch.
+        on the worker pool under the session work lock, like
+        :meth:`checkpoint`: writing a file can wait on the disk.
         """
         self._check_open()
         return await self._submit("snapshot_to", (directory, wal_seq))
@@ -266,8 +291,11 @@ class NarrationSession:
     def stats(self) -> Dict[str, Any]:
         """The per-session cache/plan/request statistics snapshot.
 
-        ``requests`` counts traffic by kind and tier, the requests still
-        waiting for their turn (``queue_depth``) and the shed ones;
+        ``requests`` counts traffic by kind and by the tier that served
+        it (``fast_path_hits``, ``inline``, ``pooled``: an admitted
+        request counts on exactly one, an in-queue shed on ``pooled``),
+        the requests still waiting for their turn (``queue_depth``) and
+        the shed ones;
         ``execution_shape_sharing`` derives the executor's
         shape-hit rate — the fraction of SQL executions served by an
         already-compiled shape plan with only a literal rebind.
@@ -276,6 +304,8 @@ class NarrationSession:
             requests = {
                 "by_kind": dict(self._counts),
                 "fast_path_hits": self._fast_path_hits,
+                "inline": self._inline,
+                "pooled": self._pooled,
                 "queue_depth": self._waiting,
                 "shed": self._admission.stats(),
             }
@@ -301,7 +331,7 @@ class NarrationSession:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Dispatch: one turn, one pool call
+    # Dispatch: inline on an idle session, else one turn and one pool call
     # ------------------------------------------------------------------
 
     async def _submit(
@@ -311,8 +341,26 @@ class NarrationSession:
         # threshold, DeadlineExceeded for an already-expired budget)
         # instead of accepting work that can only fail later.
         self._admission.admit(self._waiting, deadline)
+        # An idle session runs the request here, on the loop: nothing
+        # holds or waits for the turn, no pool thread holds the work
+        # lock, and the request cannot wait on the disk.
+        inline = (
+            not self._waiting
+            and not self._turn.locked()
+            and not self._may_wait_on_disk(kind, payload)
+            and self._work_lock.acquire(blocking=False)
+        )
         with self._stats_lock:
             self._counts[kind] = self._counts.get(kind, 0) + 1
+            if inline:
+                self._inline += 1
+            else:
+                self._pooled += 1
+        if inline:
+            try:
+                return self._run(kind, payload)
+            finally:
+                self._work_lock.release()
         self._waiting += 1
         try:
             await self._turn.acquire()
@@ -335,6 +383,18 @@ class NarrationSession:
                 work.add_done_callback(
                     lambda _: loop.call_soon_threadsafe(self._turn.release)
                 )
+
+    def _may_wait_on_disk(self, kind: str, payload: Any) -> bool:
+        """Whether the request can block on the disk (log sync, snapshot)."""
+        if kind in ("checkpoint", "snapshot_to"):
+            return True
+        if self._durability is None or kind != "execute" or not is_mutation(payload):
+            return False
+        quiet = self._durability.appends_before_disk_wait()
+        # A statement logs one record per row it writes: at most one for
+        # UPDATE and DELETE, one per VALUES tuple for INSERT, and each
+        # tuple opens a parenthesis.
+        return quiet is not None and quiet < max(1, payload.count("("))
 
     # ------------------------------------------------------------------
     # Worker side (runs on the service pool)

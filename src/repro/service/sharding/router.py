@@ -176,6 +176,7 @@ class HashRing:
         points.sort()
         self._hashes = [point for point, _ in points]
         self._owners = [owner for _, owner in points]
+        self._workers = len(set(self._owners))
 
     def route(self, key_hash: int) -> int:
         """The worker index owning ``key_hash`` (clockwise successor)."""
@@ -195,13 +196,13 @@ class HashRing:
         position = bisect.bisect_right(self._hashes, key_hash)
         owners = self._owners
         count = len(owners)
-        seen: set = set()
         order: List[int] = []
         for step in range(count):
             owner = owners[(position + step) % count]
-            if owner not in seen:
-                seen.add(owner)
+            if owner not in order:
                 order.append(owner)
+                if len(order) == self._workers:
+                    break
         return order
 
 
@@ -605,13 +606,15 @@ class ShardRouter:
             # that has not acked every mutation sequenced before this
             # request — degraded or not, every replica applies every
             # write, so the barrier holds on whichever worker serves.
-            # The worker may die between the pick and the send; read()
-            # then refuses to hand the frame to its respawn.
+            # A worker that has acked it already costs no wait (and no
+            # timer).  The worker may die between the pick and the send;
+            # read() then refuses to hand the frame to its respawn.
             barrier = self._mutation_seq
             try:
-                await asyncio.wait_for(
-                    handle.wait_applied(barrier), deadline.remaining()
-                )
+                if handle.applied_seq < barrier:
+                    await asyncio.wait_for(
+                        handle.wait_applied(barrier), deadline.remaining()
+                    )
                 result = await asyncio.wait_for(
                     handle.read(
                         kind,

@@ -14,13 +14,19 @@ Pipelining and the write barrier
 --------------------------------
 
 Ordinary requests are *pipelined*: each becomes an asyncio task the
-moment its frame arrives, so the next request is already waiting its
-turn on the session while the current one runs, and the session runs
-them in arrival order exactly as the single-process service does.  A
+moment its frame is read, and the session runs them in arrival order
+exactly as the single-process service does.  The worker's session is
+not durable (the router owns the log), so on an idle session a request
+runs inline on the worker's event loop, writes included; the next
+frames then wait, in the socket or the reader's buffer, until it ends.
+Only a request read while another one holds the session's turn (a
+snapshot for :data:`~.protocol.CHECKPOINT`, or a request queued behind
+one) waits its turn and runs on the session's one pool thread.  A
 mutation broadcast (``seq is not None``) is a **barrier**: the read loop
 first awaits every in-flight task, then runs the mutation alone to
-completion and responds, and only then reads the next frame.  Combined with the router's ordering rule (a read routed
-after a write waits for that worker's ack) this makes each replica's
+completion and responds, and only then reads the next frame.  Combined
+with the router's ordering rule (a read routed after a write waits for
+that worker's ack) this makes each replica's
 visible history identical to the single-process service's — which is what
 keeps shard-tier results byte-identical to the oracle.
 
@@ -30,6 +36,9 @@ Deadlines and faults
 A request frame may carry a *budget* (seconds of deadline remaining,
 router-measured); the worker hands it to its session, which sheds the
 request typed if the budget has run out at admission or by its turn.
+The worker-side deadline starts when the frame is read, so time a frame
+spends in the socket behind an inline run is not counted against it;
+the router's attempt timeout covers the whole round trip.
 Barrier frames (mutations) never honor a budget — shedding a write on
 one replica while another applies it would diverge the fleet.
 
@@ -246,7 +255,7 @@ def _build_session(spec: Dict[str, Any]) -> Tuple[NarrationService, Any, int]:
             restored_seq = state["wal_seq"]
     spec_factory_path = spec.get("spec_factory")
     # One pool thread: the worker serves one session, and a session hands
-    # the pool one request at a time.
+    # the pool at most one request at a time (an idle one runs inline).
     service = NarrationService(max_workers=1)
     session = service.session(
         database=database,

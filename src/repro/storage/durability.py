@@ -188,6 +188,18 @@ class DurabilityManager:
         ):
             self.checkpoint()
 
+    def appends_before_disk_wait(self) -> Optional[int]:
+        """How many mutations can be logged before one waits on the disk.
+
+        A mutation waits when its append syncs the log or when it reaches
+        the checkpoint cadence; ``None`` when no mutation ever does.
+        """
+        quiet = self.wal.appends_before_sync()
+        if self.config.checkpoint_every:
+            due = self.config.checkpoint_every - self._since_checkpoint - 1
+            quiet = due if quiet is None else min(quiet, due)
+        return quiet
+
     def commit(self) -> None:
         """Force a group commit of batched appends."""
         self.wal.commit()

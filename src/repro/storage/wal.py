@@ -327,6 +327,14 @@ class WriteAheadLog:
             injector.crash()  # crash-between-append-and-ack, deterministic
         return seq
 
+    def appends_before_sync(self) -> Optional[int]:
+        """How many appends can run before one syncs (``None``: none will)."""
+        if self.fsync == FSYNC_ALWAYS:
+            return 0
+        if self.fsync == FSYNC_BATCH:
+            return self.batch_every - self._pending_sync - 1
+        return None
+
     def commit(self) -> None:
         """Force any batched appends to stable storage (group commit)."""
         self._commits += 1

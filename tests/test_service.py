@@ -26,6 +26,8 @@ from repro.errors import SqlValidationError
 from repro.query_nl.empty_answer import AnswerExplainer
 from repro.query_nl.translator import QueryTranslator
 from repro.service import NarrationService, ServiceClosed
+from repro.service.resilience import DeadlineExceeded
+from repro.storage.durability import DurabilityConfig
 
 
 def workload_sql():
@@ -173,43 +175,50 @@ class TestServiceMechanics:
         assert warm.text
         assert stats["requests"]["fast_path_hits"] >= 1
 
-    def test_replies_settle_after_the_work_lock_is_released(self):
+    def test_replies_settle_after_the_work_lock_is_released(self, tmp_path):
         # A reply settled while the pool thread still holds the session
         # lock resumes its client into a fast path that finds the lock
-        # taken, sending a cached translate through the pool.
+        # taken, sending a cached translate through the pool.  A durable
+        # session that syncs every write runs each one on the pool.
         database = movie_database()
         sql = "select m.title from MOVIES m where m.year = 2004"
         repeats = 25
 
         async def main():
             async with NarrationService(max_workers=2) as service:
-                session = service.session(database=database, phrase_plans=True)
+                session = service.session(
+                    database=database,
+                    phrase_plans=True,
+                    durability=DurabilityConfig(directory=tmp_path, fsync="always"),
+                )
                 lock_held = []
 
-                async def pooled(request):
-                    reply = await request(sql)
+                async def served(request, text):
+                    reply = await request(text)
                     lock_held.append(session._work_lock.locked())
                     return reply
 
-                await pooled(session.translate)  # first sighting, on the pool
-                await pooled(session.translate)  # admitted and cached, on the pool
+                await served(session.translate, sql)  # first sighting
+                await served(session.translate, sql)  # admitted and cached
                 before = session.stats()["requests"]["fast_path_hits"]
-                for _ in range(repeats):
-                    await pooled(session.execute)  # always served by the pool
+                for index in range(repeats):
+                    insert = f"insert into GENRE (mid, genre) values (1, 'Settle {index}')"
+                    await served(session.execute, insert)  # served by the pool
                     await session.translate(sql)
                 return lock_held, before, session.stats()["requests"]
 
         lock_held, before, requests = run(main())
         assert len(lock_held) == 2 + repeats and not any(lock_held)
         # Every translate that follows a pool-served reply is a cache hit
-        # served on the fast path; only the first two went to the pool.
+        # served on the fast path; only the first two missed the cache.
         assert before == 0
         assert requests["fast_path_hits"] == repeats
         assert requests["by_kind"] == {"translate": 2 + repeats, "execute": repeats}
+        assert requests["pooled"] == repeats
 
     def test_each_reply_settles_as_soon_as_its_request_has_run(self):
-        # Concurrent requests each get their own pool call: no reply waits
-        # for a later request to run.
+        # Concurrent requests on the pool path each get their own pool
+        # call: no reply waits for a later request to run.
         database = movie_database()
         template = "select m.title from MOVIES m where m.year = {year}"
         requests = 8
@@ -230,7 +239,18 @@ class TestServiceMechanics:
                     return result
 
                 session._run = spy_run
-                await asyncio.gather(*[client(1990 + i) for i in range(requests)])
+                # Holding the work lock sends every request down the pool
+                # path: an idle session would run each one on the loop.
+                assert session._work_lock.acquire(timeout=5)
+                try:
+                    pending = asyncio.gather(
+                        *[client(1990 + i) for i in range(requests)]
+                    )
+                    await asyncio.sleep(0.05)
+                finally:
+                    session._work_lock.release()
+                await pending
+                assert session.stats()["requests"]["pooled"] == requests
                 return events
 
         assert run(main()) == ["run", "reply"] * requests
@@ -284,9 +304,20 @@ class TestServiceMechanics:
                             on_pool[0] -= 1
 
                 session._serve = spy_serve
-                await asyncio.gather(
-                    *[session.translate(template.format(year=1900 + i)) for i in range(50)]
-                )
+                # Holding the work lock sends every request down the pool
+                # path: an idle session would run each one on the loop.
+                assert session._work_lock.acquire(timeout=5)
+                try:
+                    pending = asyncio.gather(
+                        *[
+                            session.translate(template.format(year=1900 + i))
+                            for i in range(50)
+                        ]
+                    )
+                    await asyncio.sleep(0.05)
+                finally:
+                    session._work_lock.release()
+                await pending
                 return on_pool[1], session.stats()
 
         most, stats = run(main())
@@ -399,7 +430,10 @@ class TestServiceMechanics:
                     return serve(kind, payload, deadline)
 
                 other._serve = spy_serve
+                # Holding both work locks sends every request down the pool
+                # path: an idle session would run each one on the loop.
                 assert busy._work_lock.acquire(timeout=5)
+                assert other._work_lock.acquire(timeout=5)
                 try:
                     holding = asyncio.ensure_future(busy.execute(sql))
                     await asyncio.sleep(0.05)
@@ -407,12 +441,14 @@ class TestServiceMechanics:
                     await asyncio.sleep(0.05)
                     cancelled.cancel()
                     await asyncio.sleep(0.05)
+                    # The cancelled request gave the turn back: the next one runs.
+                    after = asyncio.ensure_future(other.translate(sql))
+                    await asyncio.sleep(0.05)
                 finally:
+                    other._work_lock.release()
                     busy._work_lock.release()
                 await holding
-                # The cancelled request gave the turn back: the next one runs.
-                after = await other.translate(sql)
-                return cancelled.cancelled(), started, after
+                return cancelled.cancelled(), started, await after
 
         cancelled, started, after = run(main())
         assert cancelled
@@ -508,6 +544,325 @@ class TestServiceMechanics:
         a, b, c = run(main())
         assert a is b
         assert c is not a  # schema-only session is a distinct pair
+
+
+# ---------------------------------------------------------------------------
+# Which requests run on the event loop
+# ---------------------------------------------------------------------------
+
+
+class TestInlineRule:
+    def test_an_idle_session_runs_every_request_on_the_loop(self):
+        database = movie_database()
+        sql = "select m.title from MOVIES m where m.year = 2004"
+
+        async def main():
+            async with NarrationService(max_workers=1) as service:
+                session = service.session(database=database, spec_factory=movie_spec)
+                ran = []
+                run_request = session._run
+
+                def no_pool(kind, payload, deadline):
+                    raise AssertionError(f"{kind} was handed to the pool")
+
+                def spy_run(kind, payload):
+                    ran.append((kind, threading.get_ident()))
+                    return run_request(kind, payload)
+
+                session._serve = no_pool
+                session._run = spy_run
+                translation = await session.translate(sql)  # an exact-cache miss
+                await session.execute(sql)
+                await session.explain_empty(
+                    "select m.title from MOVIES m where m.year = 1800"
+                )
+                await session.narrate_relation("MOVIES")
+                await session.narrate_database()
+                # Without durability a write cannot wait on the disk.
+                await session.execute("insert into GENRE (mid, genre) values (1, 'Idle')")
+                return translation, ran, session.stats()["requests"]
+
+        translation, ran, requests = run(main())
+        assert translation.text
+        assert [kind for kind, _ in ran] == [
+            "translate",
+            "execute",
+            "explain",
+            "narrate_relation",
+            "narrate_database",
+            "execute",
+        ]
+        assert {thread for _, thread in ran} == {threading.get_ident()}
+        assert requests["inline"] == len(ran)
+        assert requests["pooled"] == requests["fast_path_hits"] == 0
+
+    def test_a_durable_sessions_disk_requests_keep_the_pool(self, tmp_path):
+        async def main():
+            async with NarrationService(max_workers=1) as service:
+                session = service.session(
+                    database=movie_database(),
+                    durability=DurabilityConfig(directory=tmp_path / "wal", fsync="always"),
+                )
+                served = []
+                serve = session._serve
+
+                def spy_serve(kind, payload, deadline):
+                    served.append(kind)
+                    return serve(kind, payload, deadline)
+
+                session._serve = spy_serve
+                await session.execute("select count(*) from GENRE")  # a read
+                await session.execute("insert into GENRE (mid, genre) values (1, 'Disk')")
+                seq = await session.checkpoint()
+                await session.snapshot_to(str(tmp_path / "copy"), seq)
+                return served, session.stats()["requests"]
+
+        served, requests = run(main())
+        assert served == ["execute", "checkpoint", "snapshot_to"]
+        assert requests["inline"] == 1 and requests["pooled"] == 3
+
+    @pytest.mark.parametrize(
+        "config, pooled",
+        [
+            # Every fourth append completes a group commit and syncs.
+            ({"fsync": "batch", "batch_every": 4, "checkpoint_every": 0}, [3, 7]),
+            # Every third mutation reaches the checkpoint cadence.
+            ({"fsync": "never", "checkpoint_every": 3}, [2, 5]),
+            # Whichever comes first (a checkpoint syncs the log too).
+            ({"fsync": "batch", "batch_every": 3, "checkpoint_every": 5}, [2, 4, 7]),
+        ],
+    )
+    def test_a_durable_write_runs_on_the_loop_until_it_waits_on_the_disk(
+        self, tmp_path, config, pooled
+    ):
+        async def main():
+            async with NarrationService(max_workers=1) as service:
+                session = service.session(
+                    database=movie_database(),
+                    durability=DurabilityConfig(directory=tmp_path, **config),
+                )
+                served = []
+                serve = session._serve
+
+                def spy_serve(kind, payload, deadline):
+                    served.append(payload)
+                    return serve(kind, payload, deadline)
+
+                session._serve = spy_serve
+                writes = [
+                    f"insert into GENRE values (1, 'Write {index}')" for index in range(8)
+                ]
+                for sql in writes:
+                    await session.execute(sql)
+                return writes, served
+
+        writes, served = run(main())
+        assert served == [writes[index] for index in pooled]
+
+    def test_a_write_of_several_rows_counts_each_row(self, tmp_path):
+        async def main():
+            async with NarrationService(max_workers=1) as service:
+                session = service.session(
+                    database=movie_database(),
+                    durability=DurabilityConfig(
+                        directory=tmp_path, fsync="batch", batch_every=5, checkpoint_every=0
+                    ),
+                )
+
+                async def write(sql):
+                    syncs = session.stats()["durability"]["wal"]["syncs"]
+                    await session.execute(sql)
+                    requests = session.stats()["requests"]
+                    synced = session.stats()["durability"]["wal"]["syncs"] - syncs
+                    return requests["inline"], requests["pooled"], synced
+
+                steps = [await write("insert into GENRE values (1, 'a')")]
+                steps.append(await write("insert into GENRE values (1, 'b')"))
+                # Two quiet appends are left: the third row would sync.
+                steps.append(
+                    await write("insert into GENRE values (1, 'c'), (1, 'd'), (1, 'e')")
+                )
+                # After the group commit, two rows fit again.
+                steps.append(await write("insert into GENRE values (1, 'f'), (1, 'g')"))
+                return steps
+
+        assert run(main()) == [(1, 0, 0), (2, 0, 0), (2, 1, 1), (3, 1, 0)]
+
+    def test_a_request_sent_during_a_pool_run_runs_after_it(self):
+        # The pool run holds the turn while the work lock is free: the
+        # request sent then must wait its turn, not run on the loop.
+        database = movie_database()
+        first = "select count(*) from MOVIES"
+        second = "select count(*) from GENRE"
+
+        async def main():
+            async with NarrationService(max_workers=1) as service:
+                session = service.session(database=database)
+                ran = []
+                started, proceed = threading.Event(), threading.Event()
+                serve, run_request = session._serve, session._run
+
+                def parked_serve(kind, payload, deadline):
+                    started.set()
+                    assert proceed.wait(5)
+                    return serve(kind, payload, deadline)
+
+                def spy_run(kind, payload):
+                    ran.append(payload)
+                    return run_request(kind, payload)
+
+                session._serve = parked_serve
+                session._run = spy_run
+                # Holding the work lock sends the first request to the pool.
+                assert session._work_lock.acquire(timeout=5)
+                try:
+                    running = asyncio.ensure_future(session.execute(first))
+                    assert await asyncio.to_thread(started.wait, 5)
+                finally:
+                    session._work_lock.release()
+                following = asyncio.ensure_future(session.execute(second))
+                await asyncio.sleep(0.05)
+                waiting = session.stats()["requests"]["queue_depth"]
+                proceed.set()
+                await asyncio.gather(running, following)
+                return ran, waiting, session.stats()["requests"]
+
+        ran, waiting, requests = run(main())
+        assert waiting == 1
+        assert ran == [first, second]
+        assert requests["inline"] == 0 and requests["pooled"] == 2
+
+    def test_an_expired_timeout_is_shed_before_it_runs(self):
+        async def main():
+            async with NarrationService(max_workers=1) as service:
+                session = service.session(database=movie_database())
+                ran = []
+                run_request = session._run
+
+                def spy_run(kind, payload):
+                    ran.append(kind)
+                    return run_request(kind, payload)
+
+                session._run = spy_run
+                with pytest.raises(DeadlineExceeded):
+                    await session.execute("select count(*) from MOVIES", timeout=0.0)
+                return ran, session.stats()["requests"]
+
+        ran, requests = run(main())
+        assert ran == []
+        assert requests["shed"]["deadline"] == 1
+        assert requests["by_kind"] == {}
+        assert requests["inline"] == requests["pooled"] == 0
+
+    def test_inline_and_pooled_runs_never_overlap(self, tmp_path):
+        # Durable writes go to the pool and reads run on the loop when the
+        # session is idle: sixteen clients interleave the two paths while
+        # the pool thread switches as often as it can.
+        database = movie_database()
+        clients, rounds = 16, 10
+        count = "select count(*) from GENRE"
+
+        async def main():
+            async with NarrationService(max_workers=4) as service:
+                # Every second write completes a group commit: it syncs, so
+                # it runs on the pool.
+                session = service.session(
+                    database=database,
+                    durability=DurabilityConfig(
+                        directory=tmp_path, fsync="batch", batch_every=2, checkpoint_every=0
+                    ),
+                )
+                base = (await session.execute(count)).rows[0]["count(*)"]
+                guard = threading.Lock()
+                running = [0, 0]  # now, most at once
+                run_request = session._run
+
+                def spy_run(kind, payload):
+                    with guard:
+                        running[0] += 1
+                        running[1] = max(running)
+                    try:
+                        return run_request(kind, payload)
+                    finally:
+                        with guard:
+                            running[0] -= 1
+
+                session._run = spy_run
+
+                async def client(number):
+                    seen = []
+                    for index in range(rounds):
+                        await session.execute(
+                            "insert into GENRE (mid, genre)"
+                            f" values (1, 'Stress {number}-{index}')"
+                        )
+                        # Yield, so that other clients' requests are sent
+                        # while a pool run is under way.
+                        await asyncio.sleep(0)
+                        seen.append((await session.execute(count)).rows[0]["count(*)"])
+                        await session.translate(count)
+                    return seen
+
+                seen = await asyncio.wait_for(
+                    asyncio.gather(*[client(n) for n in range(clients)]), 60
+                )
+                final = (await session.execute(count)).rows[0]["count(*)"]
+                return base, seen, final, running[1], session.stats()["requests"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            base, seen, final, most, requests = run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        assert most == 1
+        assert final == base + clients * rounds
+        for counts in seen:  # each client's own inserts precede its counts
+            assert counts == sorted(set(counts)) and counts[0] > base
+        assert requests["inline"] > 0 and requests["pooled"] >= clients * rounds // 2
+        assert requests["queue_depth"] == 0
+        assert sum(requests["by_kind"].values()) == (
+            requests["fast_path_hits"] + requests["inline"] + requests["pooled"]
+        )
+
+    def test_every_admitted_request_is_counted_on_one_path(self):
+        database = movie_database()
+        sql = "select m.title from MOVIES m where m.year = 2004"
+
+        async def main():
+            async with NarrationService(max_workers=1) as service:
+                session = service.session(database=database, phrase_plans=True)
+                for _ in range(3):
+                    await session.translate(sql)  # a miss on the loop, then hits
+                await session.execute(sql)
+                await session.narrate_relation("MOVIES")
+                # Holding the work lock parks a pool run; the request
+                # behind it runs out of budget while it waits its turn.
+                assert session._work_lock.acquire(timeout=5)
+                try:
+                    held = asyncio.ensure_future(session.execute(sql))
+                    await asyncio.sleep(0.05)
+                    shed = asyncio.ensure_future(session.execute(sql, timeout=0.05))
+                    queued = asyncio.ensure_future(session.explain_empty(sql))
+                    await asyncio.sleep(0.3)
+                finally:
+                    session._work_lock.release()
+                await held
+                with pytest.raises(DeadlineExceeded):
+                    await shed
+                await queued
+                with pytest.raises(DeadlineExceeded):  # shed at admission
+                    await session.execute(sql, timeout=0.0)
+                return session.stats()["requests"]
+
+        requests = run(main())
+        assert requests["shed"] == {"overload": 0, "deadline": 1, "in_queue": 1}
+        assert requests["fast_path_hits"] >= 1
+        assert requests["inline"] + requests["fast_path_hits"] == 5
+        assert requests["pooled"] == 3
+        assert sum(requests["by_kind"].values()) == (
+            requests["fast_path_hits"] + requests["inline"] + requests["pooled"]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ results byte-identical to the same history against a single-process
 """
 
 import asyncio
+import bisect
 import os
 import pickle
 import socket
@@ -198,6 +199,21 @@ class TestStableHashing:
             counts[ring.route(stable_hash(f"key-{i}"))] += 1
         for owned in counts.values():
             assert owned > 8000 * 0.10  # no worker starves
+
+    def test_preference_matches_the_full_ring_walk(self):
+        for workers in range(1, 6):
+            ring = HashRing(range(workers))
+            owners, count = ring._owners, len(ring._owners)
+            for i in range(10_000):
+                key = stable_hash(f"key-{i}")
+                position = bisect.bisect_right(ring._hashes, key)
+                walk = []
+                for step in range(count):
+                    owner = owners[(position + step) % count]
+                    if owner not in walk:
+                        walk.append(owner)
+                assert ring.preference(key) == walk
+                assert walk[0] == ring.route(key)
 
     def test_ring_minimal_movement_on_removal(self):
         before = HashRing(range(4))
@@ -499,21 +515,21 @@ class TestCrashRecovery:
                 owner = router._ring.preference(shape_hash(read))[0]
                 handle = router._handles[owner]
                 spawned, replay = asyncio.Event(), asyncio.Event()
-                spawn, wait_applied = handle.spawn, handle.wait_applied
+                spawn, send_read = handle.spawn, handle.read
 
                 async def held_spawn(open_for_traffic=True):
                     await spawn(open_for_traffic)
                     spawned.set()
                     await replay.wait()  # the log replay starts after this
 
-                async def crash_after_barrier(seq):
-                    await wait_applied(seq)
-                    handle.wait_applied = wait_applied
+                async def crash_before_send(kind, payload, budget=None):
+                    handle.read = send_read
                     router.kill_worker(owner)
                     await spawned.wait()
+                    return await send_read(kind, payload, budget=budget)
 
                 handle.spawn = held_spawn
-                handle.wait_applied = crash_after_barrier
+                handle.read = crash_before_send
                 try:
                     result = await router.execute(read)
                 finally:
