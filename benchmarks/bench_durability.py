@@ -50,6 +50,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from budgets import exit_status, record  # noqa: E402
 from repro.datasets import movie_database  # noqa: E402
 from repro.service import NarrationService  # noqa: E402
 from repro.storage import (  # noqa: E402
@@ -184,11 +185,12 @@ def bench_durability(quick: bool = False) -> dict:
         service["batch_vs_always_ratio"] = round(
             service["batch_ops_s"] / service["always_ops_s"], 1
         )
-        service["passes_budget"] = service["batch_slowdown"] <= BUDGET_MAX_SLOWDOWN
         # The in-run guard: group-commit durability must stay affordable.
-        assert service["passes_budget"], (
+        record(
+            service,
+            service["batch_slowdown"] <= BUDGET_MAX_SLOWDOWN,
             f"durable fsync=batch throughput is {service['batch_slowdown']:.2f}x"
-            f" the non-durable baseline (budget {BUDGET_MAX_SLOWDOWN}x)"
+            f" the non-durable baseline (budget {BUDGET_MAX_SLOWDOWN}x)",
         )
 
         # Group commit: clients sharing one fsync per batch.
@@ -261,4 +263,6 @@ def bench_durability(quick: bool = False) -> dict:
 if __name__ == "__main__":
     import json
 
-    print(json.dumps(bench_durability(quick="--quick" in sys.argv), indent=2))
+    result = bench_durability(quick="--quick" in sys.argv)
+    print(json.dumps(result, indent=2))
+    raise SystemExit(exit_status(result))

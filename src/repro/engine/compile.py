@@ -21,8 +21,8 @@ A literal whose node is in the compiler's ordinal map compiles to a read
 of a bound parameter vector instead of its baked value: that is how one
 shape plan (see :mod:`repro.engine.parameterised`) serves every literal
 variant of its SQL shape.  The map is empty outside a shape-plan run.
-Nothing is memoized here: the executor caches each plan node's closures
-on the node itself.
+Nothing is memoized here: the executor compiles a plan's closures once,
+when it builds the plan's runners, and keeps the runners.
 
 Subqueries are delegated to the ``subquery_runner`` callback — the
 executor supplies one that answers key-correlated subqueries from

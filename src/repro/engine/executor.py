@@ -1,9 +1,11 @@
 """Physical execution of logical plans against a :class:`Database`.
 
 The executor is pipelined Python iterators over in-memory rows, but the
-hot paths are *compiled*: every predicate and projection is turned into a
-closure tree once per plan node (see :mod:`repro.engine.compile`), plans
-are cached per SQL shape, full scans are cached per table version, and
+hot paths are *compiled*: each plan is built once into runners, one
+generator function per plan node over closure trees compiled from its
+predicates and projections (see :mod:`repro.engine.compile`; the Volcano
+operator tree of Graefe, IEEE TKDE 1994), plans and their runners are
+cached per SQL shape, full scans are cached per table version, and
 equality conjuncts pushed into scans probe hash indexes.  The paper
 needs this to be fast because execution is part of the *interactive*
 loop: it verifies translations (e.g. Q5's flattened vs. nested form) and
@@ -51,9 +53,10 @@ Over a columnar table, a filter chain or plain-column projection directly
 over a full scan runs column-at-a-time (:mod:`repro.engine.vector`).
 
 ``Executor(db, compiled=False)`` reproduces the original, fully
-interpreted behaviour: evaluator closures, no cache of any kind, no
-index probes, and every subquery run per outer row.  It is the
-reference the differential suites diff the compiled path against.
+interpreted behaviour: evaluator closures, no cache of any kind (it plans
+and builds on every call), no index probes, and every subquery run per
+outer row.  It is the reference the differential suites diff the
+compiled path against.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ from repro.engine.plan import (
     FilterNode,
     JoinNode,
     LimitNode,
-    LogicalPlan,
     PlanNode,
     Planner,
     ProjectNode,
@@ -135,6 +137,15 @@ _SCAN_CACHE_SIZE = 64
 #: Bound on the shape-keyed caches (shape analyses, shape plans).
 _SHAPE_CACHE_SIZE = 256
 
+#: A plan node's runner: a generator function of the outer row (None at
+#: the top level) over the node's rows.  Calling one does no work until
+#: the generator is advanced, so LIMIT never starts its child past
+#: ``offset + limit`` rows.
+Runner = Callable[[Optional[Row]], Iterator[Row]]
+
+#: A vector pass whose closures are not compiled yet.
+_UNBUILT = object()
+
 
 class _SubqueryInfo:
     """Once-per-statement analysis of a subquery (see :func:`_analyze_subquery`).
@@ -157,7 +168,7 @@ class _SubqueryInfo:
     (see :class:`_Division`).
     """
 
-    __slots__ = ("mode", "keys", "outer_refs", "key_columns", "block_where", "plan", "division")
+    __slots__ = ("mode", "keys", "outer_refs", "key_columns", "block_where", "runners", "division")
 
     def __init__(
         self,
@@ -172,7 +183,7 @@ class _SubqueryInfo:
         self.outer_refs = outer_refs
         self.key_columns = key_columns
         self.block_where = block_where
-        self.plan: Optional[LogicalPlan] = None  # the block's, planned at its first build
+        self.runners: Optional[Tuple[Any, ...]] = None  # built at the block's first build
         self.division: Optional[_Division] = None
 
 
@@ -200,7 +211,7 @@ class _Division:
         "own_positions",
         "own_columns",
         "block_where",
-        "plan",
+        "runners",
     )
 
     def __init__(
@@ -220,7 +231,7 @@ class _Division:
         self.own_positions = own_positions
         self.own_columns = own_columns
         self.block_where = block_where
-        self.plan: Optional[LogicalPlan] = None
+        self.runners: Optional[Tuple[Any, ...]] = None  # built at the block's first build
 
 
 #: One block's FROM entries: lowered binding -> (binding as written,
@@ -657,8 +668,8 @@ class Executor:
         self._validate_caches()
         scope, self._scope = self._scope, _StatementScope()
         try:
-            plan, columns = self._plan_select(statement)
-            rows = list(self._run_node(plan.root, outer_row))
+            run, columns = self._plan_select(statement)
+            rows = list(run(outer_row))
         finally:
             self._scope = scope
         return QueryResult(columns=columns, rows=rows)
@@ -735,7 +746,9 @@ class Executor:
         self._params[0] = literals
         self._compiler.ordinals = entry.ordinals
         try:
-            rows = list(self._run_node(entry.plan.root, None))
+            if entry.run is None:
+                entry.run = self._build(entry.plan.root)
+            rows = list(entry.run(None))
         finally:
             self._compiler.ordinals = _NO_ORDINALS
             self._params[0] = ()
@@ -775,24 +788,25 @@ class Executor:
 
     def _plan_select(
         self, statement: ast.SelectStatement
-    ) -> Tuple[LogicalPlan, Tuple[str, ...]]:
-        """Plan a statement once per scope (on every call when interpreted).
+    ) -> Tuple[Runner, Tuple[str, ...]]:
+        """Plan and build a statement once per scope (on every call when interpreted).
 
-        Plans are keyed by statement identity: a value-equal statement
-        (``1`` equals ``1.0`` and ``TRUE``) must never receive another's
-        plan, whose closures bake its literals or read its shape plan's
+        Runners are keyed by statement identity: a value-equal statement
+        (``1`` equals ``1.0`` and ``TRUE``) must never receive another's,
+        whose closures bake its literals or read its shape plan's
         parameter slots.
         """
-        if not self.compiled:
-            return self.planner.plan(statement), self._output_columns(statement)
         subplans = self._scope.subplans
         cached = subplans.get(id(statement))
         if cached is not None and cached[0] is statement:
             return cached[1]
-        entry = (self.planner.plan(statement), self._output_columns(statement))
-        if len(subplans) >= _SUBPLAN_LIMIT:
-            subplans.clear()
-        subplans[id(statement)] = (statement, entry)
+        plan = self.planner.plan(statement)
+        columns = self._output_columns(statement)
+        entry = (self._build(plan.root), columns)
+        if self.compiled:
+            if len(subplans) >= _SUBPLAN_LIMIT:
+                subplans.clear()
+            subplans[id(statement)] = (statement, entry)
         return entry
 
     def _validate_caches(self) -> None:
@@ -832,9 +846,9 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _expr_fn(self, expression: ast.Expression) -> CompiledExpr:
-        # Operator closures are built lazily while a plan first runs, so
-        # the nodes of a shape plan (and of its subqueries) compile under
-        # that plan's ordinal map.
+        # Runners are built while a plan first runs, so the nodes of a
+        # shape plan (and of its subqueries) compile under that plan's
+        # ordinal map.
         if self.compiled:
             return self._compiler.compile(expression)
         evaluator = self._evaluator
@@ -846,161 +860,74 @@ class Executor:
         evaluator = self._evaluator
         return lambda row: evaluator.matches(predicate, row)
 
-    def _ops(self, node: PlanNode) -> Any:
-        """Per-node compiled artefacts, built once and cached on the node."""
-        cached = getattr(node, "_exec_ops", None)
-        if cached is not None and cached[0] is self:
-            return cached[1]
-        ops = self._build_ops(node)
-        node._exec_ops = (self, ops)  # type: ignore[attr-defined]
-        return ops
+    # ------------------------------------------------------------------
+    # Building runners
+    # ------------------------------------------------------------------
 
-    def _build_ops(self, node: PlanNode) -> Any:
+    def _build(self, node: PlanNode, vector: bool = True) -> Runner:
+        """Compile ``node``'s closures and return its runner (see :data:`Runner`).
+
+        What depends on the data or on a table existing waits for the run:
+        the table lookups, the empty-table check before a probe, NULL probe
+        values and the vector pass's checks.  ``vector`` False builds a
+        filter chain without its vector passes: the row-at-a-time chain a
+        vector pass falls back to.
+        """
+        if isinstance(node, ScanNode):
+            return self._build_scan(node)
         if isinstance(node, FilterNode):
-            return self._pred_fn(node.predicate)
-        if isinstance(node, ScanNode):
-            if node.eq_columns:
-                return (
-                    node.eq_columns,
-                    [self._expr_fn(v) for v in node.eq_values],
-                    [self._pred_fn(p) for p in node.pushed_filters],
-                )
-            return None
-        if isinstance(node, JoinNode):
-            equi = [(cond, self._pred_fn(cond)) for cond in node.equi_conditions]
-            others = [self._pred_fn(cond) for cond in node.other_conditions]
-            probe = node.index_condition
-            if probe is None or not self.compiled:
-                return equi, others
-            # An index join: the outer key's closure, the inner join column,
-            # the inner scan's pushed columns as stored, the other matchers.
-            scan = node.right
-            outer, inner = probe.left, probe.right
-            if outer.table.lower() == scan.binding.lower():
-                outer, inner = inner, outer
-            relation = self.database.table(scan.table_name).relation
-            return (
-                self._expr_fn(outer),
-                inner.column,
-                tuple(relation.attribute(column).name for column in scan.eq_columns),
-                [matcher for cond, matcher in equi if cond is not probe] + others,
-            )
-        if isinstance(node, AggregateNode):
-            group_fns = [self._expr_fn(e) for e in node.group_by]
-            specs = []
-            for aggregate in node.aggregates:
-                name = aggregate.name.upper()
-                count_star = name == "COUNT" and (
-                    not aggregate.args or isinstance(aggregate.args[0], ast.Star)
-                )
-                arg_fn = (
-                    self._expr_fn(aggregate.args[0])
-                    if aggregate.args and not count_star
-                    else None
-                )
-                specs.append((str(aggregate), name, arg_fn, aggregate.distinct, count_star))
-            return (group_fns, specs)
-        if isinstance(node, ProjectNode):
-            items: List[Tuple[Optional[str], Any]] = []
-            for item in node.items:
-                if isinstance(item.expression, ast.Star):
-                    items.append((None, item.expression))
-                else:
-                    items.append((item.output_name, self._expr_fn(item.expression)))
-            return items
-        if isinstance(node, SortNode):
-            order = [
-                (item.expression, str(item.expression), self._expr_fn(item.expression), item.descending)
-                for item in node.order_by
-            ]
-            aliases = {
-                item.alias.lower(): self._expr_fn(item.expression)
-                for item in node.select_items
-                if item.alias
-            }
-            return (order, aliases)
-        return None
-
-    # ------------------------------------------------------------------
-    # Plan interpretation
-    # ------------------------------------------------------------------
-
-    def _run_node(self, node: PlanNode, outer_row: Optional[Row]) -> Iterator[Row]:
-        if isinstance(node, ScanNode):
-            yield from self._run_scan(node, outer_row)
-        elif isinstance(node, FilterNode):
-            if outer_row is None:
-                vectorized = self._try_vectorized(node)
-                if vectorized is not None:
-                    yield from vectorized
-                    return
-            predicate = self._ops(node)
-            if outer_row is None:
-                for row in self._run_node(node.child, outer_row):
-                    if predicate(row):
-                        yield row
-            else:
-                for row in self._run_node(node.child, outer_row):
-                    if predicate(outer_row.merged(row)):
-                        yield row
-        elif isinstance(node, JoinNode):
-            yield from self._run_join(node, outer_row)
-        elif isinstance(node, AggregateNode):
-            yield from self._run_aggregate(node, outer_row)
+            run = _filter(self._pred_fn(node.predicate), self._build(node.child, vector))
         elif isinstance(node, ProjectNode):
-            if outer_row is None:
-                vectorized = self._try_vectorized(node)
-                if vectorized is not None:
-                    yield from vectorized
-                    return
-            yield from self._run_project(node, outer_row)
+            run = _project(self._projector(node.items), self._build(node.child, vector))
+        elif isinstance(node, JoinNode):
+            return self._build_join(node)
+        elif isinstance(node, AggregateNode):
+            return self._build_aggregate(node)
         elif isinstance(node, DistinctNode):
-            yield from self._run_distinct(node, outer_row)
+            return _distinct(self._build(node.child))
         elif isinstance(node, SortNode):
-            yield from self._run_sort(node, outer_row)
+            return self._build_sort(node)
         elif isinstance(node, LimitNode):
-            yield from self._run_limit(node, outer_row)
+            return _limit(node.limit, node.offset, self._build(node.child))
         else:  # pragma: no cover - defensive
             raise UnsupportedQueryError(f"unknown plan node {type(node).__name__}")
+        return self._vectorized(node, run) if vector else run
 
     # ------------------------------------------------------------------
     # Scans (index-backed when the planner pushed equality conjuncts)
     # ------------------------------------------------------------------
 
-    def _run_scan(self, node: ScanNode, outer_row: Optional[Row]) -> Iterator[Row]:
+    def _build_scan(self, node: ScanNode) -> Runner:
         if not node.table_name:
-            # FROM-less SELECT: a single empty row.
-            yield _EMPTY_ROW
-            return
-        table = self.database.table(node.table_name)
-        ops = self._ops(node)
-        if ops is not None and self.compiled and table.row_count:
-            eq_columns, value_fns, _ = ops
-            context = outer_row if outer_row is not None else _EMPTY_ROW
-            rowids = self._probe(table, eq_columns, value_fns, context)
-            if rowids is not None:
-                binding = node.binding
-                self._rows_read += len(rowids)
-                for rowid in rowids:
-                    yield table.row_by_id(rowid).prefixed(binding)
+            return _empty_row  # FROM-less SELECT: a single empty row
+        name, binding, columns = node.table_name, node.binding, node.eq_columns
+        value_fns = [self._expr_fn(value) for value in node.eq_values]
+        # Applied as plain filters when no probe runs (interpreted mode, an
+        # empty table, or a pushed column the relation lacks).
+        predicates = [self._pred_fn(predicate) for predicate in node.pushed_filters]
+        probes = self.compiled and bool(columns)
+
+        def run(outer_row: Optional[Row]) -> Iterator[Row]:
+            table = self.database.table(name)
+            if probes and table.row_count:
+                context = outer_row if outer_row is not None else _EMPTY_ROW
+                rowids = self._probe(table, columns, value_fns, context)
+                if rowids is not None:
+                    self._rows_read += len(rowids)
+                    for rowid in rowids:
+                        yield table.row_by_id(rowid).prefixed(binding)
+                    return
+            rows = self._scan_rows(table, binding)
+            self._rows_read += len(rows)
+            if not predicates:
+                yield from rows
                 return
-        rows = self._scan_rows(table, node.binding)
-        self._rows_read += len(rows)
-        if ops is None:
-            yield from rows
-            return
-        # Fallback: apply the pushed conjuncts as plain filters (interpreted
-        # mode, or the pushed column does not exist on the relation).
-        predicates = ops[2]
-        if outer_row is None:
             for row in rows:
-                if all(predicate(row) for predicate in predicates):
-                    yield row
-        else:
-            for row in rows:
-                scoped = outer_row.merged(row)
+                scoped = _with_outer(row, outer_row)
                 if all(predicate(scoped) for predicate in predicates):
                     yield row
+
+        return run
 
     def _probe(
         self,
@@ -1042,137 +969,127 @@ class Executor:
     # Vectorized scans (columnar engine, compiled mode only)
     # ------------------------------------------------------------------
 
-    def _try_vectorized(self, node: PlanNode) -> Optional[Iterable[Row]]:
-        """Run a Filter/Project node column-at-a-time, or None to decline.
+    def _vectorized(self, node: PlanNode, row_path: Runner) -> Runner:
+        """``row_path`` behind a column-at-a-time pass, where one can run.
 
-        Applies when the node sits directly over a full scan (no pushed
-        equality conjuncts — the index path beats any scan there) of a
-        table exposing columnar arrays, the executor is in compiled
-        mode, and the expressions fit the fused subset of
-        :mod:`repro.engine.vector`.  The result list is byte-identical to
-        the row path: same rows, same key order, same insertion order.
-        A data-dependent evaluation error falls back once: the node and
-        its chain re-run row at a time, which raises the oracle's exact
-        error (the vector pass may have met a different failing row
-        first).
+        A pass runs a Filter chain directly over a full scan, or a Project
+        over one (see :func:`_filter_chain`), with no outer row, in compiled
+        mode, over a table exposing columnar arrays, when the expressions
+        fit the fused subset of :mod:`repro.engine.vector`; its closures are
+        compiled at the first such run (a row-oriented table declines before
+        anything is compiled).  Its rows are the row path's, in the same
+        order.  A data-dependent evaluation error falls back once: the chain
+        re-runs row at a time, with no vector pass, and raises the oracle's
+        exact error (the vector pass may have met another failing row first).
         """
-        if not self.compiled:
-            return None
-        cached = getattr(node, "_vec_ops", None)
-        if cached is not None and cached[0] is self:
-            ops = cached[1]
-        else:
-            ops = self._build_vector_ops(node)
-            node._vec_ops = (self, ops)  # type: ignore[attr-defined]
-        if ops is None:
-            return None
-        table_name, selection_fn, build_fn = ops
-        table = self.database.table(table_name)
-        arrays = table.columnar_arrays()
-        if arrays is None:
-            return None
-        count = table.row_count
-        try:
-            rows = build_fn(arrays, selection_fn(arrays, count))
-        except (EvaluationError, TypeError, ZeroDivisionError):
-            self.vector_fallbacks += 1
-            return self._row_chain(node)
-        self.vector_scans += 1
-        self._rows_read += count
-        return rows
-
-    def _row_chain(self, node: PlanNode) -> Iterator[Row]:
-        """Run a vectorizable node's Filter* -> Scan chain row at a time."""
-        if isinstance(node, ProjectNode):
-            return self._run_project(node, None, rows=self._row_chain(node.child))
-        if isinstance(node, FilterNode):
-            predicate = self._ops(node)
-            return (row for row in self._row_chain(node.child) if predicate(row))
-        return self._run_scan(node, None)
-
-    def _build_vector_ops(self, node: PlanNode) -> Optional[Tuple[str, Any, Any]]:
-        """Compile (table, selection, builder) for a node, or None.
-
-        Row-oriented tables (no ``columnar_arrays()``) decline before
-        anything is compiled.
-        """
-        if isinstance(node, FilterNode):
-            chain = _filter_chain(node)
-        elif isinstance(node, ProjectNode):
-            chain = _filter_chain(node.child)
-        else:
-            return None
-        if chain is None:
-            return None
+        chain = _filter_chain(node.child if isinstance(node, ProjectNode) else node)
+        if chain is None or not self.compiled:
+            return row_path
         scan, predicates = chain
-        table = self.database.table(scan.table_name)
+        ops: Any = _UNBUILT
+        fallback: Optional[Runner] = None
+
+        def run(outer_row: Optional[Row]) -> Iterator[Row]:
+            nonlocal ops, fallback
+            if outer_row is None and ops is not None:
+                table = self.database.table(scan.table_name)
+                if ops is _UNBUILT:
+                    ops = self._vector_ops(node, scan.binding, predicates, table)
+                arrays = table.columnar_arrays()
+                if ops is not None and arrays is not None:
+                    selection_fn, build_fn = ops
+                    count = table.row_count
+                    try:
+                        rows = build_fn(arrays, selection_fn(arrays, count))
+                    except (EvaluationError, TypeError, ZeroDivisionError):
+                        self.vector_fallbacks += 1
+                        if fallback is None:
+                            fallback = self._build(node, vector=False)
+                        yield from fallback(None)
+                        return
+                    self.vector_scans += 1
+                    self._rows_read += count
+                    yield from rows
+                    return
+            yield from row_path(outer_row)
+
+        return run
+
+    def _vector_ops(
+        self,
+        node: PlanNode,
+        binding: str,
+        predicates: List[ast.Expression],
+        table: TableStorage,
+    ) -> Optional[Tuple[Any, Any]]:
+        """Compile (selection, builder) for a chain over ``table``, or None."""
         if table.columnar_arrays() is None:
             return None
         compiler = VectorExpressionCompiler(
-            table.relation, scan.binding, self._params, self._compiler.ordinals
+            table.relation, binding, self._params, self._compiler.ordinals
         )
         try:
             selection_fn = compiler.compile_conjunction(predicates)
             if isinstance(node, FilterNode):
-                build_fn = compiler.compile_scan_rows()
-            else:
-                build_fn = compiler.compile_projection(
-                    [(item.output_name, item.expression) for item in node.items]
-                )
+                return selection_fn, compiler.compile_scan_rows()
+            return selection_fn, compiler.compile_projection(
+                [(item.output_name, item.expression) for item in node.items]
+            )
         except VectorUnsupported:
             return None
-        return (scan.table_name, selection_fn, build_fn)
 
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
 
-    def _run_join(self, node: JoinNode, outer_row: Optional[Row]) -> Iterator[Row]:
-        if node.index_condition is not None and self.compiled:
-            yield from self._run_index_join(node, outer_row)
-            return
-        left_rows = list(self._run_node(node.left, outer_row))
-        right_rows = list(self._run_node(node.right, outer_row))
-        equi_matchers, other_matchers = self._ops(node)
+    def _build_join(self, node: JoinNode) -> Runner:
+        """A join on the planner's key: an index join, a hash join or, with
+        no key, a nested loop; each yields its matches in outer-row order,
+        each outer row's in inner input order."""
+        key = node.key
+        matchers = [
+            self._pred_fn(condition)
+            for condition in node.equi_conditions
+            if key is None or condition is not key[0]
+        ]
+        matchers += [self._pred_fn(condition) for condition in node.other_conditions]
+        left = self._build(node.left)
+        if node.index and self.compiled:
+            return self._build_index_join(node, left, matchers)
+        right = self._build(node.right)
+        if key is not None:
+            left_key, right_key = key[1].qualified, key[2].qualified
 
-        first = None
-        first_keys = None
-        for condition, _ in equi_matchers:
-            keys = self._hash_keys(condition, left_rows, right_rows)
-            if keys is not None:
-                first, first_keys = condition, keys
-                break
-
-        if first is not None:
-            left_key, right_key = first_keys
+        def run(outer_row: Optional[Row]) -> Iterator[Row]:
+            left_rows = list(left(outer_row))
+            right_rows = list(right(outer_row))
+            if key is None:
+                self._rows_joined += len(left_rows) * len(right_rows)
+                for left_row in left_rows:
+                    for right_row in right_rows:
+                        combined = left_row.merged(right_row)
+                        if _join_matches(combined, matchers, outer_row):
+                            yield combined
+                return
             buckets: Dict[Any, List[Row]] = {}
-            for right in right_rows:
-                value = right.get(right_key)
+            for right_row in right_rows:
+                value = right_row.get(right_key)
+                if value is not None:
+                    buckets.setdefault(value, []).append(right_row)
+            for left_row in left_rows:
+                value = left_row.get(left_key)
                 if value is None:
                     continue
-                buckets.setdefault(value, []).append(right)
-            remaining = [
-                matcher for condition, matcher in equi_matchers if condition is not first
-            ] + other_matchers
-            for left in left_rows:
-                value = left.get(left_key)
-                if value is None:
-                    continue
-                for right in buckets.get(value, ()):
-                    combined = left.merged(right)
-                    if self._join_matches(combined, remaining, outer_row):
+                for right_row in buckets.get(value, ()):
+                    combined = left_row.merged(right_row)
+                    if _join_matches(combined, matchers, outer_row):
                         yield combined
-            return
 
-        matchers = [matcher for _, matcher in equi_matchers] + other_matchers
-        self._rows_joined += len(left_rows) * len(right_rows)
-        for left in left_rows:
-            for right in right_rows:
-                combined = left.merged(right)
-                if self._join_matches(combined, matchers, outer_row):
-                    yield combined
+        return run
 
-    def _run_index_join(self, node: JoinNode, outer_row: Optional[Row]) -> Iterator[Row]:
+    def _build_index_join(
+        self, node: JoinNode, left: Runner, matchers: List[Callable[[Row], bool]]
+    ) -> Runner:
         """An index join: one hash-index lookup on the inner table per outer row.
 
         Yields what the hash join over the same tree yields, in the same
@@ -1182,220 +1099,136 @@ class Executor:
         one matches nothing) and compared with each candidate's stored
         columns; the other join conditions are tested on the merged row.
         """
-        left_rows = list(self._run_node(node.left, outer_row))
-        outer_key, column, pushed_columns, matchers = self._ops(node)
+        _, outer, inner = node.key
         scan = node.right
-        table = self.database.table(scan.table_name)
-        if not table.row_count:
-            return
-        pushed: Tuple[Tuple[str, Any], ...] = ()
-        if pushed_columns:
-            context = outer_row if outer_row is not None else _EMPTY_ROW
-            wanted = [fn(context) for fn in self._ops(scan)[1]]
-            if any(value is None for value in wanted):
-                return  # `col = NULL` never matches
-            pushed = tuple(zip(pushed_columns, wanted))
-        index = table.ensure_index((column,))
-        binding = scan.binding
-        for left in left_rows:
-            key = outer_key(left)
-            if key is None:
-                continue
-            try:
-                rowids = index.lookup((key,))
-            except TypeError:
-                continue  # an unhashable key equals no stored one
-            self._rows_read += len(rowids)
-            for rowid in rowids:
-                stored = table.row_by_id(rowid)
-                if pushed and not all(stored.raw[name] == value for name, value in pushed):
+        outer_key = self._expr_fn(outer)
+        relation = self.database.schema.relation(scan.table_name)
+        pushed_columns = tuple(relation.attribute(column).name for column in scan.eq_columns)
+        value_fns = [self._expr_fn(value) for value in scan.eq_values]
+        name, binding, column = scan.table_name, scan.binding, inner.column
+
+        def run(outer_row: Optional[Row]) -> Iterator[Row]:
+            left_rows = list(left(outer_row))
+            table = self.database.table(name)
+            if not table.row_count:
+                return
+            pushed: Tuple[Tuple[str, Any], ...] = ()
+            if pushed_columns:
+                context = outer_row if outer_row is not None else _EMPTY_ROW
+                wanted = [fn(context) for fn in value_fns]
+                if any(value is None for value in wanted):
+                    return  # `col = NULL` never matches
+                pushed = tuple(zip(pushed_columns, wanted))
+            index = table.ensure_index((column,))
+            for left_row in left_rows:
+                key = outer_key(left_row)
+                if key is None:
                     continue
-                combined = left.merged(stored.prefixed(binding))
-                if self._join_matches(combined, matchers, outer_row):
-                    yield combined
+                try:
+                    rowids = index.lookup((key,))
+                except TypeError:
+                    continue  # an unhashable key equals no stored one
+                self._rows_read += len(rowids)
+                for rowid in rowids:
+                    stored = table.row_by_id(rowid)
+                    if pushed and not all(stored.raw[a] == value for a, value in pushed):
+                        continue
+                    combined = left_row.merged(stored.prefixed(binding))
+                    if _join_matches(combined, matchers, outer_row):
+                        yield combined
 
-    def _join_matches(
-        self,
-        combined: Row,
-        matchers: List[Callable[[Row], bool]],
-        outer_row: Optional[Row],
-    ) -> bool:
-        if not matchers:
-            return True
-        scoped = outer_row.merged(combined) if outer_row is not None else combined
-        return all(matcher(scoped) for matcher in matchers)
-
-    def _hash_keys(
-        self, condition: ast.BinaryOp, left_rows: List[Row], right_rows: List[Row]
-    ) -> Optional[Tuple[str, str]]:
-        """Qualified key names for a hash join, or ``None`` when unusable."""
-        if not (
-            isinstance(condition.left, ast.ColumnRef)
-            and isinstance(condition.right, ast.ColumnRef)
-        ):
-            return None
-        left_key = condition.left.qualified
-        right_key = condition.right.qualified
-        left_sample = left_rows[0] if left_rows else _EMPTY_ROW
-        right_sample = right_rows[0] if right_rows else _EMPTY_ROW
-        if left_sample.resolve_key(left_key) is not None and right_sample.resolve_key(right_key) is not None:
-            return left_key, right_key
-        if left_sample.resolve_key(right_key) is not None and right_sample.resolve_key(left_key) is not None:
-            return right_key, left_key
-        if not left_rows or not right_rows:
-            return left_key, right_key
-        return None
+        return run
 
     # ------------------------------------------------------------------
-    # Grouping and aggregation
+    # Grouping, projection and ordering
     # ------------------------------------------------------------------
 
-    def _run_aggregate(self, node: AggregateNode, outer_row: Optional[Row]) -> Iterator[Row]:
-        source_rows = list(self._run_node(node.child, outer_row))
-        group_fns, specs = self._ops(node)
+    def _build_aggregate(self, node: AggregateNode) -> Runner:
+        child = self._build(node.child)
+        group_by = node.group_by
+        group_fns = [self._expr_fn(expression) for expression in group_by]
+        group_keys = [_expression_key(expression) for expression in group_by]
+        specs = []
+        for aggregate in node.aggregates:
+            name = aggregate.name.upper()
+            count_star = name == "COUNT" and (
+                not aggregate.args or isinstance(aggregate.args[0], ast.Star)
+            )
+            arg_fn = (
+                self._expr_fn(aggregate.args[0]) if aggregate.args and not count_star else None
+            )
+            specs.append((str(aggregate), name, arg_fn, aggregate.distinct, count_star))
 
-        groups: Dict[Tuple[Any, ...], List[Row]] = {}
-        if node.group_by:
-            for row in source_rows:
-                scoped = self._with_outer(row, outer_row)
-                key = tuple(fn(scoped) for fn in group_fns)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = [row]
-                else:
-                    bucket.append(row)
-        else:
-            groups[()] = source_rows
-
-        for key, members in groups.items():
-            if not members and not node.group_by:
-                base: Dict[str, Any] = {}
+        def run(outer_row: Optional[Row]) -> Iterator[Row]:
+            source_rows = list(child(outer_row))
+            groups: Dict[Tuple[Any, ...], List[Row]] = {}
+            if group_by:
+                for row in source_rows:
+                    scoped = _with_outer(row, outer_row)
+                    key = tuple(fn(scoped) for fn in group_fns)
+                    bucket = groups.get(key)
+                    if bucket is None:
+                        groups[key] = [row]
+                    else:
+                        bucket.append(row)
             else:
-                base = dict(members[0].as_dict()) if members else {}
-            for expression, value in zip(node.group_by, key):
-                base[_expression_key(expression)] = value
-            for spec in specs:
-                base[spec[0]] = self._compute_aggregate(spec, members, outer_row)
-            yield Row.adopt(base)
+                groups[()] = source_rows
+            for key, members in groups.items():
+                base = dict(members[0].raw) if members else {}
+                base.update(zip(group_keys, key))
+                for spec in specs:
+                    base[spec[0]] = _compute_aggregate(spec, members, outer_row)
+                yield Row.adopt(base)
 
-    def _compute_aggregate(
-        self, spec: Tuple, members: List[Row], outer_row: Optional[Row]
-    ) -> Any:
-        _, name, arg_fn, distinct, count_star = spec
-        if count_star:
-            return len(members)
-        if arg_fn is None:
-            raise EvaluationError(f"aggregate {name} requires an argument")
+        return run
 
-        values = []
-        for row in members:
-            scoped = self._with_outer(row, outer_row)
-            value = arg_fn(scoped)
-            if value is not None:
-                values.append(value)
-        if distinct:
-            seen = set()
-            unique = []
-            for value in values:
-                frozen = _freeze(value)
-                if frozen not in seen:
-                    seen.add(frozen)
-                    unique.append(value)
-            values = unique
+    def _projector(self, items: Tuple[ast.SelectItem, ...]) -> Callable[[Row, Row], Row]:
+        """The select list as a function of a row and its scope (the row
+        merged into the outer row, if any)."""
+        compiled: List[Tuple[Optional[str], Any]] = []
+        for item in items:
+            if isinstance(item.expression, ast.Star):
+                table = item.expression.table
+                compiled.append((None, table.lower() + "." if table is not None else None))
+            else:
+                compiled.append((item.output_name, self._expr_fn(item.expression)))
 
-        if name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if name == "SUM":
-            return sum(values)
-        if name == "AVG":
-            return sum(values) / len(values)
-        if name == "MIN":
-            return min(values)
-        if name == "MAX":
-            return max(values)
-        raise EvaluationError(f"unknown aggregate {name}")  # pragma: no cover
-
-    # ------------------------------------------------------------------
-    # Projection, distinct, ordering, limits
-    # ------------------------------------------------------------------
-
-    def _run_project(
-        self,
-        node: ProjectNode,
-        outer_row: Optional[Row],
-        rows: Optional[Iterable[Row]] = None,
-    ) -> Iterator[Row]:
-        """Project the child's rows (or ``rows``, when given) through the select list."""
-        items = self._ops(node)
-        if rows is None:
-            rows = self._run_node(node.child, outer_row)
-        for row in rows:
-            scoped = self._with_outer(row, outer_row)
+        def project(row: Row, scoped: Row) -> Row:
             output: Dict[str, Any] = {}
-            for name, fn in items:
-                if name is None:  # star expansion
-                    star = fn
-                    for key in row.keys():
-                        if star.table is None or key.lower().startswith(star.table.lower() + "."):
-                            output[key] = row.get(key)
-                    continue
-                output[name] = fn(scoped)
-            yield Row.adopt(output)
+            for name, fn in compiled:
+                if name is None:  # star expansion; ``fn`` is its lowered prefix
+                    for key, value in row.raw.items():
+                        if fn is None or key.lower().startswith(fn):
+                            output[key] = value
+                else:
+                    output[name] = fn(scoped)
+            return Row.adopt(output)
 
-    def _run_distinct(self, node: DistinctNode, outer_row: Optional[Row]) -> Iterator[Row]:
-        seen = set()
-        for row in self._run_node(node.child, outer_row):
-            key = tuple(sorted((k, _freeze(v)) for k, v in row.raw.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
+        return project
 
-    def _run_sort(self, node: SortNode, outer_row: Optional[Row]) -> Iterator[Row]:
-        rows = list(self._run_node(node.child, outer_row))
-        order, aliases = self._ops(node)
+    def _build_sort(self, node: SortNode) -> Runner:
+        child = self._build(node.child)
+        order = [
+            (item.expression, str(item.expression), self._expr_fn(item.expression), item.descending)
+            for item in node.order_by
+        ]
+        aliases = {
+            item.alias.lower(): self._expr_fn(item.expression)
+            for item in node.select_items
+            if item.alias
+        }
 
-        def sort_key(row: Row) -> Tuple:
-            scoped = self._with_outer(row, outer_row)
-            parts = []
-            for expression, text, fn, descending in order:
-                value = self._try_order_value(expression, text, fn, aliases, row, scoped)
-                parts.append(_OrderKey(value, descending=descending))
-            return tuple(parts)
+        def run(outer_row: Optional[Row]) -> Iterator[Row]:
+            def sort_key(row: Row) -> Tuple:
+                scoped = _with_outer(row, outer_row)
+                return tuple(
+                    _OrderKey(_order_value(expression, text, fn, aliases, row, scoped), descending)
+                    for expression, text, fn, descending in order
+                )
 
-        yield from sorted(rows, key=sort_key)
+            yield from sorted(child(outer_row), key=sort_key)
 
-    def _try_order_value(
-        self,
-        expression: ast.Expression,
-        text: str,
-        fn: CompiledExpr,
-        aliases: Dict[str, CompiledExpr],
-        row: Row,
-        scoped: Row,
-    ) -> Any:
-        # ORDER BY may reference base columns (sorting runs before projection),
-        # aggregate results stored under their SQL text, or select-list aliases.
-        try:
-            return fn(scoped)
-        except EvaluationError:
-            resolved = row.resolve_key(text)
-            if resolved is not None:
-                return row.get(resolved)
-            if isinstance(expression, ast.ColumnRef) and expression.table is None:
-                alias_fn = aliases.get(expression.column.lower())
-                if alias_fn is not None:
-                    return alias_fn(scoped)
-            raise
-
-    def _run_limit(self, node: LimitNode, outer_row: Optional[Row]) -> Iterator[Row]:
-        # Stops reading the child after ``offset + limit`` rows: later rows
-        # are never built, so they can neither cost time nor raise.
-        start = node.offset or 0
-        end = start + node.limit if node.limit is not None else None
-        yield from islice(self._run_node(node.child, outer_row), start, end)
+        return run
 
     # ------------------------------------------------------------------
     # Subqueries: hash tables for key-correlated ones, a memo for the rest
@@ -1544,20 +1377,24 @@ class Executor:
         """
         table = state.tables[params]
         try:
-            if info.plan is None:
-                info.plan = self._plan_block(state.statement, info.block_where)
-            project = info.plan.root
-            key_fns = [self._expr_fn(column) for column in info.key_columns]
+            if info.runners is None:
+                project = self._plan_block(state.statement, info.block_where)
+                info.runners = (
+                    self._build(project.child),
+                    self._projector(project.items),
+                    [self._expr_fn(column) for column in info.key_columns],
+                )
+            rows, project_row, key_fns = info.runners
             keys = []
             sources = []
-            for row in self._run_node(project.child, None):
+            for row in rows(None):
                 key = tuple(fn(row) for fn in key_fns)
                 if any(value is None for value in key):
                     continue  # a NULL key equals no outer value
                 keys.append(key)
                 sources.append(row)
             built: Dict[Tuple[Any, ...], List[Row]] = {}
-            for key, row in zip(keys, self._run_project(project, None, sources)):
+            for key, row in zip(keys, (project_row(source, source) for source in sources)):
                 bucket = built.get(key)
                 if bucket is None:
                     built[key] = [row]
@@ -1607,10 +1444,14 @@ class Executor:
         own: set = set()
         own_null = nonempty = False
         try:
-            if division.plan is None:
-                division.plan = self._plan_block(state.statement, division.block_where)
-            own_fns = [self._expr_fn(column) for column in division.own_columns]
-            for row in self._run_node(division.plan.root.child, None):
+            if division.runners is None:
+                project = self._plan_block(state.statement, division.block_where)
+                division.runners = (
+                    self._build(project.child),
+                    [self._expr_fn(column) for column in division.own_columns],
+                )
+            rows, own_fns = division.runners
+            for row in rows(None):
                 nonempty = True
                 own_key = tuple(fn(row) for fn in own_fns)
                 if any(value is None for value in own_key):
@@ -1632,14 +1473,15 @@ class Executor:
         self, statement: ast.SelectStatement, outer_row: Optional[Row]
     ) -> List[Row]:
         """Run a subquery for one outer row (no cache validation: mid-statement)."""
-        plan, _ = self._plan_select(statement)
-        return list(self._run_node(plan.root, outer_row))
+        run, _ = self._plan_select(statement)
+        return list(run(outer_row))
 
     def _plan_block(
         self, statement: ast.SelectStatement, where: Tuple[ast.Expression, ...]
-    ) -> LogicalPlan:
-        """Plan ``statement`` with ``where`` as its WHERE conjuncts."""
-        return self.planner.plan(replace(statement, where=ast.conjoin(where)))
+    ) -> ProjectNode:
+        """The Project at the root of ``statement``'s plan with ``where`` as its
+        WHERE conjuncts (a key-correlated block has no DISTINCT or LIMIT)."""
+        return self.planner.plan(replace(statement, where=ast.conjoin(where))).root
 
     def _rows_in(self, statement: ast.SelectStatement) -> int:
         """The rows a build of ``statement`` reads: its FROM tables' sizes."""
@@ -1690,11 +1532,6 @@ class Executor:
     # ------------------------------------------------------------------
     # DML, helpers
     # ------------------------------------------------------------------
-
-    def _with_outer(self, row: Row, outer_row: Optional[Row]) -> Row:
-        if outer_row is None:
-            return row
-        return outer_row.merged(row)
 
     def _output_columns(self, statement: ast.SelectStatement) -> Tuple[str, ...]:
         columns: List[str] = []
@@ -1812,6 +1649,131 @@ def _filter_chain(
         return None
     predicates.reverse()
     return current, predicates
+
+
+def _empty_row(outer_row: Optional[Row]) -> Iterator[Row]:
+    yield _EMPTY_ROW
+
+
+def _filter(predicate: Callable[[Row], bool], child: Runner) -> Runner:
+    def run(outer_row: Optional[Row]) -> Iterator[Row]:
+        if outer_row is None:
+            for row in child(None):
+                if predicate(row):
+                    yield row
+        else:
+            for row in child(outer_row):
+                if predicate(outer_row.merged(row)):
+                    yield row
+
+    return run
+
+
+def _project(project: Callable[[Row, Row], Row], child: Runner) -> Runner:
+    def run(outer_row: Optional[Row]) -> Iterator[Row]:
+        if outer_row is None:
+            for row in child(None):
+                yield project(row, row)
+        else:
+            for row in child(outer_row):
+                yield project(row, outer_row.merged(row))
+
+    return run
+
+
+def _distinct(child: Runner) -> Runner:
+    def run(outer_row: Optional[Row]) -> Iterator[Row]:
+        seen = set()
+        for row in child(outer_row):
+            key = tuple(sorted((k, _freeze(v)) for k, v in row.raw.items()))
+            if key not in seen:
+                seen.add(key)
+                yield row
+
+    return run
+
+
+def _limit(limit: Optional[int], offset: Optional[int], child: Runner) -> Runner:
+    start = offset or 0
+    end = start + limit if limit is not None else None
+
+    def run(outer_row: Optional[Row]) -> Iterator[Row]:
+        yield from islice(child(outer_row), start, end)
+
+    return run
+
+
+def _with_outer(row: Row, outer_row: Optional[Row]) -> Row:
+    return row if outer_row is None else outer_row.merged(row)
+
+
+def _join_matches(
+    combined: Row, matchers: List[Callable[[Row], bool]], outer_row: Optional[Row]
+) -> bool:
+    if not matchers:
+        return True
+    scoped = _with_outer(combined, outer_row)
+    return all(matcher(scoped) for matcher in matchers)
+
+
+def _compute_aggregate(spec: Tuple, members: List[Row], outer_row: Optional[Row]) -> Any:
+    _, name, arg_fn, distinct, count_star = spec
+    if count_star:
+        return len(members)
+    if arg_fn is None:
+        raise EvaluationError(f"aggregate {name} requires an argument")
+
+    values = []
+    for row in members:
+        value = arg_fn(_with_outer(row, outer_row))
+        if value is not None:
+            values.append(value)
+    if distinct:
+        seen = set()
+        unique = []
+        for value in values:
+            frozen = _freeze(value)
+            if frozen not in seen:
+                seen.add(frozen)
+                unique.append(value)
+        values = unique
+
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if name == "SUM":
+        return sum(values)
+    if name == "AVG":
+        return sum(values) / len(values)
+    if name == "MIN":
+        return min(values)
+    if name == "MAX":
+        return max(values)
+    raise EvaluationError(f"unknown aggregate {name}")  # pragma: no cover
+
+
+def _order_value(
+    expression: ast.Expression,
+    text: str,
+    fn: CompiledExpr,
+    aliases: Dict[str, CompiledExpr],
+    row: Row,
+    scoped: Row,
+) -> Any:
+    # ORDER BY may reference base columns (sorting runs before projection),
+    # aggregate results stored under their SQL text, or select-list aliases.
+    try:
+        return fn(scoped)
+    except EvaluationError:
+        resolved = row.resolve_key(text)
+        if resolved is not None:
+            return row.get(resolved)
+        if isinstance(expression, ast.ColumnRef) and expression.table is None:
+            alias_fn = aliases.get(expression.column.lower())
+            if alias_fn is not None:
+                return alias_fn(scoped)
+        raise
 
 
 def _expression_key(expression: ast.Expression) -> str:

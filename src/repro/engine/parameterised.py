@@ -51,7 +51,7 @@ rotation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.plan import LogicalPlan
 from repro.sql import ast
@@ -114,10 +114,12 @@ class ParameterisedPlan:
     vector for every *parameter* literal of the canonical statement (the
     nodes themselves are kept alive by ``statement``).  ``columns`` is
     the result header — safe to share because literals that could surface
-    in it are pinned by the guard.
+    in it are pinned by the guard.  ``run`` is the plan's root runner, which
+    the executor builds at the entry's first run, while ``ordinals`` is
+    installed in its expression compiler.
     """
 
-    __slots__ = ("statement", "plan", "columns", "ordinals")
+    __slots__ = ("statement", "plan", "columns", "ordinals", "run")
 
     def __init__(
         self,
@@ -130,6 +132,7 @@ class ParameterisedPlan:
         self.plan = plan
         self.columns = columns
         self.ordinals = ordinals
+        self.run: Optional[Callable[[None], Iterator[Any]]] = None
 
 
 def analyze_statement(

@@ -8,12 +8,13 @@ predicate (anything else, including subquery connectors), and a left-deep
 join tree is built greedily so that every join has at least one usable
 equi-join condition when one exists.
 
-The planner also picks each join's access path from the schema, after
-Selinger et al., "Access Path Selection in a Relational Database
+The planner also picks each join's key and access path from the schema,
+after Selinger et al., "Access Path Selection in a Relational Database
 Management System" (SIGMOD 1979), without a cost model: the tree starts
-at a binding with pushed equality conjuncts, and a join whose inner input
-is a bare base-table scan joined on declared columns probes that table's
-hash index per outer row (see :class:`Planner`).
+at a binding with pushed equality conjuncts, a join's key is its first
+equi-condition between declared columns, and a join whose inner input is
+a bare base-table scan probes that table's hash index on the key per
+outer row (see :class:`Planner`).
 """
 
 from __future__ import annotations
@@ -91,20 +92,22 @@ class FilterNode(PlanNode):
 class JoinNode(PlanNode):
     """Join two inputs.
 
-    ``equi_conditions`` are equality predicates usable for hashing;
+    ``equi_conditions`` are equalities between two columns;
     ``other_conditions`` are arbitrary predicates evaluated after the match.
-    With no conditions at all this is a cross product.  ``index_condition``
-    is the equi-condition an *index join* probes the inner table's hash
-    index on, once per outer row; the planner sets it only when ``right``
-    is a base-table :class:`ScanNode`.  Without it the join hashes its
-    inner input.
+    With no conditions at all this is a cross product.  ``key`` is the
+    equi-condition the join matches on, with its outer (``left``) and inner
+    (``right``) column; the join hashes its inner input on the inner column,
+    or, when ``index`` is set, probes the inner table's hash index on it
+    once per outer row (the planner sets ``index`` only when ``right`` is a
+    base-table :class:`ScanNode`).  A join without a key tests every pair.
     """
 
     left: PlanNode
     right: PlanNode
     equi_conditions: Tuple[ast.BinaryOp, ...] = ()
     other_conditions: Tuple[ast.Expression, ...] = ()
-    index_condition: Optional[ast.BinaryOp] = None
+    key: Optional[Tuple[ast.BinaryOp, ast.ColumnRef, ast.ColumnRef]] = None
+    index: bool = False
 
     def children(self) -> Sequence[PlanNode]:
         return (self.left, self.right)
@@ -116,10 +119,10 @@ class JoinNode(PlanNode):
         if not conds:
             return "CrossJoin"
         text = " AND ".join(expression_to_sql(c, top_level=True) for c in conds)
-        if self.index_condition is not None:
+        if self.index:
             kind = "IndexJoin"
         else:
-            kind = "HashJoin" if self.equi_conditions else "NestedLoopJoin"
+            kind = "HashJoin" if self.key is not None else "NestedLoopJoin"
         return f"{kind}({text})"
 
 
@@ -383,13 +386,14 @@ class Planner:
 
     The left-deep join tree starts at the first binding in FROM order with
     pushed equality conjuncts; a FROM list with none starts at its first
-    binding.  The tree then grows along equi-join edges.  In a tree that
-    starts at such a binding, a join is an index join
-    (:attr:`JoinNode.index_condition`) when its inner input is a bare
-    base-table scan, every column that scan's pushed conjuncts name is
-    declared by its table, and an equi-condition ``outer.col = inner.col``
-    joins columns both tables declare.  The choice reads only the
-    statement and ``schema``, so a plan stays valid whatever the data.
+    binding.  The tree then grows along equi-join edges.  Each join's key
+    (:attr:`JoinNode.key`) is its first equi-condition that joins a column
+    the outer side's table declares to one the inner side's table declares.
+    In a tree that starts at such a binding, a join with a key is an index
+    join (:attr:`JoinNode.index`) when its inner input is a bare base-table
+    scan and every column that scan's pushed conjuncts name is declared by
+    its table.  The choices read only the statement and ``schema``, so a
+    plan stays valid whatever the data.
     """
 
     def __init__(self, schema: Schema) -> None:
@@ -512,15 +516,21 @@ class Planner:
 
             equi = tuple(c for c in usable if ast.is_join_condition(c))
             other = tuple(c for c in usable if not ast.is_join_condition(c))
-            index_condition = None
-            if start is not None and isinstance(inputs[candidate], ScanNode):
-                index_condition = self._index_condition(equi, inputs[candidate], scans)
+            inner = inputs[candidate]
+            key = self._join_key(equi, scans[candidate.lower()], scans)
+            index = (
+                key is not None
+                and start is not None
+                and isinstance(inner, ScanNode)
+                and all(map(self.schema.relation(inner.table_name).has_attribute, inner.eq_columns))
+            )
             root = JoinNode(
                 left=root,
-                right=inputs[candidate],
+                right=inner,
                 equi_conditions=equi,
                 other_conditions=other,
-                index_condition=index_condition,
+                key=key,
+                index=index,
             )
             current_bindings = new_bindings
 
@@ -530,23 +540,21 @@ class Planner:
             root = FilterNode(child=root, predicate=cond)
         return root
 
-    def _index_condition(
+    def _join_key(
         self,
         equi: Sequence[ast.BinaryOp],
         inner: ScanNode,
         scans: Dict[str, ScanNode],
-    ) -> Optional[ast.BinaryOp]:
-        """The first of ``equi`` an index join into the scan ``inner`` can probe on.
+    ) -> Optional[Tuple[ast.BinaryOp, ast.ColumnRef, ast.ColumnRef]]:
+        """``(condition, outer column, inner column)`` of a join into ``inner``.
 
-        None unless ``inner``'s pushed columns are all declared and some
-        condition joins a declared column of the prefix to a declared
-        column of ``inner``.
+        The first of ``equi`` that joins a column the outer side's table
+        declares to one the table of the scan ``inner`` declares; None
+        when no condition does.
         """
         binding = inner.binding.lower()
         relation = self._relation(inner.table_name)
-        if relation is None or not all(
-            relation.has_attribute(column) for column in inner.eq_columns
-        ):
+        if relation is None:
             return None
         for cond in equi:
             for outer_ref, inner_ref in ((cond.left, cond.right), (cond.right, cond.left)):
@@ -558,7 +566,7 @@ class Planner:
                     and outer.has_attribute(outer_ref.column)
                     and relation.has_attribute(inner_ref.column)
                 ):
-                    return cond
+                    return cond, outer_ref, inner_ref
         return None
 
     def _relation(self, table_name: str) -> Optional[Relation]:

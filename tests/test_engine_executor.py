@@ -82,6 +82,125 @@ class TestBasicSelect:
         assert result.row_count == 3
 
 
+class TestOrderBy:
+    """The sort runner and its fallbacks against the interpreted oracle.
+
+    Each case reaches another way an ORDER BY item is resolved: a base
+    column the select list drops, a select alias, an aggregate's SQL text,
+    a correlated scalar subquery's alias, under DISTINCT, and with an
+    EXISTS filter and LIMIT.  Both modes run each text three times (first
+    sighting, compile, shape-plan hit).
+    """
+
+    CASES = [
+        (
+            "select m.title from MOVIES m where m.year > 2003 order by m.year desc, m.id",
+            [("Match Point",), ("Melinda and Melinda",), ("Troy",)],
+        ),
+        (
+            "select m.title as t from MOVIES m order by t desc limit 3",
+            [("Troy",), ("The Galactic Menace",), ("Star Battles",)],
+        ),
+        (
+            "select g.genre, count(*) from GENRE g group by g.genre"
+            " order by count(*) desc, g.genre",
+            [("action", 5), ("comedy", 3), ("drama", 3), ("romance", 2), ("thriller", 2)],
+        ),
+        (
+            "select m.title, (select count(*) from CAST c where c.mid = m.id) as n"
+            " from MOVIES m order by n desc, m.title",
+            [
+                ("Match Point", 2), ("Ocean Heist", 2), ("Seven", 2), ("Troy", 2),
+                ("Anything Else", 1), ("Melinda and Melinda", 1), ("Star Battles", 1),
+                ("Star Battles", 1), ("The Galactic Menace", 0),
+            ],
+        ),
+        (
+            "select distinct m.year from MOVIES m order by m.year desc",
+            [(2005,), (2004,), (2003,), (2001,), (1999,), (1997,), (1995,), (1977,)],
+        ),
+        (
+            "select m.title from MOVIES m where exists"
+            " (select * from CAST c where c.mid = m.id) order by m.title limit 2",
+            [("Anything Else",), ("Match Point",)],
+        ),
+    ]
+
+    @pytest.mark.parametrize("sql, expected", CASES)
+    def test_both_modes_give_the_expected_rows(self, sql, expected):
+        database = movie_database()
+        for compiled in (True, False):
+            executor = Executor(database, compiled=compiled)
+            for _ in range(3):
+                assert executor.execute_sql(sql).to_tuples() == expected
+
+
+class TestPlansAreBuiltOnce:
+    """A compiled executor builds each plan's runners once and keeps them."""
+
+    VECTOR_FILTER = "select m.title, m.year from MOVIES m where m.year > 2000 and m.title like 'S%'"
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.engine import executor as executor_module
+        from repro.engine.compile import ExpressionCompiler
+
+        counts = {"compile": 0, "vector": 0, "build": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            ExpressionCompiler, "compile", counted("compile", ExpressionCompiler.compile)
+        )
+        monkeypatch.setattr(
+            executor_module,
+            "VectorExpressionCompiler",
+            counted("vector", executor_module.VectorExpressionCompiler),
+        )
+        monkeypatch.setattr(Executor, "_build", counted("build", Executor._build))
+        return counts
+
+    @staticmethod
+    def columnar_movies():
+        from repro.storage.config import StorageConfig
+
+        return movie_database().with_storage(StorageConfig(default_engine="columnar"))
+
+    def test_nothing_is_compiled_from_the_third_sighting_on(self, builds):
+        from repro.datasets import PAPER_QUERIES
+
+        database = self.columnar_movies()
+        executor = Executor(database, compiled=True)
+        texts = list(PAPER_QUERIES.values()) + [self.VECTOR_FILTER]
+        for sql in texts:
+            executor.execute_sql(sql)  # first sighting: private scope
+            executor.execute_sql(sql)  # second: compiles the shape plan
+        assert builds["compile"] and builds["vector"] and builds["build"]
+        assert executor.vector_scans
+        # A write drops the subquery tables, so Q5-Q9's blocks are built
+        # again, through the runners kept from their first build.
+        database.insert("GENRE", {"mid": 3, "genre": "drama"})
+        oracle = Executor(database, compiled=False)
+        answers = [oracle.execute_sql(sql).to_tuples() for sql in texts]
+        tables = executor.subquery_tables
+        builds.update(compile=0, vector=0, build=0)
+        for _ in range(2):
+            assert [executor.execute_sql(sql).to_tuples() for sql in texts] == answers
+        assert builds == {"compile": 0, "vector": 0, "build": 0}
+        assert executor.subquery_tables > tables
+
+    def test_interpreted_executor_builds_on_every_call(self, builds):
+        executor = Executor(self.columnar_movies(), compiled=False)
+        for calls in range(1, 4):
+            executor.execute_sql(self.VECTOR_FILTER)
+            assert builds["build"] >= calls * 4  # Project, two Filters, Scan
+
+
 class TestJoins:
     def test_fk_join(self, executor):
         result = executor.execute_sql(

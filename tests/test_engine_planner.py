@@ -181,6 +181,7 @@ class TestAccessPaths:
         )
         assert "HashJoin(m.id = c.mid)" in text and "IndexJoin" not in text
 
-    def test_undeclared_join_column_keeps_the_hash_join(self):
+    def test_undeclared_join_column_runs_a_nested_loop(self):
+        # No condition joins two declared columns, so the join has no key.
         text = self.explain("select m.title from MOVIES m, CAST c where m.id = 4 and m.nosuch = c.mid")
-        assert "HashJoin(m.nosuch = c.mid)" in text
+        assert "NestedLoopJoin(m.nosuch = c.mid)" in text and "IndexJoin" not in text

@@ -257,6 +257,90 @@ class TestAgainstTheFromProduct:
 
 
 # ---------------------------------------------------------------------------
+# Join keys the planner picks where the executor once read the data
+# ---------------------------------------------------------------------------
+
+
+class TestJoinKeysReadNoData:
+    """Literal outcomes of joins whose hash key was once oriented by the data.
+
+    The executor used to pick a hash join's key by sampling the first row
+    of each input, in both modes; the planner now picks it from the schema.
+    Both modes changed together, so their differential cannot see a drift:
+    these pin what the sampling gave, in both modes, over three sightings.
+    """
+
+    MERGED_ROW = "['c.aid', 'c.mid', 'c.role', 'm.id', 'm.title', 'm.year']"
+
+    JOINED_TITLES = repr(
+        [
+            [("m.title", title)]
+            for title in (
+                "Match Point", "Match Point", "Melinda and Melinda", "Anything Else",
+                "Troy", "Troy", "Seven", "Seven", "Star Battles", "Star Battles",
+                "Ocean Heist", "Ocean Heist",
+            )
+        ]
+    )
+
+    @staticmethod
+    def outcomes(database, sql):
+        found = []
+        for compiled in (True, False):
+            executor = Executor(database, compiled=compiled)
+            found.extend(outcome(executor, sql) for _ in range(3))
+        return found
+
+    @pytest.mark.parametrize(
+        "sql, column",
+        [
+            ("select m.title from MOVIES m, CAST c where m.nosuch = c.mid", "m.nosuch"),
+            ("select m.title from MOVIES m, CAST c where m.id = c.nosuch", "c.nosuch"),
+            # Hashed on the declared condition; the other raises on the
+            # first merged row.
+            (
+                "select m.title from MOVIES m, CAST c where m.nosuch = c.mid and m.id = c.mid",
+                "m.nosuch",
+            ),
+        ],
+    )
+    def test_undeclared_join_column_raises(self, sql, column):
+        error = ("error", "EvaluationError", f"unknown column {column!r} in row {self.MERGED_ROW}")
+        assert self.outcomes(movie_database(), sql) == [error] * 6
+
+    def test_undeclared_join_column_over_an_empty_input_returns_no_rows(self):
+        sql = "select m.title from MOVIES m, CAST c where m.nosuch = c.mid and c.role = 'nobody'"
+        assert self.outcomes(movie_database(), sql) == [("ok", ("m.title",), "[]")] * 6
+
+    def test_declared_condition_is_the_key_whatever_its_place(self):
+        # No pair matches on the declared condition, so the undeclared one
+        # is never evaluated: a nested loop would raise on the first pair.
+        database = Database(small_schema())
+        database.insert("P", {"id": 1, "name": "a", "score": None})
+        database.insert("C", {"id": 1, "pid": None, "tag": "x"})
+        sql = "select t0.name from P t0, C t1 where t0.nosuch = t1.pid and t0.id = t1.pid"
+        assert "HashJoin" in Executor(database).explain(parse_select(sql))
+        assert self.outcomes(database, sql) == [("ok", ("t0.name",), "[]")] * 6
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select m.title from MOVIES m, CAST c where m.id = c.mid",
+            "select m.title from MOVIES m, CAST c where c.mid = m.id",
+            "select m.title from MOVIES m, CAST c where M.ID = c.MID",
+        ],
+    )
+    def test_key_orientation_and_case_read_no_data(self, sql):
+        assert self.outcomes(movie_database(), sql) == [
+            ("ok", ("m.title",), self.JOINED_TITLES)
+        ] * 6
+
+    def test_unknown_table_under_limit_zero_returns_no_rows(self):
+        sql = "select x from NOSUCH limit 0"
+        assert self.outcomes(movie_database(), sql) == [("ok", ("x",), "[]")] * 6
+
+
+# ---------------------------------------------------------------------------
 # Where an index join must act like the hash join
 # ---------------------------------------------------------------------------
 
