@@ -35,7 +35,7 @@ Package map
 ``repro.query_nl``    query-to-text translation (Section 3)
 ``repro.service``     the concurrent (asyncio) narration service
 ``repro.datasets``    the paper's schemas, seed data and workload generators
-``repro.evaluation``  metrics and the experiment registry
+``repro.evaluation``  text metrics for narratives
 """
 
 from repro.catalog import (

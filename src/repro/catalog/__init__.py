@@ -15,7 +15,6 @@ from repro.catalog.types import (
     DataType,
     check_value,
     coerce_value,
-    infer_type,
     is_valid_value,
     render_value,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "SchemaBuilder",
     "check_value",
     "coerce_value",
-    "infer_type",
     "is_valid_value",
     "render_value",
 ]

@@ -93,11 +93,6 @@ class RelationBuilder:
             self._heading = name
         return self
 
-    def heading(self, attribute_name: str) -> "RelationBuilder":
-        """Declare the heading attribute explicitly."""
-        self._heading = attribute_name
-        return self
-
     def done(self) -> "SchemaBuilder":
         """Finish this relation and return to the schema builder."""
         relation = Relation(
@@ -144,11 +139,6 @@ class SchemaBuilder:
             description=description,
             bridge=bridge,
         )
-
-    def add_relation(self, relation: Relation) -> "SchemaBuilder":
-        """Add a pre-built :class:`Relation`."""
-        self._add_relation(relation)
-        return self
 
     def _add_relation(self, relation: Relation) -> None:
         self._relations.append(relation)

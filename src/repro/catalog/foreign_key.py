@@ -9,7 +9,7 @@ graph layer turns each of them into a join edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 
@@ -50,18 +50,6 @@ class ForeignKey:
     def column_pairs(self) -> Sequence[Tuple[str, str]]:
         """Pairs of (source attribute, target attribute) joined by this FK."""
         return tuple(zip(self.source_attributes, self.target_attributes))
-
-    def reversed(self) -> "ForeignKey":
-        """The same relationship seen from the target relation's side."""
-        return ForeignKey(
-            source_relation=self.target_relation,
-            source_attributes=self.target_attributes,
-            target_relation=self.source_relation,
-            target_attributes=self.source_attributes,
-            name=(self.name + "_rev") if self.name else None,
-            verb_phrase=self.verb_phrase,
-            weight=self.weight,
-        )
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         src = ", ".join(self.source_attributes)

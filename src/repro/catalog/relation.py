@@ -147,35 +147,6 @@ class Relation:
             return non_key[0]
         return self._order[0]
 
-    def with_heading(self, attribute_name: str) -> "Relation":
-        """Return a copy of the relation with a different heading attribute.
-
-        Used by personalised narration profiles (paper, Section 2.2:
-        "different heading attributes for relations ... in order to produce
-        customized narratives").
-        """
-        return Relation(
-            name=self.name,
-            attributes=self.attributes,
-            concept=self.concept,
-            heading_attribute=attribute_name,
-            weight=self.weight,
-            description=self.description,
-            bridge=self.bridge,
-        )
-
-    @property
-    def non_key_attributes(self) -> Tuple[Attribute, ...]:
-        return tuple(a for a in self.attributes if not a.primary_key)
-
-    @property
-    def descriptive_attributes(self) -> Tuple[Attribute, ...]:
-        """Attributes worth narrating: non-key and not the heading attribute."""
-        heading = self.heading_attribute.name
-        return tuple(
-            a for a in self.attributes if not a.primary_key and a.name != heading
-        )
-
     # ------------------------------------------------------------------
     # Dunder helpers
     # ------------------------------------------------------------------

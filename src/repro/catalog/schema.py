@@ -177,35 +177,6 @@ class Schema:
                     "relations without a primary key: " + ", ".join(missing)
                 )
 
-    def adjacent_relations(self, relation_name: str) -> Tuple[str, ...]:
-        """Relations connected to ``relation_name`` by at least one FK."""
-        canonical = self.relation(relation_name).name
-        neighbours: List[str] = []
-        for fk in self._foreign_keys:
-            if fk.source_relation == canonical and fk.target_relation != canonical:
-                if fk.target_relation not in neighbours:
-                    neighbours.append(fk.target_relation)
-            elif fk.target_relation == canonical and fk.source_relation != canonical:
-                if fk.source_relation not in neighbours:
-                    neighbours.append(fk.source_relation)
-        return tuple(neighbours)
-
-    def subschema(self, relation_names: Iterable[str]) -> "Schema":
-        """A schema restricted to ``relation_names`` and the FKs among them."""
-        keep = {self.relation(name).name for name in relation_names}
-        relations = [r for r in self.relations if r.name in keep]
-        fks = [
-            fk
-            for fk in self._foreign_keys
-            if fk.source_relation in keep and fk.target_relation in keep
-        ]
-        return Schema(
-            name=f"{self.name}_subset",
-            relations=relations,
-            foreign_keys=fks,
-            description=self.description,
-        )
-
     # ------------------------------------------------------------------
     # Dunder helpers
     # ------------------------------------------------------------------

@@ -134,16 +134,3 @@ def render_value(value: Any, dtype: Optional[DataType] = None) -> str:
             return str(int(value))
         return f"{value:g}"
     return str(value)
-
-
-def infer_type(value: Any) -> DataType:
-    """Infer the narrowest :class:`DataType` for a Python value."""
-    if isinstance(value, bool):
-        return DataType.BOOLEAN
-    if isinstance(value, int):
-        return DataType.INTEGER
-    if isinstance(value, float):
-        return DataType.FLOAT
-    if isinstance(value, datetime.date):
-        return DataType.DATE
-    return DataType.TEXT

@@ -1,10 +1,9 @@
 """Database-content translation (Section 2 of the paper)."""
 
 from repro.content.narrator import ContentNarrator
-from repro.content.navigation import find_by_heading, non_bridge_path, related_rows
+from repro.content.navigation import find_by_heading, related_rows
 from repro.content.patterns import (
     SynthesisMode,
-    join_pattern_clause,
     relationship_sentence,
     split_pattern_clause,
     unary_pattern_clauses,
@@ -35,8 +34,6 @@ from repro.content.single_relation import (
 )
 from repro.content.summarizer import (
     describe_histogram,
-    describe_profile,
-    describe_sample,
     describe_schema,
     describe_statistics,
 )
@@ -54,18 +51,14 @@ __all__ = [
     "coverage_plan",
     "default_spec",
     "describe_histogram",
-    "describe_profile",
-    "describe_sample",
     "describe_schema",
     "describe_statistics",
     "employee_spec",
     "find_by_heading",
     "heading_clause",
     "heading_value",
-    "join_pattern_clause",
     "library_spec",
     "movie_spec",
-    "non_bridge_path",
     "rank_relations",
     "rank_tuples",
     "related_rows",

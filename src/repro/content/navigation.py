@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.catalog.foreign_key import ForeignKey
 from repro.catalog.schema import Schema
 from repro.storage.database import Database
 from repro.storage.row import Row
@@ -82,18 +81,3 @@ def find_by_heading(
     if matches:
         return matches[0]
     return None
-
-
-def non_bridge_path(schema: Schema, path: Sequence[str]) -> List[str]:
-    """The relations of ``path`` that actually contribute to a narrative.
-
-    Bridge relations are kept out; the endpoints are always kept.
-    """
-    if not path:
-        return []
-    kept = []
-    for index, name in enumerate(path):
-        relation = schema.relation(name)
-        if index in (0, len(path) - 1) or not relation.bridge:
-            kept.append(relation.name)
-    return kept

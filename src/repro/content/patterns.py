@@ -8,8 +8,6 @@
   and whose subordinate clauses — one per partner — are combined with a
   conjunctive term ("The movie M1 involves the director D1 who was born in
   Italy and the actor A1 who is Greek").
-* Join pattern (Ri1, Ri2 > Rj): the symmetric case; the shared relation Rj
-  is narrated once and each parent contributes a subordinate clause.
 """
 
 from __future__ import annotations
@@ -21,11 +19,11 @@ from repro.catalog.relation import Relation
 from repro.content.personalization import DEFAULT_PROFILE, UserProfile
 from repro.content.single_relation import TupleStyle, heading_value, tuple_clauses
 from repro.lexicon.lexicon import Lexicon
-from repro.lexicon.morphology import join_list, pluralize, possessive
-from repro.nlg.clause import Clause, EntityPhrase
+from repro.lexicon.morphology import join_list
+from repro.nlg.clause import Clause
 from repro.nlg.realize import attach_relative
 from repro.templates.registry import TemplateRegistry
-from repro.templates.spec import ListTemplate, SlotPart, Template, slot, template
+from repro.templates.spec import SlotPart, slot, template
 
 
 class SynthesisMode(enum.Enum):
@@ -55,8 +53,11 @@ def relationship_sentence(
 
     When the join-edge template contains a slot naming a registered list
     template (the paper's ``MOVIE_LIST``), that slot is filled with the
-    rendered list; otherwise a default "As a <parent concept>, <NAME>'s
-    work includes <list>" style sentence is produced from the lexicon.
+    rendered list; otherwise the lexicon supplies "The <parent concept>
+    <NAME> <relationship verb> the <child concept(s)> <list>" ("The
+    director Woody Allen directed the movies Match Point, Melinda and
+    Melinda, and Anything Else"), with "is associated with" when no verb
+    is registered.
     ``compact_list`` controls whether the list items carry their extra
     attributes ("Match Point (2005)") or just the headings ("Match Point").
     """
@@ -113,16 +114,10 @@ def relationship_sentence(
         else lexicon.concept(child.name)
     )
     verb = lexicon.relationship_verb(parent.name, child.name)
-    if verb in ("directed", "directed by", "wrote", "written", "written by"):
-        text = (
-            f"As a {lexicon.concept(parent.name)}, {possessive(parent_subject)} work"
-            f" includes {rendered_list}"
-        )
-    else:
-        text = (
-            f"The {lexicon.concept(parent.name)} {parent_subject}"
-            f" {verb or 'is associated with'} the {child_noun} {rendered_list}"
-        )
+    text = (
+        f"The {lexicon.concept(parent.name)} {parent_subject}"
+        f" {verb or 'is associated with'} the {child_noun} {rendered_list}"
+    )
     return Clause(subject=text, about=f"{parent.name}->{child.name}",
                   weight=profile.relation_weight(child))
 
@@ -269,35 +264,3 @@ def _predicate_of(clauses: Sequence[Clause]) -> str:
             return " ".join([clause.verb, *clause.complements]).strip()
     return ""
 
-
-# ---------------------------------------------------------------------------
-# Join pattern
-# ---------------------------------------------------------------------------
-
-
-def join_pattern_clause(
-    shared: Relation,
-    shared_row: Mapping,
-    parents: Sequence[tuple],
-    registry: TemplateRegistry,
-    lexicon: Lexicon,
-    profile: UserProfile = DEFAULT_PROFILE,
-) -> Clause:
-    """One sentence for a join pattern (Ri1, Ri2 > Rj).
-
-    The shared tuple is the subject and each parent tuple contributes a
-    coordinated prepositional phrase: "The movie M1 is shared by the
-    director D1 and the actor A1."
-    """
-    subject = f"The {lexicon.concept(shared.name)} {heading_value(shared, shared_row, profile)}"
-    phrases = [
-        f"the {lexicon.concept(rel.name)} {heading_value(rel, row, profile)}"
-        for rel, row in parents
-    ]
-    return Clause(
-        subject=subject,
-        verb="is shared by",
-        complements=(join_list(phrases),),
-        about=shared.name,
-        weight=profile.relation_weight(shared),
-    )

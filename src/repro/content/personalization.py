@@ -58,19 +58,5 @@ class UserProfile:
 
     # ------------------------------------------------------------------
 
-    def with_heading(self, relation_name: str, attribute_name: str) -> "UserProfile":
-        """A copy of the profile with one more heading override."""
-        overrides = dict(self.heading_overrides)
-        overrides[relation_name] = attribute_name
-        return UserProfile(
-            name=self.name,
-            heading_overrides=overrides,
-            relation_weights=dict(self.relation_weights),
-            attribute_weights=dict(self.attribute_weights),
-            excluded_relations=set(self.excluded_relations),
-            budget=self.budget,
-            max_tuples_per_relation=self.max_tuples_per_relation,
-        )
-
 
 DEFAULT_PROFILE = UserProfile()

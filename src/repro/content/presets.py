@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Schema
 from repro.lexicon.lexicon import Lexicon, default_lexicon
-from repro.templates.parser import parse_list_template, parse_template
+from repro.templates.parser import parse_template
 from repro.templates.registry import TemplateRegistry
 from repro.templates.spec import ListTemplate
 
@@ -67,7 +67,6 @@ def movie_spec(schema: Schema) -> NarrationSpec:
         "blocation",
         parse_template(
             'DIRECTOR.name + " was born" + " in " + DIRECTOR.blocation',
-            subject="name",
             verb="was born",
         ),
     )
@@ -76,7 +75,6 @@ def movie_spec(schema: Schema) -> NarrationSpec:
         "bdate",
         parse_template(
             'DIRECTOR.name + " was born" + " on " + DIRECTOR.bdate',
-            subject="name",
             verb="was born",
         ),
     )
@@ -88,7 +86,6 @@ def movie_spec(schema: Schema) -> NarrationSpec:
         "year",
         parse_template(
             'MOVIES.title + " was released in " + MOVIES.year',
-            subject="title",
             verb="was released in",
         ),
     )
@@ -96,15 +93,15 @@ def movie_spec(schema: Schema) -> NarrationSpec:
     # Relation-node labels (alternative (a): heading-only sentences).
     registry.set_relation_template(
         "DIRECTOR",
-        parse_template('"the director\'s name is " + DIRECTOR.name', subject="name"),
+        parse_template('"the director\'s name is " + DIRECTOR.name'),
     )
     registry.set_relation_template(
         "MOVIES",
-        parse_template('"the movie " + MOVIES.title + " (" + MOVIES.year + ")"', subject="title"),
+        parse_template('"the movie " + MOVIES.title + " (" + MOVIES.year + ")"'),
     )
     registry.set_relation_template(
         "ACTOR",
-        parse_template('"the actor\'s name is " + ACTOR.name', subject="name"),
+        parse_template('"the actor\'s name is " + ACTOR.name'),
     )
 
     # The MOVIE_LIST loop.  The same definition can be written in the paper's
@@ -127,7 +124,6 @@ def movie_spec(schema: Schema) -> NarrationSpec:
         "MOVIES",
         parse_template(
             '"As a director, " + DIRECTOR.name + "\'s work includes " + MOVIE_LIST',
-            subject="name",
         ),
     )
     registry.set_join_template(
@@ -135,7 +131,6 @@ def movie_spec(schema: Schema) -> NarrationSpec:
         "MOVIES",
         parse_template(
             '"As an actor, " + ACTOR.name + " appears in " + MOVIE_LIST',
-            subject="name",
         ),
     )
     registry.set_join_template(
@@ -143,7 +138,6 @@ def movie_spec(schema: Schema) -> NarrationSpec:
         "GENRE",
         parse_template(
             '"the genre of the movie " + MOVIES.title + " is " + GENRE.genre',
-            subject="title",
         ),
     )
 
@@ -170,19 +164,19 @@ def employee_spec(schema: Schema) -> NarrationSpec:
     registry.set_projection_template(
         "EMP",
         "sal",
-        parse_template('EMP.name + " earns " + EMP.sal', subject="name", verb="earns"),
+        parse_template('EMP.name + " earns " + EMP.sal', verb="earns"),
     )
     registry.set_projection_template(
         "EMP",
         "age",
-        parse_template('EMP.name + " is " + EMP.age + " years old"', subject="name", verb="is"),
+        parse_template('EMP.name + " is " + EMP.age + " years old"', verb="is"),
     )
     registry.set_relation_template(
-        "EMP", parse_template('"the employee\'s name is " + EMP.name', subject="name")
+        "EMP", parse_template('"the employee\'s name is " + EMP.name')
     )
     registry.set_relation_template(
         "DEPT",
-        parse_template('"the department " + DEPT.dname', subject="dname"),
+        parse_template('"the department " + DEPT.dname'),
     )
     lexicon = default_lexicon(schema)
     lexicon.set_concept("EMP", "employee", "employees")
@@ -199,7 +193,6 @@ def library_spec(schema: Schema) -> NarrationSpec:
         "year",
         parse_template(
             'ITEM.title + " was published in " + ITEM.year',
-            subject="title",
             verb="was published in",
         ),
     )
@@ -208,7 +201,6 @@ def library_spec(schema: Schema) -> NarrationSpec:
         "country",
         parse_template(
             'AUTHOR.name + " comes from " + AUTHOR.country',
-            subject="name",
             verb="comes from",
         ),
     )
@@ -228,7 +220,6 @@ def library_spec(schema: Schema) -> NarrationSpec:
         "ITEM",
         parse_template(
             '"As an author, " + AUTHOR.name + "\'s work includes " + ITEM_LIST',
-            subject="name",
         ),
     )
     registry.set_join_template(
@@ -236,7 +227,6 @@ def library_spec(schema: Schema) -> NarrationSpec:
         "ITEM",
         parse_template(
             '"the collection " + COLLECTION.name + " contains " + ITEM_LIST',
-            subject="name",
         ),
     )
     lexicon = default_lexicon(schema)

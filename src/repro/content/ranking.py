@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.catalog.relation import Relation
 from repro.content.personalization import DEFAULT_PROFILE, UserProfile

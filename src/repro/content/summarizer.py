@@ -1,10 +1,10 @@
-"""Narratives for derived data: schemas, statistics, samples, histograms.
+"""Narratives for derived data: schemas, statistics, histograms.
 
 Section 2.1 extends the idea of translating data "to all other forms of
 primary or derived data that a database may contain.  Database samples,
 histograms, data distribution approximations ... Describing the schema
 itself ... User profiles ... and other forms of metadata".  This module
-covers those cases.
+covers the schema, its row counts and histograms of numeric values.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.catalog.schema import Schema
-from repro.content.personalization import UserProfile
 from repro.lexicon.lexicon import Lexicon, default_lexicon
 from repro.lexicon.morphology import join_list, number_word, pluralize
 from repro.nlg.realize import realize_paragraph
@@ -88,30 +87,6 @@ def describe_statistics(database: Database, lexicon: Optional[Lexicon] = None) -
     return realize_paragraph([f"The database currently describes {join_list(parts)}"])
 
 
-def describe_sample(
-    database: Database,
-    relation_name: str,
-    sample_size: int = 3,
-    lexicon: Optional[Lexicon] = None,
-) -> str:
-    """Describe a small sample of a relation ("a sample ... includes ...")."""
-    lexicon = lexicon or default_lexicon(database.schema)
-    relation = database.schema.relation(relation_name)
-    heading = relation.heading_attribute.name
-    # Batch column accessor: one call instead of materialising whole rows
-    # (the columnar engine answers this without touching other columns).
-    column = database.table(relation.name).column(heading)
-    values = [str(value) for value in column[:sample_size]]
-    if not values:
-        return realize_paragraph(
-            [f"The {lexicon.concept(relation_name)} relation is currently empty"]
-        )
-    noun = lexicon.concept_plural(relation_name)
-    return realize_paragraph(
-        [f"A sample of the {noun} in the database includes {join_list(values)}"]
-    )
-
-
 def describe_histogram(
     values: Sequence[float],
     subject: str,
@@ -147,28 +122,6 @@ def describe_histogram(
         f"most of them ({count} of {len(cleaned)}) fall between"
         f" {_fmt_number(start)} and {_fmt_number(end)}",
     ]
-    return realize_paragraph(sentences)
-
-
-def describe_profile(profile: UserProfile, schema: Schema) -> str:
-    """Narrate a personalisation profile (Section 2.1: "User profiles ...")."""
-    sentences = [f"The profile {profile.name} customises how the database talks back"]
-    for relation_name, attribute in sorted(profile.heading_overrides.items()):
-        sentences.append(
-            f"for {relation_name} it prefers to identify tuples by their {attribute}"
-        )
-    if profile.excluded_relations:
-        sentences.append(
-            "it never mentions " + join_list(sorted(profile.excluded_relations))
-        )
-    if profile.budget.max_sentences is not None:
-        sentences.append(
-            f"narratives are limited to {number_word(profile.budget.max_sentences)} sentences"
-        )
-    if profile.budget.max_words is not None:
-        sentences.append(
-            f"narratives are limited to {profile.budget.max_words} words"
-        )
     return realize_paragraph(sentences)
 
 

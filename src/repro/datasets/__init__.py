@@ -24,13 +24,11 @@ from repro.datasets.movies import (
     PAPER_QUERIES,
     movie_database,
     movie_schema,
-    seed_rows,
 )
 from repro.datasets.workload import (
     WorkloadQuery,
     generate_workload,
     paper_workload,
-    workload_by_category,
 )
 
 __all__ = [
@@ -55,6 +53,4 @@ __all__ = [
     "movie_database",
     "movie_schema",
     "paper_workload",
-    "seed_rows",
-    "workload_by_category",
 ]

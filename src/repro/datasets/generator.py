@@ -59,17 +59,6 @@ class GeneratorConfig:
     genres_per_movie: int = 2
     seed: int = 2009  # the paper's publication year, for determinism
 
-    def scaled(self, factor: int) -> "GeneratorConfig":
-        """A configuration ``factor`` times larger (same seed)."""
-        return GeneratorConfig(
-            movies=self.movies * factor,
-            directors=max(1, self.directors * factor),
-            actors=max(1, self.actors * factor),
-            cast_per_movie=self.cast_per_movie,
-            genres_per_movie=self.genres_per_movie,
-            seed=self.seed,
-        )
-
 
 def generate_movie_records(config: GeneratorConfig) -> Dict[str, List[dict]]:
     """Generate record dictionaries for every table of the movie schema."""

@@ -19,7 +19,7 @@ handful of additional rows so that queries have non-trivial answers.
 from __future__ import annotations
 
 import datetime
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.catalog.builder import SchemaBuilder
 from repro.catalog.schema import Schema
@@ -175,13 +175,6 @@ def movie_database(seed_data: bool = True) -> Database:
     if seed_data:
         database.load(_SEED)
     return database
-
-
-def seed_rows(table: Optional[str] = None) -> Dict[str, List[dict]]:
-    """A deep-ish copy of the seed rows (all tables or a single table)."""
-    if table is not None:
-        return {table: [dict(row) for row in _SEED[table]]}
-    return {name: [dict(row) for row in rows] for name, rows in _SEED.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List
 
 from repro.datasets.movies import PAPER_QUERIES
 
@@ -74,14 +74,6 @@ def generate_workload(queries_per_category: int = 10, seed: int = 42) -> List[Wo
                 )
             )
     return workload
-
-
-def workload_by_category(workload: Sequence[WorkloadQuery]) -> Dict[str, List[WorkloadQuery]]:
-    """Group a workload by expected category."""
-    grouped: Dict[str, List[WorkloadQuery]] = {}
-    for query in workload:
-        grouped.setdefault(query.expected_category, []).append(query)
-    return grouped
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,13 @@ from __future__ import annotations
 import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.engine.evaluator import SubqueryRunner, compare_values, like_regex
+from repro.engine.evaluator import (
+    ONE_ARGUMENT,
+    SubqueryRunner,
+    compare_values,
+    like_regex,
+    one_argument_error,
+)
 from repro.errors import EvaluationError
 from repro.sql import ast
 from repro.storage.row import Row
@@ -354,6 +360,8 @@ class ExpressionCompiler:
             return run_aggregate_ref
 
         arg_fns = [self.compile(a) for a in e.args]
+        if name in ONE_ARGUMENT and len(arg_fns) != 1:
+            return _raising(one_argument_error(name, len(arg_fns)))
         if name == "LOWER":
             fn = arg_fns[0]
             return lambda row: None if (v := fn(row)) is None else str(v).lower()

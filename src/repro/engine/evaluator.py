@@ -23,6 +23,13 @@ from repro.storage.row import Row
 #: which compiled EXISTS connectors call instead of iterating rows.
 SubqueryRunner = Callable[[ast.SelectStatement, Optional[Row]], Iterable[Row]]
 
+#: Scalar functions of exactly one argument; another count fails when evaluated.
+ONE_ARGUMENT = frozenset({"LOWER", "UPPER", "LENGTH", "ABS"})
+
+
+def one_argument_error(name: str, count: int) -> str:
+    return f"{name} takes one argument, got {count}"
+
 
 class ExpressionEvaluator:
     """Evaluate AST expressions against a :class:`Row`."""
@@ -178,6 +185,8 @@ class ExpressionEvaluator:
             raise EvaluationError(
                 f"aggregate {key} used outside of an aggregation context"
             )
+        if name in ONE_ARGUMENT and len(expression.args) != 1:
+            raise EvaluationError(one_argument_error(name, len(expression.args)))
         args = [self.evaluate(a, row) for a in expression.args]
         if name == "LOWER":
             return None if args[0] is None else str(args[0]).lower()

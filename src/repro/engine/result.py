@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from repro.storage.row import Row
 
@@ -44,41 +44,9 @@ class QueryResult:
         """All values of one output column, in row order."""
         return [row.get(name) for row in self.rows]
 
-    def scalar(self) -> Any:
-        """The single value of a single-row, single-column result (else ``None``)."""
-        if not self.rows:
-            return None
-        return self.rows[0].get(self.columns[0])
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        """Rows as plain dictionaries keyed by output column names."""
-        return [{c: row.get(c) for c in self.columns} for row in self.rows]
-
     def to_tuples(self) -> List[Tuple[Any, ...]]:
         """Rows as plain tuples in select-list order."""
         return [tuple(row.get(c) for c in self.columns) for row in self.rows]
-
-    def format_table(self, max_rows: int = 20) -> str:
-        """Render a small textual table (used by examples and EXPLAIN output)."""
-        headers = list(self.columns)
-        body = [[_fmt(row.get(c)) for c in headers] for row in self.rows[:max_rows]]
-        widths = [len(h) for h in headers]
-        for line in body:
-            for i, cell in enumerate(line):
-                widths[i] = max(widths[i], len(cell))
-        sep = "-+-".join("-" * w for w in widths)
-        lines = [" | ".join(h.ljust(w) for h, w in zip(headers, widths)), sep]
-        for line in body:
-            lines.append(" | ".join(cell.ljust(w) for cell, w in zip(line, widths)))
-        if len(self.rows) > max_rows:
-            lines.append(f"... ({len(self.rows) - max_rows} more rows)")
-        return "\n".join(lines)
-
-
-def _fmt(value: Any) -> str:
-    if value is None:
-        return "NULL"
-    return str(value)
 
 
 @dataclass

@@ -155,20 +155,8 @@ class UnsupportedQueryError(ExecutionError):
 
 
 # ---------------------------------------------------------------------------
-# Graph / template / translation errors
+# Template / translation errors
 # ---------------------------------------------------------------------------
-
-
-class GraphError(ReproError):
-    """Base class for schema-graph and query-graph problems."""
-
-
-class UnknownNodeError(GraphError):
-    """A node name could not be resolved in the graph."""
-
-
-class UnknownEdgeError(GraphError):
-    """An edge could not be resolved in the graph."""
 
 
 class TemplateError(ReproError):

@@ -1,11 +1,5 @@
-"""Evaluation harness: metrics, experiment registry, reporting."""
+"""Text metrics for narratives: redundancy, compression and query coverage."""
 
-from repro.evaluation.experiments import (
-    ExperimentResult,
-    experiment_ids,
-    run_all_experiments,
-    run_experiment,
-)
 from repro.evaluation.metrics import (
     TextMetrics,
     compression_ratio,
@@ -15,29 +9,13 @@ from repro.evaluation.metrics import (
     redundancy_ratio,
     tokens,
 )
-from repro.evaluation.reporting import (
-    format_report,
-    format_result,
-    full_report,
-    markdown_table,
-    summary_rows,
-)
 
 __all__ = [
-    "ExperimentResult",
     "TextMetrics",
     "compression_ratio",
     "coverage",
-    "experiment_ids",
-    "format_report",
-    "format_result",
-    "full_report",
-    "markdown_table",
     "query_coverage",
     "query_elements",
     "redundancy_ratio",
-    "run_all_experiments",
-    "run_experiment",
-    "summary_rows",
     "tokens",
 ]

@@ -8,7 +8,6 @@ from repro.graph.traversal import (
     StructuralPattern,
     TraversalResult,
     TraversalStep,
-    detect_join_patterns,
     detect_patterns,
     dfs_traversal,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "TraversalResult",
     "TraversalStep",
     "build_schema_graph",
-    "detect_join_patterns",
     "detect_patterns",
     "dfs_traversal",
 ]

@@ -10,7 +10,6 @@ relationship.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from repro.catalog.foreign_key import ForeignKey
 
@@ -22,10 +21,6 @@ class ProjectionEdge:
     relation_name: str
     attribute_name: str
     weight: float = 1.0
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.relation_name, self.attribute_name)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.relation_name} -> {self.relation_name}.{self.attribute_name}"
@@ -39,14 +34,6 @@ class JoinEdge:
     target_relation: str
     foreign_key: ForeignKey
     weight: float = 1.0
-
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        return (self.source_relation, self.target_relation, self.foreign_key.display_name)
-
-    @property
-    def verb_phrase(self) -> Optional[str]:
-        return self.foreign_key.verb_phrase
 
     def other(self, relation_name: str) -> str:
         """The endpoint that is not ``relation_name``."""

@@ -25,16 +25,8 @@ class RelationNode:
         return self.relation.name
 
     @property
-    def key(self) -> str:
-        return self.relation.name
-
-    @property
     def weight(self) -> float:
         return self.relation.weight
-
-    @property
-    def concept(self) -> str:
-        return self.relation.concept
 
     @property
     def is_bridge(self) -> bool:
@@ -51,24 +43,8 @@ class AttributeNode:
     attribute: Attribute
 
     @property
-    def name(self) -> str:
-        return self.attribute.name
-
-    @property
     def key(self) -> str:
         return self.attribute.qualified_name
-
-    @property
-    def relation_name(self) -> str:
-        return self.attribute.relation_name
-
-    @property
-    def weight(self) -> float:
-        return self.attribute.weight
-
-    @property
-    def is_heading(self) -> bool:
-        return self.attribute.heading
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"AttributeNode({self.key})"

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.catalog.schema import Schema
-from repro.errors import UnknownNodeError
 from repro.graph.edges import JoinEdge, ProjectionEdge
 from repro.graph.nodes import AttributeNode, RelationNode
 
@@ -53,13 +52,8 @@ class SchemaGraph:
             )
         # The schema (and therefore the graph) is immutable, so the
         # structural lookups the narrator and classifiers hammer —
-        # adjacency, incident edges, per-relation projections — are
-        # precomputed here, and path queries are memoized below.
-        self._projection_edges_of: Dict[str, Tuple[ProjectionEdge, ...]] = {
-            r.name: () for r in self.schema.relations
-        }
-        for edge in self._projection_edges:
-            self._projection_edges_of[edge.relation_name] += (edge,)
+        # adjacency and incident edges — are precomputed here, and path
+        # queries are memoized below.
         self._join_edges_of: Dict[str, Tuple[JoinEdge, ...]] = {
             r.name: () for r in self.schema.relations
         }
@@ -74,7 +68,6 @@ class SchemaGraph:
                     if other != name and other not in self._neighbours[name]:
                         self._neighbours[name] += (other,)
         self._path_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        self._between_cache: Dict[Tuple[str, str], Tuple[JoinEdge, ...]] = {}
         self._central: Optional[RelationNode] = None
 
     # ------------------------------------------------------------------
@@ -93,17 +86,6 @@ class SchemaGraph:
         canonical = self.schema.relation(name).name
         return self._relation_nodes[canonical]
 
-    def attribute_node(self, relation_name: str, attribute_name: str) -> AttributeNode:
-        relation = self.schema.relation(relation_name)
-        attribute = relation.attribute(attribute_name)
-        key = f"{relation.name}.{attribute.name}"
-        if key not in self._attribute_nodes:
-            raise UnknownNodeError(f"no attribute node {key!r}")
-        return self._attribute_nodes[key]
-
-    def has_relation(self, name: str) -> bool:
-        return self.schema.has_relation(name)
-
     # ------------------------------------------------------------------
     # Edge access
     # ------------------------------------------------------------------
@@ -116,28 +98,10 @@ class SchemaGraph:
     def join_edges(self) -> Tuple[JoinEdge, ...]:
         return tuple(self._join_edges)
 
-    def projection_edges_of(self, relation_name: str) -> Tuple[ProjectionEdge, ...]:
-        canonical = self.schema.relation(relation_name).name
-        return self._projection_edges_of[canonical]
-
     def join_edges_of(self, relation_name: str) -> Tuple[JoinEdge, ...]:
         """All join edges incident to ``relation_name`` (either direction)."""
         canonical = self.schema.relation(relation_name).name
         return self._join_edges_of[canonical]
-
-    def join_edges_between(self, first: str, second: str) -> Tuple[JoinEdge, ...]:
-        a = self.schema.relation(first).name
-        b = self.schema.relation(second).name
-        cached = self._between_cache.get((a, b))
-        if cached is None:
-            cached = tuple(
-                e
-                for e in self._join_edges
-                if {e.source_relation, e.target_relation} == {a, b}
-                or (a == b and e.source_relation == e.target_relation == a)
-            )
-            self._between_cache[(a, b)] = cached
-        return cached
 
     def neighbours(self, relation_name: str) -> Tuple[str, ...]:
         """Relations joined to ``relation_name`` by at least one join edge."""
@@ -166,24 +130,6 @@ class SchemaGraph:
                 candidates, key=lambda n: (n.weight, self.degree(n.name), n.name)
             )
         return self._central
-
-    def is_connected(self, relation_names: Optional[Iterable[str]] = None) -> bool:
-        """True when the join graph over the given relations is connected."""
-        names = [self.schema.relation(n).name for n in relation_names] if relation_names else [
-            r.name for r in self.schema.relations
-        ]
-        if not names:
-            return True
-        allowed = set(names)
-        seen = {names[0]}
-        frontier = [names[0]]
-        while frontier:
-            current = frontier.pop()
-            for neighbour in self.neighbours(current):
-                if neighbour in allowed and neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return seen == allowed
 
     def shortest_path(self, start: str, end: str) -> Tuple[str, ...]:
         """Relation names along a shortest join path from ``start`` to ``end``.
@@ -226,10 +172,6 @@ class SchemaGraph:
         while path[-1] != source:
             path.append(parents[path[-1]])
         return tuple(reversed(path))
-
-    def subgraph(self, relation_names: Sequence[str]) -> "SchemaGraph":
-        """The schema graph restricted to the given relations."""
-        return SchemaGraph(self.schema.subschema(relation_names))
 
     # ------------------------------------------------------------------
     # Rendering (Figure 1)

@@ -4,7 +4,9 @@ Section 2.2: "During this traversal, three possible structural patterns on
 the graph can be found: the unary pattern (Ri - Rj), the join pattern
 (Ri1, Ri2 > Rj), and the split pattern (Ri < Rj1, Rj2)."  The content
 narrator composes sentences per pattern, so the traversal layer reports
-both the visit order and the patterns found along the way.
+both the visit order and the unary and split patterns found along the
+way.  The traversal is a spanning tree, which gives every relation one
+parent, so it never shows a join pattern and none is reported.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from repro.graph.schema_graph import SchemaGraph
 
 
 class PatternKind(enum.Enum):
-    """The three structural patterns of Section 2.2."""
+    """The structural patterns of Section 2.2 that a traversal reports."""
 
     UNARY = "unary"
-    JOIN = "join"
     SPLIT = "split"
 
     def __str__(self) -> str:  # pragma: no cover - trivial
@@ -32,8 +33,7 @@ class StructuralPattern:
     """One occurrence of a structural pattern in a traversal.
 
     ``center`` is Ri; ``partners`` are the Rj relations: exactly one for a
-    unary pattern, the two (or more) children for a split pattern, and the
-    two (or more) co-parents for a join pattern.
+    unary pattern, the two (or more) children for a split pattern.
     """
 
     kind: PatternKind
@@ -65,15 +65,6 @@ class TraversalResult:
     @property
     def order(self) -> Tuple[str, ...]:
         return tuple(step.relation for step in self.steps)
-
-    def children_of(self, relation: str) -> Tuple[str, ...]:
-        return tuple(step.relation for step in self.steps if step.parent == relation)
-
-    def parent_of(self, relation: str) -> Optional[str]:
-        for step in self.steps:
-            if step.relation == relation:
-                return step.parent
-        return None
 
 
 def dfs_traversal(
@@ -133,8 +124,7 @@ def dfs_traversal(
 
 
 def detect_patterns(result: TraversalResult) -> List[StructuralPattern]:
-    """Detect unary/split patterns from the spanning tree and join patterns
-    from relations with more than one already-visited neighbour."""
+    """Detect unary and split patterns from the spanning tree."""
     patterns: List[StructuralPattern] = []
     children: Dict[str, List[str]] = {}
     for step in result.steps:
@@ -156,45 +146,4 @@ def detect_patterns(result: TraversalResult) -> List[StructuralPattern]:
                 )
             )
 
-    # Join patterns: a relation whose parents-in-graph (not tree) are >= 2,
-    # i.e. two already-visited relations both join into it.
-    order = list(result.order)
-    for index, relation in enumerate(order):
-        earlier = set(order[:index])
-        parents = [p for p in earlier if relation in _tree_children(children, p)]
-        if len(parents) >= 2:  # pragma: no cover - requires non-tree DAG input
-            patterns.append(
-                StructuralPattern(
-                    kind=PatternKind.JOIN, center=relation, partners=tuple(sorted(parents))
-                )
-            )
     return patterns
-
-
-def detect_join_patterns(graph: SchemaGraph, relations: Sequence[str]) -> List[StructuralPattern]:
-    """Join patterns over a relation subset: Rj receiving edges from >= 2 others.
-
-    Unlike :func:`detect_patterns`, which works on a spanning tree, this
-    inspects the actual join edges among ``relations`` — the join pattern
-    (Ri1, Ri2 > Rj) only materialises when two chosen relations both join
-    into a third one.
-    """
-    canonical = [graph.schema.relation(r).name for r in relations]
-    patterns: List[StructuralPattern] = []
-    for relation in canonical:
-        partners = [
-            other
-            for other in canonical
-            if other != relation and graph.join_edges_between(relation, other)
-        ]
-        if len(partners) >= 2:
-            patterns.append(
-                StructuralPattern(
-                    kind=PatternKind.JOIN, center=relation, partners=tuple(sorted(partners))
-                )
-            )
-    return patterns
-
-
-def _tree_children(children: Dict[str, List[str]], parent: str) -> List[str]:
-    return children.get(parent, [])

@@ -3,28 +3,20 @@
 from repro.lexicon.lexicon import Lexicon, default_lexicon
 from repro.lexicon.morphology import (
     capitalize_first,
-    indefinite_article,
     join_list,
     number_word,
-    ordinal_word,
     pluralize,
-    possessive,
     sentence_case,
     strip_extra_spaces,
-    with_article,
 )
 
 __all__ = [
     "Lexicon",
     "capitalize_first",
     "default_lexicon",
-    "indefinite_article",
     "join_list",
     "number_word",
-    "ordinal_word",
     "pluralize",
-    "possessive",
     "sentence_case",
     "strip_extra_spaces",
-    "with_article",
 ]

@@ -97,9 +97,6 @@ class Lexicon:
             self._memo[key] = cached
         return cached
 
-    def caption_plural(self, relation: str, attribute: str) -> str:
-        return pluralize(self.caption(relation, attribute))
-
     def set_caption(self, relation: str, attribute: str, caption: str) -> None:
         rel = self.schema.relation(relation)
         attr = rel.attribute(attribute)
@@ -148,22 +145,6 @@ class Lexicon:
         self.version += 1
 
     # ------------------------------------------------------------------
-
-    def describe_value(self, relation: str, attribute: str, value) -> str:
-        """Phrase a constant the way the narratives do: "the actor Brad Pitt".
-
-        When the attribute is the relation's heading attribute the value is
-        apposed to the concept noun; otherwise the attribute caption is
-        used ("the release year 2005").
-        """
-        from repro.catalog.types import render_value
-
-        rel = self.schema.relation(relation)
-        attr = rel.attribute(attribute)
-        rendered = render_value(value)
-        if attr.name == rel.heading_attribute.name:
-            return f"the {self.concept(relation)} {rendered}"
-        return f"the {self.caption(relation, attribute)} {rendered}"
 
 
 def default_lexicon(schema: Schema) -> Lexicon:

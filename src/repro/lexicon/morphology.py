@@ -104,27 +104,6 @@ def _pluralize_many(noun: str) -> str:
     return noun + "s"
 
 
-@lru_cache(maxsize=2048)
-def indefinite_article(noun: str) -> str:
-    """Return "a" or "an" for ``noun`` (simple initial-sound heuristic)."""
-    if not noun:
-        return "a"
-    first = noun.strip().lower()[0]
-    word = noun.strip().lower()
-    if word.startswith(("uni", "use", "eur", "one")):
-        return "a"
-    if word.startswith(("hour", "honest", "honor", "heir")):
-        return "an"
-    return "an" if first in _VOWELS else "a"
-
-
-def with_article(noun: str, definite: bool = False) -> str:
-    """Prefix ``noun`` with the appropriate article."""
-    if definite:
-        return f"the {noun}"
-    return f"{indefinite_article(noun)} {noun}"
-
-
 def capitalize_first(text: str) -> str:
     """Capitalise the first alphabetic character, leaving the rest intact.
 
@@ -153,15 +132,6 @@ def join_list(items: Sequence[str], conjunction: str = "and", oxford: bool = Tru
     return ", ".join(items[:-1]) + f"{comma} {conjunction} {items[-1]}"
 
 
-def possessive(noun: str) -> str:
-    """The possessive form of a noun/name ("Woody Allen's", "actors'")."""
-    if not noun:
-        return noun
-    if noun.endswith("s"):
-        return noun + "'"
-    return noun + "'s"
-
-
 @lru_cache(maxsize=1024)
 def number_word(value: int) -> str:
     """Spell out small integers ("more than one genre"), else use digits."""
@@ -171,21 +141,6 @@ def number_word(value: int) -> str:
         11: "eleven", 12: "twelve",
     }
     return words.get(value, str(value))
-
-
-@lru_cache(maxsize=1024)
-def ordinal_word(value: int) -> str:
-    """Spell out small ordinals ("first", "second"), else "3rd"-style."""
-    words = {
-        1: "first", 2: "second", 3: "third", 4: "fourth", 5: "fifth",
-        6: "sixth", 7: "seventh", 8: "eighth", 9: "ninth", 10: "tenth",
-    }
-    if value in words:
-        return words[value]
-    suffix = "th"
-    if value % 100 not in (11, 12, 13):
-        suffix = {1: "st", 2: "nd", 3: "rd"}.get(value % 10, "th")
-    return f"{value}{suffix}"
 
 
 def strip_extra_spaces(text: str) -> str:

@@ -1,13 +1,7 @@
 """Natural-language generation core: clauses, aggregation, realisation, planning."""
 
-from repro.nlg.aggregation import (
-    common_prefix_length,
-    merge_clauses,
-    merge_same_subject,
-    merge_templates,
-    split_prefix,
-)
-from repro.nlg.clause import Clause, ClauseGroup, EntityPhrase, clause_from_text
+from repro.nlg.aggregation import merge_clauses
+from repro.nlg.clause import Clause, EntityPhrase
 from repro.nlg.document import (
     DocumentPlan,
     LengthBudget,
@@ -16,7 +10,6 @@ from repro.nlg.document import (
 )
 from repro.nlg.realize import (
     attach_relative,
-    coordinate,
     realize_paragraph,
     realize_sentence,
     realize_sentences,
@@ -28,25 +21,18 @@ from repro.nlg.realize import (
 
 __all__ = [
     "Clause",
-    "ClauseGroup",
     "DocumentPlan",
     "EntityPhrase",
     "LengthBudget",
     "PlannedSentence",
     "attach_relative",
-    "clause_from_text",
     "collect_streaming",
-    "common_prefix_length",
-    "coordinate",
     "merge_clauses",
-    "merge_same_subject",
-    "merge_templates",
     "realize_paragraph",
     "realize_sentence",
     "realize_sentences",
     "relative_clause",
     "render",
     "sentence_count",
-    "split_prefix",
     "word_count",
 ]

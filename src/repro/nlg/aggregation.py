@@ -8,23 +8,16 @@ Given the two clauses produced by the DIRECTOR templates::
 "the mechanism for resolving common expressions identifies DNAME and
 ' was born' as such and, instead of creating two different phrases, it
 creates one that combines both pieces of data:
-DNAME was born in BLOCATION on BDATE".
-
-Two levels are provided:
-
-* :func:`merge_templates` merges template *structures* that share a prefix
-  (subject slot plus literal text) — the faithful reading of the paper;
-* :func:`merge_clauses` merges already-instantiated :class:`Clause`
-  objects that share subject and verb — what the content narrator uses at
-  narration time.
+DNAME was born in BLOCATION on BDATE".  :func:`merge_clauses` does this
+at narration time, on instantiated :class:`Clause` objects that share
+subject and verb.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.nlg.clause import Clause
-from repro.templates.spec import SlotPart, Template, TemplatePart, TextPart
 
 
 def merge_clauses(clauses: Sequence[Clause]) -> List[Clause]:
@@ -47,104 +40,3 @@ def merge_clauses(clauses: Sequence[Clause]) -> List[Clause]:
                 index_by_key[key] = len(merged)
             merged.append(clause)
     return merged
-
-
-def merge_same_subject(clauses: Sequence[Clause], conjunction: str = "and") -> List[Clause]:
-    """Merge clauses sharing only the subject into one coordinated clause.
-
-    "Woody Allen was born in Brooklyn" + "Woody Allen directed 4 movies"
-    becomes "Woody Allen was born in Brooklyn and directed 4 movies".
-    Clauses whose verbs are already equal should be merged with
-    :func:`merge_clauses` first.
-    """
-    merged: List[Clause] = []
-    index_by_subject = {}
-    for clause in clauses:
-        key = clause.subject.strip().lower()
-        if clause.verb and key in index_by_subject:
-            position = index_by_subject[key]
-            existing = merged[position]
-            predicate = " ".join([clause.verb, *clause.complements]).strip()
-            merged[position] = existing.with_extra_complements((f"{conjunction} {predicate}",))
-        else:
-            if clause.verb:
-                index_by_subject[key] = len(merged)
-            merged.append(clause)
-    return merged
-
-
-# ---------------------------------------------------------------------------
-# Template-level merging
-# ---------------------------------------------------------------------------
-
-
-def common_prefix_length(first: Template, second: Template) -> int:
-    """Number of leading template parts shared by the two templates."""
-    count = 0
-    for part_a, part_b in zip(first.parts, second.parts):
-        if _same_part(part_a, part_b):
-            count += 1
-        else:
-            break
-    return count
-
-
-def _same_part(a: TemplatePart, b: TemplatePart) -> bool:
-    if isinstance(a, TextPart) and isinstance(b, TextPart):
-        return a.text == b.text
-    if isinstance(a, SlotPart) and isinstance(b, SlotPart):
-        return a.attribute.lower() == b.attribute.lower()
-    return False
-
-
-def merge_templates(templates: Sequence[Template]) -> List[Template]:
-    """Merge templates that share a common prefix containing a slot.
-
-    The result list preserves order; templates that cannot be merged with
-    any predecessor are kept as they are.  Only prefixes that include at
-    least one slot (the shared subject, e.g. ``DNAME``) and one text part
-    (the shared verb, e.g. ``" was born"``) qualify as a common expression.
-    """
-    merged: List[Template] = []
-    for candidate in templates:
-        combined = False
-        for position, existing in enumerate(merged):
-            prefix = common_prefix_length(existing, candidate)
-            if prefix == 0:
-                continue
-            shared = existing.parts[:prefix]
-            has_slot = any(isinstance(p, SlotPart) for p in shared)
-            has_text = any(isinstance(p, TextPart) and p.text.strip() for p in shared)
-            if not (has_slot and has_text):
-                continue
-            suffix = candidate.parts[prefix:]
-            if not suffix:
-                combined = True  # identical template: drop the duplicate
-                break
-            merged[position] = Template(
-                parts=tuple(existing.parts) + tuple(suffix),
-                subject=existing.subject,
-                predicate_verb=existing.predicate_verb,
-            )
-            combined = True
-            break
-        if not combined:
-            merged.append(candidate)
-    return merged
-
-
-def split_prefix(template: Template) -> Tuple[Tuple[TemplatePart, ...], Tuple[TemplatePart, ...]]:
-    """Split a template into (subject+verb prefix, remainder).
-
-    The prefix is the leading slot followed by leading text parts; used by
-    tests and by the procedural narrator when it needs the subject phrase
-    on its own.
-    """
-    parts = list(template.parts)
-    if not parts or not isinstance(parts[0], SlotPart):
-        return (), tuple(parts)
-    prefix: List[TemplatePart] = [parts[0]]
-    rest = parts[1:]
-    while rest and isinstance(rest[0], TextPart):
-        prefix.append(rest.pop(0))
-    return tuple(prefix), tuple(rest)

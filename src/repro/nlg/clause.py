@@ -10,8 +10,8 @@ split-pattern composer attach relative clauses to entities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 from repro.lexicon.morphology import strip_extra_spaces
 
@@ -34,15 +34,8 @@ class Clause:
         pieces = [self.subject, self.verb, *self.complements]
         return strip_extra_spaces(" ".join(piece for piece in pieces if piece))
 
-    def with_subject(self, subject: str) -> "Clause":
-        return replace(self, subject=subject)
-
     def with_extra_complements(self, extra: Sequence[str]) -> "Clause":
         return replace(self, complements=tuple(self.complements) + tuple(extra))
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.subject or self.verb or self.complements)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.render()
@@ -66,29 +59,3 @@ class EntityPhrase:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.render()
-
-
-@dataclass
-class ClauseGroup:
-    """An ordered collection of clauses about the same narrative focus."""
-
-    clauses: List[Clause] = field(default_factory=list)
-
-    def add(self, clause: Clause) -> None:
-        if not clause.is_empty:
-            self.clauses.append(clause)
-
-    def extend(self, clauses: Sequence[Clause]) -> None:
-        for clause in clauses:
-            self.add(clause)
-
-    def __iter__(self):
-        return iter(self.clauses)
-
-    def __len__(self) -> int:
-        return len(self.clauses)
-
-
-def clause_from_text(text: str, about: Optional[str] = None, weight: float = 1.0) -> Clause:
-    """Wrap an already-rendered piece of text as a clause (subject only)."""
-    return Clause(subject=text, about=about, weight=weight)

@@ -106,10 +106,6 @@ class DocumentPlan:
         """The final narrative text under the given budget."""
         return " ".join(s.text for s in self.trimmed(budget))
 
-    @property
-    def total_words(self) -> int:
-        return sum(s.words for s in self.sentences)
-
     def __len__(self) -> int:
         return len(self.sentences)
 

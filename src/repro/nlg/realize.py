@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Union
 
-from repro.lexicon.morphology import (
-    capitalize_first,
-    join_list,
-    sentence_case,
-    strip_extra_spaces,
-)
+from repro.lexicon.morphology import capitalize_first, sentence_case, strip_extra_spaces
 from repro.nlg.clause import Clause, EntityPhrase
 
 Renderable = Union[str, Clause, EntityPhrase]
@@ -41,11 +36,6 @@ def realize_sentences(items: Iterable[Renderable]) -> List[str]:
 def realize_paragraph(items: Iterable[Renderable]) -> str:
     """Realise the items as sentences and join them into one paragraph."""
     return " ".join(realize_sentences(items))
-
-
-def coordinate(items: Sequence[Renderable], conjunction: str = "and") -> str:
-    """Coordinate phrases into one list phrase ("A, B, and C")."""
-    return join_list([render(item) for item in items], conjunction=conjunction)
 
 
 def relative_clause(verb_phrase: str, pronoun: str = "who") -> str:

@@ -1,7 +1,6 @@
 """Query-to-natural-language translation (Section 3 of the paper)."""
 
 from repro.query_nl.aggregate import AggregateTranslation, AggregateTranslator
-from repro.query_nl.constraints import ConstraintTranslator, describe_constraints
 from repro.query_nl.dml import DmlTranslator
 from repro.query_nl.empty_answer import AnswerExplainer, EmptyAnswerExplanation
 from repro.query_nl.impossible import ImpossibleTranslation, ImpossibleTranslator
@@ -14,7 +13,6 @@ __all__ = [
     "AggregateTranslation",
     "AggregateTranslator",
     "AnswerExplainer",
-    "ConstraintTranslator",
     "DmlTranslator",
     "EmptyAnswerExplanation",
     "ImpossibleTranslation",
@@ -25,7 +23,6 @@ __all__ = [
     "QueryTranslator",
     "SpjTranslation",
     "SpjTranslator",
-    "describe_constraints",
     "procedural_translation",
     "translate_query",
 ]

@@ -43,15 +43,6 @@ class QueryCategory(enum.Enum):
         return self.value
 
     @property
-    def family(self) -> str:
-        """The paper's coarse grouping: graph-based, non-graph or impossible."""
-        if self in (QueryCategory.PATH, QueryCategory.SUBGRAPH, QueryCategory.GRAPH):
-            return "graph-based"
-        if self in (QueryCategory.NESTED, QueryCategory.AGGREGATE):
-            return "non-graph"
-        return "impossible"
-
-    @property
     def difficulty(self) -> int:
         """A 1-6 ordinal matching the paper's escalation of difficulty."""
         order = [

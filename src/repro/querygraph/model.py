@@ -120,9 +120,6 @@ class QueryJoinEdge:
     def text(self) -> str:
         return expression_to_sql(self.condition, top_level=True)
 
-    def touches(self, binding: str) -> bool:
-        return binding in (self.left_binding, self.right_binding)
-
     def other(self, binding: str) -> str:
         return self.right_binding if binding == self.left_binding else self.left_binding
 
@@ -171,9 +168,6 @@ class QueryGraph:
             if candidate.lower() == lowered:
                 return query_class
         raise KeyError(binding)
-
-    def relations_used(self) -> Tuple[str, ...]:
-        return tuple(qc.relation_name for qc in self.classes.values())
 
     def classes_of_relation(self, relation_name: str) -> List[QueryClass]:
         lowered = relation_name.lower()
@@ -256,60 +250,6 @@ class QueryGraph:
     def is_nested(self) -> bool:
         return bool(self.nesting_edges)
 
-    # ------------------------------------------------------------------
-    # Rendering (Figures 3-7)
-    # ------------------------------------------------------------------
-
-    def render_text(self, indent: str = "") -> str:
-        """A textual rendering of the whole graph, nested graphs indented."""
-        blocks: List[str] = []
-        for binding in self.classes:
-            box = self.classes[binding].render()
-            blocks.append("\n".join(indent + line for line in box.splitlines()))
-        for edge in self.join_edges:
-            blocks.append(f"{indent}[join] {edge.text}")
-        for constraint in self.other_constraints:
-            blocks.append(f"{indent}[constraint] {constraint.text}")
-        for aggregate in self.global_aggregates:
-            blocks.append(f"{indent}[aggregate] {aggregate}")
-        for nesting in self.nesting_edges:
-            where = "HAVING" if nesting.in_having else "WHERE"
-            blocks.append(f"{indent}[nested via {nesting.connector} in {where}]")
-            blocks.append(nesting.subgraph.render_text(indent + "    "))
-        return "\n".join(blocks)
-
-    def to_dot(self) -> str:
-        """Graphviz DOT rendering of the query graph (record-shaped classes)."""
-        lines = ["digraph query {", "  rankdir=LR;", "  node [shape=record];"]
-        self._dot_nodes(lines, prefix="")
-        lines.append("}")
-        return "\n".join(lines)
-
-    def _dot_nodes(self, lines: List[str], prefix: str) -> None:
-        for binding, query_class in self.classes.items():
-            select = "\\n".join(e.render() for e in query_class.select_entries) or " "
-            where = "\\n".join(c.text for c in query_class.where_constraints) or " "
-            label = (
-                f"{{<<FROM>> {query_class.relation_name} ({binding})"
-                f" | <<SELECT>> {select} | <<WHERE>> {where}}}"
-            )
-            lines.append(f'  "{prefix}{binding}" [label="{_escape(label)}"];')
-        for edge in self.join_edges:
-            lines.append(
-                f'  "{prefix}{edge.left_binding}" -> "{prefix}{edge.right_binding}"'
-                f' [label="{_escape(edge.text)}", dir=none];'
-            )
-        for index, nesting in enumerate(self.nesting_edges):
-            sub_prefix = f"{prefix}nq{index}_"
-            nesting.subgraph._dot_nodes(lines, prefix=sub_prefix)
-            outer = nesting.outer_binding or (next(iter(self.classes), ""))
-            inner = next(iter(nesting.subgraph.classes), "")
-            if outer and inner:
-                lines.append(
-                    f'  "{prefix}{outer}" -> "{sub_prefix}{inner}"'
-                    f' [label="{_escape(nesting.connector)}", style=dashed];'
-                )
-
     def summary(self) -> str:
         """One line describing the graph's size and shape (used by benches)."""
         return (
@@ -320,7 +260,3 @@ class QueryGraph:
             f" cyclic={self.has_cycle()},"
             f" aggregates={self.has_aggregates()}"
         )
-
-
-def _escape(text: str) -> str:
-    return text.replace('"', '\\"').replace("<", "\\<").replace(">", "\\>")

@@ -8,8 +8,8 @@ compartments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 
 class Node:
@@ -367,10 +367,6 @@ class SelectStatement(Statement):
         yield from self.order_by
 
     # -- convenience views used by the query-graph builder -----------------
-
-    @property
-    def table_bindings(self) -> Tuple[str, ...]:
-        return tuple(t.binding for t in self.from_tables)
 
     def has_aggregates(self) -> bool:
         """True when the select list or HAVING clause uses an aggregate."""

@@ -21,7 +21,7 @@ from repro.storage.engine import (
     PagedHeapStorage,
     RowStorage,
 )
-from repro.storage.index import HashIndex, build_index
+from repro.storage.index import HashIndex
 from repro.storage.loader import dump_records, load_csv_file, load_csv_text, load_records
 from repro.storage.row import Row
 from repro.storage.snapshot import latest_snapshot, load_snapshot, write_snapshot
@@ -45,7 +45,6 @@ __all__ = [
     "Table",
     "TableStorage",
     "WriteAheadLog",
-    "build_index",
     "create_storage",
     "dump_records",
     "latest_snapshot",

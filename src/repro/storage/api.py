@@ -181,9 +181,6 @@ class TableStorage(Protocol):
     def create_index(self, name: str, columns: Sequence[str], unique: bool = False) -> HashIndex:
         ...
 
-    def index(self, name: str) -> Optional[HashIndex]:
-        ...
-
     def indexes(self) -> Tuple[HashIndex, ...]:
         ...
 

@@ -74,13 +74,6 @@ class Database:
             f" (available: {', '.join(sorted(self._tables))})"
         )
 
-    def has_table(self, name: str) -> bool:
-        try:
-            self.table(name)
-            return True
-        except UnknownTableError:
-            return False
-
     @property
     def tables(self) -> Tuple[BaseTableStorage, ...]:
         return tuple(self._tables[name] for name in self.schema.relation_names)
@@ -107,9 +100,6 @@ class Database:
     def storage_stats(self) -> Dict[str, Any]:
         """Per-table engine stats (engine tag, pool counters, ...)."""
         return {table.name: table.stats() for table in self.tables}
-
-    def row_counts(self) -> Dict[str, int]:
-        return {table.name: len(table) for table in self.tables}
 
     @property
     def total_rows(self) -> int:

@@ -342,9 +342,6 @@ class BaseTableStorage:
         self._indexes[key] = index
         return index
 
-    def index(self, name: str) -> Optional[HashIndex]:
-        return self._indexes.get(name.lower())
-
     def indexes(self) -> Tuple[HashIndex, ...]:
         return tuple(self._indexes.values())
 

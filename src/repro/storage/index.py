@@ -7,7 +7,7 @@ set of row identifiers carrying those values.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 
 class HashIndex:
@@ -42,9 +42,6 @@ class HashIndex:
         """Row ids whose indexed columns equal ``key`` (empty when none)."""
         return tuple(sorted(self._entries.get(key, ())))
 
-    def contains_key(self, key: Tuple[Any, ...]) -> bool:
-        return key in self._entries and bool(self._entries[key])
-
     def would_violate_unique(self, key: Tuple[Any, ...], ignore_rowid: Optional[int] = None) -> bool:
         """True if inserting ``key`` would violate a unique constraint."""
         if not self.unique:
@@ -63,33 +60,9 @@ class HashIndex:
         """Drop every entry (used by :meth:`Table.truncate`)."""
         self._entries.clear()
 
-    def keys(self) -> Iterable[Tuple[Any, ...]]:
-        return self._entries.keys()
-
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         kind = "unique " if self.unique else ""
         return f"HashIndex({self.name}: {kind}on {', '.join(self.columns)}, {len(self)} entries)"
-
-
-def build_index(
-    name: str,
-    columns: Sequence[str],
-    rows: Iterable[Tuple[int, Dict[str, Any]]],
-    unique: bool = False,
-) -> HashIndex:
-    """Construct an index over existing ``(rowid, values)`` pairs."""
-    index = HashIndex(name, columns, unique=unique)
-    duplicates: List[Tuple[Any, ...]] = []
-    for rowid, values in rows:
-        key = index.key_for(values)
-        if index.would_violate_unique(key):
-            duplicates.append(key)
-        index.add(key, rowid)
-    if duplicates:
-        raise ValueError(
-            f"index {name!r} declared unique but duplicate keys exist: {duplicates[:3]}"
-        )
-    return index

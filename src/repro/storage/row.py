@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional
 
 
 class Row(Mapping[str, Any]):
@@ -100,13 +100,6 @@ class Row(Mapping[str, Any]):
             {f"{prefix}.{k.rsplit('.', 1)[-1]}": v for k, v in self._values.items()}
         )
 
-    def project(self, keys: Iterable[str]) -> "Row":
-        """A new row restricted to ``keys`` (resolved with the usual rules)."""
-        out: Dict[str, Any] = {}
-        for key in keys:
-            out[key] = self[key]
-        return Row(out)
-
     def as_dict(self) -> Dict[str, Any]:
         return dict(self._values)
 
@@ -118,9 +111,6 @@ class Row(Mapping[str, Any]):
         skip per-access dict copies; callers must never mutate it.
         """
         return self._values
-
-    def values_tuple(self, keys: Iterable[str]) -> Tuple[Any, ...]:
-        return tuple(self[k] for k in keys)
 
     # -- Equality / representation -----------------------------------------
 

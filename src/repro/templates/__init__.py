@@ -1,17 +1,11 @@
 """Template language: specs, paper-syntax parser and the label registry."""
 
-from repro.templates.compile import (
-    CompiledListTemplate,
-    CompiledTemplate,
-    compile_list_template,
-    compile_template,
-)
+from repro.templates.compile import CompiledListTemplate, CompiledTemplate
 from repro.templates.parser import parse_list_template, parse_template
 from repro.templates.registry import (
     TemplateRegistry,
     default_join_template,
     default_projection_template,
-    default_registry,
     default_relation_template,
 )
 from repro.templates.spec import (
@@ -22,7 +16,6 @@ from repro.templates.spec import (
     TextPart,
     slot,
     template,
-    text,
 )
 
 __all__ = [
@@ -34,15 +27,11 @@ __all__ = [
     "TemplatePart",
     "TemplateRegistry",
     "TextPart",
-    "compile_list_template",
-    "compile_template",
     "default_join_template",
     "default_projection_template",
-    "default_registry",
     "default_relation_template",
     "parse_list_template",
     "parse_template",
     "slot",
     "template",
-    "text",
 ]

@@ -214,13 +214,3 @@ class CompiledListTemplate:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"CompiledListTemplate({self.template.name})"
-
-
-def compile_template(template: Template) -> CompiledTemplate:
-    """Compile a flat template (one-off; the registry memoizes per label)."""
-    return CompiledTemplate(template)
-
-
-def compile_list_template(template: ListTemplate) -> CompiledListTemplate:
-    """Compile a list template (one-off; the registry memoizes per label)."""
-    return CompiledListTemplate(template)

@@ -41,14 +41,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-def parse_template(
-    text: str, subject: Optional[str] = None, verb: Optional[str] = None
-) -> Template:
+def parse_template(text: str, verb: Optional[str] = None) -> Template:
     """Parse a flat concatenation template string into a :class:`Template`."""
     parts, _ = _parse_parts(text)
     if not parts:
         raise TemplateSyntaxError(f"empty template: {text!r}")
-    return Template(parts=tuple(parts), subject=subject, predicate_verb=verb)
+    return Template(parts=tuple(parts), predicate_verb=verb)
 
 
 def _parse_parts(text: str) -> Tuple[List[TemplatePart], int]:

@@ -192,7 +192,6 @@ def default_relation_template(relation: Relation) -> Template:
     return template(
         f"the {relation.concept}'s {heading.display_caption} is ",
         slot(f"{relation.name}.{heading.name}"),
-        subject=heading.name,
     )
 
 
@@ -209,7 +208,6 @@ def default_projection_template(relation: Relation, attribute: str) -> Template:
         slot(f"{relation.name}.{heading.name}"),
         f" has {attr.display_caption} ",
         slot(f"{relation.name}.{attr.name}"),
-        subject=heading.name,
         verb=f"has {attr.display_caption}",
     )
 
@@ -236,11 +234,5 @@ def default_join_template(schema: Schema, source: str, target: str) -> Optional[
         slot(f"{source_rel.name}.{source_heading.name}"),
         f" {verb} the {target_rel.concept} ",
         slot(f"{target_rel.name}.{target_heading.name}"),
-        subject=source_heading.name,
         verb=verb,
     )
-
-
-def default_registry(schema: Schema) -> TemplateRegistry:
-    """A registry containing only derived defaults for ``schema``."""
-    return TemplateRegistry(schema)

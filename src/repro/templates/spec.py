@@ -12,7 +12,7 @@ and list templates with loops bounded by the arity of the data, such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.catalog.types import render_value
@@ -58,24 +58,15 @@ TemplatePart = Union[TextPart, SlotPart]
 class Template:
     """A flat template: a concatenation of text and slot parts.
 
-    ``subject`` and ``predicate_verb`` are optional linguistic hints: the
-    slot acting as sentence subject (usually the heading attribute) and
-    the verb that starts the predicate (e.g. ``"was born"``).  The
-    common-expression aggregation of Section 2.2 relies on them to merge
-    "DNAME was born in BLOCATION" with "DNAME was born on BDATE".
+    ``predicate_verb`` is an optional linguistic hint: the verb that
+    starts the predicate (e.g. ``"was born"``).  Compiling a template
+    into clauses splits the verb off with it, so the common-expression
+    aggregation of Section 2.2 can merge "DNAME was born in BLOCATION"
+    with "DNAME was born on BDATE".
     """
 
     parts: Tuple[TemplatePart, ...]
-    subject: Optional[str] = None
     predicate_verb: Optional[str] = None
-
-    @property
-    def slots(self) -> Tuple[SlotPart, ...]:
-        return tuple(p for p in self.parts if isinstance(p, SlotPart))
-
-    @property
-    def slot_names(self) -> Tuple[str, ...]:
-        return tuple(s.attribute for s in self.slots)
 
     def instantiate(self, values: Mapping[str, Any], strict: bool = True) -> str:
         """Fill the slots from ``values`` (keys matched case-insensitively)."""
@@ -152,34 +143,18 @@ class ListTemplate:
             return rendered[0] + self.pair_separator + last
         return self.separator.join(rendered) + self.last_separator + last
 
-    @property
-    def slot_names(self) -> Tuple[str, ...]:
-        names = list(self.item.slot_names)
-        if self.last_item is not None:
-            for name in self.last_item.slot_names:
-                if name not in names:
-                    names.append(name)
-        return tuple(names)
-
-
-def text(value: str) -> TextPart:
-    """Shorthand constructor for a :class:`TextPart`."""
-    return TextPart(value)
-
 
 def slot(name: str, index: Optional[str] = None) -> SlotPart:
     """Shorthand constructor for a :class:`SlotPart`."""
     return SlotPart(name, index)
 
 
-def template(*parts: Union[str, TemplatePart], subject: Optional[str] = None,
-             verb: Optional[str] = None) -> Template:
+def template(*parts: Union[str, TemplatePart], verb: Optional[str] = None) -> Template:
     """Build a template from a mix of plain strings and parts.
 
     Plain strings become text parts; use :func:`slot` for placeholders::
 
-        template(slot("DNAME"), " was born in ", slot("BLOCATION"),
-                 subject="DNAME", verb="was born")
+        template(slot("DNAME"), " was born in ", slot("BLOCATION"), verb="was born")
     """
     converted: List[TemplatePart] = []
     for part in parts:
@@ -187,4 +162,4 @@ def template(*parts: Union[str, TemplatePart], subject: Optional[str] = None,
             converted.append(TextPart(part))
         else:
             converted.append(part)
-    return Template(parts=tuple(converted), subject=subject, predicate_verb=verb)
+    return Template(parts=tuple(converted), predicate_verb=verb)

@@ -75,15 +75,6 @@ class TestRelation:
         )
         assert relation.heading_attribute.name == "a"
 
-    def test_with_heading_produces_new_relation(self):
-        relation = make_movie_relation().with_heading("year")
-        assert relation.heading_attribute.name == "year"
-        assert make_movie_relation().heading_attribute.name == "title"
-
-    def test_descriptive_attributes_exclude_key_and_heading(self):
-        relation = make_movie_relation()
-        assert [a.name for a in relation.descriptive_attributes] == ["year"]
-
     def test_concept_defaults_from_name(self):
         relation = Relation("DIRECTORS", [Attribute("name")])
         assert relation.concept == "director"
@@ -115,10 +106,3 @@ class TestForeignKey:
     def test_column_pairs(self):
         fk = ForeignKey("CAST", ("mid", "aid"), "X", ("a", "b"))
         assert list(fk.column_pairs()) == [("mid", "a"), ("aid", "b")]
-
-    def test_reversed_swaps_endpoints(self):
-        fk = ForeignKey("CAST", ("mid",), "MOVIES", ("id",), verb_phrase="features")
-        reverse = fk.reversed()
-        assert reverse.source_relation == "MOVIES"
-        assert reverse.target_relation == "CAST"
-        assert reverse.verb_phrase == "features"

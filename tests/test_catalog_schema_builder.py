@@ -65,17 +65,6 @@ class TestSchema:
         with pytest.raises(InvalidForeignKeyError):
             Schema("s", [first, second], [ForeignKey("R", ("a",), "S", ("missing",))])
 
-    def test_adjacent_relations(self):
-        schema = build_company_schema()
-        assert schema.adjacent_relations("EMP") == ("DEPT",)
-
-    def test_subschema_keeps_internal_foreign_keys(self):
-        schema = build_company_schema()
-        sub = schema.subschema(["EMP", "DEPT"])
-        assert len(sub.foreign_keys) == 1
-        only_emp = schema.subschema(["EMP"])
-        assert len(only_emp.foreign_keys) == 0
-
     def test_validate_requires_primary_keys(self):
         schema = Schema("s", [Relation("R", [Attribute("a")])])
         with pytest.raises(InvalidSchemaError):
@@ -108,19 +97,6 @@ class TestSchemaBuilder:
             SchemaBuilder("x").relation("R").column("a", "integer", primary_key=True).done().build()
         )
         assert schema.relation("R").attribute("a").nullable is False
-
-    def test_heading_method(self):
-        schema = (
-            SchemaBuilder("x")
-            .relation("R")
-            .column("a", "integer", primary_key=True)
-            .column("b", "text")
-            .column("c", "text")
-            .heading("c")
-            .done()
-            .build()
-        )
-        assert schema.relation("R").heading_attribute.name == "c"
 
     def test_movie_schema_matches_figure_1(self):
         from repro.datasets import movie_schema

@@ -8,7 +8,6 @@ from repro.catalog.types import (
     DataType,
     check_value,
     coerce_value,
-    infer_type,
     is_valid_value,
     render_value,
 )
@@ -108,12 +107,3 @@ class TestRenderValue:
 
     def test_string_verbatim(self):
         assert render_value("Match Point") == "Match Point"
-
-
-class TestInferType:
-    def test_infer_each_type(self):
-        assert infer_type(True) is DataType.BOOLEAN
-        assert infer_type(3) is DataType.INTEGER
-        assert infer_type(3.5) is DataType.FLOAT
-        assert infer_type(datetime.date.today()) is DataType.DATE
-        assert infer_type("x") is DataType.TEXT

@@ -4,7 +4,7 @@ import pytest
 
 from repro.content import ContentNarrator, SynthesisMode, UserProfile, movie_spec
 from repro.datasets import library_database, movie_database
-from repro.content.presets import library_spec
+from repro.content.presets import default_spec, library_spec
 from repro.errors import TranslationError
 from repro.nlg import LengthBudget
 
@@ -75,6 +75,19 @@ class TestEntityNarration:
         row = narrator.database.table("ACTOR").lookup(("name",), ("Brad Pitt",))[0]
         text = narrator.narrate_entity("ACTOR", row, "MOVIES")
         assert "Brad Pitt" in text and "Troy" in text
+
+    def test_pair_without_a_list_join_template_reads_from_the_lexicon(self):
+        database = movie_database()
+        spec = default_spec(database.schema)
+        spec.lexicon.set_concept("MOVIES", "movie", "movies")
+        spec.lexicon.set_relationship_verb("DIRECTOR", "MOVIES", "directed")
+        narrator = ContentNarrator(database, spec=spec)
+        assert narrator.narrate_entity("DIRECTOR", "Woody Allen", "MOVIES") == (
+            "Woody Allen has birth date December 1, 1935."
+            " Woody Allen has birth location Brooklyn, New York, USA."
+            " The director Woody Allen directed the movies Match Point,"
+            " Melinda and Melinda, and Anything Else."
+        )
 
     def test_budget_limits_sentences(self, narrator):
         text = narrator.narrate_entity(

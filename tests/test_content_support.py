@@ -6,12 +6,9 @@ from repro.content import (
     UserProfile,
     coverage_plan,
     describe_histogram,
-    describe_profile,
-    describe_sample,
     describe_schema,
     describe_statistics,
     find_by_heading,
-    non_bridge_path,
     rank_relations,
     rank_tuples,
     related_rows,
@@ -20,7 +17,6 @@ from repro.content import (
 )
 from repro.datasets import movie_database
 from repro.graph import SchemaGraph
-from repro.nlg import LengthBudget
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +53,6 @@ class TestNavigation:
     def test_related_rows_unconnected_path(self, database):
         woody = find_by_heading(database, "DIRECTOR", "Woody Allen")
         assert related_rows(database, ["DIRECTOR", "ACTOR"], woody) == []
-
-    def test_non_bridge_path_drops_bridges(self, database):
-        assert non_bridge_path(database.schema, ("DIRECTOR", "DIRECTED", "MOVIES")) == [
-            "DIRECTOR", "MOVIES",
-        ]
 
 
 class TestRanking:
@@ -113,16 +104,6 @@ class TestSummaries:
         text = describe_statistics(database)
         assert "nine movies" in text or "9 movies" in text
 
-    def test_sample(self, database):
-        text = describe_sample(database, "ACTOR", sample_size=2)
-        assert "Brad Pitt" in text
-
-    def test_sample_of_empty_relation(self):
-        from repro.datasets import movie_database as make
-
-        empty = make(seed_data=False)
-        assert "empty" in describe_sample(empty, "ACTOR")
-
     def test_histogram(self):
         years = [1977, 1995, 1997, 1999, 2001, 2003, 2004, 2004, 2005]
         text = describe_histogram(years, "release year")
@@ -132,13 +113,3 @@ class TestSummaries:
     def test_histogram_degenerate_cases(self):
         assert "no release year values" in describe_histogram([], "release year")
         assert "equal 2000" in describe_histogram([2000, 2000], "release year")
-
-    def test_profile_description(self, database):
-        profile = UserProfile(
-            name="visitor",
-            heading_overrides={"MOVIES": "year"},
-            excluded_relations={"GENRE"},
-            budget=LengthBudget(max_sentences=3, max_words=60),
-        )
-        text = describe_profile(profile, database.schema)
-        assert "visitor" in text and "GENRE" in text and "three sentences" in text

@@ -1,6 +1,6 @@
 """Tests for the shipped datasets and generators."""
 
-import pytest
+from collections import Counter
 
 from repro.datasets import (
     ALL_GENRES,
@@ -14,10 +14,10 @@ from repro.datasets import (
     library_database,
     movie_database,
     paper_workload,
-    seed_rows,
-    workload_by_category,
 )
+from repro.datasets.generator import bench_movie_database
 from repro.engine import Executor
+from repro.storage import dump_records
 
 
 class TestMovieSeed:
@@ -46,11 +46,6 @@ class TestMovieSeed:
 
     def test_empty_database_option(self):
         assert movie_database(seed_data=False).total_rows == 0
-
-    def test_seed_rows_returns_copies(self):
-        rows = seed_rows("MOVIES")
-        rows["MOVIES"][0]["title"] = "Mutated"
-        assert movie_database().table("MOVIES").lookup(("id",), (1,))[0]["title"] == "Match Point"
 
     def test_narratives_defined_for_every_query(self):
         for name in PAPER_QUERIES:
@@ -95,15 +90,18 @@ class TestGenerator:
         assert len(database.table("MOVIES")) == 30 + 9  # synthetic + paper seed
         assert len(database.table("DIRECTED")) == 30 + 9
 
+    def test_bench_database_is_the_same_200_movies_on_every_build(self):
+        database = bench_movie_database()
+        assert len(database.table("MOVIES")) == 200 + 9  # synthetic + paper seed
+        assert len(database.table("DIRECTOR")) == 20 + 4
+        assert len(database.table("ACTOR")) == 50 + 8
+        assert dump_records(database) == dump_records(bench_movie_database())
+
     def test_generated_database_without_paper_seed(self):
         database = generate_movie_database(
             GeneratorConfig(movies=5, directors=2, actors=4), include_paper_seed=False
         )
         assert len(database.table("MOVIES")) == 5
-
-    def test_scaled_config(self):
-        config = GeneratorConfig(movies=10, directors=2, actors=4).scaled(3)
-        assert config.movies == 30 and config.directors == 6
 
 
 class TestWorkload:
@@ -113,9 +111,10 @@ class TestWorkload:
     def test_generated_workload_size_and_grouping(self):
         workload = generate_workload(queries_per_category=5, seed=3)
         assert len(workload) == 25
-        grouped = workload_by_category(workload)
-        assert set(grouped) == {"path", "subgraph", "graph", "nested", "aggregate"}
-        assert all(len(queries) == 5 for queries in grouped.values())
+        counts = Counter(query.expected_category for query in workload)
+        assert counts == {
+            category: 5 for category in ("path", "subgraph", "graph", "nested", "aggregate")
+        }
 
     def test_workload_queries_execute(self):
         database = movie_database()

@@ -7,6 +7,8 @@ fully-interpreted one on the paper queries and the generated workload;
 (3) every cache layer is actually used and is invalidated by DML.
 """
 
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,11 +36,19 @@ def db():
 
 
 def eval_both(sql_expr: str, row: Row):
+    """Both modes' value, or the message of the EvaluationError each raised."""
     statement = parse_select(f"select {sql_expr}")
     expression = statement.select_items[0].expression
     compiled = ExpressionCompiler().compile(expression)
     evaluator = ExpressionEvaluator()
-    return compiled(row), evaluator.evaluate(expression, row)
+    return _outcome(compiled, row), _outcome(lambda r: evaluator.evaluate(expression, r), row)
+
+
+def _outcome(evaluate, row: Row):
+    try:
+        return evaluate(row)
+    except EvaluationError as error:
+        return ("EvaluationError", str(error))
 
 
 EXPRESSIONS = [
@@ -70,6 +80,11 @@ EXPRESSIONS = [
     "length(name)",
     "abs(-7)",
     "coalesce(missing, x)",
+    "lower()",
+    "upper(name, name)",
+    "length()",
+    "abs(x, y)",
+    "case when x > 99 then lower() else 1 end",
     "case when x > 3 then 'big' else 'small' end",
     "case when x > 99 then 'big' end",
 ]
@@ -144,6 +159,48 @@ def test_untaken_case_branch_never_raises():
     statement = parse_select("select case when 1 = 2 then nosuchfn(1) else 7 end")
     fn = ExpressionCompiler().compile(statement.select_items[0].expression)
     assert fn(Row({})) == 7
+
+
+def test_subquery_without_a_runner_fails_only_when_evaluated():
+    statement = parse_select(
+        "select case when x > 99 then x in (select s.v from S s) else 0 end"
+    )
+    expression = statement.select_items[0].expression
+    compiled = ExpressionCompiler().compile(expression)
+    for evaluate in (compiled, functools.partial(ExpressionEvaluator().evaluate, expression)):
+        assert evaluate(Row({"x": 5})) == 0
+        with pytest.raises(EvaluationError, match="no subquery runner is configured"):
+            evaluate(Row({"x": 100}))
+
+
+#: Subquery connectors with ``x = 5``, each over the runner's values
+#: ``[]``, ``[5, 9]`` and ``[1, NULL]``, and what SQL says they give.
+SUBQUERY_EXPRESSIONS = [
+    ("exists (select s.v from S s)", [False, True, True]),
+    ("not exists (select s.v from S s)", [True, False, False]),
+    ("x in (select s.v from S s)", [False, True, None]),
+    ("x not in (select s.v from S s)", [True, False, None]),
+    ("x > all (select s.v from S s)", [True, False, None]),
+    ("x = any (select s.v from S s)", [False, True, None]),
+]
+
+
+@pytest.mark.parametrize("expr, expected", SUBQUERY_EXPRESSIONS)
+def test_subquery_connectors_match_over_a_plain_runner(expr, expected):
+    # A runner without an ``exists`` method: the compiled EXISTS reads its
+    # rows, as the interpreter does.
+    expression = parse_select(f"select {expr}").select_items[0].expression
+    row = Row({"x": 5})
+    outcomes = []
+    for values in ([], [5, 9], [1, None]):
+        def runner(select, outer, values=values):
+            return [Row({"s.v": value}) for value in values]
+
+        compiled_value = ExpressionCompiler(subquery_runner=runner).compile(expression)(row)
+        interpreted_value = ExpressionEvaluator(subquery_runner=runner).evaluate(expression, row)
+        assert compiled_value == interpreted_value
+        outcomes.append(compiled_value)
+    assert outcomes == expected
 
 
 _PROPERTY_EXPRESSIONS = [
@@ -414,9 +471,9 @@ def test_nested_subquery_results_follow_dml(db):
     executor.execute_sql(
         "insert into MOVIES (id, title, year) values (997, 'Pitt Returns', 2020)"
     )
-    actor_id = executor.execute_sql(
+    [(actor_id,)] = executor.execute_sql(
         "select a.id from ACTOR a where a.name = 'Brad Pitt'"
-    ).scalar()
+    ).to_tuples()
     executor.execute_sql(
         f"insert into CAST (mid, aid, role) values (997, {actor_id}, 'Lead')"
     )

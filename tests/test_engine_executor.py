@@ -5,7 +5,7 @@ import pytest
 from repro.datasets import employee_database, movie_database, MANAGER_QUERY
 from repro.engine import Executor
 from repro.engine.result import DmlResult, QueryResult
-from repro.errors import UnsupportedQueryError
+from repro.errors import EvaluationError, UnsupportedQueryError
 
 
 @pytest.fixture
@@ -62,6 +62,20 @@ class TestBasicSelect:
             )
             assert none.to_tuples() == []
             assert first.to_tuples() == [("Match Point",)]
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_one_argument_function_with_another_count(self, compiled):
+        # A call with the wrong number of arguments fails when it is
+        # evaluated, with a typed error, never while the plan is built.
+        executor = Executor(movie_database(), compiled=compiled)
+        for _ in range(3):  # first sighting, compile, shape-plan hit
+            for sql in ("select lower() from MOVIES m where 1 = 0",
+                        "select lower() from MOVIES m limit 0"):
+                assert executor.execute_sql(sql).to_tuples() == []
+            with pytest.raises(EvaluationError, match="LOWER takes one argument, got 0"):
+                executor.execute_sql("select lower() from MOVIES m")
+            with pytest.raises(EvaluationError, match="LOWER takes one argument, got 2"):
+                executor.execute_sql("select lower(m.title, m.title) from MOVIES m")
 
     def test_empty_result(self, executor):
         result = executor.execute_sql("select title from MOVIES where year = 1900")
@@ -129,6 +143,94 @@ class TestOrderBy:
     @pytest.mark.parametrize("sql, expected", CASES)
     def test_both_modes_give_the_expected_rows(self, sql, expected):
         database = movie_database()
+        for compiled in (True, False):
+            executor = Executor(database, compiled=compiled)
+            for _ in range(3):
+                assert executor.execute_sql(sql).to_tuples() == expected
+
+
+class TestFormsNoDriverSends:
+    """SQL the parser accepts that neither the corpus nor a benchmark sends.
+
+    A FROM-less select, OR, the negated BETWEEN/IN/LIKE forms, IN lists
+    with a NULL, IS [NOT] NULL, CASE with and without ELSE, unary minus,
+    NOT, COALESCE, arithmetic in a filter, DISTINCT over two columns,
+    OFFSET past the end, quoted identifiers, EXISTS under OR and a scalar
+    subquery in the select list.  The database gains one movie with a NULL
+    year first, so the three-valued cases have a NULL to meet.  Both modes
+    run each text three times (first sighting, compile, shape-plan hit).
+    """
+
+    CASES = [
+        ("select 1 + 2 as x", [(3,)]),
+        (
+            "select m.title from MOVIES m where m.year = 1977 or m.year = 2005 order by m.title",
+            [("Match Point",), ("Star Battles",)],
+        ),
+        (
+            "select m.title from MOVIES m where m.year not between 1996 and 2004 order by m.year",
+            [("Star Battles",), ("Seven",), ("Match Point",)],
+        ),
+        (
+            "select m.title from MOVIES m where m.id not in (1, 2, 3, 4, 5) order by m.id",
+            [("Star Battles",), ("Star Battles",), ("The Galactic Menace",),
+             ("Ocean Heist",), ("Untitled",)],
+        ),
+        ("select m.id from MOVIES m where m.year in (1977, null) order by m.id", [(6,)]),
+        ("select m.id from MOVIES m where m.year not in (1977, null)", []),
+        (
+            "select m.title from MOVIES m where m.title not like 'S%' and m.title like '%o_'"
+            " order by m.title",
+            [("Troy",)],
+        ),
+        ("select m.id from MOVIES m where m.year is null", [(11,)]),
+        ("select count(*) from MOVIES m where m.year is not null", [(9,)]),
+        (
+            "select m.title, case when m.year < 1990 then 'old' when m.year < 2002 then 'recent'"
+            " else 'new' end from MOVIES m where m.id < 7 order by m.id",
+            [("Match Point", "new"), ("Melinda and Melinda", "new"), ("Anything Else", "new"),
+             ("Troy", "new"), ("Seven", "recent"), ("Star Battles", "old")],
+        ),
+        (
+            "select m.id, case when m.year > 2003 then m.year end from MOVIES m"
+            " where m.id <= 3 order by m.id",
+            [(1, 2005), (2, 2004), (3, None)],
+        ),
+        ("select m.id, -m.year from MOVIES m where m.id = 6", [(6, -1977)]),
+        ("select m.title from MOVIES m where not (m.year > 1980) order by m.id",
+         [("Star Battles",)]),
+        (
+            "select m.id, coalesce(m.year, 0) from MOVIES m where m.id > 9 order by m.id",
+            [(10, 2001), (11, 0)],
+        ),
+        (
+            "select distinct m.title, g.genre from MOVIES m, GENRE g"
+            " where g.mid = m.id and g.genre = 'action' order by m.title, g.genre",
+            [("Ocean Heist", "action"), ("Star Battles", "action"),
+             ("The Galactic Menace", "action"), ("Troy", "action")],
+        ),
+        ("select m.title from MOVIES m order by m.id limit 5 offset 20", []),
+        (
+            "select m.title from MOVIES m where m.year - 2000 > 3 order by m.id",
+            [("Match Point",), ("Melinda and Melinda",), ("Troy",)],
+        ),
+        ('select "m"."title" from MOVIES "m" where "m"."id" = 4', [("Troy",)]),
+        (
+            "select m.title from MOVIES m where m.year = 1977 or exists"
+            " (select * from CAST c where c.mid = m.id and c.role = 'Rusty') order by m.id",
+            [("Star Battles",), ("Ocean Heist",)],
+        ),
+        (
+            "select m.title, (select count(*) from GENRE g where g.mid = m.id) as n"
+            " from MOVIES m where m.id in (1, 8) order by m.id",
+            [("Match Point", 2), ("The Galactic Menace", 1)],
+        ),
+    ]
+
+    @pytest.mark.parametrize("sql, expected", CASES)
+    def test_both_modes_give_the_expected_rows(self, sql, expected):
+        database = movie_database()
+        Executor(database).execute_sql("insert into MOVIES (id, title) values (11, 'Untitled')")
         for compiled in (True, False):
             executor = Executor(database, compiled=compiled)
             for _ in range(3):
@@ -235,7 +337,7 @@ class TestJoins:
 
 class TestAggregation:
     def test_count_star_whole_table(self, executor):
-        assert executor.execute_sql("select count(*) from MOVIES").scalar() == 9
+        assert executor.execute_sql("select count(*) from MOVIES").to_tuples() == [(9,)]
 
     def test_group_by_with_count(self, executor):
         result = executor.execute_sql(
@@ -245,9 +347,8 @@ class TestAggregation:
         assert as_dict["action"] == 5 and as_dict["drama"] == 3
 
     def test_count_distinct(self, executor):
-        assert (
-            executor.execute_sql("select count(distinct m.year) from MOVIES m").scalar() == 8
-        )
+        result = executor.execute_sql("select count(distinct m.year) from MOVIES m")
+        assert result.to_tuples() == [(8,)]
 
     def test_sum_avg_min_max(self, executor):
         result = executor.execute_sql(
@@ -262,8 +363,8 @@ class TestAggregation:
         database.insert("MOVIES", {"id": 1, "title": "A", "year": None})
         database.insert("MOVIES", {"id": 2, "title": "B", "year": 2000})
         executor = Executor(database)
-        assert executor.execute_sql("select avg(m.year) from MOVIES m").scalar() == 2000
-        assert executor.execute_sql("select count(m.year) from MOVIES m").scalar() == 1
+        assert executor.execute_sql("select avg(m.year) from MOVIES m").to_tuples() == [(2000,)]
+        assert executor.execute_sql("select count(m.year) from MOVIES m").to_tuples() == [(1,)]
 
     def test_having_filters_groups(self, executor):
         result = executor.execute_sql(
@@ -278,9 +379,8 @@ class TestAggregation:
         assert result.is_empty
 
     def test_aggregate_without_group_by_on_empty_input(self, executor):
-        assert (
-            executor.execute_sql("select count(*) from MOVIES where year = 1900").scalar() == 0
-        )
+        result = executor.execute_sql("select count(*) from MOVIES where year = 1900")
+        assert result.to_tuples() == [(0,)]
 
 
 class TestSubqueries:
@@ -327,7 +427,8 @@ class TestDml:
         assert isinstance(inserted, DmlResult) and inserted.affected_rows == 1
         updated = executor.execute_sql("update MOVIES set year = 2008 where id = 50")
         assert updated.affected_rows == 1
-        assert executor.execute_sql("select year from MOVIES where id = 50").scalar() == 2008
+        year = executor.execute_sql("select year from MOVIES where id = 50")
+        assert year.to_tuples() == [(2008,)]
         deleted = executor.execute_sql("delete from MOVIES where id = 50")
         assert deleted.affected_rows == 1
 
@@ -337,10 +438,18 @@ class TestDml:
 
         assert "Scan(MOVIES" in executor.explain(parse_select("select title from MOVIES m"))
 
-    def test_format_table(self):
-        executor = Executor(movie_database())
-        text = executor.execute_sql("select title, year from MOVIES limit 2").format_table()
-        assert "title" in text and "|" in text
+    def test_execute_takes_text_or_a_parsed_statement(self):
+        from repro.engine.executor import execute
+        from repro.sql import parse_sql
+
+        database = movie_database()
+        inserted = execute(
+            database, "insert into MOVIES (id, title, year) values (50, 'Test Film', 2007)"
+        )
+        assert isinstance(inserted, DmlResult) and inserted.affected_rows == 1
+        result = execute(database, parse_sql("select m.title from MOVIES m where m.id = 50"))
+        assert isinstance(result, QueryResult)
+        assert result.to_tuples() == [("Test Film",)]
 
     def test_unsupported_statement(self):
         executor = Executor(movie_database())

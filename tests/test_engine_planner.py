@@ -130,6 +130,28 @@ class TestPlanShapes:
         assert text.splitlines()[0].startswith("Project")
         assert any(line.startswith("  ") for line in text.splitlines())
 
+    @pytest.mark.parametrize(
+        "sql, lines",
+        [
+            (
+                "select distinct m.year from MOVIES m order by m.year desc limit 3 offset 1",
+                ["Limit(limit 3, offset 1)", "  Distinct", "    Project(m.year)",
+                 "      Sort(m.year DESC)", "        Scan(MOVIES AS m)"],
+            ),
+            (
+                "select m.title from MOVIES m limit 2",
+                ["Limit(limit 2)", "  Project(m.title)", "    Scan(MOVIES AS m)"],
+            ),
+            (
+                "select m.title, m.year from MOVIES m order by m.year desc, m.title",
+                ["Project(m.title, m.year)", "  Sort(m.year DESC, m.title)",
+                 "    Scan(MOVIES AS m)"],
+            ),
+        ],
+    )
+    def test_explain_prints_sort_distinct_and_limit(self, sql, lines):
+        assert plan(sql).explain().splitlines() == lines
+
 
 class TestAccessPaths:
     """Where the join tree starts and which joins probe an index (schema-aware)."""

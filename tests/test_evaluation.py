@@ -1,4 +1,4 @@
-"""Tests for metrics, the experiment registry and reporting."""
+"""Tests for the text metrics the benchmarks report."""
 
 import pytest
 
@@ -7,15 +7,9 @@ from repro.evaluation import (
     TextMetrics,
     compression_ratio,
     coverage,
-    experiment_ids,
-    format_report,
-    markdown_table,
     query_coverage,
     query_elements,
     redundancy_ratio,
-    run_all_experiments,
-    run_experiment,
-    summary_rows,
     tokens,
 )
 
@@ -62,41 +56,3 @@ class TestMetrics:
         value = query_coverage(schema, PAPER_QUERIES["Q1"], "Find some movies")
         assert value < 1.0
 
-
-class TestExperiments:
-    def test_registry_covers_every_paper_artifact(self):
-        ids = experiment_ids()
-        for required in ["FIG1", "FIG2", "EX-WOODY-COMPACT", "EX-WOODY-PROCEDURAL",
-                         "EX-DIRECTOR", "EX-SPLIT", "Q0"] + sorted(PAPER_QUERIES):
-            assert required in ids
-
-    def test_woody_compact_experiment_matches_paper(self):
-        result = run_experiment("EX-WOODY-COMPACT")
-        assert result.artifacts["match"] is True
-
-    def test_paper_query_experiments_report_exactness(self):
-        for name in ("Q2", "Q6", "Q7", "Q8", "Q9"):
-            result = run_experiment(name)
-            assert result.artifacts["exact_match"] is True, name
-
-    def test_fig1_experiment_counts(self):
-        artifacts = run_experiment("FIG1").artifacts
-        assert artifacts["relations"] == 6
-        assert artifacts["join_edges"] == 5
-
-    def test_fig2_experiment_has_all_compartments(self):
-        assert run_experiment("FIG2").artifacts["has_all_compartments"] is True
-
-    def test_run_all_and_reporting(self):
-        results = run_all_experiments()
-        assert len(results) == len(experiment_ids())
-        report = format_report(results)
-        assert "EX-WOODY-COMPACT" in report
-        table = markdown_table(results)
-        assert table.startswith("| Experiment |")
-        rows = summary_rows()
-        assert any("[exact]" in row for row in rows)
-
-    def test_coverage_reported_for_queries(self):
-        result = run_experiment("Q1")
-        assert result.artifacts["coverage"] >= 0.8

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.datasets import library_schema, movie_schema
-from repro.errors import UnknownNodeError
 from repro.graph import (
     PatternKind,
     SchemaGraph,
-    detect_join_patterns,
+    build_schema_graph,
     dfs_traversal,
 )
 
@@ -27,13 +26,13 @@ class TestGraphStructure:
     def test_one_join_edge_per_foreign_key(self, graph):
         assert len(graph.join_edges) == 5
 
-    def test_projection_edges_of_relation(self, graph):
-        names = {e.attribute_name for e in graph.projection_edges_of("MOVIES")}
-        assert names == {"id", "title", "year"}
-
-    def test_join_edges_between(self, graph):
-        assert len(graph.join_edges_between("CAST", "MOVIES")) == 1
-        assert len(graph.join_edges_between("MOVIES", "DIRECTOR")) == 0
+    def test_build_schema_graph_is_the_documented_entry_point(self, graph):
+        built = build_schema_graph(movie_schema())
+        assert isinstance(built, SchemaGraph)
+        assert [node.name for node in built.relation_nodes] == [
+            node.name for node in graph.relation_nodes
+        ]
+        assert len(built.join_edges) == 5 and built.central_relation().name == "MOVIES"
 
     def test_neighbours(self, graph):
         assert set(graph.neighbours("MOVIES")) == {"DIRECTED", "CAST", "GENRE"}
@@ -43,21 +42,8 @@ class TestGraphStructure:
         assert graph.degree("MOVIES") == 3
         assert graph.degree("DIRECTOR") == 1
 
-    def test_attribute_node_lookup(self, graph):
-        node = graph.attribute_node("MOVIES", "title")
-        assert node.is_heading and node.key == "MOVIES.title"
-
-    def test_unknown_attribute_node(self, graph):
-        with pytest.raises(Exception):
-            graph.attribute_node("MOVIES", "missing")
-
     def test_central_relation_is_movies(self, graph):
         assert graph.central_relation().name == "MOVIES"
-
-    def test_is_connected(self, graph):
-        assert graph.is_connected()
-        assert graph.is_connected(["MOVIES", "CAST", "ACTOR"])
-        assert not graph.is_connected(["ACTOR", "DIRECTOR"])
 
     def test_shortest_path_via_bridge(self, graph):
         assert graph.shortest_path("DIRECTOR", "MOVIES") == ("DIRECTOR", "DIRECTED", "MOVIES")
@@ -78,11 +64,6 @@ class TestGraphStructure:
             .build()
         )
         assert SchemaGraph(schema).shortest_path("A", "B") == ()
-
-    def test_subgraph(self, graph):
-        sub = graph.subgraph(["MOVIES", "CAST", "ACTOR"])
-        assert len(sub.relation_nodes) == 3
-        assert len(sub.join_edges) == 2
 
     def test_to_dot_mentions_all_relations(self, graph):
         dot = graph.to_dot()
@@ -109,8 +90,9 @@ class TestTraversal:
 
     def test_parent_child_relationships(self, graph):
         traversal = dfs_traversal(graph, start="MOVIES")
-        assert traversal.parent_of("MOVIES") is None
-        assert traversal.parent_of("GENRE") == "MOVIES"
+        parents = {step.relation: step.parent for step in traversal.steps}
+        assert parents["MOVIES"] is None
+        assert parents["GENRE"] == "MOVIES"
 
     def test_split_pattern_detected_at_movies(self, graph):
         traversal = dfs_traversal(graph, start="MOVIES")
@@ -121,11 +103,6 @@ class TestTraversal:
         traversal = dfs_traversal(graph, start="ACTOR", restrict_to=["ACTOR", "CAST", "MOVIES"])
         kinds = {p.kind for p in traversal.patterns}
         assert kinds == {PatternKind.UNARY}
-
-    def test_join_pattern_detection_over_subset(self, graph):
-        patterns = detect_join_patterns(graph, ["CAST", "MOVIES", "ACTOR"])
-        centers = [p.center for p in patterns]
-        assert "CAST" in centers
 
     def test_disconnected_subset_gets_extra_roots(self, graph):
         traversal = dfs_traversal(graph, start="ACTOR", restrict_to=["ACTOR", "DIRECTOR"])

@@ -7,15 +7,11 @@ from repro.lexicon import (
     Lexicon,
     capitalize_first,
     default_lexicon,
-    indefinite_article,
     join_list,
     number_word,
-    ordinal_word,
     pluralize,
-    possessive,
     sentence_case,
     strip_extra_spaces,
-    with_article,
 )
 
 
@@ -91,16 +87,6 @@ class TestPluralize:
 
 
 class TestArticlesAndMisc:
-    def test_indefinite_article(self):
-        assert indefinite_article("movie") == "a"
-        assert indefinite_article("actor") == "an"
-        assert indefinite_article("hour") == "an"
-        assert indefinite_article("university") == "a"
-
-    def test_with_article(self):
-        assert with_article("actor") == "an actor"
-        assert with_article("actor", definite=True) == "the actor"
-
     def test_capitalize_first_skips_punctuation(self):
         assert capitalize_first('"quoted" text') == '"Quoted" text'
 
@@ -112,16 +98,9 @@ class TestArticlesAndMisc:
         assert join_list(["a", "b", "c"], oxford=False) == "a, b and c"
         assert join_list(["a", "b"], conjunction="or") == "a or b"
 
-    def test_possessive(self):
-        assert possessive("Woody Allen") == "Woody Allen's"
-        assert possessive("actors") == "actors'"
-
-    def test_number_and_ordinal_words(self):
+    def test_number_words(self):
         assert number_word(1) == "one"
         assert number_word(99) == "99"
-        assert ordinal_word(1) == "first"
-        assert ordinal_word(23) == "23rd"
-        assert ordinal_word(11) == "11th"
 
     def test_strip_extra_spaces(self):
         assert strip_extra_spaces("  a   b , c .") == "a b, c."
@@ -152,9 +131,6 @@ class TestLexicon:
         lexicon.set_caption("DIRECTOR", "bdate", "date of birth")
         assert lexicon.caption("DIRECTOR", "bdate") == "date of birth"
 
-    def test_caption_plural(self, lexicon):
-        assert lexicon.caption_plural("MOVIES", "year") == "release years"
-
     def test_heading_caption(self, lexicon):
         assert lexicon.heading_caption("MOVIES") == "title"
 
@@ -168,7 +144,3 @@ class TestLexicon:
 
     def test_relationship_verb_unrelated(self, lexicon):
         assert lexicon.relationship_verb("ACTOR", "DIRECTOR") is None
-
-    def test_describe_value_heading_vs_other(self, lexicon):
-        assert lexicon.describe_value("ACTOR", "name", "Brad Pitt") == "the actor Brad Pitt"
-        assert lexicon.describe_value("MOVIES", "year", 2005) == "the release year 2005"

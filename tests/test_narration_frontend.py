@@ -479,8 +479,6 @@ class TestStructuralMemoization:
             assert neighbours == graph.neighbours(relation)
             assert graph.degree(relation) == len(graph.join_edges_of(relation))
             for other in schema.relation_names:
-                edges = graph.join_edges_between(relation, other)
-                assert edges == graph.join_edges_between(relation, other)
                 path = graph.shortest_path(relation, other)
                 assert path == graph.shortest_path(relation, other)
 
@@ -496,10 +494,7 @@ class TestStructuralMemoization:
         assert morphology.pluralize("movie", count=1) == "movie"
         assert morphology.pluralize("person") == "people"
         assert morphology.pluralize("release year") == "release years"
-        assert morphology.indefinite_article("actor") == "an"
-        assert morphology.indefinite_article("movie") == "a"
         assert morphology.number_word(3) == "three"
-        assert morphology.ordinal_word(2) == "second"
         assert morphology._pluralize_many.cache_info().currsize > 0
 
     def test_translator_cache_hit_returns_fresh_notes_copy(self):

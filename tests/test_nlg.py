@@ -1,34 +1,22 @@
 """Tests for the NLG core: clauses, aggregation, realisation, planning."""
 
-import pytest
-
 from repro.nlg import (
     Clause,
     DocumentPlan,
     LengthBudget,
     attach_relative,
-    clause_from_text,
-    coordinate,
     merge_clauses,
-    merge_same_subject,
-    merge_templates,
     realize_paragraph,
     realize_sentence,
     sentence_count,
-    split_prefix,
     word_count,
 )
-from repro.templates.parser import parse_template
 
 
 class TestClause:
     def test_render_joins_parts(self):
         clause = Clause("Woody Allen", "was born", ("in Brooklyn", "on December 1, 1935"))
         assert clause.render() == "Woody Allen was born in Brooklyn on December 1, 1935"
-
-    def test_empty_clause(self):
-        assert Clause("").is_empty
-        assert not Clause("x").is_empty
 
     def test_with_extra_complements(self):
         clause = Clause("X", "is", ("a",)).with_extra_complements(("b",))
@@ -37,9 +25,6 @@ class TestClause:
     def test_entity_phrase_with_relative(self):
         phrase = attach_relative("the director D1", "was born in Italy")
         assert phrase.render() == "the director D1 who was born in Italy"
-
-    def test_clause_from_text(self):
-        assert clause_from_text("Just text").render() == "Just text"
 
 
 class TestAggregation:
@@ -71,38 +56,6 @@ class TestAggregation:
         )
         assert len(merged) == 1
 
-    def test_merge_same_subject_coordinates_predicates(self):
-        merged = merge_same_subject(
-            [Clause("X", "was born", ("in Rome",)), Clause("X", "directed", ("Troy",))]
-        )
-        assert len(merged) == 1
-        assert merged[0].render() == "X was born in Rome and directed Troy"
-
-    def test_merge_templates_factors_common_prefix(self):
-        first = parse_template('DNAME + " was born" + " in " + BLOCATION')
-        second = parse_template('DNAME + " was born" + " on " + BDATE')
-        merged = merge_templates([first, second])
-        assert len(merged) == 1
-        rendered = merged[0].instantiate(
-            {"DNAME": "Woody Allen", "BLOCATION": "Brooklyn", "BDATE": "December 1, 1935"}
-        )
-        assert rendered == "Woody Allen was born in Brooklyn on December 1, 1935"
-
-    def test_merge_templates_requires_shared_slot_and_text(self):
-        first = parse_template('"the year is " + YEAR')
-        second = parse_template('"the year is " + GENRE')
-        merged = merge_templates([first, second])
-        assert len(merged) == 2  # common prefix has no slot -> not a common expression
-
-    def test_merge_templates_drops_exact_duplicates(self):
-        label = parse_template('A + " is " + B')
-        assert len(merge_templates([label, label])) == 1
-
-    def test_split_prefix(self):
-        label = parse_template('DNAME + " was born" + " in " + BLOCATION')
-        prefix, rest = split_prefix(label)
-        assert len(prefix) == 3 and len(rest) == 1
-
 
 class TestRealize:
     def test_realize_sentence_capitalises_and_punctuates(self):
@@ -113,9 +66,6 @@ class TestRealize:
 
     def test_realize_paragraph_skips_empty(self):
         assert realize_paragraph(["one", "", "two"]) == "One. Two."
-
-    def test_coordinate(self):
-        assert coordinate(["a", "b", "c"]) == "a, b, and c"
 
     def test_word_and_sentence_count(self):
         assert word_count("one two three.") == 3
@@ -154,9 +104,3 @@ class TestDocumentPlan:
         plan = DocumentPlan()
         plan.add_clause(Clause("Woody Allen", "directed", ("three movies",)))
         assert plan.render() == "Woody Allen directed three movies."
-
-    def test_total_words(self):
-        plan = DocumentPlan()
-        plan.add_text("one two")
-        plan.add_text("three")
-        assert plan.total_words == 3

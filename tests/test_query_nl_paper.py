@@ -11,6 +11,7 @@ from repro.datasets import (
     movie_schema,
 )
 from repro.query_nl import QueryTranslator
+from repro.query_nl.translator import translate_query
 from repro.querygraph import QueryCategory
 
 
@@ -54,6 +55,14 @@ class TestExactPaperNarratives:
 
     def test_q9(self, translator):
         assert translator.translate(PAPER_QUERIES["Q9"]).text == PAPER_NARRATIVES["Q9"]
+
+    def test_translate_query_is_the_one_shot_translator(self, translator):
+        schema = movie_schema()
+        one_shot = translate_query(schema, PAPER_QUERIES["Q2"], spec=movie_spec(schema))
+        assert one_shot.text == PAPER_NARRATIVES["Q2"]
+        assert one_shot.text == translator.translate(PAPER_QUERIES["Q2"]).text
+        plain = translate_query(schema, PAPER_QUERIES["Q2"])
+        assert plain.text == QueryTranslator(schema).translate(PAPER_QUERIES["Q2"]).text
 
     def test_manager_query_shape(self):
         schema = employee_schema()

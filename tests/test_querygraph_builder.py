@@ -23,6 +23,12 @@ class TestClasses:
         assert set(graph.bindings) == {"m", "c1", "a1", "c2", "a2"}
         assert graph.has_multiple_instances()
 
+    def test_classes_of_relation_lists_each_tuple_variable(self, schema):
+        graph = build_query_graph(schema, PAPER_QUERIES["Q3"])
+        assert [qc.binding for qc in graph.classes_of_relation("cast")] == ["c1", "c2"]
+        assert [qc.binding for qc in graph.classes_of_relation("MOVIES")] == ["m"]
+        assert graph.classes_of_relation("GENRE") == []
+
     def test_select_entries_attached_to_right_class(self, schema):
         graph = build_query_graph(schema, PAPER_QUERIES["Q1"])
         assert [e.attribute for e in graph.query_class("m").select_entries] == ["title"]
@@ -134,18 +140,6 @@ class TestNestingEdges:
 
 
 class TestRendering:
-    def test_render_text_includes_nested_blocks(self, schema):
-        text = build_query_graph(schema, PAPER_QUERIES["Q5"]).render_text()
-        assert "[nested via IN in WHERE]" in text
-
-    def test_to_dot_produces_digraph(self, schema):
-        dot = build_query_graph(schema, PAPER_QUERIES["Q2"]).to_dot()
-        assert dot.startswith("digraph") and '"m"' in dot
-
-    def test_to_dot_includes_nested_subgraph(self, schema):
-        dot = build_query_graph(schema, PAPER_QUERIES["Q7"]).to_dot()
-        assert "nq0_" in dot
-
     def test_summary(self, schema):
         summary = build_query_graph(schema, PAPER_QUERIES["Q3"]).summary()
         assert "multi-instance=True" in summary

@@ -41,11 +41,6 @@ class TestPaperTaxonomy:
         classification = classify_query(employee_schema(), MANAGER_QUERY)
         assert classification.category is QueryCategory.GRAPH
 
-    def test_families(self):
-        assert QueryCategory.PATH.family == "graph-based"
-        assert QueryCategory.NESTED.family == "non-graph"
-        assert QueryCategory.IMPOSSIBLE.family == "impossible"
-
     def test_difficulty_is_monotone_in_paper_order(self):
         order = [
             QueryCategory.PATH,

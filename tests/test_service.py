@@ -545,6 +545,23 @@ class TestServiceMechanics:
         assert a is b
         assert c is not a  # schema-only session is a distinct pair
 
+    def test_service_stats_gathers_every_sessions_stats(self):
+        database = movie_database()
+
+        async def main():
+            async with NarrationService(max_workers=2) as service:
+                full = service.session(database=database)
+                await full.translate(PAPER_QUERIES["Q1"])
+                await full.execute(PAPER_QUERIES["Q1"])
+                schema_only = service.session(schema=database.schema)
+                return service.stats(), full.stats(), schema_only.stats()
+
+        stats, full, schema_only = run(main())
+        assert stats["max_workers"] == 2
+        assert stats["sessions"] == [full, schema_only]
+        assert full["has_database"] and not schema_only["has_database"]
+        assert full["requests"]["by_kind"] == {"translate": 1, "execute": 1}
+
 
 # ---------------------------------------------------------------------------
 # Which requests run on the event loop

@@ -436,6 +436,28 @@ class TestMutationOrdering:
         for result in results:
             assert any("barrier" in str(row) for row in result.rows)
 
+    def test_read_barrier_waits_for_the_ack_and_fails_typed_on_give_up(self):
+        # The watermark wait itself, on a handle with no process: a routed
+        # read waits only when it overtakes a write's ack, which the
+        # router tests above do not arrange.
+        async def main():
+            handle = WorkerHandle(0, {}, default_start_method())
+            await handle.wait_applied(0)  # nothing sequenced yet: no wait
+            waiter = asyncio.ensure_future(handle.wait_applied(2))
+            await handle.mark_applied(1)
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert not waiter.done()  # acked 1, the read needs 2
+            await handle.mark_applied(2)
+            await asyncio.wait_for(waiter, 5)
+            doomed = asyncio.ensure_future(handle.wait_applied(3))
+            await asyncio.sleep(0)
+            await handle.give_up()
+            with pytest.raises(ShardError, match="permanently down"):
+                await asyncio.wait_for(doomed, 5)
+
+        run(main())
+
 
 # ---------------------------------------------------------------------------
 # Crash recovery

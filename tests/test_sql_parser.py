@@ -171,6 +171,30 @@ class TestOtherStatements:
         assert isinstance(statement, ast.CreateViewStatement)
         assert statement.name == "recent"
 
+    @pytest.mark.parametrize(
+        "sql, columns, literals",
+        [
+            (
+                "select case when m.year > 2000 then m.title else 'old' end from MOVIES m",
+                ["m.year", "m.title"], [2000, "old"],
+            ),
+            ("insert into MOVIES (id, title) values (1, 'A'), (2, 'B')", [], [1, "A", 2, "B"]),
+            (
+                "update MOVIES set year = year + 1, title = 'T' where id = 4",
+                ["year", "id"], [1, "T", 4],
+            ),
+            ("delete from MOVIES where year < 1980", ["year"], [1980]),
+            (
+                "create view recent as select title from MOVIES where year > 2000",
+                ["title", "year"], [2000],
+            ),
+        ],
+    )
+    def test_walk_reaches_every_operand(self, sql, columns, literals):
+        nodes = list(parse_sql(sql).walk())
+        assert [n.qualified for n in nodes if isinstance(n, ast.ColumnRef)] == columns
+        assert [n.value for n in nodes if isinstance(n, ast.Literal)] == literals
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(SqlParseError):
             parse_sql("select * from R garbage garbage garbage)")

@@ -85,6 +85,20 @@ class TestValidator:
         result = validate(schema, parse_select("select title from MOVIES m, ACTOR a"))
         assert result.resolved_columns[0].relation.name == "MOVIES"
 
+    def test_resolved_columns_are_qualified_by_their_binding(self, schema):
+        sql = "select m.title, year, a.name from MOVIES m, ACTOR a where m.id = 4"
+        result = validate(schema, parse_select(sql))
+        assert [c.qualified for c in result.resolved_columns] == [
+            "m.title", "m.year", "a.name", "m.id",
+        ]
+        assert result.relation_for("a").name == "ACTOR"
+
+    def test_relation_for_an_unknown_binding_raises(self, schema):
+        result = validate(schema, parse_select("select m.title from MOVIES m"))
+        assert result.relation_for("m").name == "MOVIES"
+        with pytest.raises(SqlValidationError, match="unknown table binding 'x'"):
+            result.relation_for("x")
+
     def test_duplicate_alias_rejected(self, schema):
         with pytest.raises(SqlValidationError):
             validate(schema, parse_select("select * from MOVIES m, CAST m"))

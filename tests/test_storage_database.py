@@ -3,7 +3,7 @@
 import pytest
 
 from repro.catalog import SchemaBuilder
-from repro.datasets import movie_database, movie_schema, seed_rows
+from repro.datasets import movie_database, movie_schema
 from repro.engine import Executor
 from repro.errors import ForeignKeyViolationError, UnknownTableError
 from repro.storage import Database, dump_records, load_csv_text, load_records
@@ -22,15 +22,10 @@ class TestDatabaseBasics:
         with pytest.raises(UnknownTableError):
             database.table("NOPE")
 
-    def test_row_counts(self, database):
-        counts = database.row_counts()
-        assert counts["MOVIES"] == 9
-        assert counts["DIRECTOR"] == 4
-        assert database.total_rows == sum(counts.values())
-
-    def test_has_table(self, database):
-        assert database.has_table("CAST")
-        assert not database.has_table("CASTING")
+    def test_total_rows(self, database):
+        assert len(database.table("MOVIES")) == 9
+        assert len(database.table("DIRECTOR")) == 4
+        assert database.total_rows == sum(len(table) for table in database.tables) == 57
 
 
 class TestForeignKeys:
@@ -87,7 +82,7 @@ class TestForeignKeys:
             "select count(*) from CAST c where not exists"
             " (select * from MOVIES m where m.id = c.mid)"
         )
-        assert orphans.scalar() == 0
+        assert orphans.to_tuples() == [(0,)]
 
     def test_update_keeping_a_referenced_key_allowed(self, database):
         assert database.update_where("MOVIES", lambda row: row["id"] == 4, {"year": 2005}) == 1
@@ -159,7 +154,7 @@ class TestForeignKeys:
 
     def test_load_orders_parents_first(self):
         database = Database(movie_schema())
-        rows = seed_rows()
+        rows = dump_records(movie_database())
         # Pass children before parents on purpose; load() must reorder.
         shuffled = {
             "CAST": rows["CAST"],

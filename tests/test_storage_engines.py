@@ -97,6 +97,16 @@ class TestProtocol:
         table = create_storage(movie_relation(), engine_config(engine))
         assert table.stats()["engine"] == engine
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_has_row_follows_inserts_and_deletes(self, engine):
+        table = create_storage(movie_relation(), engine_config(engine))
+        kept = table.insert({"id": 1, "title": "Troy", "year": 2004})
+        doomed = table.insert({"id": 2, "title": "Seven", "year": 1995})
+        assert table.has_row(kept) and table.has_row(doomed)
+        table.delete_rows([doomed])
+        assert table.has_row(kept) and not table.has_row(doomed)
+        assert not table.has_row(doomed + 1)
+
     def test_storage_config_is_picklable(self):
         config = StorageConfig(default_engine="columnar", engines={"CAST": "paged"})
         assert pickle.loads(pickle.dumps(config)) == config
@@ -202,6 +212,35 @@ class TestBufferManager:
         assert buffer[0] == 42
         pool.unpin(first, dirty=False)
         disk.close()
+
+    def test_flush_writes_dirty_pages_back_and_keeps_them_resident(self):
+        disk = DiskManager(page_size=MIN_PAGE_SIZE)
+        pool = BufferManager(disk, capacity=4)
+        pages = [disk.allocate() for _ in range(2)]
+        for index, page_id in enumerate(pages):
+            pool.pin(page_id)[0] = index + 1
+            pool.unpin(page_id, dirty=True)
+        assert disk.page_count == 2 and pool.resident == 2
+        assert disk.read(pages[1])[0] == 0  # only in the pool so far
+        pool.flush()
+        assert [disk.read(page_id)[0] for page_id in pages] == [1, 2]
+        assert pool.stats()["write_backs"] == 2 and pool.resident == 2
+        pool.flush()  # nothing is dirty any more
+        assert pool.stats()["write_backs"] == 2
+        disk.close()
+
+    def test_closing_a_heap_writes_its_rows_to_the_file(self, tmp_path):
+        table = PagedHeapStorage(
+            movie_relation(), page_size=MIN_PAGE_SIZE, buffer_pool_pages=4, directory=tmp_path
+        )
+        table.insert({"id": 1, "title": "Troy", "year": 2004})
+        assert b"Troy" not in table.disk.read(0)
+        table.flush()
+        assert b"Troy" in table.disk.read(0)
+        table.insert({"id": 2, "title": "Seven", "year": 1995})
+        table.close()
+        heap = (tmp_path / "movies.heap").read_bytes()
+        assert b"Troy" in heap and b"Seven" in heap
 
     def test_oversize_record_is_stored(self):
         table = PagedHeapStorage(
@@ -646,6 +685,19 @@ class TestVectorizedScans:
 
 
 class TestColumnarCompaction:
+    def test_validity_marks_nulls_and_follows_compaction(self):
+        table = ColumnarStorage(movie_relation())
+        rowids = [
+            table.insert({"id": index, "title": f"T{index}", "year": None if index % 2 else 2000})
+            for index in range(4)
+        ]
+        assert table.validity("year") == bytearray([1, 0, 1, 0])
+        assert table.validity("TITLE") == bytearray([1, 1, 1, 1])
+        table.delete_rows([rowids[0]])
+        assert table.validity("year") == bytearray([0, 1, 0])  # compacted first
+        assert table.stats()["dead_slots"] == 0
+        assert table.null_count("year") == 2
+
     def test_tombstones_compact_and_order_survives(self):
         table = ColumnarStorage(movie_relation())
         for index in range(40):

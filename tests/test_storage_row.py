@@ -49,14 +49,6 @@ class TestRowConstruction:
         row = Row({"x.title": "Troy"}).prefixed("m")
         assert set(row.keys()) == {"m.title"}
 
-    def test_project(self):
-        row = Row({"m.title": "Troy", "m.year": 2004}).project(["title"])
-        assert row.as_dict() == {"title": "Troy"}
-
-    def test_values_tuple(self):
-        row = Row({"a": 1, "b": 2})
-        assert row.values_tuple(["b", "a"]) == (2, 1)
-
 
 class TestRowEquality:
     def test_equal_to_dict(self):

@@ -11,7 +11,7 @@ from repro.errors import (
     TypeMismatchError,
     UnknownAttributeError,
 )
-from repro.storage.index import HashIndex, build_index
+from repro.storage.index import HashIndex
 from repro.storage.table import Table
 
 
@@ -114,11 +114,6 @@ class TestIndexes:
     def test_unique_index_nulls_do_not_collide(self):
         index = HashIndex("u", ["a"], unique=True)
         assert not index.would_violate_unique((None,))
-
-    def test_build_index_detects_duplicates(self):
-        rows = [(1, {"a": 1}), (2, {"a": 1})]
-        with pytest.raises(ValueError):
-            build_index("u", ["a"], rows, unique=True)
 
     def test_index_remove(self):
         index = HashIndex("i", ["a"])

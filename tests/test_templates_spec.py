@@ -5,7 +5,7 @@ import datetime
 import pytest
 
 from repro.errors import TemplateInstantiationError
-from repro.templates.spec import ListTemplate, SlotPart, Template, slot, template, text
+from repro.templates.spec import ListTemplate, slot, template
 
 
 class TestTemplateInstantiation:
@@ -43,13 +43,8 @@ class TestTemplateInstantiation:
         label = template(slot("YEAR"))
         assert label.instantiate({"YEAR": None}) == "unknown"
 
-    def test_slot_names(self):
-        label = template(slot("A"), text("-"), slot("R.B"))
-        assert label.slot_names == ("A", "B")
-
-    def test_subject_and_verb_metadata(self):
-        label = template(slot("A"), " was born", subject="A", verb="was born")
-        assert label.subject == "A"
+    def test_verb_metadata(self):
+        label = template(slot("A"), " was born", verb="was born")
         assert label.predicate_verb == "was born"
 
 
@@ -89,14 +84,6 @@ class TestListTemplate:
         assert rendered == (
             "Match Point (2005), Melinda and Melinda (2004), and Anything Else (2003)"
         )
-
-    def test_slot_names_include_last_item(self):
-        lt = ListTemplate(
-            name="L",
-            item=template(slot("a")),
-            last_item=template(slot("a"), slot("b")),
-        )
-        assert lt.slot_names == ("a", "b")
 
     def test_custom_last_item_without_pair_separator(self):
         lt = ListTemplate(

@@ -236,6 +236,51 @@ class TestReportShape:
         assert payload["domains"][0]["queries"] == 3
         assert payload["domains"][0]["mismatches"] == []
 
+    def test_mismatches_serialize_with_both_sides(self):
+        def mutate(mode, domain, query, outcome):
+            if mode != BASELINE_MODE and query.name == "scan":
+                return QueryOutcome(
+                    query=outcome.query,
+                    expected_category=outcome.expected_category,
+                    translation="corrupted",
+                    category=outcome.category,
+                    rows=outcome.rows,
+                    narration=outcome.narration,
+                )
+            return outcome
+
+        report = ValidationHarness(
+            domains=[mini_domain()],
+            modes=(BASELINE_MODE, Mode("oracle", "rows")),
+            mutate=mutate,
+        ).run()
+        payload = json.loads(json.dumps(report.to_dict()))
+        [mismatch] = payload["domains"][0]["mismatches"]
+        baseline = report.mismatches[0].baseline
+        assert mismatch == {
+            "domain": "mini",
+            "query": "scan",
+            "mode": "oracle/rows",
+            "kind": "translation",
+            "baseline": baseline,
+            "observed": "corrupted",
+        }
+        assert payload["ok"] is False and baseline != "corrupted"
+
+    def test_query_outcome_to_dict_names_every_stage(self):
+        outcome = QueryOutcome(
+            query="select 1", expected_category="path", rows="[(1,)]", error=None
+        )
+        assert outcome.to_dict() == {
+            "query": "select 1",
+            "expected_category": "path",
+            "translation": None,
+            "category": None,
+            "rows": "[(1,)]",
+            "narration": None,
+            "error": None,
+        }
+
     def test_render_lists_mismatches(self):
         def mutate(mode, domain, query, outcome):
             if mode != BASELINE_MODE and query.name == "scan":

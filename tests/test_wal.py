@@ -503,6 +503,19 @@ class TestRecovery:
         assert third.wal.last_seq == seq + 1
         third.close()
 
+    def test_attached_manager_is_the_log_and_commit_syncs_the_batch(self, tmp_path):
+        manager = DurabilityManager(self.durable(tmp_path, fsync="batch", batch_every=8))
+        database = manager.attach(movie_database())
+        assert database.wal is manager and movie_database().wal is None
+        for index in range(2):
+            database.insert("MOVIES", {"id": 960 + index, "title": f"Batch {index}", "year": 2000})
+        before = manager.stats()["wal"]
+        assert before["pending_sync"] == 2
+        manager.commit()
+        after = manager.stats()["wal"]
+        assert after["pending_sync"] == 0 and after["syncs"] == before["syncs"] + 1
+        manager.close()
+
     def test_auto_checkpoint_cadence(self, tmp_path):
         manager = DurabilityManager(
             self.durable(tmp_path, checkpoint_every=3, keep_snapshots=1)

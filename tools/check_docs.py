@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Docs health check: every relative link resolves, every example runs.
+"""Docs health check: links resolve, examples run, named code exists.
 
-Two passes, both required by CI (the ``docs`` job) and the first also by
-the tier-1 suite (``tests/test_docs.py``):
+Three passes, all required by CI (the ``docs`` job); the tier-1 suite
+(``tests/test_docs.py``) runs the links and names passes:
 
 * **Links** — every markdown link/image target in ``README.md`` and
   ``docs/*.md`` that is *relative* (no URL scheme, not an in-page
@@ -12,17 +12,23 @@ the tier-1 suite (``tests/test_docs.py``):
   ``src/`` on the path.  The operator-tool demos documented in the docs
   (currently ``tools/wal_dump.py --demo``) run in the same pass under
   the same rule.
+* **Names** — every dotted ``repro.…`` name inside an inline code span
+  of ``README.md`` and ``docs/*.md`` must resolve: its longest module
+  prefix imports and the rest are attributes, so the docs cannot name
+  code that was deleted or renamed.
 
 Usage::
 
-    python tools/check_docs.py            # both passes
+    python tools/check_docs.py            # every pass
     python tools/check_docs.py --links    # link check only
     python tools/check_docs.py --examples # example + tool-demo runs only
+    python tools/check_docs.py --names    # named-code check only
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import re
 import subprocess
@@ -66,6 +72,46 @@ def broken_links() -> List[Tuple[Path, str]]:
     return broken
 
 
+#: A dotted ``repro`` name, not part of a longer dotted word.
+_NAME_RE = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
+
+
+def documented_names() -> List[Tuple[Path, str]]:
+    """``(document, name)`` for every ``repro.…`` name in an inline code span."""
+    found: List[Tuple[Path, str]] = []
+    for document in doc_files():
+        text = re.sub(r"```.*?```", "", document.read_text(), flags=re.DOTALL)
+        for span in re.findall(r"`([^`\n]+)`", text):
+            found.extend((document, name) for name in _NAME_RE.findall(span))
+    return found
+
+
+def resolves(name: str) -> bool:
+    """Whether the longest importable prefix of ``name`` has the rest as attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as error:
+            if error.name != module_name:
+                raise
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def unresolved_names() -> List[Tuple[Path, str]]:
+    """``(document, name)`` for every documented name that does not resolve."""
+    if str(REPO / "src") not in sys.path:
+        sys.path.insert(0, str(REPO / "src"))
+    return [(document, name) for document, name in documented_names() if not resolves(name)]
+
+
 #: Operator-tool demo invocations that must run clean, like examples.
 TOOL_DEMOS: List[List[str]] = [
     ["tools/wal_dump.py", "--demo"],
@@ -100,9 +146,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--links", action="store_true", help="link check only")
     parser.add_argument("--examples", action="store_true", help="example runs only")
+    parser.add_argument("--names", action="store_true", help="named-code check only")
     args = parser.parse_args(argv)
-    run_links = args.links or not args.examples
-    run_ex = args.examples or not args.links
+    every = not (args.links or args.examples or args.names)
+    run_links = args.links or every
+    run_ex = args.examples or every
 
     status = 0
     if run_links:
@@ -123,6 +171,14 @@ def main(argv=None) -> int:
         else:
             count = len(list((REPO / "examples").glob("*.py"))) + len(TOOL_DEMOS)
             print(f"examples ok ({count} scripts)")
+    if args.names or every:
+        unresolved = unresolved_names()
+        for document, name in unresolved:
+            print(f"UNRESOLVED NAME {document.relative_to(REPO)}: {name}")
+        if unresolved:
+            status = 1
+        else:
+            print(f"names ok ({len(documented_names())} names)")
     return status
 
 
