@@ -5,13 +5,18 @@ are meaningless if the engines disagree, so equivalence is asserted in
 the same run that produces them):
 
 * ``columnar`` — full-scan filter queries at 200 and 2000 movies,
-  dict-row engine vs. the columnar engine's vectorized path.  The
-  acceptance budget lives here: at 2000 movies the columnar engine must
-  be at least :data:`BUDGET_MIN_SPEEDUP` times faster than the row
-  oracle on the scan-filter shape.  Each repeat times the row run and
-  the columnar run back to back, and the budget reads the median of the
+  dict-row engine vs. the columnar engine's vectorized path, each also
+  against a bare loop over the columnar arrays (:func:`_bare_scan`: one
+  Python predicate call per row, no executor).  The acceptance budget
+  lives here: at 2000 movies the vectorized path may take at most
+  :data:`BUDGET_MAX_OVER_BARE` times the bare loop's time on every
+  scan-filter shape.  The bare loop is the base because no engine change
+  moves it: a row-path speedup shrinks the row-over-columnar ratio
+  (recorded as ``min_speedup``, information only) without any change to
+  the vector path.  Each repeat times the row run, the columnar run and
+  the bare loop back to back, and every ratio is the median of the
   per-repeat ratios over :data:`SCAN_REPEATS` repeats, quick runs
-  included, so a slow spell on a shared host slows both sides of one
+  included, so a slow spell on a shared host slows all sides of one
   ratio instead of one side of the comparison.
 * ``paged`` — the 50-query corpus against a paged-heap database whose
   dataset spans at least 4x more pages than the buffer pool holds,
@@ -41,9 +46,10 @@ from repro.storage import StorageConfig  # noqa: E402
 
 __all__ = ["bench_storage"]
 
-#: Acceptance budget: vectorized full-scan filter at 2000 movies must be
-#: at least this many times faster than the dict-row path.
-BUDGET_MIN_SPEEDUP = 3.0
+#: Acceptance budget: a vectorized full-scan filter at 2000 movies may take
+#: at most this many times the bare loop over the arrays.  The row path
+#: takes about four times the bare loop, the vectorized path about one.
+BUDGET_MAX_OVER_BARE = 2.0
 
 #: Interleaved (rows, columnar) timing pairs per scan shape, quick or not.
 SCAN_REPEATS = 9
@@ -56,6 +62,17 @@ PAGED_CONFIG = {"page_size": 512, "buffer_pool_pages": 4}
 SCAN_QUERIES = [
     "select m.title from MOVIES m where m.year > 1990 and m.title like '%a%'",
     "select m.title, m.year from MOVIES m where m.year between 1960 and 1980",
+]
+
+#: The bare loop's version of each scan query: a predicate over one
+#: row's (year, title) and the columns it outputs.
+BARE_SCANS = [
+    (
+        lambda year, title: year is not None and year > 1990
+        and title is not None and "a" in title,
+        ("title",),
+    ),
+    (lambda year, title: year is not None and 1960 <= year <= 1980, ("title", "year")),
 ]
 
 
@@ -73,6 +90,23 @@ def _rows(result):
     return [dict(row.raw) for row in result.rows]
 
 
+def _bare_scan(table, test, columns) -> list:
+    """The budget's base: one loop over ``table``'s columnar arrays, calling
+    ``test`` on each row's (year, title) and keeping ``columns`` of the rows
+    it passes, as tuples."""
+    arrays = table.columnar_arrays()
+    picked = [arrays[name] for name in columns]
+    return [
+        tuple(column[i] for column in picked)
+        for i, (year, title) in enumerate(zip(arrays["year"], arrays["title"]))
+        if test(year, title)
+    ]
+
+
+def _ratio(numerator: float, denominator: float) -> float:
+    return numerator / denominator if denominator else float("inf")
+
+
 def _scan_pair(movies: int) -> dict:
     config = _config(movies)
     rows_db = generate_movie_database(config)
@@ -80,31 +114,37 @@ def _scan_pair(movies: int) -> dict:
         StorageConfig(default_engine="columnar")
     )
     rows_ex, col_ex = Executor(rows_db), Executor(col_db)
+    table = col_db.table("MOVIES")
     out = {"movies": movies, "repeats": SCAN_REPEATS}
-    speedups = []
-    for index, sql in enumerate(SCAN_QUERIES):
+    speedups, over_bare = [], []
+    for index, (sql, (test, columns)) in enumerate(zip(SCAN_QUERIES, BARE_SCANS)):
         # First sighting, then admission: every timed run is a shape-plan hit.
         for _ in range(2):
             assert _rows(col_ex.execute_sql(sql)) == _rows(rows_ex.execute_sql(sql))
-        row_times, col_times, ratios = [], [], []
+        got = [tuple(row.raw.values()) for row in col_ex.execute_sql(sql).rows]
+        assert got == _bare_scan(table, test, columns), sql
+        row_times, col_times, bare_times = [], [], []
         for _ in range(SCAN_REPEATS):
-            row_s, col_s = _time(rows_ex, sql), _time(col_ex, sql)
-            row_times.append(row_s)
-            col_times.append(col_s)
-            ratios.append(row_s / col_s if col_s else float("inf"))
-        speedup = statistics.median(ratios)
+            row_times.append(_time(lambda: rows_ex.execute_sql(sql)))
+            col_times.append(_time(lambda: col_ex.execute_sql(sql)))
+            bare_times.append(_time(lambda: _bare_scan(table, test, columns)))
+        speedup = statistics.median(map(_ratio, row_times, col_times))
         speedups.append(speedup)
+        over_bare.append(statistics.median(map(_ratio, col_times, bare_times)))
         out[f"q{index}_rows_ms"] = round(statistics.median(row_times) * 1e3, 4)
         out[f"q{index}_columnar_ms"] = round(statistics.median(col_times) * 1e3, 4)
+        out[f"q{index}_bare_ms"] = round(statistics.median(bare_times) * 1e3, 4)
         out[f"q{index}_speedup"] = round(speedup, 2)
+        out[f"q{index}_over_bare"] = round(over_bare[-1], 2)
     out["min_speedup"] = round(min(speedups), 2)
+    out["max_over_bare"] = round(max(over_bare), 2)
     out["vector_scans"] = col_ex.vector_scans
     return out
 
 
-def _time(executor, sql: str) -> float:
+def _time(run) -> float:
     start = time.perf_counter()
-    executor.execute_sql(sql)
+    run()
     return time.perf_counter() - start
 
 
@@ -188,7 +228,7 @@ def _equivalence_check() -> dict:
 
 def bench_storage(quick: bool = False) -> dict:
     summary = {
-        "budget_min_speedup": BUDGET_MIN_SPEEDUP,
+        "budget_max_over_bare": BUDGET_MAX_OVER_BARE,
         "equivalence": _equivalence_check(),
         "columnar": {"small": _scan_pair(200), "large": _scan_pair(2000)},
         "paged": _paged_corpus(2 if quick else 3, 4 if quick else 10),
@@ -196,9 +236,9 @@ def bench_storage(quick: bool = False) -> dict:
     large = summary["columnar"]["large"]
     record(
         summary["columnar"],
-        large["min_speedup"] >= BUDGET_MIN_SPEEDUP,
-        f"columnar speedup {large['min_speedup']}x at 2000 movies is below "
-        f"the {BUDGET_MIN_SPEEDUP}x budget",
+        large["max_over_bare"] <= BUDGET_MAX_OVER_BARE,
+        f"columnar scan takes {large['max_over_bare']}x the bare loop's time at "
+        f"2000 movies, over the {BUDGET_MAX_OVER_BARE}x budget",
     )
     return summary
 
