@@ -118,6 +118,11 @@ class DiskManager:
         self._file.write(data)
         self.writes += 1
 
+    def flush(self) -> None:
+        """Hand buffered writes to the operating system (no fsync: the WAL
+        owns durability)."""
+        self._file.flush()
+
     def reset(self) -> None:
         """Drop every page (truncate the heap to empty)."""
         self._file.seek(0)
@@ -469,6 +474,7 @@ class PagedHeapStorage(BaseTableStorage):
     def flush(self) -> None:
         """Write dirty buffered pages to the heap file."""
         self.buffers.flush()
+        self.disk.flush()
 
     def close(self) -> None:
         self.buffers.flush()

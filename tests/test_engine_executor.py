@@ -237,6 +237,107 @@ class TestFormsNoDriverSends:
                 assert executor.execute_sql(sql).to_tuples() == expected
 
 
+class TestNameResolution:
+    """How column names resolve, pinned as literal answers.
+
+    A row resolves a name by exact match, then by the first
+    case-insensitive match, then by a unique suffix after the binding;
+    an unknown or ambiguous name fails only when a row is evaluated.  A
+    correlated subquery resolves against the outer row merged with its
+    own, so an unqualified name can reach the outer row and an inner
+    binding shadows an outer one of the same name.  Each answer is the
+    result's columns and every row's keys and values in order, or the
+    error's text; both modes run each text three times (first sighting,
+    compile, shape-plan hit).
+    """
+
+    CASES = [
+        (
+            "select M.TITLE from MOVIES m where m.id = 1",
+            (("M.TITLE",), [[("M.TITLE", "Match Point")]]),
+        ),
+        (
+            "select title, genre from MOVIES m, GENRE g where g.mid = m.id and m.id = 1"
+            " order by genre",
+            (
+                ("title", "genre"),
+                [[("title", "Match Point"), ("genre", "drama")],
+                 [("title", "Match Point"), ("genre", "romance")]],
+            ),
+        ),
+        ("select nosuch from MOVIES m where 1 = 0", (("nosuch",), [])),
+        (
+            "select nosuch from MOVIES m",
+            "unknown column 'nosuch' in row ['m.id', 'm.title', 'm.year']",
+        ),
+        (
+            "select title from MOVIES a, MOVIES b where a.id = b.id",
+            "ambiguous column reference 'title'",
+        ),
+        (
+            "select * from MOVIES a, MOVIES b where a.id = 1 and b.id = 2",
+            (
+                ("a.id", "a.title", "a.year", "b.id", "b.title", "b.year"),
+                [[("a.id", 1), ("a.title", "Match Point"), ("a.year", 2005),
+                  ("b.id", 2), ("b.title", "Melinda and Melinda"), ("b.year", 2004)]],
+            ),
+        ),
+        (
+            "select m.title from MOVIES m where exists"
+            " (select * from GENRE g where g.mid = id and g.genre = 'drama') order by m.title",
+            (
+                ("m.title",),
+                [[("m.title", "Match Point")], [("m.title", "Melinda and Melinda")],
+                 [("m.title", "Ocean Heist")]],
+            ),
+        ),
+        (
+            "select m.title from MOVIES m where m.id in"
+            " (select m.id from MOVIES m where m.year = 2004) order by m.title",
+            (("m.title",), [[("m.title", "Melinda and Melinda")], [("m.title", "Troy")]]),
+        ),
+        (
+            "select m.title from MOVIES m where exists"
+            " (select * from GENRE g where g.mid = m.id and g.nosuch = 1)",
+            "unknown column 'g.nosuch' in row ['g.genre', 'g.mid', 'm.id', 'm.title', 'm.year']",
+        ),
+        (
+            "select m.year as y, m.title from MOVIES m where m.id < 4 order by y, m.title",
+            (
+                ("y", "m.title"),
+                [[("y", 2003), ("m.title", "Anything Else")],
+                 [("y", 2004), ("m.title", "Melinda and Melinda")],
+                 [("y", 2005), ("m.title", "Match Point")]],
+            ),
+        ),
+        (
+            "select g.genre, count(*) from GENRE g group by g.genre having count(*) > 2"
+            " order by count(*) desc, g.genre",
+            (
+                ("g.genre", "count(*)"),
+                [[("g.genre", "action"), ("count(*)", 5)],
+                 [("g.genre", "comedy"), ("count(*)", 3)],
+                 [("g.genre", "drama"), ("count(*)", 3)]],
+            ),
+        ),
+    ]
+
+    @pytest.mark.parametrize("sql, expected", CASES)
+    def test_both_modes_give_the_expected_answer(self, sql, expected):
+        database = movie_database()
+        for compiled in (True, False):
+            executor = Executor(database, compiled=compiled)
+            for _ in range(3):
+                if isinstance(expected, str):
+                    with pytest.raises(EvaluationError) as error:
+                        executor.execute_sql(sql)
+                    assert str(error.value) == expected
+                else:
+                    result = executor.execute_sql(sql)
+                    rows = [list(row.raw.items()) for row in result.rows]
+                    assert (result.columns, rows) == expected
+
+
 class TestPlansAreBuiltOnce:
     """A compiled executor builds each plan's runners once and keeps them."""
 

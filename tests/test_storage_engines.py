@@ -236,6 +236,9 @@ class TestBufferManager:
         table.insert({"id": 1, "title": "Troy", "year": 2004})
         assert b"Troy" not in table.disk.read(0)
         table.flush()
+        # Read the file first: a read through the disk manager would flush
+        # its buffered file object itself.
+        assert b"Troy" in (tmp_path / "movies.heap").read_bytes()
         assert b"Troy" in table.disk.read(0)
         table.insert({"id": 2, "title": "Seven", "year": 1995})
         table.close()
