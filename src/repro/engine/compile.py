@@ -1,15 +1,19 @@
-"""Expression compilation: AST → Python closures.
+"""Expression compilation: AST → Python closures over positional rows.
 
 The interpreted :class:`~repro.engine.evaluator.ExpressionEvaluator`
 re-walks the AST for every row, paying an ``isinstance`` dispatch chain
 per node and an O(columns) :meth:`Row.resolve_key` scan per column
-reference.  The compiler walks the AST *once* and emits a tree of nested
-closures in which
+reference.  The compiler walks the AST *once*, against the *layout* of
+the rows it will read (the column names of a row's values, slot by
+slot), and emits a tree of nested closures in which
 
 * operator dispatch happens at compile time (each closure knows what it
   computes),
-* column references carry a pre-resolved slot: after the first row of a
-  given shape, reading a column is a single dict probe, and
+* a column reference is bound to its slot by :meth:`Row.resolve_key`'s
+  precedence (exact, then first case-insensitive, then unique suffix),
+  so reading it is one tuple index; a name the layout cannot resolve
+  compiles to a closure that raises the interpreter's error text when
+  it is evaluated, and
 * LIKE patterns against literals are compiled to regexes once.
 
 Compiled closures implement exactly the evaluator's semantics (SQL
@@ -24,23 +28,24 @@ variant of its SQL shape.  The map is empty outside a shape-plan run.
 Nothing is memoized here: the executor compiles a plan's closures once,
 when it builds the plan's runners, and keeps the runners.
 
-Subqueries are delegated to the ``subquery_runner`` callback — the
-executor supplies one that answers key-correlated subqueries from
+Subqueries are bound through the ``subquery_runner`` callback, once per
+connector, to the layout of the rows the connector reads — the executor
+supplies one that answers key-correlated subqueries from
 once-per-statement hash tables and memoizes the rest on their outer
 values, which is what makes the nested paper queries (Q5/Q6/Q7) cheap.
-EXISTS connectors only ask whether rows exist: when the runner has an
-``exists`` method they call it, which lets the executor decide a
+EXISTS connectors only ask whether rows exist: when the bound subquery
+has an ``exists`` method they call it, which lets the executor decide a
 relational division (Q6) by set containment without producing rows.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.evaluator import (
     ONE_ARGUMENT,
-    SubqueryRunner,
+    column_error,
     compare_values,
     like_regex,
     one_argument_error,
@@ -49,8 +54,37 @@ from repro.errors import EvaluationError
 from repro.sql import ast
 from repro.storage.row import Row
 
-#: A compiled expression: row in, value out.
-CompiledExpr = Callable[[Row], Any]
+#: A row between operators: its values, one per slot of its layout.
+Values = Tuple[Any, ...]
+
+#: The column names of a row's values, slot by slot.  A layout may name a
+#: column twice (an outer row's values followed by an inner row's): the
+#: name then keeps its first position and reads its last slot, as
+#: ``{**outer, **inner}`` would.
+Layout = Tuple[str, ...]
+
+#: A compiled expression: a row's values in, value out.
+CompiledExpr = Callable[[Values], Any]
+
+#: Binds a subquery to the layout of the rows its connector evaluates
+#: (called once, when the connector is compiled); the result maps an
+#: outer row's values to the subquery's rows, whose first value each
+#: connector reads.  It may carry an ``exists(values) -> bool`` method.
+SubqueryBinder = Callable[[ast.SelectStatement, Layout], Callable[[Values], Iterable[Values]]]
+
+
+def resolve_slot(layout: Sequence[str], key: str) -> Optional[int]:
+    """The slot ``key`` names in ``layout``, or None.
+
+    The precedence is :meth:`Row.resolve_key`'s over the row ``layout``
+    describes: an exact match, then the first case-insensitive match,
+    then a unique match on the suffix after the last dot.
+    """
+    slots = {name: slot for slot, name in enumerate(layout)}
+    name = Row.adopt(slots).resolve_key(key)
+    return None if name is None else slots[name]
+
+
 
 _COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
     "=": operator.eq,
@@ -62,8 +96,38 @@ _COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
+def _divide(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise EvaluationError("division by zero")
+    result = left / right
+    if isinstance(left, int) and isinstance(right, int) and left % right == 0:
+        return left // right
+    return result
+
+
+def _modulo(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise EvaluationError("modulo by zero")
+    return left % right
+
+
+def _concat(left: Any, right: Any) -> str:
+    return f"{left}{right}"
+
+
+#: Arithmetic over two non-NULL operands.
+_ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": _modulo,
+    "||": _concat,
+}
+
+
 class ExpressionCompiler:
-    """Compile AST expressions into closures over :class:`Row`.
+    """Compile AST expressions into closures over rows of a given layout.
 
     ``ordinals`` maps ``id(literal node)`` to a position in ``params[0]``,
     the literal vector of the query being served; the executor installs
@@ -72,7 +136,7 @@ class ExpressionCompiler:
 
     def __init__(
         self,
-        subquery_runner: Optional[SubqueryRunner] = None,
+        subquery_runner: Optional[SubqueryBinder] = None,
         params: Optional[List[Tuple[Any, ...]]] = None,
     ) -> None:
         self._run_subquery = subquery_runner
@@ -81,13 +145,15 @@ class ExpressionCompiler:
 
     # ------------------------------------------------------------------
 
-    def compile_predicate(self, predicate: Optional[ast.Expression]) -> Callable[[Row], bool]:
+    def compile_predicate(
+        self, predicate: Optional[ast.Expression], layout: Layout
+    ) -> Callable[[Values], bool]:
         """Compile a WHERE/HAVING predicate; NULL counts as not matching."""
         if predicate is None:
             return lambda row: True
-        fn = self.compile(predicate)
+        fn = self.compile(predicate, layout)
 
-        def run(row: Row) -> bool:
+        def run(row: Values) -> bool:
             value = fn(row)
             return bool(value) and value is not None
 
@@ -104,8 +170,8 @@ class ExpressionCompiler:
 
     # ------------------------------------------------------------------
 
-    def compile(self, e: ast.Expression) -> CompiledExpr:
-        """Compile ``e`` into a closure."""
+    def compile(self, e: ast.Expression, layout: Layout) -> CompiledExpr:
+        """Compile ``e`` into a closure over rows of ``layout``."""
         if isinstance(e, ast.Literal):
             position = self.ordinals.get(id(e))
             if position is not None:
@@ -114,78 +180,57 @@ class ExpressionCompiler:
             value = e.value
             return lambda row: value
         if isinstance(e, ast.ColumnRef):
-            return self._compile_column(e)
+            return self._compile_slot(e.qualified, layout, lambda names: column_error(names, e))
         if isinstance(e, ast.Star):
             return lambda row: 1  # only meaningful inside count(*)
         if isinstance(e, ast.BinaryOp):
-            return self._compile_binary(e)
+            return self._compile_binary(e, layout)
         if isinstance(e, ast.UnaryOp):
-            return self._compile_unary(e)
+            return self._compile_unary(e, layout)
         if isinstance(e, ast.FunctionCall):
-            return self._compile_function(e)
+            return self._compile_function(e, layout)
         if isinstance(e, ast.IsNull):
-            return self._compile_is_null(e)
+            return self._compile_is_null(e, layout)
         if isinstance(e, ast.Between):
-            return self._compile_between(e)
+            return self._compile_between(e, layout)
         if isinstance(e, ast.InList):
-            return self._compile_in_list(e)
+            return self._compile_in_list(e, layout)
         if isinstance(e, ast.InSubquery):
-            return self._compile_in_subquery(e)
+            return self._compile_in_subquery(e, layout)
         if isinstance(e, ast.Exists):
-            return self._compile_exists(e)
+            return self._compile_exists(e, layout)
         if isinstance(e, ast.QuantifiedComparison):
-            return self._compile_quantified(e)
+            return self._compile_quantified(e, layout)
         if isinstance(e, ast.ScalarSubquery):
-            return self._compile_scalar_subquery(e)
+            return self._compile_scalar_subquery(e, layout)
         if isinstance(e, ast.CaseExpression):
-            return self._compile_case(e)
+            return self._compile_case(e, layout)
         return _raising(f"cannot evaluate expression {type(e).__name__}")
 
     # ------------------------------------------------------------------
-    # Columns: pre-resolved slots
+    # Columns: slots bound at compile time
     # ------------------------------------------------------------------
 
-    def _compile_column(self, column: ast.ColumnRef) -> CompiledExpr:
-        key = column.qualified
-        table = column.table
-        name = column.column
-        # The resolved slot is cached per row *shape* (the tuple of keys):
-        # rows streaming through one plan operator share a shape, so after
-        # the first row every access is a dict probe.  The exact-match
-        # fast path above it needs no shape check at all.
-        cached_sig: Optional[Tuple[str, ...]] = None
-        cached_slot: Optional[str] = None
-
-        def run(row: Row) -> Any:
-            nonlocal cached_sig, cached_slot
-            values = row.raw
-            if key in values:
-                return values[key]
-            sig = tuple(values)
-            if sig == cached_sig:
-                return values[cached_slot]
-            resolved = row.resolve_key(key)
-            if resolved is None:
-                if table is None and row.is_ambiguous(name):
-                    raise EvaluationError(f"ambiguous column reference {name!r}")
-                raise EvaluationError(
-                    f"unknown column {key!r} in row {sorted(values)}"
-                )
-            cached_sig, cached_slot = sig, resolved
-            return values[resolved]
-
-        return run
+    def _compile_slot(
+        self, key: str, layout: Layout, error: Callable[[Layout], str]
+    ) -> CompiledExpr:
+        """A read of the slot ``key`` resolves to, or a closure raising
+        ``error(layout)`` when it resolves to none."""
+        slot = resolve_slot(layout, key)
+        if slot is None:
+            return _raising(error(layout))
+        return operator.itemgetter(slot)
 
     # ------------------------------------------------------------------
     # Operators
     # ------------------------------------------------------------------
 
-    def _compile_binary(self, e: ast.BinaryOp) -> CompiledExpr:
+    def _compile_binary(self, e: ast.BinaryOp, layout: Layout) -> CompiledExpr:
         op = e.op.upper()
+        lf, rf = self.compile(e.left, layout), self.compile(e.right, layout)
         if op == "AND":
-            lf, rf = self.compile(e.left), self.compile(e.right)
 
-            def run_and(row: Row) -> Any:
+            def run_and(row: Values) -> Any:
                 left = lf(row)
                 if left is False:
                     return False
@@ -198,9 +243,8 @@ class ExpressionCompiler:
 
             return run_and
         if op == "OR":
-            lf, rf = self.compile(e.left), self.compile(e.right)
 
-            def run_or(row: Row) -> Any:
+            def run_or(row: Values) -> Any:
                 left = lf(row)
                 if left is True or (left is not None and left and not isinstance(left, bool)):
                     return True
@@ -213,8 +257,6 @@ class ExpressionCompiler:
 
             return run_or
 
-        lf, rf = self.compile(e.left), self.compile(e.right)
-
         if op in ("LIKE", "NOT LIKE"):
             negate = op == "NOT LIKE"
             # Literal patterns (the common case) compile to a regex once.
@@ -225,7 +267,7 @@ class ExpressionCompiler:
             ):
                 matcher = like_regex(str(e.right.value)).match
 
-                def run_like_lit(row: Row) -> Any:
+                def run_like_lit(row: Values) -> Any:
                     value = lf(row)
                     if value is None:
                         return None
@@ -234,7 +276,7 @@ class ExpressionCompiler:
 
                 return run_like_lit
 
-            def run_like(row: Row) -> Any:
+            def run_like(row: Values) -> Any:
                 value, pattern = lf(row), rf(row)
                 if value is None or pattern is None:
                     return None
@@ -246,7 +288,7 @@ class ExpressionCompiler:
         comparison = _COMPARISONS.get(op)
         if comparison is not None:
 
-            def run_compare(row: Row) -> Any:
+            def run_compare(row: Values) -> Any:
                 left, right = lf(row), rf(row)
                 if left is None or right is None:
                     return None
@@ -259,57 +301,23 @@ class ExpressionCompiler:
 
             return run_compare
 
-        if op in ("+", "-", "*"):
-            arith = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+        arith = _ARITHMETIC.get(op)
+        if arith is not None:
 
-            def run_arith(row: Row) -> Any:
+            def run_arith(row: Values) -> Any:
                 left, right = lf(row), rf(row)
                 if left is None or right is None:
                     return None
                 return arith(left, right)
 
             return run_arith
-        if op == "/":
-
-            def run_div(row: Row) -> Any:
-                left, right = lf(row), rf(row)
-                if left is None or right is None:
-                    return None
-                if right == 0:
-                    raise EvaluationError("division by zero")
-                result = left / right
-                if isinstance(left, int) and isinstance(right, int) and left % right == 0:
-                    return left // right
-                return result
-
-            return run_div
-        if op == "%":
-
-            def run_mod(row: Row) -> Any:
-                left, right = lf(row), rf(row)
-                if left is None or right is None:
-                    return None
-                if right == 0:
-                    raise EvaluationError("modulo by zero")
-                return left % right
-
-            return run_mod
-        if op == "||":
-
-            def run_concat(row: Row) -> Any:
-                left, right = lf(row), rf(row)
-                if left is None or right is None:
-                    return None
-                return f"{left}{right}"
-
-            return run_concat
         return _raising(f"unsupported operator {e.op!r}")
 
-    def _compile_unary(self, e: ast.UnaryOp) -> CompiledExpr:
-        fn = self.compile(e.operand)
+    def _compile_unary(self, e: ast.UnaryOp, layout: Layout) -> CompiledExpr:
+        fn = self.compile(e.operand, layout)
         if e.op.upper() == "NOT":
 
-            def run_not(row: Row) -> Any:
+            def run_not(row: Values) -> Any:
                 value = fn(row)
                 if value is None:
                     return None
@@ -318,7 +326,7 @@ class ExpressionCompiler:
             return run_not
         if e.op == "-":
 
-            def run_neg(row: Row) -> Any:
+            def run_neg(row: Values) -> Any:
                 value = fn(row)
                 if value is None:
                     return None
@@ -331,35 +339,17 @@ class ExpressionCompiler:
     # Functions
     # ------------------------------------------------------------------
 
-    def _compile_function(self, e: ast.FunctionCall) -> CompiledExpr:
+    def _compile_function(self, e: ast.FunctionCall, layout: Layout) -> CompiledExpr:
         name = e.name.upper()
         if e.is_aggregate:
             # Aggregates are computed by the Aggregate operator and stored
-            # in the group row under the expression's SQL text; compile to
-            # a slot read with the same caching as a column reference.
+            # in the group row under the expression's SQL text.
             key = str(e)
-            cached_sig: Optional[Tuple[str, ...]] = None
-            cached_slot: Optional[str] = None
+            return self._compile_slot(
+                key, layout, lambda names: f"aggregate {key} used outside of an aggregation context"
+            )
 
-            def run_aggregate_ref(row: Row) -> Any:
-                nonlocal cached_sig, cached_slot
-                values = row.raw
-                if key in values:
-                    return values[key]
-                sig = tuple(values)
-                if sig == cached_sig:
-                    return values[cached_slot]
-                resolved = row.resolve_key(key)
-                if resolved is None:
-                    raise EvaluationError(
-                        f"aggregate {key} used outside of an aggregation context"
-                    )
-                cached_sig, cached_slot = sig, resolved
-                return values[resolved]
-
-            return run_aggregate_ref
-
-        arg_fns = [self.compile(a) for a in e.args]
+        arg_fns = [self.compile(a, layout) for a in e.args]
         if name in ONE_ARGUMENT and len(arg_fns) != 1:
             return _raising(one_argument_error(name, len(arg_fns)))
         if name == "LOWER":
@@ -376,7 +366,7 @@ class ExpressionCompiler:
             return lambda row: None if (v := fn(row)) is None else abs(v)
         if name == "COALESCE":
 
-            def run_coalesce(row: Row) -> Any:
+            def run_coalesce(row: Values) -> Any:
                 for fn in arg_fns:
                     value = fn(row)
                     if value is not None:
@@ -390,19 +380,19 @@ class ExpressionCompiler:
     # Predicates over values
     # ------------------------------------------------------------------
 
-    def _compile_is_null(self, e: ast.IsNull) -> CompiledExpr:
-        fn = self.compile(e.operand)
+    def _compile_is_null(self, e: ast.IsNull, layout: Layout) -> CompiledExpr:
+        fn = self.compile(e.operand, layout)
         if e.negated:
             return lambda row: fn(row) is not None
         return lambda row: fn(row) is None
 
-    def _compile_between(self, e: ast.Between) -> CompiledExpr:
-        value_fn = self.compile(e.operand)
-        low_fn = self.compile(e.low)
-        high_fn = self.compile(e.high)
+    def _compile_between(self, e: ast.Between, layout: Layout) -> CompiledExpr:
+        value_fn = self.compile(e.operand, layout)
+        low_fn = self.compile(e.low, layout)
+        high_fn = self.compile(e.high, layout)
         negated = e.negated
 
-        def run(row: Row) -> Any:
+        def run(row: Values) -> Any:
             value = value_fn(row)
             low = low_fn(row)
             high = high_fn(row)
@@ -413,9 +403,9 @@ class ExpressionCompiler:
 
         return run
 
-    def _compile_in_list(self, e: ast.InList) -> CompiledExpr:
-        value_fn = self.compile(e.operand)
-        item_fns = [self.compile(v) for v in e.values]
+    def _compile_in_list(self, e: ast.InList, layout: Layout) -> CompiledExpr:
+        value_fn = self.compile(e.operand, layout)
+        item_fns = [self.compile(v, layout) for v in e.values]
         negated = e.negated
 
         # All-literal lists (the common case) become a frozen set probe.
@@ -428,7 +418,7 @@ class ExpressionCompiler:
                 members = None
             if members is not None:
 
-                def run_literal(row: Row) -> Any:
+                def run_literal(row: Values) -> Any:
                     value = value_fn(row)
                     if value is None:
                         return None
@@ -439,7 +429,7 @@ class ExpressionCompiler:
 
                 return run_literal
 
-        def run(row: Row) -> Any:
+        def run(row: Values) -> Any:
             value = value_fn(row)
             if value is None:
                 return None
@@ -451,14 +441,14 @@ class ExpressionCompiler:
 
         return run
 
-    def _compile_case(self, e: ast.CaseExpression) -> CompiledExpr:
+    def _compile_case(self, e: ast.CaseExpression, layout: Layout) -> CompiledExpr:
         whens = [
-            (self.compile_predicate(condition), self.compile(value))
+            (self.compile_predicate(condition, layout), self.compile(value, layout))
             for condition, value in e.whens
         ]
-        else_fn = self.compile(e.else_value) if e.else_value is not None else None
+        else_fn = self.compile(e.else_value, layout) if e.else_value is not None else None
 
-        def run(row: Row) -> Any:
+        def run(row: Values) -> Any:
             for condition_fn, value_fn in whens:
                 if condition_fn(row):
                     return value_fn(row)
@@ -472,40 +462,33 @@ class ExpressionCompiler:
     # Subqueries
     # ------------------------------------------------------------------
 
-    def _runner(self) -> SubqueryRunner:
-        runner = self._run_subquery
-        if runner is None:
+    def _bind(
+        self, select: ast.SelectStatement, layout: Layout
+    ) -> Callable[[Values], Iterable[Values]]:
+        bind = self._run_subquery
+        if bind is None:
             # Defer the failure to evaluation time, like the interpreter: a
             # subquery in a branch that is never taken must never raise.
-            def runner(select: ast.SelectStatement, row: Optional[Row]):
+            def unbound(row: Values) -> Iterable[Values]:
                 raise EvaluationError(
                     "expression contains a subquery but no subquery runner is configured"
                 )
 
-        return runner
+            return unbound
+        return bind(select, layout)
 
     def _compile_subquery_values(
-        self, select: ast.SelectStatement
-    ) -> Callable[[Row], List[Any]]:
-        runner = self._runner()
+        self, select: ast.SelectStatement, layout: Layout
+    ) -> Callable[[Values], List[Any]]:
+        rows = self._bind(select, layout)
+        return lambda row: [sub_row[0] for sub_row in rows(row) if sub_row]
 
-        def run(row: Row) -> List[Any]:
-            values: List[Any] = []
-            for sub_row in runner(select, row):
-                raw = sub_row.raw
-                if not raw:
-                    continue
-                values.append(raw[next(iter(raw))])
-            return values
-
-        return run
-
-    def _compile_in_subquery(self, e: ast.InSubquery) -> CompiledExpr:
-        value_fn = self.compile(e.operand)
-        values_fn = self._compile_subquery_values(e.subquery)
+    def _compile_in_subquery(self, e: ast.InSubquery, layout: Layout) -> CompiledExpr:
+        value_fn = self.compile(e.operand, layout)
+        values_fn = self._compile_subquery_values(e.subquery, layout)
         negated = e.negated
 
-        def run(row: Row) -> Any:
+        def run(row: Values) -> Any:
             value = value_fn(row)
             values = values_fn(row)
             if value is None:
@@ -527,35 +510,34 @@ class ExpressionCompiler:
 
         return run
 
-    def _compile_exists(self, e: ast.Exists) -> CompiledExpr:
-        runner = self._runner()
-        select = e.subquery
+    def _compile_exists(self, e: ast.Exists, layout: Layout) -> CompiledExpr:
+        rows = self._bind(e.subquery, layout)
         negated = e.negated
-        exists = getattr(runner, "exists", None)
+        exists = getattr(rows, "exists", None)
         if exists is not None:
 
-            def run_exists(row: Row) -> Any:
-                found = exists(select, row)
+            def run_exists(row: Values) -> Any:
+                found = exists(row)
                 return not found if negated else found
 
             return run_exists
 
-        def run(row: Row) -> Any:
+        def run(row: Values) -> Any:
             found = False
-            for _ in runner(select, row):
+            for _ in rows(row):
                 found = True
                 break
             return not found if negated else found
 
         return run
 
-    def _compile_quantified(self, e: ast.QuantifiedComparison) -> CompiledExpr:
-        value_fn = self.compile(e.operand)
-        values_fn = self._compile_subquery_values(e.subquery)
+    def _compile_quantified(self, e: ast.QuantifiedComparison, layout: Layout) -> CompiledExpr:
+        value_fn = self.compile(e.operand, layout)
+        values_fn = self._compile_subquery_values(e.subquery, layout)
         op = e.op
         is_all = e.quantifier.upper() == "ALL"
 
-        def run(row: Row) -> Any:
+        def run(row: Values) -> Any:
             value = value_fn(row)
             values = values_fn(row)
             if is_all:
@@ -578,10 +560,10 @@ class ExpressionCompiler:
 
         return run
 
-    def _compile_scalar_subquery(self, e: ast.ScalarSubquery) -> CompiledExpr:
-        values_fn = self._compile_subquery_values(e.subquery)
+    def _compile_scalar_subquery(self, e: ast.ScalarSubquery, layout: Layout) -> CompiledExpr:
+        values_fn = self._compile_subquery_values(e.subquery, layout)
 
-        def run(row: Row) -> Any:
+        def run(row: Values) -> Any:
             values = values_fn(row)
             if not values:
                 return None
@@ -604,7 +586,7 @@ def _raising(message: str) -> CompiledExpr:
     evaluator (a CASE branch that is never taken never raises).
     """
 
-    def run(row: Row) -> Any:
+    def run(row: Values) -> Any:
         raise EvaluationError(message)
 
     return run

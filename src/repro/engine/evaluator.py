@@ -31,6 +31,18 @@ def one_argument_error(name: str, count: int) -> str:
     return f"{name} takes one argument, got {count}"
 
 
+def column_error(names: Iterable[str], column: ast.ColumnRef) -> str:
+    """The error for ``column`` over a row with column ``names`` that
+    cannot resolve it: ambiguous when it is unqualified and more than one
+    name ends in it, else unknown."""
+    present = list(dict.fromkeys(names))
+    if column.table is None:
+        lowered = column.column.lower()
+        if sum(name.lower().rsplit(".", 1)[-1] == lowered for name in present) > 1:
+            return f"ambiguous column reference {column.column!r}"
+    return f"unknown column {column.qualified!r} in row {sorted(present)}"
+
+
 class ExpressionEvaluator:
     """Evaluate AST expressions against a :class:`Row`."""
 
@@ -84,19 +96,9 @@ class ExpressionEvaluator:
     # ------------------------------------------------------------------
 
     def _column_value(self, column: ast.ColumnRef, row: Row) -> Any:
-        key = column.qualified
-        resolved = row.resolve_key(key)
-        if resolved is not None:
-            return row.get(resolved)
-        if column.table is not None:
-            # A qualified reference must resolve exactly; silently falling back
-            # to another binding's column would return wrong answers.
-            raise EvaluationError(f"unknown column {key!r} in row {sorted(row.keys())}")
-        if row.is_ambiguous(column.column):
-            raise EvaluationError(f"ambiguous column reference {column.column!r}")
-        resolved = row.resolve_key(column.column)
+        resolved = row.resolve_key(column.qualified)
         if resolved is None:
-            raise EvaluationError(f"unknown column {key!r} in row {sorted(row.keys())}")
+            raise EvaluationError(column_error(row, column))
         return row.get(resolved)
 
     # ------------------------------------------------------------------
@@ -130,13 +132,13 @@ class ExpressionEvaluator:
         right = self.evaluate(expression.right, row)
 
         if op in ("LIKE", "NOT LIKE"):
-            matched = _like(left, right)
-            if matched is None:
+            if left is None or right is None:
                 return None
+            matched = like_regex(str(right)).match(str(left)) is not None
             return not matched if op == "NOT LIKE" else matched
 
         if op in ("=", "<>", "<", "<=", ">", ">="):
-            return _compare(op, left, right)
+            return compare_values(op, left, right)
 
         if left is None or right is None:
             return None
@@ -275,7 +277,7 @@ class ExpressionEvaluator:
         if expression.quantifier.upper() == "ALL":
             if not values:
                 return True
-            results = [_compare(op, value, v) for v in values]
+            results = [compare_values(op, value, v) for v in values]
             if any(r is False for r in results):
                 return False
             if any(r is None for r in results):
@@ -284,7 +286,7 @@ class ExpressionEvaluator:
         # ANY / SOME
         if not values:
             return False
-        results = [_compare(op, value, v) for v in values]
+        results = [compare_values(op, value, v) for v in values]
         if any(r is True for r in results):
             return True
         if any(r is None for r in results):
@@ -350,15 +352,3 @@ def like_regex(pattern: str) -> "re.Pattern":
             regex += re.escape(ch)
     regex += "$"
     return re.compile(regex)
-
-
-def like_match(value: Any, pattern: Any) -> Optional[bool]:
-    """SQL LIKE with ``%`` and ``_`` wildcards (case-sensitive)."""
-    if value is None or pattern is None:
-        return None
-    return like_regex(str(pattern)).match(str(value)) is not None
-
-
-# Backwards-compatible internal aliases.
-_compare = compare_values
-_like = like_match

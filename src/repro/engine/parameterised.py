@@ -114,9 +114,9 @@ class ParameterisedPlan:
     vector for every *parameter* literal of the canonical statement (the
     nodes themselves are kept alive by ``statement``).  ``columns`` is
     the result header — safe to share because literals that could surface
-    in it are pinned by the guard.  ``run`` is the plan's root runner, which
-    the executor builds at the entry's first run, while ``ordinals`` is
-    installed in its expression compiler.
+    in it are pinned by the guard.  ``run`` is the plan's root runner and
+    its rows' layout, which the executor builds at the entry's first run,
+    while ``ordinals`` is installed in its expression compiler.
     """
 
     __slots__ = ("statement", "plan", "columns", "ordinals", "run")
@@ -132,7 +132,7 @@ class ParameterisedPlan:
         self.plan = plan
         self.columns = columns
         self.ordinals = ordinals
-        self.run: Optional[Callable[[None], Iterator[Any]]] = None
+        self.run: Optional[Tuple[Callable[[None], Iterator[Any]], Tuple[str, ...]]] = None
 
 
 def analyze_statement(

@@ -3,9 +3,8 @@
 When a scan's table exposes :meth:`~repro.storage.api.TableStorage.columnar_arrays`
 (the columnar engine does), the compiled executor runs a filter chain
 directly over a full scan, and a projection over one, as passes over
-position lists instead of a closure call per row: no per-row dict
-probes, no :class:`~repro.storage.row.Row` allocation for rows the
-filter rejects.  The subset is the one the query corpora reach:
+position lists instead of a closure call per row: no per-row closure
+calls, no tuple for a row the filter rejects.  The subset is the one the query corpora reach:
 
 * conjuncts ``col CMP literal`` (either side), ``col [NOT] LIKE
   literal``, ``col BETWEEN literal AND literal`` and ``col IS [NOT]
@@ -32,7 +31,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.evaluator import like_regex
 from repro.sql import ast
-from repro.storage.row import Row
 
 __all__ = ["VectorUnsupported", "VectorExpressionCompiler"]
 
@@ -77,7 +75,6 @@ class VectorExpressionCompiler:
         params: Optional[List[Tuple[Any, ...]]] = None,
         ordinals: Optional[Dict[int, int]] = None,
     ) -> None:
-        self._prefix = binding
         self._binding = (binding or "").lower()
         self._attrs = {a.name.lower(): a.name for a in relation.attributes}
         self._params = params
@@ -98,7 +95,7 @@ class VectorExpressionCompiler:
         tests = [
             self._fused_test(conjunct)
             for predicate in predicates
-            for conjunct in _flatten_and(predicate)
+            for conjunct in ast.conjuncts(predicate)
         ]
 
         def run(arrays: Arrays, n: int) -> Selection:
@@ -112,21 +109,16 @@ class VectorExpressionCompiler:
         return run
 
     def compile_projection(
-        self, items: Sequence[Tuple[str, ast.Expression]]
-    ) -> Callable[[Arrays, Selection], List[Row]]:
-        """Compile ``(output name, plain column)`` select items to a row builder."""
-        return _row_builder([(name, self._column(e)) for name, e in items])
+        self, items: Sequence[ast.Expression]
+    ) -> Callable[[Arrays, Selection], List[Tuple[Any, ...]]]:
+        """Compile plain-column select items to a builder of their rows."""
+        return _row_builder([self._column(e) for e in items])
 
-    def compile_scan_rows(self) -> Callable[[Arrays, Selection], List[Row]]:
-        """A builder of the scan's own rows, keyed ``binding.attribute``.
-
-        Key order is relation declaration order, the keys and order the
-        row path's ``row.prefixed(binding)`` gives, so a vectorized
-        filter's output rows are indistinguishable from the row path's.
-        """
-        return _row_builder(
-            [(f"{self._prefix}.{name}", name) for name in self._attrs.values()]
-        )
+    def compile_scan_rows(self) -> Callable[[Arrays, Selection], List[Tuple[Any, ...]]]:
+        """A builder of the scan's own rows: every attribute in declaration
+        order, the row path's scan layout, so a vectorized filter's rows
+        are indistinguishable from the row path's."""
+        return _row_builder(list(self._attrs.values()))
 
     # -- operands ------------------------------------------------------
 
@@ -184,18 +176,8 @@ class VectorExpressionCompiler:
 # ----------------------------------------------------------------------
 
 
-def _flatten_and(predicate: ast.Expression) -> List[ast.Expression]:
-    """``a AND b AND c`` -> ``[a, b, c]`` in source order."""
-    conjuncts: List[ast.Expression] = []
-    stack = [predicate]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, ast.BinaryOp) and e.op.upper() == "AND":
-            stack.append(e.right)
-            stack.append(e.left)
-        else:
-            conjuncts.append(e)
-    return conjuncts
+def _positions(column: List[Any], selection: Optional[List[int]]) -> Selection:
+    return range(len(column)) if selection is None else selection
 
 
 def _compare_test(name: str, cmp, thunk):
@@ -204,9 +186,11 @@ def _compare_test(name: str, cmp, thunk):
         if const is None:
             return []  # NULL comparisons never match
         column = arrays[name]
-        if selection is None:
-            return [i for i, v in enumerate(column) if v is not None and cmp(v, const)]
-        return [i for i in selection if (v := column[i]) is not None and cmp(v, const)]
+        return [
+            i
+            for i in _positions(column, selection)
+            if (v := column[i]) is not None and cmp(v, const)
+        ]
 
     return test
 
@@ -218,28 +202,10 @@ def _like_test(name: str, pattern_thunk, negate: bool):
             return []
         match = like_regex(str(pattern)).match
         column = arrays[name]
-        if negate:
-            if selection is None:
-                return [
-                    i
-                    for i, v in enumerate(column)
-                    if v is not None and match(str(v)) is None
-                ]
-            return [
-                i
-                for i in selection
-                if (v := column[i]) is not None and match(str(v)) is None
-            ]
-        if selection is None:
-            return [
-                i
-                for i, v in enumerate(column)
-                if v is not None and match(str(v)) is not None
-            ]
         return [
             i
-            for i in selection
-            if (v := column[i]) is not None and match(str(v)) is not None
+            for i in _positions(column, selection)
+            if (v := column[i]) is not None and (match(str(v)) is None) is negate
         ]
 
     return test
@@ -252,12 +218,10 @@ def _between_test(name: str, low_thunk, high_thunk):
         if low is None or high is None:
             return []
         column = arrays[name]
-        if selection is None:
-            return [
-                i for i, v in enumerate(column) if v is not None and low <= v <= high
-            ]
         return [
-            i for i in selection if (v := column[i]) is not None and low <= v <= high
+            i
+            for i in _positions(column, selection)
+            if (v := column[i]) is not None and low <= v <= high
         ]
 
     return test
@@ -266,36 +230,21 @@ def _between_test(name: str, low_thunk, high_thunk):
 def _is_null_test(name: str, negated: bool):
     def test(arrays: Arrays, selection: Optional[List[int]]):
         column = arrays[name]
-        if negated:
-            if selection is None:
-                return [i for i, v in enumerate(column) if v is not None]
-            return [i for i in selection if column[i] is not None]
-        if selection is None:
-            return [i for i, v in enumerate(column) if v is None]
-        return [i for i in selection if column[i] is None]
+        return [i for i in _positions(column, selection) if (column[i] is None) is not negated]
 
     return test
 
 
-def _row_builder(
-    columns: Sequence[Tuple[str, str]]
-) -> Callable[[Arrays, Selection], List[Row]]:
-    """Rows keyed by output name, one per selected position, in ``columns`` order."""
+def _row_builder(names: Sequence[str]) -> Callable[[Arrays, Selection], List[Tuple[Any, ...]]]:
+    """Rows of the columns ``names``, one per selected position, in order."""
 
-    def build(arrays: Arrays, selection: Selection) -> List[Row]:
-        adopt = Row.adopt
-        if len(columns) == 1:
-            ((key, name),) = columns
-            column = arrays[name]
-            return [adopt({key: column[i]}) for i in selection]
-        # A plain loop: a dict comprehension per row costs a frame each.
-        picked = [(key, arrays[name]) for key, name in columns]
-        out: List[Row] = []
-        for i in selection:
-            values: Dict[str, Any] = {}
-            for key, column in picked:
-                values[key] = column[i]
-            out.append(adopt(values))
-        return out
+    def build(arrays: Arrays, selection: Selection) -> List[Tuple[Any, ...]]:
+        columns = [arrays[name] for name in names]
+        if len(selection) == 1:
+            return [tuple(column[selection[0]] for column in columns)]
+        if isinstance(selection, range) or not selection:
+            return list(zip(*(column[: len(selection)] for column in columns)))
+        pick = operator.itemgetter(*selection)
+        return list(zip(*(pick(column) for column in columns)))
 
     return build

@@ -78,28 +78,6 @@ class Row(Mapping[str, Any]):
             return default
         return self._values[resolved]
 
-    def is_ambiguous(self, key: str) -> bool:
-        """True when an unqualified ``key`` matches more than one column."""
-        lowered = key.lower()
-        if any(k.lower() == lowered for k in self._values):
-            return False
-        suffix_matches = [
-            k for k in self._values if k.lower().rsplit(".", 1)[-1] == lowered
-        ]
-        return len(suffix_matches) > 1
-
-    # -- Construction helpers ---------------------------------------------
-
-    def merged(self, other: "Row") -> "Row":
-        """A new row containing this row's columns followed by ``other``'s."""
-        return Row.adopt({**self._values, **other._values})
-
-    def prefixed(self, prefix: str) -> "Row":
-        """A new row whose keys are all qualified with ``prefix.``."""
-        return Row.adopt(
-            {f"{prefix}.{k.rsplit('.', 1)[-1]}": v for k, v in self._values.items()}
-        )
-
     def as_dict(self) -> Dict[str, Any]:
         return dict(self._values)
 
@@ -107,8 +85,8 @@ class Row(Mapping[str, Any]):
     def raw(self) -> Dict[str, Any]:
         """The backing dict itself (read-only by convention).
 
-        Compiled expressions (``repro.engine.compile``) go through this to
-        skip per-access dict copies; callers must never mutate it.
+        Hot paths go through this to skip per-access dict copies; callers
+        must never mutate it.
         """
         return self._values
 

@@ -69,11 +69,6 @@ class LRUCache:
     def clear(self) -> None:
         self._data.clear()
 
-    def discard_if(self, stale: Callable[[Hashable, Any], bool]) -> None:
-        """Drop every entry for which ``stale(key, value)`` holds."""
-        for key in [key for key, value in self._data.items() if stale(key, value)]:
-            del self._data[key]
-
     def __len__(self) -> int:
         return len(self._data)
 

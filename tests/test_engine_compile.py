@@ -35,11 +35,17 @@ def db():
 # ---------------------------------------------------------------------------
 
 
+def compiled_for(expression, row: Row, subquery_runner=None):
+    """``expression`` compiled against ``row``'s columns, as a function of a Row."""
+    fn = ExpressionCompiler(subquery_runner=subquery_runner).compile(expression, tuple(row))
+    return lambda r: fn(tuple(r.raw.values()))
+
+
 def eval_both(sql_expr: str, row: Row):
     """Both modes' value, or the message of the EvaluationError each raised."""
     statement = parse_select(f"select {sql_expr}")
     expression = statement.select_items[0].expression
-    compiled = ExpressionCompiler().compile(expression)
+    compiled = compiled_for(expression, row)
     evaluator = ExpressionEvaluator()
     return _outcome(compiled, row), _outcome(lambda r: evaluator.evaluate(expression, r), row)
 
@@ -121,44 +127,48 @@ def test_three_valued_logic_matches(expr):
     assert compiled_value is None and interpreted_value is None
 
 
-def test_compiled_column_slot_survives_shape_change():
+def test_compiled_column_binds_a_slot_per_layout():
     statement = parse_select("select title")
     expression = statement.select_items[0].expression
-    fn = ExpressionCompiler().compile(expression)
-    assert fn(Row({"m.title": "Troy"})) == "Troy"
-    # Different shape, same unqualified reference: the cached slot must
-    # not leak across shapes.
-    assert fn(Row({"b.title": "Seven", "b.year": 1995})) == "Seven"
-    assert fn(Row({"m.title": "Troy"})) == "Troy"
+    compiler = ExpressionCompiler()
+    assert compiler.compile(expression, ("m.title",))(("Troy",)) == "Troy"
+    # Another layout, same unqualified reference: each closure reads the
+    # slot its own layout gives the name.
+    fn = compiler.compile(expression, ("b.year", "b.title"))
+    assert fn((1995, "Seven")) == "Seven"
+    # A name twice in one layout (an outer row, then an inner one) keeps
+    # its first position and reads its last slot, as a merged row would.
+    fn = compiler.compile(expression, ("m.title", "m.year", "m.title"))
+    assert fn(("outer", 2004, "inner")) == "inner"
 
 
 def test_compiled_ambiguous_column_raises():
     statement = parse_select("select title")
-    fn = ExpressionCompiler().compile(statement.select_items[0].expression)
+    fn = ExpressionCompiler().compile(statement.select_items[0].expression, ("m.title", "d.title"))
     with pytest.raises(EvaluationError, match="ambiguous"):
-        fn(Row({"m.title": "Troy", "d.title": "Other"}))
+        fn(("Troy", "Other"))
 
 
 def test_compiled_unknown_column_raises():
     statement = parse_select("select m.nope")
-    fn = ExpressionCompiler().compile(statement.select_items[0].expression)
+    fn = ExpressionCompiler().compile(statement.select_items[0].expression, ("m.title",))
     with pytest.raises(EvaluationError, match="unknown column"):
-        fn(Row({"m.title": "Troy"}))
+        fn(("Troy",))
 
 
 def test_compiled_division_by_zero_raises():
     statement = parse_select("select 1 / 0")
-    fn = ExpressionCompiler().compile(statement.select_items[0].expression)
+    fn = ExpressionCompiler().compile(statement.select_items[0].expression, ())
     with pytest.raises(EvaluationError, match="division by zero"):
-        fn(Row({}))
+        fn(())
 
 
 def test_untaken_case_branch_never_raises():
     # Unknown functions must fail at evaluation, not compilation, and only
     # when the branch is actually taken — exactly like the interpreter.
     statement = parse_select("select case when 1 = 2 then nosuchfn(1) else 7 end")
-    fn = ExpressionCompiler().compile(statement.select_items[0].expression)
-    assert fn(Row({})) == 7
+    fn = ExpressionCompiler().compile(statement.select_items[0].expression, ())
+    assert fn(()) == 7
 
 
 def test_subquery_without_a_runner_fails_only_when_evaluated():
@@ -166,7 +176,7 @@ def test_subquery_without_a_runner_fails_only_when_evaluated():
         "select case when x > 99 then x in (select s.v from S s) else 0 end"
     )
     expression = statement.select_items[0].expression
-    compiled = ExpressionCompiler().compile(expression)
+    compiled = compiled_for(expression, Row({"x": 0}))
     for evaluate in (compiled, functools.partial(ExpressionEvaluator().evaluate, expression)):
         assert evaluate(Row({"x": 5})) == 0
         with pytest.raises(EvaluationError, match="no subquery runner is configured"):
@@ -196,7 +206,10 @@ def test_subquery_connectors_match_over_a_plain_runner(expr, expected):
         def runner(select, outer, values=values):
             return [Row({"s.v": value}) for value in values]
 
-        compiled_value = ExpressionCompiler(subquery_runner=runner).compile(expression)(row)
+        def binder(select, layout, values=values):
+            return lambda outer: [(value,) for value in values]
+
+        compiled_value = compiled_for(expression, row, subquery_runner=binder)(row)
         interpreted_value = ExpressionEvaluator(subquery_runner=runner).evaluate(expression, row)
         assert compiled_value == interpreted_value
         outcomes.append(compiled_value)
@@ -225,7 +238,7 @@ def test_property_compiled_matches_interpreted_on_random_rows(x, y):
     evaluator = ExpressionEvaluator()
     for text in _PROPERTY_EXPRESSIONS:
         expression = parse_select(f"select {text}").select_items[0].expression
-        compiled_value = compiler.compile(expression)(row)
+        compiled_value = compiler.compile(expression, ("x", "y"))((x, y))
         interpreted_value = evaluator.evaluate(expression, row)
         assert compiled_value == interpreted_value, text
         assert (compiled_value is None) == (interpreted_value is None), text

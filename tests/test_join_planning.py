@@ -174,15 +174,19 @@ def product_rows(database, statement, outer=None):
         subquery_runner=lambda sub, row: product_rows(database, sub, row)
     )
     scans = [
-        [row.prefixed(table.binding) for row in database.table(table.name).rows()]
+        [
+            {f"{table.binding}.{key}": value for key, value in row.raw.items()}
+            for row in database.table(table.name).rows()
+        ]
         for table in statement.from_tables
     ]
     found = []
     for parts in product(*scans):
-        row = Row({})
+        merged = {}
         for part in parts:
-            row = row.merged(part)
-        scoped = outer.merged(row) if outer is not None else row
+            merged.update(part)
+        row = Row(merged)
+        scoped = Row({**outer.raw, **merged}) if outer is not None else row
         if evaluator.matches(statement.where, scoped):
             found.append(row)
     return found

@@ -13,6 +13,7 @@ from repro.nlg.realize import realize_sentence, word_count
 from repro.sql import ast, parse_select, to_sql
 from repro.sql.lexer import tokenize
 from repro.sql.tokens import TokenType
+from repro.engine.compile import ExpressionCompiler, resolve_slot
 from repro.storage.row import Row
 from repro.templates.spec import ListTemplate, slot, template
 
@@ -86,24 +87,31 @@ class TestSqlRoundTripProperties:
         assert conjunct.right.value == value
 
 
-class TestRowProperties:
+class TestLayoutProperties:
+    """Slots bound against a layout read what a Row over the same names would."""
+
     @given(values=st.dictionaries(identifiers, scalar_values, min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
-    def test_prefix_then_unqualified_lookup_recovers_values(self, values):
-        row = Row(values).prefixed("t")
+    def test_a_scan_layout_binds_every_qualified_name(self, values):
+        layout = tuple(f"t.{key}" for key in values)
+        row = tuple(values.values())
         for key, value in values.items():
-            assert row[f"t.{key}"] == value
+            reference = ast.ColumnRef(key, "t")
+            assert ExpressionCompiler().compile(reference, layout)(row) == value
+            assert Row(dict(zip(layout, row)))[f"t.{key}"] == value
 
     @given(
         first=st.dictionaries(identifiers, scalar_values, max_size=4),
         second=st.dictionaries(identifiers, scalar_values, max_size=4),
     )
     @settings(max_examples=60, deadline=None)
-    def test_merge_is_right_biased_and_total(self, first, second):
-        merged = Row(first).merged(Row(second))
-        assert set(merged.keys()) == set(first) | set(second)
-        for key, value in second.items():
-            assert merged[key] == value
+    def test_a_repeated_name_reads_its_last_slot(self, first, second):
+        # An outer row's layout followed by an inner row's, as a merged row.
+        layout = tuple(first) + tuple(second)
+        row = tuple(first.values()) + tuple(second.values())
+        merged = {**first, **second}
+        for key, value in merged.items():
+            assert row[resolve_slot(layout, key)] == value
 
 
 class TestMorphologyProperties:

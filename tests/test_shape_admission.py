@@ -215,15 +215,14 @@ class TestExecutorAdmission:
         assert (shape["deferred"], shape["misses"], shape["hits"]) == (1, 2, 1)
 
     def test_scan_cache_is_bounded_under_fresh_aliases(self, db):
+        # Scan rows are cached per table whatever the alias: one entry.
         executor = compiled_executor(db)
-        bound = executor_module._SCAN_CACHE_SIZE
-        for index in range(bound * 3):
+        for index in range(64 * 3):
             alias = f"s{index}"
             executor.execute_sql(
                 f"select {alias}.title from MOVIES {alias} where {alias}.year > 1990"
             )
-            assert executor.cache_stats["scan_tables"] <= bound
-        assert executor.cache_stats["scan_tables"] == bound
+            assert executor.cache_stats["scan_tables"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,7 @@ class TestScanCacheAcrossWrites:
         # do not stay resident until the key is read again.
         executor = compiled_executor(db)
         executor.execute_sql(self.JOIN)
-        assert sorted(key[0] for key in executor._scan_cache) == ["GENRE", "MOVIES"]
+        assert sorted(executor._scan_cache) == ["GENRE", "MOVIES"]
         movies = db.table("MOVIES")
         scans = []
 
@@ -296,7 +295,7 @@ class TestScanCacheAcrossWrites:
         db.insert("GENRE", {"mid": 1, "genre": "noir"})
         sql = "select m.title from MOVIES m where m.year > 2000"
         result = executor.execute_sql(sql)
-        assert [key[0] for key in executor._scan_cache] == ["MOVIES"]
+        assert list(executor._scan_cache) == ["MOVIES"]
         assert scans == []
         assert_same(result, interpreted(db).execute_sql(sql))
 
@@ -385,13 +384,12 @@ class TestShapeChurnSoak:
             ),
             ("graph-builder scopes", len(builder._scope_cache), builder._scope_cache.maxsize),
             ("masked shapes", len(shape_module._MASK_CACHE), shape_module._MASK_CACHE.maxsize),
-            ("scan cache", len(executor._scan_cache), executor_module._SCAN_CACHE_SIZE),
+            ("scan cache", len(executor._scan_cache), len(executor.database.tables)),
             ("shape infos", len(executor._shape_infos), executor._shape_infos.maxsize),
             ("shape plans", len(executor._shape_plans), executor._shape_plans.maxsize),
             ("executor sightings", len(executor._sightings), SIGHTINGS_SIZE),
             ("subquery memo", scope.memo_entries, executor_module._SUBQUERY_MEMO_LIMIT),
             ("correlation info", len(scope.correlations), 10_000),
-            ("subquery plans", len(scope.subplans), executor_module._SUBPLAN_LIMIT),
         ]
 
     def _assert_bounded(self, translator, executor):

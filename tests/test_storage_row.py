@@ -21,7 +21,6 @@ class TestRowLookup:
     def test_ambiguous_suffix_returns_none_via_resolve(self):
         row = Row({"m.id": 1, "a.id": 2})
         assert row.resolve_key("id") is None
-        assert row.is_ambiguous("id")
 
     def test_missing_key_raises(self):
         with pytest.raises(KeyError):
@@ -34,20 +33,6 @@ class TestRowLookup:
         row = Row({"m.title": "Troy"})
         assert "title" in row
         assert "year" not in row
-
-
-class TestRowConstruction:
-    def test_merged_right_side_wins(self):
-        merged = Row({"a": 1, "b": 2}).merged(Row({"b": 3, "c": 4}))
-        assert merged.as_dict() == {"a": 1, "b": 3, "c": 4}
-
-    def test_prefixed(self):
-        row = Row({"title": "Troy", "year": 2004}).prefixed("m")
-        assert set(row.keys()) == {"m.title", "m.year"}
-
-    def test_prefixed_replaces_existing_prefix(self):
-        row = Row({"x.title": "Troy"}).prefixed("m")
-        assert set(row.keys()) == {"m.title"}
 
 
 class TestRowEquality:

@@ -239,9 +239,9 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_and",
         "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_or",
         "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_arith",
-        "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_div",
-        "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_mod",
-        "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_concat",
+        "repro/engine/compile.py:_divide",
+        "repro/engine/compile.py:_modulo",
+        "repro/engine/compile.py:_concat",
         "repro/engine/compile.py:ExpressionCompiler._compile_unary",
         "repro/engine/compile.py:ExpressionCompiler._compile_unary.<locals>.run_not",
         "repro/engine/compile.py:ExpressionCompiler._compile_unary.<locals>.run_neg",
@@ -252,7 +252,7 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/engine/compile.py:ExpressionCompiler._compile_in_list.<locals>.run",
         "repro/engine/compile.py:ExpressionCompiler._compile_case",
         "repro/engine/compile.py:ExpressionCompiler._compile_case.<locals>.run",
-        "repro/engine/compile.py:ExpressionCompiler._runner.<locals>.runner",
+        "repro/engine/compile.py:ExpressionCompiler._bind.<locals>.unbound",
         "repro/engine/compile.py:ExpressionCompiler._compile_exists.<locals>.run",
         "repro/engine/compile.py:_raising",
         "repro/engine/compile.py:_raising.<locals>.run",
@@ -269,7 +269,6 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/engine/evaluator.py:ExpressionEvaluator._between",
         "repro/engine/evaluator.py:ExpressionEvaluator._in_list",
         "repro/engine/evaluator.py:ExpressionEvaluator._case",
-        "repro/engine/evaluator.py:like_match",
         "repro/engine/vector.py:_is_null_test",
         "repro/engine/vector.py:_is_null_test.<locals>.test",
         "repro/sql/parser.py:Parser._parse_case",
@@ -305,7 +304,6 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
     )),
     ("error-reporting paths", (
         "repro/engine/evaluator.py:one_argument_error",
-        "repro/storage/row.py:Row.is_ambiguous",
         "repro/service/sharding/worker.py:_wire_error",
         "repro/validation/harness.py:_canonical_error",
         "repro/validation/report.py:QueryOutcome.to_dict",
