@@ -543,11 +543,6 @@ class _Subquery:
         found = None if slots is None else tuple(_freeze(values[slot]) for slot in slots)
         return None if found is None or _ABSENT in found else found
 
-    def row_key(self, values: Values) -> Tuple[Any, ...]:
-        """The outer row as a memo key: its columns' names and values, with types."""
-        row = dict(zip(self.layout, values))
-        return (tuple(row.items()), tuple(map(type, row.values())))
-
 
 @dataclass(eq=False)
 class _StatementScope:
@@ -1326,7 +1321,8 @@ class Executor:
         # Memo keys carry the outer values' types: 1 and 1.0 are equal
         # keys, but a subquery that reads them returns different values.
         if info.mode == "row":
-            key: Any = (params, subquery.row_key(outer))
+            row = dict(zip(subquery.layout, outer))  # each name once, as a merged row
+            key: Any = (params, tuple(row.items()), tuple(map(type, row.values())))
         else:
             values = subquery.outer_values(info.keys, outer)
             if values is None:

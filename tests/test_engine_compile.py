@@ -127,7 +127,7 @@ def test_three_valued_logic_matches(expr):
     assert compiled_value is None and interpreted_value is None
 
 
-def test_compiled_column_binds_a_slot_per_layout():
+def test_compiled_column_slot_survives_shape_change():
     statement = parse_select("select title")
     expression = statement.select_items[0].expression
     compiler = ExpressionCompiler()

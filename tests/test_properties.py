@@ -87,17 +87,19 @@ class TestSqlRoundTripProperties:
         assert conjunct.right.value == value
 
 
-class TestLayoutProperties:
+class TestRowProperties:
     """Slots bound against a layout read what a Row over the same names would."""
 
     @given(values=st.dictionaries(identifiers, scalar_values, min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
-    def test_a_scan_layout_binds_every_qualified_name(self, values):
+    def test_prefix_then_unqualified_lookup_recovers_values(self, values):
+        # A scan's layout prefixes every column with its binding.
         layout = tuple(f"t.{key}" for key in values)
         row = tuple(values.values())
+        compiler = ExpressionCompiler()
         for key, value in values.items():
-            reference = ast.ColumnRef(key, "t")
-            assert ExpressionCompiler().compile(reference, layout)(row) == value
+            for reference in (ast.ColumnRef(key, "t"), ast.ColumnRef(key)):
+                assert compiler.compile(reference, layout)(row) == value
             assert Row(dict(zip(layout, row)))[f"t.{key}"] == value
 
     @given(
@@ -105,8 +107,9 @@ class TestLayoutProperties:
         second=st.dictionaries(identifiers, scalar_values, max_size=4),
     )
     @settings(max_examples=60, deadline=None)
-    def test_a_repeated_name_reads_its_last_slot(self, first, second):
-        # An outer row's layout followed by an inner row's, as a merged row.
+    def test_merge_is_right_biased_and_total(self, first, second):
+        # An outer row's layout followed by an inner row's reads as the
+        # merged row would: every name resolves, the inner value wins.
         layout = tuple(first) + tuple(second)
         row = tuple(first.values()) + tuple(second.values())
         merged = {**first, **second}

@@ -259,6 +259,7 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/engine/executor.py:Executor._build_sort",
         "repro/engine/executor.py:Executor._build_sort.<locals>.run",
         "repro/engine/executor.py:Executor._build_sort.<locals>.run.<locals>.sort_key",
+        "repro/engine/executor.py:Executor._projector.<locals>.project",
         "repro/engine/executor.py:_distinct",
         "repro/engine/executor.py:_distinct.<locals>.run",
         "repro/engine/executor.py:_limit",
@@ -303,6 +304,7 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/content/ranking.py:score_tuple",
     )),
     ("error-reporting paths", (
+        "repro/engine/evaluator.py:column_error",
         "repro/engine/evaluator.py:one_argument_error",
         "repro/service/sharding/worker.py:_wire_error",
         "repro/validation/harness.py:_canonical_error",
@@ -353,6 +355,7 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/storage/engine/paged.py:DiskManager.close",
         "repro/storage/engine/paged.py:SlottedPage.delete",
         "repro/storage/engine/paged.py:SlottedPage.update_in_place",
+        "repro/storage/engine/paged.py:DiskManager.flush",
         "repro/storage/engine/paged.py:BufferManager.flush",
         "repro/storage/engine/paged.py:BufferManager.resident",
         "repro/storage/engine/paged.py:PagedHeapStorage._pop_row",
