@@ -85,7 +85,6 @@ def resolve_slot(layout: Sequence[str], key: str) -> Optional[int]:
     return None if name is None else slots[name]
 
 
-
 _COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
     "=": operator.eq,
     "<>": operator.ne,
@@ -139,7 +138,7 @@ class ExpressionCompiler:
         subquery_runner: Optional[SubqueryBinder] = None,
         params: Optional[List[Tuple[Any, ...]]] = None,
     ) -> None:
-        self._run_subquery = subquery_runner
+        self._bind_subquery = subquery_runner
         self.params: List[Tuple[Any, ...]] = params if params is not None else [()]
         self.ordinals: Dict[int, int] = {}
 
@@ -465,7 +464,7 @@ class ExpressionCompiler:
     def _bind(
         self, select: ast.SelectStatement, layout: Layout
     ) -> Callable[[Values], Iterable[Values]]:
-        bind = self._run_subquery
+        bind = self._bind_subquery
         if bind is None:
             # Defer the failure to evaluation time, like the interpreter: a
             # subquery in a branch that is never taken must never raise.

@@ -1232,6 +1232,7 @@ class Executor:
         expands to the row's columns, not the outer row's."""
         offset = len(outer or ())
         scoped = _scoped(outer, layout)
+        bind = self.compiled and not _lacking(scoped)
         names: List[str] = []
         fns: List[CompiledExpr] = []
         slots: List[Optional[int]] = []  # the slot an item reads, if that is all it does
@@ -1247,7 +1248,7 @@ class Executor:
             else:
                 names.append(item.output_name)
                 fns.append(self._expr_fn(item.expression, scoped))
-                plain = isinstance(item.expression, ast.ColumnRef) and self.compiled
+                plain = bind and isinstance(item.expression, ast.ColumnRef)
                 slots.append(resolve_slot(scoped, item.expression.qualified) if plain else None)
         last = {name: index for index, name in enumerate(names)}
         output = tuple(last)

@@ -8,7 +8,7 @@ data changes, so this is a thin OrderedDict wrapper instead.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterator, Optional
+from typing import Any, Hashable, Iterator, Optional
 
 #: How many first-sighting shape hashes the second-sighting admission of
 #: the plan store and the executor remembers (an ``LRUCache`` each):
