@@ -3,8 +3,8 @@
 When a scan's table exposes :meth:`~repro.storage.api.TableStorage.columnar_arrays`
 (the columnar engine does), the compiled executor runs a filter chain
 directly over a full scan, and a projection over one, as passes over
-position lists instead of a closure call per row: no per-row closure
-calls, no tuple for a row the filter rejects.  The subset is the one the query corpora reach:
+position lists instead of a closure call per row, with no tuple for a
+row the filter rejects.  The subset is the one the query corpora reach:
 
 * conjuncts ``col CMP literal`` (either side), ``col [NOT] LIKE
   literal``, ``col BETWEEN literal AND literal`` and ``col IS [NOT]
