@@ -296,11 +296,14 @@ class BaseTableStorage:
         observers (``row_inserted`` per restored row, after the
         ``table_truncated`` from the embedded truncate) are all rebuilt,
         identically in every engine.  Bumps the version so caches keyed
-        on table contents are invalidated.
+        on table contents are invalidated.  Each row is stored as every
+        engine stores it: one value per attribute in declaration order,
+        NULL for a column the snapshot lacks.
         """
         self.truncate()
+        names = self.relation.attribute_names
         for rowid, values in rows:
-            stored = dict(values)
+            stored = {name: values.get(name) for name in names}
             self._store_row(rowid, stored)
             for column, value in stored.items():
                 if value is None:
