@@ -95,36 +95,6 @@ _COMPARISONS: Dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def _divide(left: Any, right: Any) -> Any:
-    if right == 0:
-        raise EvaluationError("division by zero")
-    result = left / right
-    if isinstance(left, int) and isinstance(right, int) and left % right == 0:
-        return left // right
-    return result
-
-
-def _modulo(left: Any, right: Any) -> Any:
-    if right == 0:
-        raise EvaluationError("modulo by zero")
-    return left % right
-
-
-def _concat(left: Any, right: Any) -> str:
-    return f"{left}{right}"
-
-
-#: Arithmetic over two non-NULL operands.
-_ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _divide,
-    "%": _modulo,
-    "||": _concat,
-}
-
-
 class ExpressionCompiler:
     """Compile AST expressions into closures over rows of a given layout.
 
@@ -226,8 +196,8 @@ class ExpressionCompiler:
 
     def _compile_binary(self, e: ast.BinaryOp, layout: Layout) -> CompiledExpr:
         op = e.op.upper()
-        lf, rf = self.compile(e.left, layout), self.compile(e.right, layout)
         if op == "AND":
+            lf, rf = self.compile(e.left, layout), self.compile(e.right, layout)
 
             def run_and(row: Values) -> Any:
                 left = lf(row)
@@ -242,6 +212,7 @@ class ExpressionCompiler:
 
             return run_and
         if op == "OR":
+            lf, rf = self.compile(e.left, layout), self.compile(e.right, layout)
 
             def run_or(row: Values) -> Any:
                 left = lf(row)
@@ -255,6 +226,8 @@ class ExpressionCompiler:
                 return bool(left) or bool(right)
 
             return run_or
+
+        lf, rf = self.compile(e.left, layout), self.compile(e.right, layout)
 
         if op in ("LIKE", "NOT LIKE"):
             negate = op == "NOT LIKE"
@@ -300,8 +273,8 @@ class ExpressionCompiler:
 
             return run_compare
 
-        arith = _ARITHMETIC.get(op)
-        if arith is not None:
+        if op in ("+", "-", "*"):
+            arith = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
 
             def run_arith(row: Values) -> Any:
                 left, right = lf(row), rf(row)
@@ -310,6 +283,40 @@ class ExpressionCompiler:
                 return arith(left, right)
 
             return run_arith
+        if op == "/":
+
+            def run_div(row: Values) -> Any:
+                left, right = lf(row), rf(row)
+                if left is None or right is None:
+                    return None
+                if right == 0:
+                    raise EvaluationError("division by zero")
+                result = left / right
+                if isinstance(left, int) and isinstance(right, int) and left % right == 0:
+                    return left // right
+                return result
+
+            return run_div
+        if op == "%":
+
+            def run_mod(row: Values) -> Any:
+                left, right = lf(row), rf(row)
+                if left is None or right is None:
+                    return None
+                if right == 0:
+                    raise EvaluationError("modulo by zero")
+                return left % right
+
+            return run_mod
+        if op == "||":
+
+            def run_concat(row: Values) -> Any:
+                left, right = lf(row), rf(row)
+                if left is None or right is None:
+                    return None
+                return f"{left}{right}"
+
+            return run_concat
         return _raising(f"unsupported operator {e.op!r}")
 
     def _compile_unary(self, e: ast.UnaryOp, layout: Layout) -> CompiledExpr:

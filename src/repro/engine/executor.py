@@ -69,7 +69,7 @@ compiled path against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -158,7 +158,6 @@ class _Lacking(str):
 _ABSENT: Any = object()
 
 
-@dataclass(eq=False)
 class _SubqueryInfo:
     """Once-per-statement analysis of a subquery (see :func:`_analyze_subquery`).
 
@@ -180,16 +179,25 @@ class _SubqueryInfo:
     (see :class:`_Division`).
     """
 
-    mode: str
-    keys: Tuple[str, ...] = ()
-    outer_refs: Tuple[ast.ColumnRef, ...] = ()
-    key_columns: Tuple[ast.ColumnRef, ...] = ()
-    block_where: Tuple[ast.Expression, ...] = ()
-    runners: Optional[Tuple[Any, ...]] = None  # built at the block's first build
-    division: Optional["_Division"] = None
+    __slots__ = ("mode", "keys", "outer_refs", "key_columns", "block_where", "runners", "division")
+
+    def __init__(
+        self,
+        mode: str,
+        keys: Tuple[str, ...] = (),
+        outer_refs: Tuple[ast.ColumnRef, ...] = (),
+        key_columns: Tuple[ast.ColumnRef, ...] = (),
+        block_where: Tuple[ast.Expression, ...] = (),
+    ) -> None:
+        self.mode = mode
+        self.keys = keys
+        self.outer_refs = outer_refs
+        self.key_columns = key_columns
+        self.block_where = block_where
+        self.runners: Optional[Tuple[Any, ...]] = None  # built at the block's first build
+        self.division: Optional[_Division] = None
 
 
-@dataclass(eq=False)
 class _Division:
     """A block under [NOT] EXISTS whose outer references all sit in one
     nested [NOT] EXISTS over a key-correlated ``inner`` block.
@@ -206,14 +214,35 @@ class _Division:
     ``block_where`` is the block's WHERE without the nested connector.
     """
 
-    inner: ast.SelectStatement
-    negated: bool
-    outer_keys: Tuple[str, ...]
-    outer_positions: Tuple[int, ...]
-    own_positions: Tuple[int, ...]
-    own_columns: Tuple[ast.ColumnRef, ...]
-    block_where: Tuple[ast.Expression, ...]
-    runners: Optional[Tuple[Any, ...]] = None  # built at the block's first build
+    __slots__ = (
+        "inner",
+        "negated",
+        "outer_keys",
+        "outer_positions",
+        "own_positions",
+        "own_columns",
+        "block_where",
+        "runners",
+    )
+
+    def __init__(
+        self,
+        inner: ast.SelectStatement,
+        negated: bool,
+        outer_keys: Tuple[str, ...],
+        outer_positions: Tuple[int, ...],
+        own_positions: Tuple[int, ...],
+        own_columns: Tuple[ast.ColumnRef, ...],
+        block_where: Tuple[ast.Expression, ...],
+    ) -> None:
+        self.inner = inner
+        self.negated = negated
+        self.outer_keys = outer_keys
+        self.outer_positions = outer_positions
+        self.own_positions = own_positions
+        self.own_columns = own_columns
+        self.block_where = block_where
+        self.runners: Optional[Tuple[Any, ...]] = None  # built at the block's first build
 
 
 #: One block's FROM entries: lowered binding -> (binding as written,
@@ -449,7 +478,6 @@ def _connected(statement: ast.SelectStatement, conjuncts: Iterable[ast.Expressio
     return len({root(binding) for binding in bindings}) == 1
 
 
-@dataclass(eq=False)
 class _Table:
     """Rent-or-buy state of one decorrelated subquery under one parameter vector.
 
@@ -467,12 +495,15 @@ class _Table:
     raised, which leaves the statement per key.
     """
 
-    cost: int
-    spent: int = 0
-    read: int = 0
-    derived: int = 0
-    built: Any = None
-    failed: bool = False
+    __slots__ = ("spent", "cost", "read", "derived", "built", "failed")
+
+    def __init__(self, cost: int) -> None:
+        self.spent = 0
+        self.cost = cost
+        self.read = 0
+        self.derived = 0
+        self.built: Any = None
+        self.failed = False
 
     def charge(self, read: int, derived: int) -> None:
         """Account for one per-key evaluation."""
@@ -490,16 +521,17 @@ class _Table:
         return self.spent > estimate
 
 
-@dataclass(eq=False)
 class _SubqueryState:
     """Data-dependent state of one subquery statement: memo and tables."""
 
-    statement: ast.SelectStatement
-    memo: Dict[Any, Any] = field(default_factory=dict)  # (params, outer values) -> rows
-    tables: Dict[Tuple[Any, ...], _Table] = field(default_factory=dict)  # params -> table
+    __slots__ = ("statement", "memo", "tables")
+
+    def __init__(self, statement: ast.SelectStatement) -> None:
+        self.statement = statement
+        self.memo: Dict[Any, Any] = {}  # (params, outer values) -> rows
+        self.tables: Dict[Tuple[Any, ...], _Table] = {}  # params -> table
 
 
-@dataclass(eq=False)
 class _Subquery:
     """A subquery bound to the layout of the rows its connector evaluates.
 
@@ -509,11 +541,14 @@ class _Subquery:
     and with the outer row, built at their first call and kept.
     """
 
-    executor: "Executor"
-    statement: ast.SelectStatement
-    layout: Layout
-    runs: List[Optional[Tuple[Runner, bool]]] = field(default_factory=lambda: [None, None])
-    key_slots: Dict[Tuple[str, ...], Optional[Tuple[int, ...]]] = field(default_factory=dict)
+    __slots__ = ("executor", "statement", "layout", "runs", "key_slots")
+
+    def __init__(self, executor: "Executor", statement: ast.SelectStatement, layout: Layout) -> None:
+        self.executor = executor
+        self.statement = statement
+        self.layout = layout
+        self.runs: List[Optional[Tuple[Runner, bool]]] = [None, None]
+        self.key_slots: Dict[Tuple[str, ...], Optional[Tuple[int, ...]]] = {}
 
     def __call__(self, values: Values) -> List[Values]:
         return self.executor._run_subquery(self, values)
@@ -540,11 +575,9 @@ class _Subquery:
             slots = tuple(resolve_slot(self.layout, name) for name in names)
             self.key_slots[names] = None if None in slots else slots
         slots = self.key_slots[names]
-        found = None if slots is None else tuple(_freeze(values[slot]) for slot in slots)
-        return None if found is None or _ABSENT in found else found
+        return None if slots is None else tuple(_freeze(values[slot]) for slot in slots)
 
 
-@dataclass(eq=False)
 class _StatementScope:
     """State keyed to statements: subquery analysis, memo and tables.
 
@@ -556,9 +589,12 @@ class _StatementScope:
     ``memo_entries`` counts memoized results plus hash-table rows.
     """
 
-    memo: Dict[int, _SubqueryState] = field(default_factory=dict)
-    memo_entries: int = 0
-    correlations: Dict[int, Tuple[ast.SelectStatement, _SubqueryInfo]] = field(default_factory=dict)
+    __slots__ = ("memo", "memo_entries", "correlations")
+
+    def __init__(self) -> None:
+        self.memo: Dict[int, _SubqueryState] = {}
+        self.memo_entries = 0
+        self.correlations: Dict[int, Tuple[ast.SelectStatement, _SubqueryInfo]] = {}
 
     def clear_memo(self) -> None:
         self.memo.clear()
@@ -1232,10 +1268,8 @@ class Executor:
         expands to the row's columns, not the outer row's."""
         offset = len(outer or ())
         scoped = _scoped(outer, layout)
-        bind = self.compiled and not _lacking(scoped)
         names: List[str] = []
         fns: List[CompiledExpr] = []
-        slots: List[Optional[int]] = []  # the slot an item reads, if that is all it does
         for item in items:
             if isinstance(item.expression, ast.Star):
                 table = item.expression.table
@@ -1244,18 +1278,11 @@ class Executor:
                     if prefix is None or name.lower().startswith(prefix):
                         names.append(name)
                         fns.append(itemgetter(offset + slot))
-                        slots.append(offset + slot)
             else:
                 names.append(item.output_name)
                 fns.append(self._expr_fn(item.expression, scoped))
-                plain = bind and isinstance(item.expression, ast.ColumnRef)
-                slots.append(resolve_slot(scoped, item.expression.qualified) if plain else None)
         last = {name: index for index, name in enumerate(names)}
         output = tuple(last)
-        if _lacking(names):
-            output = tuple(map(_Lacking, output))
-        elif None not in slots and len(last) > 1:
-            return itemgetter(*(slots[index] for index in last.values())), output
         if len(last) == len(fns):
             return (lambda values: tuple([fn(values) for fn in fns])), output
         picks = tuple(last.values())
@@ -1267,37 +1294,29 @@ class Executor:
         return project, output
 
     def _build_sort(self, node: SortNode, outer: Optional[Layout]) -> Tuple[Runner, Layout]:
-        """Sort on the ORDER BY items.  An item that fails to evaluate falls
-        back to the row's column named by its SQL text (an aggregate's),
-        then, for an unqualified name, to the select item it aliases."""
         child, layout = self._build(node.child, outer)
         scoped = _scoped(outer, layout)
+        order = [
+            (
+                item.expression,
+                resolve_slot(layout, str(item.expression)),
+                self._expr_fn(item.expression, scoped),
+                item.descending,
+            )
+            for item in node.order_by
+        ]
         aliases = {
             item.alias.lower(): self._expr_fn(item.expression, scoped)
             for item in node.select_items
             if item.alias
         }
-        order = []
-        for item in node.order_by:
-            expression = item.expression
-            alias_fn = None
-            if isinstance(expression, ast.ColumnRef) and expression.table is None:
-                alias_fn = aliases.get(expression.column.lower())
-            order.append(
-                (
-                    self._expr_fn(expression, scoped),
-                    resolve_slot(layout, str(expression)),
-                    alias_fn,
-                    item.descending,
-                )
-            )
 
         def run(outer_values: Optional[Values]) -> Iterator[Values]:
             def sort_key(row: Values) -> Tuple:
                 values = row if outer_values is None else outer_values + row
                 return tuple(
-                    _OrderKey(_order_value(fn, text_slot, alias_fn, row, values), descending)
-                    for fn, text_slot, alias_fn, descending in order
+                    _OrderKey(_order_value(expression, slot, fn, aliases, row, values), descending)
+                    for expression, slot, fn, descending in order
                 )
 
             yield from sorted(child(outer_values), key=sort_key)
@@ -1749,22 +1768,9 @@ def _as_row(layout: Layout, values: Values) -> Row:
 
 def _result_rows(layout: Layout, rows: Iterable[Values]) -> List[Row]:
     """The result's :class:`Row` objects, keyed by the output names."""
-    adopt = Row.adopt
     if _lacking(layout):
-        names = tuple(map(str, layout))
-        return [_as_row(names, row) for row in rows]
-    # Dict displays for the narrow results most queries return: a third of
-    # the cost of ``dict(zip(...))``.
-    if len(layout) == 1:
-        (a,) = layout
-        return [adopt({a: x}) for (x,) in rows]
-    if len(layout) == 2:
-        a, b = layout
-        return [adopt({a: x, b: y}) for x, y in rows]
-    if len(layout) == 3:
-        a, b, c = layout
-        return [adopt({a: x, b: y, c: z}) for x, y, z in rows]
-    return [adopt(dict(zip(layout, row))) for row in rows]
+        return [_as_row(tuple(map(str, layout)), row) for row in rows]
+    return [Row.adopt(dict(zip(layout, row))) for row in rows]
 
 
 def _empty_row(outer_values: Optional[Values]) -> Iterator[Values]:
@@ -1868,21 +1874,24 @@ def _compute_aggregate(
 
 
 def _order_value(
-    fn: CompiledExpr,
+    expression: ast.Expression,
     text_slot: Optional[int],
-    alias_fn: Optional[CompiledExpr],
+    fn: CompiledExpr,
+    aliases: Dict[str, CompiledExpr],
     row: Values,
-    values: Values,
+    scoped: Values,
 ) -> Any:
     # ORDER BY may reference base columns (sorting runs before projection),
     # aggregate results stored under their SQL text, or select-list aliases.
     try:
-        return fn(values)
+        return fn(scoped)
     except EvaluationError:
         if text_slot is not None and row[text_slot] is not _ABSENT:
             return row[text_slot]
-        if alias_fn is not None:
-            return alias_fn(values)
+        if isinstance(expression, ast.ColumnRef) and expression.table is None:
+            alias_fn = aliases.get(expression.column.lower())
+            if alias_fn is not None:
+                return alias_fn(scoped)
         raise
 
 

@@ -95,7 +95,7 @@ class VectorExpressionCompiler:
         tests = [
             self._fused_test(conjunct)
             for predicate in predicates
-            for conjunct in ast.conjuncts(predicate)
+            for conjunct in _flatten_and(predicate)
         ]
 
         def run(arrays: Arrays, n: int) -> Selection:
@@ -176,8 +176,18 @@ class VectorExpressionCompiler:
 # ----------------------------------------------------------------------
 
 
-def _positions(column: List[Any], selection: Optional[List[int]]) -> Selection:
-    return range(len(column)) if selection is None else selection
+def _flatten_and(predicate: ast.Expression) -> List[ast.Expression]:
+    """``a AND b AND c`` -> ``[a, b, c]`` in source order."""
+    conjuncts: List[ast.Expression] = []
+    stack = [predicate]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, ast.BinaryOp) and e.op.upper() == "AND":
+            stack.append(e.right)
+            stack.append(e.left)
+        else:
+            conjuncts.append(e)
+    return conjuncts
 
 
 def _compare_test(name: str, cmp, thunk):
@@ -186,11 +196,9 @@ def _compare_test(name: str, cmp, thunk):
         if const is None:
             return []  # NULL comparisons never match
         column = arrays[name]
-        return [
-            i
-            for i in _positions(column, selection)
-            if (v := column[i]) is not None and cmp(v, const)
-        ]
+        if selection is None:
+            return [i for i, v in enumerate(column) if v is not None and cmp(v, const)]
+        return [i for i in selection if (v := column[i]) is not None and cmp(v, const)]
 
     return test
 
@@ -202,10 +210,28 @@ def _like_test(name: str, pattern_thunk, negate: bool):
             return []
         match = like_regex(str(pattern)).match
         column = arrays[name]
+        if negate:
+            if selection is None:
+                return [
+                    i
+                    for i, v in enumerate(column)
+                    if v is not None and match(str(v)) is None
+                ]
+            return [
+                i
+                for i in selection
+                if (v := column[i]) is not None and match(str(v)) is None
+            ]
+        if selection is None:
+            return [
+                i
+                for i, v in enumerate(column)
+                if v is not None and match(str(v)) is not None
+            ]
         return [
             i
-            for i in _positions(column, selection)
-            if (v := column[i]) is not None and (match(str(v)) is None) is negate
+            for i in selection
+            if (v := column[i]) is not None and match(str(v)) is not None
         ]
 
     return test
@@ -218,10 +244,12 @@ def _between_test(name: str, low_thunk, high_thunk):
         if low is None or high is None:
             return []
         column = arrays[name]
+        if selection is None:
+            return [
+                i for i, v in enumerate(column) if v is not None and low <= v <= high
+            ]
         return [
-            i
-            for i in _positions(column, selection)
-            if (v := column[i]) is not None and low <= v <= high
+            i for i in selection if (v := column[i]) is not None and low <= v <= high
         ]
 
     return test
@@ -230,7 +258,13 @@ def _between_test(name: str, low_thunk, high_thunk):
 def _is_null_test(name: str, negated: bool):
     def test(arrays: Arrays, selection: Optional[List[int]]):
         column = arrays[name]
-        return [i for i in _positions(column, selection) if (column[i] is None) is not negated]
+        if negated:
+            if selection is None:
+                return [i for i, v in enumerate(column) if v is not None]
+            return [i for i in selection if column[i] is not None]
+        if selection is None:
+            return [i for i, v in enumerate(column) if v is None]
+        return [i for i in selection if column[i] is None]
 
     return test
 

@@ -320,6 +320,40 @@ class TestNameResolution:
                  [("g.genre", "drama"), ("count(*)", 3)]],
             ),
         ),
+        # An aggregate without GROUP BY reads a plain column from its
+        # group's first row; the one group over no rows holds only the
+        # aggregates, so the column is unknown there.
+        (
+            "select m.title, count(*) from MOVIES m where m.id = 1",
+            (("m.title", "count(*)"), [[("m.title", "Match Point"), ("count(*)", 1)]]),
+        ),
+        (
+            "select m.title, count(*) from MOVIES m where 1 = 0",
+            "unknown column 'm.title' in row ['count(*)']",
+        ),
+        (
+            "select m.title, count(*) from MOVIES m where 1 = 0 order by count(*)",
+            "unknown column 'm.title' in row ['count(*)']",
+        ),
+        (
+            "select count(*) from MOVIES m where 1 = 0 order by m.title",
+            "unknown column 'm.title' in row ['count(*)']",
+        ),
+        (
+            "select *, count(*) from MOVIES m where 1 = 0",
+            (("m.id", "m.title", "m.year", "count(*)"), [[("count(*)", 0)]]),
+        ),
+        (
+            "select m.id from MOVIES m where m.id = 1"
+            " and 0 in (select *, count(*) from MOVIES x where 1 = 0)",
+            (("m.id",), [[("m.id", 1)]]),
+        ),
+        (
+            "select m.title from MOVIES m where m.id < 3 and"
+            " (select count(*) from GENRE g where g.mid = m.id and g.genre = 'nosuch') = 0"
+            " order by m.title",
+            (("m.title",), [[("m.title", "Match Point")], [("m.title", "Melinda and Melinda")]]),
+        ),
     ]
 
     @pytest.mark.parametrize("sql, expected", CASES)

@@ -239,9 +239,9 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_and",
         "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_or",
         "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_arith",
-        "repro/engine/compile.py:_divide",
-        "repro/engine/compile.py:_modulo",
-        "repro/engine/compile.py:_concat",
+        "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_div",
+        "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_mod",
+        "repro/engine/compile.py:ExpressionCompiler._compile_binary.<locals>.run_concat",
         "repro/engine/compile.py:ExpressionCompiler._compile_unary",
         "repro/engine/compile.py:ExpressionCompiler._compile_unary.<locals>.run_not",
         "repro/engine/compile.py:ExpressionCompiler._compile_unary.<locals>.run_neg",
@@ -270,6 +270,7 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/engine/evaluator.py:ExpressionEvaluator._between",
         "repro/engine/evaluator.py:ExpressionEvaluator._in_list",
         "repro/engine/evaluator.py:ExpressionEvaluator._case",
+        "repro/engine/evaluator.py:like_match",
         "repro/engine/vector.py:_is_null_test",
         "repro/engine/vector.py:_is_null_test.<locals>.test",
         "repro/sql/parser.py:Parser._parse_case",
