@@ -47,9 +47,12 @@ from repro.storage import StorageConfig  # noqa: E402
 __all__ = ["bench_storage"]
 
 #: Acceptance budget: a vectorized full-scan filter at 2000 movies may take
-#: at most this many times the bare loop over the arrays.  The row path
-#: takes about four times the bare loop, the vectorized path about one.
-BUDGET_MAX_OVER_BARE = 2.0
+#: at most this many times the bare loop over the arrays.  On a 2-vCPU
+#: Xeon the vectorized path reads 1.44-1.48x on its worse query (it also
+#: builds a result ``Row`` per row, which the bare loop does not) and the
+#: row path 3.3x, so the bound leaves about 15% headroom above the first
+#: and fails the second.
+BUDGET_MAX_OVER_BARE = 1.7
 
 #: Interleaved (rows, columnar) timing pairs per scan shape, quick or not.
 SCAN_REPEATS = 9
