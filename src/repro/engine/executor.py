@@ -543,7 +543,9 @@ class _Subquery:
 
     __slots__ = ("executor", "statement", "layout", "runs", "key_slots")
 
-    def __init__(self, executor: "Executor", statement: ast.SelectStatement, layout: Layout) -> None:
+    def __init__(
+        self, executor: "Executor", statement: ast.SelectStatement, layout: Layout
+    ) -> None:
         self.executor = executor
         self.statement = statement
         self.layout = layout
