@@ -408,6 +408,9 @@ class TestRouterCheckpointing:
                     for sql in READS
                 ]
                 handle = router._handles[0]
+                # Worker 1 may have served every read while the
+                # replacement was still starting: wait for it to open.
+                await asyncio.wait_for(handle.ready.wait(), TIMEOUT)
                 assert handle.restored_seq == 3
                 assert handle.applied_seq >= 3
                 # And mutations keep flowing after the respawn.
