@@ -51,6 +51,8 @@ from budgets import exit_status, record  # noqa: E402
 from repro.datasets import generate_workload, movie_database, movie_schema  # noqa: E402
 from repro.query_nl.translator import QueryTranslator  # noqa: E402
 from repro.service import NarrationService, ShardRouter, WorkerCrashed  # noqa: E402
+from repro.service.sharding.router import failover_order  # noqa: E402
+from repro.sql.shape import shape_hash  # noqa: E402
 
 CLIENT_COUNTS = (1, 8, 64)
 WORKER_COUNTS = (1, 2, 4)
@@ -386,7 +388,11 @@ def verify_shard_equivalence(workload) -> str:
             oracle = service.session(database=database)
             expected = await history(oracle)
         async with ShardRouter(_DB_FACTORY, workers=2) as router:
-            got = await history(router, kill=lambda: router.kill_worker(0))
+            # Kill the owner of the read sent right after the kill: that
+            # read fails in flight, so the drill also crosses the
+            # router's retry path, not only the respawn.
+            victim = failover_order(shape_hash(workload[len(workload) // 2]), 2)[0]
+            got = await history(router, kill=lambda: router.kill_worker(victim))
             stats = await router.stats()
         if got != expected:
             for index, (a, b) in enumerate(zip(got, expected)):

@@ -3,9 +3,10 @@
 
 A :class:`repro.ShardRouter` spawns two worker processes, each owning a
 private replica of the movie database behind its own
-``NarrationService`` session, and routes requests by the consistent hash
-of their SQL *shape* — so every literal variant of one query lands on
-the worker whose compiled plans already know that shape.  Mutations
+``NarrationService`` session, and routes requests by a stable hash of
+their SQL *shape*, modulo the worker count — so every literal variant of
+one query lands on the worker whose compiled plans already know that
+shape.  Mutations
 broadcast to every replica under a sequence number, reads routed after a
 write wait for that worker's ack, and one worker is SIGKILLed mid-demo
 to show supervision: the router respawns it and replays the mutation

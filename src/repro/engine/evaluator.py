@@ -132,13 +132,13 @@ class ExpressionEvaluator:
         right = self.evaluate(expression.right, row)
 
         if op in ("LIKE", "NOT LIKE"):
-            matched = _like(left, right)
+            matched = like_match(left, right)
             if matched is None:
                 return None
             return not matched if op == "NOT LIKE" else matched
 
         if op in ("=", "<>", "<", "<=", ">", ">="):
-            return _compare(op, left, right)
+            return compare_values(op, left, right)
 
         if left is None or right is None:
             return None
@@ -277,7 +277,7 @@ class ExpressionEvaluator:
         if expression.quantifier.upper() == "ALL":
             if not values:
                 return True
-            results = [_compare(op, value, v) for v in values]
+            results = [compare_values(op, value, v) for v in values]
             if any(r is False for r in results):
                 return False
             if any(r is None for r in results):
@@ -286,7 +286,7 @@ class ExpressionEvaluator:
         # ANY / SOME
         if not values:
             return False
-        results = [_compare(op, value, v) for v in values]
+        results = [compare_values(op, value, v) for v in values]
         if any(r is True for r in results):
             return True
         if any(r is None for r in results):
@@ -359,8 +359,3 @@ def like_match(value: Any, pattern: Any) -> Optional[bool]:
     if value is None or pattern is None:
         return None
     return like_regex(str(pattern)).match(str(value)) is not None
-
-
-# Backwards-compatible internal aliases.
-_compare = compare_values
-_like = like_match

@@ -158,6 +158,17 @@ class _Lacking(str):
 _ABSENT: Any = object()
 
 
+class _Output(tuple):
+    """A projection's layout, each output name once in first-seen order,
+    with ``columns``, the result header: each name as often as the select
+    list gives it (see :meth:`Executor._projector`)."""
+
+    def __new__(cls, names: List[str]) -> "_Output":
+        output = super().__new__(cls, dict.fromkeys(names))
+        output.columns = tuple(map(str, names))
+        return output
+
+
 class _SubqueryInfo:
     """Once-per-statement analysis of a subquery (see :func:`_analyze_subquery`).
 
@@ -698,10 +709,8 @@ class Executor:
             f"statement type {type(statement).__name__} is not executable"
         )
 
-    def execute_select(
-        self, statement: ast.SelectStatement, outer_row: Optional[Row] = None
-    ) -> QueryResult:
-        """Execute a SELECT, optionally with an outer row for correlation.
+    def execute_select(self, statement: ast.SelectStatement) -> QueryResult:
+        """Execute a parsed SELECT.
 
         The statement runs like a shape's first sighting: its plan,
         subquery plans, memo and tables live in a private scope dropped
@@ -709,15 +718,12 @@ class Executor:
         """
         self._validate_caches()
         scope, self._scope = self._scope, _StatementScope()
-        raw = None if outer_row is None else outer_row.raw
         try:
-            plan = self.planner.plan(statement)
-            columns = self._output_columns(statement)
-            run, layout = self._build(plan.root, None if raw is None else tuple(raw))
-            rows = _result_rows(layout, run(None if raw is None else tuple(raw.values())))
+            run, layout = self._plan_select(statement, None)
+            rows = _result_rows(layout, run(None))
         finally:
             self._scope = scope
-        return QueryResult(columns=columns, rows=rows)
+        return QueryResult(columns=layout.columns, rows=rows)
 
     def explain(self, statement: ast.SelectStatement) -> str:
         """Return the indented logical plan for a SELECT statement."""
@@ -798,7 +804,7 @@ class Executor:
         finally:
             self._compiler.ordinals = _NO_ORDINALS
             self._params[0] = ()
-        return QueryResult(columns=entry.columns, rows=rows)
+        return QueryResult(columns=layout.columns, rows=rows)
 
     def _compile_shape_plan(self, sql: str, shape, literals, info) -> ParameterisedPlan:
         """Plan ``sql`` as the canonical statement of its guard class.
@@ -819,12 +825,7 @@ class Executor:
         if ordinals is None:
             info, ordinals = pin_all(literals), {}
         self._shape_infos.put(shape, info)
-        entry = ParameterisedPlan(
-            statement,
-            self.planner.plan(statement),
-            self._output_columns(statement),
-            ordinals,
-        )
+        entry = ParameterisedPlan(statement, self.planner.plan(statement), ordinals)
         self._shape_plans.put((shape, guard_key(literals, info)), entry)
         return entry
 
@@ -914,7 +915,7 @@ class Executor:
             run = _filter(self._pred_fn(node.predicate, _scoped(outer, layout)), child)
         elif isinstance(node, ProjectNode):
             child, child_layout = self._build(node.child, outer, vector)
-            project, layout = self._projector(node.items, child_layout, outer)
+            project, layout = self._projector(node, child_layout, outer)
             run = _project(project, child)
         elif isinstance(node, JoinNode):
             return self._build_join(node, outer)
@@ -1263,31 +1264,35 @@ class Executor:
         return run, tuple(slots)
 
     def _projector(
-        self, items: Tuple[ast.SelectItem, ...], layout: Layout, outer: Optional[Layout]
-    ) -> Tuple[Callable[[Values], Values], Layout]:
+        self, node: ProjectNode, layout: Layout, outer: Optional[Layout]
+    ) -> Tuple[Callable[[Values], Values], _Output]:
         """The select list over a row's scoped values, and its layout: each
         output name once, first-seen order, its last item's value.  A star
-        expands to the row's columns, not the outer row's."""
+        expands to the columns of the FROM tables it names, in FROM order,
+        each table's in declaration order, read from the row, not the outer
+        row; the result header takes a star's names from here."""
         offset = len(outer or ())
         scoped = _scoped(outer, layout)
+        slots = {name: slot for slot, name in enumerate(layout)}
         names: List[str] = []
         fns: List[CompiledExpr] = []
-        for item in items:
-            if isinstance(item.expression, ast.Star):
-                table = item.expression.table
-                prefix = table.lower() + "." if table is not None else None
-                for slot, name in enumerate(layout):
-                    if prefix is None or name.lower().startswith(prefix):
-                        names.append(name)
-                        fns.append(itemgetter(offset + slot))
-            else:
+        for item in node.items:
+            expression = item.expression
+            if not isinstance(expression, ast.Star):
                 names.append(item.output_name)
-                fns.append(self._expr_fn(item.expression, scoped))
-        last = {name: index for index, name in enumerate(names)}
-        output = tuple(last)
-        if len(last) == len(fns):
+                fns.append(self._expr_fn(expression, scoped))
+                continue
+            qualifier = expression.table
+            for table in node.from_tables:
+                if qualifier is None or table.binding.lower() == qualifier.lower():
+                    for name in self._scan_layout(table.name, table.binding):
+                        slot = slots[name]
+                        names.append(layout[slot])
+                        fns.append(itemgetter(offset + slot))
+        output = _Output(names)
+        if len(output) == len(fns):
             return (lambda values: tuple([fn(values) for fn in fns])), output
-        picks = tuple(last.values())
+        picks = tuple({name: index for index, name in enumerate(names)}.values())
 
         def project(values: Values) -> Values:
             computed = [fn(values) for fn in fns]
@@ -1476,7 +1481,7 @@ class Executor:
                 rows, layout = self._build(project.child, None)
                 info.runners = (
                     rows,
-                    self._projector(project.items, layout, None)[0],
+                    self._projector(project, layout, None)[0],
                     [self._expr_fn(column, layout) for column in info.key_columns],
                 )
             rows, project_row, key_fns = info.runners
@@ -1621,21 +1626,6 @@ class Executor:
     # ------------------------------------------------------------------
     # DML, helpers
     # ------------------------------------------------------------------
-
-    def _output_columns(self, statement: ast.SelectStatement) -> Tuple[str, ...]:
-        columns: List[str] = []
-        for item in statement.select_items:
-            if isinstance(item.expression, ast.Star):
-                star = item.expression
-                for table in statement.from_tables:
-                    if star.table is not None and table.binding.lower() != star.table.lower():
-                        continue
-                    relation = self.database.schema.relation(table.name)
-                    for attribute in relation.attributes:
-                        columns.append(f"{table.binding}.{attribute.name}")
-                continue
-            columns.append(item.output_name)
-        return tuple(columns)
 
     def _execute_insert(self, statement: ast.InsertStatement) -> DmlResult:
         self._validate_caches()

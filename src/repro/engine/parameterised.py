@@ -112,25 +112,24 @@ class ParameterisedPlan:
 
     ``ordinals`` maps ``id(literal node)`` → position in the literal
     vector for every *parameter* literal of the canonical statement (the
-    nodes themselves are kept alive by ``statement``).  ``columns`` is
-    the result header — safe to share because literals that could surface
-    in it are pinned by the guard.  ``run`` is the plan's root runner and
-    its rows' layout, which the executor builds at the entry's first run,
-    while ``ordinals`` is installed in its expression compiler.
+    nodes themselves are kept alive by ``statement``).  ``run`` is the
+    plan's root runner and its rows' layout, which the executor builds at
+    the entry's first run, while ``ordinals`` is installed in its
+    expression compiler.  The layout carries the result header, safe to
+    share because literals that could surface in it are pinned by the
+    guard.
     """
 
-    __slots__ = ("statement", "plan", "columns", "ordinals", "run")
+    __slots__ = ("statement", "plan", "ordinals", "run")
 
     def __init__(
         self,
         statement: ast.SelectStatement,
         plan: LogicalPlan,
-        columns: Tuple[str, ...],
         ordinals: Dict[int, int],
     ) -> None:
         self.statement = statement
         self.plan = plan
-        self.columns = columns
         self.ordinals = ordinals
         self.run: Optional[Tuple[Callable[[None], Iterator[Any]], Tuple[str, ...]]] = None
 

@@ -145,10 +145,11 @@ class AggregateNode(PlanNode):
 
 @dataclass
 class ProjectNode(PlanNode):
-    """Compute the select list."""
+    """Compute the select list; a star selects columns of ``from_tables``."""
 
     child: PlanNode
     items: Tuple[ast.SelectItem, ...]
+    from_tables: Tuple[ast.TableRef, ...]
 
     def children(self) -> Sequence[PlanNode]:
         return (self.child,)
@@ -393,20 +394,14 @@ class Planner:
     join (:attr:`JoinNode.index`) when its inner input is a bare base-table
     scan and every column that scan's pushed conjuncts name is declared by
     its table.  The choices read only the statement and ``schema``, so a
-    plan stays valid whatever the data.
+    plan stays valid whatever the data.  A SELECT without FROM runs the
+    same pipeline over one empty row.
     """
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
 
     def plan(self, statement: ast.SelectStatement) -> LogicalPlan:
-        if not statement.from_tables:
-            # SELECT without FROM: a single empty row is projected.
-            root: PlanNode = ProjectNode(
-                child=ScanNode(table_name="", binding=""), items=statement.select_items
-            )
-            return LogicalPlan(root=root, statement=statement)
-
         bindings = [t.binding for t in statement.from_tables]
         if len(set(b.lower() for b in bindings)) != len(bindings):
             raise PlanningError("duplicate tuple-variable names in FROM clause")
@@ -444,7 +439,10 @@ class Planner:
                 node = FilterNode(child=node, predicate=predicate)
             inputs[table.binding] = node
 
-        root = self._join_order(inputs, scans, bindings, classified.joins)
+        if bindings:
+            root = self._join_order(inputs, scans, bindings, classified.joins)
+        else:
+            root = ScanNode(table_name="", binding="")  # no FROM: one empty row
 
         for predicate in classified.residual:
             root = FilterNode(child=root, predicate=predicate)
@@ -467,7 +465,9 @@ class Planner:
                 order_by=statement.order_by,
                 select_items=statement.select_items,
             )
-        root = ProjectNode(child=root, items=statement.select_items)
+        root = ProjectNode(
+            child=root, items=statement.select_items, from_tables=statement.from_tables
+        )
         if statement.distinct:
             root = DistinctNode(child=root)
         if statement.limit is not None or statement.offset is not None:

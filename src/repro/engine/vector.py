@@ -95,7 +95,7 @@ class VectorExpressionCompiler:
         tests = [
             self._fused_test(conjunct)
             for predicate in predicates
-            for conjunct in _flatten_and(predicate)
+            for conjunct in ast.conjuncts(predicate)
         ]
 
         def run(arrays: Arrays, n: int) -> Selection:
@@ -174,20 +174,6 @@ class VectorExpressionCompiler:
 # Fused-test closures: ``test(arrays, selection)`` narrows ``selection``
 # (None = every position) to the positions where the conjunct holds.
 # ----------------------------------------------------------------------
-
-
-def _flatten_and(predicate: ast.Expression) -> List[ast.Expression]:
-    """``a AND b AND c`` -> ``[a, b, c]`` in source order."""
-    conjuncts: List[ast.Expression] = []
-    stack = [predicate]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, ast.BinaryOp) and e.op.upper() == "AND":
-            stack.append(e.right)
-            stack.append(e.left)
-        else:
-            conjuncts.append(e)
-    return conjuncts
 
 
 def _compare_test(name: str, cmp, thunk):

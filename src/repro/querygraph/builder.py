@@ -25,7 +25,6 @@ from repro.sql import ast
 from repro.sql.parser import parse_select
 from repro.sql.printer import expression_to_sql
 from repro.sql.validator import Validator
-from repro.utils.cache import LRUCache
 from repro.querygraph.model import (
     Constraint,
     NestingEdge,
@@ -55,16 +54,23 @@ def use_reference_validation() -> Iterator[None]:
 
 
 class _FusedScope:
-    """Precomputed lookup maps for one SELECT's *visible* bindings.
+    """Lookup maps for one SELECT's *visible* bindings, the outer ones
+    merged with its own FROM bindings.
 
     Mirrors ``repro.sql.validator._Scope`` exactly (construction order and
-    all), but is memoized per visible-binding shape by the builder, so
-    queries repeating a FROM shape skip map construction entirely.
+    all).
     """
 
     __slots__ = ("visible_items", "lowered", "owners")
 
-    def __init__(self, visible_items: Tuple[Tuple[str, object], ...]) -> None:
+    def __init__(
+        self,
+        outer_items: Tuple[Tuple[str, object], ...],
+        local_map: Dict[str, object],
+    ) -> None:
+        merged: Dict[str, object] = dict(outer_items)
+        merged.update(local_map)
+        visible_items = tuple(merged.items())
         self.visible_items = visible_items
         lowered: Dict[str, Tuple[str, object]] = {}
         for binding, relation in visible_items:
@@ -79,14 +85,40 @@ class _FusedScope:
         self.owners = owners
 
 
+class _Build:
+    """One statement's bindings, as its graph-build pass reads them.
+
+    ``relations`` maps each FROM binding to its relation's name;
+    ``lowered`` (lowered alias -> binding) and ``owners`` (lowered
+    attribute -> the bindings declaring it) place a column on a local
+    binding.  ``scope`` is the fused validation scope, outer bindings
+    included; None in reference mode.
+    """
+
+    __slots__ = ("relations", "lowered", "owners", "scope")
+
+    def __init__(self, binding_map: Dict[str, object], scope: Optional[_FusedScope]) -> None:
+        self.relations = {binding: relation.name for binding, relation in binding_map.items()}
+        self.lowered = {binding.lower(): binding for binding in binding_map}
+        owners: Dict[str, List[str]] = {}
+        for binding, relation in binding_map.items():
+            for attribute in relation.attribute_names:
+                bucket = owners.setdefault(attribute.lower(), [])
+                if not bucket or bucket[-1] != binding:
+                    bucket.append(binding)
+        self.owners = owners
+        self.scope = scope
+
+
 class QueryGraphBuilder:
     """Translate SELECT ASTs into the UML-style query graph of Section 3.2.
 
-    The builder is stateful per schema: relation lookups, FK pairs,
-    per-FROM-shape binding maps and per-visible-shape validation scopes
-    are all memoized, and each ``build`` performs the fused
-    validate-and-distribute pass described in the module docstring — the
-    front-end analogue of the executor's pre-resolved column slots.
+    Each ``build`` performs the fused validate-and-distribute pass
+    described in the module docstring, keeping its binding maps and
+    validation scope in a per-build :class:`_Build`, so one builder can
+    serve concurrent builds.  The builder itself keeps only relation and
+    FK-pair lookups, whose values never change, so concurrent fills are
+    harmless.
     """
 
     def __init__(self, schema: Schema) -> None:
@@ -94,19 +126,6 @@ class QueryGraphBuilder:
         self.validator = Validator(schema)
         self._relation_cache: Dict[str, object] = {}
         self._fk_pair_cache: Dict[Tuple[str, str], frozenset] = {}
-        self._binding_state: List[Tuple[Dict[str, str], Dict[str, List[str]]]] = []
-        # Bounded: the convenience builder is shared process-wide per
-        # schema, so unbounded per-shape memos would be a slow leak
-        # under workloads with ever-fresh alias sets.
-        self._binding_state_cache = LRUCache(512)
-        self._scopes: List[_FusedScope] = []
-        self._scope_cache = LRUCache(512)
-        # ``build`` keeps per-statement stacks (binding state, fused
-        # scopes) on the instance, and the ``builder_for`` builder is
-        # shared process-wide per schema — so concurrent builds (the
-        # service runs sessions of one schema on worker threads) serialize
-        # here.  Reentrant because nested subqueries build recursively.
-        self._build_lock = threading.RLock()
 
     def _relation(self, name: str):
         relation = self._relation_cache.get(name)
@@ -131,38 +150,32 @@ class QueryGraphBuilder:
         :meth:`_nesting_edge` for subqueries, whose outer
         ``validate_select`` already validated them recursively.
         """
-        with self._build_lock:
-            fused = not _REFERENCE_VALIDATION
-            if not fused and not _validated:
-                self.validator.validate_select(
-                    statement, outer_bindings=self._outer_relations(outer_bindings)
-                )
-            graph = QueryGraph(statement=statement, depth=depth)
+        fused = not _REFERENCE_VALIDATION
+        if not fused and not _validated:
+            self.validator.validate_select(
+                statement, outer_bindings=self._outer_relations(outer_bindings)
+            )
+        graph = QueryGraph(statement=statement, depth=depth)
 
-            binding_map = self._collect_bindings_checked(statement)
-            binding_relations: Dict[str, str] = {}
-            for binding, relation in binding_map.items():
-                binding_relations[binding] = relation.name
-                graph.classes[binding] = QueryClass(binding=binding, relation_name=relation.name)
-            self._push_binding_state(binding_relations)
-            if fused:
-                outer_items = self._outer_scope_items(outer_bindings)
-                self._scopes.append(self._scope_for(outer_items, binding_map))
+        binding_map = self._collect_bindings_checked(statement)
+        for binding, relation in binding_map.items():
+            graph.classes[binding] = QueryClass(binding=binding, relation_name=relation.name)
+        scope = (
+            _FusedScope(self._outer_scope_items(outer_bindings), binding_map)
+            if fused
+            else None
+        )
+        build = _Build(binding_map, scope)
 
-            # Clause order matches the validator's traversal (select, where,
-            # group, having, order) so the fused pass surfaces the same first
-            # error the two-pass pipeline would.
-            try:
-                self._distribute_select(statement, graph, binding_relations)
-                self._distribute_where(statement, graph, binding_relations, outer_bindings)
-                self._distribute_group(statement, graph, binding_relations)
-                self._distribute_having(statement, graph, binding_relations, outer_bindings)
-                self._distribute_order(statement, graph, binding_relations)
-            finally:
-                self._pop_binding_state()
-                if fused:
-                    self._scopes.pop()
-            return graph
+        # Clause order matches the validator's traversal (select, where,
+        # group, having, order) so the fused pass surfaces the same first
+        # error the two-pass pipeline would.
+        self._distribute_select(statement, graph, build)
+        self._distribute_where(statement, graph, build, outer_bindings)
+        self._distribute_group(statement, graph, build)
+        self._distribute_having(statement, graph, build, outer_bindings)
+        self._distribute_order(statement, graph, build)
+        return graph
 
     # ------------------------------------------------------------------
     # Fused validation: scopes, column checks and the combined walk
@@ -197,21 +210,6 @@ class QueryGraphBuilder:
             (binding, self._relation(relation))
             for binding, relation in outer_bindings.items()
         )
-
-    def _scope_for(
-        self,
-        outer_items: Tuple[Tuple[str, object], ...],
-        local_map: Dict[str, object],
-    ) -> _FusedScope:
-        merged: Dict[str, object] = dict(outer_items)
-        merged.update(local_map)
-        items = tuple(merged.items())
-        key = tuple((binding, relation.name) for binding, relation in items)
-        scope = self._scope_cache.get(key)
-        if scope is None:
-            scope = _FusedScope(items)
-            self._scope_cache.put(key, scope)
-        return scope
 
     def _check_column(self, column: ast.ColumnRef, scope: _FusedScope) -> None:
         """Resolve one column reference, raising the validator's errors."""
@@ -278,7 +276,7 @@ class QueryGraphBuilder:
         placement walk sees exactly what ``ast.column_refs`` used to see.
         """
         bindings = self._collect_bindings_checked(statement)
-        scope = self._scope_for(outer_scope.visible_items, bindings)
+        scope = _FusedScope(outer_scope.visible_items, bindings)
         for item in statement.select_items:
             self._walk_validate(item.expression, scope, collector)
         if statement.where is not None:
@@ -290,41 +288,13 @@ class QueryGraphBuilder:
         for order in statement.order_by:
             self._walk_validate(order.expression, scope, collector)
 
-    def _analyse(self, expression: ast.Expression) -> List[ast.ColumnRef]:
+    def _analyse(self, expression: ast.Expression, build: _Build) -> List[ast.ColumnRef]:
         """Column references of ``expression``, validating them in fused mode."""
-        if self._scopes:
+        if build.scope is not None:
             collector: List[ast.ColumnRef] = []
-            self._walk_validate(expression, self._scopes[-1], collector)
+            self._walk_validate(expression, build.scope, collector)
             return collector
         return list(ast.column_refs(expression))
-
-    # ------------------------------------------------------------------
-    # Per-statement binding state (placement maps, local bindings only)
-    # ------------------------------------------------------------------
-
-    def _push_binding_state(self, binding_relations: Dict[str, str]) -> None:
-        """Precompute the lowered alias map and unqualified-column owners.
-
-        Nested queries build their own graphs re-entrantly while the outer
-        build is in flight, so the state lives on a stack.  States are
-        memoized per FROM shape: the maps are read-only after construction.
-        """
-        key = tuple(binding_relations.items())
-        state = self._binding_state_cache.get(key)
-        if state is None:
-            lowered = {binding.lower(): binding for binding in binding_relations}
-            owners: Dict[str, List[str]] = {}
-            for binding, relation_name in binding_relations.items():
-                for attribute in self._relation(relation_name).attribute_names:
-                    bucket = owners.setdefault(attribute.lower(), [])
-                    if not bucket or bucket[-1] != binding:
-                        bucket.append(binding)
-            state = (lowered, owners)
-            self._binding_state_cache.put(key, state)
-        self._binding_state.append(state)
-
-    def _pop_binding_state(self) -> None:
-        self._binding_state.pop()
 
     # ------------------------------------------------------------------
     # SELECT list
@@ -334,17 +304,17 @@ class QueryGraphBuilder:
         self,
         statement: ast.SelectStatement,
         graph: QueryGraph,
-        binding_relations: Dict[str, str],
+        build: _Build,
     ) -> None:
         for item in statement.select_items:
             expression = item.expression
             if isinstance(expression, ast.ColumnRef):
-                self._analyse(expression)
-                binding = self._binding_of(expression)
+                self._analyse(expression, build)
+                binding = self._binding_of(expression, build)
                 if binding is None:
                     graph.other_constraints.append(Constraint.from_expression(expression))
                     continue
-                relation_name = binding_relations[binding]
+                relation_name = build.relations[binding]
                 attribute = self._relation(relation_name).attribute(expression.column).name
                 graph.classes[binding].select_entries.append(
                     SelectEntry(
@@ -355,16 +325,16 @@ class QueryGraphBuilder:
                     )
                 )
             elif isinstance(expression, ast.FunctionCall) and expression.is_aggregate:
-                columns = self._analyse(expression)
+                columns = self._analyse(expression, build)
                 rendered = str(expression)
-                target = self._aggregate_binding(columns, binding_relations)
+                target = self._aggregate_binding(columns, build.relations)
                 if target is not None:
                     graph.classes[target].aggregate_entries.append(rendered)
                 else:
                     graph.global_aggregates.append(rendered)
             elif isinstance(expression, ast.Star):
                 star = expression
-                for binding, relation_name in binding_relations.items():
+                for binding, relation_name in build.relations.items():
                     if star.table is not None and binding.lower() != star.table.lower():
                         continue
                     relation = self._relation(relation_name)
@@ -377,11 +347,11 @@ class QueryGraphBuilder:
                             )
                         )
             else:
-                self._analyse(expression)
+                self._analyse(expression, build)
                 graph.other_constraints.append(Constraint.from_expression(expression))
 
     def _aggregate_binding(
-        self, columns: List[ast.ColumnRef], binding_relations: Dict[str, str]
+        self, columns: List[ast.ColumnRef], relations: Dict[str, str]
     ) -> Optional[str]:
         """The class an aggregate belongs to: the single binding it references.
 
@@ -392,7 +362,7 @@ class QueryGraphBuilder:
         referenced = {
             column.table.lower() for column in columns if column.table is not None
         }
-        matches = [b for b in binding_relations if b.lower() in referenced]
+        matches = [b for b in relations if b.lower() in referenced]
         if len(matches) == 1:
             return matches[0]
         return None
@@ -405,37 +375,37 @@ class QueryGraphBuilder:
         self,
         statement: ast.SelectStatement,
         graph: QueryGraph,
-        binding_relations: Dict[str, str],
+        build: _Build,
         outer_bindings: Optional[Dict[str, str]],
     ) -> None:
         for conjunct in ast.conjuncts(statement.where):
-            self._place_conjunct(conjunct, graph, binding_relations, outer_bindings, in_having=False)
+            self._place_conjunct(conjunct, graph, build, outer_bindings, in_having=False)
 
     def _distribute_having(
         self,
         statement: ast.SelectStatement,
         graph: QueryGraph,
-        binding_relations: Dict[str, str],
+        build: _Build,
         outer_bindings: Optional[Dict[str, str]],
     ) -> None:
         for conjunct in ast.conjuncts(statement.having):
-            self._place_conjunct(conjunct, graph, binding_relations, outer_bindings, in_having=True)
+            self._place_conjunct(conjunct, graph, build, outer_bindings, in_having=True)
 
     def _place_conjunct(
         self,
         conjunct: ast.Expression,
         graph: QueryGraph,
-        binding_relations: Dict[str, str],
+        build: _Build,
         outer_bindings: Optional[Dict[str, str]],
         in_having: bool,
     ) -> None:
-        nested = self._nesting_edge(conjunct, graph, binding_relations, outer_bindings, in_having)
+        nested = self._nesting_edge(conjunct, graph, build, outer_bindings, in_having)
         if nested is not None:
             graph.nesting_edges.append(nested)
             return
 
-        columns = self._analyse(conjunct)
-        referenced = self._referenced_bindings(columns)
+        columns = self._analyse(conjunct, build)
+        referenced = self._referenced_bindings(columns, build)
 
         if len(referenced) == 2 and isinstance(conjunct, ast.BinaryOp) and not in_having:
             left, right = sorted(referenced)
@@ -444,7 +414,7 @@ class QueryGraphBuilder:
                     left_binding=left,
                     right_binding=right,
                     condition=conjunct,
-                    is_foreign_key=self._is_fk_join(conjunct, binding_relations),
+                    is_foreign_key=self._is_fk_join(conjunct, build),
                     is_equality=conjunct.op == "=",
                 )
             )
@@ -464,7 +434,7 @@ class QueryGraphBuilder:
         self,
         conjunct: ast.Expression,
         graph: QueryGraph,
-        binding_relations: Dict[str, str],
+        build: _Build,
         outer_bindings: Optional[Dict[str, str]],
         in_having: bool,
     ) -> Optional[NestingEdge]:
@@ -475,7 +445,7 @@ class QueryGraphBuilder:
         pass reports the same first error the oracle would.
         """
         visible = dict(outer_bindings or {})
-        visible.update(binding_relations)
+        visible.update(build.relations)
 
         connector: Optional[str] = None
         subgraph: Optional[QueryGraph] = None
@@ -488,24 +458,24 @@ class QueryGraphBuilder:
 
         if isinstance(conjunct, ast.InSubquery):
             connector = "NOT IN" if conjunct.negated else "IN"
-            outer_binding = self._first_binding(self._analyse(conjunct.operand))
+            outer_binding = self._first_binding(self._analyse(conjunct.operand, build), build)
             subgraph = nested_build(conjunct.subquery)
         elif isinstance(conjunct, ast.Exists):
             connector = "NOT EXISTS" if conjunct.negated else "EXISTS"
             subgraph = nested_build(conjunct.subquery)
         elif isinstance(conjunct, ast.QuantifiedComparison):
             connector = f"{conjunct.op} {conjunct.quantifier}"
-            outer_binding = self._first_binding(self._analyse(conjunct.operand))
+            outer_binding = self._first_binding(self._analyse(conjunct.operand, build), build)
             subgraph = nested_build(conjunct.subquery)
         elif isinstance(conjunct, ast.BinaryOp):
             left, right = conjunct.left, conjunct.right
             if isinstance(left, ast.ScalarSubquery):
                 connector = f"SCALAR {conjunct.op}"
                 subgraph = nested_build(left.subquery)
-                outer_binding = self._first_binding(self._analyse(right))
+                outer_binding = self._first_binding(self._analyse(right, build), build)
             elif isinstance(right, ast.ScalarSubquery):
                 connector = f"SCALAR {conjunct.op}"
-                outer_binding = self._first_binding(self._analyse(left))
+                outer_binding = self._first_binding(self._analyse(left, build), build)
                 subgraph = nested_build(right.subquery)
 
         if connector is None or subgraph is None:
@@ -527,10 +497,10 @@ class QueryGraphBuilder:
         self,
         statement: ast.SelectStatement,
         graph: QueryGraph,
-        binding_relations: Dict[str, str],
+        build: _Build,
     ) -> None:
         for expression in statement.group_by:
-            binding = self._first_binding(self._analyse(expression))
+            binding = self._first_binding(self._analyse(expression, build), build)
             rendered = expression_to_sql(expression, top_level=True)
             if binding is not None:
                 graph.classes[binding].group_by.append(rendered)
@@ -541,10 +511,10 @@ class QueryGraphBuilder:
         self,
         statement: ast.SelectStatement,
         graph: QueryGraph,
-        binding_relations: Dict[str, str],
+        build: _Build,
     ) -> None:
         for order in statement.order_by:
-            binding = self._first_binding(self._analyse(order.expression))
+            binding = self._first_binding(self._analyse(order.expression, build), build)
             rendered = expression_to_sql(order.expression, top_level=True)
             if order.descending:
                 rendered += " DESC"
@@ -563,8 +533,8 @@ class QueryGraphBuilder:
             for binding, relation in outer_bindings.items()
         }
 
-    def _referenced_bindings(self, columns: List[ast.ColumnRef]) -> set:
-        lowered, owners = self._binding_state[-1]
+    def _referenced_bindings(self, columns: List[ast.ColumnRef], build: _Build) -> set:
+        lowered, owners = build.lowered, build.owners
         found = set()
         for column in columns:
             if column.table is not None:
@@ -577,8 +547,8 @@ class QueryGraphBuilder:
                     found.add(owning[0])
         return found
 
-    def _binding_of(self, column: ast.ColumnRef) -> Optional[str]:
-        lowered, owners = self._binding_state[-1]
+    def _binding_of(self, column: ast.ColumnRef, build: _Build) -> Optional[str]:
+        lowered, owners = build.lowered, build.owners
         if column.table is not None:
             return lowered.get(column.table.lower())
         owning = owners.get(column.column.lower())
@@ -588,28 +558,26 @@ class QueryGraphBuilder:
             return owning[0]
         raise SqlValidationError(f"ambiguous column {column.column!r}")
 
-    def _first_binding(self, columns: List[ast.ColumnRef]) -> Optional[str]:
+    def _first_binding(self, columns: List[ast.ColumnRef], build: _Build) -> Optional[str]:
         for column in columns:
-            binding = self._binding_of(column)
+            binding = self._binding_of(column, build)
             if binding is not None:
                 return binding
         return None
 
-    def _is_fk_join(
-        self, condition: ast.BinaryOp, binding_relations: Dict[str, str]
-    ) -> bool:
+    def _is_fk_join(self, condition: ast.BinaryOp, build: _Build) -> bool:
         """True when the equality matches a declared FK column pair."""
         if not ast.is_join_condition(condition):
             return False
         left = condition.left
         right = condition.right
         assert isinstance(left, ast.ColumnRef) and isinstance(right, ast.ColumnRef)
-        left_binding = self._binding_of(left)
-        right_binding = self._binding_of(right)
+        left_binding = self._binding_of(left, build)
+        right_binding = self._binding_of(right, build)
         if left_binding is None or right_binding is None:
             return False
-        left_relation = binding_relations[left_binding]
-        right_relation = binding_relations[right_binding]
+        left_relation = build.relations[left_binding]
+        right_relation = build.relations[right_binding]
         pairs = self._fk_pairs(left_relation, right_relation)
         if not pairs:
             return False
@@ -643,7 +611,7 @@ _SHARED_BUILDERS_LOCK = threading.Lock()
 
 
 def builder_for(schema: Schema) -> QueryGraphBuilder:
-    """The shared (memoizing, internally locked) builder for ``schema``."""
+    """The shared builder for ``schema``, its relation and FK-pair lookups memoized."""
     with _SHARED_BUILDERS_LOCK:
         builder = _SHARED_BUILDERS.get(schema)
         if builder is None:

@@ -17,7 +17,6 @@ from repro.service.resilience import (
 )
 from repro.service.service import NarrationService, NarrationSession, ServiceClosed
 from repro.service.sharding import (
-    HashRing,
     ShardError,
     ShardRouter,
     ShardRouterConfig,
@@ -35,7 +34,6 @@ __all__ = [
     "DeadlineExceeded",
     "FaultInjector",
     "FaultPlan",
-    "HashRing",
     "NarrationService",
     "NarrationSession",
     "RetryPolicy",

@@ -74,13 +74,13 @@ concurrency with a small set of rules, each enforced in code:
   ever try-acquires);
 * state shared *across* sessions is internally locked where mutation is
   structural: the per-lexicon :class:`~repro.query_nl.plans.PlanStore`,
-  the shared :class:`~repro.querygraph.builder.QueryGraphBuilder` (its
-  ``build`` keeps per-statement stacks on the instance) and the module
-  factories (``builder_for``/``graph_for``/``default_lexicon_for``/
-  ``plan_store_for``) and the masked-shape cache;
+  the module factories (``builder_for``/``graph_for``/
+  ``default_lexicon_for``/``plan_store_for``) and the masked-shape cache;
 * memo dicts whose writes are single-key and value-idempotent (schema
-  graph paths, lexicon lookups, template defaults) are left unlocked —
-  a race costs a duplicate computation, never a wrong answer.
+  graph paths, lexicon lookups, template defaults, the shared
+  :class:`~repro.querygraph.builder.QueryGraphBuilder`'s relation and
+  FK-pair lookups) are left unlocked — a race costs a duplicate
+  computation, never a wrong answer.
 
 Because translation and narration are pure functions of (schema,
 lexicon, text/data version), any interleaving of requests produces

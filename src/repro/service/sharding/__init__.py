@@ -1,19 +1,18 @@
-"""Multi-process shard tier: consistent-hash shape routing over workers.
+"""Multi-process shard tier: shape routing over workers.
 
 Public surface:
 
 * :class:`~repro.service.sharding.router.ShardRouter` — the asyncio
   client API mirroring a ``NarrationService`` session, backed by N
-  supervised worker processes;
-* :class:`~repro.service.sharding.router.HashRing` — the consistent-hash
-  ring the router places shape keys on;
+  supervised worker processes, each read going to worker
+  ``shape_hash(sql) % workers``;
 * :class:`~repro.service.sharding.supervisor.ShardError` /
   :class:`~repro.service.sharding.supervisor.WorkerCrashed` — the typed
   errors shard-tier callers handle.
 """
 
 from repro.service.sharding.protocol import RemoteWorkerError
-from repro.service.sharding.router import HashRing, ShardRouter, ShardRouterConfig
+from repro.service.sharding.router import ShardRouter, ShardRouterConfig
 from repro.service.sharding.supervisor import (
     ShardError,
     WorkerCrashed,
@@ -22,7 +21,6 @@ from repro.service.sharding.supervisor import (
 )
 
 __all__ = [
-    "HashRing",
     "RemoteWorkerError",
     "ShardError",
     "ShardRouter",

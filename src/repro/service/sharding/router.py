@@ -1,4 +1,4 @@
-"""The shard router: consistent-hash shape routing over worker processes.
+"""The shard router: shape routing over worker processes.
 
 :class:`ShardRouter` is the multi-process successor to a single
 :class:`~repro.service.service.NarrationService` session: same awaitable
@@ -11,15 +11,14 @@ one GIL.
 Routing
 -------
 
-Requests are routed by :func:`repro.sql.shape.shape_hash` — the
-process-stable 64-bit hash of the masked SQL shape — on a consistent-hash
-ring (:class:`HashRing`, virtual-node construction).  Every literal
-variant of one query shape therefore lands on the same worker, keeping
-that worker's phrase-plan store, exact-text LRU and parameterised-plan
-cache hot for the shapes it owns; and when the fleet is resized, only the
-ring segment of the changed worker moves.  Narration and explanation
-requests route by a stable hash of their arguments for the same affinity
-reason.
+Reads and explanations go to worker ``shape_hash(sql) % workers``:
+:func:`repro.sql.shape.shape_hash` is the process-stable 64-bit hash of
+the masked SQL shape, so every literal variant of one query shape lands
+on the same worker, keeping that worker's phrase-plan store, exact-text
+LRU and parameterised-plan cache hot for the shapes it owns.  Narrations
+route by a stable hash of their arguments for the same affinity reason.
+A router's worker count is fixed for its life, so placement is plain
+index arithmetic (:func:`failover_order`).
 
 Writes
 ------
@@ -74,10 +73,10 @@ the semantics are:
   auto-retried**: a crashed worker may or may not have applied the
   write, and the log replay — not a blind resend — is what converges it.
 * **Degraded rerouting** — a read whose shape-owner is dead, rebuilding
-  or breaker-open reroutes to the next live node in ring order instead
-  of failing or waiting: every replica holds the full database, so the
-  result is byte-identical — only colder (the fallback's caches do not
-  own this shape).  The read still honors the write barrier on the
+  or breaker-open reroutes to the next live worker after it in index
+  order (wrapping round) instead of failing or waiting: every replica
+  holds the full database, so the result is byte-identical — only
+  colder (the fallback's caches do not own this shape).  The read still honors the write barrier on the
   worker that actually serves it.
 * **Circuit breaking** — one closed/open/half-open
   :class:`~repro.service.resilience.CircuitBreaker` per worker counts
@@ -89,7 +88,6 @@ the semantics are:
 from __future__ import annotations
 
 import asyncio
-import bisect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -119,7 +117,7 @@ from repro.storage.durability import DurabilityConfig
 from repro.storage.snapshot import latest_snapshot, prune_snapshots
 from repro.storage.wal import WriteAheadLog
 
-__all__ = ["HashRing", "ShardRouter", "ShardRouterConfig"]
+__all__ = ["ShardRouter", "ShardRouterConfig", "failover_order"]
 
 #: Seconds a worker gets to drain politely on ``aclose`` before the
 #: supervisor terminates it.
@@ -155,59 +153,20 @@ class ShardRouterConfig:
             raise ValueError("attempt_timeout must be positive")
 
 
-class HashRing:
-    """A consistent-hash ring mapping 64-bit keys to worker indices.
+def failover_order(key_hash: int, workers: int) -> List[int]:
+    """Every worker index once: the owner of ``key_hash``, then the rest.
 
-    Each worker contributes ``replicas`` virtual nodes placed by
-    :func:`~repro.sql.shape.stable_hash`, so placement is identical in
-    every process and every run.  Removing a worker moves only the keys
-    it owned; adding one steals roughly ``1/n`` of each segment.
+    The owner is ``key_hash % workers``; the workers after it, wrapping
+    round, are the degradation order a read falls back along when its
+    owner is down.  Like placement itself, the order is a pure function
+    of the key, identical in every process.
     """
-
-    def __init__(self, worker_indices, replicas: int = 64) -> None:
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
-        points: List[Tuple[int, int]] = []
-        for index in worker_indices:
-            for replica in range(replicas):
-                points.append((stable_hash(f"shard-{index}#{replica}"), index))
-        if not points:
-            raise ValueError("a hash ring needs at least one worker")
-        points.sort()
-        self._hashes = [point for point, _ in points]
-        self._owners = [owner for _, owner in points]
-        self._workers = len(set(self._owners))
-
-    def route(self, key_hash: int) -> int:
-        """The worker index owning ``key_hash`` (clockwise successor)."""
-        position = bisect.bisect_right(self._hashes, key_hash)
-        if position == len(self._hashes):
-            position = 0
-        return self._owners[position]
-
-    def preference(self, key_hash: int) -> List[int]:
-        """Every distinct worker in ring order starting at ``key_hash``.
-
-        ``preference(k)[0] == route(k)``; the rest is the degradation
-        order — the \"next live node\" a read falls back to is the first
-        later entry whose worker is up.  Like placement itself, the
-        order is a pure function of the key, identical in every process.
-        """
-        position = bisect.bisect_right(self._hashes, key_hash)
-        owners = self._owners
-        count = len(owners)
-        order: List[int] = []
-        for step in range(count):
-            owner = owners[(position + step) % count]
-            if owner not in order:
-                order.append(owner)
-                if len(order) == self._workers:
-                    break
-        return order
+    owner = key_hash % workers
+    return [(owner + step) % workers for step in range(workers)]
 
 
 class ShardRouter:
-    """Consistent-hash shape routing over per-core worker processes.
+    """Shape routing over per-core worker processes.
 
     ::
 
@@ -259,7 +218,6 @@ class ShardRouter:
             "storage": storage,
         }
         self._start_method = default_start_method()
-        self._ring = HashRing(range(workers))
         self._handles: List[WorkerHandle] = [
             WorkerHandle(index, self._spec, self._start_method)
             for index in range(workers)
@@ -574,7 +532,8 @@ class ShardRouter:
         """Serve one idempotent read under the full resilience contract.
 
         Pick a worker (the shape's owner, or — degraded — the next live
-        ring node when the owner is dead, rebuilding or breaker-open),
+        worker in :func:`failover_order` when the owner is dead,
+        rebuilding or breaker-open),
         honor the read-after-write barrier on whichever worker serves,
         and run the round-trip inside an attempt slice of the request
         deadline.  Infrastructure failures (crash, attempt timeout,
@@ -590,7 +549,7 @@ class ShardRouter:
         deadline = Deadline.after(
             timeout if timeout is not None else config.request_timeout
         )
-        order = self._ring.preference(key_hash)
+        order = failover_order(key_hash, self.workers)
         primary = order[0]
         self._counts[kind] = self._counts.get(kind, 0) + 1
         policy = self._retry
@@ -657,7 +616,7 @@ class ShardRouter:
     async def _pick_worker(
         self, order: List[int], deadline: Deadline
     ) -> Tuple[int, WorkerHandle]:
-        """The first live, breaker-admitted worker in ring order.
+        """The first live, breaker-admitted worker in ``order``.
 
         A dead/rebuilding/breaker-open owner is skipped in favour of the
         next live node.  When nothing is immediately eligible the pick

@@ -127,8 +127,8 @@ def stable_hash(text: str) -> int:
     """A 64-bit hash of ``text`` that is identical in every Python process.
 
     Python's built-in ``hash`` of strings is salted per process
-    (``PYTHONHASHSEED``), so it cannot place keys on a hash ring shared
-    by a router and its worker processes, nor survive a router restart.
+    (``PYTHONHASHSEED``), so it cannot place keys on workers shared by
+    a router and its worker processes, nor survive a router restart.
     This digest is a pure function of the text — same value in every
     process, every run, every platform.
     """

@@ -15,17 +15,11 @@ decides *how* each relation physically holds its rows.  WAL replay and
 snapshot restore are engine-agnostic, so any combination is legal and
 byte-identical.
 
-Environment variables (read by :meth:`StorageConfig.from_env`, which is
-what a bare ``Database(schema)`` uses):
-
-``REPRO_STORAGE_ENGINE``
-    Default engine for every relation: ``rows`` (default), ``paged``,
-    or ``columnar``.  Flipping this runs the entire test suite through
-    another engine — the storage twin of ``REPRO_ORACLE=1``.
-``REPRO_STORAGE_PAGE_SIZE``
-    Page size in bytes for ``paged`` relations.
-``REPRO_STORAGE_POOL_PAGES``
-    Buffer pool capacity, in pages, for ``paged`` relations.
+The environment variable ``REPRO_STORAGE_ENGINE`` (read by
+:meth:`StorageConfig.from_env`, which is what a bare ``Database(schema)``
+uses) sets the default engine for every relation: ``rows`` (default),
+``paged``, or ``columnar``.  Flipping it runs the entire test suite
+through another engine — the storage twin of ``REPRO_ORACLE=1``.
 
 Lookups always self-tune: the first ``lookup`` on a column set builds a
 hash index that every later write maintains.
@@ -54,8 +48,6 @@ ENGINE_COLUMNAR = "columnar"
 STORAGE_ENGINES: Tuple[str, ...] = (ENGINE_ROWS, ENGINE_PAGED, ENGINE_COLUMNAR)
 
 ENGINE_ENV = "REPRO_STORAGE_ENGINE"
-PAGE_SIZE_ENV = "REPRO_STORAGE_PAGE_SIZE"
-POOL_PAGES_ENV = "REPRO_STORAGE_POOL_PAGES"
 
 
 @dataclass(frozen=True)
@@ -120,30 +112,11 @@ class StorageConfig:
 
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "StorageConfig":
-        """Build a config from ``REPRO_STORAGE_*`` environment variables.
+        """Build a config from the ``REPRO_STORAGE_ENGINE`` environment variable.
 
-        Unset variables keep the defaults, so with a clean environment
-        this is exactly ``StorageConfig()`` — dict rows everywhere.
+        Unset, it keeps the default, so with a clean environment this is
+        exactly ``StorageConfig()`` — dict rows everywhere.
         """
         env = os.environ if environ is None else environ
-        kwargs = {}
         engine = env.get(ENGINE_ENV, "").strip().lower()
-        if engine:
-            kwargs["default_engine"] = engine
-        page_size = env.get(PAGE_SIZE_ENV, "").strip()
-        if page_size:
-            try:
-                kwargs["page_size"] = int(page_size)
-            except ValueError:
-                raise ValueError(
-                    f"{PAGE_SIZE_ENV} must be an integer, got {page_size!r}"
-                ) from None
-        pool = env.get(POOL_PAGES_ENV, "").strip()
-        if pool:
-            try:
-                kwargs["buffer_pool_pages"] = int(pool)
-            except ValueError:
-                raise ValueError(
-                    f"{POOL_PAGES_ENV} must be an integer, got {pool!r}"
-                ) from None
-        return cls(**kwargs)
+        return cls(default_engine=engine) if engine else cls()

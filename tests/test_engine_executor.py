@@ -6,6 +6,7 @@ from repro.datasets import employee_database, movie_database, MANAGER_QUERY
 from repro.engine import Executor
 from repro.engine.result import DmlResult, QueryResult
 from repro.errors import EvaluationError, UnsupportedQueryError
+from repro.storage.config import STORAGE_ENGINES, StorageConfig
 
 
 @pytest.fixture
@@ -152,17 +153,23 @@ class TestOrderBy:
 class TestFormsNoDriverSends:
     """SQL the parser accepts that neither the corpus nor a benchmark sends.
 
-    A FROM-less select, OR, the negated BETWEEN/IN/LIKE forms, IN lists
+    FROM-less selects (one empty row through WHERE, aggregates, ORDER BY
+    and LIMIT), OR, the negated BETWEEN/IN/LIKE forms, IN lists
     with a NULL, IS [NOT] NULL, CASE with and without ELSE, unary minus,
     NOT, COALESCE, arithmetic in a filter, DISTINCT over two columns,
     OFFSET past the end, quoted identifiers, EXISTS under OR and a scalar
     subquery in the select list.  The database gains one movie with a NULL
     year first, so the three-valued cases have a NULL to meet.  Both modes
-    run each text three times (first sighting, compile, shape-plan hit).
+    run each text three times (first sighting, compile, shape-plan hit)
+    on every storage engine.
     """
 
     CASES = [
         ("select 1 + 2 as x", [(3,)]),
+        ("select 1 as x where 1 = 0", []),
+        ("select 1 as x order by x limit 0", []),
+        ("select count(*) where 1 = 0", [(0,)]),
+        ("select count(*)", [(1,)]),
         (
             "select m.title from MOVIES m where m.year = 1977 or m.year = 2005 order by m.title",
             [("Match Point",), ("Star Battles",)],
@@ -229,12 +236,15 @@ class TestFormsNoDriverSends:
 
     @pytest.mark.parametrize("sql, expected", CASES)
     def test_both_modes_give_the_expected_rows(self, sql, expected):
-        database = movie_database()
-        Executor(database).execute_sql("insert into MOVIES (id, title) values (11, 'Untitled')")
-        for compiled in (True, False):
-            executor = Executor(database, compiled=compiled)
-            for _ in range(3):
-                assert executor.execute_sql(sql).to_tuples() == expected
+        for engine in STORAGE_ENGINES:
+            database = movie_database().with_storage(StorageConfig(default_engine=engine))
+            Executor(database).execute_sql(
+                "insert into MOVIES (id, title) values (11, 'Untitled')"
+            )
+            for compiled in (True, False):
+                executor = Executor(database, compiled=compiled)
+                for _ in range(3):
+                    assert executor.execute_sql(sql).to_tuples() == expected, engine
 
 
 class TestNameResolution:
@@ -245,10 +255,11 @@ class TestNameResolution:
     an unknown or ambiguous name fails only when a row is evaluated.  A
     correlated subquery resolves against the outer row merged with its
     own, so an unqualified name can reach the outer row and an inner
-    binding shadows an outer one of the same name.  Each answer is the
-    result's columns and every row's keys and values in order, or the
-    error's text; both modes run each text three times (first sighting,
-    compile, shape-plan hit).
+    binding shadows an outer one of the same name.  A star selects its
+    tables' columns in FROM order, whatever table the join starts at.
+    Each answer is the result's columns and every row's keys and values
+    in order, or the error's text; both modes run each text three times
+    (first sighting, compile, shape-plan hit) on every storage engine.
     """
 
     CASES = [
@@ -280,6 +291,18 @@ class TestNameResolution:
                 ("a.id", "a.title", "a.year", "b.id", "b.title", "b.year"),
                 [[("a.id", 1), ("a.title", "Match Point"), ("a.year", 2005),
                   ("b.id", 2), ("b.title", "Melinda and Melinda"), ("b.year", 2004)]],
+            ),
+        ),
+        (
+            "select * from MOVIES m, GENRE g where g.genre = 'drama' and g.mid = m.id",
+            (
+                ("m.id", "m.title", "m.year", "g.mid", "g.genre"),
+                [[("m.id", 1), ("m.title", "Match Point"), ("m.year", 2005),
+                  ("g.mid", 1), ("g.genre", "drama")],
+                 [("m.id", 2), ("m.title", "Melinda and Melinda"), ("m.year", 2004),
+                  ("g.mid", 2), ("g.genre", "drama")],
+                 [("m.id", 10), ("m.title", "Ocean Heist"), ("m.year", 2001),
+                  ("g.mid", 10), ("g.genre", "drama")]],
             ),
         ),
         (
@@ -358,18 +381,19 @@ class TestNameResolution:
 
     @pytest.mark.parametrize("sql, expected", CASES)
     def test_both_modes_give_the_expected_answer(self, sql, expected):
-        database = movie_database()
-        for compiled in (True, False):
-            executor = Executor(database, compiled=compiled)
-            for _ in range(3):
-                if isinstance(expected, str):
-                    with pytest.raises(EvaluationError) as error:
-                        executor.execute_sql(sql)
-                    assert str(error.value) == expected
-                else:
-                    result = executor.execute_sql(sql)
-                    rows = [list(row.raw.items()) for row in result.rows]
-                    assert (result.columns, rows) == expected
+        for engine in STORAGE_ENGINES:
+            database = movie_database().with_storage(StorageConfig(default_engine=engine))
+            for compiled in (True, False):
+                executor = Executor(database, compiled=compiled)
+                for _ in range(3):
+                    if isinstance(expected, str):
+                        with pytest.raises(EvaluationError) as error:
+                            executor.execute_sql(sql)
+                        assert str(error.value) == expected, engine
+                    else:
+                        result = executor.execute_sql(sql)
+                        rows = [list(row.raw.items()) for row in result.rows]
+                        assert (result.columns, rows) == expected, engine
 
 
 class TestPlansAreBuiltOnce:

@@ -11,7 +11,7 @@ Three layers of coverage, mirroring the layering of the code:
   session's work lock instead of racing wall clock;
 * **shard-tier drills** — a SIGKILLed worker stays invisible to
   idempotent reads, a permanently-dead worker's shapes degrade to the
-  next ring node byte-identically, and the chaos soak replays the
+  next live worker byte-identically, and the chaos soak replays the
   50-query corpus plus interleaved mutations under seeded fault
   schedules (crashes, frame corruption/drops, slow replicas) asserting
   byte-equivalence with the single-process oracle throughout.
@@ -46,6 +46,7 @@ from repro.service.faults import (
     corrupt_frame,
     parse_faults,
 )
+from repro.service.sharding.router import failover_order
 from repro.sql.shape import is_mutation, shape_hash, statement_keyword
 
 DB_FACTORY = "repro.datasets.movies:movie_database"
@@ -533,7 +534,7 @@ class TestShardResilience:
                 # dependent: if its shapes only appear late in the
                 # corpus, the respawn wins the race and no retry or
                 # degraded read is ever recorded).
-                owner = router._ring.preference(shape_hash(corpus[0]))[0]
+                owner = failover_order(shape_hash(corpus[0]), router.workers)[0]
                 assert router.kill_worker(owner) is not None
                 results = [await router.execute(sql) for sql in corpus]
                 stats = await router.stats()
@@ -549,8 +550,8 @@ class TestShardResilience:
 
     def test_degraded_rerouting_is_byte_identical(self):
         # With the respawn budget at zero, worker 0 stays permanently
-        # dead — every read it owned must degrade to the next live ring
-        # node and come back byte-identical (colder caches, same bytes).
+        # dead — every read it owned must degrade to the next live worker
+        # and come back byte-identical (colder caches, same bytes).
         corpus = corpus_sql(20)
         database = movie_database()
 
@@ -568,7 +569,7 @@ class TestShardResilience:
                 # Kill a worker that owns at least one corpus shape —
                 # killing a fixed index would assert degraded reads the
                 # hash distribution may never produce.
-                dead = router._ring.preference(shape_hash(corpus[0]))[0]
+                dead = failover_order(shape_hash(corpus[0]), router.workers)[0]
                 router.kill_worker(dead)
                 for _ in range(int(TIMEOUT / 0.05)):
                     if router._handles[dead].gave_up:

@@ -372,17 +372,10 @@ class TestShapeChurnSoak:
         """(name, size, bound) for every cache and memo the two touch."""
         plans = translator._plans
         scope = executor._shared_scope
-        builder = translator.builder
         return [
             ("exact-text LRU", len(translator._cache), translator._cache.maxsize),
             ("phrase plans", len(plans.plans), plans.plans.maxsize),
             ("plan-store sightings", len(plans._sightings), SIGHTINGS_SIZE),
-            (
-                "graph-builder bindings",
-                len(builder._binding_state_cache),
-                builder._binding_state_cache.maxsize,
-            ),
-            ("graph-builder scopes", len(builder._scope_cache), builder._scope_cache.maxsize),
             ("masked shapes", len(shape_module._MASK_CACHE), shape_module._MASK_CACHE.maxsize),
             ("scan cache", len(executor._scan_cache), len(executor.database.tables)),
             ("shape infos", len(executor._shape_infos), executor._shape_infos.maxsize),

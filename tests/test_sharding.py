@@ -8,7 +8,6 @@ results byte-identical to the same history against a single-process
 """
 
 import asyncio
-import bisect
 import os
 import pickle
 import socket
@@ -22,7 +21,6 @@ from repro.datasets import generate_workload, movie_database
 from repro.engine import Executor
 from repro.query_nl.translator import QueryTranslator
 from repro.service import (
-    HashRing,
     NarrationService,
     ServiceClosed,
     ShardError,
@@ -38,6 +36,7 @@ from repro.service.sharding.protocol import (
     unwire_translation,
     wire_translation,
 )
+from repro.service.sharding.router import failover_order
 from repro.sql.shape import shape_hash, stable_hash
 
 DB_FACTORY = "repro.datasets.movies:movie_database"
@@ -151,7 +150,7 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
-# Stable hashing and the ring
+# Stable hashing and placement
 # ---------------------------------------------------------------------------
 
 
@@ -186,48 +185,21 @@ class TestStableHashing:
             "select m.title from MOVIES m where m.id = 2004"
         )
 
-    def test_ring_is_deterministic(self):
-        ring_a = HashRing(range(4))
-        ring_b = HashRing(range(4))
-        keys = [stable_hash(f"key-{i}") for i in range(1000)]
-        assert [ring_a.route(k) for k in keys] == [ring_b.route(k) for k in keys]
-
-    def test_ring_balance(self):
-        ring = HashRing(range(4), replicas=64)
+    def test_placement_balance(self):
         counts = {index: 0 for index in range(4)}
         for i in range(8000):
-            counts[ring.route(stable_hash(f"key-{i}"))] += 1
+            counts[failover_order(stable_hash(f"key-{i}"), 4)[0]] += 1
         for owned in counts.values():
             assert owned > 8000 * 0.10  # no worker starves
 
-    def test_preference_matches_the_full_ring_walk(self):
+    def test_failover_order_starts_at_the_owner_and_names_each_worker_once(self):
         for workers in range(1, 6):
-            ring = HashRing(range(workers))
-            owners, count = ring._owners, len(ring._owners)
             for i in range(10_000):
                 key = stable_hash(f"key-{i}")
-                position = bisect.bisect_right(ring._hashes, key)
-                walk = []
-                for step in range(count):
-                    owner = owners[(position + step) % count]
-                    if owner not in walk:
-                        walk.append(owner)
-                assert ring.preference(key) == walk
-                assert walk[0] == ring.route(key)
-
-    def test_ring_minimal_movement_on_removal(self):
-        before = HashRing(range(4))
-        after = HashRing(range(3))  # worker 3 removed
-        moved = 0
-        for i in range(4000):
-            key = stable_hash(f"key-{i}")
-            owner = before.route(key)
-            if owner == 3:
-                moved += 1
-            else:
-                # Keys not owned by the removed worker must not move.
-                assert after.route(key) == owner
-        assert 0 < moved < 4000
+                order = failover_order(key, workers)
+                assert order[0] == key % workers
+                assert sorted(order) == list(range(workers))
+                assert order == [(order[0] + step) % workers for step in range(workers)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +267,7 @@ class TestRouterEquivalence:
                 "deadline": 0,
                 "in_queue": 0,
             }
-        # The consistent hash spread the corpus over both workers.
+        # Placement spread the corpus over both workers.
         per_worker = [
             sum(w["session"]["requests"]["by_kind"].values())
             for w in stats["workers"]
@@ -303,13 +275,12 @@ class TestRouterEquivalence:
         assert all(count > 0 for count in per_worker)
 
     def test_same_shape_routes_to_same_worker(self):
-        ring = HashRing(range(4))
         variants = [
             "select m.title from MOVIES m where m.year = 2004",
             "select m.title from MOVIES m where m.year = 1977",
             "select m.title from MOVIES m where m.year = 1995",
         ]
-        owners = {ring.route(shape_hash(sql)) for sql in variants}
+        owners = {failover_order(shape_hash(sql), 4)[0] for sql in variants}
         assert len(owners) == 1
 
     def test_pipeline_errors_cross_the_wire_typed(self):
@@ -534,7 +505,7 @@ class TestCrashRecovery:
         async def main():
             async with ShardRouter(DB_FACTORY, workers=2) as router:
                 await router.execute("insert into GENRE values (5, 'pre-crash')")
-                owner = router._ring.preference(shape_hash(read))[0]
+                owner = failover_order(shape_hash(read), router.workers)[0]
                 handle = router._handles[owner]
                 spawned, replay = asyncio.Event(), asyncio.Event()
                 spawn, send_read = handle.spawn, handle.read

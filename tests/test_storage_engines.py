@@ -144,17 +144,9 @@ class TestStorageConfig:
     def test_from_env_defaults(self):
         assert StorageConfig.from_env(environ={}) == StorageConfig()
 
-    def test_from_env_reads_engine_and_knobs(self):
-        config = StorageConfig.from_env(
-            environ={
-                "REPRO_STORAGE_ENGINE": "paged",
-                "REPRO_STORAGE_PAGE_SIZE": "1024",
-                "REPRO_STORAGE_POOL_PAGES": "8",
-            }
-        )
-        assert config.default_engine == "paged"
-        assert config.page_size == 1024
-        assert config.buffer_pool_pages == 8
+    def test_from_env_reads_the_engine(self):
+        config = StorageConfig.from_env(environ={"REPRO_STORAGE_ENGINE": "paged"})
+        assert config == StorageConfig(default_engine="paged")
 
 
 # ----------------------------------------------------------------------

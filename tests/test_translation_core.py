@@ -240,14 +240,6 @@ class TestFusedValidationEquivalence:
             assert fused[0] == "error", sql
             assert fused == oracle, sql
 
-    def test_fused_mode_shares_scopes_across_repeated_shapes(self):
-        schema = movie_schema()
-        builder = QueryGraphBuilder(schema)
-        builder.build(parse_sql("select m.title from MOVIES m where m.year = 1"))
-        scopes = len(builder._scope_cache)
-        builder.build(parse_sql("select m.title from MOVIES m where m.year = 2"))
-        assert len(builder._scope_cache) == scopes
-
 
 # ---------------------------------------------------------------------------
 # Shape-keyed phrase plans vs the full pipeline

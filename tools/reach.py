@@ -380,7 +380,6 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/engine/executor.py:Executor.invalidate_caches",
         "repro/engine/executor.py:execute",
         "repro/engine/plan.py:plan_query",
-        "repro/service/sharding/router.py:HashRing.route",
         "repro/service/service.py:NarrationService.stats",
         "repro/validation/harness.py:default_modes",
         "repro/content/presets.py:default_spec",
