@@ -19,7 +19,7 @@ Four measurements:
   at a time on an otherwise idle session, a non-durable INSERT runs on
   the event loop, and so does a durable one unless its append syncs the
   log (the group commit under ``batch``, every append under
-  ``always``), which runs on the worker pool.  The
+  ``always``), which runs on a thread of the service's pool.  The
   **budget** lives here: ``fsync="batch"`` must stay within 2x of
   non-durable throughput, asserted in-run.  Each policy also records the
   WAL's own sync count for the inserts and the closing flush
@@ -107,7 +107,7 @@ def _service_run(count, durability=None):
     """Seconds for ``count`` INSERTs through a session, and their WAL syncs."""
 
     async def main():
-        async with NarrationService(max_workers=2) as service:
+        async with NarrationService() as service:
             session = service.session(
                 database=movie_database(), durability=durability
             )

@@ -140,7 +140,7 @@ def _verify_service_equivalence(queries, clients: int = 64) -> str:
         expected[sql] = (result.columns, result.rows)
 
     async def run():
-        async with NarrationService(max_workers=4) as service:
+        async with NarrationService() as service:
             session = service.session(database=service_db)
 
             async def client(worker: int):

@@ -13,9 +13,9 @@ This benchmark quantifies that claim three ways:
 * ``micro_ns`` — the isolated per-call cost of each policy primitive;
 * ``queued_execute`` — warm single-shape executes, one at a time, on a
   session no other request is using, default versus stubbed admission.
-  Such a session is idle, so each execute runs inline on the event
-  loop: admission, deadline and the shape-plan run, with no turn and
-  no worker-pool call.  This is the cheapest request that runs the
+  Such a session's turn is free, so each execute takes it without
+  yielding and runs on the event loop: admission, deadline and the
+  shape-plan run, with no pool call.  This is the cheapest request that runs the
   admission check, so it is the strictest base for the budget (both
   sides build the same deadline).  The key keeps its name so that
   runs before and after the inline path compare; before it, this
@@ -117,8 +117,8 @@ async def _compare(kind: str, batches: int, calls: int, between=None):
     latency on each session, and what ``between`` (if given) returns when
     called after them in the same round.
     """
-    default_service = NarrationService(max_workers=2)
-    bypassed_service = NarrationService(max_workers=2)
+    default_service = NarrationService()
+    bypassed_service = NarrationService()
     try:
         default_session = default_service.session(database=movie_database())
         bypassed_session = bypassed_service.session(database=movie_database())

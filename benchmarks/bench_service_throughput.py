@@ -17,8 +17,9 @@ Two service streams are measured warm:
 * ``literal_variants`` — every request rotates the literal values, so
   the exact-text LRU never hits and every request exercises the
   shape-keyed phrase-plan path.  Its requests run on the event loop
-  too: a phrase-plan hit takes the fast path, and a miss on an idle
-  session runs inline, so neither stream reaches the worker pool.
+  too: a phrase-plan hit takes the fast path and a miss takes its turn
+  on the loop, so neither stream reaches the service's pool, which runs
+  only requests that can wait on the disk.
 
 The in-run equivalence check asserts concurrent output is byte-identical
 to sequential synchronous translation before any number is recorded, and
@@ -86,7 +87,7 @@ def _variant_batches(workload, rounds):
 
 
 def _service_rps(
-    schema, warm_batches, measure_batches, clients, max_workers, cache_size=512
+    schema, warm_batches, measure_batches, clients, cache_size=512
 ) -> tuple:
     """Warm requests/second through one NarrationService session.
 
@@ -94,7 +95,7 @@ def _service_rps(
     phrase plan); every client then replays ``measure_batches``.  When the
     measured texts equal the warm ones the steady state is the exact-text
     LRU + direct-await path; when they only share *shapes* every request
-    is a phrase-plan render on the worker pool.
+    is a phrase-plan render on the event loop.
     """
 
     async def client(session, batches):
@@ -103,7 +104,7 @@ def _service_rps(
                 await session.translate(sql)
 
     async def main():
-        async with NarrationService(max_workers=max_workers) as service:
+        async with NarrationService() as service:
             session = service.session(schema=schema, cache_size=cache_size)
             for batch in warm_batches:
                 for sql in batch:
@@ -160,7 +161,7 @@ def verify_service_equivalence(schema, workload, clients: int = 64) -> str:
         return await asyncio.gather(*[session.translate(sql) for sql in workload])
 
     async def main():
-        async with NarrationService(max_workers=4) as service:
+        async with NarrationService() as service:
             session = service.session(schema=schema)
             return await asyncio.gather(*[replay(session) for _ in range(clients)])
 
@@ -181,13 +182,12 @@ def verify_service_equivalence(schema, workload, clients: int = 64) -> str:
 # ---------------------------------------------------------------------------
 
 
-def bench_service_throughput(quick: bool = False, max_workers: int = 4) -> dict:
+def bench_service_throughput(quick: bool = False) -> dict:
     schema = movie_schema()
     workload = _workload()
     rounds = 1 if quick else 4
     results: dict = {
         "workload_queries": len(workload),
-        "max_workers": max_workers,
         "baseline": (
             "one thread per request, each running the full uncached pipeline"
             " (fresh translator, no LRU, no phrase plans)"
@@ -198,7 +198,7 @@ def bench_service_throughput(quick: bool = False, max_workers: int = 4) -> dict:
     variant_batches = _variant_batches(workload, 1 + max(2, rounds))
     for clients in CLIENT_COUNTS:
         repeated_rps, stats = _service_rps(
-            schema, [workload], [workload] * rounds, clients, max_workers
+            schema, [workload], [workload] * rounds, clients
         )
         naive = _naive_rps(schema, workload, clients)
         results["clients"][str(clients)] = {
@@ -209,13 +209,12 @@ def bench_service_throughput(quick: bool = False, max_workers: int = 4) -> dict:
         if clients == CLIENT_COUNTS[-1]:
             results["request_stats"] = stats["requests"]
     # Fresh texts over warm *plans*, with the exact-text LRU disabled: every
-    # request is a shape-keyed plan render on the worker pool.
+    # request is a shape-keyed plan render on the event loop.
     variants_rps, variant_stats = _service_rps(
         schema,
         variant_batches[:1],
         variant_batches[1:],
         CLIENT_COUNTS[-1],
-        max_workers,
         cache_size=None,
     )
     results["literal_variants_rps_64"] = round(variants_rps, 1)
@@ -308,7 +307,7 @@ def _single_rps(clients: int, warm_batch, client_batches) -> float:
                 await session.execute(sql)
 
     async def main():
-        async with NarrationService(max_workers=4) as service:
+        async with NarrationService() as service:
             session = service.session(database=database)
             for sql in warm_batch:
                 await session.execute(sql)
@@ -384,7 +383,7 @@ def verify_shard_equivalence(workload) -> str:
         return outputs
 
     async def main():
-        async with NarrationService(max_workers=2) as service:
+        async with NarrationService() as service:
             oracle = service.session(database=database)
             expected = await history(oracle)
         async with ShardRouter(_DB_FACTORY, workers=2) as router:
@@ -488,7 +487,6 @@ def bench_shard_tier(quick: bool = False, worker_counts=WORKER_COUNTS) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="single warm round")
-    parser.add_argument("--max-workers", type=int, default=4)
     parser.add_argument(
         "--shard-tier",
         action="store_true",
@@ -509,9 +507,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sections = []
     if not args.shard_only:
-        results = bench_service_throughput(
-            quick=args.quick, max_workers=args.max_workers
-        )
+        results = bench_service_throughput(quick=args.quick)
         print(f"equivalence: {results['equivalence']}")
         for clients, entry in results["clients"].items():
             print(

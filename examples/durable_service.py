@@ -9,7 +9,10 @@ closing the service, and recovers everything from disk twice over:
 once into a fresh durable session (snapshot + WAL replay), and once
 through the raw :meth:`repro.storage.Database.recover` path — then
 tears the WAL's final record the way a mid-write crash would and shows
-recovery shrugging it off.
+recovery shrugging it off.  Requests run on the service's event loop;
+only one that waits on the disk (a write that completes a group commit,
+a checkpoint) takes a thread.  Three inserts never fill the group
+commit of eight, so every request here reports as run on the loop.
 
 Run with::
 
@@ -39,16 +42,19 @@ READ = "select m.title from MOVIES m where m.year > 1990"
 async def run_service(directory: Path, mutations) -> list:
     """One 'process lifetime': recover from ``directory``, apply, read."""
     config = DurabilityConfig(directory=directory, fsync="batch", batch_every=8)
-    async with NarrationService(max_workers=2) as service:
+    async with NarrationService() as service:
         session = service.session(database=movie_database(), durability=config)
         for sql in mutations:
             await session.execute(sql)
         result = await session.execute(READ)
-        durability = session.stats()["durability"]
+        stats = session.stats()
+        durability, requests = stats["durability"], stats["requests"]
         print(
             f"  recovered {durability['replayed']} replayed record(s),"
             f" wal seq {durability['wal']['last_seq']},"
-            f" {len(result.rows)} post-1990 titles visible"
+            f" {len(result.rows)} post-1990 titles visible;"
+            f" {requests['inline']} request(s) on the loop,"
+            f" {requests['pooled']} on a thread"
         )
         return [row["title"] for row in result.rows]
 

@@ -790,7 +790,12 @@ class Executor:
                     self._sightings.put(digest, True)
                     self.shape_deferred += 1
                     return self.execute_select(parse_sql(sql))
-            entry = self._compile_shape_plan(sql, shape, literals, info)
+            statement = parse_sql(sql)
+            if not self._relations_known(statement):
+                # A plan over a missing relation cannot answer: run the
+                # text unkept, so each sighting raises the scan's error.
+                return self.execute_select(statement)
+            entry = self._compile_shape_plan(statement, shape, literals, info)
         else:
             self.shape_hits += 1
         self._validate_caches()
@@ -806,8 +811,20 @@ class Executor:
             self._params[0] = ()
         return QueryResult(columns=layout.columns, rows=rows)
 
-    def _compile_shape_plan(self, sql: str, shape, literals, info) -> ParameterisedPlan:
-        """Plan ``sql`` as the canonical statement of its guard class.
+    def _relations_known(self, statement: ast.SelectStatement) -> bool:
+        """Whether every FROM of ``statement``, nested blocks included, names
+        a relation of the schema."""
+        has_relation = self.database.schema.has_relation
+        return all(
+            has_relation(node.name)
+            for node in statement.walk()
+            if isinstance(node, ast.TableRef)
+        )
+
+    def _compile_shape_plan(
+        self, statement: ast.SelectStatement, shape, literals, info
+    ) -> ParameterisedPlan:
+        """Plan ``statement`` as the canonical statement of its guard class.
 
         Its own literal values are what the pinned guard positions bake
         into the plan.  With ``parameterised`` off, or when the literal
@@ -815,7 +832,6 @@ class Executor:
         :func:`repro.engine.parameterised.analyze_statement`), every
         literal is pinned.
         """
-        statement = parse_sql(sql)
         ordinals = None
         if self.parameterised:
             if info is None:

@@ -182,9 +182,8 @@ def _compare_test(name: str, cmp, thunk):
         if const is None:
             return []  # NULL comparisons never match
         column = arrays[name]
-        if selection is None:
-            return [i for i, v in enumerate(column) if v is not None and cmp(v, const)]
-        return [i for i in selection if (v := column[i]) is not None and cmp(v, const)]
+        positions = range(len(column)) if selection is None else selection
+        return [i for i in positions if (v := column[i]) is not None and cmp(v, const)]
 
     return test
 
@@ -196,28 +195,11 @@ def _like_test(name: str, pattern_thunk, negate: bool):
             return []
         match = like_regex(str(pattern)).match
         column = arrays[name]
-        if negate:
-            if selection is None:
-                return [
-                    i
-                    for i, v in enumerate(column)
-                    if v is not None and match(str(v)) is None
-                ]
-            return [
-                i
-                for i in selection
-                if (v := column[i]) is not None and match(str(v)) is None
-            ]
-        if selection is None:
-            return [
-                i
-                for i, v in enumerate(column)
-                if v is not None and match(str(v)) is not None
-            ]
+        positions = range(len(column)) if selection is None else selection
         return [
             i
-            for i in selection
-            if (v := column[i]) is not None and match(str(v)) is not None
+            for i in positions
+            if (v := column[i]) is not None and (match(str(v)) is None) is negate
         ]
 
     return test
@@ -230,13 +212,8 @@ def _between_test(name: str, low_thunk, high_thunk):
         if low is None or high is None:
             return []
         column = arrays[name]
-        if selection is None:
-            return [
-                i for i, v in enumerate(column) if v is not None and low <= v <= high
-            ]
-        return [
-            i for i in selection if (v := column[i]) is not None and low <= v <= high
-        ]
+        positions = range(len(column)) if selection is None else selection
+        return [i for i in positions if (v := column[i]) is not None and low <= v <= high]
 
     return test
 
@@ -244,13 +221,8 @@ def _between_test(name: str, low_thunk, high_thunk):
 def _is_null_test(name: str, negated: bool):
     def test(arrays: Arrays, selection: Optional[List[int]]):
         column = arrays[name]
-        if negated:
-            if selection is None:
-                return [i for i, v in enumerate(column) if v is not None]
-            return [i for i in selection if column[i] is not None]
-        if selection is None:
-            return [i for i, v in enumerate(column) if v is None]
-        return [i for i in selection if column[i] is None]
+        positions = range(len(column)) if selection is None else selection
+        return [i for i in positions if (column[i] is None) is not negated]
 
     return test
 

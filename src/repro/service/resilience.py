@@ -305,8 +305,9 @@ class AdmissionController:
       ``None`` lets every request wait its turn.
     * deadline shedding — a request whose :class:`Deadline` has already
       expired is answered :class:`DeadlineExceeded` before it waits for
-      its turn.  The pool call applies the same rule to a request that
-      expired *while it waited* (counted separately as ``shed_in_queue``).
+      its turn.  The session applies the same rule when the turn comes,
+      to a request that expired *while it waited* (counted separately as
+      ``shed_in_queue``).
 
     Counters are plain ints mutated under the session's stats lock (or
     the event loop); they feed the ``shed`` block of ``stats()``.

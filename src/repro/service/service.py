@@ -2,61 +2,50 @@
 
 The paper's vision is a DBMS that *talks back* interactively — which
 means serving translation, narration, execution and empty-answer
-explanation to many callers at once, not one synchronous caller.  PRs
-1–3 made every stage of the pipeline compile-once-run-many (closure
-plans, compiled templates, shape-keyed phrase plans, maintained
-ranking); this module is the first layer that composes all three
-compiled subsystems behind one concurrent interface.
+explanation to many callers at once, not one synchronous caller.  Every
+stage of the pipeline compiles once and runs many times (closure plans,
+compiled templates, shape-keyed phrase plans, maintained ranking); this
+module composes those compiled subsystems behind one concurrent
+interface.
 
 Architecture
 ------------
 
-:class:`NarrationService` owns a bounded :class:`ThreadPoolExecutor` and
-a set of :class:`NarrationSession`\\ s, one per (schema, database) pair.
-A session owns the shared compiled state for its schema — the
-``builder_for`` query-graph builder, the ``default_lexicon_for`` lexicon
-and its phrase-plan store, the compiled template registry inside its
-spec, one shared :class:`~repro.engine.executor.Executor` (shape-plan,
-scan and subquery caches included) and one
-:class:`~repro.content.narrator.ContentNarrator` — and funnels every
-request through three tiers:
+:class:`NarrationService` hands out one :class:`NarrationSession` per
+(schema, database) pair.  A session owns the shared compiled state for
+its schema — the ``builder_for`` query-graph builder, the
+``default_lexicon_for`` lexicon and its phrase-plan store, the compiled
+template registry inside its spec, one shared
+:class:`~repro.engine.executor.Executor` (shape-plan, scan and subquery
+caches included) and one :class:`~repro.content.narrator.ContentNarrator`
+— and serves every request by one rule:
 
-* **direct-await fast path** — a translate request whose SQL hits the
-  exact-text LRU or a compiled phrase plan is served inline on the event
-  loop (microseconds, no parse, no graph build).  The session lock is
-  only *tried*; if a worker holds it the request takes its turn like any
-  other rather than blocking the loop.  Workers release the lock before
-  a reply settles, so a client resumed by its reply finds it free.
-* **inline on an idle session** — any other request, once admitted,
-  runs on the event loop as well when the session is idle: no request
-  holds or waits for the session's turn, the work lock can be taken
-  without blocking, and the request cannot wait on the disk.
-  ``checkpoint`` and ``snapshot_to`` never run here, nor does a durable
-  session's write whose log appends could sync the log (every append
-  under ``fsync="always"``, the one that completes a group commit
-  under ``"batch"``) or reach the checkpoint cadence; the session
-  bounds a statement's appends by its VALUES tuples.  The rule rests on
-  the GIL: while a pool thread runs Python, the loop runs almost
-  nothing anyway, apart from switch-interval slices and disk waits, and
-  the rule keeps disk waits on the pool.  So the hand-off bought no
-  concurrency, only latency: about 40 µs a request through the session
-  (turn, ``wrap_future``, thread wake-ups, self-pipe), against 25 µs
-  for a bare ``ThreadPoolExecutor`` round trip, on a 2-vCPU Xeon with
-  both pinned to one vCPU.  The cost: a run longer than the
-  interpreter's switch interval (5 ms by default) now holds the loop
-  for its whole length, where a pool run would have let the loop in
-  between slices.
-* **one hand-off per request** — every other request waits its turn on
-  the session's FIFO ``asyncio.Lock`` (arrival order), then awaits one
-  call on the service's ``ThreadPoolExecutor`` that takes the work lock,
-  sheds the request typed if its deadline ran out while it waited, and
-  otherwise runs it.  Admission counts the requests still waiting for
-  their turn.  Sessions of different schemas run on the pool in
-  parallel; within a session one request runs at a time, inline or
-  pooled, and the work lock serializes pipeline access, which is what
-  makes the shared caches sound.
+* **fast path** — a translate whose SQL hits the exact-text LRU or a
+  compiled phrase plan is answered at once on the event loop while the
+  session's turn is free (no parse, no graph build).
+* **the turn** — any other request, once admitted, takes the session's
+  turn, a FIFO ``asyncio.Lock``: at once when the turn is free and
+  nobody waits for it, otherwise when its turn comes, in arrival order.
+  Its deadline is checked then, and an expired one is shed typed.  The
+  request then runs on the event-loop thread.
+* **disk waits take a thread** — only a request that can wait on the
+  disk runs on a thread of the service's pool, and it holds the turn
+  until that run ends, also when its client is cancelled: ``checkpoint``,
+  ``snapshot_to``, and a durable session's write whose log appends could
+  sync the log (every append under ``fsync="always"``, the one that
+  completes a group commit under ``"batch"``) or reach the checkpoint
+  cadence.  The session bounds a statement's appends by its VALUES
+  tuples.
 
-On every tier a shape's phrase plan and shape plan are compiled on its
+The rule rests on the GIL: while a thread runs Python the loop runs
+almost nothing anyway, so handing CPU work to a thread bought no
+concurrency, only latency (about 40 µs a request through a turn and a
+pool call, on a 2-vCPU Xeon pinned to one vCPU).  A disk wait releases
+the GIL, which is why those keep a thread.  The cost: a run longer than
+the interpreter's switch interval (5 ms by default) holds the loop for
+its whole length.
+
+On every path a shape's phrase plan and shape plan are compiled on its
 second sighting and serve every later request of that shape; an
 ``explain_empty`` text, and each relaxation of an empty answer, runs
 through a shape plan like an ``execute`` text.
@@ -65,13 +54,15 @@ Thread-safety contract
 ----------------------
 
 Python's hot-path caches here were built for single-threaded speed
-(plain dicts, ``OrderedDict`` LRUs); the service makes them safe under
-concurrency with a small set of rules, each enforced in code:
+(plain dicts, ``OrderedDict`` LRUs); the service keeps them sound with
+a small set of rules:
 
-* every *pipeline touch* for a session — translator, executor, narrator,
-  explainer — happens under that session's ``threading.Lock`` (workers
-  block on it; the event loop, fast path and inline runs alike, only
-  ever try-acquires);
+* a session's pipeline — translator, executor, narrator, explainer —
+  runs only on the event loop, or on the pool thread of the request that
+  holds the session's turn.  While such a run holds the turn the loop
+  runs none of it: other requests wait for the turn, and the fast path
+  runs only while the turn is free.  So the turn is the session's only
+  exclusion;
 * state shared *across* sessions is internally locked where mutation is
   structural: the per-lexicon :class:`~repro.query_nl.plans.PlanStore`,
   the module factories (``builder_for``/``graph_for``/
@@ -92,14 +83,14 @@ Observability
 -------------
 
 :meth:`NarrationSession.stats` is the per-session endpoint: request
-counters by kind and by tier (``fast_path_hits``, ``inline``,
-``pooled``; every admitted request counts on exactly one), the number
-of requests waiting for their turn, the shed counters, the translator's
-exact-text LRU and phrase-plan store statistics (including the
-unplannable-shape report), the shared executor's cache statistics, and
-the derived execution shape-sharing rate (what fraction of executions
-were served by a compiled shape plan).  :meth:`NarrationService.stats` aggregates
-every session.
+counters by kind and by path (``fast_path_hits``; ``inline`` for a
+request run or shed on the loop, ``pooled`` for one run on a thread),
+the number of requests waiting for their turn, the shed counters, the
+translator's exact-text LRU and phrase-plan store statistics (including
+the unplannable-shape report), the shared executor's cache statistics,
+and the derived execution shape-sharing rate (what fraction of
+executions were served by a compiled shape plan).
+:meth:`NarrationService.stats` aggregates every session.
 """
 
 from __future__ import annotations
@@ -127,6 +118,9 @@ __all__ = ["NarrationService", "NarrationSession", "ServiceClosed"]
 
 #: ``NarrationService.session``'s exact-text cache size when none is given.
 _DEFAULT_CACHE_SIZE = 512
+#: Threads of a service's pool, which runs only requests that can wait on
+#: the disk; each session has at most one such run at a time.
+_DISK_THREADS = 4
 #: Marks a ``session()`` argument the caller left out, so that an explicit
 #: default still counts as configuration.
 _UNSET: Any = object()
@@ -180,14 +174,12 @@ class NarrationSession:
         )
         # Resilience: admission control (shedding off unless configured).
         self._admission = admission if admission is not None else AdmissionController()
-        # Serializes every pipeline touch; see the module docstring's
-        # thread-safety contract.
-        self._work_lock = threading.Lock()
-        # Counter updates come from both the event loop and the workers.
+        # Counter updates come from both the event loop and the pool.
         self._stats_lock = threading.Lock()
         # Requests take their turn in arrival order (asyncio.Lock wakes
-        # its waiters first in, first out); the holder's one pool call is
-        # the session's only request in flight.
+        # its waiters first in, first out); the holder is the session's
+        # only request in flight.  See the module docstring's
+        # thread-safety contract.
         self._turn = asyncio.Lock()
         self._waiting = 0
         self._executor: Optional[Executor] = None
@@ -208,20 +200,16 @@ class NarrationSession:
     ) -> QueryTranslation:
         """Translate SQL to natural language (Section 3 of the paper).
 
-        Plan/LRU hits are served inline.  A cold translation runs on the
-        event loop too when the session is idle, and otherwise waits
-        its turn and runs on the worker pool.  ``timeout`` caps this one
-        request (default: unbounded); the deadline is honored at
-        admission and again when a waiting request's turn comes, and
-        expiry raises the typed
+        Plan/LRU hits are answered at once while the session's turn is
+        free; a cold translation takes its turn and runs on the event
+        loop.  ``timeout`` caps this one request (default: unbounded);
+        the deadline is honored at admission and again when the turn
+        comes, and expiry raises the typed
         :class:`~repro.service.resilience.DeadlineExceeded`.
         """
         self._check_open()
-        if isinstance(sql, str) and self._work_lock.acquire(blocking=False):
-            try:
-                fast = self.translator.try_fast_translate(sql)
-            finally:
-                self._work_lock.release()
+        if isinstance(sql, str) and not self._turn.locked():
+            fast = self.translator.try_fast_translate(sql)
             if fast is not None:
                 with self._stats_lock:
                     self._fast_path_hits += 1
@@ -263,7 +251,7 @@ class NarrationSession:
 
         Only meaningful on a durable session (one created with a
         ``durability`` config) — raises :class:`ValueError` otherwise.
-        Runs on the worker pool under the session work lock, so the
+        Runs on a pool thread while it holds the session's turn, so the
         snapshot sees no half-applied mutation.
         """
         self._check_open()
@@ -282,7 +270,7 @@ class NarrationSession:
         shard tier uses it to checkpoint a worker replica into the
         *router's* durability directory (the router owns the WAL and its
         compaction; the worker only contributes the state bytes).  Runs
-        on the worker pool under the session work lock, like
+        on a pool thread while it holds the session's turn, like
         :meth:`checkpoint`: writing a file can wait on the disk.
         """
         self._check_open()
@@ -291,11 +279,11 @@ class NarrationSession:
     def stats(self) -> Dict[str, Any]:
         """The per-session cache/plan/request statistics snapshot.
 
-        ``requests`` counts traffic by kind and by the tier that served
-        it (``fast_path_hits``, ``inline``, ``pooled``: an admitted
-        request counts on exactly one, an in-queue shed on ``pooled``),
-        the requests still waiting for their turn (``queue_depth``) and
-        the shed ones;
+        ``requests`` counts traffic by kind and by the path that served
+        it (``fast_path_hits``, ``inline``, ``pooled``: a request counts
+        on exactly one once its turn comes, one shed then on ``inline``,
+        and a client cancelled before its turn on none), the requests still
+        waiting for their turn (``queue_depth``) and the shed ones;
         ``execution_shape_sharing`` derives the executor's
         shape-hit rate — the fraction of SQL executions served by an
         already-compiled shape plan with only a literal rebind.
@@ -331,7 +319,7 @@ class NarrationSession:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Dispatch: inline on an idle session, else one turn and one pool call
+    # Dispatch: one turn per request, on the loop unless it waits on disk
     # ------------------------------------------------------------------
 
     async def _submit(
@@ -341,45 +329,40 @@ class NarrationSession:
         # threshold, DeadlineExceeded for an already-expired budget)
         # instead of accepting work that can only fail later.
         self._admission.admit(self._waiting, deadline)
-        # An idle session runs the request here, on the loop: nothing
-        # holds or waits for the turn, no pool thread holds the work
-        # lock, and the request cannot wait on the disk.
-        inline = (
-            not self._waiting
-            and not self._turn.locked()
-            and not self._may_wait_on_disk(kind, payload)
-            and self._work_lock.acquire(blocking=False)
-        )
-        with self._stats_lock:
-            self._counts[kind] = self._counts.get(kind, 0) + 1
-            if inline:
-                self._inline += 1
-            else:
-                self._pooled += 1
-        if inline:
-            try:
-                return self._run(kind, payload)
-            finally:
-                self._work_lock.release()
+        # A free turn nobody waits for is taken without yielding.
         self._waiting += 1
         try:
             await self._turn.acquire()
         finally:
             self._waiting -= 1
-        loop = asyncio.get_running_loop()
         work = None
         try:
+            expired = deadline.expired
+            disk = not expired and self._may_wait_on_disk(kind, payload)
+            with self._stats_lock:
+                self._counts[kind] = self._counts.get(kind, 0) + 1
+                if disk:
+                    self._pooled += 1
+                else:
+                    self._inline += 1
+                if expired:
+                    # The budget ran out while the request waited its turn:
+                    # shed it now rather than spend pipeline time on it.
+                    raise self._admission.shed_expired_in_queue()
+            if not disk:
+                return self._run(kind, payload)
             # What ``run_in_executor`` does, keeping the pool's own future:
             # cancelling the client cancels a run that has not started,
             # and only that.
             work = self._service._pool.submit(self._serve, kind, payload, deadline)
-            return await asyncio.wrap_future(work, loop=loop)
+            return await asyncio.wrap_future(work)
         finally:
             if work is None or work.done():
                 self._turn.release()
             else:
                 # The client was cancelled mid-run: its run keeps the turn
                 # until it ends, so the next request never runs beside it.
+                loop = asyncio.get_running_loop()
                 work.add_done_callback(
                     lambda _: loop.call_soon_threadsafe(self._turn.release)
                 )
@@ -391,26 +374,21 @@ class NarrationSession:
         if self._durability is None or kind != "execute" or not is_mutation(payload):
             return False
         quiet = self._durability.appends_before_disk_wait()
-        # A statement logs one record per row it writes: at most one for
-        # UPDATE and DELETE, one per VALUES tuple for INSERT, and each
-        # tuple opens a parenthesis.
-        return quiet is not None and quiet < max(1, payload.count("("))
-
-    # ------------------------------------------------------------------
-    # Worker side (runs on the service pool)
-    # ------------------------------------------------------------------
+        # A statement logs one record for UPDATE and DELETE and one per
+        # VALUES tuple for INSERT; each tuple opens a parenthesis after
+        # the first "values" in the text (a column list comes before it).
+        head = payload.lower().find("values")
+        appends = payload.count("(", head) if head >= 0 else 1
+        return quiet is not None and quiet < max(1, appends)
 
     def _serve(self, kind: str, payload: Any, deadline: Deadline) -> Any:
-        # Returns only once the work lock is free again: a client resumed
-        # by its reply may call ``translate`` at once, and its fast path
-        # must not find the lock still held by this thread.
-        with self._work_lock:
-            if deadline.expired:
-                # The budget ran out while the request waited its turn:
-                # shed it now rather than spend pipeline time on it.
-                with self._stats_lock:
-                    raise self._admission.shed_expired_in_queue()
-            return self._run(kind, payload)
+        # On a pool thread, holding the turn.  Every session shares the
+        # pool, so a run can wait for a thread; one whose budget ran out
+        # meanwhile is shed unrun.
+        if deadline.expired:
+            with self._stats_lock:
+                raise self._admission.shed_expired_in_queue()
+        return self._run(kind, payload)
 
     def _run(self, kind: str, payload: Any) -> Any:
         if kind == "translate":
@@ -436,7 +414,7 @@ class NarrationSession:
         raise ValueError(f"unknown request kind {kind!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    # Shared per-session pipeline objects (created lazily, used under lock)
+    # Shared per-session pipeline objects (created lazily, used in turn)
     # ------------------------------------------------------------------
 
     def _require_database(self) -> Database:
@@ -495,11 +473,11 @@ class NarrationSession:
 
 
 class NarrationService:
-    """An asyncio service multiplexing narration sessions over one pool.
+    """An asyncio service multiplexing narration sessions.
 
     ::
 
-        async with NarrationService(max_workers=4) as service:
+        async with NarrationService() as service:
             session = service.session(database=movie_database(),
                                       spec_factory=movie_spec)
             translation = await session.translate(sql)
@@ -507,16 +485,13 @@ class NarrationService:
             story = await session.narrate_database()
             print(session.stats())
 
-    ``max_workers`` bounds the CPU-bound worker pool shared by every
-    session; each session has at most one request on it at a time.
+    Requests run on the event loop; the one thread pool, shared by every
+    session, runs only those that can wait on the disk.
     """
 
-    def __init__(self, max_workers: int = 4) -> None:
-        if max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers
+    def __init__(self) -> None:
         self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-service"
+            max_workers=_DISK_THREADS, thread_name_prefix="repro-service"
         )
         self._sessions: Dict[Tuple[int, int], NarrationSession] = {}
         self._sessions_lock = threading.Lock()
@@ -604,10 +579,7 @@ class NarrationService:
         """Aggregate statistics across every session."""
         with self._sessions_lock:
             sessions = list(self._sessions.values())
-        return {
-            "max_workers": self.max_workers,
-            "sessions": [session.stats() for session in sessions],
-        }
+        return {"sessions": [session.stats() for session in sessions]}
 
     # ------------------------------------------------------------------
 

@@ -6,22 +6,20 @@ and serves requests from its socket through a private
 :class:`~repro.service.service.NarrationService` session, so every
 compiled cache (phrase plans, exact-text LRU, shape plans, scan and
 subquery caches, compiled templates) is process-local and stays hot for
-the shapes the router's consistent hash assigns to this worker.  A
-respawned worker starts with empty caches and admits its shapes again
-on their second sighting.
+the shapes the router places on this worker.  A respawned worker starts
+with empty caches and admits its shapes again on their second sighting.
 
 Pipelining and the write barrier
 --------------------------------
 
 Ordinary requests are *pipelined*: each becomes an asyncio task the
 moment its frame is read, and the session runs them in arrival order
-exactly as the single-process service does.  The worker's session is
-not durable (the router owns the log), so on an idle session a request
-runs inline on the worker's event loop, writes included; the next
-frames then wait, in the socket or the reader's buffer, until it ends.
-Only a request read while another one holds the session's turn (a
-snapshot for :data:`~.protocol.CHECKPOINT`, or a request queued behind
-one) waits its turn and runs on the session's one pool thread.  A
+exactly as the single-process service does, each on the worker's event
+loop, writes included; the next frames wait, in the socket or the
+reader's buffer, until it ends.  The worker's session is not durable
+(the router owns the log), so the one request that runs on a pool
+thread is the snapshot for :data:`~.protocol.CHECKPOINT`; requests read
+while it runs wait their turn, then run on the loop.  A
 mutation broadcast (``seq is not None``) is a **barrier**: the read loop
 first awaits every in-flight task, then runs the mutation alone to
 completion and responds, and only then reads the next frame.  Combined
@@ -37,7 +35,7 @@ A request frame may carry a *budget* (seconds of deadline remaining,
 router-measured); the worker hands it to its session, which sheds the
 request typed if the budget has run out at admission or by its turn.
 The worker-side deadline starts when the frame is read, so time a frame
-spends in the socket behind an inline run is not counted against it;
+spends in the socket behind a run on the loop is not counted against it;
 the router's attempt timeout covers the whole round trip.
 Barrier frames (mutations) never honor a budget — shedding a write on
 one replica while another applies it would diverge the fleet.
@@ -254,9 +252,7 @@ def _build_session(spec: Dict[str, Any]) -> Tuple[NarrationService, Any, int]:
             restore_into(database, state)
             restored_seq = state["wal_seq"]
     spec_factory_path = spec.get("spec_factory")
-    # One pool thread: the worker serves one session, and a session hands
-    # the pool at most one request at a time (an idle one runs inline).
-    service = NarrationService(max_workers=1)
+    service = NarrationService()
     session = service.session(
         database=database,
         spec_factory=(

@@ -11,9 +11,9 @@ applied mutations, and checkpoints + compacts automatically every
 
 The manager is *not* thread-safe on its own; it inherits whatever
 serialisation its caller already has.  That is deliberate: the
-narration session applies mutations under its work lock and the shard
-router under its mutation lock, so adding a third lock here would only
-invite ordering bugs.
+narration session applies mutations while they hold its turn and the
+shard router under its mutation lock, so adding a third lock here would
+only invite ordering bugs.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ class DurabilityManager:
         """One mutation applied; checkpoint when the cadence is reached.
 
         Runs inline on the mutating thread, which already holds the
-        caller's serialisation (session work lock / router mutation
-        lock), so the snapshot sees a consistent database.
+        caller's serialisation (session turn / router mutation lock),
+        so the snapshot sees a consistent database.
         """
         self._since_checkpoint += 1
         if (

@@ -67,7 +67,7 @@ async def retry_crashed(call, attempts=80, delay=0.25):
 
 async def oracle_outputs(mutations):
     """Single-process oracle: apply ``mutations`` in order, run READS."""
-    async with NarrationService(max_workers=2) as service:
+    async with NarrationService() as service:
         database = movie_database()
         session = service.session(database=database, spec=movie_spec(database.schema))
         for sql in mutations:
@@ -182,7 +182,7 @@ class TestSessionDurability:
         mutations = [drill_sql(index) for index in range(5)]
 
         async def first_life():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(
                     database=movie_database(), durability=config
                 )
@@ -192,7 +192,7 @@ class TestSessionDurability:
                 return [await session.execute(sql) for sql in READS], stats
 
         async def second_life():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(
                     database=movie_database(), durability=config
                 )
@@ -215,7 +215,7 @@ class TestSessionDurability:
         )
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(
                     database=movie_database(), durability=config
                 )
@@ -233,7 +233,7 @@ class TestSessionDurability:
         config = DurabilityConfig(directory=tmp_path)
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 with pytest.raises(ValueError):
                     service.session(durability=config)
 
@@ -241,7 +241,7 @@ class TestSessionDurability:
 
     def test_checkpoint_without_durability_is_rejected(self):
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(database=movie_database())
                 with pytest.raises(ValueError):
                     await session.checkpoint()

@@ -77,7 +77,7 @@ def test_equal_literals_through_the_service_session():
     texts = GROUPS["arithmetic"][:2]
 
     async def main():
-        async with NarrationService(max_workers=1) as service:
+        async with NarrationService() as service:
             session = service.session(database=database)
             return [
                 (sql, await session.execute(sql)) for _ in range(3) for sql in texts
@@ -130,7 +130,7 @@ def test_explain_empty_refuses_a_non_select_text_through_the_session():
     version = database.data_version
 
     async def main():
-        async with NarrationService(max_workers=1) as service:
+        async with NarrationService() as service:
             session = service.session(database=database)
             with pytest.raises(SqlParseError):
                 await session.explain_empty("insert into GENRE values (1, 'explained')")

@@ -396,7 +396,7 @@ def test_service_shape_batched_execution_matches_sequential_sync(db):
         expected[sql] = (result.columns, result.rows)
 
     async def run():
-        async with NarrationService(max_workers=4) as service:
+        async with NarrationService() as service:
             session = service.session(database=db)
 
             async def client(worker: int):
@@ -421,7 +421,7 @@ def test_service_shape_batched_execution_matches_sequential_sync(db):
 
 def test_service_groups_interleaved_reads_and_writes_in_order(db):
     async def run():
-        async with NarrationService(max_workers=2) as service:
+        async with NarrationService() as service:
             session = service.session(database=db)
             read = "select m.title from MOVIES m where m.year = 1897"
             write = "insert into MOVIES (id, title, year) values (996, 'Barrier', 1897)"

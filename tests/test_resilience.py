@@ -7,8 +7,8 @@ Three layers of coverage, mirroring the layering of the code:
   isolation with injected clocks (no sleeps, no timing races);
 * **service integration** — admission shedding, deadline expiry while
   a request waits its turn and overload answers through the real
-  ``NarrationSession`` dispatch, made deterministic by holding the
-  session's work lock instead of racing wall clock;
+  ``NarrationSession`` dispatch, made deterministic by parking a disk
+  run that holds the session's turn instead of racing wall clock;
 * **shard-tier drills** — a SIGKILLed worker stays invisible to
   idempotent reads, a permanently-dead worker's shapes degrade to the
   next live worker byte-identically, and the chaos soak replays the
@@ -21,6 +21,7 @@ import asyncio
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -422,8 +423,26 @@ class TestFaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# Service-level shedding (deterministic: the work lock stands in for load)
+# Service-level shedding (deterministic: a parked disk run stands in for load)
 # ---------------------------------------------------------------------------
+
+
+def _park_disk_runs(session):
+    """Hold the session's disk runs on their pool thread until released.
+
+    Returns ``(started, proceed)``; a parked ``snapshot_to`` holds the
+    session's turn, so requests sent meanwhile wait for it.
+    """
+    started, proceed = threading.Event(), threading.Event()
+    serve = session._serve
+
+    def parked_serve(kind, payload, deadline):
+        started.set()
+        assert proceed.wait(5)
+        return serve(kind, payload, deadline)
+
+    session._serve = parked_serve
+    return started, proceed
 
 
 class TestServiceShedding:
@@ -431,7 +450,7 @@ class TestServiceShedding:
         database = movie_database()
 
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database)
                 await session.execute("select count(*) from MOVIES")
                 with pytest.raises(DeadlineExceeded):
@@ -442,23 +461,28 @@ class TestServiceShedding:
         assert stats["requests"]["shed"]["deadline"] == 1
         assert stats["requests"]["shed"]["in_queue"] == 0
 
-    def test_deadline_expiry_in_queue_is_shed_typed(self):
-        # Hold the session's work lock so the request's pool call provably
-        # waits while its budget runs out — no wall-clock race.
+    def test_deadline_expiry_in_queue_is_shed_typed(self, tmp_path):
+        # Park a disk run so the request provably waits for its turn
+        # while its budget runs out — no wall-clock race.
         database = movie_database()
 
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database)
                 await session.execute("select count(*) from MOVIES")
-                assert session._work_lock.acquire(timeout=5)
+                started, proceed = _park_disk_runs(session)
                 try:
+                    parked = asyncio.ensure_future(
+                        session.snapshot_to(str(tmp_path), 0)
+                    )
+                    assert await asyncio.to_thread(started.wait, 5)
                     pending = asyncio.ensure_future(
                         session.execute("select count(*) from GENRE", timeout=0.05)
                     )
                     await asyncio.sleep(0.3)  # the budget expires while it waits
                 finally:
-                    session._work_lock.release()
+                    proceed.set()
+                await parked
                 with pytest.raises(DeadlineExceeded) as excinfo:
                     await pending
                 assert isinstance(excinfo.value, TimeoutError)
@@ -468,22 +492,26 @@ class TestServiceShedding:
         assert stats["requests"]["shed"]["in_queue"] == 1
         assert stats["requests"]["queue_depth"] == 0  # nothing left behind
 
-    def test_overload_answers_typed_not_timeout(self):
+    def test_overload_answers_typed_not_timeout(self, tmp_path):
         database = movie_database()
 
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(
                     database=database, admission=AdmissionController(max_depth=2)
                 )
                 await session.execute("select count(*) from MOVIES")
-                assert session._work_lock.acquire(timeout=5)
+                started, proceed = _park_disk_runs(session)
                 submitted = []
                 try:
-                    # The first request takes its turn and blocks on the
-                    # held lock; the rest wait for their turn until
-                    # the depth threshold answers ServiceOverloaded.
-                    for mid in range(6):
+                    # The first request takes its turn and parks on the
+                    # pool; the rest wait for their turn until the depth
+                    # threshold answers ServiceOverloaded.
+                    submitted.append(
+                        asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
+                    )
+                    assert await asyncio.to_thread(started.wait, 5)
+                    for mid in range(5):
                         submitted.append(
                             asyncio.ensure_future(
                                 session.execute(
@@ -494,13 +522,13 @@ class TestServiceShedding:
                         )
                         await asyncio.sleep(0.05)
                 finally:
-                    session._work_lock.release()
+                    proceed.set()
                 outcomes = await asyncio.gather(*submitted, return_exceptions=True)
                 return outcomes, session.stats()
 
         outcomes, stats = run(main())
         shed = [o for o in outcomes if isinstance(o, ServiceOverloaded)]
-        served = [o for o in outcomes if hasattr(o, "rows")]
+        served = [o for o in outcomes if not isinstance(o, BaseException)]
         assert len(shed) == 3 and len(served) == 3
         # The shed answer is the typed overload error, not a timeout.
         assert not any(isinstance(o, TimeoutError) for o in outcomes)
@@ -522,7 +550,7 @@ class TestShardResilience:
         database = movie_database()
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 oracle = service.session(database=database)
                 expected = [await oracle.execute(sql) for sql in corpus]
             async with ShardRouter(DB_FACTORY, workers=2) as router:
@@ -556,7 +584,7 @@ class TestShardResilience:
         database = movie_database()
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 oracle = service.session(database=database)
                 expected = {
                     "translations": [await oracle.translate(sql) for sql in corpus],
@@ -656,7 +684,7 @@ class TestChaosSoak:
 
         async def oracle_run():
             outputs = []
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database)
                 for kind, sql in history:
                     if kind == "translate":

@@ -4,7 +4,7 @@ The contract under test: any interleaving of concurrent requests through
 one :class:`~repro.service.NarrationService` session produces results
 byte-identical to sequential synchronous calls against the underlying
 pipeline — and the shared cache/plan statistics stay consistent while
-worker threads and the event loop interleave.
+the event loop and a disk run's pool thread interleave.
 """
 
 import asyncio
@@ -26,6 +26,7 @@ from repro.errors import SqlValidationError
 from repro.query_nl.empty_answer import AnswerExplainer
 from repro.query_nl.translator import QueryTranslator
 from repro.service import NarrationService, ServiceClosed
+from repro.service import service as service_module
 from repro.service.resilience import DeadlineExceeded
 from repro.storage.durability import DurabilityConfig
 
@@ -36,6 +37,26 @@ def workload_sql():
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def park_disk_runs(session):
+    """Hold the session's disk runs on their pool thread until released.
+
+    Returns ``(started, proceed)``: ``started`` is set once a run is
+    parked, and setting ``proceed`` lets it go on.  A parked
+    ``snapshot_to`` holds the session's turn, so requests sent meanwhile
+    wait for it.
+    """
+    started, proceed = threading.Event(), threading.Event()
+    serve = session._serve
+
+    def parked_serve(kind, payload, deadline):
+        started.set()
+        assert proceed.wait(5)
+        return serve(kind, payload, deadline)
+
+    session._serve = parked_serve
+    return started, proceed
 
 
 def _fields(translation):
@@ -70,7 +91,7 @@ class TestConcurrentEquivalence:
             return [_fields(t) for t in results]
 
         async def main():
-            async with NarrationService(max_workers=4) as service:
+            async with NarrationService() as service:
                 session = service.session(
                     database=database, spec_factory=movie_spec
                 )
@@ -102,7 +123,7 @@ class TestConcurrentEquivalence:
         expected_explanation = AnswerExplainer(database).explain(empty).text
 
         async def main():
-            async with NarrationService(max_workers=4) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database, spec=spec)
                 stories, relations, results, explanations = await asyncio.gather(
                     asyncio.gather(*[session.narrate_database() for _ in range(8)]),
@@ -134,7 +155,7 @@ class TestConcurrentEquivalence:
             return (await session.translate(corpus[index % len(corpus)])).text
 
         async def main():
-            async with NarrationService(max_workers=3) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database, spec=spec)
                 return await asyncio.gather(*[client(session, i) for i in range(60)])
 
@@ -157,12 +178,11 @@ class TestServiceMechanics:
         sql = list(PAPER_QUERIES.values())[0]
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(schema=schema)
-                await session.translate(sql)  # cold: compiles on a worker
-                # Warm requests on an idle session take the direct-await
-                # path.  The first may still race the worker releasing the
-                # session lock, so probe a few times.
+                await session.translate(sql)  # cold: runs on the loop
+                # Warm requests on a free turn take the direct-await path
+                # once the shape is admitted, so probe a few times.
                 warm = None
                 for _ in range(10):
                     await asyncio.sleep(0.01)
@@ -175,17 +195,17 @@ class TestServiceMechanics:
         assert warm.text
         assert stats["requests"]["fast_path_hits"] >= 1
 
-    def test_replies_settle_after_the_work_lock_is_released(self, tmp_path):
-        # A reply settled while the pool thread still holds the session
-        # lock resumes its client into a fast path that finds the lock
-        # taken, sending a cached translate through the pool.  A durable
+    def test_replies_settle_after_the_turn_is_released(self, tmp_path):
+        # A reply settled while its run still holds the session's turn
+        # resumes its client into a fast path that finds the turn taken,
+        # sending a cached translate to wait for its turn.  A durable
         # session that syncs every write runs each one on the pool.
         database = movie_database()
         sql = "select m.title from MOVIES m where m.year = 2004"
         repeats = 25
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(
                     database=database,
                     phrase_plans=True,
@@ -195,7 +215,7 @@ class TestServiceMechanics:
 
                 async def served(request, text):
                     reply = await request(text)
-                    lock_held.append(session._work_lock.locked())
+                    lock_held.append(session._turn.locked())
                     return reply
 
                 await served(session.translate, sql)  # first sighting
@@ -216,21 +236,22 @@ class TestServiceMechanics:
         assert requests["by_kind"] == {"translate": 2 + repeats, "execute": repeats}
         assert requests["pooled"] == repeats
 
-    def test_each_reply_settles_as_soon_as_its_request_has_run(self):
-        # Concurrent requests on the pool path each get their own pool
-        # call: no reply waits for a later request to run.
+    def test_each_reply_settles_as_soon_as_its_request_has_run(self, tmp_path):
+        # Concurrent requests queued behind a disk run each run on their
+        # own turn: no reply waits for a later request to run.
         database = movie_database()
         template = "select m.title from MOVIES m where m.year = {year}"
         requests = 8
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database)
                 events = []
                 run_request = session._run
 
                 def spy_run(kind, payload):
-                    events.append("run")
+                    if kind == "execute":
+                        events.append("run")
                     return run_request(kind, payload)
 
                 async def client(year):
@@ -239,21 +260,23 @@ class TestServiceMechanics:
                     return result
 
                 session._run = spy_run
-                # Holding the work lock sends every request down the pool
-                # path: an idle session would run each one on the loop.
-                assert session._work_lock.acquire(timeout=5)
+                started, proceed = park_disk_runs(session)
+                parked = asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
                 try:
+                    assert await asyncio.to_thread(started.wait, 5)
                     pending = asyncio.gather(
                         *[client(1990 + i) for i in range(requests)]
                     )
                     await asyncio.sleep(0.05)
+                    assert session.stats()["requests"]["queue_depth"] == requests
                 finally:
-                    session._work_lock.release()
-                await pending
-                assert session.stats()["requests"]["pooled"] == requests
-                return events
+                    proceed.set()
+                await asyncio.gather(parked, pending)
+                return events, session.stats()["requests"]
 
-        assert run(main()) == ["run", "reply"] * requests
+        events, stats = run(main())
+        assert events == ["run", "reply"] * requests
+        assert stats["inline"] == requests and stats["pooled"] == 1
 
     def test_same_shape_requests_share_one_plan_compile(self):
         schema = movie_schema()
@@ -261,7 +284,7 @@ class TestServiceMechanics:
         variants = [template.format(year=1990 + i) for i in range(40)]
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 # cache_size=None so every request exercises the plan path.
                 session = service.session(
                     schema=schema, cache_size=None, phrase_plans=True
@@ -280,34 +303,34 @@ class TestServiceMechanics:
         assert plans["misses"] - sighted["misses"] == 1
         assert plans["hits"] + plans["misses"] - sighted["misses"] == len(variants)
 
-    def test_one_request_per_session_is_on_the_pool_at_a_time(self):
-        # Fifty concurrent requests on a two-thread pool: the session hands
-        # the pool one at a time, and every waiting request is answered.
-        schema = movie_schema()
+    def test_one_request_per_session_runs_at_a_time(self, tmp_path):
+        # Fifty concurrent requests queued behind a disk run: the session
+        # runs one at a time, and every waiting request is answered.
+        database = movie_database()
         template = "select m.title from MOVIES m where m.year = {year}"
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
-                session = service.session(schema=schema, cache_size=None)
+            async with NarrationService() as service:
+                session = service.session(database=database, cache_size=None)
                 guard = threading.Lock()
-                on_pool = [0, 0]  # now, most at once
-                serve = session._serve
+                running = [0, 0]  # now, most at once
+                run_request = session._run
 
-                def spy_serve(kind, payload, deadline):
+                def spy_run(kind, payload):
                     with guard:
-                        on_pool[0] += 1
-                        on_pool[1] = max(on_pool)
+                        running[0] += 1
+                        running[1] = max(running)
                     try:
-                        return serve(kind, payload, deadline)
+                        return run_request(kind, payload)
                     finally:
                         with guard:
-                            on_pool[0] -= 1
+                            running[0] -= 1
 
-                session._serve = spy_serve
-                # Holding the work lock sends every request down the pool
-                # path: an idle session would run each one on the loop.
-                assert session._work_lock.acquire(timeout=5)
+                session._run = spy_run
+                started, proceed = park_disk_runs(session)
+                parked = asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
                 try:
+                    assert await asyncio.to_thread(started.wait, 5)
                     pending = asyncio.gather(
                         *[
                             session.translate(template.format(year=1900 + i))
@@ -316,13 +339,13 @@ class TestServiceMechanics:
                     )
                     await asyncio.sleep(0.05)
                 finally:
-                    session._work_lock.release()
-                await pending
-                return on_pool[1], session.stats()
+                    proceed.set()
+                await asyncio.gather(parked, pending)
+                return running[1], session.stats()
 
         most, stats = run(main())
         assert most == 1
-        assert stats["requests"]["by_kind"]["translate"] == 50
+        assert stats["requests"]["by_kind"] == {"snapshot_to": 1, "translate": 50}
         # The default admission controller must not have shed a single
         # request, and nothing is left waiting.
         assert stats["requests"]["queue_depth"] == 0
@@ -340,7 +363,7 @@ class TestServiceMechanics:
         count = "select count(*) from GENRE"
 
         async def main():
-            async with NarrationService(max_workers=4) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database)
                 base = (await session.execute(count)).rows[0]["count(*)"]
                 requests = []
@@ -362,32 +385,29 @@ class TestServiceMechanics:
             sys.setswitchinterval(interval)
         assert counts == [base + inserted for inserted in range(1, pairs + 1)]
 
-    def test_a_cancelled_client_keeps_the_turn_until_its_run_ends(self):
+    def test_a_cancelled_client_keeps_the_turn_until_its_run_ends(self, tmp_path):
         database = movie_database()
-        first = "select count(*) from MOVIES"
         second = "select count(*) from GENRE"
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database)
-                await session.execute(first)
                 events = []
-                started = threading.Event()
-                serve = session._serve
+                run_request = session._run
 
-                def spy_serve(kind, payload, deadline):
-                    events.append(("start", payload))
-                    started.set()
+                def spy_run(kind, payload):
+                    events.append(("start", kind))
                     try:
-                        return serve(kind, payload, deadline)
+                        return run_request(kind, payload)
                     finally:
-                        events.append(("end", payload))
+                        events.append(("end", kind))
 
-                session._serve = spy_serve
-                # Holding the work lock parks the first request on the pool.
-                assert session._work_lock.acquire(timeout=5)
+                session._run = spy_run
+                started, proceed = park_disk_runs(session)
                 try:
-                    cancelled = asyncio.ensure_future(session.execute(first))
+                    cancelled = asyncio.ensure_future(
+                        session.snapshot_to(str(tmp_path), 0)
+                    )
                     # Cancel only once the run has started on the pool.
                     assert await asyncio.to_thread(started.wait, 5)
                     cancelled.cancel()
@@ -395,33 +415,34 @@ class TestServiceMechanics:
                     await asyncio.sleep(0.05)
                     waiting = session.stats()["requests"]["queue_depth"]
                 finally:
-                    session._work_lock.release()
+                    proceed.set()
                 result = await following
                 return cancelled.cancelled(), waiting, events, result
 
         cancelled, waiting, events, result = run(main())
         assert cancelled
         # The next request waited for its turn while the cancelled run
-        # still held the pool, and started only after it ended.
+        # still held it, and started only after it ended.
         assert waiting == 1
         assert events == [
-            ("start", first),
-            ("end", first),
-            ("start", second),
-            ("end", second),
+            ("start", "snapshot_to"),
+            ("end", "snapshot_to"),
+            ("start", "execute"),
+            ("end", "execute"),
         ]
         assert result.rows
 
-    def test_a_client_cancelled_before_its_run_starts_runs_nothing(self):
-        # One pool thread, two sessions: the first session's request
+    def test_a_client_cancelled_before_its_run_starts_runs_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        # One pool thread, two sessions: the first session's disk run
         # holds the thread, so the second's waits in the pool unstarted.
-        database = movie_database()
-        sql = "select count(*) from MOVIES"
+        monkeypatch.setattr(service_module, "_DISK_THREADS", 1)
 
         async def main():
-            async with NarrationService(max_workers=1) as service:
-                busy = service.session(database=database)
-                other = service.session(schema=database.schema)
+            async with NarrationService() as service:
+                busy = service.session(database=movie_database())
+                other = service.session(database=movie_database())
                 started = []
                 serve = other._serve
 
@@ -430,36 +451,77 @@ class TestServiceMechanics:
                     return serve(kind, payload, deadline)
 
                 other._serve = spy_serve
-                # Holding both work locks sends every request down the pool
-                # path: an idle session would run each one on the loop.
-                assert busy._work_lock.acquire(timeout=5)
-                assert other._work_lock.acquire(timeout=5)
+                parked, proceed = park_disk_runs(busy)
                 try:
-                    holding = asyncio.ensure_future(busy.execute(sql))
-                    await asyncio.sleep(0.05)
-                    cancelled = asyncio.ensure_future(other.translate(sql))
+                    holding = asyncio.ensure_future(
+                        busy.snapshot_to(str(tmp_path / "busy"), 0)
+                    )
+                    assert await asyncio.to_thread(parked.wait, 5)
+                    cancelled = asyncio.ensure_future(
+                        other.snapshot_to(str(tmp_path / "cancelled"), 0)
+                    )
                     await asyncio.sleep(0.05)
                     cancelled.cancel()
                     await asyncio.sleep(0.05)
                     # The cancelled request gave the turn back: the next one runs.
-                    after = asyncio.ensure_future(other.translate(sql))
+                    after = asyncio.ensure_future(
+                        other.snapshot_to(str(tmp_path / "after"), 0)
+                    )
                     await asyncio.sleep(0.05)
                 finally:
-                    other._work_lock.release()
-                    busy._work_lock.release()
+                    proceed.set()
                 await holding
                 return cancelled.cancelled(), started, await after
 
         cancelled, started, after = run(main())
         assert cancelled
-        assert started == [sql]  # only the request after the cancelled one
-        assert after.text
+        # Only the request after the cancelled one ran.
+        assert started == [(str(tmp_path / "after"), 0)]
+        assert after["wal_seq"] == 0
+
+    def test_a_disk_run_that_expires_waiting_for_a_thread_is_shed(
+        self, tmp_path, monkeypatch
+    ):
+        # One pool thread, two sessions: the durable write's turn is free,
+        # but its run waits for the thread past its budget.
+        monkeypatch.setattr(service_module, "_DISK_THREADS", 1)
+        insert = "insert into GENRE (mid, genre) values (1, 'Late')"
+        count = "select count(*) from GENRE"
+
+        async def main():
+            async with NarrationService() as service:
+                busy = service.session(database=movie_database())
+                durable = service.session(
+                    database=movie_database(),
+                    durability=DurabilityConfig(directory=tmp_path / "wal", fsync="always"),
+                )
+                before = (await durable.execute(count)).rows[0]["count(*)"]
+                parked, proceed = park_disk_runs(busy)
+                try:
+                    holding = asyncio.ensure_future(
+                        busy.snapshot_to(str(tmp_path / "busy"), 0)
+                    )
+                    assert await asyncio.to_thread(parked.wait, 5)
+                    late = asyncio.ensure_future(durable.execute(insert, timeout=0.05))
+                    await asyncio.sleep(0.3)
+                finally:
+                    proceed.set()
+                await holding
+                with pytest.raises(DeadlineExceeded):
+                    await late
+                after = (await durable.execute(count)).rows[0]["count(*)"]
+                return before, after, durable.stats()["requests"]
+
+        before, after, requests = run(main())
+        assert after == before  # the write never ran
+        assert requests["shed"]["in_queue"] == 1
+        assert requests["pooled"] == 1
 
     def test_errors_propagate_to_the_awaiting_client(self):
         schema = movie_schema()
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(schema=schema)
                 ok = await session.translate(list(PAPER_QUERIES.values())[0])
                 with pytest.raises(SqlValidationError):
@@ -473,7 +535,7 @@ class TestServiceMechanics:
 
     def test_schema_only_session_rejects_execution(self):
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(schema=movie_schema())
                 with pytest.raises(ValueError):
                     await session.execute("select m.title from MOVIES m")
@@ -482,7 +544,7 @@ class TestServiceMechanics:
 
     def test_closed_service_rejects_requests(self):
         async def main():
-            service = NarrationService(max_workers=1)
+            service = NarrationService()
             session = service.session(schema=movie_schema())
             await session.translate(list(PAPER_QUERIES.values())[0])
             await service.aclose()
@@ -497,7 +559,7 @@ class TestServiceMechanics:
         database = movie_database()
 
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 service.session(database=database, cache_size=None)
                 with pytest.raises(ValueError):
                     service.session(database=database, phrase_plans=False)
@@ -515,7 +577,7 @@ class TestServiceMechanics:
         uniques = [template.format(year=1900 + i) for i in range(30)]
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 session = service.session(schema=schema, phrase_plans=True)
                 for sql in uniques:  # sequential: every probe runs and misses
                     await session.translate(sql)
@@ -535,7 +597,7 @@ class TestServiceMechanics:
         database = movie_database()
 
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 a = service.session(database=database)
                 b = service.session(database=database)
                 c = service.session(schema=database.schema)
@@ -549,7 +611,7 @@ class TestServiceMechanics:
         database = movie_database()
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 full = service.session(database=database)
                 await full.translate(PAPER_QUERIES["Q1"])
                 await full.execute(PAPER_QUERIES["Q1"])
@@ -557,8 +619,7 @@ class TestServiceMechanics:
                 return service.stats(), full.stats(), schema_only.stats()
 
         stats, full, schema_only = run(main())
-        assert stats["max_workers"] == 2
-        assert stats["sessions"] == [full, schema_only]
+        assert stats == {"sessions": [full, schema_only]}
         assert full["has_database"] and not schema_only["has_database"]
         assert full["requests"]["by_kind"] == {"translate": 1, "execute": 1}
 
@@ -574,7 +635,7 @@ class TestInlineRule:
         sql = "select m.title from MOVIES m where m.year = 2004"
 
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database, spec_factory=movie_spec)
                 ran = []
                 run_request = session._run
@@ -615,7 +676,7 @@ class TestInlineRule:
 
     def test_a_durable_sessions_disk_requests_keep_the_pool(self, tmp_path):
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(
                     database=movie_database(),
                     durability=DurabilityConfig(directory=tmp_path / "wal", fsync="always"),
@@ -653,7 +714,7 @@ class TestInlineRule:
         self, tmp_path, config, pooled
     ):
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(
                     database=movie_database(),
                     durability=DurabilityConfig(directory=tmp_path, **config),
@@ -678,7 +739,7 @@ class TestInlineRule:
 
     def test_a_write_of_several_rows_counts_each_row(self, tmp_path):
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(
                     database=movie_database(),
                     durability=DurabilityConfig(
@@ -705,53 +766,154 @@ class TestInlineRule:
 
         assert run(main()) == [(1, 0, 0), (2, 0, 0), (2, 1, 1), (3, 1, 0)]
 
-    def test_a_request_sent_during_a_pool_run_runs_after_it(self):
-        # The pool run holds the turn while the work lock is free: the
-        # request sent then must wait its turn, not run on the loop.
+    def test_a_column_list_is_not_counted_as_a_row(self, tmp_path):
+        async def main():
+            async with NarrationService() as service:
+                session = service.session(
+                    database=movie_database(),
+                    durability=DurabilityConfig(
+                        directory=tmp_path, fsync="batch", batch_every=2, checkpoint_every=0
+                    ),
+                )
+                steps = []
+                for genre in ("a", "b"):
+                    syncs = session.stats()["durability"]["wal"]["syncs"]
+                    await session.execute(
+                        f"insert into GENRE (mid, genre) values (1, '{genre}')"
+                    )
+                    requests = session.stats()["requests"]
+                    synced = session.stats()["durability"]["wal"]["syncs"] - syncs
+                    steps.append((requests["inline"], requests["pooled"], synced))
+                return steps
+
+        # One quiet append is left before the group commit: the first
+        # row fits on the loop, the second syncs on a thread.
+        assert run(main()) == [(1, 0, 0), (1, 1, 1)]
+
+    def test_a_request_sent_during_a_pool_run_runs_after_it(self, tmp_path):
+        # The disk run holds the turn while it waits on its thread: the
+        # request sent then must wait its turn, not run beside it.
         database = movie_database()
-        first = "select count(*) from MOVIES"
         second = "select count(*) from GENRE"
 
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database)
                 ran = []
-                started, proceed = threading.Event(), threading.Event()
-                serve, run_request = session._serve, session._run
-
-                def parked_serve(kind, payload, deadline):
-                    started.set()
-                    assert proceed.wait(5)
-                    return serve(kind, payload, deadline)
+                run_request = session._run
 
                 def spy_run(kind, payload):
-                    ran.append(payload)
+                    ran.append(kind)
                     return run_request(kind, payload)
 
-                session._serve = parked_serve
                 session._run = spy_run
-                # Holding the work lock sends the first request to the pool.
-                assert session._work_lock.acquire(timeout=5)
+                started, proceed = park_disk_runs(session)
                 try:
-                    running = asyncio.ensure_future(session.execute(first))
+                    running = asyncio.ensure_future(
+                        session.snapshot_to(str(tmp_path), 0)
+                    )
                     assert await asyncio.to_thread(started.wait, 5)
+                    following = asyncio.ensure_future(session.execute(second))
+                    await asyncio.sleep(0.05)
+                    waiting = session.stats()["requests"]["queue_depth"]
                 finally:
-                    session._work_lock.release()
-                following = asyncio.ensure_future(session.execute(second))
-                await asyncio.sleep(0.05)
-                waiting = session.stats()["requests"]["queue_depth"]
-                proceed.set()
+                    proceed.set()
                 await asyncio.gather(running, following)
                 return ran, waiting, session.stats()["requests"]
 
         ran, waiting, requests = run(main())
         assert waiting == 1
-        assert ran == [first, second]
-        assert requests["inline"] == 0 and requests["pooled"] == 2
+        assert ran == ["snapshot_to", "execute"]
+        assert requests["inline"] == 1 and requests["pooled"] == 1
+
+    def test_a_cached_translate_waits_for_a_disk_run(self, tmp_path):
+        # The fast path runs only while the turn is free: a disk run on
+        # its thread may be using the translator's caches.
+        sql = "select m.title from MOVIES m where m.year = 2004"
+
+        async def main():
+            async with NarrationService() as service:
+                session = service.session(database=movie_database(), phrase_plans=True)
+                for _ in range(3):
+                    await session.translate(sql)  # the last is a fast-path hit
+                before = session.stats()["requests"]
+                started, proceed = park_disk_runs(session)
+                try:
+                    parked = asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
+                    assert await asyncio.to_thread(started.wait, 5)
+                    cached = asyncio.ensure_future(session.translate(sql))
+                    await asyncio.sleep(0.05)
+                    waiting = session.stats()["requests"]["queue_depth"]
+                finally:
+                    proceed.set()
+                await asyncio.gather(parked, cached)
+                return before, waiting, session.stats()["requests"]
+
+        before, waiting, after = run(main())
+        assert before["fast_path_hits"] == 1
+        assert waiting == 1
+        assert after["fast_path_hits"] == 1
+        assert after["inline"] == before["inline"] + 1 and after["pooled"] == 1
+
+    def test_requests_queued_behind_a_disk_run_run_on_the_loop_in_order(
+        self, tmp_path
+    ):
+        database = movie_database()
+        sql = "select m.title from MOVIES m where m.year = 2004"
+
+        async def main():
+            async with NarrationService() as service:
+                session = service.session(database=database, spec_factory=movie_spec)
+                ran = []
+                run_request = session._run
+
+                def spy_run(kind, payload):
+                    ran.append((kind, threading.get_ident()))
+                    return run_request(kind, payload)
+
+                session._run = spy_run
+                started, proceed = park_disk_runs(session)
+                try:
+                    parked = asyncio.ensure_future(
+                        session.snapshot_to(str(tmp_path), 0)
+                    )
+                    assert await asyncio.to_thread(started.wait, 5)
+                    queued = [
+                        asyncio.ensure_future(session.execute(sql)),
+                        asyncio.ensure_future(session.translate(sql)),  # a miss
+                        asyncio.ensure_future(
+                            session.explain_empty(
+                                "select m.title from MOVIES m where m.year = 1800"
+                            )
+                        ),
+                        asyncio.ensure_future(session.narrate_relation("MOVIES")),
+                    ]
+                    await asyncio.sleep(0.05)
+                    waiting = session.stats()["requests"]["queue_depth"]
+                    assert ran == []  # the disk run is parked before it runs
+                finally:
+                    proceed.set()
+                await asyncio.gather(parked, *queued)
+                return ran, waiting, session.stats()["requests"]
+
+        ran, waiting, requests = run(main())
+        assert waiting == 4
+        assert [kind for kind, _ in ran] == [
+            "snapshot_to",
+            "execute",
+            "translate",
+            "explain",
+            "narrate_relation",
+        ]
+        loop_thread = threading.get_ident()
+        assert ran[0][1] != loop_thread
+        assert {thread for _, thread in ran[1:]} == {loop_thread}
+        assert requests["pooled"] == 1
+        assert requests["inline"] == 4 and requests["fast_path_hits"] == 0
 
     def test_an_expired_timeout_is_shed_before_it_runs(self):
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(database=movie_database())
                 ran = []
                 run_request = session._run
@@ -780,7 +942,7 @@ class TestInlineRule:
         count = "select count(*) from GENRE"
 
         async def main():
-            async with NarrationService(max_workers=4) as service:
+            async with NarrationService() as service:
                 # Every second write completes a group commit: it syncs, so
                 # it runs on the pool.
                 session = service.session(
@@ -842,28 +1004,28 @@ class TestInlineRule:
             requests["fast_path_hits"] + requests["inline"] + requests["pooled"]
         )
 
-    def test_every_admitted_request_is_counted_on_one_path(self):
+    def test_every_admitted_request_is_counted_on_one_path(self, tmp_path):
         database = movie_database()
         sql = "select m.title from MOVIES m where m.year = 2004"
 
         async def main():
-            async with NarrationService(max_workers=1) as service:
+            async with NarrationService() as service:
                 session = service.session(database=database, phrase_plans=True)
                 for _ in range(3):
                     await session.translate(sql)  # a miss on the loop, then hits
                 await session.execute(sql)
                 await session.narrate_relation("MOVIES")
-                # Holding the work lock parks a pool run; the request
-                # behind it runs out of budget while it waits its turn.
-                assert session._work_lock.acquire(timeout=5)
+                # A parked disk run holds the turn; the request behind it
+                # runs out of budget while it waits its turn.
+                started, proceed = park_disk_runs(session)
                 try:
-                    held = asyncio.ensure_future(session.execute(sql))
-                    await asyncio.sleep(0.05)
+                    held = asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
+                    assert await asyncio.to_thread(started.wait, 5)
                     shed = asyncio.ensure_future(session.execute(sql, timeout=0.05))
                     queued = asyncio.ensure_future(session.explain_empty(sql))
                     await asyncio.sleep(0.3)
                 finally:
-                    session._work_lock.release()
+                    proceed.set()
                 await held
                 with pytest.raises(DeadlineExceeded):
                     await shed
@@ -875,8 +1037,8 @@ class TestInlineRule:
         requests = run(main())
         assert requests["shed"] == {"overload": 0, "deadline": 1, "in_queue": 1}
         assert requests["fast_path_hits"] >= 1
-        assert requests["inline"] + requests["fast_path_hits"] == 5
-        assert requests["pooled"] == 3
+        assert requests["inline"] + requests["fast_path_hits"] == 7
+        assert requests["pooled"] == 1
         assert sum(requests["by_kind"].values()) == (
             requests["fast_path_hits"] + requests["inline"] + requests["pooled"]
         )
@@ -909,7 +1071,7 @@ class TestPlanStoreStatsConsistency:
             return await asyncio.gather(*[session.translate(sql) for sql in batch])
 
         async def main():
-            async with NarrationService(max_workers=4) as service:
+            async with NarrationService() as service:
                 session = service.session(
                     schema=schema, cache_size=None, phrase_plans=True
                 )
@@ -941,7 +1103,7 @@ class TestPlanStoreStatsConsistency:
             await asyncio.gather(*[session.translate(sql) for sql in sqls])
 
         async def main():
-            async with NarrationService(max_workers=4) as service:
+            async with NarrationService() as service:
                 translate_only = service.session(
                     schema=schema, cache_size=None, phrase_plans=True
                 )

@@ -14,9 +14,11 @@ import pytest
 from repro.datasets import PAPER_QUERIES, movie_database
 from repro.engine import Executor
 from repro.engine import executor as executor_module
+from repro.errors import UnknownTableError
 from repro.query_nl.empty_answer import AnswerExplainer
 from repro.query_nl.translator import QueryTranslator
 from repro.sql import shape as shape_module
+from repro.storage.config import STORAGE_ENGINES, StorageConfig
 from repro.utils.cache import SIGHTINGS_SIZE
 
 
@@ -202,6 +204,34 @@ class TestExecutorAdmission:
         result = executor.execute_sql(fresh)
         assert executor.cache_stats["shape_plans"]["deferred"] == 2
         assert [row.get("m.title") for row in result.rows] == ["Bypass"]
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("engine", STORAGE_ENGINES)
+    def test_a_select_over_a_missing_relation_keeps_no_shape_plan(
+        self, engine, compiled
+    ):
+        database = movie_database().with_storage(StorageConfig(default_engine=engine))
+        executor = Executor(database, compiled=compiled)
+        texts = [
+            "select n.id from NOSUCH n where n.id = {}",
+            "select m.title from MOVIES m"
+            " where m.id in (select n.id from NOSUCH n where n.id = {})",
+        ]
+        for text in texts:
+            errors = set()
+            for value in (1, 2, 3):
+                with pytest.raises(UnknownTableError) as raised:
+                    executor.execute_sql(text.format(value))
+                errors.add(str(raised.value))
+            assert errors == {
+                "database has no table 'NOSUCH'"
+                " (available: ACTOR, CAST, DIRECTED, DIRECTOR, GENRE, MOVIES)"
+            }
+        for _ in range(3):
+            result = executor.execute_sql("select n.id from NOSUCH n limit 0")
+            assert result.rows == []
+        shape = executor.cache_stats["shape_plans"]
+        assert shape["entries"] == shape["shapes"] == shape["hits"] == 0
 
     def test_pinned_plans_are_admitted_on_the_second_sighting(self, db):
         executor = Executor(db, compiled=True, parameterised=False)

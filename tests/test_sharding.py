@@ -214,7 +214,7 @@ class TestRouterEquivalence:
         spec = movie_spec(database.schema)
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 oracle = service.session(database=database, spec=spec)
                 expected = {
                     "translations": [await oracle.translate(sql) for sql in corpus],
@@ -324,7 +324,7 @@ class TestMutationOrdering:
             return outputs
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 oracle = service.session(database=database)
                 expected = await history(oracle)
             async with ShardRouter(DB_FACTORY, workers=2) as router:
@@ -441,7 +441,7 @@ class TestCrashRecovery:
         database = movie_database()
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 oracle = service.session(database=database)
                 await oracle.execute("insert into GENRE values (5, 'pre-crash')")
                 expected = [await oracle.execute(sql) for sql in corpus]
@@ -551,7 +551,7 @@ class TestCrashRecovery:
         database = movie_database()
 
         async def main():
-            async with NarrationService(max_workers=2) as service:
+            async with NarrationService() as service:
                 oracle = service.session(database=database)
                 await oracle.execute("insert into GENRE values (7, 'alpha')")
                 with pytest.raises(Exception) as oracle_err:
@@ -732,7 +732,7 @@ class TestGracefulShutdown:
         database = movie_database()
 
         async def main():
-            service = NarrationService(max_workers=1)
+            service = NarrationService()
             session = service.session(database=database)
             requests = [
                 asyncio.ensure_future(
