@@ -20,9 +20,13 @@ This benchmark quantifies that claim three ways:
   sides build the same deadline).  The key keeps its name so that
   runs before and after the inline path compare; before it, this
   section timed the turn and one pool call, about 150 µs a request;
-* ``fast_path`` — warm direct-await translates (LRU hit, served inline
-  on the event loop) through a default session versus one whose
-  admission check is stubbed out.
+* ``fast_path`` — warm translates (exact-text LRU hits) through a
+  default session versus one whose admission check is stubbed out.
+  Like every request, each takes the session's turn and reaches
+  admission, then runs on the event loop.  The key keeps its name so
+  that runs before and after compare; before, a cached translate
+  skipped the turn and admission while the turn was free, so both
+  sessions ran the same code.
 
 The acceptance budget is what the defaults add to an admitted request:
 one ``Deadline.after(None)`` and one ``admit()`` call
@@ -38,10 +42,9 @@ same rounds as the execute batches, and the budget is the median of the
 per-round ratios, so a change of host speed during the run moves both
 terms of a ratio together.  The two timed
 comparisons are kept as information only.  Timing cannot resolve the
-stub on either path: a translate served on the fast path never reaches
-admission, so both fast-path sessions run the same code, and on an
-inline execute the stub removes a few tens of nanoseconds of a request
-near 16 µs, inside the spread between runs.  Their batches are
+stub on either path: it removes a few tens of nanoseconds of a cached
+translate near 3 µs and of an inline execute near 16 µs, inside the
+spread between runs.  Their batches are
 interleaved (default / bypassed / default / bypassed ...) so clock drift
 and thermal state cancel instead of biasing one side.
 """

@@ -12,14 +12,15 @@ would do.
 Two service streams are measured warm:
 
 * ``repeated_text`` — clients replay the 50-query workload verbatim, so
-  requests are served by the exact-text LRU and the direct-await fast
-  path (the steady state of real "talk back" traffic);
+  requests are served by the exact-text LRU (the steady state of real
+  "talk back" traffic);
 * ``literal_variants`` — every request rotates the literal values, so
   the exact-text LRU never hits and every request exercises the
-  shape-keyed phrase-plan path.  Its requests run on the event loop
-  too: a phrase-plan hit takes the fast path and a miss takes its turn
-  on the loop, so neither stream reaches the service's pool, which runs
-  only requests that can wait on the disk.
+  shape-keyed phrase-plan path.
+
+Every request of either stream takes its session's turn and runs on the
+event loop, so neither reaches the service's pool, which runs only
+requests that can wait on the disk.
 
 The in-run equivalence check asserts concurrent output is byte-identical
 to sequential synchronous translation before any number is recorded, and

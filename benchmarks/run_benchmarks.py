@@ -622,7 +622,7 @@ def main(argv=None) -> int:
         f" {resilience['reference_request_us']:.1f}us reference request"
         f" ({resilience['budget_pct']:.2f}% per round,"
         f" budget <1% {'met' if resilience['passes_budget'] else 'MISSED'});"
-        f" timed, information only: fast path"
+        f" timed, information only: cached translate"
         f" {resilience['fast_path']['p50_bypassed_us']:.1f}us ->"
         f" {resilience['fast_path']['p50_default_us']:.1f}us"
         f" ({resilience['fast_path']['regression_pct']:+.1f}%),"

@@ -6,9 +6,11 @@ session over the movie database.  Translation requests that repeat a
 shape are served from compiled phrase plans, execution shares one
 compiled executor, and narration reads the maintained ranking — all
 byte-identical to what each client would get from a private synchronous
-pipeline.  Every request runs on the event loop, one at a time in
+pipeline.  Every request, a translate its phrase plan answers included,
+takes the session's turn and runs on the event loop, one at a time in
 arrival order; only a request that waits on the disk takes a thread,
-and nothing here does, so the stats' ``pooled`` count stays 0.
+and nothing here does, so the stats' ``inline`` count covers every
+request and ``pooled`` stays 0.
 
 Run with::
 

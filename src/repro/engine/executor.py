@@ -120,9 +120,6 @@ _NO_KEYS: frozenset = frozenset()
 #: dropping them all.
 _SUBQUERY_MEMO_LIMIT = 100_000
 
-#: Bound on the per-statement subquery analyses of one scope.
-_CORRELATION_LIMIT = 10_000
-
 #: Rent-or-buy for decorrelated subqueries: each per-key evaluation is
 #: charged its work in row units (see :class:`_Table`) plus this fixed
 #: overhead for plan lookup, operator set-up and the result list.  A
@@ -170,7 +167,7 @@ class _Output(tuple):
 
 
 class _SubqueryInfo:
-    """Once-per-statement analysis of a subquery (see :func:`_analyze_subquery`).
+    """The analysis of a subquery statement (see :func:`_analyze_subquery`).
 
     ``mode`` says how the subquery's rows are found for an outer row:
 
@@ -211,7 +208,8 @@ class _SubqueryInfo:
 
 class _Division:
     """A block under [NOT] EXISTS whose outer references all sit in one
-    nested [NOT] EXISTS over a key-correlated ``inner`` block.
+    nested [NOT] EXISTS over a key-correlated ``inner`` block, analysed
+    as ``inner_info``.
 
     Q6 ("movies that have all genres") is the textbook case: for a movie,
     the middle block has rows iff some genre ``g1`` has no row in the
@@ -227,6 +225,7 @@ class _Division:
 
     __slots__ = (
         "inner",
+        "inner_info",
         "negated",
         "outer_keys",
         "outer_positions",
@@ -239,6 +238,7 @@ class _Division:
     def __init__(
         self,
         inner: ast.SelectStatement,
+        inner_info: _SubqueryInfo,
         negated: bool,
         outer_keys: Tuple[str, ...],
         outer_positions: Tuple[int, ...],
@@ -247,6 +247,7 @@ class _Division:
         block_where: Tuple[ast.Expression, ...],
     ) -> None:
         self.inner = inner
+        self.inner_info = inner_info
         self.negated = negated
         self.outer_keys = outer_keys
         self.outer_positions = outer_positions
@@ -326,16 +327,11 @@ class _Lexical:
         return found
 
 
-def _analyze_subquery(
-    statement: ast.SelectStatement,
-    schema: Any,
-    info_of: Callable[[ast.SelectStatement], _SubqueryInfo],
-) -> _SubqueryInfo:
+def _analyze_subquery(statement: ast.SelectStatement, schema: Any) -> _SubqueryInfo:
     """How a subquery's rows depend on its outer row (see :class:`_SubqueryInfo`).
 
-    ``info_of`` analyses (and caches) a nested statement; it is used to
-    recognise relational division, whose inner block must be
-    key-correlated.
+    The analysis reads no literal value, so it holds for every literal
+    vector of a shape plan.
     """
     lexical = _Lexical(schema)
     scopes = lexical.open(statement, [])
@@ -380,7 +376,7 @@ def _analyze_subquery(
         link = _link(conjunct, found, level)
         if link is None:
             info = _SubqueryInfo("memo", keys)
-            info.division = _division(statement, conjunct_refs, level, info_of)
+            info.division = _division(statement, conjunct_refs, level, schema)
             return info
         inner, outer = link
         groups.setdefault(outer.qualified, []).append(inner)
@@ -421,7 +417,7 @@ def _division(
     statement: ast.SelectStatement,
     conjunct_refs: List[Tuple[ast.Expression, List[ast.ColumnRef]]],
     level: _Scope,
-    info_of: Callable[[ast.SelectStatement], _SubqueryInfo],
+    schema: Any,
 ) -> Optional[_Division]:
     """The division plan of a block, or None when it is not one.
 
@@ -439,7 +435,7 @@ def _division(
         for item in statement.select_items
     ):
         return None
-    inner = info_of(connector.subquery)
+    inner = _analyze_subquery(connector.subquery, schema)
     if inner.mode != "table":
         return None
     outer_positions = []
@@ -456,6 +452,7 @@ def _division(
         return None
     return _Division(
         inner=connector.subquery,
+        inner_info=inner,
         negated=connector.negated,
         outer_keys=tuple(inner.keys[p] for p in outer_positions),
         outer_positions=tuple(outer_positions),
@@ -548,11 +545,15 @@ class _Subquery:
 
     Called with an outer row's values it returns the subquery's rows;
     EXISTS connectors ask ``exists``, which can decide a division without
-    producing rows.  ``runs`` holds the statement's root runners without
-    and with the outer row, built at their first call and kept.
+    producing rows.  ``info`` is the statement's analysis, made when the
+    connector is bound.  ``outer_keys`` and ``division_keys`` are the
+    slots of ``info.keys`` and of the division's outer keys in the
+    layout, None when one is missing (or there is no division).
+    ``runs`` holds the statement's root runners without and with the
+    outer row, built at their first call and kept.
     """
 
-    __slots__ = ("executor", "statement", "layout", "runs", "key_slots")
+    __slots__ = ("executor", "statement", "layout", "info", "outer_keys", "division_keys", "runs")
 
     def __init__(
         self, executor: "Executor", statement: ast.SelectStatement, layout: Layout
@@ -560,8 +561,11 @@ class _Subquery:
         self.executor = executor
         self.statement = statement
         self.layout = layout
+        self.info = info = _analyze_subquery(statement, executor.database.schema)
+        self.outer_keys = _slots(layout, info.keys)
+        division = info.division
+        self.division_keys = None if division is None else _slots(layout, division.outer_keys)
         self.runs: List[Optional[Tuple[Runner, bool]]] = [None, None]
-        self.key_slots: Dict[Tuple[str, ...], Optional[Tuple[int, ...]]] = {}
 
     def __call__(self, values: Values) -> List[Values]:
         return self.executor._run_subquery(self, values)
@@ -582,17 +586,15 @@ class _Subquery:
             return [tuple(v for v in row if v is not _ABSENT) for row in run(values)]
         return list(run(values))
 
-    def outer_values(self, names: Tuple[str, ...], values: Values) -> Optional[Tuple[Any, ...]]:
-        """The (frozen) values of the outer columns ``names``; None if one is missing."""
-        if names not in self.key_slots:
-            slots = tuple(resolve_slot(self.layout, name) for name in names)
-            self.key_slots[names] = None if None in slots else slots
-        slots = self.key_slots[names]
-        return None if slots is None else tuple(_freeze(values[slot]) for slot in slots)
+
+def _slots(layout: Layout, names: Tuple[str, ...]) -> Optional[Tuple[int, ...]]:
+    """The slots of ``names`` in ``layout``; None if one is missing."""
+    slots = tuple(resolve_slot(layout, name) for name in names)
+    return None if None in slots else slots
 
 
 class _StatementScope:
-    """State keyed to statements: subquery analysis, memo and tables.
+    """State keyed to statements: subquery memo and tables.
 
     The executor keeps one shared scope for the statements of its shape
     plans; a shape's first sighting, and a statement passed in as an AST,
@@ -602,12 +604,11 @@ class _StatementScope:
     ``memo_entries`` counts memoized results plus hash-table rows.
     """
 
-    __slots__ = ("memo", "memo_entries", "correlations")
+    __slots__ = ("memo", "memo_entries")
 
     def __init__(self) -> None:
         self.memo: Dict[int, _SubqueryState] = {}
         self.memo_entries = 0
-        self.correlations: Dict[int, Tuple[ast.SelectStatement, _SubqueryInfo]] = {}
 
     def clear_memo(self) -> None:
         self.memo.clear()
@@ -1358,8 +1359,7 @@ class Executor:
     def _run_subquery(self, subquery: _Subquery, outer: Optional[Values]) -> List[Values]:
         """A compiled connector's rows of ``subquery`` for the outer row ``outer``."""
         self._rows_read += 1
-        statement = subquery.statement
-        info = self._subquery_info(statement)
+        info = subquery.info
         params = self._params[0]
         # Memo keys carry the outer values' types: 1 and 1.0 are equal
         # keys, but a subquery that reads them returns different values.
@@ -1367,17 +1367,18 @@ class Executor:
             row = dict(zip(subquery.layout, outer))  # each name once, as a merged row
             key: Any = (params, tuple(row.items()), tuple(map(type, row.values())))
         else:
-            values = subquery.outer_values(info.keys, outer)
-            if values is None:
+            slots = subquery.outer_keys
+            if slots is None:
                 # The correlation cannot be satisfied by this outer row;
                 # run it and let execution surface the usual error.
                 return subquery.rows(outer)
+            values = tuple(_freeze(outer[slot]) for slot in slots)
             if info.mode == "table":
-                return self._run_keyed(subquery, info, params, values, outer)
+                return self._run_keyed(subquery, params, values, outer)
             if not values:
                 outer = None  # uncorrelated: run once, without an outer row
             key = (params, values, tuple(map(type, values)))
-        state = self._subquery_state(statement)
+        state = self._subquery_state(subquery.statement)
         try:
             cached = state.memo.get(key)
         except TypeError:  # unhashable outer value: skip the memo
@@ -1391,12 +1392,7 @@ class Executor:
         return rows
 
     def _run_keyed(
-        self,
-        subquery: _Subquery,
-        info: _SubqueryInfo,
-        params: Tuple[Any, ...],
-        values: Tuple[Any, ...],
-        outer: Values,
+        self, subquery: _Subquery, params: Tuple[Any, ...], values: Tuple[Any, ...], outer: Values
     ) -> List[Values]:
         """Rows of a key-correlated subquery: per key until a table pays."""
         statement = subquery.statement
@@ -1418,7 +1414,7 @@ class Executor:
         if table is None:
             table = state.tables[params] = _Table(self._rows_in(statement))
         if table.pays():
-            built = self._build_table(state, info, params)
+            built = self._build_table(state, subquery.info, params)
             if built is not None:
                 return built.get(values, _NO_ROWS)
         read, joined = self._rows_read, self._rows_joined
@@ -1429,7 +1425,7 @@ class Executor:
 
     def _subquery_exists(self, subquery: _Subquery, outer: Values) -> bool:
         """Whether ``subquery`` has rows for the outer row ``outer`` (EXISTS connectors)."""
-        division = self._subquery_info(subquery.statement).division
+        division = subquery.info.division
         if division is not None:
             found = self._divide(subquery, division, outer)
             if found is not None:
@@ -1444,9 +1440,10 @@ class Executor:
         and the block's own key values are collected once, and every
         later outer row is a set comparison.
         """
-        values = subquery.outer_values(division.outer_keys, outer)
-        if values is None:
+        slots = subquery.division_keys
+        if slots is None:
             return None
+        values = tuple(_freeze(outer[slot]) for slot in slots)
         statement = subquery.statement
         params = self._params[0]
         state = self._subquery_state(statement)
@@ -1537,12 +1534,11 @@ class Executor:
         """Group the inner table by outer key and collect the block's own keys."""
         inner_state = self._subquery_state(division.inner)
         inner_table = inner_state.tables.get(params)
-        inner_info = self._subquery_info(division.inner)
         if inner_table is None:
             inner_table = inner_state.tables[params] = _Table(0)
         built = inner_table.built
         if built is None and not inner_table.failed:
-            built = self._build_table(inner_state, inner_info, params)
+            built = self._build_table(inner_state, division.inner_info, params)
         if built is None:
             table.failed = True
             return None
@@ -1598,17 +1594,6 @@ class Executor:
         return sum(
             self.database.table(table.name).row_count for table in statement.from_tables
         )
-
-    def _subquery_info(self, statement: ast.SelectStatement) -> _SubqueryInfo:
-        correlations = self._scope.correlations
-        entry = correlations.get(id(statement))
-        if entry is not None and entry[0] is statement:
-            return entry[1]
-        info = _analyze_subquery(statement, self.database.schema, self._subquery_info)
-        if len(correlations) >= _CORRELATION_LIMIT:
-            correlations.clear()  # bound growth on endless distinct queries
-        correlations[id(statement)] = (statement, info)
-        return info
 
     def _subquery_state(self, statement: ast.SelectStatement) -> _SubqueryState:
         memo = self._scope.memo

@@ -242,11 +242,12 @@ class QueryTranslator:
         """Serve ``sql`` from the exact-text LRU or a compiled phrase plan.
 
         Returns ``None`` when neither fast path applies — the caller then
-        owns the cold (full-pipeline) translation, typically on a worker
-        thread.  This is the concurrent service's direct-await path: a hit
-        costs microseconds and never parses, builds or compiles, so it is
-        safe to run on the event loop.  A miss records nothing (the cold
-        path that follows does its own accounting).
+        owns the cold (full-pipeline) translation.  A hit costs
+        microseconds and never parses, builds or compiles.  A miss
+        records nothing (the cold path that follows does its own
+        accounting).  ``translate`` takes the same two fast paths, so
+        nothing in the package calls this cache-only probe; it stays as
+        public API (``docs/api.md``), and ``talkbench/trace.py`` wraps it.
         """
         # A probe: a miss here is retried (and counted) by the cold
         # path's ``translate``, so it must not skew the stats.

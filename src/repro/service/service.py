@@ -20,14 +20,13 @@ template registry inside its spec, one shared
 caches included) and one :class:`~repro.content.narrator.ContentNarrator`
 — and serves every request by one rule:
 
-* **fast path** — a translate whose SQL hits the exact-text LRU or a
-  compiled phrase plan is answered at once on the event loop while the
-  session's turn is free (no parse, no graph build).
-* **the turn** — any other request, once admitted, takes the session's
+* **the turn** — every request, once admitted, takes the session's
   turn, a FIFO ``asyncio.Lock``: at once when the turn is free and
   nobody waits for it, otherwise when its turn comes, in arrival order.
   Its deadline is checked then, and an expired one is shed typed.  The
-  request then runs on the event-loop thread.
+  request then runs on the event-loop thread; a translate whose SQL
+  hits the exact-text LRU or a compiled phrase plan is answered there
+  without a parse or a graph build.
 * **disk waits take a thread** — only a request that can wait on the
   disk runs on a thread of the service's pool, and it holds the turn
   until that run ends, also when its client is cancelled: ``checkpoint``,
@@ -60,9 +59,10 @@ a small set of rules:
 * a session's pipeline — translator, executor, narrator, explainer —
   runs only on the event loop, or on the pool thread of the request that
   holds the session's turn.  While such a run holds the turn the loop
-  runs none of it: other requests wait for the turn, and the fast path
-  runs only while the turn is free.  So the turn is the session's only
-  exclusion;
+  runs none of it: other requests wait for the turn.  So the turn is
+  the session's only exclusion.  It guards the request counters too:
+  the loop writes them, and a disk run's thread writes only its own
+  in-queue shed, while it holds the turn;
 * state shared *across* sessions is internally locked where mutation is
   structural: the per-lexicon :class:`~repro.query_nl.plans.PlanStore`,
   the module factories (``builder_for``/``graph_for``/
@@ -83,13 +83,13 @@ Observability
 -------------
 
 :meth:`NarrationSession.stats` is the per-session endpoint: request
-counters by kind and by path (``fast_path_hits``; ``inline`` for a
-request run or shed on the loop, ``pooled`` for one run on a thread),
-the number of requests waiting for their turn, the shed counters, the
-translator's exact-text LRU and phrase-plan store statistics (including
-the unplannable-shape report), the shared executor's cache statistics,
-and the derived execution shape-sharing rate (what fraction of
-executions were served by a compiled shape plan).
+counters by kind and by path (``inline`` for a request run or shed on
+the loop, ``pooled`` for one run on a thread), the number of requests
+waiting for their turn, the shed counters, the translator's exact-text
+LRU and phrase-plan store statistics (including the unplannable-shape
+report), the shared executor's cache statistics, and the derived
+execution shape-sharing rate (what fraction of executions were served
+by a compiled shape plan).
 :meth:`NarrationService.stats` aggregates every session.
 """
 
@@ -174,8 +174,6 @@ class NarrationSession:
         )
         # Resilience: admission control (shedding off unless configured).
         self._admission = admission if admission is not None else AdmissionController()
-        # Counter updates come from both the event loop and the pool.
-        self._stats_lock = threading.Lock()
         # Requests take their turn in arrival order (asyncio.Lock wakes
         # its waiters first in, first out); the holder is the session's
         # only request in flight.  See the module docstring's
@@ -187,7 +185,6 @@ class NarrationSession:
         self._explainer: Optional[AnswerExplainer] = None
         self._closed = False
         self._counts: Dict[str, int] = {}
-        self._fast_path_hits = 0
         self._inline = 0
         self._pooled = 0
 
@@ -200,21 +197,14 @@ class NarrationSession:
     ) -> QueryTranslation:
         """Translate SQL to natural language (Section 3 of the paper).
 
-        Plan/LRU hits are answered at once while the session's turn is
-        free; a cold translation takes its turn and runs on the event
-        loop.  ``timeout`` caps this one request (default: unbounded);
-        the deadline is honored at admission and again when the turn
-        comes, and expiry raises the typed
+        Takes the session's turn and runs on the event loop, like every
+        other request; an exact-text LRU or phrase-plan hit skips the
+        parse and the graph build.  ``timeout`` caps this one request
+        (default: unbounded); the deadline is honored at admission and
+        again when the turn comes, and expiry raises the typed
         :class:`~repro.service.resilience.DeadlineExceeded`.
         """
         self._check_open()
-        if isinstance(sql, str) and not self._turn.locked():
-            fast = self.translator.try_fast_translate(sql)
-            if fast is not None:
-                with self._stats_lock:
-                    self._fast_path_hits += 1
-                    self._counts["translate"] = self._counts.get("translate", 0) + 1
-                return fast
         return await self._submit("translate", sql, Deadline.after(timeout))
 
     async def execute(self, sql: str, timeout: Optional[float] = None):
@@ -280,23 +270,21 @@ class NarrationSession:
         """The per-session cache/plan/request statistics snapshot.
 
         ``requests`` counts traffic by kind and by the path that served
-        it (``fast_path_hits``, ``inline``, ``pooled``: a request counts
-        on exactly one once its turn comes, one shed then on ``inline``,
-        and a client cancelled before its turn on none), the requests still
+        it (``inline``, ``pooled``: a request counts on exactly one once
+        its turn comes, one shed then on ``inline``, and a client
+        cancelled before its turn on none), the requests still
         waiting for their turn (``queue_depth``) and the shed ones;
         ``execution_shape_sharing`` derives the executor's
         shape-hit rate — the fraction of SQL executions served by an
         already-compiled shape plan with only a literal rebind.
         """
-        with self._stats_lock:
-            requests = {
-                "by_kind": dict(self._counts),
-                "fast_path_hits": self._fast_path_hits,
-                "inline": self._inline,
-                "pooled": self._pooled,
-                "queue_depth": self._waiting,
-                "shed": self._admission.stats(),
-            }
+        requests = {
+            "by_kind": dict(self._counts),
+            "inline": self._inline,
+            "pooled": self._pooled,
+            "queue_depth": self._waiting,
+            "shed": self._admission.stats(),
+        }
         snapshot: Dict[str, Any] = {
             "schema": self.schema.name,
             "has_database": self.database is not None,
@@ -339,16 +327,15 @@ class NarrationSession:
         try:
             expired = deadline.expired
             disk = not expired and self._may_wait_on_disk(kind, payload)
-            with self._stats_lock:
-                self._counts[kind] = self._counts.get(kind, 0) + 1
-                if disk:
-                    self._pooled += 1
-                else:
-                    self._inline += 1
-                if expired:
-                    # The budget ran out while the request waited its turn:
-                    # shed it now rather than spend pipeline time on it.
-                    raise self._admission.shed_expired_in_queue()
+            self._counts[kind] = self._counts.get(kind, 0) + 1
+            if disk:
+                self._pooled += 1
+            else:
+                self._inline += 1
+            if expired:
+                # The budget ran out while the request waited its turn:
+                # shed it now rather than spend pipeline time on it.
+                raise self._admission.shed_expired_in_queue()
             if not disk:
                 return self._run(kind, payload)
             # What ``run_in_executor`` does, keeping the pool's own future:
@@ -386,8 +373,7 @@ class NarrationSession:
         # pool, so a run can wait for a thread; one whose budget ran out
         # meanwhile is shed unrun.
         if deadline.expired:
-            with self._stats_lock:
-                raise self._admission.shed_expired_in_queue()
+            raise self._admission.shed_expired_in_queue()
         return self._run(kind, payload)
 
     def _run(self, kind: str, payload: Any) -> Any:

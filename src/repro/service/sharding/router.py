@@ -431,8 +431,8 @@ class ShardRouter:
         """The fleet view: per-worker session stats plus router aggregates.
 
         ``fleet`` sums the interesting counters across workers (requests
-        by kind, fast-path hits, phrase-plan and parameterised-plan
-        hits/misses); ``workers`` holds each worker's full
+        by kind, phrase-plan and parameterised-plan hits/misses);
+        ``workers`` holds each worker's full
         :meth:`NarrationSession.stats` snapshot together with its pid,
         mutation watermark and respawn count; ``router`` covers routing
         itself (per-kind routed counts, mutations, crashes, respawns).
@@ -871,7 +871,6 @@ def _factory_path(factory: Union[str, Callable]) -> str:
 def _aggregate_fleet(snapshots: List[Optional[Dict[str, Any]]]) -> Dict[str, Any]:
     """Sum the load-bearing counters across worker snapshots."""
     by_kind: Dict[str, int] = {}
-    fast_path_hits = 0
     plan_hits = plan_misses = 0
     shape_hits = shape_misses = shape_fallbacks = 0
     live = 0
@@ -882,7 +881,6 @@ def _aggregate_fleet(snapshots: List[Optional[Dict[str, Any]]]) -> Dict[str, Any
         session = snapshot["session"]
         for kind, count in session["requests"]["by_kind"].items():
             by_kind[kind] = by_kind.get(kind, 0) + count
-        fast_path_hits += session["requests"]["fast_path_hits"]
         plan_store = session["translator"]["plan_store"]
         if plan_store:
             plan_hits += plan_store["hits"]
@@ -896,7 +894,6 @@ def _aggregate_fleet(snapshots: List[Optional[Dict[str, Any]]]) -> Dict[str, Any
     return {
         "live_workers": live,
         "requests_by_kind": by_kind,
-        "fast_path_hits": fast_path_hits,
         "phrase_plans": {"hits": plan_hits, "misses": plan_misses},
         "shape_plans": {
             "hits": shape_hits,

@@ -43,9 +43,9 @@ class LRUCache:
         """Lookup refreshing recency.
 
         ``record_miss=False`` keeps a miss out of the counters — for
-        *probe* lookups (the service's fast path) whose miss is followed
-        by a counted lookup on the slow path, so the stats reflect one
-        logical request once.
+        *probe* lookups (``QueryTranslator.try_fast_translate``) whose
+        miss is followed by a counted lookup on the slow path, so the
+        stats reflect one logical request once.
         """
         value = self._data.get(key, self._MISSING)
         if value is self._MISSING:

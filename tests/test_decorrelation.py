@@ -545,7 +545,7 @@ def test_shadowed_or_unqualified_subqueries_stay_per_row(movies, subquery):
     # The subquery itself is memoized on the whole outer row, never
     # decorrelated (a nested block that shadows nothing of its own may be).
     statement = parse_select(sql).where.subquery
-    assert executor._subquery_info(statement).mode == "row"
+    assert executor_module._analyze_subquery(statement, movies.schema).mode == "row"
 
 
 def test_table_rows_count_toward_the_memo_bound(monkeypatch):

@@ -23,6 +23,7 @@ from repro.datasets import (
 )
 from repro.engine import Executor
 from repro.errors import SqlValidationError
+from repro.query_nl import translator as translator_module
 from repro.query_nl.empty_answer import AnswerExplainer
 from repro.query_nl.translator import QueryTranslator
 from repro.service import NarrationService, ServiceClosed
@@ -168,38 +169,43 @@ class TestConcurrentEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Fast path, dispatch and ordering
+# Dispatch and ordering
 # ---------------------------------------------------------------------------
 
 
 class TestServiceMechanics:
-    def test_fast_path_serves_warm_requests_inline(self):
+    def test_warm_translates_take_their_turn_and_hit_the_cache(self):
         schema = movie_schema()
         sql = list(PAPER_QUERIES.values())[0]
 
         async def main():
             async with NarrationService() as service:
                 session = service.session(schema=schema)
-                await session.translate(sql)  # cold: runs on the loop
-                # Warm requests on a free turn take the direct-await path
-                # once the shape is admitted, so probe a few times.
-                warm = None
-                for _ in range(10):
-                    await asyncio.sleep(0.01)
-                    warm = await session.translate(sql)
-                    if session.stats()["requests"]["fast_path_hits"]:
-                        break
-                return warm, session.stats()
+                ran = []
+                run_request = session._run
 
-        warm, stats = run(main())
+                def spy_run(kind, payload):
+                    ran.append((kind, threading.get_ident()))
+                    return run_request(kind, payload)
+
+                session._run = spy_run
+                await session.translate(sql)  # cold: the full pipeline
+                await session.translate(sql)  # admitted: cached from now on
+                warm = await session.translate(sql)
+                return warm, ran, session.stats()
+
+        warm, ran, stats = run(main())
         assert warm.text
-        assert stats["requests"]["fast_path_hits"] >= 1
+        # Cold or warm, every translate runs on the loop in its turn.
+        assert ran == [("translate", threading.get_ident())] * 3
+        assert stats["requests"]["inline"] == stats["requests"]["by_kind"]["translate"] == 3
+        assert stats["translator"]["exact_cache"]["hits"] >= 1
 
     def test_replies_settle_after_the_turn_is_released(self, tmp_path):
         # A reply settled while its run still holds the session's turn
-        # resumes its client into a fast path that finds the turn taken,
-        # sending a cached translate to wait for its turn.  A durable
-        # session that syncs every write runs each one on the pool.
+        # resumes its client while the turn is taken, so the translate it
+        # sends next waits for its turn.  A durable session that syncs
+        # every write runs each one on the pool.
         database = movie_database()
         sql = "select m.title from MOVIES m where m.year = 2004"
         repeats = 25
@@ -220,21 +226,23 @@ class TestServiceMechanics:
 
                 await served(session.translate, sql)  # first sighting
                 await served(session.translate, sql)  # admitted and cached
-                before = session.stats()["requests"]["fast_path_hits"]
+                before = session.stats()["translator"]["exact_cache"]["hits"]
                 for index in range(repeats):
                     insert = f"insert into GENRE (mid, genre) values (1, 'Settle {index}')"
                     await served(session.execute, insert)  # served by the pool
                     await session.translate(sql)
-                return lock_held, before, session.stats()["requests"]
+                return lock_held, before, session.stats()
 
-        lock_held, before, requests = run(main())
+        lock_held, before, stats = run(main())
         assert len(lock_held) == 2 + repeats and not any(lock_held)
         # Every translate that follows a pool-served reply is a cache hit
-        # served on the fast path; only the first two missed the cache.
+        # run on the loop; only the first two missed the cache.
+        requests = stats["requests"]
         assert before == 0
-        assert requests["fast_path_hits"] == repeats
+        assert stats["translator"]["exact_cache"]["hits"] == repeats
         assert requests["by_kind"] == {"translate": 2 + repeats, "execute": repeats}
         assert requests["pooled"] == repeats
+        assert requests["inline"] == 2 + repeats
 
     def test_each_reply_settles_as_soon_as_its_request_has_run(self, tmp_path):
         # Concurrent requests queued behind a disk run each run on their
@@ -298,8 +306,7 @@ class TestServiceMechanics:
         sighted, stats = run(main())
         assert sighted["misses"] == sighted["deferred"] == 1
         plans = stats["translator"]["plan_store"]
-        # One shape: exactly one miss compiled the plan, everything else hit
-        # (on the pool or on the direct-await path).
+        # One shape: exactly one miss compiled the plan, everything else hit.
         assert plans["misses"] - sighted["misses"] == 1
         assert plans["hits"] + plans["misses"] - sighted["misses"] == len(variants)
 
@@ -571,7 +578,7 @@ class TestServiceMechanics:
 
         run(main())
 
-    def test_fast_path_probe_does_not_double_count_lru_misses(self):
+    def test_each_translate_looks_up_the_exact_text_lru_once(self):
         schema = movie_schema()
         template = "select m.title from MOVIES m where m.year = {year}"
         uniques = [template.format(year=1900 + i) for i in range(30)]
@@ -579,16 +586,14 @@ class TestServiceMechanics:
         async def main():
             async with NarrationService() as service:
                 session = service.session(schema=schema, phrase_plans=True)
-                for sql in uniques:  # sequential: every probe runs and misses
+                for sql in uniques:  # sequential: every lookup misses
                     await session.translate(sql)
                 return session.stats()
 
         stats = run(main())
         exact = stats["translator"]["exact_cache"]
-        # The fast-path probe's misses are uncounted: only slow-path
-        # lookups count, so the total stays below one per request (without
-        # record_miss=False every request would count 1-2 misses).
-        assert exact["misses"] < len(uniques)
+        # One counted lookup per request, no uncounted probe before it.
+        assert exact["misses"] == len(uniques)
         assert exact["hits"] == 0  # every text was unique
         plans = stats["translator"]["plan_store"]
         assert plans["hits"] + plans["misses"] == len(uniques)
@@ -672,7 +677,7 @@ class TestInlineRule:
         ]
         assert {thread for _, thread in ran} == {threading.get_ident()}
         assert requests["inline"] == len(ran)
-        assert requests["pooled"] == requests["fast_path_hits"] == 0
+        assert requests["pooled"] == 0
 
     def test_a_durable_sessions_disk_requests_keep_the_pool(self, tmp_path):
         async def main():
@@ -827,16 +832,24 @@ class TestInlineRule:
         assert requests["inline"] == 1 and requests["pooled"] == 1
 
     def test_a_cached_translate_waits_for_a_disk_run(self, tmp_path):
-        # The fast path runs only while the turn is free: a disk run on
-        # its thread may be using the translator's caches.
+        # A disk run on its thread may be using the translator's caches,
+        # so a translate the cache answers still waits for its turn.
         sql = "select m.title from MOVIES m where m.year = 2004"
 
         async def main():
             async with NarrationService() as service:
                 session = service.session(database=movie_database(), phrase_plans=True)
                 for _ in range(3):
-                    await session.translate(sql)  # the last is a fast-path hit
-                before = session.stats()["requests"]
+                    await session.translate(sql)  # the last is a cache hit
+                before = session.stats()
+                ran = []
+                run_request = session._run
+
+                def spy_run(kind, payload):
+                    ran.append((kind, threading.get_ident()))
+                    return run_request(kind, payload)
+
+                session._run = spy_run
                 started, proceed = park_disk_runs(session)
                 try:
                     parked = asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
@@ -844,16 +857,64 @@ class TestInlineRule:
                     cached = asyncio.ensure_future(session.translate(sql))
                     await asyncio.sleep(0.05)
                     waiting = session.stats()["requests"]["queue_depth"]
+                    assert ran == []  # the disk run is parked before it runs
                 finally:
                     proceed.set()
                 await asyncio.gather(parked, cached)
-                return before, waiting, session.stats()["requests"]
+                return before, waiting, ran, session.stats()
 
-        before, waiting, after = run(main())
-        assert before["fast_path_hits"] == 1
+        before, waiting, ran, after = run(main())
+        assert before["translator"]["exact_cache"]["hits"] == 1
         assert waiting == 1
-        assert after["fast_path_hits"] == 1
-        assert after["inline"] == before["inline"] + 1 and after["pooled"] == 1
+        assert [kind for kind, _ in ran] == ["snapshot_to", "translate"]
+        assert ran[1][1] == threading.get_ident()  # after the disk run, on the loop
+        assert after["translator"]["exact_cache"]["hits"] == 2
+        requests = after["requests"]
+        assert requests["inline"] == before["requests"]["inline"] + 1
+        assert requests["pooled"] == 1
+
+    def test_a_cached_translate_is_shed_on_an_expired_deadline(self):
+        # A translate the cache can answer is admitted like any request:
+        # an expired budget is shed typed, as an execute's is.
+        sql = "select m.title from MOVIES m where m.year = 2004"
+
+        async def main():
+            async with NarrationService() as service:
+                session = service.session(database=movie_database(), phrase_plans=True)
+                for _ in range(3):
+                    await session.translate(sql)  # the last is a cache hit
+                with pytest.raises(DeadlineExceeded):
+                    await session.translate(sql, timeout=0)
+                with pytest.raises(DeadlineExceeded):
+                    await session.execute(sql, timeout=0)
+                return session.stats()
+
+        stats = run(main())
+        assert stats["translator"]["exact_cache"]["hits"] == 1
+        requests = stats["requests"]
+        assert requests["shed"]["deadline"] == 2
+        assert requests["by_kind"] == {"translate": 3}
+        assert requests["inline"] == 3
+
+    def test_a_cold_translate_looks_its_shape_up_once(self, monkeypatch):
+        looked_up = []
+        shape_key = translator_module.shape_key
+
+        def counting_shape_key(sql):
+            looked_up.append(sql)
+            return shape_key(sql)
+
+        monkeypatch.setattr(translator_module, "shape_key", counting_shape_key)
+        sql = "select m.title from MOVIES m where m.year = 2004"
+
+        async def main():
+            async with NarrationService() as service:
+                session = service.session(schema=movie_schema(), phrase_plans=True)
+                return await session.translate(sql)
+
+        assert run(main()).text
+        # One masking pass and one plan-store lookup for a miss.
+        assert looked_up == [sql]
 
     def test_requests_queued_behind_a_disk_run_run_on_the_loop_in_order(
         self, tmp_path
@@ -909,7 +970,7 @@ class TestInlineRule:
         assert ran[0][1] != loop_thread
         assert {thread for _, thread in ran[1:]} == {loop_thread}
         assert requests["pooled"] == 1
-        assert requests["inline"] == 4 and requests["fast_path_hits"] == 0
+        assert requests["inline"] == 4
 
     def test_an_expired_timeout_is_shed_before_it_runs(self):
         async def main():
@@ -1000,9 +1061,7 @@ class TestInlineRule:
             assert counts == sorted(set(counts)) and counts[0] > base
         assert requests["inline"] > 0 and requests["pooled"] >= clients * rounds // 2
         assert requests["queue_depth"] == 0
-        assert sum(requests["by_kind"].values()) == (
-            requests["fast_path_hits"] + requests["inline"] + requests["pooled"]
-        )
+        assert sum(requests["by_kind"].values()) == requests["inline"] + requests["pooled"]
 
     def test_every_admitted_request_is_counted_on_one_path(self, tmp_path):
         database = movie_database()
@@ -1036,12 +1095,9 @@ class TestInlineRule:
 
         requests = run(main())
         assert requests["shed"] == {"overload": 0, "deadline": 1, "in_queue": 1}
-        assert requests["fast_path_hits"] >= 1
-        assert requests["inline"] + requests["fast_path_hits"] == 7
+        assert requests["inline"] == 7
         assert requests["pooled"] == 1
-        assert sum(requests["by_kind"].values()) == (
-            requests["fast_path_hits"] + requests["inline"] + requests["pooled"]
-        )
+        assert sum(requests["by_kind"].values()) == requests["inline"] + requests["pooled"]
 
 
 # ---------------------------------------------------------------------------
@@ -1055,7 +1111,7 @@ class TestPlanStoreStatsConsistency:
 
         With the exact-text LRU disabled every translate performs exactly
         one shape-keyed plan lookup, recorded as exactly one hit or one
-        miss — across worker threads and the event-loop fast path.
+        miss.
         """
         schema = movie_schema()
         names = ["Brad Pitt", "Mark Hamill", "Jodie Foster", "Eric Bana"]

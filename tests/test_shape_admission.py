@@ -412,7 +412,6 @@ class TestShapeChurnSoak:
             ("shape plans", len(executor._shape_plans), executor._shape_plans.maxsize),
             ("executor sightings", len(executor._sightings), SIGHTINGS_SIZE),
             ("subquery memo", scope.memo_entries, executor_module._SUBQUERY_MEMO_LIMIT),
-            ("correlation info", len(scope.correlations), 10_000),
         ]
 
     def _assert_bounded(self, translator, executor):

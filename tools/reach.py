@@ -385,6 +385,9 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/content/presets.py:default_spec",
         "repro/datasets/domains/__init__.py:all_domains",
         "repro/query_nl/translator.py:translate_query",
+        # Nothing in the package calls it; talkbench/trace.py wraps it,
+        # so renaming it breaks traced runs.
+        "repro/query_nl/translator.py:QueryTranslator.try_fast_translate",
         "repro/graph/schema_graph.py:build_schema_graph",
         "repro/storage/engine/base.py:BaseTableStorage.remove_observer",
     )),
