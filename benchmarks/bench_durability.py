@@ -15,11 +15,10 @@ Four measurements:
   is the microscope: a plain insert is ~10us, so every microsecond of
   WAL overhead is visible as slowdown.
 * ``service`` — the same comparison through a ``NarrationSession``
-  executing INSERT statements, i.e. what callers actually observe.  One
-  at a time on an otherwise idle session, a non-durable INSERT runs on
-  the event loop, and so does a durable one unless its append syncs the
-  log (the group commit under ``batch``, every append under
-  ``always``), which runs on a thread of the service's pool.  The
+  executing INSERT statements, i.e. what callers actually observe.
+  Every INSERT runs on the event loop, a durable one whose append syncs
+  the log (the group commit under ``batch``, every append under
+  ``always``) included: it waits for the sync there.  The
   **budget** lives here: ``fsync="batch"`` must stay within 2x of
   non-durable throughput, asserted in-run.  Each policy also records the
   WAL's own sync count for the inserts and the closing flush

@@ -4,29 +4,27 @@ PR 7 threads a :class:`~repro.service.resilience.Deadline` and an
 :class:`~repro.service.resilience.AdmissionController` through every
 service request, and a retry/breaker/degradation loop through every
 shard-tier read.  The contract is that a *healthy* system pays almost
-nothing for this: every default is "off" (unbounded deadline, no depth
-threshold, closed breakers), so the hooks reduce to a singleton fetch
-and a couple of integer comparisons.
+nothing for this: every default is "off" (unbounded deadline, closed
+breakers), so the hooks reduce to a singleton fetch and a couple of
+comparisons.
 
 This benchmark quantifies that claim three ways:
 
 * ``micro_ns`` — the isolated per-call cost of each policy primitive;
 * ``queued_execute`` — warm single-shape executes, one at a time, on a
   session no other request is using, default versus stubbed admission.
-  Such a session's turn is free, so each execute takes it without
-  yielding and runs on the event loop: admission, deadline and the
-  shape-plan run, with no pool call.  This is the cheapest request that runs the
+  Each execute runs on the event loop: admission, deadline and the
+  shape-plan run.  This is the cheapest request that runs the
   admission check, so it is the strictest base for the budget (both
   sides build the same deadline).  The key keeps its name so that
   runs before and after the inline path compare; before it, this
   section timed the turn and one pool call, about 150 µs a request;
 * ``fast_path`` — warm translates (exact-text LRU hits) through a
   default session versus one whose admission check is stubbed out.
-  Like every request, each takes the session's turn and reaches
-  admission, then runs on the event loop.  The key keeps its name so
-  that runs before and after compare; before, a cached translate
-  skipped the turn and admission while the turn was free, so both
-  sessions ran the same code.
+  Like every request, each is admitted, then runs on the event loop.
+  The key keeps its name so that runs before and after compare;
+  before, a cached translate skipped the turn and admission while the
+  turn was free, so both sessions ran the same code.
 
 The acceptance budget is what the defaults add to an admitted request:
 one ``Deadline.after(None)`` and one ``admit()`` call
@@ -34,7 +32,7 @@ one ``Deadline.after(None)`` and one ``admit()`` call
 under 1% of a fixed reference request (:func:`_reference_request`, a
 pure-Python loop that took about as long as the inline execute, near
 15 µs, when this base was chosen).  ``admit`` returns at once when the
-deadline is unbounded and no depth threshold is set.  The base is fixed
+deadline is unbounded.  The base is fixed
 because the execute's time is the engine's: an engine speedup alone
 would push a budget over the execute toward its threshold, with no
 resilience change.  The two calls and the reference are timed in the
@@ -88,9 +86,9 @@ def _reference_request() -> int:
 
 
 class _BypassAdmission(AdmissionController):
-    """Admission with the shed checks compiled out (the old edge)."""
+    """Admission with the shed check compiled out (the old edge)."""
 
-    def admit(self, depth, deadline=Deadline.NONE):  # noqa: D102
+    def admit(self, deadline=Deadline.NONE):  # noqa: D102
         return None
 
 
@@ -171,7 +169,7 @@ def bench_resilience(quick: bool = False) -> dict:
         # execute batches.
         return (
             _micro(lambda: Deadline.after(None), iterations // batches),
-            _micro(lambda: admission.admit(0), iterations // batches),
+            _micro(lambda: admission.admit(Deadline.NONE), iterations // batches),
             _micro(_reference_request, calls),
         )
 

@@ -7,10 +7,8 @@ shape are served from compiled phrase plans, execution shares one
 compiled executor, and narration reads the maintained ranking — all
 byte-identical to what each client would get from a private synchronous
 pipeline.  Every request, a translate its phrase plan answers included,
-takes the session's turn and runs on the event loop, one at a time in
-arrival order; only a request that waits on the disk takes a thread,
-and nothing here does, so the stats' ``inline`` count covers every
-request and ``pooled`` stays 0.
+runs to completion on the event loop, one at a time in arrival order;
+the service starts no thread.
 
 Run with::
 

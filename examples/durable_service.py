@@ -9,10 +9,9 @@ closing the service, and recovers everything from disk twice over:
 once into a fresh durable session (snapshot + WAL replay), and once
 through the raw :meth:`repro.storage.Database.recover` path — then
 tears the WAL's final record the way a mid-write crash would and shows
-recovery shrugging it off.  Requests run on the service's event loop;
-only one that waits on the disk (a write that completes a group commit,
-a checkpoint) takes a thread.  Three inserts never fill the group
-commit of eight, so every request here reports as run on the loop.
+recovery shrugging it off.  Every request runs on the service's event
+loop, one that waits on the disk (a write that completes a group commit,
+a checkpoint) included: the service starts no thread.
 
 Run with::
 
@@ -53,8 +52,7 @@ async def run_service(directory: Path, mutations) -> list:
             f"  recovered {durability['replayed']} replayed record(s),"
             f" wal seq {durability['wal']['last_seq']},"
             f" {len(result.rows)} post-1990 titles visible;"
-            f" {requests['inline']} request(s) on the loop,"
-            f" {requests['pooled']} on a thread"
+            f" {sum(requests['by_kind'].values())} request(s) run on the loop"
         )
         return [row["title"] for row in result.rows]
 

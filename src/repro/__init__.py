@@ -85,7 +85,6 @@ from repro.service import (
     NarrationSession,
     RetryPolicy,
     ServiceClosed,
-    ServiceOverloaded,
     ShardRouter,
     ShardRouterConfig,
     WorkerCrashed,
@@ -139,7 +138,6 @@ __all__ = [
     "SchemaBuilder",
     "SchemaGraph",
     "ServiceClosed",
-    "ServiceOverloaded",
     "ShardRouter",
     "ShardRouterConfig",
     "SynthesisMode",

@@ -13,7 +13,6 @@ from repro.service.resilience import (
     Deadline,
     DeadlineExceeded,
     RetryPolicy,
-    ServiceOverloaded,
 )
 from repro.service.service import NarrationService, NarrationSession, ServiceClosed
 from repro.service.sharding import (
@@ -38,7 +37,6 @@ __all__ = [
     "NarrationSession",
     "RetryPolicy",
     "ServiceClosed",
-    "ServiceOverloaded",
     "ShardError",
     "ShardRouter",
     "ShardRouterConfig",

@@ -13,8 +13,8 @@ knows about the shard tier — the import direction is strictly
 :class:`Deadline`
     A monotonic-clock budget created once at the request edge and carried
     with the request through every layer — the admission check, the
-    wait for the session's turn, the worker round-trip.  Layers consume
-    ``remaining()``; nobody re-derives a timeout from a magic constant.
+    worker round-trip.  Layers consume ``remaining()``; nobody
+    re-derives a timeout from a magic constant.
 
 :class:`RetryPolicy`
     Exponential backoff with *seeded* jitter: given the same seed and
@@ -31,11 +31,9 @@ knows about the shard tier — the import direction is strictly
     onto a corpse.
 
 :class:`AdmissionController`
-    Queue-depth and deadline-based shedding at the submission edge.  An
-    overloaded service answers a typed :class:`ServiceOverloaded`
-    *immediately* instead of a timeout after the damage is done; a
-    request whose deadline already expired is shed for free before it
-    waits for its turn.
+    Deadline shedding at the submission edge: a request whose deadline
+    already expired is answered a typed :class:`DeadlineExceeded` at
+    once, before it spends pipeline time.
 
 Every policy default is chosen so that a healthy system behaves exactly
 as it did before this module existed (no deadline → unbounded, breaker
@@ -60,7 +58,6 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "RetryPolicy",
-    "ServiceOverloaded",
 ]
 
 
@@ -70,17 +67,6 @@ class DeadlineExceeded(TimeoutError):
     Subclasses :class:`TimeoutError`, so callers that already handle
     timeouts keep working — but the message says *whose* budget ran out
     and where, which a bare ``TimeoutError`` never does.
-    """
-
-
-class ServiceOverloaded(RuntimeError):
-    """The service shed this request at admission instead of queueing it.
-
-    Raised by :class:`AdmissionController` when the requests waiting for
-    the session's turn are at its shed threshold.  Typed so
-    load-balancing callers can distinguish "back off and retry elsewhere"
-    from a real failure — and so overload shows up as an immediate,
-    explicit answer rather than a timeout.
     """
 
 
@@ -296,54 +282,25 @@ class CircuitBreaker:
 
 
 class AdmissionController:
-    """Shed work at the submission edge instead of timing out later.
+    """Shed at the submission edge a request whose budget is already spent.
 
-    Two independent rules, both off unless configured:
-
-    * ``max_depth`` — when this many requests already wait for the
-      session's turn, a new one is answered :class:`ServiceOverloaded`
-      at once (instead of joining a line it would only time out in).
-      ``None`` lets every request wait its turn.
-    * deadline shedding — a request whose :class:`Deadline` has already
-      expired is answered :class:`DeadlineExceeded` before it waits for
-      its turn.  The session applies the same rule when the turn comes,
-      to a request that expired *while it waited* (counted separately as
-      ``shed_in_queue``).
-
-    Counters are plain ints mutated under the session's stats lock (or
-    the event loop); they feed the ``shed`` block of ``stats()``.
+    A request whose :class:`Deadline` has expired by the time it is
+    submitted is answered :class:`DeadlineExceeded` at once, before it
+    spends pipeline time; an unbounded deadline is never shed.  The
+    counter is a plain int, written on the event loop that runs the
+    session's requests; it feeds the ``shed`` block of ``stats()``.
     """
 
-    def __init__(self, max_depth: Optional[int] = None) -> None:
-        if max_depth is not None and max_depth < 1:
-            raise ValueError("max_depth must be >= 1 (or None to disable)")
-        self.max_depth = max_depth
-        self.shed_overload = 0
+    def __init__(self) -> None:
         self.shed_deadline = 0
-        self.shed_in_queue = 0
 
-    def admit(self, depth: int, deadline: Deadline = Deadline.NONE) -> None:
-        """Raise the typed shed error, or return to admit the request."""
-        if deadline.at is None and self.max_depth is None:
-            return  # the defaults: nothing can shed this request
+    def admit(self, deadline: Deadline = Deadline.NONE) -> None:
+        """Raise :class:`DeadlineExceeded`, or return to admit the request."""
+        if deadline.at is None:
+            return  # the default: nothing can shed this request
         if deadline.expired:
             self.shed_deadline += 1
-            raise DeadlineExceeded("deadline expired before the request was queued")
-        if self.max_depth is not None and depth >= self.max_depth:
-            self.shed_overload += 1
-            raise ServiceOverloaded(
-                f"service queue is at its shed threshold ({self.max_depth});"
-                " back off and retry"
-            )
-
-    def shed_expired_in_queue(self) -> DeadlineExceeded:
-        """Count and build the error for a request that expired while queued."""
-        self.shed_in_queue += 1
-        return DeadlineExceeded("deadline expired while the request was queued")
+            raise DeadlineExceeded("deadline expired before the request was admitted")
 
     def stats(self) -> Dict[str, int]:
-        return {
-            "overload": self.shed_overload,
-            "deadline": self.shed_deadline,
-            "in_queue": self.shed_in_queue,
-        }
+        return {"deadline": self.shed_deadline}

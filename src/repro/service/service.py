@@ -18,31 +18,21 @@ its schema — the ``builder_for`` query-graph builder, the
 template registry inside its spec, one shared
 :class:`~repro.engine.executor.Executor` (shape-plan, scan and subquery
 caches included) and one :class:`~repro.content.narrator.ContentNarrator`
-— and serves every request by one rule:
+— and serves every request by one rule: a request whose deadline has
+already expired is shed typed; any other is counted and run to
+completion on the event-loop thread.  A translate whose SQL hits the
+exact-text LRU or a compiled phrase plan is answered there without a
+parse or a graph build.
 
-* **the turn** — every request, once admitted, takes the session's
-  turn, a FIFO ``asyncio.Lock``: at once when the turn is free and
-  nobody waits for it, otherwise when its turn comes, in arrival order.
-  Its deadline is checked then, and an expired one is shed typed.  The
-  request then runs on the event-loop thread; a translate whose SQL
-  hits the exact-text LRU or a compiled phrase plan is answered there
-  without a parse or a graph build.
-* **disk waits take a thread** — only a request that can wait on the
-  disk runs on a thread of the service's pool, and it holds the turn
-  until that run ends, also when its client is cancelled: ``checkpoint``,
-  ``snapshot_to``, and a durable session's write whose log appends could
-  sync the log (every append under ``fsync="always"``, the one that
-  completes a group commit under ``"batch"``) or reach the checkpoint
-  cadence.  The session bounds a statement's appends by its VALUES
-  tuples.
-
-The rule rests on the GIL: while a thread runs Python the loop runs
-almost nothing anyway, so handing CPU work to a thread bought no
-concurrency, only latency (about 40 µs a request through a turn and a
-pool call, on a 2-vCPU Xeon pinned to one vCPU).  A disk wait releases
-the GIL, which is why those keep a thread.  The cost: a run longer than
-the interpreter's switch interval (5 ms by default) holds the loop for
-its whole length.
+A run never yields to the loop, so a session runs its requests one at a
+time, in the order their coroutines start, with no lock or queue.  That
+holds for the requests that wait on the disk too — a durable session's
+write whose log append syncs the log or reaches the checkpoint cadence,
+``checkpoint`` and ``snapshot_to`` — which hold the loop while the disk
+works, as the shard router's own log appends, syncs and compactions do.
+The cost: a run holds the loop, and so every session of the service,
+for its whole length, also past the interpreter's switch interval
+(5 ms by default).
 
 On every path a shape's phrase plan and shape plan are compiled on its
 second sighting and serve every later request of that shape; an
@@ -57,16 +47,14 @@ Python's hot-path caches here were built for single-threaded speed
 a small set of rules:
 
 * a session's pipeline — translator, executor, narrator, explainer —
-  runs only on the event loop, or on the pool thread of the request that
-  holds the session's turn.  While such a run holds the turn the loop
-  runs none of it: other requests wait for the turn.  So the turn is
-  the session's only exclusion.  It guards the request counters too:
-  the loop writes them, and a disk run's thread writes only its own
-  in-queue shed, while it holds the turn;
+  and its request counters run only on the event loop, one request at a
+  time, so the session keeps no lock of its own;
 * state shared *across* sessions is internally locked where mutation is
-  structural: the per-lexicon :class:`~repro.query_nl.plans.PlanStore`,
-  the module factories (``builder_for``/``graph_for``/
-  ``default_lexicon_for``/``plan_store_for``) and the masked-shape cache;
+  structural, so the library stays callable from any thread: the
+  per-lexicon :class:`~repro.query_nl.plans.PlanStore`, the module
+  factories (``builder_for``/``graph_for``/``default_lexicon_for``/
+  ``plan_store_for``), the masked-shape cache and the service's session
+  table;
 * memo dicts whose writes are single-key and value-idempotent (schema
   graph paths, lexicon lookups, template defaults, the shared
   :class:`~repro.querygraph.builder.QueryGraphBuilder`'s relation and
@@ -83,21 +71,15 @@ Observability
 -------------
 
 :meth:`NarrationSession.stats` is the per-session endpoint: request
-counters by kind and by path (``inline`` for a request run or shed on
-the loop, ``pooled`` for one run on a thread), the number of requests
-waiting for their turn, the shed counters, the translator's exact-text
-LRU and phrase-plan store statistics (including the unplannable-shape
-report), the shared executor's cache statistics, and the derived
-execution shape-sharing rate (what fraction of executions were served
-by a compiled shape plan).
+counters by kind, the shed counter, the translator's exact-text LRU and
+phrase-plan store statistics (including the unplannable-shape report)
+and the shared executor's cache statistics.
 :meth:`NarrationService.stats` aggregates every session.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
 from repro.catalog.schema import Schema
@@ -110,7 +92,6 @@ from repro.query_nl.translator import QueryTranslation, QueryTranslator
 from repro.service.resilience import AdmissionController, Deadline
 # Not used here: talkbench/trace.py wraps this import site and needs the name.
 from repro.sql.shape import batch_key  # noqa: F401
-from repro.sql.shape import is_mutation
 from repro.storage.database import Database
 from repro.storage.durability import DurabilityConfig, DurabilityManager
 
@@ -118,9 +99,6 @@ __all__ = ["NarrationService", "NarrationSession", "ServiceClosed"]
 
 #: ``NarrationService.session``'s exact-text cache size when none is given.
 _DEFAULT_CACHE_SIZE = 512
-#: Threads of a service's pool, which runs only requests that can wait on
-#: the disk; each session has at most one such run at a time.
-_DISK_THREADS = 4
 #: Marks a ``session()`` argument the caller left out, so that an explicit
 #: default still counts as configuration.
 _UNSET: Any = object()
@@ -149,7 +127,6 @@ class NarrationSession:
         lexicon: Optional[Lexicon],
         cache_size: Optional[int] = _DEFAULT_CACHE_SIZE,
         phrase_plans: Optional[bool] = None,
-        admission: Optional[AdmissionController] = None,
         durability: Optional[DurabilityConfig] = None,
     ) -> None:
         self._service = service
@@ -172,21 +149,13 @@ class NarrationSession:
             cache_size=cache_size,
             phrase_plans=phrase_plans,
         )
-        # Resilience: admission control (shedding off unless configured).
-        self._admission = admission if admission is not None else AdmissionController()
-        # Requests take their turn in arrival order (asyncio.Lock wakes
-        # its waiters first in, first out); the holder is the session's
-        # only request in flight.  See the module docstring's
-        # thread-safety contract.
-        self._turn = asyncio.Lock()
-        self._waiting = 0
+        # Resilience: an already-expired deadline is shed at admission.
+        self._admission = AdmissionController()
         self._executor: Optional[Executor] = None
         self._narrator: Optional[ContentNarrator] = None
         self._explainer: Optional[AnswerExplainer] = None
         self._closed = False
         self._counts: Dict[str, int] = {}
-        self._inline = 0
-        self._pooled = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -197,15 +166,14 @@ class NarrationSession:
     ) -> QueryTranslation:
         """Translate SQL to natural language (Section 3 of the paper).
 
-        Takes the session's turn and runs on the event loop, like every
-        other request; an exact-text LRU or phrase-plan hit skips the
-        parse and the graph build.  ``timeout`` caps this one request
-        (default: unbounded); the deadline is honored at admission and
-        again when the turn comes, and expiry raises the typed
+        Runs on the event loop, like every other request; an exact-text
+        LRU or phrase-plan hit skips the parse and the graph build.
+        ``timeout`` caps this one request (default: unbounded); a budget
+        already spent when the request is submitted raises the typed
         :class:`~repro.service.resilience.DeadlineExceeded`.
         """
         self._check_open()
-        return await self._submit("translate", sql, Deadline.after(timeout))
+        return self._submit("translate", sql, Deadline.after(timeout))
 
     async def execute(self, sql: str, timeout: Optional[float] = None):
         """Execute SQL on the session's shared (cached, compiled) executor.
@@ -215,24 +183,24 @@ class NarrationSession:
         shape only rebinds literals.
         """
         self._check_open()
-        return await self._submit("execute", sql, Deadline.after(timeout))
+        return self._submit("execute", sql, Deadline.after(timeout))
 
     async def explain_empty(self, sql: str, timeout: Optional[float] = None):
         """Explain an empty (or very large) answer (Section 3.1)."""
         self._check_open()
-        return await self._submit("explain", sql, Deadline.after(timeout))
+        return self._submit("explain", sql, Deadline.after(timeout))
 
     async def narrate_database(self, *, timeout: Optional[float] = None, **kwargs) -> str:
         """Narrate the database contents (Section 2)."""
         self._check_open()
-        return await self._submit("narrate_database", kwargs, Deadline.after(timeout))
+        return self._submit("narrate_database", kwargs, Deadline.after(timeout))
 
     async def narrate_relation(
         self, relation_name: str, *, timeout: Optional[float] = None, **kwargs
     ) -> str:
         """Narrate one relation's (top) tuples."""
         self._check_open()
-        return await self._submit(
+        return self._submit(
             "narrate_relation", (relation_name, kwargs), Deadline.after(timeout)
         )
 
@@ -241,13 +209,13 @@ class NarrationSession:
 
         Only meaningful on a durable session (one created with a
         ``durability`` config) — raises :class:`ValueError` otherwise.
-        Runs on a pool thread while it holds the session's turn, so the
-        snapshot sees no half-applied mutation.
+        Runs on the event loop like every request, waiting there on the
+        disk, so the snapshot sees no half-applied mutation.
         """
         self._check_open()
         if self._durability is None:
             raise ValueError("this session has no durability configured")
-        return await self._submit("checkpoint", None)
+        return self._submit("checkpoint", None)
 
     @property
     def durability(self) -> Optional[DurabilityManager]:
@@ -259,121 +227,46 @@ class NarrationSession:
         Unlike :meth:`checkpoint` this needs no durability config: the
         shard tier uses it to checkpoint a worker replica into the
         *router's* durability directory (the router owns the WAL and its
-        compaction; the worker only contributes the state bytes).  Runs
-        on a pool thread while it holds the session's turn, like
-        :meth:`checkpoint`: writing a file can wait on the disk.
+        compaction; the worker only contributes the state bytes).  Like
+        :meth:`checkpoint` it runs on the event loop and waits there
+        while the file is written and synced.
         """
         self._check_open()
-        return await self._submit("snapshot_to", (directory, wal_seq))
+        return self._submit("snapshot_to", (directory, wal_seq))
 
     def stats(self) -> Dict[str, Any]:
         """The per-session cache/plan/request statistics snapshot.
 
-        ``requests`` counts traffic by kind and by the path that served
-        it (``inline``, ``pooled``: a request counts on exactly one once
-        its turn comes, one shed then on ``inline``, and a client
-        cancelled before its turn on none), the requests still
-        waiting for their turn (``queue_depth``) and the shed ones;
-        ``execution_shape_sharing`` derives the executor's
-        shape-hit rate — the fraction of SQL executions served by an
-        already-compiled shape plan with only a literal rebind.
+        ``requests`` counts the requests run, by kind (``by_kind``), and
+        the ones shed at admission (``shed``: ``deadline``, a request
+        whose budget had run out when it was submitted).
         """
-        requests = {
-            "by_kind": dict(self._counts),
-            "inline": self._inline,
-            "pooled": self._pooled,
-            "queue_depth": self._waiting,
-            "shed": self._admission.stats(),
-        }
         snapshot: Dict[str, Any] = {
             "schema": self.schema.name,
             "has_database": self.database is not None,
-            "requests": requests,
+            "requests": {
+                "by_kind": dict(self._counts),
+                "shed": self._admission.stats(),
+            },
             "translator": self.translator.stats(),
         }
         if self._durability is not None:
             snapshot["durability"] = self._durability.stats()
         if self._executor is not None:
             snapshot["executor"] = self._executor.cache_stats
-            shape = snapshot["executor"]["shape_plans"]
-            served = shape["hits"] + shape["misses"] + shape["fallbacks"]
-            snapshot["execution_shape_sharing"] = {
-                "shared": shape["hits"],
-                "compiled": shape["misses"] - shape["deferred"],
-                "deferred": shape["deferred"],
-                "fallbacks": shape["fallbacks"],
-                "hit_rate": round(shape["hits"] / served, 4) if served else None,
-            }
         return snapshot
 
     # ------------------------------------------------------------------
-    # Dispatch: one turn per request, on the loop unless it waits on disk
+    # Dispatch: every request runs to completion on the event loop
     # ------------------------------------------------------------------
 
-    async def _submit(
+    def _submit(
         self, kind: str, payload: Any, deadline: Deadline = Deadline.NONE
     ) -> Any:
-        # Admission control: shed typed (ServiceOverloaded at the depth
-        # threshold, DeadlineExceeded for an already-expired budget)
-        # instead of accepting work that can only fail later.
-        self._admission.admit(self._waiting, deadline)
-        # A free turn nobody waits for is taken without yielding.
-        self._waiting += 1
-        try:
-            await self._turn.acquire()
-        finally:
-            self._waiting -= 1
-        work = None
-        try:
-            expired = deadline.expired
-            disk = not expired and self._may_wait_on_disk(kind, payload)
-            self._counts[kind] = self._counts.get(kind, 0) + 1
-            if disk:
-                self._pooled += 1
-            else:
-                self._inline += 1
-            if expired:
-                # The budget ran out while the request waited its turn:
-                # shed it now rather than spend pipeline time on it.
-                raise self._admission.shed_expired_in_queue()
-            if not disk:
-                return self._run(kind, payload)
-            # What ``run_in_executor`` does, keeping the pool's own future:
-            # cancelling the client cancels a run that has not started,
-            # and only that.
-            work = self._service._pool.submit(self._serve, kind, payload, deadline)
-            return await asyncio.wrap_future(work)
-        finally:
-            if work is None or work.done():
-                self._turn.release()
-            else:
-                # The client was cancelled mid-run: its run keeps the turn
-                # until it ends, so the next request never runs beside it.
-                loop = asyncio.get_running_loop()
-                work.add_done_callback(
-                    lambda _: loop.call_soon_threadsafe(self._turn.release)
-                )
-
-    def _may_wait_on_disk(self, kind: str, payload: Any) -> bool:
-        """Whether the request can block on the disk (log sync, snapshot)."""
-        if kind in ("checkpoint", "snapshot_to"):
-            return True
-        if self._durability is None or kind != "execute" or not is_mutation(payload):
-            return False
-        quiet = self._durability.appends_before_disk_wait()
-        # A statement logs one record for UPDATE and DELETE and one per
-        # VALUES tuple for INSERT; each tuple opens a parenthesis after
-        # the first "values" in the text (a column list comes before it).
-        head = payload.lower().find("values")
-        appends = payload.count("(", head) if head >= 0 else 1
-        return quiet is not None and quiet < max(1, appends)
-
-    def _serve(self, kind: str, payload: Any, deadline: Deadline) -> Any:
-        # On a pool thread, holding the turn.  Every session shares the
-        # pool, so a run can wait for a thread; one whose budget ran out
-        # meanwhile is shed unrun.
-        if deadline.expired:
-            raise self._admission.shed_expired_in_queue()
+        # Shed a spent budget typed (DeadlineExceeded) instead of
+        # spending pipeline time on a request that can only fail.
+        self._admission.admit(deadline)
+        self._counts[kind] = self._counts.get(kind, 0) + 1
         return self._run(kind, payload)
 
     def _run(self, kind: str, payload: Any) -> Any:
@@ -400,7 +293,7 @@ class NarrationSession:
         raise ValueError(f"unknown request kind {kind!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    # Shared per-session pipeline objects (created lazily, used in turn)
+    # Shared per-session pipeline objects (created lazily, used on the loop)
     # ------------------------------------------------------------------
 
     def _require_database(self) -> Database:
@@ -441,17 +334,15 @@ class NarrationSession:
             raise ServiceClosed("the narration service has been closed")
 
     async def aclose(self) -> None:
-        """Answer every request already submitted, then refuse new ones.
+        """Refuse new requests, then flush and close a durable session's log.
 
-        ``_closed`` flips first, so later calls raise
-        :class:`ServiceClosed`; the turn lock is FIFO, so taking it last
-        waits out every request already waiting or running.
+        Every request already submitted has been answered: each runs to
+        completion on the loop once its coroutine starts.  ``_closed``
+        flips first, so later calls raise :class:`ServiceClosed`.
         """
         if self._closed:
             return
         self._closed = True
-        async with self._turn:
-            pass
         if self._durability is not None:
             # Flush any batched WAL appends; the directory stays valid
             # for the next session generation to recover from.
@@ -471,14 +362,11 @@ class NarrationService:
             story = await session.narrate_database()
             print(session.stats())
 
-    Requests run on the event loop; the one thread pool, shared by every
-    session, runs only those that can wait on the disk.
+    Every session's requests run on the event loop, one at a time; the
+    service starts no thread.
     """
 
     def __init__(self) -> None:
-        self._pool = ThreadPoolExecutor(
-            max_workers=_DISK_THREADS, thread_name_prefix="repro-service"
-        )
         self._sessions: Dict[Tuple[int, int], NarrationSession] = {}
         self._sessions_lock = threading.Lock()
         self._closed = False
@@ -494,7 +382,6 @@ class NarrationService:
         lexicon: Optional[Lexicon] = None,
         cache_size: Optional[int] = _UNSET,
         phrase_plans: Optional[bool] = None,
-        admission: Optional[AdmissionController] = None,
         durability: Optional[DurabilityConfig] = None,
     ) -> NarrationSession:
         """The session for ``(schema, database)``, created on first use.
@@ -504,9 +391,7 @@ class NarrationService:
         ``spec_factory`` (e.g. ``movie_spec``) builds a narration spec
         from the schema once, when the session is first created.
         ``cache_size`` sizes the translator's exact-text cache (default
-        512; ``None`` turns it off).  ``admission`` installs load shedding (an
-        :class:`~repro.service.resilience.AdmissionController`; default:
-        deadline shedding only, no depth threshold).  ``durability``
+        512; ``None`` turns it off).  ``durability``
         (a :class:`~repro.storage.durability.DurabilityConfig`) makes
         the session persistent: mutations are write-ahead logged before
         applied, checkpoints happen on the configured cadence, and when
@@ -514,7 +399,7 @@ class NarrationService:
         *recovered* database rather than the one passed in.
 
         Configuration (``spec``/``spec_factory``/``lexicon``/
-        ``cache_size``/``phrase_plans``/``admission``/``durability``)
+        ``cache_size``/``phrase_plans``/``durability``)
         applies on first creation only; asking for an existing session
         *with* configuration raises rather than silently answering with
         the first caller's settings.
@@ -531,7 +416,6 @@ class NarrationService:
             or lexicon is not None
             or cache_size is not _UNSET
             or phrase_plans is not None
-            or admission is not None
             or durability is not None
         )
         with self._sessions_lock:
@@ -555,7 +439,6 @@ class NarrationService:
                 lexicon,
                 cache_size=_DEFAULT_CACHE_SIZE if cache_size is _UNSET else cache_size,
                 phrase_plans=phrase_plans,
-                admission=admission,
                 durability=durability,
             )
             self._sessions[key] = created
@@ -570,11 +453,10 @@ class NarrationService:
     # ------------------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Answer every session's submitted requests, then shut the pool down.
+        """Close every session; a durable one flushes and closes its log.
 
         ``_closed`` flips *first*, so no new session can be created and no
-        new request accepted while the sessions close and the pool shuts
-        down.
+        new request accepted while the sessions close.
         """
         if self._closed:
             return
@@ -583,7 +465,6 @@ class NarrationService:
             sessions = list(self._sessions.values())
         for session in sessions:
             await session.aclose()
-        self._pool.shutdown(wait=True)
 
     async def __aenter__(self) -> "NarrationService":
         return self

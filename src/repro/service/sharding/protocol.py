@@ -20,7 +20,7 @@ Request (router → worker)
     *barrier* on the worker (see :mod:`.worker`).  ``budget`` (optional,
     seconds — *remaining* budget, never an absolute time, because the
     processes do not share a clock) propagates the router-side deadline
-    so the worker's session queue can shed an expired read; barrier
+    so the worker's session can shed an expired read; barrier
     frames never carry one (a replica that shed a write while another
     applied it would diverge forever), so workers ignore ``budget`` when
     ``seq`` is set.

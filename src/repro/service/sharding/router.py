@@ -61,7 +61,7 @@ the semantics are:
   ``request_timeout``), honored while waiting for a ready worker, at the
   read-after-write barrier, and across the worker round-trip; the
   remaining budget also ships to the worker so its session can shed a
-  read that expired while it waited its turn.  Expiry raises the typed
+  read whose budget is spent when it arrives.  Expiry raises the typed
   :class:`~repro.service.resilience.DeadlineExceeded`.  A mutation's
   deadline is the caller's ``timeout`` alone, honored before the
   broadcast begins.

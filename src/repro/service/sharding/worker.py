@@ -14,12 +14,10 @@ Pipelining and the write barrier
 
 Ordinary requests are *pipelined*: each becomes an asyncio task the
 moment its frame is read, and the session runs them in arrival order
-exactly as the single-process service does, each on the worker's event
-loop, writes included; the next frames wait, in the socket or the
-reader's buffer, until it ends.  The worker's session is not durable
-(the router owns the log), so the one request that runs on a pool
-thread is the snapshot for :data:`~.protocol.CHECKPOINT`; requests read
-while it runs wait their turn, then run on the loop.  A
+exactly as the single-process service does, each to completion on the
+worker's event loop, writes and the snapshot for
+:data:`~.protocol.CHECKPOINT` included; the next frames wait, in the
+socket or the reader's buffer, until it ends.  A
 mutation broadcast (``seq is not None``) is a **barrier**: the read loop
 first awaits every in-flight task, then runs the mutation alone to
 completion and responds, and only then reads the next frame.  Combined
@@ -33,7 +31,7 @@ Deadlines and faults
 
 A request frame may carry a *budget* (seconds of deadline remaining,
 router-measured); the worker hands it to its session, which sheds the
-request typed if the budget has run out at admission or by its turn.
+request typed if the budget has run out when the request is submitted.
 The worker-side deadline starts when the frame is read, so time a frame
 spends in the socket behind a run on the loop is not counted against it;
 the router's attempt timeout covers the whole round trip.
@@ -120,7 +118,7 @@ def worker_main(
         except OSError:  # pragma: no cover - already closed is fine
             pass
     try:
-        asyncio.run(_serve(spec, sock, index))
+        asyncio.run(_serve_socket(spec, sock, index))
     finally:
         try:
             sock.close()
@@ -128,7 +126,9 @@ def worker_main(
             pass
 
 
-async def _serve(spec: Dict[str, Any], sock: socket.socket, index: int = 0) -> None:
+async def _serve_socket(
+    spec: Dict[str, Any], sock: socket.socket, index: int = 0
+) -> None:
     loop = asyncio.get_running_loop()
     sock.setblocking(False)
     write_lock = asyncio.Lock()

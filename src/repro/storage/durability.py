@@ -11,9 +11,9 @@ applied mutations, and checkpoints + compacts automatically every
 
 The manager is *not* thread-safe on its own; it inherits whatever
 serialisation its caller already has.  That is deliberate: the
-narration session applies mutations while they hold its turn and the
-shard router under its mutation lock, so adding a third lock here would
-only invite ordering bugs.
+narration session applies mutations one at a time on its event loop and
+the shard router under its mutation lock, so adding a third lock here
+would only invite ordering bugs.
 """
 
 from __future__ import annotations
@@ -177,9 +177,9 @@ class DurabilityManager:
     def note_applied(self) -> None:
         """One mutation applied; checkpoint when the cadence is reached.
 
-        Runs inline on the mutating thread, which already holds the
-        caller's serialisation (session turn / router mutation lock),
-        so the snapshot sees a consistent database.
+        Runs inline on the mutating thread, within the caller's
+        serialisation (the session's event loop / the router's mutation
+        lock), so the snapshot sees a consistent database.
         """
         self._since_checkpoint += 1
         if (
@@ -187,18 +187,6 @@ class DurabilityManager:
             and self._since_checkpoint >= self.config.checkpoint_every
         ):
             self.checkpoint()
-
-    def appends_before_disk_wait(self) -> Optional[int]:
-        """How many mutations can be logged before one waits on the disk.
-
-        A mutation waits when its append syncs the log or when it reaches
-        the checkpoint cadence; ``None`` when no mutation ever does.
-        """
-        quiet = self.wal.appends_before_sync()
-        if self.config.checkpoint_every:
-            due = self.config.checkpoint_every - self._since_checkpoint - 1
-            quiet = due if quiet is None else min(quiet, due)
-        return quiet
 
     def commit(self) -> None:
         """Force a group commit of batched appends."""

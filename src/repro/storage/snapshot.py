@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import RecoveryError, SnapshotError
+from repro.storage.wal import fsync_directory
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -112,7 +113,7 @@ def write_snapshot(
         out.flush()
         os.fsync(out.fileno())
     os.replace(tmp, final)
-    _fsync_directory(directory)
+    fsync_directory(directory)
     return SnapshotInfo(final, wal_seq)
 
 
@@ -197,16 +198,3 @@ def restore_into(database, state: Dict[str, Any]) -> None:
     for table in database.tables:
         captured = tables[table.name]
         table.restore(captured["rows"], captured["next_rowid"])
-
-
-def _fsync_directory(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform without dir-fsync
-        pass
-    finally:
-        os.close(fd)

@@ -327,14 +327,6 @@ class WriteAheadLog:
             injector.crash()  # crash-between-append-and-ack, deterministic
         return seq
 
-    def appends_before_sync(self) -> Optional[int]:
-        """How many appends can run before one syncs (``None``: none will)."""
-        if self.fsync == FSYNC_ALWAYS:
-            return 0
-        if self.fsync == FSYNC_BATCH:
-            return self.batch_every - self._pending_sync - 1
-        return None
-
     def commit(self) -> None:
         """Force any batched appends to stable storage (group commit)."""
         self._commits += 1
@@ -379,7 +371,7 @@ class WriteAheadLog:
             os.fsync(fresh.fileno())
         self._file.close()
         os.replace(tmp, self.path)
-        _fsync_directory(self.path.parent)
+        fsync_directory(self.path.parent)
         self._file = open(self.path, "ab")
         self._pending_sync = 0
         self._compactions += 1
@@ -419,7 +411,7 @@ class WriteAheadLog:
         return f"WriteAheadLog({self.path}, last_seq={self._last_seq})"
 
 
-def _fsync_directory(directory: Path) -> None:
+def fsync_directory(directory: Path) -> None:
     """fsync a directory so a rename inside it is itself durable."""
     try:
         fd = os.open(directory, os.O_RDONLY)

@@ -408,8 +408,13 @@ class TestRouterCheckpointing:
                     for sql in READS
                 ]
                 handle = router._handles[0]
-                # Worker 1 may have served every read while the
-                # replacement was still starting: wait for it to open.
+                # Worker 1 may have served every read before the router
+                # even noticed the kill, while the dead incarnation's
+                # ready gate was still set: wait for the respawn to
+                # begin (the gate is cleared by then), then for the
+                # replacement to open.
+                while handle.respawns == 0:
+                    await asyncio.sleep(0.01)
                 await asyncio.wait_for(handle.ready.wait(), TIMEOUT)
                 assert handle.restored_seq == 3
                 assert handle.applied_seq >= 3

@@ -415,8 +415,7 @@ def test_service_shape_batched_execution_matches_sequential_sync(db):
         for sql, got in results.items():
             assert got == expected[sql], sql
     if not oracle_enabled():  # oracle mode runs the interpreted executor
-        sharing = stats["execution_shape_sharing"]
-        assert sharing["shared"] > 0
+        assert stats["executor"]["shape_plans"]["hits"] > 0
 
 
 def test_service_groups_interleaved_reads_and_writes_in_order(db):

@@ -5,10 +5,8 @@ Three layers of coverage, mirroring the layering of the code:
 * **policy units** — :class:`Deadline`, :class:`RetryPolicy`,
   :class:`CircuitBreaker` and :class:`AdmissionController` exercised in
   isolation with injected clocks (no sleeps, no timing races);
-* **service integration** — admission shedding, deadline expiry while
-  a request waits its turn and overload answers through the real
-  ``NarrationSession`` dispatch, made deterministic by parking a disk
-  run that holds the session's turn instead of racing wall clock;
+* **service integration** — deadline shedding at admission through the
+  real ``NarrationSession`` dispatch;
 * **shard-tier drills** — a SIGKILLed worker stays invisible to
   idempotent reads, a permanently-dead worker's shapes degrade to the
   next live worker byte-identically, and the chaos soak replays the
@@ -21,7 +19,6 @@ import asyncio
 import os
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -33,7 +30,6 @@ from repro.service import (
     DeadlineExceeded,
     NarrationService,
     RetryPolicy,
-    ServiceOverloaded,
     ShardError,
     ShardRouter,
     ShardRouterConfig,
@@ -49,6 +45,7 @@ from repro.service.faults import (
 )
 from repro.service.sharding.router import failover_order
 from repro.sql.shape import is_mutation, shape_hash, statement_keyword
+from repro.storage.durability import DurabilityConfig
 
 DB_FACTORY = "repro.datasets.movies:movie_database"
 
@@ -243,40 +240,34 @@ class TestCircuitBreaker:
 
 
 class TestAdmissionController:
-    def test_default_admits_any_depth(self):
+    def test_an_unbounded_deadline_is_always_admitted(self):
         admission = AdmissionController()
-        admission.admit(10_000)
-        assert admission.stats() == {"overload": 0, "deadline": 0, "in_queue": 0}
-
-    def test_depth_threshold_sheds_typed(self):
-        admission = AdmissionController(max_depth=2)
-        admission.admit(0)
-        admission.admit(1)
-        with pytest.raises(ServiceOverloaded):
-            admission.admit(2)
-        with pytest.raises(ServiceOverloaded):
-            admission.admit(7)
-        assert admission.stats()["overload"] == 2
+        admission.admit()
+        admission.admit(Deadline.NONE)
+        assert admission.stats() == {"deadline": 0}
 
     def test_expired_deadline_is_shed_at_admission(self):
         clock = FakeClock()
         admission = AdmissionController()
         deadline = Deadline.after(1.0, clock)
-        admission.admit(0, deadline)
+        admission.admit(deadline)
         clock.advance(2.0)
         with pytest.raises(DeadlineExceeded):
-            admission.admit(0, deadline)
-        assert admission.stats()["deadline"] == 1
+            admission.admit(deadline)
+        assert admission.stats() == {"deadline": 1}
 
-    def test_in_queue_shed_is_counted_separately(self):
+    def test_a_deadline_is_shed_from_its_instant_on(self):
+        clock = FakeClock()
         admission = AdmissionController()
-        error = admission.shed_expired_in_queue()
-        assert isinstance(error, DeadlineExceeded)
-        assert admission.stats() == {"overload": 0, "deadline": 0, "in_queue": 1}
-
-    def test_invalid_depth_is_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissionController(max_depth=0)
+        deadline = Deadline.after(1.0, clock)
+        clock.advance(0.5)
+        admission.admit(deadline)  # budget left: admitted, not counted
+        assert admission.stats() == {"deadline": 0}
+        clock.advance(0.5)  # exactly at the deadline
+        for _ in range(2):
+            with pytest.raises(DeadlineExceeded):
+                admission.admit(deadline)
+        assert admission.stats() == {"deadline": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -423,26 +414,28 @@ class TestFaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# Service-level shedding (deterministic: a parked disk run stands in for load)
+# Service-level shedding
 # ---------------------------------------------------------------------------
 
 
-def _park_disk_runs(session):
-    """Hold the session's disk runs on their pool thread until released.
-
-    Returns ``(started, proceed)``; a parked ``snapshot_to`` holds the
-    session's turn, so requests sent meanwhile wait for it.
-    """
-    started, proceed = threading.Event(), threading.Event()
-    serve = session._serve
-
-    def parked_serve(kind, payload, deadline):
-        started.set()
-        assert proceed.wait(5)
-        return serve(kind, payload, deadline)
-
-    session._serve = parked_serve
-    return started, proceed
+#: One request of each kind that takes a budget, sent with ``timeout``.
+_SEND_BY_KIND = {
+    "translate": lambda session, timeout: session.translate(
+        "select count(*) from MOVIES", timeout=timeout
+    ),
+    "execute": lambda session, timeout: session.execute(
+        "select count(*) from MOVIES", timeout=timeout
+    ),
+    "explain": lambda session, timeout: session.explain_empty(
+        "select m.title from MOVIES m where m.year = 1800", timeout=timeout
+    ),
+    "narrate_database": lambda session, timeout: session.narrate_database(
+        timeout=timeout
+    ),
+    "narrate_relation": lambda session, timeout: session.narrate_relation(
+        "MOVIES", timeout=timeout
+    ),
+}
 
 
 class TestServiceShedding:
@@ -453,87 +446,68 @@ class TestServiceShedding:
             async with NarrationService() as service:
                 session = service.session(database=database)
                 await session.execute("select count(*) from MOVIES")
-                with pytest.raises(DeadlineExceeded):
-                    await session.execute("select count(*) from GENRE", timeout=0.0)
-                return session.stats()
-
-        stats = run(main())
-        assert stats["requests"]["shed"]["deadline"] == 1
-        assert stats["requests"]["shed"]["in_queue"] == 0
-
-    def test_deadline_expiry_in_queue_is_shed_typed(self, tmp_path):
-        # Park a disk run so the request provably waits for its turn
-        # while its budget runs out — no wall-clock race.
-        database = movie_database()
-
-        async def main():
-            async with NarrationService() as service:
-                session = service.session(database=database)
-                await session.execute("select count(*) from MOVIES")
-                started, proceed = _park_disk_runs(session)
-                try:
-                    parked = asyncio.ensure_future(
-                        session.snapshot_to(str(tmp_path), 0)
-                    )
-                    assert await asyncio.to_thread(started.wait, 5)
-                    pending = asyncio.ensure_future(
-                        session.execute("select count(*) from GENRE", timeout=0.05)
-                    )
-                    await asyncio.sleep(0.3)  # the budget expires while it waits
-                finally:
-                    proceed.set()
-                await parked
                 with pytest.raises(DeadlineExceeded) as excinfo:
-                    await pending
+                    await session.execute("select count(*) from GENRE", timeout=0.0)
                 assert isinstance(excinfo.value, TimeoutError)
                 return session.stats()
 
         stats = run(main())
-        assert stats["requests"]["shed"]["in_queue"] == 1
-        assert stats["requests"]["queue_depth"] == 0  # nothing left behind
+        assert stats["requests"]["shed"] == {"deadline": 1}
+        assert stats["requests"]["by_kind"] == {"execute": 1}
 
-    def test_overload_answers_typed_not_timeout(self, tmp_path):
-        database = movie_database()
+    @pytest.mark.parametrize("kind", sorted(_SEND_BY_KIND))
+    def test_every_request_kind_sheds_an_expired_budget(self, kind):
+        send = _SEND_BY_KIND[kind]
 
         async def main():
             async with NarrationService() as service:
-                session = service.session(
-                    database=database, admission=AdmissionController(max_depth=2)
-                )
-                await session.execute("select count(*) from MOVIES")
-                started, proceed = _park_disk_runs(session)
-                submitted = []
-                try:
-                    # The first request takes its turn and parks on the
-                    # pool; the rest wait for their turn until the depth
-                    # threshold answers ServiceOverloaded.
-                    submitted.append(
-                        asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
-                    )
-                    assert await asyncio.to_thread(started.wait, 5)
-                    for mid in range(5):
-                        submitted.append(
-                            asyncio.ensure_future(
-                                session.execute(
-                                    "select g.genre from GENRE g"
-                                    f" where g.mid = {mid}"
-                                )
-                            )
-                        )
-                        await asyncio.sleep(0.05)
-                finally:
-                    proceed.set()
-                outcomes = await asyncio.gather(*submitted, return_exceptions=True)
-                return outcomes, session.stats()
+                session = service.session(database=movie_database())
+                ran = []
+                run_request = session._run
 
-        outcomes, stats = run(main())
-        shed = [o for o in outcomes if isinstance(o, ServiceOverloaded)]
-        served = [o for o in outcomes if not isinstance(o, BaseException)]
-        assert len(shed) == 3 and len(served) == 3
-        # The shed answer is the typed overload error, not a timeout.
-        assert not any(isinstance(o, TimeoutError) for o in outcomes)
-        assert stats["requests"]["shed"]["overload"] == 3
-        assert stats["requests"]["queue_depth"] == 0
+                def spy_run(kind, payload):
+                    ran.append(kind)
+                    return run_request(kind, payload)
+
+                session._run = spy_run
+                with pytest.raises(DeadlineExceeded):
+                    await send(session, 0.0)
+                answered = await send(session, 60.0)  # a budget left: it runs
+                return ran, answered, session.stats()["requests"]
+
+        ran, answered, requests = run(main())
+        assert ran == [kind]  # the shed request never reached the pipeline
+        assert answered is not None
+        assert requests["shed"] == {"deadline": 1}
+        assert requests["by_kind"] == {kind: 1}
+
+    def test_an_expired_durable_write_is_shed_before_it_is_logged(self, tmp_path):
+        insert = "insert into GENRE (mid, genre) values (1, 'Late')"
+        count = "select count(*) from GENRE"
+        config = DurabilityConfig(directory=tmp_path, fsync="always")
+
+        async def main():
+            async with NarrationService() as service:
+                session = service.session(database=movie_database(), durability=config)
+                base = (await session.execute(count)).rows[0]["count(*)"]
+                with pytest.raises(DeadlineExceeded):
+                    await session.execute(insert, timeout=0.0)
+                wal = session.stats()["durability"]["wal"]
+                after = (await session.execute(count)).rows[0]["count(*)"]
+                await session.execute(insert, timeout=60.0)
+                stats = session.stats()
+            # Recovery replays only the write that was admitted.
+            async with NarrationService() as service:
+                session = service.session(database=movie_database(), durability=config)
+                recovered = (await session.execute(count)).rows[0]["count(*)"]
+            return base, wal, after, stats, recovered
+
+        base, wal, after, stats, recovered = run(main())
+        assert after == base  # the shed write never ran
+        assert wal["appends"] == 0 and wal["last_seq"] == 0  # nor was it logged
+        assert stats["durability"]["wal"]["last_seq"] == 1
+        assert stats["requests"]["shed"] == {"deadline": 1}
+        assert recovered == base + 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The contract under test: any interleaving of concurrent requests through
 one :class:`~repro.service.NarrationService` session produces results
 byte-identical to sequential synchronous calls against the underlying
-pipeline — and the shared cache/plan statistics stay consistent while
-the event loop and a disk run's pool thread interleave.
+pipeline — and the shared cache/plan statistics stay consistent — while
+every request, disk waits included, runs on the event-loop thread.
 """
 
 import asyncio
@@ -27,9 +27,9 @@ from repro.query_nl import translator as translator_module
 from repro.query_nl.empty_answer import AnswerExplainer
 from repro.query_nl.translator import QueryTranslator
 from repro.service import NarrationService, ServiceClosed
-from repro.service import service as service_module
 from repro.service.resilience import DeadlineExceeded
 from repro.storage.durability import DurabilityConfig
+from repro.storage.wal import WriteAheadLog
 
 
 def workload_sql():
@@ -38,26 +38,6 @@ def workload_sql():
 
 def run(coro):
     return asyncio.run(coro)
-
-
-def park_disk_runs(session):
-    """Hold the session's disk runs on their pool thread until released.
-
-    Returns ``(started, proceed)``: ``started`` is set once a run is
-    parked, and setting ``proceed`` lets it go on.  A parked
-    ``snapshot_to`` holds the session's turn, so requests sent meanwhile
-    wait for it.
-    """
-    started, proceed = threading.Event(), threading.Event()
-    serve = session._serve
-
-    def parked_serve(kind, payload, deadline):
-        started.set()
-        assert proceed.wait(5)
-        return serve(kind, payload, deadline)
-
-    session._serve = parked_serve
-    return started, proceed
 
 
 def _fields(translation):
@@ -102,15 +82,10 @@ class TestConcurrentEquivalence:
         clients, stats = run(main())
         for client in clients:
             assert client == expected
-        assert stats["requests"]["by_kind"]["translate"] == 64 * len(corpus)
-        # Stats consistency: an idle, unconfigured session shed nothing
-        # and has no request waiting.
-        assert stats["requests"]["queue_depth"] == 0
-        assert stats["requests"]["shed"] == {
-            "overload": 0,
-            "deadline": 0,
-            "in_queue": 0,
-        }
+        # Stats consistency: every request was answered and counted once,
+        # and none carried a deadline to shed it.
+        assert stats["requests"]["by_kind"] == {"translate": 64 * len(corpus)}
+        assert stats["requests"]["shed"] == {"deadline": 0}
 
     def test_execution_and_narration_match_sync_pipeline(self):
         database = movie_database()
@@ -174,7 +149,7 @@ class TestConcurrentEquivalence:
 
 
 class TestServiceMechanics:
-    def test_warm_translates_take_their_turn_and_hit_the_cache(self):
+    def test_warm_translates_run_on_the_loop_and_hit_the_cache(self):
         schema = movie_schema()
         sql = list(PAPER_QUERIES.values())[0]
 
@@ -196,16 +171,15 @@ class TestServiceMechanics:
 
         warm, ran, stats = run(main())
         assert warm.text
-        # Cold or warm, every translate runs on the loop in its turn.
+        # Cold or warm, every translate runs on the loop.
         assert ran == [("translate", threading.get_ident())] * 3
-        assert stats["requests"]["inline"] == stats["requests"]["by_kind"]["translate"] == 3
+        assert stats["requests"]["by_kind"] == {"translate": 3}
         assert stats["translator"]["exact_cache"]["hits"] >= 1
 
-    def test_replies_settle_after_the_turn_is_released(self, tmp_path):
-        # A reply settled while its run still holds the session's turn
-        # resumes its client while the turn is taken, so the translate it
-        # sends next waits for its turn.  A durable session that syncs
-        # every write runs each one on the pool.
+    def test_translates_between_durable_writes_hit_the_cache(self, tmp_path):
+        # Every write of a session that syncs the log on each append waits
+        # on the disk on the loop; the translate sent after each one is an
+        # exact-text cache hit.
         database = movie_database()
         sql = "select m.title from MOVIES m where m.year = 2004"
         repeats = 25
@@ -217,36 +191,26 @@ class TestServiceMechanics:
                     phrase_plans=True,
                     durability=DurabilityConfig(directory=tmp_path, fsync="always"),
                 )
-                lock_held = []
-
-                async def served(request, text):
-                    reply = await request(text)
-                    lock_held.append(session._turn.locked())
-                    return reply
-
-                await served(session.translate, sql)  # first sighting
-                await served(session.translate, sql)  # admitted and cached
-                before = session.stats()["translator"]["exact_cache"]["hits"]
+                await session.translate(sql)  # first sighting
+                await session.translate(sql)  # admitted and cached
+                before = session.stats()
                 for index in range(repeats):
                     insert = f"insert into GENRE (mid, genre) values (1, 'Settle {index}')"
-                    await served(session.execute, insert)  # served by the pool
+                    await session.execute(insert)
                     await session.translate(sql)
-                return lock_held, before, session.stats()
+                return before, session.stats()
 
-        lock_held, before, stats = run(main())
-        assert len(lock_held) == 2 + repeats and not any(lock_held)
-        # Every translate that follows a pool-served reply is a cache hit
-        # run on the loop; only the first two missed the cache.
-        requests = stats["requests"]
-        assert before == 0
+        before, stats = run(main())
+        # Only the first two translates missed the cache.
+        assert before["translator"]["exact_cache"]["hits"] == 0
         assert stats["translator"]["exact_cache"]["hits"] == repeats
-        assert requests["by_kind"] == {"translate": 2 + repeats, "execute": repeats}
-        assert requests["pooled"] == repeats
-        assert requests["inline"] == 2 + repeats
+        assert stats["requests"]["by_kind"] == {"translate": 2 + repeats, "execute": repeats}
+        syncs = before["durability"]["wal"]["syncs"] + repeats
+        assert stats["durability"]["wal"]["syncs"] == syncs
 
-    def test_each_reply_settles_as_soon_as_its_request_has_run(self, tmp_path):
-        # Concurrent requests queued behind a disk run each run on their
-        # own turn: no reply waits for a later request to run.
+    def test_each_reply_settles_as_soon_as_its_request_has_run(self):
+        # Concurrent requests each run to completion on the loop: no
+        # reply waits for a later request to run.
         database = movie_database()
         template = "select m.title from MOVIES m where m.year = {year}"
         requests = 8
@@ -258,8 +222,7 @@ class TestServiceMechanics:
                 run_request = session._run
 
                 def spy_run(kind, payload):
-                    if kind == "execute":
-                        events.append("run")
+                    events.append("run")
                     return run_request(kind, payload)
 
                 async def client(year):
@@ -268,23 +231,12 @@ class TestServiceMechanics:
                     return result
 
                 session._run = spy_run
-                started, proceed = park_disk_runs(session)
-                parked = asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
-                try:
-                    assert await asyncio.to_thread(started.wait, 5)
-                    pending = asyncio.gather(
-                        *[client(1990 + i) for i in range(requests)]
-                    )
-                    await asyncio.sleep(0.05)
-                    assert session.stats()["requests"]["queue_depth"] == requests
-                finally:
-                    proceed.set()
-                await asyncio.gather(parked, pending)
+                await asyncio.gather(*[client(1990 + i) for i in range(requests)])
                 return events, session.stats()["requests"]
 
         events, stats = run(main())
         assert events == ["run", "reply"] * requests
-        assert stats["inline"] == requests and stats["pooled"] == 1
+        assert stats["by_kind"] == {"execute": requests}
 
     def test_same_shape_requests_share_one_plan_compile(self):
         schema = movie_schema()
@@ -311,8 +263,8 @@ class TestServiceMechanics:
         assert plans["hits"] + plans["misses"] - sighted["misses"] == len(variants)
 
     def test_one_request_per_session_runs_at_a_time(self, tmp_path):
-        # Fifty concurrent requests queued behind a disk run: the session
-        # runs one at a time, and every waiting request is answered.
+        # Fifty concurrent translates sent with a disk write (a snapshot):
+        # the session runs one at a time, and every request is answered.
         database = movie_database()
         template = "select m.title from MOVIES m where m.year = {year}"
 
@@ -334,33 +286,19 @@ class TestServiceMechanics:
                             running[0] -= 1
 
                 session._run = spy_run
-                started, proceed = park_disk_runs(session)
-                parked = asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
-                try:
-                    assert await asyncio.to_thread(started.wait, 5)
-                    pending = asyncio.gather(
-                        *[
-                            session.translate(template.format(year=1900 + i))
-                            for i in range(50)
-                        ]
-                    )
-                    await asyncio.sleep(0.05)
-                finally:
-                    proceed.set()
-                await asyncio.gather(parked, pending)
+                snapshot = session.snapshot_to(str(tmp_path), 0)
+                translates = [
+                    session.translate(template.format(year=1900 + i)) for i in range(50)
+                ]
+                await asyncio.gather(snapshot, *translates)
                 return running[1], session.stats()
 
         most, stats = run(main())
         assert most == 1
         assert stats["requests"]["by_kind"] == {"snapshot_to": 1, "translate": 50}
         # The default admission controller must not have shed a single
-        # request, and nothing is left waiting.
-        assert stats["requests"]["queue_depth"] == 0
-        assert stats["requests"]["shed"] == {
-            "overload": 0,
-            "deadline": 0,
-            "in_queue": 0,
-        }
+        # request.
+        assert stats["requests"]["shed"] == {"deadline": 0}
 
     def test_requests_run_in_arrival_order(self):
         # Interleaved writes and reads on one session: each count sees
@@ -385,144 +323,88 @@ class TestServiceMechanics:
                 return base, [reply.rows[0]["count(*)"] for reply in replies[1::2]]
 
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # pool threads interleave as often as they can
+        sys.setswitchinterval(1e-6)  # any other thread switches as often as it can
         try:
             base, counts = run(main())
         finally:
             sys.setswitchinterval(interval)
         assert counts == [base + inserted for inserted in range(1, pairs + 1)]
 
-    def test_a_cancelled_client_keeps_the_turn_until_its_run_ends(self, tmp_path):
-        database = movie_database()
-        second = "select count(*) from GENRE"
-
+    def test_a_client_cancelled_before_its_run_starts_runs_nothing(self, tmp_path):
+        # A request runs when its coroutine starts: a client cancelled
+        # before then writes nothing, and the next request runs as usual.
         async def main():
             async with NarrationService() as service:
-                session = service.session(database=database)
-                events = []
+                session = service.session(database=movie_database())
+                started = []
                 run_request = session._run
 
                 def spy_run(kind, payload):
-                    events.append(("start", kind))
-                    try:
-                        return run_request(kind, payload)
-                    finally:
-                        events.append(("end", kind))
+                    started.append(payload)
+                    return run_request(kind, payload)
 
                 session._run = spy_run
-                started, proceed = park_disk_runs(session)
-                try:
-                    cancelled = asyncio.ensure_future(
-                        session.snapshot_to(str(tmp_path), 0)
-                    )
-                    # Cancel only once the run has started on the pool.
-                    assert await asyncio.to_thread(started.wait, 5)
-                    cancelled.cancel()
-                    following = asyncio.ensure_future(session.execute(second))
-                    await asyncio.sleep(0.05)
-                    waiting = session.stats()["requests"]["queue_depth"]
-                finally:
-                    proceed.set()
-                result = await following
-                return cancelled.cancelled(), waiting, events, result
+                cancelled = asyncio.ensure_future(
+                    session.snapshot_to(str(tmp_path / "cancelled"), 0)
+                )
+                cancelled.cancel()
+                await asyncio.sleep(0)  # the loop settles the cancelled client
+                after = await session.snapshot_to(str(tmp_path / "after"), 0)
+                return cancelled.cancelled(), started, after, session.stats()["requests"]
 
-        cancelled, waiting, events, result = run(main())
-        assert cancelled
-        # The next request waited for its turn while the cancelled run
-        # still held it, and started only after it ended.
-        assert waiting == 1
-        assert events == [
-            ("start", "snapshot_to"),
-            ("end", "snapshot_to"),
-            ("start", "execute"),
-            ("end", "execute"),
-        ]
-        assert result.rows
-
-    def test_a_client_cancelled_before_its_run_starts_runs_nothing(
-        self, tmp_path, monkeypatch
-    ):
-        # One pool thread, two sessions: the first session's disk run
-        # holds the thread, so the second's waits in the pool unstarted.
-        monkeypatch.setattr(service_module, "_DISK_THREADS", 1)
-
-        async def main():
-            async with NarrationService() as service:
-                busy = service.session(database=movie_database())
-                other = service.session(database=movie_database())
-                started = []
-                serve = other._serve
-
-                def spy_serve(kind, payload, deadline):
-                    started.append(payload)
-                    return serve(kind, payload, deadline)
-
-                other._serve = spy_serve
-                parked, proceed = park_disk_runs(busy)
-                try:
-                    holding = asyncio.ensure_future(
-                        busy.snapshot_to(str(tmp_path / "busy"), 0)
-                    )
-                    assert await asyncio.to_thread(parked.wait, 5)
-                    cancelled = asyncio.ensure_future(
-                        other.snapshot_to(str(tmp_path / "cancelled"), 0)
-                    )
-                    await asyncio.sleep(0.05)
-                    cancelled.cancel()
-                    await asyncio.sleep(0.05)
-                    # The cancelled request gave the turn back: the next one runs.
-                    after = asyncio.ensure_future(
-                        other.snapshot_to(str(tmp_path / "after"), 0)
-                    )
-                    await asyncio.sleep(0.05)
-                finally:
-                    proceed.set()
-                await holding
-                return cancelled.cancelled(), started, await after
-
-        cancelled, started, after = run(main())
+        cancelled, started, after, requests = run(main())
         assert cancelled
         # Only the request after the cancelled one ran.
         assert started == [(str(tmp_path / "after"), 0)]
         assert after["wal_seq"] == 0
+        assert not (tmp_path / "cancelled").exists()
+        assert requests["by_kind"] == {"snapshot_to": 1}
 
-    def test_a_disk_run_that_expires_waiting_for_a_thread_is_shed(
-        self, tmp_path, monkeypatch
-    ):
-        # One pool thread, two sessions: the durable write's turn is free,
-        # but its run waits for the thread past its budget.
-        monkeypatch.setattr(service_module, "_DISK_THREADS", 1)
-        insert = "insert into GENRE (mid, genre) values (1, 'Late')"
+    def test_a_client_cancelled_during_its_run_lets_the_run_end(self, tmp_path):
+        # A run never yields to the loop, so a cancel delivered while it
+        # runs (here, from inside it) takes effect only once it has ended:
+        # the durable write is logged, synced and applied before the next
+        # request starts, and that request sees it.
         count = "select count(*) from GENRE"
 
         async def main():
             async with NarrationService() as service:
-                busy = service.session(database=movie_database())
-                durable = service.session(
+                session = service.session(
                     database=movie_database(),
-                    durability=DurabilityConfig(directory=tmp_path / "wal", fsync="always"),
+                    durability=DurabilityConfig(directory=tmp_path, fsync="always"),
                 )
-                before = (await durable.execute(count)).rows[0]["count(*)"]
-                parked, proceed = park_disk_runs(busy)
-                try:
-                    holding = asyncio.ensure_future(
-                        busy.snapshot_to(str(tmp_path / "busy"), 0)
-                    )
-                    assert await asyncio.to_thread(parked.wait, 5)
-                    late = asyncio.ensure_future(durable.execute(insert, timeout=0.05))
-                    await asyncio.sleep(0.3)
-                finally:
-                    proceed.set()
-                await holding
-                with pytest.raises(DeadlineExceeded):
-                    await late
-                after = (await durable.execute(count)).rows[0]["count(*)"]
-                return before, after, durable.stats()["requests"]
+                base = (await session.execute(count)).rows[0]["count(*)"]
+                wal = session.stats()["durability"]["wal"]
+                events = []
+                run_request = session._run
 
-        before, after, requests = run(main())
-        assert after == before  # the write never ran
-        assert requests["shed"]["in_queue"] == 1
-        assert requests["pooled"] == 1
+                def spy_run(kind, payload):
+                    events.append(("start", payload))
+                    if payload.startswith("insert"):
+                        asyncio.current_task().cancel()
+                    try:
+                        return run_request(kind, payload)
+                    finally:
+                        events.append(("end", payload))
+
+                session._run = spy_run
+                insert = "insert into GENRE (mid, genre) values (1, 'Cancelled')"
+                cancelled = asyncio.ensure_future(session.execute(insert))
+                following = asyncio.ensure_future(session.execute(count))
+                await asyncio.gather(cancelled, following, return_exceptions=True)
+                reply = following.result()
+                stats = session.stats()
+                return cancelled.cancelled(), base, wal, reply, events, stats
+
+        cancelled, base, wal, reply, events, stats = run(main())
+        assert cancelled
+        insert = "insert into GENRE (mid, genre) values (1, 'Cancelled')"
+        assert events == [("start", insert), ("end", insert), ("start", count), ("end", count)]
+        assert reply.rows[0]["count(*)"] == base + 1
+        logged = stats["durability"]["wal"]
+        assert logged["appends"] == wal["appends"] + 1
+        assert logged["syncs"] == wal["syncs"] + 1
+        assert stats["requests"]["by_kind"] == {"execute": 3}
 
     def test_errors_propagate_to_the_awaiting_client(self):
         schema = movie_schema()
@@ -645,14 +527,10 @@ class TestInlineRule:
                 ran = []
                 run_request = session._run
 
-                def no_pool(kind, payload, deadline):
-                    raise AssertionError(f"{kind} was handed to the pool")
-
                 def spy_run(kind, payload):
                     ran.append((kind, threading.get_ident()))
                     return run_request(kind, payload)
 
-                session._serve = no_pool
                 session._run = spy_run
                 translation = await session.translate(sql)  # an exact-cache miss
                 await session.execute(sql)
@@ -676,36 +554,81 @@ class TestInlineRule:
             "execute",
         ]
         assert {thread for _, thread in ran} == {threading.get_ident()}
-        assert requests["inline"] == len(ran)
-        assert requests["pooled"] == 0
+        assert requests["by_kind"] == {
+            "translate": 1,
+            "execute": 2,
+            "explain": 1,
+            "narrate_relation": 1,
+            "narrate_database": 1,
+        }
 
-    def test_a_durable_sessions_disk_requests_keep_the_pool(self, tmp_path):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"fsync": "always"},
+            # Every second append completes a group commit and syncs.
+            {"fsync": "batch", "batch_every": 2},
+            # Every second mutation reaches the checkpoint cadence.
+            {"fsync": "never", "checkpoint_every": 2},
+        ],
+        ids=["always", "batch", "never"],
+    )
+    def test_a_durable_session_waits_on_the_disk_on_the_loop(
+        self, tmp_path, monkeypatch, config
+    ):
+        # Writes whose appends sync the log or reach the checkpoint
+        # cadence, checkpoint() and snapshot_to() run on the loop thread,
+        # and the session's whole life starts no thread.
+        appended = []
+        append = WriteAheadLog.append
+
+        def spy_append(wal, payload, seq=None):
+            appended.append(threading.get_ident())
+            return append(wal, payload, seq)
+
+        monkeypatch.setattr(WriteAheadLog, "append", spy_append)
+
+        def disk_waits(session):
+            durability = session.stats()["durability"]
+            return durability["wal"]["syncs"] + durability["checkpoints"]
+
         async def main():
             async with NarrationService() as service:
                 session = service.session(
                     database=movie_database(),
-                    durability=DurabilityConfig(directory=tmp_path / "wal", fsync="always"),
+                    durability=DurabilityConfig(directory=tmp_path / "wal", **config),
                 )
-                served = []
-                serve = session._serve
+                ran = []
+                run_request = session._run
 
-                def spy_serve(kind, payload, deadline):
-                    served.append(kind)
-                    return serve(kind, payload, deadline)
+                def spy_run(kind, payload):
+                    ran.append((kind, threading.get_ident()))
+                    return run_request(kind, payload)
 
-                session._serve = spy_serve
-                await session.execute("select count(*) from GENRE")  # a read
-                await session.execute("insert into GENRE (mid, genre) values (1, 'Disk')")
+                session._run = spy_run
+                waits = disk_waits(session)
+                for index in range(4):
+                    await session.execute(
+                        f"insert into GENRE (mid, genre) values (1, 'Disk {index}')"
+                    )
+                waits = disk_waits(session) - waits
                 seq = await session.checkpoint()
                 await session.snapshot_to(str(tmp_path / "copy"), seq)
-                return served, session.stats()["requests"]
+                inside = set(threading.enumerate())
+                return ran, waits, seq, inside
 
-        served, requests = run(main())
-        assert served == ["execute", "checkpoint", "snapshot_to"]
-        assert requests["inline"] == 1 and requests["pooled"] == 3
+        before = set(threading.enumerate())
+        ran, waits, seq, inside = run(main())
+        after = set(threading.enumerate())
+        loop = threading.get_ident()
+        assert waits >= 2  # the writes synced the log or checkpointed
+        assert appended == [loop] * 4
+        assert ran == [("execute", loop)] * 4 + [("checkpoint", loop), ("snapshot_to", loop)]
+        assert seq == 4
+        assert inside <= before and after <= before
 
     @pytest.mark.parametrize(
-        "config, pooled",
+        "config, waiting",
         [
             # Every fourth append completes a group commit and syncs.
             ({"fsync": "batch", "batch_every": 4, "checkpoint_every": 0}, [3, 7]),
@@ -715,63 +638,86 @@ class TestInlineRule:
             ({"fsync": "batch", "batch_every": 3, "checkpoint_every": 5}, [2, 4, 7]),
         ],
     )
-    def test_a_durable_write_runs_on_the_loop_until_it_waits_on_the_disk(
-        self, tmp_path, config, pooled
+    def test_a_durable_write_waits_on_the_disk_at_its_cadence(
+        self, tmp_path, config, waiting
     ):
+        # Only the writes that complete a group commit or reach the
+        # checkpoint cadence wait on the disk, and they do so on the loop.
         async def main():
             async with NarrationService() as service:
                 session = service.session(
                     database=movie_database(),
                     durability=DurabilityConfig(directory=tmp_path, **config),
                 )
-                served = []
-                serve = session._serve
+                waited = []
+                run_request = session._run
 
-                def spy_serve(kind, payload, deadline):
-                    served.append(payload)
-                    return serve(kind, payload, deadline)
+                def disk_waits():
+                    durability = session.stats()["durability"]
+                    return durability["wal"]["syncs"] + durability["checkpoints"]
 
-                session._serve = spy_serve
+                def spy_run(kind, payload):
+                    before = disk_waits()
+                    try:
+                        return run_request(kind, payload)
+                    finally:
+                        if disk_waits() > before:
+                            waited.append((payload, threading.get_ident()))
+
+                session._run = spy_run
                 writes = [
                     f"insert into GENRE values (1, 'Write {index}')" for index in range(8)
                 ]
                 for sql in writes:
                     await session.execute(sql)
-                return writes, served
+                return writes, waited
 
-        writes, served = run(main())
-        assert served == [writes[index] for index in pooled]
+        writes, waited = run(main())
+        loop = threading.get_ident()
+        assert waited == [(writes[index], loop) for index in waiting]
 
     def test_a_write_of_several_rows_counts_each_row(self, tmp_path):
+        # Each row is one log append, so a write of several rows can
+        # complete a group commit part way through; every row recovers.
+        count = "select count(*) from GENRE"
+        config = DurabilityConfig(
+            directory=tmp_path, fsync="batch", batch_every=5, checkpoint_every=0
+        )
+
         async def main():
             async with NarrationService() as service:
-                session = service.session(
-                    database=movie_database(),
-                    durability=DurabilityConfig(
-                        directory=tmp_path, fsync="batch", batch_every=5, checkpoint_every=0
-                    ),
-                )
+                session = service.session(database=movie_database(), durability=config)
+                base = (await session.execute(count)).rows[0]["count(*)"]
 
                 async def write(sql):
-                    syncs = session.stats()["durability"]["wal"]["syncs"]
+                    wal = session.stats()["durability"]["wal"]
                     await session.execute(sql)
-                    requests = session.stats()["requests"]
-                    synced = session.stats()["durability"]["wal"]["syncs"] - syncs
-                    return requests["inline"], requests["pooled"], synced
+                    after = session.stats()["durability"]["wal"]
+                    return after["appends"] - wal["appends"], after["syncs"] - wal["syncs"]
 
                 steps = [await write("insert into GENRE values (1, 'a')")]
                 steps.append(await write("insert into GENRE values (1, 'b')"))
-                # Two quiet appends are left: the third row would sync.
+                # Two quiet appends are left: the third row syncs.
                 steps.append(
                     await write("insert into GENRE values (1, 'c'), (1, 'd'), (1, 'e')")
                 )
                 # After the group commit, two rows fit again.
                 steps.append(await write("insert into GENRE values (1, 'f'), (1, 'g')"))
-                return steps
+                pending = session.stats()["durability"]["wal"]["pending_sync"]
+            # Closing the service flushed the two batched rows.
+            async with NarrationService() as service:
+                session = service.session(database=movie_database(), durability=config)
+                recovered = (await session.execute(count)).rows[0]["count(*)"]
+            return steps, pending, recovered - base
 
-        assert run(main()) == [(1, 0, 0), (2, 0, 0), (2, 1, 1), (3, 1, 0)]
+        steps, pending, recovered = run(main())
+        assert steps == [(1, 0), (1, 0), (3, 1), (2, 0)]
+        assert pending == 2
+        assert recovered == 7
 
     def test_a_column_list_is_not_counted_as_a_row(self, tmp_path):
+        # An INSERT that names its columns logs one append for its one
+        # row: the second such write completes the group commit.
         async def main():
             async with NarrationService() as service:
                 session = service.session(
@@ -782,96 +728,191 @@ class TestInlineRule:
                 )
                 steps = []
                 for genre in ("a", "b"):
-                    syncs = session.stats()["durability"]["wal"]["syncs"]
+                    wal = session.stats()["durability"]["wal"]
                     await session.execute(
                         f"insert into GENRE (mid, genre) values (1, '{genre}')"
                     )
-                    requests = session.stats()["requests"]
-                    synced = session.stats()["durability"]["wal"]["syncs"] - syncs
-                    steps.append((requests["inline"], requests["pooled"], synced))
+                    after = session.stats()["durability"]["wal"]
+                    steps.append(
+                        (after["appends"] - wal["appends"], after["syncs"] - wal["syncs"])
+                    )
                 return steps
 
-        # One quiet append is left before the group commit: the first
-        # row fits on the loop, the second syncs on a thread.
-        assert run(main()) == [(1, 0, 0), (1, 1, 1)]
+        assert run(main()) == [(1, 0), (1, 1)]
 
-    def test_a_request_sent_during_a_pool_run_runs_after_it(self, tmp_path):
-        # The disk run holds the turn while it waits on its thread: the
-        # request sent then must wait its turn, not run beside it.
-        database = movie_database()
+    def test_a_request_sent_during_a_disk_wait_runs_after_it(self, tmp_path):
+        # The snapshot holds the loop while it writes: a request sent
+        # then runs after it ends, never beside it.
         second = "select count(*) from GENRE"
 
         async def main():
             async with NarrationService() as service:
-                session = service.session(database=database)
-                ran = []
+                session = service.session(database=movie_database())
+                events, sent = [], []
                 run_request = session._run
 
                 def spy_run(kind, payload):
-                    ran.append(kind)
-                    return run_request(kind, payload)
+                    events.append(("start", kind))
+                    if kind == "snapshot_to":
+                        sent.append(asyncio.ensure_future(session.execute(second)))
+                    try:
+                        return run_request(kind, payload)
+                    finally:
+                        events.append(("end", kind))
 
                 session._run = spy_run
-                started, proceed = park_disk_runs(session)
-                try:
-                    running = asyncio.ensure_future(
-                        session.snapshot_to(str(tmp_path), 0)
-                    )
-                    assert await asyncio.to_thread(started.wait, 5)
-                    following = asyncio.ensure_future(session.execute(second))
-                    await asyncio.sleep(0.05)
-                    waiting = session.stats()["requests"]["queue_depth"]
-                finally:
-                    proceed.set()
-                await asyncio.gather(running, following)
-                return ran, waiting, session.stats()["requests"]
+                await session.snapshot_to(str(tmp_path), 0)
+                result = await sent[0]
+                return events, result, session.stats()["requests"]
 
-        ran, waiting, requests = run(main())
-        assert waiting == 1
-        assert ran == ["snapshot_to", "execute"]
-        assert requests["inline"] == 1 and requests["pooled"] == 1
+        events, result, requests = run(main())
+        assert events == [
+            ("start", "snapshot_to"),
+            ("end", "snapshot_to"),
+            ("start", "execute"),
+            ("end", "execute"),
+        ]
+        assert result.rows
+        assert requests["by_kind"] == {"snapshot_to": 1, "execute": 1}
 
-    def test_a_cached_translate_waits_for_a_disk_run(self, tmp_path):
-        # A disk run on its thread may be using the translator's caches,
-        # so a translate the cache answers still waits for its turn.
+    def test_a_cached_translate_sent_during_a_disk_wait_runs_after_it(self, tmp_path):
+        # A translate the cache answers runs like any request: sent while
+        # a checkpoint writes, it runs on the loop once the checkpoint
+        # ends, and still hits the cache.
         sql = "select m.title from MOVIES m where m.year = 2004"
 
         async def main():
             async with NarrationService() as service:
-                session = service.session(database=movie_database(), phrase_plans=True)
+                session = service.session(
+                    database=movie_database(),
+                    phrase_plans=True,
+                    durability=DurabilityConfig(directory=tmp_path, fsync="always"),
+                )
                 for _ in range(3):
-                    await session.translate(sql)  # the last is a cache hit
+                    first = await session.translate(sql)  # the last is a cache hit
                 before = session.stats()
-                ran = []
+                events, sent = [], []
+                run_request = session._run
+
+                def spy_run(kind, payload):
+                    events.append(("start", kind, threading.get_ident()))
+                    if kind == "checkpoint":
+                        sent.append(asyncio.ensure_future(session.translate(sql)))
+                    try:
+                        return run_request(kind, payload)
+                    finally:
+                        events.append(("end", kind, threading.get_ident()))
+
+                session._run = spy_run
+                await session.checkpoint()
+                cached = await sent[0]
+                return first, cached, before, events, session.stats()
+
+        first, cached, before, events, after = run(main())
+        loop = threading.get_ident()
+        assert events == [
+            ("start", "checkpoint", loop),
+            ("end", "checkpoint", loop),
+            ("start", "translate", loop),
+            ("end", "translate", loop),
+        ]
+        assert _fields(cached) == _fields(first)
+        assert before["translator"]["exact_cache"]["hits"] == 1
+        assert after["translator"]["exact_cache"]["hits"] == 2
+        assert after["durability"]["checkpoints"] == before["durability"]["checkpoints"] + 1
+        assert after["requests"]["by_kind"] == {"translate": 4, "checkpoint": 1}
+
+    def test_requests_sent_during_a_disk_wait_run_on_the_loop_in_order(self, tmp_path):
+        database = movie_database()
+        sql = "select m.title from MOVIES m where m.year = 2004"
+
+        async def main():
+            async with NarrationService() as service:
+                session = service.session(database=database, spec_factory=movie_spec)
+                ran, sent = [], []
                 run_request = session._run
 
                 def spy_run(kind, payload):
                     ran.append((kind, threading.get_ident()))
+                    if kind == "snapshot_to":
+                        sent.extend(
+                            [
+                                asyncio.ensure_future(session.execute(sql)),
+                                asyncio.ensure_future(session.translate(sql)),  # a miss
+                                asyncio.ensure_future(
+                                    session.explain_empty(
+                                        "select m.title from MOVIES m where m.year = 1800"
+                                    )
+                                ),
+                                asyncio.ensure_future(session.narrate_relation("MOVIES")),
+                            ]
+                        )
                     return run_request(kind, payload)
 
                 session._run = spy_run
-                started, proceed = park_disk_runs(session)
-                try:
-                    parked = asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
-                    assert await asyncio.to_thread(started.wait, 5)
-                    cached = asyncio.ensure_future(session.translate(sql))
-                    await asyncio.sleep(0.05)
-                    waiting = session.stats()["requests"]["queue_depth"]
-                    assert ran == []  # the disk run is parked before it runs
-                finally:
-                    proceed.set()
-                await asyncio.gather(parked, cached)
-                return before, waiting, ran, session.stats()
+                await session.snapshot_to(str(tmp_path), 0)
+                await asyncio.gather(*sent)
+                return ran, session.stats()["requests"]
 
-        before, waiting, ran, after = run(main())
-        assert before["translator"]["exact_cache"]["hits"] == 1
-        assert waiting == 1
-        assert [kind for kind, _ in ran] == ["snapshot_to", "translate"]
-        assert ran[1][1] == threading.get_ident()  # after the disk run, on the loop
-        assert after["translator"]["exact_cache"]["hits"] == 2
-        requests = after["requests"]
-        assert requests["inline"] == before["requests"]["inline"] + 1
-        assert requests["pooled"] == 1
+        ran, requests = run(main())
+        assert [kind for kind, _ in ran] == [
+            "snapshot_to",
+            "execute",
+            "translate",
+            "explain",
+            "narrate_relation",
+        ]
+        assert {thread for _, thread in ran} == {threading.get_ident()}
+        assert requests["by_kind"] == {
+            "snapshot_to": 1,
+            "execute": 1,
+            "translate": 1,
+            "explain": 1,
+            "narrate_relation": 1,
+        }
+
+    def test_a_disk_wait_holds_every_session_of_the_service(self, tmp_path):
+        # The service runs on one thread: while one session's checkpoint
+        # waits on the disk, another session's request waits for the loop.
+        count = "select count(*) from GENRE"
+
+        async def main():
+            async with NarrationService() as service:
+                durable = service.session(
+                    database=movie_database(),
+                    durability=DurabilityConfig(directory=tmp_path, fsync="always"),
+                )
+                other = service.session(database=movie_database())
+                events, sent = [], []
+
+                def spy(session, name):
+                    run_request = session._run
+
+                    def spy_run(kind, payload):
+                        events.append(("start", name, kind))
+                        if kind == "checkpoint":
+                            sent.append(asyncio.ensure_future(other.execute(count)))
+                        try:
+                            return run_request(kind, payload)
+                        finally:
+                            events.append(("end", name, kind))
+
+                    session._run = spy_run
+
+                spy(durable, "durable")
+                spy(other, "other")
+                await durable.checkpoint()
+                result = await sent[0]
+                return events, result
+
+        events, result = run(main())
+        assert events == [
+            ("start", "durable", "checkpoint"),
+            ("end", "durable", "checkpoint"),
+            ("start", "other", "execute"),
+            ("end", "other", "execute"),
+        ]
+        assert result.rows
 
     def test_a_cached_translate_is_shed_on_an_expired_deadline(self):
         # A translate the cache can answer is admitted like any request:
@@ -892,9 +933,8 @@ class TestInlineRule:
         stats = run(main())
         assert stats["translator"]["exact_cache"]["hits"] == 1
         requests = stats["requests"]
-        assert requests["shed"]["deadline"] == 2
+        assert requests["shed"] == {"deadline": 2}
         assert requests["by_kind"] == {"translate": 3}
-        assert requests["inline"] == 3
 
     def test_a_cold_translate_looks_its_shape_up_once(self, monkeypatch):
         looked_up = []
@@ -916,62 +956,6 @@ class TestInlineRule:
         # One masking pass and one plan-store lookup for a miss.
         assert looked_up == [sql]
 
-    def test_requests_queued_behind_a_disk_run_run_on_the_loop_in_order(
-        self, tmp_path
-    ):
-        database = movie_database()
-        sql = "select m.title from MOVIES m where m.year = 2004"
-
-        async def main():
-            async with NarrationService() as service:
-                session = service.session(database=database, spec_factory=movie_spec)
-                ran = []
-                run_request = session._run
-
-                def spy_run(kind, payload):
-                    ran.append((kind, threading.get_ident()))
-                    return run_request(kind, payload)
-
-                session._run = spy_run
-                started, proceed = park_disk_runs(session)
-                try:
-                    parked = asyncio.ensure_future(
-                        session.snapshot_to(str(tmp_path), 0)
-                    )
-                    assert await asyncio.to_thread(started.wait, 5)
-                    queued = [
-                        asyncio.ensure_future(session.execute(sql)),
-                        asyncio.ensure_future(session.translate(sql)),  # a miss
-                        asyncio.ensure_future(
-                            session.explain_empty(
-                                "select m.title from MOVIES m where m.year = 1800"
-                            )
-                        ),
-                        asyncio.ensure_future(session.narrate_relation("MOVIES")),
-                    ]
-                    await asyncio.sleep(0.05)
-                    waiting = session.stats()["requests"]["queue_depth"]
-                    assert ran == []  # the disk run is parked before it runs
-                finally:
-                    proceed.set()
-                await asyncio.gather(parked, *queued)
-                return ran, waiting, session.stats()["requests"]
-
-        ran, waiting, requests = run(main())
-        assert waiting == 4
-        assert [kind for kind, _ in ran] == [
-            "snapshot_to",
-            "execute",
-            "translate",
-            "explain",
-            "narrate_relation",
-        ]
-        loop_thread = threading.get_ident()
-        assert ran[0][1] != loop_thread
-        assert {thread for _, thread in ran[1:]} == {loop_thread}
-        assert requests["pooled"] == 1
-        assert requests["inline"] == 4
-
     def test_an_expired_timeout_is_shed_before_it_runs(self):
         async def main():
             async with NarrationService() as service:
@@ -990,22 +974,20 @@ class TestInlineRule:
 
         ran, requests = run(main())
         assert ran == []
-        assert requests["shed"]["deadline"] == 1
+        assert requests["shed"] == {"deadline": 1}
         assert requests["by_kind"] == {}
-        assert requests["inline"] == requests["pooled"] == 0
 
-    def test_inline_and_pooled_runs_never_overlap(self, tmp_path):
-        # Durable writes go to the pool and reads run on the loop when the
-        # session is idle: sixteen clients interleave the two paths while
-        # the pool thread switches as often as it can.
+    def test_durable_writes_and_reads_never_overlap(self, tmp_path):
+        # Sixteen clients interleave durable writes, half of which sync
+        # the log, with reads and translates, while any other thread
+        # switches as often as it can.
         database = movie_database()
         clients, rounds = 16, 10
         count = "select count(*) from GENRE"
 
         async def main():
             async with NarrationService() as service:
-                # Every second write completes a group commit: it syncs, so
-                # it runs on the pool.
+                # Every second write completes a group commit and syncs.
                 session = service.session(
                     database=database,
                     durability=DurabilityConfig(
@@ -1037,7 +1019,7 @@ class TestInlineRule:
                             f" values (1, 'Stress {number}-{index}')"
                         )
                         # Yield, so that other clients' requests are sent
-                        # while a pool run is under way.
+                        # between this client's write and its read.
                         await asyncio.sleep(0)
                         seen.append((await session.execute(count)).rows[0]["count(*)"])
                         await session.translate(count)
@@ -1047,23 +1029,26 @@ class TestInlineRule:
                     asyncio.gather(*[client(n) for n in range(clients)]), 60
                 )
                 final = (await session.execute(count)).rows[0]["count(*)"]
-                return base, seen, final, running[1], session.stats()["requests"]
+                stats = session.stats()
+                return base, seen, final, running[1], stats
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            base, seen, final, most, requests = run(main())
+            base, seen, final, most, stats = run(main())
         finally:
             sys.setswitchinterval(interval)
         assert most == 1
         assert final == base + clients * rounds
         for counts in seen:  # each client's own inserts precede its counts
             assert counts == sorted(set(counts)) and counts[0] > base
-        assert requests["inline"] > 0 and requests["pooled"] >= clients * rounds // 2
-        assert requests["queue_depth"] == 0
-        assert sum(requests["by_kind"].values()) == requests["inline"] + requests["pooled"]
+        assert stats["durability"]["wal"]["syncs"] >= clients * rounds // 2
+        assert stats["requests"]["by_kind"] == {
+            "execute": 2 + 2 * clients * rounds,
+            "translate": clients * rounds,
+        }
 
-    def test_every_admitted_request_is_counted_on_one_path(self, tmp_path):
+    def test_every_request_is_counted_as_run_or_shed(self, tmp_path):
         database = movie_database()
         sql = "select m.title from MOVIES m where m.year = 2004"
 
@@ -1071,33 +1056,26 @@ class TestInlineRule:
             async with NarrationService() as service:
                 session = service.session(database=database, phrase_plans=True)
                 for _ in range(3):
-                    await session.translate(sql)  # a miss on the loop, then hits
-                await session.execute(sql)
+                    await session.translate(sql)  # a miss, then hits
+                await session.execute(sql, timeout=60)  # a budget left: it runs
                 await session.narrate_relation("MOVIES")
-                # A parked disk run holds the turn; the request behind it
-                # runs out of budget while it waits its turn.
-                started, proceed = park_disk_runs(session)
-                try:
-                    held = asyncio.ensure_future(session.snapshot_to(str(tmp_path), 0))
-                    assert await asyncio.to_thread(started.wait, 5)
-                    shed = asyncio.ensure_future(session.execute(sql, timeout=0.05))
-                    queued = asyncio.ensure_future(session.explain_empty(sql))
-                    await asyncio.sleep(0.3)
-                finally:
-                    proceed.set()
-                await held
-                with pytest.raises(DeadlineExceeded):
-                    await shed
-                await queued
-                with pytest.raises(DeadlineExceeded):  # shed at admission
-                    await session.execute(sql, timeout=0.0)
+                await session.snapshot_to(str(tmp_path), 0)
+                await session.explain_empty(sql)
+                for request in (session.translate, session.execute):
+                    with pytest.raises(DeadlineExceeded):  # shed at admission
+                        await request(sql, timeout=0.0)
                 return session.stats()["requests"]
 
         requests = run(main())
-        assert requests["shed"] == {"overload": 0, "deadline": 1, "in_queue": 1}
-        assert requests["inline"] == 7
-        assert requests["pooled"] == 1
-        assert sum(requests["by_kind"].values()) == requests["inline"] + requests["pooled"]
+        # Seven requests ran and two were shed; each counts exactly once.
+        assert requests["by_kind"] == {
+            "translate": 3,
+            "execute": 1,
+            "narrate_relation": 1,
+            "snapshot_to": 1,
+            "explain": 1,
+        }
+        assert requests["shed"] == {"deadline": 2}
 
 
 # ---------------------------------------------------------------------------

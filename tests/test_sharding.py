@@ -262,11 +262,7 @@ class TestRouterEquivalence:
         assert stats["router"]["worker_health"] == ["live", "live"]
         for worker in stats["workers"]:
             assert worker["breaker"]["state"] == "closed"
-            assert worker["session"]["requests"]["shed"] == {
-                "overload": 0,
-                "deadline": 0,
-                "in_queue": 0,
-            }
+            assert worker["session"]["requests"]["shed"] == {"deadline": 0}
         # Placement spread the corpus over both workers.
         per_worker = [
             sum(w["session"]["requests"]["by_kind"].values())

@@ -231,7 +231,6 @@ KEPT: List[Tuple[str, Tuple[str, ...]]] = [
         "repro/service/service.py:NarrationSession.snapshot_to",
         "repro/service/resilience.py:CircuitBreaker.force_open",
         "repro/service/resilience.py:CircuitBreaker._trip",
-        "repro/service/resilience.py:AdmissionController.shed_expired_in_queue",
         "repro/service/sharding/supervisor.py:WorkerHandle.wait_applied",
         "repro/service/sharding/supervisor.py:WorkerHandle.give_up",
     )),
